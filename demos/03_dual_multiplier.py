@@ -2,13 +2,14 @@
 
 Lambda solves (A.T - GX) L + L (A - XG) = -W.  It is PSD whenever W is, it
 equals the integral of the closed-loop semigroup squeezing W, and its norm
-obeys M^2/(2 alpha) ||W|| with *closed-loop* constants (recomputed, not
-inherited from A).
+obeys M^2/(2 alpha) ||W|| with *closed-loop* constants (not inherited from
+A).  solve_dual does not certify the closed loop; the solution does so on
+the first read of its bound slack and reuses that certificate afterwards.
 """
 
 import numpy as np
 
-from riccati_place import certify_stability, solve_are, solve_dual, verify_dual
+from riccati_place import solve_are, solve_dual, verify_dual
 
 rng = np.random.default_rng(4)
 n = 6
@@ -27,7 +28,7 @@ print(f"dual residual: {dsol.residual:.2e}")
 print(f"||Lambda|| = {np.linalg.norm(dsol.Lambda, 2):.4f}, "
       f"bound slack = {dsol.norm_bound_slack:.4f}")
 
-cert_cl = certify_stability(dsol.closed_loop)
+cert_cl = dsol.closed_loop_cert  # cached by the slack read above
 rep = verify_dual(dsol, cert_cl, W)
 print(f"closed-loop certificate: alpha = {cert_cl.alpha:.3f}, M = {cert_cl.M:.3f}")
 print(f"integral representation residual: {rep.quadrature_residual_rel:.2e} relative")

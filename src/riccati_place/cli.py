@@ -312,8 +312,7 @@ def _cmd_solve_are(cfg, out_dir):
     horizon = cfg.horizon if cfg.horizon is not None else 20.0 / problem.cert.alpha
     ver = verify_are(problem.A, G, problem.Q, sol, problem.cert, horizon, cfg.nodes)
     dsol = solve_dual(problem.A, G, sol.X, problem.W)
-    cert_cl = certify_stability(dsol.closed_loop)
-    dver = verify_dual(dsol, cert_cl, problem.W, nodes=cfg.nodes)
+    dver = verify_dual(dsol, dsol.closed_loop_cert, problem.W, nodes=cfg.nodes)
     write_report(out_dir, "report.json", {
         "placement": p0,
         "newton_iters": sol.newton_iters,

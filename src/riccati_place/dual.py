@@ -4,10 +4,13 @@
 
 a Sylvester equation in the closed-loop generator A.T - G X.  Its solution
 inherits symmetry and positive semi-definiteness from W and obeys the decay
-bound ||L|| <= M^2/(2 alpha) ||W|| with closed-loop constants.
+bound ||L|| <= M^2/(2 alpha) ||W|| with closed-loop constants.  Those
+constants belong to the well-posedness analysis, not to the optimality
+system, so the closed loop is certified lazily: only when the bound is read.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -25,12 +28,38 @@ from .semigroup import certify_stability
 NORM_BOUND_SLACK = 1e-9
 
 
+def _closed_loop_unstable(err):
+    return ClosedLoopUnstable(f"A.T - G X is not stable: {err}")
+
+
 @dataclass
 class DualSolution:
+    """Multiplier of the Riccati constraint.
+
+    ``closed_loop_cert`` and ``norm_bound_slack`` are computed on first read
+    and cached; the first read raises ClosedLoopUnstable when the closed loop
+    cannot be certified.
+    """
+
     Lambda: np.ndarray
     residual: float
-    norm_bound_slack: float
-    closed_loop: np.ndarray  # A.T - G X, kept for verification
+    closed_loop: np.ndarray  # A.T - G X
+    norm_W: float
+
+    @cached_property
+    def closed_loop_cert(self):
+        """Stability certificate (M, alpha) of the closed-loop generator."""
+        try:
+            return certify_stability(self.closed_loop)
+        except UnstableGenerator as err:
+            raise _closed_loop_unstable(err) from err
+
+    @cached_property
+    def norm_bound_slack(self):
+        """``M^2/(2 alpha) ||W|| - ||Lambda||`` with closed-loop constants."""
+        cert = self.closed_loop_cert
+        bound = cert.M**2 / (2.0 * cert.alpha) * self.norm_W
+        return bound - operator_norm(self.Lambda)
 
 
 def dual_residual(closed_loop, Lam, W):
@@ -40,9 +69,12 @@ def dual_residual(closed_loop, Lam, W):
 def solve_dual(A, G, X, W, cert=None):
     """Solve the dual equation for the multiplier Lambda.
 
-    X must be the Riccati solution for (A, G, Q); W symmetric PSD.  The
-    closed-loop generator is re-certified (not assumed) to populate the
-    norm-bound slack ``M^2/(2 alpha) ||W|| - ||Lambda||``.
+    X must be the Riccati solution for (A, G, Q); W symmetric PSD.  Raises
+    ClosedLoopUnstable when the closed loop ``A.T - G X`` has spectrum off
+    the open left half-plane.  Its decay certificate is not built here: the
+    solution certifies the closed loop on the first read of
+    ``closed_loop_cert`` or ``norm_bound_slack``, or uses ``cert`` when one
+    is given.
     """
     A = ensure_operator(A, "A")
     G = ensure_operator(G, "G")
@@ -52,17 +84,17 @@ def solve_dual(A, G, X, W, cert=None):
     closed_loop = A.T - G @ X
     try:
         Lam = symmetrize(solve_sylvester(closed_loop, closed_loop, -W))
-        if cert is None:
-            cert = certify_stability(closed_loop)
     except UnstableGenerator as err:
-        raise ClosedLoopUnstable(f"A.T - G X is not stable: {err}") from err
-    bound = cert.M**2 / (2.0 * cert.alpha) * operator_norm(W)
-    return DualSolution(
+        raise _closed_loop_unstable(err) from err
+    sol = DualSolution(
         Lambda=Lam,
         residual=dual_residual(closed_loop, Lam, W),
-        norm_bound_slack=bound - operator_norm(Lam),
         closed_loop=closed_loop,
+        norm_W=operator_norm(W),
     )
+    if cert is not None:
+        sol.closed_loop_cert = cert  # fills the cache; no certificate is built
+    return sol
 
 
 @dataclass(frozen=True)

@@ -173,9 +173,9 @@ def bochner_quadrature(A1, A2, P, horizon, nodes):
 
     Returns ``-int_0^horizon exp(A1 t) P exp(A2.T t) dt`` by composite
     16-point Gauss-Legendre with panel width at most ``1/(2 alpha)``, where
-    alpha is the weaker certified decay rate of the two generators.  ``nodes``
-    is a minimum node budget; more panels are used when the decay rate
-    demands them.
+    alpha is the weaker certified decay rate of the two generators (equal
+    generators are certified once).  ``nodes`` is a minimum node budget;
+    more panels are used when the decay rate demands them.
 
     Raises HorizonTooShort when the analytic truncation tail
     ``M^2 ||P|| exp(-2 alpha horizon) / (2 alpha)`` exceeds 1e-8.
@@ -193,7 +193,7 @@ def bochner_quadrature(A1, A2, P, horizon, nodes):
         raise ValueError("nodes must be positive")
 
     cert1 = certify_stability(A1)
-    cert2 = certify_stability(A2)
+    cert2 = cert1 if np.array_equal(A1, A2) else certify_stability(A2)
     m_star = max(cert1.M, cert2.M)
     alpha_star = min(cert1.alpha, cert2.alpha)
 

@@ -11,6 +11,7 @@ second-order checks, and the beta-continuation sweep that drives
 tr G_p -> gamma.
 """
 
+import copy
 import math
 from dataclasses import dataclass, field, replace
 from typing import List, Optional, Tuple
@@ -765,12 +766,14 @@ def beta_sweep(cfg, betas, p0, ledger=None, damping=1.0):
 
 
 def replace_beta(cfg, beta):
-    """Copy a problem config with a different penalty parameter."""
-    kwargs = dict(A=cfg.A, Q=cfg.Q, W=cfg.W, family=cfg.family, beta=beta,
-                  tol=cfg.tol, max_iter=cfg.max_iter)
-    if isinstance(cfg, Problem2Config):
-        return Problem2Config(gamma=cfg.gamma, **kwargs)
-    return Problem1Config(**kwargs)
+    """Shallow copy of a problem config with a different penalty parameter.
+
+    The copy shares A's certificate, so A is not certified again; beta is not
+    validated here (beta_sweep checks its schedule).
+    """
+    cfg_b = copy.copy(cfg)
+    cfg_b.beta = beta
+    return cfg_b
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,19 @@ def rand_stable(n, rng, margin=0.3):
     return A - (shift + margin + rng.uniform(0.0, 1.0)) * np.eye(n)
 
 
+def count_certificates(monkeypatch, *modules):
+    """Route each module's ``certify_stability`` through one counter; returns
+    the list of certified generators, which grows with every call."""
+    calls = []
+    for module in modules:
+        def counted(A, original=module.certify_stability):
+            calls.append(A)
+            return original(A)
+
+        monkeypatch.setattr(module, "certify_stability", counted)
+    return calls
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260810)

@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
+from riccati_place import dual
 from riccati_place.dual import solve_dual, verify_dual
-from riccati_place.errors import ClosedLoopUnstable
+from riccati_place.errors import ClosedLoopUnstable, UnstableGenerator
 from riccati_place.linalg import operator_norm
 from riccati_place.riccati import solve_are
 from riccati_place.semigroup import certify_stability
 
-from conftest import rand_psd, rand_stable_symmetric
+from conftest import count_certificates, rand_psd, rand_stable_symmetric
 
 
 def scalar(x):
@@ -91,3 +92,44 @@ class TestVerifyDual:
             rep = verify_dual(sol, cert, W)
             assert rep.norm_bound_holds and rep.psd
             assert rep.quadrature_residual_rel <= 1e-6
+
+
+class TestLazyCertificate:
+    def instance(self, rng):
+        A = rand_stable_symmetric(5, rng)
+        G, Q, W = rand_psd(5, rng), rand_psd(5, rng), rand_psd(5, rng)
+        return A, G, solve_are(A, G, Q).X, W
+
+    def test_certified_once_on_first_read(self, monkeypatch, rng):
+        A, G, X, W = self.instance(rng)
+        calls = count_certificates(monkeypatch, dual)
+        sol = solve_dual(A, G, X, W)
+        assert len(calls) == 0
+        slack = sol.norm_bound_slack
+        assert len(calls) == 1
+        assert sol.norm_bound_slack == slack
+        assert sol.closed_loop_cert is sol.closed_loop_cert
+        assert len(calls) == 1
+        # the lazy slack is exactly the bound with closed-loop constants
+        c = certify_stability(sol.closed_loop)
+        assert slack == c.M**2 / (2.0 * c.alpha) * operator_norm(W) - operator_norm(sol.Lambda)
+
+    def test_given_certificate_is_used(self, monkeypatch, rng):
+        A, G, X, W = self.instance(rng)
+        cert = certify_stability(A.T - G @ X)
+        calls = count_certificates(monkeypatch, dual)
+        sol = solve_dual(A, G, X, W, cert=cert)
+        assert sol.closed_loop_cert is cert
+        assert sol.norm_bound_slack >= -1e-9
+        assert len(calls) == 0
+
+    def test_failed_certificate_raises_on_read(self, monkeypatch, rng):
+        A, G, X, W = self.instance(rng)
+
+        def refuse(A):
+            raise UnstableGenerator("certificate validation failed")
+
+        monkeypatch.setattr(dual, "certify_stability", refuse)
+        sol = solve_dual(A, G, X, W)
+        with pytest.raises(ClosedLoopUnstable):
+            sol.norm_bound_slack

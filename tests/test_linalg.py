@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.integrate import quad
 
+from riccati_place import semigroup
 from riccati_place.errors import HorizonTooShort, SingularSystem, UnstableGenerator
 from riccati_place.linalg import (
     bochner_quadrature,
@@ -14,7 +15,7 @@ from riccati_place.linalg import (
     solve_sylvester,
 )
 
-from conftest import rand_psd, rand_stable
+from conftest import count_certificates, rand_psd, rand_stable
 
 
 class TestMatrixExponential:
@@ -108,6 +109,13 @@ class TestBochnerQuadrature:
         with pytest.raises(HorizonTooShort):
             bochner_quadrature(np.array([[-0.1]]), np.array([[-0.1]]),
                                np.array([[1.0]]), horizon=1.0, nodes=64)
+
+    def test_equal_generators_certified_once(self, monkeypatch, rng):
+        # the oracle imports certify_stability from semigroup at call time
+        calls = count_certificates(monkeypatch, semigroup)
+        A = rand_stable(4, rng)
+        bochner_quadrature(A, A, -np.eye(4), horizon=20.0, nodes=200)
+        assert len(calls) == 1
 
     def test_oracle_equivalence_with_schur_solve(self, rng):
         # dual-route check: direct solve vs quadrature on certified triples

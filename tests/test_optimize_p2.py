@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from riccati_place import dual, optimize, riccati
 from riccati_place.devices import ConstantFamily, ConstantLedger, GaussianActuators
 from riccati_place.linalg import operator_norm, symmetrize
 from riccati_place.optimize import (
@@ -17,6 +18,7 @@ from riccati_place.optimize import (
 )
 from riccati_place.riccati import solve_are
 
+from conftest import count_certificates
 from test_optimize_p1 import heat_like
 
 
@@ -265,3 +267,16 @@ class TestBetaSweep:
     def test_rejects_non_ascending(self, p2_problem):
         with pytest.raises(ValueError):
             beta_sweep(p2_problem, [100.0, 10.0], [0.3])
+
+    def test_heat16_sweep_builds_no_certificate(self, monkeypatch):
+        # the README model; A is certified once, when the config is built
+        A, grid = heat_like(16, nu=1.0)
+        W = np.zeros((16, 16))
+        W[3, 3] = 1.0
+        cfg = Problem2Config(A=A, Q=np.eye(16), W=W,
+                             family=GaussianActuators(grid=grid, sigma=0.12),
+                             beta=10.0, gamma=2.6, tol=1e-6, max_iter=500)
+        calls = count_certificates(monkeypatch, optimize, dual, riccati)
+        report = beta_sweep(cfg, [10.0, 100.0], [0.3])
+        assert all(r.converged and not r.failed for r in report.rows)
+        assert len(calls) == 0

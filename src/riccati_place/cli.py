@@ -334,7 +334,7 @@ def _build_ledger(problem, family, seed):
     return devices.estimate_constants(
         family, family.domain(), LEDGER_SAMPLES, seed,
         A=problem.A, Q=problem.Q, W=problem.W,
-        beta=problem.beta, gamma=getattr(problem, "gamma", None))
+        beta=problem.beta, gamma=getattr(problem, "gamma", None), cert=problem.cert)
 
 
 def _triple_payload(problem, triple):

@@ -319,7 +319,7 @@ GRAM_SINGULAR_RTOL = 1e-12
 
 
 def estimate_constants(family, domain, samples, seed,
-                       A=None, Q=None, W=None, beta=None, gamma=None):
+                       A=None, Q=None, W=None, beta=None, gamma=None, cert=None):
     """Estimate the constant ledger by seeded sampling over the domain box.
 
     g is the sampled sup of ||G_p||; L_G and L_dG are maximal difference
@@ -327,7 +327,8 @@ def estimate_constants(family, domain, samples, seed,
     the derivative's direction norm; K the sampled sup of ||(dG*dG)^{-1}||
     where that Gram matrix is invertible.  Supplying A, Q, W additionally
     fills mu = min ||X(p) L(p) X(p)|| and sup_xlx = max of the same (one
-    Riccati + dual solve per sample), plus the certificate constants.
+    Riccati + dual solve per sample), plus the certificate constants; a
+    ``cert`` of A is reused instead of certifying A again.
 
     Deterministic for a fixed seed.  Raises DegenerateFamily when the
     derivative vanishes on all samples or the Gram matrix is singular
@@ -400,7 +401,8 @@ def estimate_constants(family, domain, samples, seed,
 
         if Q is None or W is None:
             raise ValueError("A, Q, W must be supplied together")
-        cert = certify_stability(A)
+        if cert is None:
+            cert = certify_stability(A)
         xlx_norms = []
         for p in points:
             Gp = family.G(p)

@@ -20,6 +20,7 @@ from .linalg import (
     check_psd,
     ensure_operator,
     operator_norm,
+    psd_flags,
     solve_sylvester,
     symmetrize,
 )
@@ -122,13 +123,7 @@ def verify_dual(sol, cert_closed_loop, W, horizon=None, nodes=200):
     quad = bochner_quadrature(sol.closed_loop, sol.closed_loop, -W, horizon, nodes)
     qres = operator_norm(Lam - quad)
 
-    sym_ok = True
-    psd_ok = True
-    try:
-        check_psd(Lam, "Lambda")
-    except ValueError as err:
-        sym_ok = "not symmetric" not in str(err)
-        psd_ok = False
+    sym_ok, psd_ok = psd_flags(Lam)
     bound = cert_closed_loop.M**2 / (2.0 * cert_closed_loop.alpha) * operator_norm(W)
     return DualVerification(
         residual=dual_residual(sol.closed_loop, Lam, W),

@@ -18,7 +18,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .devices import _matrix_norm, sample_box
+from .devices import GRAM_SINGULAR_RTOL, _matrix_norm, sample_box
 from .dual import solve_dual
 from .errors import DegenerateFamily, MaxIterExceeded, RiccatiPlaceError
 from .linalg import check_psd, ensure_operator, operator_norm, symmetrize
@@ -26,7 +26,6 @@ from .riccati import solve_are
 from .semigroup import certify_stability
 
 INNER_ARE_TOL = 1e-12
-GRAM_SINGULAR_RTOL = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -101,8 +100,9 @@ def solve_state_pair(cfg, p):
     return G, sol, dsol
 
 
-def _xlx(sol, dsol):
-    return symmetrize(sol.X @ dsol.Lambda @ sol.X)
+def _xlx(X, Lam):
+    """symmetrize(X Lambda X), the matrix the adjoint gradients pair with dG."""
+    return symmetrize(X @ Lam @ X)
 
 
 # ---------------------------------------------------------------------------
@@ -121,12 +121,12 @@ def gradient_p1(cfg, p):
     """Adjoint gradient beta p - dG_p*(X Lambda X) of the reduced problem-1 cost."""
     _, sol, dsol = solve_state_pair(cfg, p)
     p = np.atleast_1d(np.asarray(p, dtype=float))
-    return cfg.beta * p - cfg.family.dG_adjoint(p, _xlx(sol, dsol))
+    return cfg.beta * p - cfg.family.dG_adjoint(p, _xlx(sol.X, dsol.Lambda))
 
 
 def stationarity_residual_p1(cfg, triple):
     """||beta p - dG_p*(X Lambda X)|| evaluated on the triple's own (X, Lambda)."""
-    M = symmetrize(triple.X @ triple.Lambda @ triple.X)
+    M = _xlx(triple.X, triple.Lambda)
     return float(np.linalg.norm(
         cfg.beta * triple.p - cfg.family.dG_adjoint(triple.p, M)))
 
@@ -149,7 +149,7 @@ def solve_p1(cfg, p0, damping=1.0):
     best_res = math.inf
     for it in range(1, cfg.max_iter + 1):
         G, sol, dsol = solve_state_pair(cfg, p)
-        f = cfg.family.dG_adjoint(p, _xlx(sol, dsol)) / cfg.beta
+        f = cfg.family.dG_adjoint(p, _xlx(sol.X, dsol.Lambda)) / cfg.beta
         stat_res = cfg.beta * float(np.linalg.norm(p - f))
         if stat_res < best_res:
             best_res = stat_res
@@ -223,7 +223,7 @@ def hessian_p1(cfg, triple, q, r):
     q = np.atleast_1d(np.asarray(q, dtype=float))
     r = np.atleast_1d(np.asarray(r, dtype=float))
     D2 = cfg.family.d2G(triple.p, q, r)
-    return cfg.beta * float(q @ r) - float(np.tensordot(_xlx_of(triple), D2))
+    return cfg.beta * float(q @ r) - float(np.tensordot(_xlx(triple.X, triple.Lambda), D2))
 
 
 def hessian_p1_full(cfg, triple, Phi, q, Psi, r):
@@ -248,10 +248,6 @@ def hessian_p1_full(cfg, triple, Phi, q, Psi, r):
     val += cfg.beta * float(q @ r)
     val -= float(np.tensordot(Lam, X @ D2 @ X))
     return val
-
-
-def _xlx_of(triple):
-    return symmetrize(triple.X @ triple.Lambda @ triple.X)
 
 
 def critical_cone_basis(family, p, X):
@@ -302,7 +298,7 @@ def gradient_p2(cfg, p, state=None):
     p = np.atleast_1d(np.asarray(p, dtype=float))
     n = cfg.A.shape[0]
     v = cfg.family.dG_adjoint(p, np.eye(n))
-    w = cfg.family.dG_adjoint(p, _xlx(sol, dsol))
+    w = cfg.family.dG_adjoint(p, _xlx(sol.X, dsol.Lambda))
     return cfg.beta * (cfg.family.trace_G(p) - cfg.gamma) * v - w
 
 
@@ -310,7 +306,7 @@ def stationarity_residual_p2(cfg, triple):
     """Norm of the weak-form stationarity vector at the triple."""
     p = triple.p
     n = cfg.A.shape[0]
-    M = symmetrize(triple.X @ triple.Lambda @ triple.X)
+    M = _xlx(triple.X, triple.Lambda)
     grad = (cfg.beta * (cfg.family.trace_G(p) - cfg.gamma)
             * cfg.family.dG_adjoint(p, np.eye(n))
             - cfg.family.dG_adjoint(p, M))
@@ -340,7 +336,7 @@ def fixed_point_map_p2(cfg, p, direction=None, state=None):
     _, sol, dsol = state
     p = np.atleast_1d(np.asarray(p, dtype=float))
     direction = p if direction is None else np.atleast_1d(np.asarray(direction, dtype=float))
-    M = _xlx(sol, dsol)
+    M = _xlx(sol.X, dsol.Lambda)
     m_norm = operator_norm(M)
     if m_norm == 0.0:
         raise DegenerateFamily("X Lambda X vanishes (W = 0?); the map is undefined")
@@ -556,7 +552,7 @@ def _newton_polish(cfg, p, state, domain, history, budget=80):
 
 def _finish_p2(cfg, p, state, iterations, history, mode):
     G, sol, dsol = state
-    M = _xlx(sol, dsol)
+    M = _xlx(sol.X, dsol.Lambda)
     trace_gap = cfg.family.trace_G(p) - cfg.gamma
     trace_res = abs(trace_gap - operator_norm(M) / cfg.beta)
     grad = gradient_p2(cfg, p, state)
@@ -669,7 +665,7 @@ def hessian_p2(cfg, triple, q, coefficient="gain"):
         raise ValueError(f"unknown coefficient {coefficient!r}")
     return (lead * float(np.trace(D2))
             + cfg.beta * float(np.trace(D1))**2
-            - float(np.tensordot(_xlx_of(triple), D2)))
+            - float(np.tensordot(_xlx(triple.X, triple.Lambda), D2)))
 
 
 # ---------------------------------------------------------------------------
@@ -749,7 +745,7 @@ def beta_sweep(cfg, betas, p0, ledger=None, damping=1.0):
                                  failed=True, error=error))
             continue
         trG = cfg.family.trace_G(triple.p)
-        M = symmetrize(triple.X @ triple.Lambda @ triple.X)
+        M = _xlx(triple.X, triple.Lambda)
         trace_term = float(np.tensordot(triple.X, cfg.W))
         penalty = 0.5 * b * (trG - cfg.gamma)**2
         rows.append(SweepRow(

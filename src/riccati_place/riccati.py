@@ -20,9 +20,10 @@ from .linalg import (
     bochner_quadrature,
     check_psd,
     ensure_operator,
+    norm_within,
     operator_norm,
+    psd_flags,
     solve_sylvester,
-    spectral_abscissa,
     symmetrize,
 )
 from .semigroup import certify_stability
@@ -67,10 +68,13 @@ def solve_are(A, G, Q, tol=DEFAULT_STEP_TOL, cert=None, keep_history=False, X0=N
 
         (A - Xk G) X_{k+1} + X_{k+1} (A - Xk G).T = -(Xk G Xk + Q)
 
-    and stops once the step norm is <= tol *and* the strong residual is
-    within ``1e-10 (1 + ||Q||)``.  X0 = 0 is admissible because A itself is
-    required to be stable (certified on entry); any other X0 must keep
-    A - X0 G stable (e.g. a warm start from a nearby instance).
+    from one real Schur factorization of the closed loop ``A - Xk G``, which
+    also certifies its spectrum: ClosedLoopUnstable is raised when that
+    spectrum leaves the open left half-plane.  Iteration stops once the step
+    norm is <= tol *and* the strong residual is within ``1e-10 (1 + ||Q||)``.
+    X0 = 0 is admissible because A itself is required to be stable
+    (certified on entry); any other X0 must keep A - X0 G stable (e.g. a warm
+    start from a nearby instance).
 
     Parameters
     ----------
@@ -96,25 +100,29 @@ def solve_are(A, G, Q, tol=DEFAULT_STEP_TOL, cert=None, keep_history=False, X0=N
     history = [] if keep_history else None
     for k in range(1, MAX_NEWTON_ITERS + 1):
         Acl = A - X @ G
-        if spectral_abscissa(Acl) >= 0.0:
-            # unreachable from X0 = 0 with stable A; surfaced defensively
-            raise ClosedLoopUnstable(f"A - X_{k - 1} G lost stability")
         rhs = -symmetrize(X @ G @ X + Q)
-        X_next = symmetrize(solve_sylvester(Acl, Acl, rhs))
-        step = operator_norm(X_next - X)
+        try:
+            X_next = symmetrize(solve_sylvester(Acl, Acl, rhs))
+        except UnstableGenerator as err:
+            # unreachable from X0 = 0 with stable A; surfaced defensively
+            raise ClosedLoopUnstable(f"A - X_{k - 1} G lost stability: {err}") from err
+        step = X_next - X
         X = X_next
         if history is not None:
             history.append(X.copy())
-        if step <= tol and riccati_residual(A, G, Q, X) <= res_tol:
-            break
+        if norm_within(step, tol):
+            residual = riccati_residual(A, G, Q, X)
+            if residual <= res_tol:
+                break
     else:
         raise NewtonStall(
-            f"step norm {step:.3e} after {MAX_NEWTON_ITERS} iterations (tol={tol:.1e})")
+            f"step norm {operator_norm(step):.3e} after {MAX_NEWTON_ITERS} "
+            f"iterations (tol={tol:.1e})")
 
     return RiccatiSolution(
         X=X,
         newton_iters=k,
-        strong_residual=riccati_residual(A, G, Q, X),
+        strong_residual=residual,
         trace_bound_slack=cert.M**2 / (2.0 * cert.alpha) * float(np.trace(Q)) - float(np.trace(X)),
         history=history,
     )
@@ -138,13 +146,7 @@ def verify_are(A, G, Q, sol, cert, horizon, nodes):
 
     tr_X = float(np.trace(X))
     tr_bound = cert.M**2 / (2.0 * cert.alpha) * float(np.trace(Q))
-    sym_ok = True
-    psd_ok = True
-    try:
-        check_psd(X, "X")
-    except ValueError as err:
-        sym_ok = "not symmetric" not in str(err)
-        psd_ok = False
+    sym_ok, psd_ok = psd_flags(X)
     return AREVerification(
         strong_residual=riccati_residual(A, G, Q, X),
         bochner_residual=bochner_abs,

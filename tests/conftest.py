@@ -26,16 +26,16 @@ def rand_stable(n, rng, margin=0.3):
     return A - (shift + margin + rng.uniform(0.0, 1.0)) * np.eye(n)
 
 
-def count_certificates(monkeypatch, *modules):
-    """Route each module's ``certify_stability`` through one counter; returns
-    the list of certified generators, which grows with every call."""
+def count_calls(monkeypatch, name, *owners):
+    """Route attribute ``name`` of each owner (a module or object) through one
+    counter; returns the list of positional-argument tuples, one per call."""
     calls = []
-    for module in modules:
-        def counted(A, original=module.certify_stability):
-            calls.append(A)
-            return original(A)
+    for owner in owners:
+        def counted(*args, _original=getattr(owner, name), **kwargs):
+            calls.append(args)
+            return _original(*args, **kwargs)
 
-        monkeypatch.setattr(module, "certify_stability", counted)
+        monkeypatch.setattr(owner, name, counted)
     return calls
 
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from riccati_place import semigroup
 from riccati_place.devices import (
     ConstantFamily,
     GaussianActuators,
@@ -9,6 +10,8 @@ from riccati_place.devices import (
 )
 from riccati_place.errors import DegenerateFamily, DimensionMismatch
 from riccati_place.linalg import operator_norm
+
+from conftest import count_calls
 
 
 @pytest.fixture
@@ -185,6 +188,16 @@ class TestEstimateConstants:
         assert led.trQ == pytest.approx(float(n))
         assert led.normW == pytest.approx(1.0)
         led.require_model()
+
+    def test_given_certificate_is_reused(self, fam, monkeypatch):
+        n = fam.state_dim
+        A = -2.0 * np.eye(n) + np.diag(np.ones(n - 1), 1)
+        cert = semigroup.certify_stability(A)
+        calls = count_calls(monkeypatch, "certify_stability", semigroup)
+        led = estimate_constants(fam, fam.domain(), 10, seed=2, A=A, Q=np.eye(n),
+                                 W=np.eye(n), beta=4.0, gamma=1.0, cert=cert)
+        assert len(calls) == 0
+        assert (led.M, led.alpha) == (cert.M, cert.alpha)
 
     def test_deterministic_given_seed(self, fam):
         led1 = estimate_constants(fam, fam.domain(), 50, seed=7)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -10,12 +11,13 @@ from riccati_place.errors import HorizonTooShort, SingularSystem, UnstableGenera
 from riccati_place.linalg import (
     bochner_quadrature,
     matrix_exponential,
+    norm_within,
     norms,
     operator_norm,
     solve_sylvester,
 )
 
-from conftest import count_certificates, rand_psd, rand_stable
+from conftest import count_calls, rand_psd, rand_stable
 
 
 class TestMatrixExponential:
@@ -88,6 +90,62 @@ class TestSolveSylvester:
             res = operator_norm(A1 @ T + T @ A2.T - P)
             assert res <= 1e-10 * (1.0 + operator_norm(P))
 
+    @pytest.mark.parametrize("n", [2, 7, 32])
+    @pytest.mark.parametrize("pairing", ["same object", "equal copy", "distinct"])
+    def test_bit_identical_to_scipy(self, n, pairing, rng):
+        A1 = rand_stable(n, rng)
+        A2 = {"same object": A1, "equal copy": A1.copy(),
+              "distinct": rand_stable(n, rng)}[pairing]
+        P = rng.standard_normal((n, n))
+        T = solve_sylvester(A1, A2, P)
+        assert np.array_equal(T, spla.solve_sylvester(A1, A2.T, P))
+
+    def test_one_schur_form_per_distinct_generator(self, monkeypatch, rng):
+        A1, A2 = rand_stable(6, rng), rand_stable(6, rng)
+        P = rng.standard_normal((6, 6))
+        schur = count_calls(monkeypatch, "schur", spla)
+        eigvals = count_calls(monkeypatch, "eigvals", np.linalg)
+        solve_sylvester(A1, A1.copy(), P)
+        assert len(schur) == 1
+        solve_sylvester(A1, A2, P)
+        assert len(schur) == 3
+        assert len(eigvals) == 0
+
+    def test_complex_spectra_read_off_schur_blocks(self):
+        # spectra -eps +- i and -eps +- 2i, each one 2x2 Schur block: a pair
+        # and its own conjugate sum to -2 eps, so the guard rejects A1 with
+        # itself; the two different pairs sum to -2 eps +- i or +- 3i
+        def damped_rotation(omega):
+            return np.array([[-1e-14, omega], [-omega, -1e-14]])
+
+        A1, A2 = damped_rotation(1.0), damped_rotation(2.0)
+        with pytest.raises(SingularSystem):
+            solve_sylvester(A1, A1, np.eye(2))
+        T = solve_sylvester(A1, A2, np.eye(2))
+        assert operator_norm(A1 @ T + T @ A2.T - np.eye(2)) <= 2e-10
+
+
+class TestNormWithin:
+    @pytest.mark.parametrize("rank", [1, 6])
+    def test_agrees_with_operator_norm(self, rank, rng):
+        n = 6
+        for _ in range(10):
+            R = rng.standard_normal((n, rank)) @ rng.standard_normal((rank, n))
+            sigma = operator_norm(R)
+            fro = float(np.linalg.norm(R))
+            tols = [sigma * (1.0 - 1e-3), sigma * (1.0 + 1e-3),
+                    *np.linspace(fro / np.sqrt(n), fro, 9)]
+            for tol in tols:
+                assert norm_within(R, tol) == (operator_norm(R) <= tol)
+
+    def test_frobenius_bounds_decide_without_svd(self, monkeypatch, rng):
+        R = rng.standard_normal((5, 5))
+        fro = float(np.linalg.norm(R))
+        svds = count_calls(monkeypatch, "svd", np.linalg)
+        assert norm_within(R, fro)
+        assert not norm_within(R, 0.99 * fro / np.sqrt(5))
+        assert len(svds) == 0
+
 
 class TestBochnerQuadrature:
     def test_scalar_closed_form(self):
@@ -112,10 +170,27 @@ class TestBochnerQuadrature:
 
     def test_equal_generators_certified_once(self, monkeypatch, rng):
         # the oracle imports certify_stability from semigroup at call time
-        calls = count_certificates(monkeypatch, semigroup)
+        calls = count_calls(monkeypatch, "certify_stability", semigroup)
         A = rand_stable(4, rng)
         bochner_quadrature(A, A, -np.eye(4), horizon=20.0, nodes=200)
         assert len(calls) == 1
+
+    def test_factored_panels_match_direct_node_sum(self, rng):
+        n = 5
+        A1, A2 = rand_stable(n, rng), rand_stable(n, rng)
+        P = rng.standard_normal((n, n))
+        decay = min(-np.max(np.linalg.eigvals(A).real) for A in (A1, A2))
+        # 48 panels of 16 nodes: more than the 38 the certified decay asks for
+        horizon, panels = 20.0 / decay, 48
+        B = bochner_quadrature(A1, A2, P, horizon, nodes=16 * panels)
+        width = horizon / panels
+        x, w = np.polynomial.legendre.leggauss(16)
+        direct = np.zeros((n, n))
+        for m in range(panels):
+            for xi, wi in zip(x, w):
+                t = m * width + 0.5 * width * (xi + 1.0)
+                direct += 0.5 * width * wi * (spla.expm(A1 * t) @ P @ spla.expm(A2.T * t))
+        assert operator_norm(B + direct) <= 1e-12 * operator_norm(direct)
 
     def test_oracle_equivalence_with_schur_solve(self, rng):
         # dual-route check: direct solve vs quadrature on certified triples

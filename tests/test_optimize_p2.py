@@ -18,7 +18,7 @@ from riccati_place.optimize import (
 )
 from riccati_place.riccati import solve_are
 
-from conftest import count_certificates
+from conftest import count_calls
 from test_optimize_p1 import heat_like
 
 
@@ -276,7 +276,7 @@ class TestBetaSweep:
         cfg = Problem2Config(A=A, Q=np.eye(16), W=W,
                              family=GaussianActuators(grid=grid, sigma=0.12),
                              beta=10.0, gamma=2.6, tol=1e-6, max_iter=500)
-        calls = count_certificates(monkeypatch, optimize, dual, riccati)
+        calls = count_calls(monkeypatch, "certify_stability", optimize, dual, riccati)
         report = beta_sweep(cfg, [10.0, 100.0], [0.3])
         assert all(r.converged and not r.failed for r in report.rows)
         assert len(calls) == 0

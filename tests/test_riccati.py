@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg as spla
 
 from riccati_place.errors import ClosedLoopUnstable, NewtonStall, UnstableGenerator
 from riccati_place.linalg import operator_norm, solve_sylvester
@@ -11,7 +12,7 @@ from riccati_place.riccati import (
 )
 from riccati_place.semigroup import certify_stability
 
-from conftest import rand_psd, rand_stable_symmetric
+from conftest import count_calls, rand_psd, rand_stable, rand_stable_symmetric
 
 
 def scalar(x):
@@ -53,6 +54,21 @@ class TestSolveAre:
     def test_destabilizing_warm_start_surfaces(self):
         with pytest.raises(ClosedLoopUnstable):
             solve_are(scalar(-1), scalar(1), scalar(3), X0=scalar(-5))
+        # n = 3, non-normal A: A - X0 G = A + 5 I has spectrum {4, 3, 2}
+        A = np.array([[-1.0, 2.0, 0.0], [0.0, -2.0, 2.0], [0.0, 0.0, -3.0]])
+        with pytest.raises(ClosedLoopUnstable):
+            solve_are(A, np.eye(3), np.eye(3), X0=-5.0 * np.eye(3))
+
+    def test_one_schur_factorization_per_newton_step(self, monkeypatch, rng):
+        A = rand_stable(8, rng)
+        G, Q = rand_psd(8, rng), rand_psd(8, rng)
+        cert = certify_stability(A)
+        schur = count_calls(monkeypatch, "schur", spla)
+        eigvals = count_calls(monkeypatch, "eigvals", np.linalg)
+        sol = solve_are(A, G, Q, cert=cert)
+        assert sol.newton_iters >= 3
+        assert len(schur) == sol.newton_iters
+        assert len(eigvals) == 0
 
     def test_monotone_iterates(self, rng):
         # Kleinman: X_k - X_{k+1} is PSD for k >= 1

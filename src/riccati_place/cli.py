@@ -363,7 +363,7 @@ def _cmd_optimize(cfg, out_dir):
             contraction = optimize.contraction_constant_p1(ledger)
             cost = optimize.cost_p1(problem, triple.p)
         else:
-            triple = optimize.solve_p2(problem, p0, damping=cfg.damping)
+            triple = optimize.solve_p2(problem, p0)
             contraction = optimize.contraction_constant_p2(ledger)
             cost = optimize.cost_p2(problem, triple.p)
     except MaxIterExceeded as err:
@@ -392,8 +392,7 @@ def _cmd_sweep_beta(cfg, out_dir, betas):
     problem, family = build_problem(cfg)
     p0 = _initial_p(cfg, family)
     ledger = _build_ledger(problem, family, cfg.seed)
-    report = optimize.beta_sweep(problem, betas, p0, ledger=ledger,
-                                 damping=cfg.damping)
+    report = optimize.beta_sweep(problem, betas, p0, ledger=ledger)
 
     csv_path = Path(out_dir) / "sweep.csv"
     d = family.param_dim

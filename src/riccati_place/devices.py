@@ -286,9 +286,11 @@ class ConstantLedger:
     gamma: Optional[float] = None
     sup_xlx: Optional[float] = None
 
-    def require_model(self):
-        missing = [name for name in ("mu", "M", "alpha", "trQ", "normW", "beta")
-                   if getattr(self, name) is None]
+    def require_model(self, *names):
+        """Raise ValueError unless every named field (by default the model
+        fields mu, M, alpha, trQ, normW, beta) is filled."""
+        names = names or ("mu", "M", "alpha", "trQ", "normW", "beta")
+        missing = [name for name in names if getattr(self, name) is None]
         if missing:
             raise ValueError(f"ledger lacks model-coupled fields: {missing}")
 

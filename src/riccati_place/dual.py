@@ -113,14 +113,16 @@ def verify_dual(sol, cert_closed_loop, W, horizon=None, nodes=200):
     """Check the multiplier bound, PSD-ness, and the integral representation.
 
     The integral cross-check evaluates ``int_0^h T(t) W T*(t) dt`` with
-    T(t) the closed-loop semigroup, via the quadrature oracle.  horizon
-    defaults to 20/alpha of the closed-loop certificate.
+    T(t) the closed-loop semigroup, via the quadrature oracle, which reuses
+    ``cert_closed_loop``: nothing is certified here.  horizon defaults to
+    20/alpha of the closed-loop certificate.
     """
     W = ensure_operator(W, "W")
     Lam = sol.Lambda
     if horizon is None:
         horizon = 20.0 / cert_closed_loop.alpha
-    quad = bochner_quadrature(sol.closed_loop, sol.closed_loop, -W, horizon, nodes)
+    quad = bochner_quadrature(sol.closed_loop, sol.closed_loop, -W, horizon, nodes,
+                              cert=cert_closed_loop)
     qres = operator_norm(Lam - quad)
 
     sym_ok, psd_ok = psd_flags(Lam)

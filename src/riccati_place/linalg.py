@@ -23,6 +23,7 @@ from .errors import HorizonTooShort, SingularSystem, UnstableGenerator
 SYMMETRY_RTOL = 1e-12
 PSD_RTOL = 1e-10
 NORM_BOUND_MARGIN = 1e-12
+SYLVESTER_RTOL = 1e-10
 
 
 def ensure_operator(T, name="operator"):
@@ -85,16 +86,24 @@ def psd_flags(T):
     return symmetric, symmetric and _indefiniteness(T, norm_T, "T") is None
 
 
-def norm_within(T, tol):
-    """Decide ``operator_norm(T) <= tol``, with an SVD only when the Frobenius
-    bounds ``||T||_F / sqrt(r) <= ||T|| <= ||T||_F`` (r the smaller dimension)
-    leave the answer open.  The bounds decide only outside a relative margin
-    of 1e-12, far above the rounding of either norm, so the answer is always
-    the SVD's own, ties included (rank-1 T has ``||T|| = ||T||_F``)."""
+def _norm_bounds(T):
+    """Bounds ``lo <= operator_norm(T) <= hi`` from the Frobenius norm:
+    ``||T||_F / sqrt(r) <= ||T|| <= ||T||_F`` with r the smaller dimension.
+    Both are widened by a relative margin of 1e-12, far above the rounding
+    of either norm, so a comparison they settle is the SVD's own, ties
+    included (rank-1 T has ``||T|| = ||T||_F``)."""
     fro = float(np.linalg.norm(T))
-    if fro <= tol * (1.0 - NORM_BOUND_MARGIN):
+    r = max(min(T.shape), 1)
+    return fro / np.sqrt(r) * (1.0 - NORM_BOUND_MARGIN), fro * (1.0 + NORM_BOUND_MARGIN)
+
+
+def norm_within(T, tol):
+    """Decide ``operator_norm(T) <= tol``, with an SVD only when the
+    Frobenius bounds of :func:`_norm_bounds` leave the answer open."""
+    lo, hi = _norm_bounds(T)
+    if hi <= tol:
         return True
-    if fro > np.sqrt(min(T.shape)) * tol * (1.0 + NORM_BOUND_MARGIN):
+    if lo > tol:
         return False
     return operator_norm(T) <= tol
 
@@ -201,7 +210,9 @@ def solve_sylvester(A1, A2, P):
 
     Both spectra must lie strictly in the open left half-plane; the residual
     of the returned T satisfies ``||A1 T + T A2.T - P|| <= 1e-10 (1 + ||P||)``
-    in the operator norm, or SingularSystem is raised.
+    in the operator norm, or SingularSystem is raised.  The separation guard
+    and this gate take the norms of A1, A2 and P from Frobenius bounds and
+    call an SVD only when the bounds leave the decision open.
     """
     A1 = ensure_operator(A1, "A1")
     A2 = ensure_operator(A2, "A2")
@@ -214,29 +225,45 @@ def solve_sylvester(A1, A2, P):
     _require_stable(lam2, "A2")
 
     # Conditioning guard: the solve degenerates when eigenvalue sums cancel.
-    sums = np.abs(lam1[:, None] + lam2[None, :])
-    norm1 = operator_norm(A1)
-    sep_tol = 1e-12 * (2.0 * norm1 if same else norm1 + operator_norm(A2))
-    if sums.min() < sep_tol:
-        raise SingularSystem(
-            f"min |lambda_i(A1) + lambda_j(A2)| = {sums.min():.3e} < {sep_tol:.3e}")
+    # ||A1|| + ||A2|| is needed only when its Frobenius bound leaves it open.
+    smin = np.abs(lam1[:, None] + lam2[None, :]).min()
+    hi1 = _norm_bounds(A1)[1]
+    if smin < 1e-12 * (2.0 * hi1 if same else hi1 + _norm_bounds(A2)[1]):
+        norm1 = operator_norm(A1)
+        sep_tol = 1e-12 * (2.0 * norm1 if same else norm1 + operator_norm(A2))
+        if smin < sep_tol:
+            raise SingularSystem(
+                f"min |lambda_i(A1) + lambda_j(A2)| = {smin:.3e} < {sep_tol:.3e}")
 
     if A1.size == 1:
         return P / (A1[0, 0] + A2[0, 0])
 
     T = _trsyl(schur1, schur2, P)
-    res_tol = 1e-10 * (1.0 + operator_norm(P))
+    P_bounds = _norm_bounds(P)
     for _ in range(2):
         R = P - (A1 @ T + T @ A2.T)
-        if norm_within(R, res_tol):
+        if _residual_within(R, P, P_bounds):
             return T
         T = T + _trsyl(schur1, schur2, R)
     R = P - (A1 @ T + T @ A2.T)
-    if not norm_within(R, res_tol):
+    if not _residual_within(R, P, P_bounds):
+        res_tol = SYLVESTER_RTOL * (1.0 + operator_norm(P))
         raise SingularSystem(
             f"Sylvester residual {operator_norm(R):.3e} exceeds {res_tol:.3e} "
             "after refinement; system too ill-conditioned")
     return T
+
+
+def _residual_within(R, P, P_bounds):
+    """Decide ``operator_norm(R) <= SYLVESTER_RTOL (1 + operator_norm(P))``
+    as the SVDs would, taking P's SVD only when the Frobenius bounds
+    ``P_bounds`` of P and those of R leave the answer open."""
+    lo, hi = _norm_bounds(R)
+    if hi <= SYLVESTER_RTOL * (1.0 + P_bounds[0]):
+        return True
+    if lo > SYLVESTER_RTOL * (1.0 + P_bounds[1]):
+        return False
+    return norm_within(R, SYLVESTER_RTOL * (1.0 + operator_norm(P)))
 
 
 def _gauss_legendre_panel(width, npts=16):
@@ -244,14 +271,15 @@ def _gauss_legendre_panel(width, npts=16):
     return 0.5 * width * (x + 1.0), 0.5 * width * w
 
 
-def bochner_quadrature(A1, A2, P, horizon, nodes):
+def bochner_quadrature(A1, A2, P, horizon, nodes, cert=None):
     """Quadrature oracle for the integral form of the Sylvester solution.
 
     Returns ``-int_0^horizon exp(A1 t) P exp(A2.T t) dt`` by composite
     16-point Gauss-Legendre with panel width at most ``1/(2 alpha)``, where
-    alpha is the weaker certified decay rate of the two generators (equal
-    generators are certified once).  ``nodes`` is a minimum node budget;
-    more panels are used when the decay rate demands them.
+    alpha is the weaker certified decay rate of the two generators.  A
+    given ``cert`` is taken as A1's certificate; equal generators share one
+    certificate, so with both it certifies nothing.  ``nodes`` is a minimum
+    node budget; more panels are used when the decay rate demands them.
 
     The rule is evaluated in factored form.  With panel width h, L =
     exp(A1 h) and R = exp(A2.T h), panel m equals ``L^m K R^m``, where K is
@@ -274,7 +302,7 @@ def bochner_quadrature(A1, A2, P, horizon, nodes):
     if nodes <= 0:
         raise ValueError("nodes must be positive")
 
-    cert1 = certify_stability(A1)
+    cert1 = certify_stability(A1) if cert is None else cert
     cert2 = cert1 if np.array_equal(A1, A2) else certify_stability(A2)
     m_star = max(cert1.M, cert2.M)
     alpha_star = min(cert1.alpha, cert2.alpha)

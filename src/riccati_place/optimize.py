@@ -21,7 +21,7 @@ import numpy as np
 from .devices import GRAM_SINGULAR_RTOL, _matrix_norm, sample_box
 from .dual import solve_dual
 from .errors import DegenerateFamily, MaxIterExceeded, RiccatiPlaceError
-from .linalg import check_psd, ensure_operator, operator_norm, symmetrize
+from .linalg import check_psd, ensure_operator, operator_norm, solve_sylvester, symmetrize
 from .riccati import solve_are
 from .semigroup import certify_stability
 
@@ -117,18 +117,20 @@ def cost_p1(cfg, p):
     return float(np.tensordot(sol.X, cfg.W)) + 0.5 * cfg.beta * float(p @ p)
 
 
+def _gradient_p1(cfg, p, X, Lam):
+    p = np.atleast_1d(np.asarray(p, dtype=float))
+    return cfg.beta * p - cfg.family.dG_adjoint(p, _xlx(X, Lam))
+
+
 def gradient_p1(cfg, p):
     """Adjoint gradient beta p - dG_p*(X Lambda X) of the reduced problem-1 cost."""
     _, sol, dsol = solve_state_pair(cfg, p)
-    p = np.atleast_1d(np.asarray(p, dtype=float))
-    return cfg.beta * p - cfg.family.dG_adjoint(p, _xlx(sol.X, dsol.Lambda))
+    return _gradient_p1(cfg, p, sol.X, dsol.Lambda)
 
 
 def stationarity_residual_p1(cfg, triple):
     """||beta p - dG_p*(X Lambda X)|| evaluated on the triple's own (X, Lambda)."""
-    M = _xlx(triple.X, triple.Lambda)
-    return float(np.linalg.norm(
-        cfg.beta * triple.p - cfg.family.dG_adjoint(triple.p, M)))
+    return float(np.linalg.norm(_gradient_p1(cfg, triple.p, triple.X, triple.Lambda)))
 
 
 def solve_p1(cfg, p0, damping=1.0):
@@ -198,7 +200,7 @@ def contraction_constant_p1(ledger):
     choices are one-line patches.  k scales as 1/beta, hence
     beta_threshold = beta * k.
     """
-    _require(ledger, "M", "alpha", "trQ", "normW", "beta")
+    ledger.require_model("M", "alpha", "trQ", "normW", "beta")
     M, a = ledger.M, ledger.alpha
     trQ, nW, beta = ledger.trQ, ledger.normW, ledger.beta
     t1 = ledger.L_dG * M**6 / (16 * a**3) * trQ**2 * nW / beta
@@ -210,12 +212,6 @@ def contraction_constant_p1(ledger):
     k = t1 + t2 + t3
     return ContractionReport(k=k, is_contraction=k < 1.0,
                              term_breakdown=breakdown, beta_threshold=beta * k)
-
-
-def _require(ledger, *names):
-    missing = [n for n in names if getattr(ledger, n) is None]
-    if missing:
-        raise ValueError(f"ledger lacks model-coupled fields: {missing}")
 
 
 def hessian_p1(cfg, triple, q, r):
@@ -290,27 +286,24 @@ def cost_p2(cfg, p):
     return float(np.tensordot(sol.X, cfg.W)) + 0.5 * cfg.beta * gap**2
 
 
+def _gradient_p2(cfg, p, X, Lam):
+    p = np.atleast_1d(np.asarray(p, dtype=float))
+    v = cfg.family.dG_adjoint(p, np.eye(cfg.A.shape[0]))
+    w = cfg.family.dG_adjoint(p, _xlx(X, Lam))
+    return cfg.beta * (cfg.family.trace_G(p) - cfg.gamma) * v - w
+
+
 def gradient_p2(cfg, p, state=None):
     """Weak-form stationarity vector beta (tr G_p - gamma) dG*(I) - dG*(X Lambda X)."""
     if state is None:
         state = solve_state_pair(cfg, p)
     _, sol, dsol = state
-    p = np.atleast_1d(np.asarray(p, dtype=float))
-    n = cfg.A.shape[0]
-    v = cfg.family.dG_adjoint(p, np.eye(n))
-    w = cfg.family.dG_adjoint(p, _xlx(sol.X, dsol.Lambda))
-    return cfg.beta * (cfg.family.trace_G(p) - cfg.gamma) * v - w
+    return _gradient_p2(cfg, p, sol.X, dsol.Lambda)
 
 
 def stationarity_residual_p2(cfg, triple):
     """Norm of the weak-form stationarity vector at the triple."""
-    p = triple.p
-    n = cfg.A.shape[0]
-    M = _xlx(triple.X, triple.Lambda)
-    grad = (cfg.beta * (cfg.family.trace_G(p) - cfg.gamma)
-            * cfg.family.dG_adjoint(p, np.eye(n))
-            - cfg.family.dG_adjoint(p, M))
-    return float(np.linalg.norm(grad))
+    return float(np.linalg.norm(_gradient_p2(cfg, triple.p, triple.X, triple.Lambda)))
 
 
 def _gram_inverse(family, p):
@@ -345,62 +338,46 @@ def fixed_point_map_p2(cfg, p, direction=None, state=None):
     return Sinv @ cfg.family.dG_adjoint(p, T) / m_norm
 
 
-def _project_box(p, domain):
-    if domain is None:
-        return p
-    domain = np.atleast_2d(np.asarray(domain, dtype=float))
-    return np.clip(p, domain[:, 0], domain[:, 1])
-
-
 def solve_p2(cfg, p0, damping=1.0, mode="auto"):
     """Solve the problem-2 optimality system.
 
-    mode="fixed_point" iterates the optimality-condition map; mode="gradient"
-    runs projected gradient descent with Armijo backtracking on the
-    penalized cost; mode="auto" (default) tries the map first and falls
-    back to descent (restarted from p0) when the map fails to settle on a
-    weak-form stationary point.  The map's fixed-point set and the weak stationarity
-    condition agree only when X Lambda X is a multiple of the identity, so
-    both residuals are reported on the result.
+    mode="auto" (default) runs projected Newton on the penalized cost with
+    the exact reduced Hessian (see _newton_p2) and labels its triple
+    "newton".  mode="fixed_point" iterates the paper's optimality-condition
+    map, averaged by ``damping`` (read by this mode only), for at most
+    FIXED_POINT_BUDGET iterations.  The map's fixed-point set and the weak
+    stationarity condition agree only when X Lambda X is a multiple of the
+    identity, so both residuals are reported on the result.
 
     A converged triple satisfies the weak stationarity residual, the primal
     and dual residuals, and the trace-constraint identity
     |tr G_p - gamma - ||X L X||/beta| <= tol.
 
-    Raises MaxIterExceeded (best iterate attached) when neither phase
-    reaches a stationary point within cfg.max_iter iterations each.
+    Raises MaxIterExceeded (best iterate attached) when the method ends away
+    from a weak stationary point: Newton stalls or runs out of cfg.max_iter
+    iterations, or the map does not settle on one.
     """
-    if mode not in ("auto", "fixed_point", "gradient"):
+    if mode not in ("auto", "fixed_point"):
         raise ValueError(f"unknown mode {mode!r}")
     p0 = np.atleast_1d(np.asarray(p0, dtype=float)).copy()
     _gram_inverse(cfg.family, p0)  # invertibility must hold near p0
-    domain = cfg.family.domain() if hasattr(cfg.family, "domain") else None
     history = [p0.copy()]
-    iterations = 0
+    if mode == "fixed_point":
+        p, iterations, settled = _iterate_fixed_point(cfg, p0, damping, history)
+        triple = _finish_p2(cfg, p, solve_state_pair(cfg, p), iterations, history,
+                            "fixed_point")
+        if settled and triple.residual_stationarity <= cfg.tol:
+            return triple
+        raise MaxIterExceeded(
+            "fixed-point map terminated away from a weak stationary point", best=triple)
 
-    if mode in ("auto", "fixed_point"):
-        p_fp, fp_iters, fp_settled = _iterate_fixed_point(cfg, p0, damping, history)
-        iterations += fp_iters
-        state = solve_state_pair(cfg, p_fp)
-        grad_norm = float(np.linalg.norm(gradient_p2(cfg, p_fp, state)))
-        if fp_settled and grad_norm <= cfg.tol:
-            return _finish_p2(cfg, p_fp, state, iterations, history, "fixed_point")
-        if mode == "fixed_point":
-            triple = _finish_p2(cfg, p_fp, state, iterations, history, "fixed_point")
-            raise MaxIterExceeded(
-                "fixed-point map terminated away from a weak stationary point",
-                best=triple)
-
-    p, state, gd_iters, stationary = _descend_p2(cfg, p0, domain, history)
-    iterations += gd_iters
-    if not stationary:
-        p, state, polish_iters, stationary = _newton_polish(cfg, p, state, domain, history)
-        iterations += polish_iters
-    triple = _finish_p2(cfg, p, state, iterations, history, "gradient_descent")
+    p, state, iterations, stationary = _newton_p2(cfg, p0, history)
+    triple = _finish_p2(cfg, p, state, iterations, history, "newton")
     if not stationary:
         raise MaxIterExceeded(
-            f"gradient descent found no stationary point within {cfg.max_iter} "
-            f"iterations (residual {triple.residual_stationarity:.3e})", best=triple)
+            f"projected Newton stopped away from a stationary point after "
+            f"{iterations} iterations (residual {triple.residual_stationarity:.3e})",
+            best=triple)
     return triple
 
 
@@ -431,123 +408,132 @@ def _iterate_fixed_point(cfg, p, damping, history):
     return p, min(cfg.max_iter, FIXED_POINT_BUDGET), False
 
 
-def _descend_p2(cfg, p, domain, history):
-    """Projected Armijo descent on cost_p2 with the adjoint gradient.
+ARMIJO_SLOPE = 1e-4
+MAX_BACKTRACKS = 40
+ACTIVE_BAND = 1e-3      # widest epsilon-active band, relative to the box width
+HESSIAN_FLOOR = 1e-8    # eigenvalue floor, relative to 1 + max |H_ij|
+COST_ROUNDING = 1e-13   # relative cost decrease that rounding can swallow
 
-    Returns (p, state, iterations, stationary) where stationary means the
-    weak-form gradient dropped below cfg.tol.  Hands off early once the
-    gradient norm plateaus (first-order steps only zigzag down a stiff
-    penalty valley; the quadratic polish finishes much faster).
+
+def _newton_p2(cfg, p, history):
+    """Projected Newton on cost_p2 from p (Bertsekas, SIAM J. Control Optim.
+    20, 1982).
+
+    A coordinate within the epsilon band of a bound whose gradient points
+    out of the box is active: it takes a gradient step scaled by its Hessian
+    diagonal and is clipped at the bound.  The free coordinates take the
+    Newton step of their Hessian block, with every eigenvalue replaced by
+    its absolute value and floored, so the step descends where the cost is
+    not convex too.  Trial points are projected onto the family's box and
+    halved back until the Armijo condition holds.  Near the optimum the
+    predicted decrease can sink below the rounding of the cost before the
+    gradient meets cfg.tol; such a step is also accepted when it halves the
+    gradient norm.  Every trial costs one solve_state_pair.
+
+    Returns (p, state, iterations, stationary), stationary meaning that the
+    gradient norm is <= cfg.tol.
     """
-    p = np.atleast_1d(np.asarray(p, dtype=float)).copy()
-    step = 1.0
+    if hasattr(cfg.family, "domain"):
+        lo, hi = np.atleast_2d(np.asarray(cfg.family.domain(), dtype=float)).T
+    else:
+        lo, hi = np.full(p.size, -np.inf), np.full(p.size, np.inf)
     state = solve_state_pair(cfg, p)
-    val = _p2_value(cfg, p, state)
-    best_gnorm = math.inf
-    since_improvement = 0
-    for it in range(1, cfg.max_iter + 1):
-        grad = gradient_p2(cfg, p, state)
-        gnorm = float(np.linalg.norm(grad))
-        if gnorm <= cfg.tol:
+    value = _p2_value(cfg, p, state)
+    grad = gradient_p2(cfg, p, state)
+    for it in range(cfg.max_iter):
+        if np.linalg.norm(grad) <= cfg.tol:
             return p, state, it, True
-        if gnorm < 0.98 * best_gnorm:
-            best_gnorm = gnorm
-            since_improvement = 0
-        else:
-            since_improvement += 1
-            if since_improvement >= 10:
-                return p, state, it, False  # plateaued: let the polish finish
-        t = step
-        accepted = False
-        while t > 1e-18:
-            p_try = _project_box(p - t * grad, domain)
-            move = float(np.linalg.norm(p_try - p))
-            if move == 0.0:
-                break  # gradient points straight out of the box
-            state_try = solve_state_pair(cfg, p_try)
-            val_try = _p2_value(cfg, p_try, state_try)
-            if val_try <= val - 1e-4 / max(t, 1e-18) * move**2:
-                accepted = True
-                break
-            t *= 0.5
-        if not accepted:
-            return p, state, it, False  # stalled: boundary or flat region
-        p, state, val = p_try, state_try, val_try
+        band = np.minimum(ACTIVE_BAND * (hi - lo),
+                          np.linalg.norm(p - np.clip(p - grad, lo, hi)))
+        active = (((p <= lo + band) & (grad > 0))
+                  | ((p >= hi - band) & (grad < 0)))
+        step = _newton_step(_reduced_hessian_p2(cfg, p, state), grad, active)
+        trial = _backtrack(cfg, p, value, grad, step, active, lo, hi)
+        if trial is None:
+            return p, state, it + 1, False
+        p, state, value, grad = trial
         history.append(p.copy())
-        step = min(4.0 * t, 1e6)
-    return p, state, cfg.max_iter, False
+    return p, state, cfg.max_iter, float(np.linalg.norm(grad)) <= cfg.tol
+
+
+def _backtrack(cfg, p, value, grad, step, active, lo, hi):
+    """Armijo backtracking along the projected arc p(t) = clip(p - t step);
+    (p, state, value, grad) at the accepted point, or None when the arc
+    does not leave p or no trial is accepted."""
+    t = 1.0
+    for _ in range(MAX_BACKTRACKS):
+        p_try = np.clip(p - t * step, lo, hi)
+        if np.array_equal(p_try, p):
+            return None
+        decrease = (t * float(grad[~active] @ step[~active])
+                    + float(grad[active] @ (p - p_try)[active]))
+        state = solve_state_pair(cfg, p_try)
+        value_try = _p2_value(cfg, p_try, state)
+        grad_try = gradient_p2(cfg, p_try, state)
+        if (value_try <= value - ARMIJO_SLOPE * decrease
+                or (decrease <= COST_ROUNDING * (1.0 + abs(value))
+                    and np.linalg.norm(grad_try) <= 0.5 * np.linalg.norm(grad))):
+            return p_try, state, value_try, grad_try
+        t *= 0.5
+    return None
+
+
+def _newton_step(H, grad, active):
+    """Newton step on the free coordinates with |eigenvalues| floored, and a
+    diagonally scaled gradient step on the active ones."""
+    floor = HESSIAN_FLOOR * (1.0 + float(np.abs(H).max()))
+    free = ~active
+    w, V = np.linalg.eigh(H[np.ix_(free, free)])
+    step = np.empty_like(grad)
+    step[free] = V @ ((V.T @ grad[free]) / np.maximum(np.abs(w), floor))
+    step[active] = grad[active] / np.maximum(np.abs(np.diag(H)[active]), floor)
+    return step
+
+
+def _reduced_hessian_p2(cfg, p, state):
+    """Exact Hessian of p -> cost_p2(cfg, p) by second-order adjoints
+    (Hinze, Pinnau, Ulbrich & Ulbrich, Optimization with PDE Constraints,
+    2009).
+
+    With Acl = A - X G, the state sensitivity X'_k in coordinate direction
+    k solves Acl X'_k + X'_k Acl.T = X dG_k X (one Sylvester solve each).
+    Differentiating the gradient beta gap tr dG_k - tr(Lambda X dG_k X)
+    in direction j gives
+
+        H[k, j] = beta tr dG_j tr dG_k + beta gap tr d2G_kj
+                  - tr(Lambda'_j X dG_k X) - 2 tr(Lambda X'_j dG_k X)
+                  - tr(Lambda X d2G_kj X).
+
+    The multiplier sensitivity Lambda'_j is never solved for: by the
+    adjoint identity, tr(Lambda'_j X dG_k X) = 2 <B_j, X'_k> with
+    B_j = (G X'_j + dG_j X) Lambda, since X'_k is symmetric.
+    """
+    G, sol, dsol = state
+    X, Lam = sol.X, dsol.Lambda
+    p = np.atleast_1d(np.asarray(p, dtype=float))
+    family = cfg.family
+    E = np.eye(p.size)
+    Acl = cfg.A - X @ G
+    dG = [family.dG(p, e) for e in E]
+    dX = [symmetrize(solve_sylvester(Acl, Acl, symmetrize(X @ D @ X))) for D in dG]
+    tr_dG = np.array([np.trace(D) for D in dG])
+    gap = family.trace_G(p) - cfg.gamma
+    M = _xlx(X, Lam)
+    H = cfg.beta * np.outer(tr_dG, tr_dG)
+    for j in range(p.size):
+        B = (G @ dX[j] + dG[j] @ X) @ Lam
+        LdX = Lam @ dX[j]
+        for k in range(p.size):
+            D2 = family.d2G(p, E[k], E[j])
+            H[k, j] += (cfg.beta * gap * np.trace(D2) - np.tensordot(M, D2)
+                        - 2.0 * (np.vdot(B, dX[k]) + np.vdot(LdX, X @ dG[k])))
+    return symmetrize(H)
 
 
 def _p2_value(cfg, p, state):
     _, sol, _ = state
     gap = cfg.family.trace_G(p) - cfg.gamma
     return float(np.tensordot(sol.X, cfg.W)) + 0.5 * cfg.beta * gap**2
-
-
-def _newton_polish(cfg, p, state, domain, history, budget=80):
-    """Trust-region Levenberg-Marquardt polish on the stationarity system.
-
-    First-order descent converges only linearly near the optimum, so the
-    endgame solves g(p) = 0 directly: FD Jacobian, step from
-    (J.T J + mu I) s = J.T g capped at the trust radius; mu shrinks toward
-    pure Newton on accepted steps and inflates on rejections.  The damping
-    plus the cap keep the step useful even where the Hessian is indefinite
-    or the local model is poor (stiff penalty valleys pass close to
-    saddles and curve sharply).
-    """
-    g = gradient_p2(cfg, p, state)
-    gnorm = float(np.linalg.norm(g))
-    d = p.size
-    if domain is not None:
-        box = np.atleast_2d(np.asarray(domain, dtype=float))
-        radius = 0.1 * float(np.linalg.norm(box[:, 1] - box[:, 0]))
-    else:
-        radius = 0.1 * max(1.0, float(np.linalg.norm(p)))
-    radius_max = 10.0 * radius
-    mu = 0.0
-    J = None
-    for it in range(1, budget + 1):
-        if gnorm <= cfg.tol:
-            return p, state, it - 1, True
-        if J is None:
-            h = 1e-6 * max(1.0, float(np.linalg.norm(p)))
-            J = np.empty((d, d))
-            for k in range(d):
-                e = np.zeros(d)
-                e[k] = h
-                J[:, k] = (gradient_p2(cfg, p + e) - gradient_p2(cfg, p - e)) / (2.0 * h)
-            JtJ = J.T @ J
-            if mu == 0.0:
-                mu = 1e-10 * max(float(np.trace(JtJ)) / d, 1.0)
-        try:
-            step = np.linalg.solve(JtJ + mu * np.eye(d), J.T @ g)
-        except np.linalg.LinAlgError:
-            return p, state, it, gnorm <= cfg.tol
-        step_norm = float(np.linalg.norm(step))
-        if step_norm > radius:
-            step = step * (radius / step_norm)
-        p_try = _project_box(p - step, domain)
-        if not np.any(p_try != p):
-            mu *= 8.0  # projection clamped the whole step; stiffen and retry
-            radius *= 0.25
-            if mu > 1e18:
-                return p, state, it, gnorm <= cfg.tol
-            continue
-        state_try = solve_state_pair(cfg, p_try)
-        g_try = gradient_p2(cfg, p_try, state_try)
-        if float(np.linalg.norm(g_try)) < gnorm:
-            p, state, g = p_try, state_try, g_try
-            gnorm = float(np.linalg.norm(g))
-            history.append(p.copy())
-            mu = max(mu * 0.25, 1e-14)
-            radius = min(2.0 * radius, radius_max)
-            J = None  # refresh the Jacobian at the new point
-        else:
-            mu *= 8.0
-            radius = max(0.25 * radius, 1e-12)
-            if mu > 1e18:
-                return p, state, it, gnorm <= cfg.tol
-    return p, state, budget, gnorm <= cfg.tol
 
 
 def _finish_p2(cfg, p, state, iterations, history, mode):
@@ -594,7 +580,7 @@ def contraction_constant_p2(ledger):
     product-rule tail K C_dG^2 M^6 / (8 a^3 mu).  gamma_beta means
     gamma + sup ||X L X|| / beta.
     """
-    _require(ledger, "M", "alpha", "trQ", "normW", "beta", "gamma", "mu", "sup_xlx")
+    ledger.require_model("M", "alpha", "trQ", "normW", "beta", "gamma", "mu", "sup_xlx")
     M, a = ledger.M, ledger.alpha
     trQ, nW = ledger.trQ, ledger.normW
     K, mu = ledger.K, ledger.mu
@@ -708,7 +694,7 @@ class SweepReport:
         return self
 
 
-def beta_sweep(cfg, betas, p0, ledger=None, damping=1.0):
+def beta_sweep(cfg, betas, p0, ledger=None):
     """Solve problem 2 along an ascending beta schedule, warm-starting each
     solve from the previous optimum, and record the constraint-gap law
     |tr G_p - gamma| <= sup ||X L X|| / beta row by row.
@@ -730,7 +716,7 @@ def beta_sweep(cfg, betas, p0, ledger=None, damping=1.0):
             k, is_k = rep.k, rep.is_contraction
         failed, error = False, ""
         try:
-            triple = solve_p2(cfg_b, p_warm, damping=damping)
+            triple = solve_p2(cfg_b, p_warm)
         except MaxIterExceeded as err:
             triple, failed, error = err.best, True, str(err)
         except RiccatiPlaceError as err:
@@ -798,7 +784,7 @@ def lipschitz_bound_check(cfg, ledger, domain, pairs, seed):
     L_G), with g always the operator-norm sup as the Lambda bound defines
     it.  Returns per-reading pass booleans and worst observed ratios.
     """
-    _require(ledger, "M", "alpha", "trQ")
+    ledger.require_model("M", "alpha", "trQ")
     rng = np.random.default_rng(seed)
     P1 = sample_box(domain, pairs, rng)
     P2 = sample_box(domain, pairs, rng)

@@ -134,13 +134,14 @@ def verify_are(A, G, Q, sol, cert, horizon, nodes):
     Checks (i) the strong residual, (ii) the integral-form residual
     ``||X - int_0^h exp(At)(Q - XGX)exp(A.T t) dt||`` via the quadrature
     oracle, (iii) the trace bound ``tr X <= M^2/(2 alpha) tr Q``, and
-    (iv) symmetry / PSD of X.  Fills ``sol.bochner_residual`` as a side
+    (iv) symmetry / PSD of X.  ``cert`` is A's certificate; the quadrature
+    reuses it, so nothing is certified here.  Fills ``sol.bochner_residual`` as a side
     effect and returns the full report.
     """
     A = ensure_operator(A, "A")
     X = sol.X
     integrand = symmetrize(Q - X @ G @ X)
-    X_quad = bochner_quadrature(A, A, -integrand, horizon, nodes)
+    X_quad = bochner_quadrature(A, A, -integrand, horizon, nodes, cert=cert)
     bochner_abs = operator_norm(X - X_quad)
     sol.bochner_residual = bochner_abs
 

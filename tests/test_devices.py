@@ -4,6 +4,7 @@ import pytest
 from riccati_place import semigroup
 from riccati_place.devices import (
     ConstantFamily,
+    ConstantLedger,
     GaussianActuators,
     estimate_constants,
     sample_box,
@@ -188,6 +189,14 @@ class TestEstimateConstants:
         assert led.trQ == pytest.approx(float(n))
         assert led.normW == pytest.approx(1.0)
         led.require_model()
+
+    def test_require_model_names_missing_fields(self):
+        led = ConstantLedger(g=1.0, L_G=1.0, L_dG=1.0, C_dG=1.0, K=1.0, M=1.0, alpha=1.0)
+        led.require_model("M", "alpha")
+        with pytest.raises(ValueError, match=r"\['trQ'\]"):
+            led.require_model("M", "trQ")
+        with pytest.raises(ValueError, match=r"\['mu', 'trQ', 'normW', 'beta'\]"):
+            led.require_model()
 
     def test_given_certificate_is_reused(self, fam, monkeypatch):
         n = fam.state_dim

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from riccati_place import dual
+from riccati_place import dual, semigroup
 from riccati_place.dual import solve_dual, verify_dual
 from riccati_place.errors import ClosedLoopUnstable, UnstableGenerator
 from riccati_place.linalg import operator_norm
@@ -80,6 +80,15 @@ class TestVerifyDual:
         rep = verify_dual(sol, cert, np.zeros((3, 3)))
         assert rep.norm_bound_holds and rep.psd
         assert rep.quadrature_residual <= 1e-12
+
+    def test_given_certificate_builds_no_certificate(self, monkeypatch, rng):
+        A = rand_stable_symmetric(5, rng)
+        G, Q, W = rand_psd(5, rng), rand_psd(5, rng), rand_psd(5, rng)
+        sol = solve_dual(A, G, solve_are(A, G, Q).X, W)
+        cert = certify_stability(sol.closed_loop)
+        calls = count_calls(monkeypatch, "certify_stability", semigroup, dual)
+        verify_dual(sol, cert, W)
+        assert len(calls) == 0
 
     def test_random_instances_against_quadrature(self, rng):
         for _ in range(5):

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.integrate import quad
 
-from riccati_place import semigroup
+from riccati_place import linalg, semigroup
 from riccati_place.errors import HorizonTooShort, SingularSystem, UnstableGenerator
 from riccati_place.linalg import (
     bochner_quadrature,
@@ -111,6 +111,26 @@ class TestSolveSylvester:
         assert len(schur) == 3
         assert len(eigvals) == 0
 
+    def test_tolerance_gates_take_no_svd(self, monkeypatch, rng):
+        A1, A2 = rand_stable(6, rng), rand_stable(6, rng)
+        P = rng.standard_normal((6, 6))
+        norms_taken = count_calls(monkeypatch, "operator_norm", linalg)
+        solve_sylvester(A1, A1, P)
+        solve_sylvester(A1, A2, P)
+        assert len(norms_taken) == 0
+
+    def test_separation_guard_between_frobenius_bounds(self):
+        # ||A|| = 1e3 and ||A||_F = 2e3, so the guard's tolerance 2e-9 lies
+        # below its Frobenius bound 4e-9: eigenvalue sums in between must
+        # still be decided by the operator norm
+        def diag(small):
+            return np.diag([small, -1e3, -1e3, -1e3, -1e3])
+
+        T = solve_sylvester(diag(-1.5e-9), diag(-1.5e-9), np.eye(5))
+        assert T[0, 0] == pytest.approx(1.0 / -3e-9, rel=1e-12)
+        with pytest.raises(SingularSystem):
+            solve_sylvester(diag(-0.9e-9), diag(-0.9e-9), np.eye(5))
+
     def test_complex_spectra_read_off_schur_blocks(self):
         # spectra -eps +- i and -eps +- 2i, each one 2x2 Schur block: a pair
         # and its own conjugate sum to -2 eps, so the guard rejects A1 with
@@ -174,6 +194,18 @@ class TestBochnerQuadrature:
         A = rand_stable(4, rng)
         bochner_quadrature(A, A, -np.eye(4), horizon=20.0, nodes=200)
         assert len(calls) == 1
+
+    def test_given_certificate_is_reused(self, monkeypatch, rng):
+        A1, A2 = rand_stable(4, rng), rand_stable(4, rng)
+        cert = semigroup.certify_stability(A1)
+        calls = count_calls(monkeypatch, "certify_stability", semigroup)
+        B = bochner_quadrature(A1, A1, -np.eye(4), horizon=20.0, nodes=200, cert=cert)
+        assert len(calls) == 0
+        assert np.array_equal(B, bochner_quadrature(A1, A1, -np.eye(4), horizon=20.0,
+                                                    nodes=200))
+        calls.clear()
+        bochner_quadrature(A1, A2, -np.eye(4), horizon=20.0, nodes=200, cert=cert)
+        assert [args[0] is A2 for args in calls] == [True]
 
     def test_factored_panels_match_direct_node_sum(self, rng):
         n = 5

@@ -35,6 +35,33 @@ def p2_problem():
                           gamma=1.8, tol=1e-8, max_iter=400)
 
 
+def heat16_config(beta, tol=1e-6):
+    """The README model: heat1d n = 16, one Gaussian actuator, gamma = 2.6."""
+    A, grid = heat_like(16, nu=1.0)
+    W = np.zeros((16, 16))
+    W[3, 3] = 1.0
+    return Problem2Config(A=A, Q=np.eye(16), W=W,
+                          family=GaussianActuators(grid=grid, sigma=0.12),
+                          beta=beta, gamma=2.6, tol=tol, max_iter=500)
+
+
+def grid_argmin(cfg, points=600):
+    """Placement of least problem-2 cost on a uniform grid over the box, and
+    the grid's cell width."""
+    box = cfg.family.domain()
+    ps = np.linspace(box[0, 0], box[0, 1], points)
+    X0 = None
+    best_p, best_cost = None, np.inf
+    for p in ps:
+        sol = solve_are(cfg.A, cfg.family.G([p]), cfg.Q, cert=cfg.cert, X0=X0)
+        X0 = sol.X
+        c = float(np.tensordot(sol.X, cfg.W)) + 0.5 * cfg.beta * (
+            cfg.family.trace_G([p]) - cfg.gamma) ** 2
+        if c < best_cost:
+            best_p, best_cost = p, c
+    return best_p, (box[0, 1] - box[0, 0]) / (points - 1)
+
+
 def unit_ledger(beta=1.0, mu=1.0):
     return ConstantLedger(g=1.0, L_G=1.0, L_dG=1.0, C_dG=1.0, K=1.0,
                           mu=mu, M=1.0, alpha=1.0, trQ=1.0, normW=1.0,
@@ -123,19 +150,28 @@ class TestSolveP2:
                              family=p2_problem.family, beta=100.0,
                              gamma=p2_problem.gamma, tol=1e-8, max_iter=400)
         tri = solve_p2(cfg, [0.3])
-        box = cfg.family.domain()
-        ps = np.linspace(box[0, 0], box[0, 1], 600)
-        X0 = None
-        best_p, best_cost = None, np.inf
-        for p in ps:
-            sol = solve_are(cfg.A, cfg.family.G([p]), cfg.Q, cert=cfg.cert, X0=X0)
-            X0 = sol.X
-            c = float(np.tensordot(sol.X, cfg.W)) + 0.5 * cfg.beta * (
-                cfg.family.trace_G([p]) - cfg.gamma) ** 2
-            if c < best_cost:
-                best_p, best_cost = p, c
-        cell = (box[0, 1] - box[0, 0]) / (ps.size - 1)
+        best_p, cell = grid_argmin(cfg)
         assert abs(tri.p[0] - best_p) <= cell
+
+    def test_box_edge_start_reaches_grid_search_placement(self, p2_problem):
+        # the lower edge lies in the global minimizer's basin; the upper
+        # edge lies in the other local minimum's
+        cfg = Problem2Config(A=p2_problem.A, Q=p2_problem.Q, W=p2_problem.W,
+                             family=p2_problem.family, beta=100.0,
+                             gamma=p2_problem.gamma, tol=1e-8, max_iter=400)
+        edge = cfg.family.domain()[0, 0]
+        tri = solve_p2(cfg, [edge])
+        assert tri.mode == "newton"
+        assert tri.residual_stationarity <= cfg.tol
+        best_p, cell = grid_argmin(cfg)
+        assert abs(tri.p[0] - best_p) <= cell
+
+    def test_heat16_newton_needs_few_state_pairs(self, monkeypatch):
+        cfg = heat16_config(beta=1e3, tol=1e-8)
+        pairs = count_calls(monkeypatch, "solve_state_pair", optimize)
+        tri = solve_p2(cfg, [0.3])
+        assert tri.converged and tri.mode == "newton"
+        assert len(pairs) <= 20
 
     def test_fixed_point_mode_raises_when_map_disagrees(self, p2_problem):
         from riccati_place.errors import MaxIterExceeded
@@ -183,6 +219,38 @@ class TestContractionConstantP2:
         at = contraction_constant_p2(ConstantLedger(**{**led.__dict__,
                                                        "beta": rep.beta_threshold}))
         assert at.k == pytest.approx(1.0, abs=1e-12)
+
+
+def gradient_differences(cfg, p, h=1e-6):
+    """Central differences of gradient_p2, column j along coordinate j."""
+    return np.column_stack([
+        (gradient_p2(cfg, p + h * e) - gradient_p2(cfg, p - h * e)) / (2 * h)
+        for e in np.eye(p.size)])
+
+
+class TestReducedHessianP2:
+    def test_heat16_matches_gradient_differences_at_both_curvature_signs(self):
+        cfg = heat16_config(beta=1e3)
+        signs = set()
+        for p in ([0.1], [0.3], [0.55]):
+            p = np.array(p)
+            H = optimize._reduced_hessian_p2(cfg, p, optimize.solve_state_pair(cfg, p))
+            assert abs(H[0, 0] - gradient_differences(cfg, p)[0, 0]) <= 1e-6 * abs(H[0, 0])
+            signs.add(np.sign(H[0, 0]))
+        assert signs == {-1.0, 1.0}
+
+    def test_two_actuators_match_gradient_differences(self):
+        A, grid = heat_like(8, nu=0.05)
+        fam = GaussianActuators(grid=grid, sigma=0.15, param_dim=2)
+        W = np.zeros((8, 8))
+        W[2, 2] = 1.0
+        cfg = Problem2Config(A=A, Q=np.eye(8), W=W, family=fam, beta=200.0,
+                             gamma=0.9 * fam.trace_G([0.35, 0.65]))
+        for p in ([0.3, 0.35], [0.2, 0.7]):
+            p = np.array(p)
+            H = optimize._reduced_hessian_p2(cfg, p, optimize.solve_state_pair(cfg, p))
+            assert np.linalg.norm(H - gradient_differences(cfg, p)) <= 1e-6 * np.linalg.norm(H)
+            assert abs(H[0, 1]) > 0.0  # the actuators couple
 
 
 class TestHessianP2:
@@ -269,13 +337,8 @@ class TestBetaSweep:
             beta_sweep(p2_problem, [100.0, 10.0], [0.3])
 
     def test_heat16_sweep_builds_no_certificate(self, monkeypatch):
-        # the README model; A is certified once, when the config is built
-        A, grid = heat_like(16, nu=1.0)
-        W = np.zeros((16, 16))
-        W[3, 3] = 1.0
-        cfg = Problem2Config(A=A, Q=np.eye(16), W=W,
-                             family=GaussianActuators(grid=grid, sigma=0.12),
-                             beta=10.0, gamma=2.6, tol=1e-6, max_iter=500)
+        # A is certified once, when the config is built
+        cfg = heat16_config(beta=10.0)
         calls = count_calls(monkeypatch, "certify_stability", optimize, dual, riccati)
         report = beta_sweep(cfg, [10.0, 100.0], [0.3])
         assert all(r.converged and not r.failed for r in report.rows)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg as spla
 
+from riccati_place import riccati, semigroup
 from riccati_place.errors import ClosedLoopUnstable, NewtonStall, UnstableGenerator
 from riccati_place.linalg import operator_norm, solve_sylvester
 from riccati_place.riccati import (
@@ -135,6 +136,15 @@ class TestVerifyAre:
         assert rep.trace_X <= rep.trace_bound
         assert rep.trace_bound == pytest.approx(cert.M**2 / (2 * 0.95) * 3.0)
         assert rep.trace_bound_holds and rep.symmetric and rep.psd
+
+    def test_given_certificate_builds_no_certificate(self, monkeypatch, rng):
+        A = rand_stable_symmetric(6, rng)
+        G, Q = rand_psd(6, rng), rand_psd(6, rng)
+        cert = certify_stability(A)
+        sol = solve_are(A, G, Q, cert=cert)
+        calls = count_calls(monkeypatch, "certify_stability", semigroup, riccati)
+        verify_are(A, G, Q, sol, cert, horizon=20.0 / cert.alpha, nodes=200)
+        assert len(calls) == 0
 
     def test_zero_q(self):
         A, G, Q = scalar(-2), scalar(1), scalar(0)

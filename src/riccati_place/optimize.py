@@ -280,10 +280,8 @@ def critical_cone_basis(family, p, X):
 
 def cost_p2(cfg, p):
     """tr(X(p) W) + beta/2 (tr G_p - gamma)^2."""
-    G = cfg.family.G(p)
-    sol = solve_are(cfg.A, G, cfg.Q, tol=INNER_ARE_TOL, cert=cfg.cert)
-    gap = cfg.family.trace_G(p) - cfg.gamma
-    return float(np.tensordot(sol.X, cfg.W)) + 0.5 * cfg.beta * gap**2
+    sol = solve_are(cfg.A, cfg.family.G(p), cfg.Q, tol=INNER_ARE_TOL, cert=cfg.cert)
+    return _p2_value(cfg, p, sol.X)
 
 
 def _gradient_p2(cfg, p, X, Lam):
@@ -338,16 +336,17 @@ def fixed_point_map_p2(cfg, p, direction=None, state=None):
     return Sinv @ cfg.family.dG_adjoint(p, T) / m_norm
 
 
-def solve_p2(cfg, p0, damping=1.0, mode="auto"):
+def solve_p2(cfg, p0, mode="auto"):
     """Solve the problem-2 optimality system.
 
     mode="auto" (default) runs projected Newton on the penalized cost with
     the exact reduced Hessian (see _newton_p2) and labels its triple
-    "newton".  mode="fixed_point" iterates the paper's optimality-condition
-    map, averaged by ``damping`` (read by this mode only), for at most
-    FIXED_POINT_BUDGET iterations.  The map's fixed-point set and the weak
-    stationarity condition agree only when X Lambda X is a multiple of the
-    identity, so both residuals are reported on the result.
+    "newton".  Newton is local: it returns the minimizer of the basin it
+    starts in, which is p0's or, when that costs less, that of the image of
+    p0 under the paper's map.  mode="fixed_point" iterates that map for at
+    most FIXED_POINT_BUDGET iterations.  The map's fixed-point set and the
+    weak stationarity condition agree only when X Lambda X is a multiple of
+    the identity, so both residuals are reported on the result.
 
     A converged triple satisfies the weak stationarity residual, the primal
     and dual residuals, and the trace-constraint identity
@@ -363,7 +362,7 @@ def solve_p2(cfg, p0, damping=1.0, mode="auto"):
     _gram_inverse(cfg.family, p0)  # invertibility must hold near p0
     history = [p0.copy()]
     if mode == "fixed_point":
-        p, iterations, settled = _iterate_fixed_point(cfg, p0, damping, history)
+        p, iterations, settled = _iterate_fixed_point(cfg, p0, history)
         triple = _finish_p2(cfg, p, solve_state_pair(cfg, p), iterations, history,
                             "fixed_point")
         if settled and triple.residual_stationarity <= cfg.tol:
@@ -384,7 +383,7 @@ def solve_p2(cfg, p0, damping=1.0, mode="auto"):
 FIXED_POINT_BUDGET = 60
 
 
-def _iterate_fixed_point(cfg, p, damping, history):
+def _iterate_fixed_point(cfg, p, history):
     """Run the fixed-point map until the step stalls; True when it settled.
 
     The budget is capped: a contractive map settles geometrically well
@@ -394,10 +393,9 @@ def _iterate_fixed_point(cfg, p, damping, history):
     for it in range(1, min(cfg.max_iter, FIXED_POINT_BUDGET) + 1):
         state = solve_state_pair(cfg, p)
         try:
-            f = fixed_point_map_p2(cfg, p, state=state)
+            p_next = fixed_point_map_p2(cfg, p, state=state)
         except DegenerateFamily:
             return p, it, False
-        p_next = (1.0 - damping) * p + damping * f
         if not np.isfinite(p_next).all():
             return p, it, False
         step = float(np.linalg.norm(p_next - p))
@@ -428,7 +426,9 @@ def _newton_p2(cfg, p, history):
     halved back until the Armijo condition holds.  Near the optimum the
     predicted decrease can sink below the rounding of the cost before the
     gradient meets cfg.tol; such a step is also accepted when it halves the
-    gradient norm.  Every trial costs one solve_state_pair.
+    gradient norm.  Every trial costs one solve_state_pair.  The method is
+    local, so it first moves to the image of the paper's map at p, clipped
+    to the box, when that costs less (heat16 has a minimum near each end).
 
     Returns (p, state, iterations, stationary), stationary meaning that the
     gradient norm is <= cfg.tol.
@@ -438,9 +438,20 @@ def _newton_p2(cfg, p, history):
     else:
         lo, hi = np.full(p.size, -np.inf), np.full(p.size, np.inf)
     state = solve_state_pair(cfg, p)
-    value = _p2_value(cfg, p, state)
+    value = _p2_value(cfg, p, state[1].X)
+    try:
+        image = np.clip(fixed_point_map_p2(cfg, p, state=state), lo, hi)
+    except DegenerateFamily:
+        image = p
+    moved = 0
+    if np.isfinite(image).all() and not np.array_equal(image, p):
+        image_state = solve_state_pair(cfg, image)
+        image_value = _p2_value(cfg, image, image_state[1].X)
+        if image_value < value:
+            p, state, value, moved = image, image_state, image_value, 1
+            history.append(p.copy())
     grad = gradient_p2(cfg, p, state)
-    for it in range(cfg.max_iter):
+    for it in range(moved, cfg.max_iter):
         if np.linalg.norm(grad) <= cfg.tol:
             return p, state, it, True
         band = np.minimum(ACTIVE_BAND * (hi - lo),
@@ -468,7 +479,7 @@ def _backtrack(cfg, p, value, grad, step, active, lo, hi):
         decrease = (t * float(grad[~active] @ step[~active])
                     + float(grad[active] @ (p - p_try)[active]))
         state = solve_state_pair(cfg, p_try)
-        value_try = _p2_value(cfg, p_try, state)
+        value_try = _p2_value(cfg, p_try, state[1].X)
         grad_try = gradient_p2(cfg, p_try, state)
         if (value_try <= value - ARMIJO_SLOPE * decrease
                 or (decrease <= COST_ROUNDING * (1.0 + abs(value))
@@ -530,10 +541,9 @@ def _reduced_hessian_p2(cfg, p, state):
     return symmetrize(H)
 
 
-def _p2_value(cfg, p, state):
-    _, sol, _ = state
+def _p2_value(cfg, p, X):
     gap = cfg.family.trace_G(p) - cfg.gamma
-    return float(np.tensordot(sol.X, cfg.W)) + 0.5 * cfg.beta * gap**2
+    return float(np.tensordot(X, cfg.W)) + 0.5 * cfg.beta * gap**2
 
 
 def _finish_p2(cfg, p, state, iterations, history, mode):

@@ -153,16 +153,26 @@ class TestSolveP2:
         best_p, cell = grid_argmin(cfg)
         assert abs(tri.p[0] - best_p) <= cell
 
-    def test_box_edge_start_reaches_grid_search_placement(self, p2_problem):
-        # the lower edge lies in the global minimizer's basin; the upper
-        # edge lies in the other local minimum's
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_box_edge_start_reaches_grid_search_placement(self, p2_problem, side):
         cfg = Problem2Config(A=p2_problem.A, Q=p2_problem.Q, W=p2_problem.W,
                              family=p2_problem.family, beta=100.0,
                              gamma=p2_problem.gamma, tol=1e-8, max_iter=400)
-        edge = cfg.family.domain()[0, 0]
+        edge = cfg.family.domain()[0, side]
         tri = solve_p2(cfg, [edge])
         assert tri.mode == "newton"
         assert tri.residual_stationarity <= cfg.tol
+        best_p, cell = grid_argmin(cfg)
+        assert abs(tri.p[0] - best_p) <= cell
+
+    @pytest.mark.parametrize("p0", [0.55, 16.0 / 17.0])
+    def test_heat16_start_in_other_basin_reaches_global_minimizer(self, p0):
+        # heat16 has a local minimizer near each end of the box, with costs
+        # 1.8e-6 apart; starts right of ~0.5, up to the box's upper edge
+        # 16/17, lie in the costlier one's basin
+        cfg = heat16_config(beta=10.0)
+        tri = solve_p2(cfg, [p0])
+        assert tri.converged and tri.mode == "newton"
         best_p, cell = grid_argmin(cfg)
         assert abs(tri.p[0] - best_p) <= cell
 

@@ -45,35 +45,50 @@ def operator_norm(T):
     return float(np.linalg.norm(T, 2))
 
 
-def _asymmetry(T, norm_T, name):
-    """Why T fails the symmetry test at ``||T|| = norm_T``, or None."""
+def _exceeds(value, rtol, T, bounds):
+    """Decide ``value > rtol (1 + operator_norm(T))`` as the SVD would,
+    taking it only when the Frobenius ``bounds`` of T leave the answer open."""
+    if value <= rtol * (1.0 + bounds[0]):
+        return False
+    if value > rtol * (1.0 + bounds[1]):
+        return True
+    return value > rtol * (1.0 + operator_norm(T))
+
+
+def _asymmetry(T, bounds, name):
+    """Why T fails the symmetry test, or None; ``bounds`` brackets ``||T||``."""
     skew = float(np.max(np.abs(T - T.T))) if T.size else 0.0
-    tol = SYMMETRY_RTOL * (1.0 + norm_T)
-    if skew > tol:
+    if _exceeds(skew, SYMMETRY_RTOL, T, bounds):
+        tol = SYMMETRY_RTOL * (1.0 + operator_norm(T))
         return f"{name} is not symmetric: max|T - T.T| = {skew:.3e} > {tol:.3e}"
     return None
 
 
-def _indefiniteness(T, norm_T, name):
-    """Why the symmetric T fails the PSD test at ``||T|| = norm_T``, or None."""
+def _indefiniteness(T, bounds, name):
+    """Why the symmetric T fails the PSD test, or None; ``bounds`` brackets
+    ``||T||``."""
     lam_min = float(np.linalg.eigvalsh(T)[0]) if T.size else 0.0
-    tol = PSD_RTOL * (1.0 + norm_T)
-    if lam_min < -tol:
+    if _exceeds(-lam_min, PSD_RTOL, T, bounds):
+        tol = PSD_RTOL * (1.0 + operator_norm(T))
         return f"{name} is not PSD: lambda_min = {lam_min:.3e} < -{tol:.3e}"
     return None
 
 
 def check_symmetric(T, name="operator"):
-    """Raise unless T is symmetric within the package-wide tolerance."""
-    fault = _asymmetry(T, operator_norm(T), name)
+    """Raise unless T is symmetric within the package-wide tolerance.
+
+    ``||T||`` is taken from Frobenius bounds; the SVD runs only when they
+    leave the test open, or to word the error."""
+    fault = _asymmetry(T, _norm_bounds(T), name)
     if fault:
         raise ValueError(fault)
 
 
 def check_psd(T, name="operator"):
-    """Raise unless the symmetric matrix T is PSD within tolerance."""
-    norm_T = operator_norm(T)
-    fault = _asymmetry(T, norm_T, name) or _indefiniteness(T, norm_T, name)
+    """Raise unless the symmetric matrix T is PSD within tolerance; ``||T||``
+    is taken as in :func:`check_symmetric`."""
+    bounds = _norm_bounds(T)
+    fault = _asymmetry(T, bounds, name) or _indefiniteness(T, bounds, name)
     if fault:
         raise ValueError(fault)
 
@@ -81,9 +96,9 @@ def check_psd(T, name="operator"):
 def psd_flags(T):
     """``(symmetric, psd)`` of T under the tests of :func:`check_psd`; a
     matrix that is not symmetric is not PSD either."""
-    norm_T = operator_norm(T)
-    symmetric = _asymmetry(T, norm_T, "T") is None
-    return symmetric, symmetric and _indefiniteness(T, norm_T, "T") is None
+    bounds = _norm_bounds(T)
+    symmetric = _asymmetry(T, bounds, "T") is None
+    return symmetric, symmetric and _indefiniteness(T, bounds, "T") is None
 
 
 def _norm_bounds(T):

@@ -20,7 +20,7 @@ import numpy as np
 
 from .devices import GRAM_SINGULAR_RTOL, _matrix_norm, sample_box
 from .dual import solve_dual
-from .errors import DegenerateFamily, MaxIterExceeded, RiccatiPlaceError
+from .errors import ClosedLoopUnstable, DegenerateFamily, MaxIterExceeded, RiccatiPlaceError
 from .linalg import check_psd, ensure_operator, operator_norm, solve_sylvester, symmetrize
 from .riccati import solve_are
 from .semigroup import certify_stability
@@ -82,6 +82,8 @@ class OptimalityTriple:
     trace_constraint_residual: Optional[float] = None
     fixed_point_residual: Optional[float] = None
     mode: str = "fixed_point"
+    # problem 2: the state pair (G_p, RiccatiSolution, DualSolution) at p
+    state: Optional[tuple] = field(default=None, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -92,10 +94,23 @@ class ContractionReport:
     beta_threshold: float
 
 
-def solve_state_pair(cfg, p):
-    """Primal and dual solves at parameter p: (G_p, RiccatiSolution, DualSolution)."""
+def solve_state_pair(cfg, p, X0=None):
+    """Primal and dual solves at parameter p: (G_p, RiccatiSolution, DualSolution).
+
+    Newton-Kleinman starts from X0 when one is given (X at a nearby p), and
+    from X = 0 otherwise.  When the warm solve raises ClosedLoopUnstable, as
+    it does at its first step if A - X0 G_p is unstable, the pair is solved
+    again from X = 0, which the stability of A always admits.
+    """
     G = cfg.family.G(p)
-    sol = solve_are(cfg.A, G, cfg.Q, tol=INNER_ARE_TOL, cert=cfg.cert)
+    sol = None
+    if X0 is not None:
+        try:
+            sol = solve_are(cfg.A, G, cfg.Q, tol=INNER_ARE_TOL, cert=cfg.cert, X0=X0)
+        except ClosedLoopUnstable:
+            pass
+    if sol is None:
+        sol = solve_are(cfg.A, G, cfg.Q, tol=INNER_ARE_TOL, cert=cfg.cert)
     dsol = solve_dual(cfg.A, G, sol.X, cfg.W)
     return G, sol, dsol
 
@@ -355,6 +370,10 @@ def solve_p2(cfg, p0, mode="auto"):
     Raises MaxIterExceeded (best iterate attached) when the method ends away
     from a weak stationary point: Newton stalls or runs out of cfg.max_iter
     iterations, or the map does not settle on one.
+
+    The state pair at p0 is solved cold, unless beta_sweep hands over the
+    one its previous row ended at (see _row_config); the fixed-point mode
+    solves every pair cold.  The triple carries the final state pair.
     """
     if mode not in ("auto", "fixed_point"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -370,7 +389,8 @@ def solve_p2(cfg, p0, mode="auto"):
         raise MaxIterExceeded(
             "fixed-point map terminated away from a weak stationary point", best=triple)
 
-    p, state, iterations, stationary = _newton_p2(cfg, p0, history)
+    p, state, iterations, stationary = _newton_p2(cfg, p0, history,
+                                                   _handed_state(cfg, p0))
     triple = _finish_p2(cfg, p, state, iterations, history, "newton")
     if not stationary:
         raise MaxIterExceeded(
@@ -413,7 +433,7 @@ HESSIAN_FLOOR = 1e-8    # eigenvalue floor, relative to 1 + max |H_ij|
 COST_ROUNDING = 1e-13   # relative cost decrease that rounding can swallow
 
 
-def _newton_p2(cfg, p, history):
+def _newton_p2(cfg, p, history, state=None):
     """Projected Newton on cost_p2 from p (Bertsekas, SIAM J. Control Optim.
     20, 1982).
 
@@ -426,9 +446,13 @@ def _newton_p2(cfg, p, history):
     halved back until the Armijo condition holds.  Near the optimum the
     predicted decrease can sink below the rounding of the cost before the
     gradient meets cfg.tol; such a step is also accepted when it halves the
-    gradient norm.  Every trial costs one solve_state_pair.  The method is
-    local, so it first moves to the image of the paper's map at p, clipped
-    to the box, when that costs less (heat16 has a minimum near each end).
+    gradient norm.  Every trial costs one solve_state_pair, warm-started
+    from the current iterate's X (solve_state_pair falls back to a cold
+    solve when that X does not stabilize the trial's closed loop).  The
+    method is local, so it first moves to the image of the paper's map at
+    p, clipped to the box, when that costs less (heat16 has a minimum near
+    each end).  ``state`` is the state pair at p when the caller holds it;
+    otherwise it is solved cold.
 
     Returns (p, state, iterations, stationary), stationary meaning that the
     gradient norm is <= cfg.tol.
@@ -437,7 +461,8 @@ def _newton_p2(cfg, p, history):
         lo, hi = np.atleast_2d(np.asarray(cfg.family.domain(), dtype=float)).T
     else:
         lo, hi = np.full(p.size, -np.inf), np.full(p.size, np.inf)
-    state = solve_state_pair(cfg, p)
+    if state is None:
+        state = solve_state_pair(cfg, p)
     value = _p2_value(cfg, p, state[1].X)
     try:
         image = np.clip(fixed_point_map_p2(cfg, p, state=state), lo, hi)
@@ -445,7 +470,7 @@ def _newton_p2(cfg, p, history):
         image = p
     moved = 0
     if np.isfinite(image).all() and not np.array_equal(image, p):
-        image_state = solve_state_pair(cfg, image)
+        image_state = solve_state_pair(cfg, image, X0=state[1].X)
         image_value = _p2_value(cfg, image, image_state[1].X)
         if image_value < value:
             p, state, value, moved = image, image_state, image_value, 1
@@ -459,7 +484,7 @@ def _newton_p2(cfg, p, history):
         active = (((p <= lo + band) & (grad > 0))
                   | ((p >= hi - band) & (grad < 0)))
         step = _newton_step(_reduced_hessian_p2(cfg, p, state), grad, active)
-        trial = _backtrack(cfg, p, value, grad, step, active, lo, hi)
+        trial = _backtrack(cfg, p, state[1].X, value, grad, step, active, lo, hi)
         if trial is None:
             return p, state, it + 1, False
         p, state, value, grad = trial
@@ -467,10 +492,11 @@ def _newton_p2(cfg, p, history):
     return p, state, cfg.max_iter, float(np.linalg.norm(grad)) <= cfg.tol
 
 
-def _backtrack(cfg, p, value, grad, step, active, lo, hi):
-    """Armijo backtracking along the projected arc p(t) = clip(p - t step);
-    (p, state, value, grad) at the accepted point, or None when the arc
-    does not leave p or no trial is accepted."""
+def _backtrack(cfg, p, X, value, grad, step, active, lo, hi):
+    """Armijo backtracking along the projected arc p(t) = clip(p - t step),
+    each trial's state pair warm-started from X = X(p); (p, state, value,
+    grad) at the accepted point, or None when the arc does not leave p or
+    no trial is accepted."""
     t = 1.0
     for _ in range(MAX_BACKTRACKS):
         p_try = np.clip(p - t * step, lo, hi)
@@ -478,7 +504,7 @@ def _backtrack(cfg, p, value, grad, step, active, lo, hi):
             return None
         decrease = (t * float(grad[~active] @ step[~active])
                     + float(grad[active] @ (p - p_try)[active]))
-        state = solve_state_pair(cfg, p_try)
+        state = solve_state_pair(cfg, p_try, X0=X)
         value_try = _p2_value(cfg, p_try, state[1].X)
         grad_try = gradient_p2(cfg, p_try, state)
         if (value_try <= value - ARMIJO_SLOPE * decrease
@@ -576,6 +602,7 @@ def _finish_p2(cfg, p, state, iterations, history, mode):
         trace_constraint_residual=trace_res,
         fixed_point_residual=map_res,
         mode=mode,
+        state=state,
     )
 
 
@@ -709,6 +736,13 @@ def beta_sweep(cfg, betas, p0, ledger=None):
     solve from the previous optimum, and record the constraint-gap law
     |tr G_p - gamma| <= sup ||X L X|| / beta row by row.
 
+    X(p) and Lambda(p) do not depend on beta, so each row after the first
+    starts from the state pair its predecessor ended at instead of solving
+    it again; inside a row, Newton warm-starts every state pair from the
+    current iterate's X (see _newton_p2).  Only the first row's state pair
+    at p0, and any pair whose warm start does not stabilize the closed
+    loop, are solved cold.
+
     A ledger (device constants + model fields) enables the per-beta
     contraction report; rows carry failure markers instead of raising when a
     single beta fails.
@@ -718,8 +752,9 @@ def beta_sweep(cfg, betas, p0, ledger=None):
         raise ValueError("betas must be positive and strictly ascending")
     rows = []
     p_warm = np.atleast_1d(np.asarray(p0, dtype=float))
+    state = None
     for b in betas:
-        cfg_b = replace_beta(cfg, b)
+        cfg_b = _row_config(cfg, b, p_warm, state)
         k = is_k = None
         if ledger is not None:
             rep = contraction_constant_p2(replace(ledger, beta=b))
@@ -753,8 +788,22 @@ def beta_sweep(cfg, betas, p0, ledger=None):
             stationarity_residual=triple.residual_stationarity,
             failed=failed, error=error,
         ))
-        p_warm = triple.p
+        p_warm, state = triple.p, triple.state
     return SweepReport(rows=rows, gamma=cfg.gamma, sup_xlx_recorded=math.nan).finalize()
+
+
+def _row_config(cfg, beta, p, state):
+    """replace_beta(cfg, beta) for one beta_sweep row, handing solve_p2 the
+    state pair ``state`` already solved at p (None: nothing to hand over)."""
+    cfg_b = replace_beta(cfg, beta)
+    cfg_b._handed = (p, state)
+    return cfg_b
+
+
+def _handed_state(cfg, p):
+    """The state pair _row_config handed over with cfg, if it was solved at p."""
+    p_handed, state = getattr(cfg, "_handed", (None, None))
+    return state if state is not None and np.array_equal(p_handed, p) else None
 
 
 def replace_beta(cfg, beta):

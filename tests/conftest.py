@@ -26,13 +26,14 @@ def rand_stable(n, rng, margin=0.3):
     return A - (shift + margin + rng.uniform(0.0, 1.0)) * np.eye(n)
 
 
-def count_calls(monkeypatch, name, *owners):
+def count_calls(monkeypatch, name, *owners, keywords=False):
     """Route attribute ``name`` of each owner (a module or object) through one
-    counter; returns the list of positional-argument tuples, one per call."""
+    counter; returns the list of positional-argument tuples, one per call,
+    or of ``(args, kwargs)`` pairs with ``keywords=True``."""
     calls = []
     for owner in owners:
         def counted(*args, _original=getattr(owner, name), **kwargs):
-            calls.append(args)
+            calls.append((args, kwargs) if keywords else args)
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(owner, name, counted)

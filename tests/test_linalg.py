@@ -10,10 +10,13 @@ from riccati_place import linalg, semigroup
 from riccati_place.errors import HorizonTooShort, SingularSystem, UnstableGenerator
 from riccati_place.linalg import (
     bochner_quadrature,
+    check_psd,
+    check_symmetric,
     matrix_exponential,
     norm_within,
     norms,
     operator_norm,
+    psd_flags,
     solve_sylvester,
 )
 
@@ -165,6 +168,47 @@ class TestNormWithin:
         assert norm_within(R, fro)
         assert not norm_within(R, 0.99 * fro / np.sqrt(5))
         assert len(svds) == 0
+
+
+class TestSymmetryAndPsdGates:
+    def test_symmetric_psd_input_takes_no_svd(self, monkeypatch, rng):
+        T = rand_psd(6, rng)
+        norms_taken = count_calls(monkeypatch, "operator_norm", linalg)
+        check_symmetric(T, "T")
+        check_psd(T, "T")
+        check_psd(np.eye(6), "I")
+        assert psd_flags(T) == (True, True)
+        assert len(norms_taken) == 0
+
+    @pytest.mark.parametrize("test", ["skew", "lambda_min"])
+    def test_between_frobenius_bounds_decided_by_svd(self, monkeypatch, test):
+        # ||T|| = 1e3 and ||T||_F = 1414 at rank r = 5, so ||T|| lies strictly
+        # between the bounds ||T||_F / sqrt(5) = 632 and ||T||_F: skews (or
+        # -lambda_min) at 0.9 and 1.2 of the exact tolerance lie between the
+        # tolerances of the two bounds, and the SVD must decide both
+        rtol = linalg.SYMMETRY_RTOL if test == "skew" else linalg.PSD_RTOL
+        fault = "not symmetric" if test == "skew" else "not PSD"
+        tol = rtol * (1.0 + 1e3)
+        bounds = linalg._norm_bounds(np.diag([1e3, 1e3, 0.0, 0.0, 0.0]))
+        assert rtol * (1.0 + bounds[0]) < 0.9 * tol
+        assert 1.2 * tol < rtol * (1.0 + bounds[1])
+
+        def perturbed(value):
+            T = np.diag([1e3, 1e3, 0.0, 0.0, 0.0])
+            if test == "skew":
+                T[0, 2] = value
+            else:
+                T[4, 4] = -value
+            return T
+
+        norms_taken = count_calls(monkeypatch, "operator_norm", linalg)
+        check_psd(perturbed(0.9 * tol), "T")
+        assert psd_flags(perturbed(0.9 * tol)) == (True, True)
+        with pytest.raises(ValueError, match=fault):
+            check_psd(perturbed(1.2 * tol), "T")
+        flags = psd_flags(perturbed(1.2 * tol))
+        assert flags == ((False, False) if test == "skew" else (True, False))
+        assert len(norms_taken) >= 4
 
 
 class TestBochnerQuadrature:

@@ -14,6 +14,7 @@ from riccati_place.optimize import (
     hessian_p2,
     fixed_point_map_p2,
     solve_p2,
+    solve_state_pair,
     stationarity_residual_p2,
 )
 from riccati_place.riccati import solve_are
@@ -66,6 +67,20 @@ def unit_ledger(beta=1.0, mu=1.0):
     return ConstantLedger(g=1.0, L_G=1.0, L_dG=1.0, C_dG=1.0, K=1.0,
                           mu=mu, M=1.0, alpha=1.0, trQ=1.0, normW=1.0,
                           beta=beta, gamma=1.0, sup_xlx=1.0)
+
+
+class TestStatePair:
+    def test_destabilizing_warm_start_falls_back_to_cold(self, monkeypatch):
+        # n = 3, non-normal A: A - X0 G = A + 5 I has spectrum {4, 3, 2}
+        A = np.array([[-1.0, 2.0, 0.0], [0.0, -2.0, 2.0], [0.0, 0.0, -3.0]])
+        cfg = Problem2Config(A=A, Q=np.eye(3), W=np.eye(3),
+                             family=ConstantFamily(matrix=np.eye(3)), beta=1.0)
+        _, cold, _ = solve_state_pair(cfg, [0.0])
+        ares = count_calls(monkeypatch, "solve_are", optimize, keywords=True)
+        _, sol, dsol = solve_state_pair(cfg, [0.0], X0=-5.0 * np.eye(3))
+        assert [kwargs.get("X0") is not None for _, kwargs in ares] == [True, False]
+        assert operator_norm(sol.X - cold.X) <= 1e-12 * (1.0 + operator_norm(cold.X))
+        assert sol.strong_residual <= 1e-10 and dsol.residual <= 1e-10
 
 
 class TestCostP2:
@@ -345,6 +360,39 @@ class TestBetaSweep:
     def test_rejects_non_ascending(self, p2_problem):
         with pytest.raises(ValueError):
             beta_sweep(p2_problem, [100.0, 10.0], [0.3])
+
+    @staticmethod
+    def counted_heat16_sweep(monkeypatch):
+        """The README sweep, with its state pairs, solve_are calls and
+        Newton-Kleinman steps (one Sylvester solve each) counted."""
+        cfg = heat16_config(beta=10.0)
+        pairs = count_calls(monkeypatch, "solve_state_pair", optimize)
+        ares = count_calls(monkeypatch, "solve_are", optimize, keywords=True)
+        steps = count_calls(monkeypatch, "solve_sylvester", riccati)
+        report = beta_sweep(cfg, [10.0, 1e2, 1e3, 1e4], [0.3])
+        assert all(r.converged and not r.failed for r in report.rows)
+        return report, pairs, ares, steps
+
+    # solving every state pair cold, and each row's start again, takes
+    # 16 state pairs and 64 Newton-Kleinman steps; warm starts take 13 and 31
+    def test_heat16_sweep_state_pairs(self, monkeypatch):
+        _, pairs, _, _ = self.counted_heat16_sweep(monkeypatch)
+        assert len(pairs) <= 13
+
+    def test_heat16_sweep_newton_steps(self, monkeypatch):
+        _, _, _, steps = self.counted_heat16_sweep(monkeypatch)
+        assert len(steps) <= 40
+
+    def test_heat16_sweep_warm_starts_riccati(self, monkeypatch):
+        _, _, ares, _ = self.counted_heat16_sweep(monkeypatch)
+        assert any(kwargs.get("X0") is not None for _, kwargs in ares)
+
+    def test_heat16_rows_do_not_resolve_previous_end(self, monkeypatch):
+        # X(p) and Lambda(p) do not depend on beta: each row starts from the
+        # state pair the previous row ended at
+        report, pairs, _, _ = self.counted_heat16_sweep(monkeypatch)
+        for row in report.rows[:-1]:
+            assert sum(np.array_equal(args[1], row.p) for args in pairs) == 1
 
     def test_heat16_sweep_builds_no_certificate(self, monkeypatch):
         # A is certified once, when the config is built

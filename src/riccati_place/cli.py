@@ -299,6 +299,7 @@ def _cmd_certify(cfg, out_dir):
         "alpha": cert.alpha,
         "sample_horizon": cert.sample_horizon,
         "sample_count": cert.sample_count,
+        "method": cert.method,
         "n": A.shape[0],
     })
     return 0

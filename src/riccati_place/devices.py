@@ -25,14 +25,19 @@ from .errors import DegenerateFamily, DimensionMismatch
 from .linalg import check_symmetric, ensure_operator, operator_norm, symmetrize
 
 
-def _matrix_norm(T, reading):
-    if reading == "op":
-        return operator_norm(T)
-    if reading == "nuc":
-        return float(np.linalg.svd(T, compute_uv=False).sum()) if T.size else 0.0
-    if reading == "abs":
-        return abs(float(np.trace(T)))
-    raise ValueError(f"unknown norm reading {reading!r}")
+def _readings(T):
+    """T's norm under each reading, from one SVD: "nuc" and "op" are its sum
+    and max, bit-identical to separate ``svd(T).sum()`` and
+    :func:`operator_norm` calls; "abs" is |tr T|."""
+    sv = np.linalg.svd(T, compute_uv=False) if T.size else np.zeros(1)
+    return {"nuc": float(sv.sum()), "abs": abs(float(np.trace(T))), "op": float(sv.max())}
+
+
+def _raise_sups(sups, T, dist=1.0):
+    """Raise each running sup in ``sups`` (keyed by reading) to T's norm / dist."""
+    norms = _readings(T)
+    for r in sups:
+        sups[r] = max(sups[r], norms[r] / dist)
 
 
 class Family:
@@ -312,10 +317,6 @@ def _unit_directions(dim, rng, extra=8):
     return dirs
 
 
-def _direction_sup(matmap, directions, reading):
-    return max(_matrix_norm(matmap(q), reading) for q in directions)
-
-
 LIPSCHITZ_INFLATION = 1.1
 GRAM_SINGULAR_RTOL = 1e-12
 
@@ -348,11 +349,9 @@ def estimate_constants(family, domain, samples, seed,
     K = 0.0
     any_invertible = False
     for p in points:
-        Gp = family.G(p)
-        for r in g:
-            g[r] = max(g[r], _matrix_norm(Gp, r))
-        for r in c_dg:
-            c_dg[r] = max(c_dg[r], _direction_sup(lambda q: family.dG(p, q), directions, r))
+        _raise_sups(g, family.G(p))
+        for q in directions:
+            _raise_sups(c_dg, family.dG(p, q))
         S = family.gram(p)
         sv = np.linalg.svd(S, compute_uv=False)
         if sv.size and sv[-1] > GRAM_SINGULAR_RTOL * max(sv[0], 1.0):
@@ -369,13 +368,9 @@ def estimate_constants(family, domain, samples, seed,
         dist = float(np.linalg.norm(p1 - p2))
         if dist < 1e-12:
             continue
-        dG_mat = family.G(p1) - family.G(p2)
-        for r in l_g:
-            l_g[r] = max(l_g[r], _matrix_norm(dG_mat, r) / dist)
-        for r in l_dg:
-            quot = _direction_sup(
-                lambda q: family.dG(p1, q) - family.dG(p2, q), directions, r) / dist
-            l_dg[r] = max(l_dg[r], quot)
+        _raise_sups(l_g, family.G(p1) - family.G(p2), dist)
+        for q in directions:
+            _raise_sups(l_dg, family.dG(p1, q) - family.dG(p2, q), dist)
     if l_g["nuc"] == 0.0:
         raise DegenerateFamily("G_p is constant over the sampled pairs")
 

@@ -37,15 +37,20 @@ def _closed_loop_unstable(err):
 class DualSolution:
     """Multiplier of the Riccati constraint.
 
-    ``closed_loop_cert`` and ``norm_bound_slack`` are computed on first read
-    and cached; the first read raises ClosedLoopUnstable when the closed loop
-    cannot be certified.
+    ``norm_W``, ``closed_loop_cert`` and ``norm_bound_slack`` are computed
+    on first read and cached; the first read of either of the last two raises
+    ClosedLoopUnstable when the closed loop cannot be certified.
     """
 
     Lambda: np.ndarray
     residual: float
     closed_loop: np.ndarray  # A.T - G X
-    norm_W: float
+    W: np.ndarray
+
+    @cached_property
+    def norm_W(self):
+        """Operator norm of W."""
+        return operator_norm(self.W)
 
     @cached_property
     def closed_loop_cert(self):
@@ -91,7 +96,7 @@ def solve_dual(A, G, X, W, cert=None):
         Lambda=Lam,
         residual=dual_residual(closed_loop, Lam, W),
         closed_loop=closed_loop,
-        norm_W=operator_norm(W),
+        W=W,
     )
     if cert is not None:
         sol.closed_loop_cert = cert  # fills the cache; no certificate is built

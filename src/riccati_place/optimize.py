@@ -18,7 +18,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .devices import GRAM_SINGULAR_RTOL, _matrix_norm, sample_box
+from .devices import GRAM_SINGULAR_RTOL, _readings, sample_box
 from .dual import solve_dual
 from .errors import ClosedLoopUnstable, DegenerateFamily, MaxIterExceeded, RiccatiPlaceError
 from .linalg import check_psd, ensure_operator, operator_norm, solve_sylvester, symmetrize
@@ -869,12 +869,12 @@ def lipschitz_bound_check(cfg, ledger, domain, pairs, seed):
             continue
         _, s1, d1 = solve_state_pair(cfg, p1)
         _, s2, d2 = solve_state_pair(cfg, p2)
-        dX = s1.X - s2.X
+        dX_norms = _readings(s1.X - s2.X)
         dL_op = operator_norm(d1.Lambda - d2.Lambda)
         for reading in ("nuc", "abs"):
             worst_x[reading] = max(
                 worst_x[reading],
-                ratio(_matrix_norm(dX, reading), x_const[reading] * dist))
+                ratio(dX_norms[reading], x_const[reading] * dist))
             worst_lam[reading] = max(
                 worst_lam[reading], ratio(dL_op, lam_const[reading] * dist))
     x_pass = {r: worst_x[r] <= 1.0 for r in worst_x}

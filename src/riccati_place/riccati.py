@@ -17,6 +17,8 @@ import scipy.linalg as spla
 
 from .errors import ClosedLoopUnstable, NewtonStall, UnstableGenerator
 from .linalg import (
+    _exceeds,
+    _norm_bounds,
     bochner_quadrature,
     check_psd,
     ensure_operator,
@@ -71,7 +73,9 @@ def solve_are(A, G, Q, tol=DEFAULT_STEP_TOL, cert=None, keep_history=False, X0=N
     from one real Schur factorization of the closed loop ``A - Xk G``, which
     also certifies its spectrum: ClosedLoopUnstable is raised when that
     spectrum leaves the open left half-plane.  Iteration stops once the step
-    norm is <= tol *and* the strong residual is within ``1e-10 (1 + ||Q||)``.
+    norm is <= tol *and* the strong residual is within ``1e-10 (1 + ||Q||)``,
+    with ``||Q||`` taken from Frobenius bounds (an SVD only when they leave
+    that test open).
     X0 = 0 is admissible because A itself is required to be stable
     (certified on entry); any other X0 must keep A - X0 G stable (e.g. a warm
     start from a nearby instance).
@@ -93,7 +97,7 @@ def solve_are(A, G, Q, tol=DEFAULT_STEP_TOL, cert=None, keep_history=False, X0=N
         raise ValueError("tol must be positive")
     if cert is None:
         cert = certify_stability(A)  # raises UnstableGenerator
-    res_tol = RESIDUAL_RTOL * (1.0 + operator_norm(Q))
+    Q_bounds = _norm_bounds(Q)
 
     n = A.shape[0]
     X = np.zeros((n, n)) if X0 is None else symmetrize(ensure_operator(X0, "X0"))
@@ -112,7 +116,7 @@ def solve_are(A, G, Q, tol=DEFAULT_STEP_TOL, cert=None, keep_history=False, X0=N
             history.append(X.copy())
         if norm_within(step, tol):
             residual = riccati_residual(A, G, Q, X)
-            if residual <= res_tol:
+            if not _exceeds(residual, RESIDUAL_RTOL, Q, Q_bounds):
                 break
     else:
         raise NewtonStall(

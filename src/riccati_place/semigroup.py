@@ -1,8 +1,9 @@
 """Exponential-stability certificates (M, alpha) for matrix generators.
 
-A certificate asserts ``||exp(A t)|| <= M exp(-alpha t)`` on a sampled time
-grid.  Every decay-rate bound in the package is parameterized by these two
-constants, so they are manufactured here once and passed around explicitly.
+A certificate asserts ``||exp(A t)|| <= M exp(-alpha t)``, either for every
+t >= 0 (proved by the log-norm test) or on a sampled time grid.  Every
+decay-rate bound in the package is parameterized by these two constants, so
+they are manufactured here once and passed around explicitly.
 """
 
 from dataclasses import dataclass, replace
@@ -12,11 +13,12 @@ import numpy as np
 
 from .errors import UnstableGenerator
 from .linalg import (
+    NORM_BOUND_MARGIN,
     check_psd,
     ensure_operator,
     matrix_exponential,
-    operator_norm,
     spectral_abscissa,
+    symmetrize,
 )
 
 ALPHA_SAFETY = 0.95
@@ -24,15 +26,20 @@ M_HEADROOM = 1.01
 GRID_POINTS = 1000
 FRESH_GRID_POINTS = 500
 DECAY_SLACK = 1.0 + 1e-9
+CHUNK_POINTS = 128  # time points per stack held in memory
+POWER_STEPS = 3     # power steps on S'S behind each lower norm bound
 
 
 @dataclass(frozen=True)
 class StabilityCertificate:
     """Constants certifying ||exp(A t)|| <= M exp(-alpha t) on [0, sample_horizon].
 
-    ``unperturbed_bound_holds`` is only set by :func:`perturbed_certificate`
-    and records whether the original certificate still bounded the perturbed
-    semigroup on the fresh grid.
+    ``method`` says how M was obtained: ``"log_norm"`` when
+    ``lambda_max((A + A')/2) <= -alpha`` proves the bound for every t >= 0
+    (M is then ``M_HEADROOM``), ``"sampled"`` when M is a grid sup checked
+    on a fresh grid.  ``unperturbed_bound_holds`` is only set by
+    :func:`perturbed_certificate` and records whether the original
+    certificate still bounded the perturbed semigroup on the fresh grid.
     """
 
     M: float
@@ -40,32 +47,94 @@ class StabilityCertificate:
     sample_horizon: float
     sample_count: int
     unperturbed_bound_holds: Optional[bool] = None
+    method: str = "sampled"
 
 
-def _expm_norms(A, ts):
-    """||exp(A t)|| for each t in ts, batched.
+def _log_norm_proves(A, alpha):
+    """Whether ``lambda_max((A + A')/2) <= -alpha``, which gives
+    ``||exp(A t)|| <= exp(-alpha t)`` for every t >= 0."""
+    return float(np.linalg.eigvalsh(symmetrize(A))[-1]) <= -alpha
 
-    Symmetric A goes through eigvalsh (the norm is exp(t lambda_max)
-    exactly); diagonalizable A with a well-conditioned eigenbasis goes
-    through a batched eigendecomposition; anything else falls back to one
-    expm per grid point.
+
+def _semigroup(A, eigen=None):
+    """Stack builder ``ts -> [exp(A t) for t in ts]``.
+
+    With a well-conditioned eigenbasis (``eigen = (lam, V)`` of A, computed
+    here when not given) each matrix is ``(V e^{lam t}) @ V^{-1}``, one
+    product per t, so a matrix does not depend on the batch it is built in;
+    otherwise each is one expm.
     """
-    ts = np.asarray(ts, dtype=float)
-    n = A.shape[0]
-    if n == 0:
-        return np.zeros_like(ts)
-    skew = np.max(np.abs(A - A.T)) if A.size else 0.0
-    if skew <= 1e-13 * (1.0 + operator_norm(A)):
-        lam_max = float(np.linalg.eigvalsh(0.5 * (A + A.T))[-1])
-        return np.exp(lam_max * ts)
-    lam, V = np.linalg.eig(A)
-    if np.linalg.cond(V) < 1e8:
-        Vinv = np.linalg.inv(V)
-        scales = np.exp(np.outer(ts, lam))
-        stack = np.einsum("ij,tj,jk->tik", V, scales, Vinv).real
-        sv = np.linalg.svd(stack, compute_uv=False)
-        return sv[:, 0]
-    return np.array([operator_norm(matrix_exponential(A, t)) for t in ts])
+    lam, V = np.linalg.eig(A) if eigen is None else eigen
+    if np.linalg.cond(V) >= 1e8:
+        return lambda ts: np.stack([matrix_exponential(A, t) for t in ts])
+    Vinv = np.linalg.inv(V)
+    return lambda ts: np.matmul(V * np.exp(np.multiply.outer(ts, lam))[:, None, :], Vinv).real
+
+
+def _chunks(count):
+    return (slice(i, i + CHUNK_POINTS) for i in range(0, count, CHUNK_POINTS))
+
+
+def _opnorms(S):
+    """Largest singular value of each matrix of the stack S."""
+    return np.linalg.svd(S, compute_uv=False)[:, 0]
+
+
+def _brackets(S):
+    """Bounds ``lo <= _opnorms(S) <= hi`` without an SVD.
+
+    With B = S'S: ``hi = ||B||_F^(1/2)``, and ``lo = ||B x||^(1/2)`` for a
+    unit x after a few power steps, started from B's largest column.  Each
+    matrix is first scaled by a power of two (exactly) so that B can neither
+    overflow nor underflow.  Both bounds are widened by NORM_BOUND_MARGIN,
+    far above their rounding, so a comparison they settle is the SVD's own.
+    """
+    _, exponent = np.frexp(np.abs(S).max(axis=(1, 2)))
+    S = np.ldexp(S, -exponent[:, None, None])
+    B = np.matmul(S.transpose(0, 2, 1), S)
+    hi = np.sqrt(np.sqrt(np.einsum("kij,kij->k", B, B)))
+    x = B[np.arange(len(B)), :, np.einsum("kij,kij->kj", B, B).argmax(axis=1)]
+    for _ in range(POWER_STEPS):
+        size = np.linalg.norm(x, axis=1)
+        x = np.matmul(B, (x / np.where(size > 0.0, size, 1.0)[:, None])[:, :, None])[:, :, 0]
+    lo = np.sqrt(np.linalg.norm(x, axis=1))
+    return (np.ldexp(lo * (1.0 - NORM_BOUND_MARGIN), exponent),
+            np.ldexp(hi * (1.0 + NORM_BOUND_MARGIN), exponent))
+
+
+def _grid_sup(stacks, ts, weights):
+    """``max_k ||exp(A t_k)|| weights_k``, equal to the max over an SVD of
+    every grid point.  The SVD runs at the point of the largest lower bound,
+    then only where an upper bound reaches the value found there."""
+    lo, hi = np.empty_like(ts), np.empty_like(ts)
+    for part in _chunks(len(ts)):
+        lo[part], hi[part] = _brackets(stacks(ts[part]))
+    k = int(np.argmax(lo * weights))
+    best = _opnorms(stacks(ts[[k]]))[0] * weights[k]
+    open_ = np.flatnonzero(hi * weights >= best)
+    open_ = open_[open_ != k]
+    for part in _chunks(len(open_)):
+        pts = open_[part]
+        best = max(best, float(np.max(_opnorms(stacks(ts[pts])) * weights[pts])))
+    return float(best)
+
+
+def _breaks(S, bound):
+    """Whether some ``||S_k|| > bound_k``, decided as an SVD of every S_k
+    would; the SVD runs only where the brackets straddle the bound."""
+    lo, hi = _brackets(S)
+    straddle = (lo <= bound) & (hi > bound)
+    return bool(np.any(lo > bound) or np.any(_opnorms(S[straddle]) > bound[straddle]))
+
+
+def _decay_violation(stacks, ts, bound):
+    """None when ``||exp(A t_k)|| <= bound_k`` at every grid point, else the
+    largest ratio of the two (from an SVD at every point, to word the
+    failure)."""
+    if not any(_breaks(stacks(ts[part]), bound[part]) for part in _chunks(len(ts))):
+        return None
+    return max(float(np.max(_opnorms(stacks(ts[part])) / bound[part]))
+               for part in _chunks(len(ts)))
 
 
 def _log_grid(horizon, count):
@@ -76,28 +145,45 @@ def _log_grid(horizon, count):
 def certify_stability(A):
     """Certify exponential stability of A.
 
-    Takes ``alpha = 0.95 * (-spectral abscissa)`` and estimates M as the sup
-    of ``||exp(A t)|| exp(alpha t)`` over a 1000-point log-spaced grid on
-    ``[0, 20/alpha]``, rounded up by 1%.  The certificate is then re-checked
-    on a fresh 500-point uniform grid.
+    Takes ``alpha = 0.95 * (-spectral abscissa)`` and ``horizon = 20/alpha``.
+    When the log-norm test ``lambda_max((A + A')/2) <= -alpha`` holds,
+    ``||exp(A t)|| exp(alpha t) <= 1`` for every t >= 0, with equality at
+    t = 0, so the grid sup below would be exactly 1: M is ``M_HEADROOM`` and
+    no grid is sampled (``method="log_norm"``).  This covers every stable
+    symmetric A.
 
-    Raises UnstableGenerator when the spectral abscissa is >= 0.
+    Otherwise M is the sup of ``||exp(A t)|| exp(alpha t)`` over a
+    1000-point log-spaced grid on ``[0, horizon]``, rounded up by 1%, and the
+    certificate is re-checked on a fresh 500-point uniform grid
+    (``method="sampled"``).  One eigendecomposition of A gives the spectral
+    abscissa and every ``exp(A t)``, built in chunks of CHUNK_POINTS time
+    points.  Each norm is bracketed without an SVD (see :func:`_brackets`),
+    and the SVD runs only where the bracket leaves the grid max or a
+    pass/fail open, so M and the validation are those of an SVD at every
+    grid point.
+
+    Raises UnstableGenerator when the spectral abscissa is >= 0 or the
+    fresh-grid validation fails.
     """
     A = ensure_operator(A, "A")
-    sigma = spectral_abscissa(A)
+    # a symmetric A always passes the log-norm test, so needs no eigenvectors
+    eigen = None if np.array_equal(A, A.T) else np.linalg.eig(A)
+    sigma = spectral_abscissa(A) if eigen is None else float(np.max(eigen[0].real))
     if sigma >= 0.0:
         raise UnstableGenerator(f"spectral abscissa {sigma:.3e} >= 0")
     alpha = ALPHA_SAFETY * (-sigma)
     horizon = 20.0 / alpha
+    if _log_norm_proves(A, alpha):
+        return StabilityCertificate(M=M_HEADROOM, alpha=alpha, sample_horizon=horizon,
+                                    sample_count=FRESH_GRID_POINTS, method="log_norm")
+
+    stacks = _semigroup(A, eigen)
     ts = _log_grid(horizon, GRID_POINTS)
-    growth = _expm_norms(A, ts) * np.exp(alpha * ts)
-    M = M_HEADROOM * float(growth.max())
+    M = M_HEADROOM * _grid_sup(stacks, ts, np.exp(alpha * ts))
 
     fresh = np.linspace(0.0, horizon, FRESH_GRID_POINTS)
-    bound = M * np.exp(-alpha * fresh) * DECAY_SLACK
-    observed = _expm_norms(A, fresh)
-    if np.any(observed > bound):
-        worst = float(np.max(observed / bound))
+    worst = _decay_violation(stacks, fresh, M * np.exp(-alpha * fresh) * DECAY_SLACK)
+    if worst is not None:
         raise UnstableGenerator(
             f"certificate validation failed: decay bound violated by factor {worst:.3e}")
     return StabilityCertificate(M=M, alpha=alpha,
@@ -106,11 +192,16 @@ def certify_stability(A):
 
 
 def certificate_holds(cert, A, count=100):
-    """Check the certificate's decay inequality for A on a fresh uniform grid."""
+    """Check the certificate's decay inequality for A on a fresh uniform grid.
+
+    The log-norm test settles it for every t when ``M >= 1``; otherwise the
+    grid is checked as in :func:`certify_stability`'s validation."""
+    A = ensure_operator(A, "A")
+    if cert.M >= 1.0 and _log_norm_proves(A, cert.alpha):
+        return True
     ts = np.linspace(0.0, cert.sample_horizon, count)
-    observed = _expm_norms(ensure_operator(A, "A"), ts)
     bound = cert.M * np.exp(-cert.alpha * ts) * DECAY_SLACK
-    return bool(np.all(observed <= bound))
+    return _decay_violation(_semigroup(A), ts, bound) is None
 
 
 def perturbed_certificate(cert, A, K):

@@ -121,6 +121,7 @@ class TestCommands:
         assert code == 0
         payload = json.loads((tmp_path / "out" / "certificate.json").read_text())
         assert payload["alpha"] > 0 and payload["M"] >= 1.0
+        assert payload["method"] == "log_norm"  # the heat generator is symmetric
 
     def test_solve_are_report(self, tmp_path):
         cfg = self.write_cfg(tmp_path, base_config())

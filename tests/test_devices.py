@@ -208,6 +208,30 @@ class TestEstimateConstants:
         assert len(calls) == 0
         assert (led.M, led.alpha) == (cert.M, cert.alpha)
 
+    def test_one_svd_per_sampled_matrix(self, fam, monkeypatch):
+        from riccati_place import devices
+
+        samples, dirs = 30, fam.param_dim + 8  # _unit_directions: axes + 8 random
+        one = estimate_constants(fam, fam.domain(), samples, seed=4)
+
+        # the per-reading ledger: each norm from its own call, as before
+        def per_reading(T):
+            return {"nuc": float(np.linalg.svd(T, compute_uv=False).sum()),
+                    "abs": abs(float(np.trace(T))), "op": operator_norm(T)}
+
+        monkeypatch.setattr(devices, "_readings", per_reading)
+        assert estimate_constants(fam, fam.domain(), samples, seed=4) == one
+        monkeypatch.undo()
+
+        svd = count_calls(monkeypatch, "svd", np.linalg)
+        dG = count_calls(monkeypatch, "dG", GaussianActuators)
+        estimate_constants(fam, fam.domain(), samples, seed=4)
+        # per point: G, each direction's dG, the Gram matrix; per pair: the G
+        # difference and each direction's dG difference
+        assert len(svd) == samples * (dirs + 2) + samples * (1 + dirs)
+        # each direction once per point (plus the Gram matrix's), twice per pair
+        assert len(dG) == samples * (dirs + fam.param_dim) + samples * 2 * dirs
+
     def test_deterministic_given_seed(self, fam):
         led1 = estimate_constants(fam, fam.domain(), 50, seed=7)
         led2 = estimate_constants(fam, fam.domain(), 50, seed=7)

@@ -123,6 +123,15 @@ class TestLazyCertificate:
         c = certify_stability(sol.closed_loop)
         assert slack == c.M**2 / (2.0 * c.alpha) * operator_norm(W) - operator_norm(sol.Lambda)
 
+    def test_norm_of_W_taken_on_first_read(self, monkeypatch, rng):
+        from riccati_place import linalg
+        A, G, X, W = self.instance(rng)
+        calls = count_calls(monkeypatch, "operator_norm", linalg, dual)
+        sol = solve_dual(A, G, X, W)
+        assert not any(np.array_equal(args[0], W) for args in calls)
+        assert sol.norm_W == np.linalg.norm(W, 2)
+        assert sum(np.array_equal(args[0], W) for args in calls) == 1
+
     def test_given_certificate_is_used(self, monkeypatch, rng):
         A, G, X, W = self.instance(rng)
         cert = certify_stability(A.T - G @ X)

@@ -104,6 +104,17 @@ class TestSolveAre:
             restarted = solve_are(A, G, Q, X0=X_lyap)
             assert operator_norm(base.X - restarted.X) <= 1e-8
 
+    def test_residual_gate_takes_no_norm_of_Q(self, monkeypatch, rng):
+        # ||Q|| in the gate comes from Frobenius bounds; the reported residual
+        # is still an operator norm
+        from riccati_place import linalg
+        A = rand_stable(6, rng)
+        G, Q = rand_psd(6, rng), np.eye(6)
+        calls = count_calls(monkeypatch, "operator_norm", linalg, riccati)
+        sol = solve_are(A, G, Q, cert=certify_stability(A))
+        assert not any(np.array_equal(args[0], Q) for args in calls)
+        assert sol.strong_residual <= 1e-10 * (1.0 + operator_norm(Q))
+
     def test_residual_and_trace_bound_random(self, rng):
         for _ in range(10):
             n = int(rng.integers(2, 9))

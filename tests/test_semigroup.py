@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from riccati_place import semigroup
 from riccati_place.errors import UnstableGenerator
 from riccati_place.linalg import matrix_exponential, operator_norm
 from riccati_place.semigroup import (
@@ -10,7 +11,26 @@ from riccati_place.semigroup import (
     perturbed_certificate,
 )
 
-from conftest import rand_psd, rand_stable, rand_stable_symmetric
+from conftest import count_calls, rand_psd, rand_stable, rand_stable_symmetric
+
+
+def heat(n):
+    """Dirichlet second differences on (0, 1): symmetric, so log-norm proved."""
+    h = 1.0 / (n + 1)
+    return (np.diag(np.ones(n - 1), -1) - 2.0 * np.eye(n) + np.diag(np.ones(n - 1), 1)) / h**2
+
+
+def convection_diffusion(n, nu=1.0, c=10.0):
+    """Central differences of nu u_xx - c u_x: non-normal, with transient growth."""
+    h = 1.0 / (n + 1)
+    return nu * heat(n) + c / (2.0 * h) * (np.diag(np.ones(n - 1), -1)
+                                           - np.diag(np.ones(n - 1), 1))
+
+
+def full_grid_norms(A, ts):
+    """Reference: the SVD of exp(A t) at every grid point, one stack for the
+    whole grid (no chunks, no bounds)."""
+    return np.linalg.svd(semigroup._semigroup(A)(ts), compute_uv=False)[:, 0]
 
 
 class TestCertifyStability:
@@ -106,3 +126,98 @@ def test_certificate_holds_helper(rng):
         StabilityCertificate(M=cert.M, alpha=10.0 * cert.alpha,
                              sample_horizon=cert.sample_horizon, sample_count=100),
         A)
+
+
+class TestCertificateKernel:
+    def sampled_generators(self, rng):
+        # the Jordan block's eigenbasis is singular: one expm per grid point
+        mats = [convection_diffusion(16), np.array([[-1.0, 10.0], [0.0, -1.0]])]
+        for n in (2, 3, 5, 16, 32):
+            mats += [rand_stable(n, rng) for _ in range(3)]
+        return mats
+
+    def test_gated_M_equals_full_grid_svd_sup(self, rng):
+        sampled = 0
+        for A in self.sampled_generators(rng):
+            cert = certify_stability(A)
+            if cert.method != "sampled":
+                continue
+            sampled += 1
+            ts = semigroup._log_grid(cert.sample_horizon, semigroup.GRID_POINTS)
+            brute = semigroup.M_HEADROOM * float(np.max(
+                full_grid_norms(A, ts) * np.exp(cert.alpha * ts)))
+            assert cert.M == brute
+        assert sampled >= 13
+
+    def test_ill_conditioned_eigenbasis_falls_back_to_expm(self):
+        A = np.array([[-1.0, 10.0], [0.0, -1.0]])
+        ts = np.linspace(0.0, 3.0, 7)
+        expm = [operator_norm(matrix_exponential(A, t)) for t in ts]
+        assert full_grid_norms(A, ts).tolist() == expm
+
+    def test_stack_matches_expm(self):
+        A = convection_diffusion(16)
+        cert = certify_stability(A)
+        ts = semigroup._log_grid(cert.sample_horizon, semigroup.GRID_POINTS)[::25]
+        expm = [operator_norm(matrix_exponential(A, t)) for t in ts]
+        np.testing.assert_allclose(full_grid_norms(A, ts), expm, rtol=1e-12, atol=1e-14)
+        assert cert.M == pytest.approx(3.479239346599488, rel=1e-12)
+
+    def test_validation_rejects_M_shrunk_by_one_percent(self, monkeypatch):
+        monkeypatch.setattr(semigroup, "M_HEADROOM", 0.99 * semigroup.M_HEADROOM)
+        with pytest.raises(UnstableGenerator, match="validation failed"):
+            certify_stability(convection_diffusion(16))
+
+    def test_validation_decides_as_the_svd(self, rng):
+        # bounds at, just below and just above every grid point's SVD norm
+        for A in (convection_diffusion(16), rand_stable(5, rng)):
+            cert = certify_stability(A)
+            ts = np.linspace(0.0, cert.sample_horizon, semigroup.FRESH_GRID_POINTS)
+            observed = full_grid_norms(A, ts)
+            stacks = semigroup._semigroup(A)
+            assert semigroup._decay_violation(stacks, ts, observed) is None
+            assert semigroup._decay_violation(stacks, ts, np.nextafter(observed, 2.0)) is None
+            for k in (0, 37, len(ts) - 1):
+                bound = observed.copy()
+                bound[k] = np.nextafter(bound[k], 0.0)
+                worst = semigroup._decay_violation(stacks, ts, bound)
+                assert worst == observed[k] / bound[k] > 1.0
+
+    def test_one_eigendecomposition_per_sampled_certificate(self, monkeypatch):
+        eig = count_calls(monkeypatch, "eig", np.linalg)
+        eigvals = count_calls(monkeypatch, "eigvals", np.linalg)
+        cert = certify_stability(convection_diffusion(16))
+        assert cert.method == "sampled"
+        assert (len(eig), len(eigvals)) == (1, 0)
+
+    def test_log_norm_path_takes_no_grid_svd(self, monkeypatch):
+        # symmetric, and non-symmetric with a contractive numerical range
+        skew = np.array([[-1.0, 0.1], [-0.1, -2.0]])
+        svd = count_calls(monkeypatch, "svd", np.linalg)
+        for A in (heat(16), skew):
+            cert = certify_stability(A)
+            assert cert.method == "log_norm" and cert.M == semigroup.M_HEADROOM
+        assert certificate_holds(cert, skew)
+        assert len(svd) == 0
+
+    @pytest.mark.parametrize("n", [16, 256])
+    def test_heat_certificate_is_the_log_norm_proof(self, n):
+        A = heat(n)
+        cert = certify_stability(A)
+        alpha = semigroup.ALPHA_SAFETY * -float(np.max(np.linalg.eigvals(A).real))
+        assert cert == StabilityCertificate(
+            M=1.01, alpha=alpha, sample_horizon=20.0 / alpha, sample_count=500,
+            method="log_norm")
+
+    def test_certificate_holds_decides_as_the_svd(self, rng):
+        for A in (convection_diffusion(16), rand_stable(6, rng)):
+            cert = certify_stability(A)
+            ts = np.linspace(0.0, cert.sample_horizon, 100)
+            observed = full_grid_norms(A, ts)
+            for scale in (0.9, 0.999, 1.0):
+                trial = StabilityCertificate(M=scale * cert.M, alpha=cert.alpha,
+                                             sample_horizon=cert.sample_horizon,
+                                             sample_count=100)
+                expected = bool(np.all(
+                    observed <= trial.M * np.exp(-trial.alpha * ts) * semigroup.DECAY_SLACK))
+                assert certificate_holds(trial, A) is expected

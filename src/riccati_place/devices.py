@@ -89,13 +89,17 @@ class Family:
     def gram(self, p):
         """The param_dim x param_dim matrix of dG*dG under the trace pairing."""
         p = self._check_param(p)
-        directions = np.eye(self.param_dim)
-        mats = [self.dG(p, e) for e in directions]
-        S = np.empty((self.param_dim, self.param_dim))
-        for j in range(self.param_dim):
-            for k in range(j, self.param_dim):
-                S[j, k] = S[k, j] = float(np.tensordot(mats[j], mats[k]))
-        return S
+        return _gram([self.dG(p, e) for e in np.eye(self.param_dim)])
+
+
+def _gram(mats):
+    """Trace-pairing Gram matrix of the axis derivatives ``dG_p(e_k)``."""
+    d = len(mats)
+    S = np.empty((d, d))
+    for j in range(d):
+        for k in range(j, d):
+            S[j, k] = S[k, j] = float(np.tensordot(mats[j], mats[k]))
+    return S
 
 
 @dataclass(frozen=True, eq=False)
@@ -350,9 +354,10 @@ def estimate_constants(family, domain, samples, seed,
     any_invertible = False
     for p in points:
         _raise_sups(g, family.G(p))
-        for q in directions:
-            _raise_sups(c_dg, family.dG(p, q))
-        S = family.gram(p)
+        dGs = [family.dG(p, q) for q in directions]
+        for dG in dGs:
+            _raise_sups(c_dg, dG)
+        S = _gram(dGs[:family.param_dim])  # the directions start with the axes
         sv = np.linalg.svd(S, compute_uv=False)
         if sv.size and sv[-1] > GRAM_SINGULAR_RTOL * max(sv[0], 1.0):
             any_invertible = True

@@ -127,13 +127,6 @@ def symmetrize(T):
     return 0.5 * (T + T.T)
 
 
-def spectral_abscissa(A):
-    """max Re(lambda) over the spectrum of A."""
-    if A.size == 1:
-        return float(A[0, 0])
-    return float(np.max(np.linalg.eigvals(A).real))
-
-
 @dataclass(frozen=True)
 class NormReport:
     """The four scalar functionals reported for an operator.
@@ -299,8 +292,10 @@ def bochner_quadrature(A1, A2, P, horizon, nodes, cert=None):
     The rule is evaluated in factored form.  With panel width h, L =
     exp(A1 h) and R = exp(A2.T h), panel m equals ``L^m K R^m``, where K is
     the first panel's weighted node sum; so K is built once (32 exponentials)
-    and each further panel costs two products.  This differs from a direct
-    node-by-node sum only by rounding.
+    and each further panel costs two products.  Equal generators take R and
+    each node's right factor as the left one transposed, which halves the
+    exponentials.  This differs from a direct node-by-node sum only by
+    rounding.
 
     Raises HorizonTooShort when the analytic truncation tail
     ``M^2 ||P|| exp(-2 alpha horizon) / (2 alpha)`` exceeds 1e-8.
@@ -317,8 +312,9 @@ def bochner_quadrature(A1, A2, P, horizon, nodes, cert=None):
     if nodes <= 0:
         raise ValueError("nodes must be positive")
 
+    same = np.array_equal(A1, A2)
     cert1 = certify_stability(A1) if cert is None else cert
-    cert2 = cert1 if np.array_equal(A1, A2) else certify_stability(A2)
+    cert2 = cert1 if same else certify_stability(A2)
     m_star = max(cert1.M, cert2.M)
     alpha_star = min(cert1.alpha, cert2.alpha)
 
@@ -333,11 +329,15 @@ def bochner_quadrature(A1, A2, P, horizon, nodes, cert=None):
     offsets, weights = _gauss_legendre_panel(width)
 
     # panel m is L^m K R^m (see the docstring)
+    def right(left, t):
+        return left.T if same else matrix_exponential(A2.T, t)
+
     left_step = matrix_exponential(A1, width)
-    right_step = matrix_exponential(A2.T, width)
+    right_step = right(left_step, width)
     K = np.zeros((A1.shape[0], P.shape[1]))
     for s, w in zip(offsets, weights):
-        K += w * (matrix_exponential(A1, s) @ P @ matrix_exponential(A2.T, s))
+        left = matrix_exponential(A1, s)
+        K += w * (left @ P @ right(left, s))
     acc = K.copy()
     for _ in range(panels - 1):
         K = left_step @ K @ right_step

@@ -19,6 +19,7 @@ from .errors import ClosedLoopUnstable, NewtonStall, UnstableGenerator
 from .linalg import (
     _exceeds,
     _norm_bounds,
+    _residual_within,
     bochner_quadrature,
     check_psd,
     ensure_operator,
@@ -34,6 +35,7 @@ DEFAULT_STEP_TOL = 1e-11
 RESIDUAL_RTOL = 1e-10
 TRACE_SLACK = 1e-9
 MAX_NEWTON_ITERS = 100
+CAPACITANCE_MAX_RANK = 4
 
 
 @dataclass
@@ -43,6 +45,7 @@ class RiccatiSolution:
     strong_residual: float
     trace_bound_slack: float
     bochner_residual: Optional[float] = None  # filled by verify_are
+    schur_steps: int = 0  # Newton steps solved on a Schur form; not reported
     history: Optional[List[np.ndarray]] = None
 
 
@@ -63,19 +66,155 @@ def riccati_residual(A, G, Q, X):
     return operator_norm(A @ X + X @ A.T - X @ G @ X + Q)
 
 
+class _SchurKernel:
+    """Newton-Kleinman steps on a real Schur form of each closed loop; the
+    iterate is held in the original basis."""
+
+    def __init__(self, A, G, Q):
+        self.A, self.G, self.Q = A, G, Q
+        self.schur_steps = 0
+
+    def into(self, X):
+        """X in the basis the iterate is held in."""
+        return X
+
+    def out(self, Xb):
+        """The iterate Xb in the original basis."""
+        return Xb
+
+    def step(self, Xb, k):
+        return self._schur_step(Xb, k)
+
+    def _schur_step(self, X, k):
+        self.schur_steps += 1
+        Acl = self.A - X @ self.G
+        rhs = -symmetrize(X @ self.G @ X + self.Q)
+        try:
+            return symmetrize(solve_sylvester(Acl, Acl, rhs))
+        except UnstableGenerator as err:
+            # unreachable from X0 = 0 with stable A; surfaced defensively
+            raise ClosedLoopUnstable(f"A - X_{k - 1} G lost stability: {err}") from err
+
+
+class _EigenbasisKernel(_SchurKernel):
+    """Newton-Kleinman steps in the eigenbasis ``A = V diag(d) V'`` of a
+    symmetric stable A, with ``G = B B'`` of rank r.
+
+    The iterate is held as ``V' X V``.  With ``F = X B`` (all in the
+    eigenbasis) a step's Lyapunov equation reads
+
+        (D - F B') Y + Y (D - B F') = S,   S = -(F F' + V' Q V),
+
+    so ``Y = C o (S + F Z' + Z F')`` with ``C_ij = 1/(d_i + d_j)``, and
+    ``Z = Y B`` solves an (n r) x (n r) capacitance system: one LU a step
+    instead of a Schur form of the closed loop.  A step is kept only when
+    its residual passes the Sylvester gate (with up to two refinements on
+    the same LU) and Lyapunov's theorem proves its closed loop stable:
+    ``Y`` is positive definite and ``||R||_F < lambda_min(Q)``, so the
+    closed loop satisfies ``Acl Y + Y Acl' = -(F F' + Q) - R < 0``.  Any
+    other step is solved again on the Schur form, which raises
+    ClosedLoopUnstable or SingularSystem as it always has.
+    """
+
+    def __init__(self, A, G, Q, V, d, B, lam_min_Q):
+        super().__init__(A, G, Q)
+        self.V, self.B, self.lam_min_Q = V, B, lam_min_Q
+        self.Dsum = d[:, None] + d[None, :]
+        self.C = 1.0 / self.Dsum
+        self.Qb = symmetrize(self.into(Q))
+
+    @classmethod
+    def build(cls, A, G, Q):
+        """The kernel for (A, G, Q), or None unless A is exactly symmetric
+        and stable, Q positive definite and G of numerical rank 1 to
+        CAPACITANCE_MAX_RANK (eigenvalues above ``n eps lambda_max``)."""
+        if not np.array_equal(A, A.T):
+            return None
+        floor = A.shape[0] * np.finfo(float).eps
+        w, U = np.linalg.eigh(G)
+        keep = w > floor * w[-1]
+        if not 0 < np.count_nonzero(keep) <= CAPACITANCE_MAX_RANK:
+            return None
+        lam_Q = np.linalg.eigvalsh(Q)
+        if not lam_Q[0] > floor * lam_Q[-1]:
+            return None
+        d, V = np.linalg.eigh(A)
+        if d[-1] >= 0.0:
+            return None
+        return cls(A, G, Q, V, d, V.T @ (U[:, keep] * np.sqrt(w[keep])), lam_Q[0])
+
+    def into(self, X):
+        return self.V.T @ X @ self.V
+
+    def out(self, Xb):
+        return symmetrize(self.V @ Xb @ self.V.T)
+
+    def step(self, Xb, k):
+        Y = self._capacitance_step(Xb)
+        return self.into(self._schur_step(self.out(Xb), k)) if Y is None else Y
+
+    def _capacitance_step(self, Xb):
+        """The next iterate, or None when the step is not proved."""
+        F = Xb @ self.B
+        S = -symmetrize(F @ F.T + self.Qb)
+        S_bounds = _norm_bounds(S)
+        *lu, info = spla.lapack.dgetrf(self._capacitance(F))
+        if info != 0:
+            return None
+        Y = self._solve(lu, F, S)
+        for refinements in range(3):
+            if not np.isfinite(Y).all():
+                return None
+            W = F @ (Y @ self.B).T
+            R = S - self.Dsum * Y + W + W.T
+            if _residual_within(R, S, S_bounds):
+                break
+            if refinements == 2:
+                return None
+            Y = Y + self._solve(lu, F, R)
+        if spla.lapack.dpotrf(Y)[1] != 0:  # Y is not positive definite
+            return None
+        return Y if np.linalg.norm(R) < self.lam_min_Q else None
+
+    def _capacitance(self, F):
+        """``I - diag(F_b) C diag(B_a) - diag(C (F_b o B_a))`` in block (a, b)."""
+        n, r = self.B.shape
+        M = -(self.C[None, :, None, :] * F[None, :, :, None] * self.B.T[:, None, None, :])
+        diag = self.C @ (self.B[:, :, None] * F[:, None, :]).reshape(n, r * r)
+        idx = np.arange(n)
+        M[:, idx, :, idx] -= diag.reshape(n, r, r)
+        M = M.reshape(n * r, n * r)
+        M[np.diag_indices(n * r)] += 1.0
+        return M
+
+    def _solve(self, lu, F, S):
+        """Y with ``(D - F B') Y + Y (D - B F') = S`` for symmetric S."""
+        n, r = self.B.shape
+        Z = spla.lapack.dgetrs(*lu, ((self.C * S) @ self.B).T.ravel())[0].reshape(r, n).T
+        T = F @ Z.T
+        return self.C * (S + T + T.T)
+
+
 def solve_are(A, G, Q, tol=DEFAULT_STEP_TOL, cert=None, keep_history=False, X0=None):
     """Solve the Riccati equation by Newton-Kleinman from X0 (default 0).
 
     Each step solves the Sylvester equation
 
-        (A - Xk G) X_{k+1} + X_{k+1} (A - Xk G).T = -(Xk G Xk + Q)
+        (A - Xk G) X_{k+1} + X_{k+1} (A - Xk G).T = -(Xk G Xk + Q).
 
-    from one real Schur factorization of the closed loop ``A - Xk G``, which
-    also certifies its spectrum: ClosedLoopUnstable is raised when that
-    spectrum leaves the open left half-plane.  Iteration stops once the step
-    norm is <= tol *and* the strong residual is within ``1e-10 (1 + ||Q||)``,
-    with ``||Q||`` taken from Frobenius bounds (an SVD only when they leave
-    that test open).
+    When A is exactly symmetric and stable, Q positive definite and G of
+    numerical rank 1 to CAPACITANCE_MAX_RANK, the steps run in A's
+    eigenbasis on a rank-r capacitance system, and each is kept only when
+    Lyapunov's theorem proves its closed loop stable (see
+    :class:`_EigenbasisKernel`); an unproved step is solved again as below.
+    Otherwise each step is solved from one real Schur factorization of the
+    closed loop ``A - Xk G``, which also certifies its spectrum:
+    ClosedLoopUnstable is raised when that spectrum leaves the open left
+    half-plane.  Iteration stops once the step norm is <= tol *and* the
+    strong residual (original basis, true G) is within
+    ``1e-10 (1 + ||Q||)``, with ``||Q||`` taken from Frobenius bounds (an
+    SVD only when they leave that test open).  ``schur_steps`` on the
+    solution counts the steps solved on a Schur form.
     X0 = 0 is admissible because A itself is required to be stable
     (certified on entry); any other X0 must keep A - X0 G stable (e.g. a warm
     start from a nearby instance).
@@ -98,23 +237,20 @@ def solve_are(A, G, Q, tol=DEFAULT_STEP_TOL, cert=None, keep_history=False, X0=N
     if cert is None:
         cert = certify_stability(A)  # raises UnstableGenerator
     Q_bounds = _norm_bounds(Q)
+    kernel = _EigenbasisKernel.build(A, G, Q) or _SchurKernel(A, G, Q)
 
     n = A.shape[0]
     X = np.zeros((n, n)) if X0 is None else symmetrize(ensure_operator(X0, "X0"))
+    Xb = kernel.into(X)
     history = [] if keep_history else None
     for k in range(1, MAX_NEWTON_ITERS + 1):
-        Acl = A - X @ G
-        rhs = -symmetrize(X @ G @ X + Q)
-        try:
-            X_next = symmetrize(solve_sylvester(Acl, Acl, rhs))
-        except UnstableGenerator as err:
-            # unreachable from X0 = 0 with stable A; surfaced defensively
-            raise ClosedLoopUnstable(f"A - X_{k - 1} G lost stability: {err}") from err
-        step = X_next - X
-        X = X_next
+        Xb_next = kernel.step(Xb, k)
+        step = Xb_next - Xb
+        Xb = Xb_next
         if history is not None:
-            history.append(X.copy())
+            history.append(np.array(kernel.out(Xb)))
         if norm_within(step, tol):
+            X = kernel.out(Xb)
             residual = riccati_residual(A, G, Q, X)
             if not _exceeds(residual, RESIDUAL_RTOL, Q, Q_bounds):
                 break
@@ -128,6 +264,7 @@ def solve_are(A, G, Q, tol=DEFAULT_STEP_TOL, cert=None, keep_history=False, X0=N
         newton_iters=k,
         strong_residual=residual,
         trace_bound_slack=cert.M**2 / (2.0 * cert.alpha) * float(np.trace(Q)) - float(np.trace(X)),
+        schur_steps=kernel.schur_steps,
         history=history,
     )
 

@@ -26,6 +26,15 @@ def rand_stable(n, rng, margin=0.3):
     return A - (shift + margin + rng.uniform(0.0, 1.0)) * np.eye(n)
 
 
+def heat1d(n):
+    """Dirichlet second differences on (0, 1): the exactly symmetric heat
+    generator and its interior grid."""
+    h = 1.0 / (n + 1)
+    A = (np.diag(np.ones(n - 1), -1) + np.diag(np.full(n, -2.0))
+         + np.diag(np.ones(n - 1), 1)) / h**2
+    return A, h * np.arange(1, n + 1)
+
+
 def count_calls(monkeypatch, name, *owners, keywords=False):
     """Route attribute ``name`` of each owner (a module or object) through one
     counter; returns the list of positional-argument tuples, one per call,

@@ -229,8 +229,9 @@ class TestEstimateConstants:
         # per point: G, each direction's dG, the Gram matrix; per pair: the G
         # difference and each direction's dG difference
         assert len(svd) == samples * (dirs + 2) + samples * (1 + dirs)
-        # each direction once per point (plus the Gram matrix's), twice per pair
-        assert len(dG) == samples * (dirs + fam.param_dim) + samples * 2 * dirs
+        # each direction once per point (the Gram matrix reuses the axes'),
+        # twice per pair
+        assert len(dG) == samples * dirs + samples * 2 * dirs
 
     def test_deterministic_given_seed(self, fam):
         led1 = estimate_constants(fam, fam.domain(), 50, seed=7)

@@ -211,6 +211,22 @@ class TestSymmetryAndPsdGates:
         assert len(norms_taken) >= 4
 
 
+def assert_factored_panels_match_direct_node_sum(A1, A2, P):
+    n = len(P)
+    decay = min(-np.max(np.linalg.eigvals(A).real) for A in (A1, A2))
+    # 48 panels of 16 nodes: more than the 38 the certified decay asks for
+    horizon, panels = 20.0 / decay, 48
+    B = bochner_quadrature(A1, A2, P, horizon, nodes=16 * panels)
+    width = horizon / panels
+    x, w = np.polynomial.legendre.leggauss(16)
+    direct = np.zeros((n, n))
+    for m in range(panels):
+        for xi, wi in zip(x, w):
+            t = m * width + 0.5 * width * (xi + 1.0)
+            direct += 0.5 * width * wi * (spla.expm(A1 * t) @ P @ spla.expm(A2.T * t))
+    assert operator_norm(B + direct) <= 1e-12 * operator_norm(direct)
+
+
 class TestBochnerQuadrature:
     def test_scalar_closed_form(self):
         B = bochner_quadrature(np.array([[-1.0]]), np.array([[-2.0]]),
@@ -254,19 +270,23 @@ class TestBochnerQuadrature:
     def test_factored_panels_match_direct_node_sum(self, rng):
         n = 5
         A1, A2 = rand_stable(n, rng), rand_stable(n, rng)
-        P = rng.standard_normal((n, n))
-        decay = min(-np.max(np.linalg.eigvals(A).real) for A in (A1, A2))
-        # 48 panels of 16 nodes: more than the 38 the certified decay asks for
-        horizon, panels = 20.0 / decay, 48
-        B = bochner_quadrature(A1, A2, P, horizon, nodes=16 * panels)
-        width = horizon / panels
-        x, w = np.polynomial.legendre.leggauss(16)
-        direct = np.zeros((n, n))
-        for m in range(panels):
-            for xi, wi in zip(x, w):
-                t = m * width + 0.5 * width * (xi + 1.0)
-                direct += 0.5 * width * wi * (spla.expm(A1 * t) @ P @ spla.expm(A2.T * t))
-        assert operator_norm(B + direct) <= 1e-12 * operator_norm(direct)
+        assert_factored_panels_match_direct_node_sum(A1, A2, rng.standard_normal((n, n)))
+
+    def test_equal_generators_match_direct_node_sum(self, rng):
+        A = rand_stable(5, rng)
+        assert_factored_panels_match_direct_node_sum(A, A.copy(), rng.standard_normal((5, 5)))
+
+    def test_equal_generators_take_half_the_exponentials(self, monkeypatch, rng):
+        A = rand_stable(4, rng)
+        cert = semigroup.certify_stability(A)
+        calls = count_calls(monkeypatch, "matrix_exponential", linalg)
+        bochner_quadrature(A, A.copy(), -np.eye(4), horizon=20.0, nodes=200, cert=cert)
+        # one panel step and the 16 nodes of the first panel, left factors only
+        assert len(calls) == 17
+        calls.clear()
+        bochner_quadrature(A, rand_stable(4, rng), -np.eye(4), horizon=20.0, nodes=200,
+                           cert=cert)
+        assert len(calls) == 34
 
     def test_oracle_equivalence_with_schur_solve(self, rng):
         # dual-route check: direct solve vs quadrature on certified triples

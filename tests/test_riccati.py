@@ -2,18 +2,19 @@ import numpy as np
 import pytest
 import scipy.linalg as spla
 
-from riccati_place import riccati, semigroup
+from riccati_place import GaussianActuators, Problem2Config, linalg, riccati, semigroup
 from riccati_place.errors import ClosedLoopUnstable, NewtonStall, UnstableGenerator
-from riccati_place.linalg import operator_norm, solve_sylvester
+from riccati_place.linalg import _residual_within, operator_norm, solve_sylvester
 from riccati_place.riccati import (
     riccati_residual,
     solve_are,
     solve_are_hamiltonian,
     verify_are,
 )
+from riccati_place.optimize import solve_state_pair
 from riccati_place.semigroup import certify_stability
 
-from conftest import count_calls, rand_psd, rand_stable, rand_stable_symmetric
+from conftest import count_calls, heat1d, rand_psd, rand_stable, rand_stable_symmetric
 
 
 def scalar(x):
@@ -68,7 +69,7 @@ class TestSolveAre:
         eigvals = count_calls(monkeypatch, "eigvals", np.linalg)
         sol = solve_are(A, G, Q, cert=cert)
         assert sol.newton_iters >= 3
-        assert len(schur) == sol.newton_iters
+        assert len(schur) == sol.schur_steps == sol.newton_iters
         assert len(eigvals) == 0
 
     def test_monotone_iterates(self, rng):
@@ -132,6 +133,118 @@ class TestSolveAre:
             sol = solve_are(A, G, Q)
             X_oracle = solve_are_hamiltonian(A, G, Q)
             assert operator_norm(sol.X - X_oracle) <= 1e-8
+
+
+class TestEigenbasisKernel:
+    """Newton-Kleinman in the eigenbasis of a symmetric A with low-rank G."""
+
+    @pytest.mark.parametrize("n", [2, 16, 64])
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_agrees_with_schur_kernel(self, monkeypatch, n, d):
+        A, grid = heat1d(n)
+        family = GaussianActuators(grid=grid, sigma=0.12, param_dim=d)
+        p = np.linspace(0.2, 0.8, d)
+        G, G_near = family.G(p), family.G(p + 0.01)
+        cert = certify_stability(A)
+
+        def cold_and_warm():
+            cold = solve_are(A, G, np.eye(n), cert=cert)
+            return cold, solve_are(A, G_near, np.eye(n), cert=cert, X0=cold.X)
+
+        eigen = cold_and_warm()
+        monkeypatch.setattr(riccati._EigenbasisKernel, "build",
+                            classmethod(lambda cls, A, G, Q: None))
+        for sol, ref in zip(eigen, cold_and_warm()):
+            assert sol.schur_steps == 0 and ref.schur_steps == ref.newton_iters
+            assert operator_norm(sol.X - ref.X) <= 1e-10 * (1.0 + operator_norm(ref.X))
+
+    @pytest.mark.parametrize("failures", [1, 3])
+    def test_refinement_on_the_same_lu_then_schur_fallback(self, monkeypatch, failures):
+        # the residual gate fails the first `failures` checks of every step
+        # (each step has its own right-hand side P): one is mended by a
+        # refinement, three exhaust both refinements and fall back
+        A, grid = heat1d(16)
+        G = GaussianActuators(grid=grid, sigma=0.12).G([0.3])
+        cert = certify_stability(A)
+        ref = solve_are(A, G, np.eye(16), cert=cert)
+        seen = []
+
+        def gate(R, P, P_bounds):
+            if not seen or seen[-1] is not P:
+                seen.clear()
+            seen.append(P)
+            return len(seen) > failures and _residual_within(R, P, P_bounds)
+
+        monkeypatch.setattr(riccati, "_residual_within", gate)
+        lu = count_calls(monkeypatch, "dgetrf", spla.lapack)
+        sol = solve_are(A, G, np.eye(16), cert=cert)
+        assert len(lu) == sol.newton_iters
+        assert sol.schur_steps == (0 if failures == 1 else sol.newton_iters)
+        assert operator_norm(sol.X - ref.X) <= 1e-10 * (1.0 + operator_norm(ref.X))
+
+    def test_step_kept_only_below_lambda_min_of_Q(self):
+        # Lyapunov's theorem needs ||R||_F < lambda_min(Q); with a zero
+        # margin no step is proved
+        A, grid = heat1d(16)
+        G = GaussianActuators(grid=grid, sigma=0.12).G([0.3])
+        Q = np.diag(np.linspace(2.0, 1.0, 16))
+        kernel = riccati._EigenbasisKernel.build(A, G, Q)
+        assert kernel.lam_min_Q == 1.0
+        X0 = kernel.into(np.zeros((16, 16)))
+        assert kernel._capacitance_step(X0) is not None
+        kernel.lam_min_Q = 0.0
+        assert kernel._capacitance_step(X0) is None
+
+    def test_heat64_rank1_takes_no_schur_form(self, monkeypatch):
+        A, grid = heat1d(64)
+        G = GaussianActuators(grid=grid, sigma=0.12).G([0.3])
+        cert = certify_stability(A)
+        schur = count_calls(monkeypatch, "schur", spla)
+        sylvester = count_calls(monkeypatch, "solve_sylvester", linalg, riccati)
+        sol = solve_are(A, G, np.eye(64), cert=cert)
+        assert (len(schur), len(sylvester), sol.schur_steps) == (0, 0, 0)
+        assert sol.newton_iters >= 3
+        assert sol.strong_residual <= 1e-10 * 2.0
+
+    @pytest.mark.parametrize("case", ["rank5_G", "singular_Q"])
+    def test_schur_form_per_step_outside_the_kernel(self, monkeypatch, case):
+        A, grid = heat1d(16)
+        if case == "rank5_G":
+            G = GaussianActuators(grid=grid, sigma=0.12, param_dim=5).G(
+                np.linspace(0.1, 0.9, 5))
+            Q = np.eye(16)
+        else:
+            G = GaussianActuators(grid=grid, sigma=0.12).G([0.3])
+            Q = np.diag(np.r_[np.ones(15), 0.0])
+        cert = certify_stability(A)
+        schur = count_calls(monkeypatch, "schur", spla)
+        sol = solve_are(A, G, Q, cert=cert)
+        assert sol.newton_iters >= 3
+        assert len(schur) == sol.schur_steps == sol.newton_iters
+
+    @pytest.mark.parametrize("n", [1, 16])
+    def test_destabilizing_warm_start_falls_back_to_schur(self, monkeypatch, n):
+        A, grid = heat1d(n)
+        G = GaussianActuators(grid=grid, sigma=0.12).G([0.3])
+        X0 = -1e3 * np.eye(n)
+        assert np.max(np.linalg.eigvals(A - X0 @ G).real) > 0.0
+        tried = count_calls(monkeypatch, "_capacitance_step", riccati._EigenbasisKernel)
+        schur = count_calls(monkeypatch, "schur", spla)
+        with pytest.raises(ClosedLoopUnstable):
+            solve_are(A, G, np.eye(n), X0=X0)
+        assert len(tried) == 1
+        assert len(schur) == (n > 1)  # a 1x1 generator is its own Schur form
+
+    def test_state_pair_falls_back_to_cold_solve(self):
+        A, grid = heat1d(16)
+        W = np.zeros((16, 16))
+        W[3, 3] = 1.0
+        cfg = Problem2Config(A=A, Q=np.eye(16), W=W,
+                             family=GaussianActuators(grid=grid, sigma=0.12),
+                             beta=1e3, gamma=2.6)
+        _, cold, _ = solve_state_pair(cfg, [0.3])
+        _, warm, _ = solve_state_pair(cfg, [0.3], X0=-1e3 * np.eye(16))
+        assert np.array_equal(warm.X, cold.X)
 
 
 class TestVerifyAre:

@@ -200,11 +200,17 @@ class TestCertificateKernel:
         assert certificate_holds(cert, skew)
         assert len(svd) == 0
 
+    def test_symmetric_generator_takes_one_eigvalsh(self, monkeypatch):
+        eigvalsh = count_calls(monkeypatch, "eigvalsh", np.linalg)
+        others = [count_calls(monkeypatch, name, np.linalg) for name in ("eig", "eigvals")]
+        assert certify_stability(heat(16)).method == "log_norm"
+        assert (len(eigvalsh), [len(c) for c in others]) == (1, [0, 0])
+
     @pytest.mark.parametrize("n", [16, 256])
     def test_heat_certificate_is_the_log_norm_proof(self, n):
         A = heat(n)
         cert = certify_stability(A)
-        alpha = semigroup.ALPHA_SAFETY * -float(np.max(np.linalg.eigvals(A).real))
+        alpha = semigroup.ALPHA_SAFETY * -float(np.linalg.eigvalsh(A)[-1])
         assert cert == StabilityCertificate(
             M=1.01, alpha=alpha, sample_horizon=20.0 / alpha, sample_count=500,
             method="log_norm")

@@ -35,7 +35,11 @@ DEFAULT_STEP_TOL = 1e-11
 RESIDUAL_RTOL = 1e-10
 TRACE_SLACK = 1e-9
 MAX_NEWTON_ITERS = 100
-CAPACITANCE_MAX_RANK = 4
+# Largest rank of G whose steps run in the eigenbasis.  The (n r)^3 LU
+# grows as r^3: on heat models at n = 16 / 64 / 256 rank 3 still times
+# at or below the Schur kernel (1 BLAS thread), rank 4 is slower warm
+# at n = 16 and n = 64.
+CAPACITANCE_MAX_RANK = 3
 
 
 @dataclass
@@ -126,8 +130,15 @@ class _EigenbasisKernel(_SchurKernel):
     @classmethod
     def build(cls, A, G, Q):
         """The kernel for (A, G, Q), or None unless A is exactly symmetric
-        and stable, Q positive definite and G of numerical rank 1 to
-        CAPACITANCE_MAX_RANK (eigenvalues above ``n eps lambda_max``)."""
+        and stable, Q positive definite, G of numerical rank 1 to
+        CAPACITANCE_MAX_RANK (eigenvalues above ``n eps lambda_max``) and
+        the rest of G's spectrum too small to matter.
+
+        The steps solve for ``B B' = G - E``, E the dropped eigenvalues, but
+        the strong residual is read with G, so at the limit it carries
+        ``X E X``.  X lies below the Lyapunov solution of (A, Q), whose norm
+        is at most ``||Q|| / (2 |d_max|)``; the kernel is taken only when
+        that bound keeps ``||X E X||`` within 1 % of the residual gate."""
         if not np.array_equal(A, A.T):
             return None
         floor = A.shape[0] * np.finfo(float).eps
@@ -140,6 +151,9 @@ class _EigenbasisKernel(_SchurKernel):
             return None
         d, V = np.linalg.eigh(A)
         if d[-1] >= 0.0:
+            return None
+        dropped = np.max(np.abs(w[~keep]), initial=0.0)
+        if dropped * (lam_Q[-1] / (2.0 * d[-1])) ** 2 > 0.01 * RESIDUAL_RTOL * (1.0 + lam_Q[-1]):
             return None
         return cls(A, G, Q, V, d, V.T @ (U[:, keep] * np.sqrt(w[keep])), lam_Q[0])
 
@@ -203,7 +217,8 @@ def solve_are(A, G, Q, tol=DEFAULT_STEP_TOL, cert=None, keep_history=False, X0=N
         (A - Xk G) X_{k+1} + X_{k+1} (A - Xk G).T = -(Xk G Xk + Q).
 
     When A is exactly symmetric and stable, Q positive definite and G of
-    numerical rank 1 to CAPACITANCE_MAX_RANK, the steps run in A's
+    numerical rank 1 to CAPACITANCE_MAX_RANK (its other eigenvalues too
+    small to move the residual test below), the steps run in A's
     eigenbasis on a rank-r capacitance system, and each is kept only when
     Lyapunov's theorem proves its closed loop stable (see
     :class:`_EigenbasisKernel`); an unproved step is solved again as below.

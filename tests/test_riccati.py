@@ -139,7 +139,7 @@ class TestEigenbasisKernel:
     """Newton-Kleinman in the eigenbasis of a symmetric A with low-rank G."""
 
     @pytest.mark.parametrize("n", [2, 16, 64])
-    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    @pytest.mark.parametrize("d", [1, 2, 3])
     def test_agrees_with_schur_kernel(self, monkeypatch, n, d):
         A, grid = heat1d(n)
         family = GaussianActuators(grid=grid, sigma=0.12, param_dim=d)
@@ -206,12 +206,14 @@ class TestEigenbasisKernel:
         assert sol.newton_iters >= 3
         assert sol.strong_residual <= 1e-10 * 2.0
 
-    @pytest.mark.parametrize("case", ["rank5_G", "singular_Q"])
+    @pytest.mark.parametrize("case", ["rank4_G", "rank5_G", "singular_Q"])
     def test_schur_form_per_step_outside_the_kernel(self, monkeypatch, case):
         A, grid = heat1d(16)
-        if case == "rank5_G":
-            G = GaussianActuators(grid=grid, sigma=0.12, param_dim=5).G(
-                np.linspace(0.1, 0.9, 5))
+        if case.startswith("rank"):
+            d = int(case[4])
+            G = GaussianActuators(grid=grid, sigma=0.12, param_dim=d).G(
+                np.linspace(0.1, 0.9, d))
+            assert np.linalg.matrix_rank(G) == d > riccati.CAPACITANCE_MAX_RANK
             Q = np.eye(16)
         else:
             G = GaussianActuators(grid=grid, sigma=0.12).G([0.3])
@@ -221,6 +223,28 @@ class TestEigenbasisKernel:
         sol = solve_are(A, G, Q, cert=cert)
         assert sol.newton_iters >= 3
         assert len(schur) == sol.schur_steps == sol.newton_iters
+
+    @pytest.mark.parametrize("a, g", [(-0.01, -5e-11), (-1e-4, 4e-16)])
+    def test_dropped_eigenvalue_of_G_that_would_stall_keeps_the_schur_kernel(self, a, g):
+        # the kernel would drop g (check_psd admits -5e-11; 4e-16 is under
+        # n eps) and solve the steps for diag(1, 0), while the strong residual
+        # is read with G: X_22 = 50 and 5000 put g X_22^2 = 1.25e-7 and 1e-8
+        # above the 2e-10 gate, and Newton-Kleinman would stall
+        A, G, Q = a * np.eye(2), np.diag([1.0, g]), np.eye(2)
+        assert riccati._EigenbasisKernel.build(A, G, Q) is None
+        sol = solve_are(A, G, Q)
+        assert sol.schur_steps == sol.newton_iters
+        assert sol.strong_residual <= 1e-10 * 2.0
+        # each diagonal entry solves its scalar equation 2 a x - g x^2 + 1 = 0
+        roots = 1.0 / (-a + np.sqrt(a**2 + np.diag(G)))
+        assert np.allclose(np.diag(sol.X), roots, rtol=1e-12, atol=0.0)
+
+    def test_dropped_eigenvalue_of_G_under_the_residual_budget_keeps_the_kernel(self):
+        # with strong damping X is small and the same -5e-11 costs nothing
+        A, G, Q = -100.0 * np.eye(2), np.diag([1.0, -5e-11]), np.eye(2)
+        sol = solve_are(A, G, Q)
+        assert sol.schur_steps == 0
+        assert sol.strong_residual <= 1e-10 * 2.0
 
     @pytest.mark.parametrize("n", [1, 16])
     def test_destabilizing_warm_start_falls_back_to_schur(self, monkeypatch, n):

@@ -357,20 +357,18 @@ def _cmd_optimize(cfg, out_dir):
     problem, family = build_problem(cfg)
     p0 = _initial_p(cfg, family)
     ledger = _build_ledger(problem, family, cfg.seed)
+    contraction = (optimize.contraction_constant_p1(ledger) if cfg.variant == 1
+                   else optimize.contraction_constant_p2(ledger))
     exit_code = 0
     try:
         if cfg.variant == 1:
             triple = optimize.solve_p1(problem, p0, damping=cfg.damping)
-            contraction = optimize.contraction_constant_p1(ledger)
             cost = optimize.cost_p1(problem, triple.p)
         else:
             triple = optimize.solve_p2(problem, p0)
-            contraction = optimize.contraction_constant_p2(ledger)
             cost = optimize.cost_p2(problem, triple.p)
     except MaxIterExceeded as err:
         triple = err.best
-        contraction = (optimize.contraction_constant_p1(ledger) if cfg.variant == 1
-                       else optimize.contraction_constant_p2(ledger))
         cost = math.nan
         exit_code = 2
     if not triple.converged:

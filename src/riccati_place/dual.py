@@ -72,15 +72,14 @@ def dual_residual(closed_loop, Lam, W):
     return operator_norm(closed_loop @ Lam + Lam @ closed_loop.T + W)
 
 
-def solve_dual(A, G, X, W, cert=None):
+def solve_dual(A, G, X, W):
     """Solve the dual equation for the multiplier Lambda.
 
     X must be the Riccati solution for (A, G, Q); W symmetric PSD.  Raises
     ClosedLoopUnstable when the closed loop ``A.T - G X`` has spectrum off
     the open left half-plane.  Its decay certificate is not built here: the
     solution certifies the closed loop on the first read of
-    ``closed_loop_cert`` or ``norm_bound_slack``, or uses ``cert`` when one
-    is given.
+    ``closed_loop_cert`` or ``norm_bound_slack``.
     """
     A = ensure_operator(A, "A")
     G = ensure_operator(G, "G")
@@ -92,15 +91,12 @@ def solve_dual(A, G, X, W, cert=None):
         Lam = symmetrize(solve_sylvester(closed_loop, closed_loop, -W))
     except UnstableGenerator as err:
         raise _closed_loop_unstable(err) from err
-    sol = DualSolution(
+    return DualSolution(
         Lambda=Lam,
         residual=dual_residual(closed_loop, Lam, W),
         closed_loop=closed_loop,
         W=W,
     )
-    if cert is not None:
-        sol.closed_loop_cert = cert  # fills the cache; no certificate is built
-    return sol
 
 
 @dataclass(frozen=True)

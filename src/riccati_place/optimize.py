@@ -351,79 +351,44 @@ def fixed_point_map_p2(cfg, p, direction=None, state=None):
     return Sinv @ cfg.family.dG_adjoint(p, T) / m_norm
 
 
-def solve_p2(cfg, p0, mode="auto"):
-    """Solve the problem-2 optimality system.
+def solve_p2(cfg, p0, state=None):
+    """Solve the problem-2 optimality system by projected Newton on the
+    penalized cost with the exact reduced Hessian (see _newton_p2).
 
-    mode="auto" (default) runs projected Newton on the penalized cost with
-    the exact reduced Hessian (see _newton_p2) and labels its triple
-    "newton".  Newton is local: it returns the minimizer of the basin it
-    starts in, which is p0's or, when that costs less, that of the image of
-    p0 under the paper's map.  mode="fixed_point" iterates that map for at
-    most FIXED_POINT_BUDGET iterations.  The map's fixed-point set and the
-    weak stationarity condition agree only when X Lambda X is a multiple of
-    the identity, so both residuals are reported on the result.
+    Newton is local: it returns the minimizer of the basin it starts in,
+    which is p0's or, when that costs less, that of the image of p0 under
+    the paper's map.  The map itself is not iterated: its fixed points are
+    weakly stationary only when X Lambda X is a multiple of the identity, so
+    it serves the uniqueness proof (contraction_constant_p2) and the
+    reported fixed_point_residual.
 
     A converged triple satisfies the weak stationarity residual, the primal
     and dual residuals, and the trace-constraint identity
     |tr G_p - gamma - ||X L X||/beta| <= tol.
 
-    Raises MaxIterExceeded (best iterate attached) when the method ends away
-    from a weak stationary point: Newton stalls or runs out of cfg.max_iter
-    iterations, or the map does not settle on one.
+    ``state`` is the state pair (G_p, RiccatiSolution, DualSolution) at p0
+    when the caller holds it, e.g. a previous triple's ``state`` at its
+    ``p``; X and Lambda do not depend on beta, so it serves any config of
+    the same model.  Raises ValueError when its G_p is not cfg.family.G(p0).
+    Without it, the state pair at p0 is solved cold.  The triple carries the
+    final state pair.
 
-    The state pair at p0 is solved cold, unless beta_sweep hands over the
-    one its previous row ended at (see _row_config); the fixed-point mode
-    solves every pair cold.  The triple carries the final state pair.
+    Raises MaxIterExceeded (best iterate attached) when Newton stalls or
+    runs out of cfg.max_iter iterations away from a weak stationary point.
     """
-    if mode not in ("auto", "fixed_point"):
-        raise ValueError(f"unknown mode {mode!r}")
     p0 = np.atleast_1d(np.asarray(p0, dtype=float)).copy()
+    if state is not None and not np.array_equal(state[0], cfg.family.G(p0)):
+        raise ValueError("the state pair handed to solve_p2 was not solved at p0")
     _gram_inverse(cfg.family, p0)  # invertibility must hold near p0
     history = [p0.copy()]
-    if mode == "fixed_point":
-        p, iterations, settled = _iterate_fixed_point(cfg, p0, history)
-        triple = _finish_p2(cfg, p, solve_state_pair(cfg, p), iterations, history,
-                            "fixed_point")
-        if settled and triple.residual_stationarity <= cfg.tol:
-            return triple
-        raise MaxIterExceeded(
-            "fixed-point map terminated away from a weak stationary point", best=triple)
-
-    p, state, iterations, stationary = _newton_p2(cfg, p0, history,
-                                                   _handed_state(cfg, p0))
-    triple = _finish_p2(cfg, p, state, iterations, history, "newton")
+    p, state, iterations, stationary = _newton_p2(cfg, p0, history, state)
+    triple = _finish_p2(cfg, p, state, iterations, history)
     if not stationary:
         raise MaxIterExceeded(
             f"projected Newton stopped away from a stationary point after "
             f"{iterations} iterations (residual {triple.residual_stationarity:.3e})",
             best=triple)
     return triple
-
-
-FIXED_POINT_BUDGET = 60
-
-
-def _iterate_fixed_point(cfg, p, history):
-    """Run the fixed-point map until the step stalls; True when it settled.
-
-    The budget is capped: a contractive map settles geometrically well
-    within it, and a non-contractive one only wastes solves.
-    """
-    p = p.copy()
-    for it in range(1, min(cfg.max_iter, FIXED_POINT_BUDGET) + 1):
-        state = solve_state_pair(cfg, p)
-        try:
-            p_next = fixed_point_map_p2(cfg, p, state=state)
-        except DegenerateFamily:
-            return p, it, False
-        if not np.isfinite(p_next).all():
-            return p, it, False
-        step = float(np.linalg.norm(p_next - p))
-        p = p_next
-        history.append(p.copy())
-        if step <= cfg.tol:
-            return p, it, True
-    return p, min(cfg.max_iter, FIXED_POINT_BUDGET), False
 
 
 ARMIJO_SLOPE = 1e-4
@@ -433,7 +398,7 @@ HESSIAN_FLOOR = 1e-8    # eigenvalue floor, relative to 1 + max |H_ij|
 COST_ROUNDING = 1e-13   # relative cost decrease that rounding can swallow
 
 
-def _newton_p2(cfg, p, history, state=None):
+def _newton_p2(cfg, p, history, state):
     """Projected Newton on cost_p2 from p (Bertsekas, SIAM J. Control Optim.
     20, 1982).
 
@@ -451,8 +416,8 @@ def _newton_p2(cfg, p, history, state=None):
     solve when that X does not stabilize the trial's closed loop).  The
     method is local, so it first moves to the image of the paper's map at
     p, clipped to the box, when that costs less (heat16 has a minimum near
-    each end).  ``state`` is the state pair at p when the caller holds it;
-    otherwise it is solved cold.
+    each end).  ``state`` is the state pair at p that solve_p2 was handed,
+    or None, in which case it is solved cold.
 
     Returns (p, state, iterations, stationary), stationary meaning that the
     gradient norm is <= cfg.tol.
@@ -572,7 +537,7 @@ def _p2_value(cfg, p, X):
     return float(np.tensordot(X, cfg.W)) + 0.5 * cfg.beta * gap**2
 
 
-def _finish_p2(cfg, p, state, iterations, history, mode):
+def _finish_p2(cfg, p, state, iterations, history):
     G, sol, dsol = state
     M = _xlx(sol.X, dsol.Lambda)
     trace_gap = cfg.family.trace_G(p) - cfg.gamma
@@ -601,7 +566,7 @@ def _finish_p2(cfg, p, state, iterations, history, mode):
         trace_gap=trace_gap,
         trace_constraint_residual=trace_res,
         fixed_point_residual=map_res,
-        mode=mode,
+        mode="newton",
         state=state,
     )
 
@@ -737,11 +702,11 @@ def beta_sweep(cfg, betas, p0, ledger=None):
     |tr G_p - gamma| <= sup ||X L X|| / beta row by row.
 
     X(p) and Lambda(p) do not depend on beta, so each row after the first
-    starts from the state pair its predecessor ended at instead of solving
-    it again; inside a row, Newton warm-starts every state pair from the
-    current iterate's X (see _newton_p2).  Only the first row's state pair
-    at p0, and any pair whose warm start does not stabilize the closed
-    loop, are solved cold.
+    hands solve_p2 the placement and state pair its predecessor ended at
+    (``triple.p`` and ``triple.state``) instead of solving it again; inside
+    a row, Newton warm-starts every state pair from the current iterate's X
+    (see _newton_p2).  Only the first row's state pair at p0, and any pair
+    whose warm start does not stabilize the closed loop, are solved cold.
 
     A ledger (device constants + model fields) enables the per-beta
     contraction report; rows carry failure markers instead of raising when a
@@ -754,14 +719,13 @@ def beta_sweep(cfg, betas, p0, ledger=None):
     p_warm = np.atleast_1d(np.asarray(p0, dtype=float))
     state = None
     for b in betas:
-        cfg_b = _row_config(cfg, b, p_warm, state)
         k = is_k = None
         if ledger is not None:
             rep = contraction_constant_p2(replace(ledger, beta=b))
             k, is_k = rep.k, rep.is_contraction
         failed, error = False, ""
         try:
-            triple = solve_p2(cfg_b, p_warm)
+            triple = solve_p2(replace_beta(cfg, b), p_warm, state=state)
         except MaxIterExceeded as err:
             triple, failed, error = err.best, True, str(err)
         except RiccatiPlaceError as err:
@@ -790,20 +754,6 @@ def beta_sweep(cfg, betas, p0, ledger=None):
         ))
         p_warm, state = triple.p, triple.state
     return SweepReport(rows=rows, gamma=cfg.gamma, sup_xlx_recorded=math.nan).finalize()
-
-
-def _row_config(cfg, beta, p, state):
-    """replace_beta(cfg, beta) for one beta_sweep row, handing solve_p2 the
-    state pair ``state`` already solved at p (None: nothing to hand over)."""
-    cfg_b = replace_beta(cfg, beta)
-    cfg_b._handed = (p, state)
-    return cfg_b
-
-
-def _handed_state(cfg, p):
-    """The state pair _row_config handed over with cfg, if it was solved at p."""
-    p_handed, state = getattr(cfg, "_handed", (None, None))
-    return state if state is not None and np.array_equal(p_handed, p) else None
 
 
 def replace_beta(cfg, beta):

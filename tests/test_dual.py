@@ -132,15 +132,6 @@ class TestLazyCertificate:
         assert sol.norm_W == np.linalg.norm(W, 2)
         assert sum(np.array_equal(args[0], W) for args in calls) == 1
 
-    def test_given_certificate_is_used(self, monkeypatch, rng):
-        A, G, X, W = self.instance(rng)
-        cert = certify_stability(A.T - G @ X)
-        calls = count_calls(monkeypatch, "certify_stability", dual)
-        sol = solve_dual(A, G, X, W, cert=cert)
-        assert sol.closed_loop_cert is cert
-        assert sol.norm_bound_slack >= -1e-9
-        assert len(calls) == 0
-
     def test_failed_certificate_raises_on_read(self, monkeypatch, rng):
         A, G, X, W = self.instance(rng)
 

@@ -198,11 +198,21 @@ class TestSolveP2:
         assert tri.converged and tri.mode == "newton"
         assert len(pairs) <= 20
 
-    def test_fixed_point_mode_raises_when_map_disagrees(self, p2_problem):
-        from riccati_place.errors import MaxIterExceeded
-        with pytest.raises(MaxIterExceeded) as exc:
-            solve_p2(p2_problem, [0.3], mode="fixed_point")
-        assert exc.value.best is not None
+    def test_handed_state_pair_is_not_solved_again(self, monkeypatch):
+        cfg = heat16_config(beta=10.0)
+        p = np.array([0.3])
+        state = solve_state_pair(cfg, p)
+        pairs = count_calls(monkeypatch, "solve_state_pair", optimize, keywords=True)
+        tri = solve_p2(cfg, p, state=state)
+        assert tri.converged and pairs
+        assert not any(np.array_equal(args[1], p) for args, _ in pairs)
+
+    def test_state_pair_solved_elsewhere_raises(self):
+        # a pair from another placement would come back as a converged
+        # triple carrying the wrong X
+        cfg = heat16_config(beta=10.0)
+        with pytest.raises(ValueError):
+            solve_p2(cfg, [0.3], state=solve_state_pair(cfg, [0.35]))
 
     def test_same_basin_starts_agree(self, p2_problem):
         cfg = p2_problem

@@ -64,10 +64,10 @@ def _asymmetry(T, bounds, name):
     return None
 
 
-def _indefiniteness(T, bounds, name):
-    """Why the symmetric T fails the PSD test, or None; ``bounds`` brackets
-    ``||T||``."""
-    lam_min = float(np.linalg.eigvalsh(T)[0]) if T.size else 0.0
+def _indefiniteness(T, spectrum, bounds, name):
+    """Why the symmetric T with ascending eigenvalues ``spectrum`` fails the
+    PSD test, or None; ``bounds`` brackets ``||T||``."""
+    lam_min = float(spectrum[0]) if T.size else 0.0
     if _exceeds(-lam_min, PSD_RTOL, T, bounds):
         tol = PSD_RTOL * (1.0 + operator_norm(T))
         return f"{name} is not PSD: lambda_min = {lam_min:.3e} < -{tol:.3e}"
@@ -84,13 +84,21 @@ def check_symmetric(T, name="operator"):
         raise ValueError(fault)
 
 
-def check_psd(T, name="operator"):
+def check_psd(T, name="operator", vectors=False):
     """Raise unless the symmetric matrix T is PSD within tolerance; ``||T||``
-    is taken as in :func:`check_symmetric`."""
+    is taken as in :func:`check_symmetric`.
+
+    Returns the spectrum the test read, ``eigvalsh(T)``, or ``eigh(T)`` with
+    ``vectors``, so a caller that needs it decomposes T only once."""
     bounds = _norm_bounds(T)
-    fault = _asymmetry(T, bounds, name) or _indefiniteness(T, bounds, name)
+    fault = _asymmetry(T, bounds, name)
     if fault:
         raise ValueError(fault)
+    spectrum = np.linalg.eigh(T) if vectors else np.linalg.eigvalsh(T)
+    fault = _indefiniteness(T, spectrum[0] if vectors else spectrum, bounds, name)
+    if fault:
+        raise ValueError(fault)
+    return spectrum
 
 
 def psd_flags(T):
@@ -98,7 +106,8 @@ def psd_flags(T):
     matrix that is not symmetric is not PSD either."""
     bounds = _norm_bounds(T)
     symmetric = _asymmetry(T, bounds, "T") is None
-    return symmetric, symmetric and _indefiniteness(T, bounds, "T") is None
+    return symmetric, symmetric and _indefiniteness(
+        T, np.linalg.eigvalsh(T), bounds, "T") is None
 
 
 def _norm_bounds(T):
@@ -294,8 +303,13 @@ def bochner_quadrature(A1, A2, P, horizon, nodes, cert=None):
     the first panel's weighted node sum; so K is built once (32 exponentials)
     and each further panel costs two products.  Equal generators take R and
     each node's right factor as the left one transposed, which halves the
-    exponentials.  This differs from a direct node-by-node sum only by
-    rounding.
+    exponentials.  Equal and exactly symmetric generators
+    (``np.array_equal(A1, A1.T)``) take no exponential of a matrix: with one
+    ``eigh``, ``A1 = V diag(d) V'`` and ``exp(A1 t) = V exp(diag(d) t) V'``,
+    so the rule is summed entrywise in the eigenbasis, K as
+    ``sum_k w_k exp((d_i + d_j) s_k)`` and each panel step as the entrywise
+    factor ``exp((d_i + d_j) h)``.  Either way the result differs from a
+    direct node-by-node sum only by rounding.
 
     Raises HorizonTooShort when the analytic truncation tail
     ``M^2 ||P|| exp(-2 alpha horizon) / (2 alpha)`` exceeds 1e-8.
@@ -327,6 +341,8 @@ def bochner_quadrature(A1, A2, P, horizon, nodes, cert=None):
     panels = max(int(np.ceil(nodes / 16)), int(np.ceil(2.0 * alpha_star * horizon)), 1)
     width = horizon / panels
     offsets, weights = _gauss_legendre_panel(width)
+    if same and np.array_equal(A1, A1.T):
+        return -_eigenbasis_panel_sum(A1, P, offsets, weights, width, panels)
 
     # panel m is L^m K R^m (see the docstring)
     def right(left, t):
@@ -343,3 +359,24 @@ def bochner_quadrature(A1, A2, P, horizon, nodes, cert=None):
         K = left_step @ K @ right_step
         acc += K
     return -acc
+
+
+def _eigenbasis_panel_sum(A, P, offsets, weights, width, panels):
+    """The composite rule of :func:`bochner_quadrature` for A1 = A2 = A
+    exactly symmetric, summed entrywise in A's eigenbasis.
+
+    With ``A = V diag(d) V'`` and ``S_ij = d_i + d_j``, the integrand at t
+    is ``V (exp(S t) o V' P V) V'``; the first panel's weighted node sum
+    is ``K = sum_k w_k exp(S s_k)`` and panel m is ``exp(S width)^m o K``.
+    """
+    d, V = np.linalg.eigh(A)
+    S = d[:, None] + d[None, :]
+    K = np.zeros_like(S)
+    for s, w in zip(offsets, weights):
+        K += w * np.exp(S * s)
+    step = np.exp(S * width)
+    acc = K.copy()
+    for _ in range(panels - 1):
+        K *= step
+        acc += K
+    return V @ (acc * (V.T @ P @ V)) @ V.T

@@ -128,25 +128,23 @@ class _EigenbasisKernel(_SchurKernel):
         self.Qb = symmetrize(self.into(Q))
 
     @classmethod
-    def build(cls, A, G, Q):
-        """The kernel for (A, G, Q), or None unless A is exactly symmetric
-        and stable, Q positive definite, G of numerical rank 1 to
-        CAPACITANCE_MAX_RANK (eigenvalues above ``n eps lambda_max``) and
-        the rest of G's spectrum too small to matter.
+    def build(cls, A, G, Q, eigh_G, lam_Q):
+        """The kernel for (A, G, Q), or None unless A is stable, Q positive
+        definite, G of numerical rank 1 to CAPACITANCE_MAX_RANK (eigenvalues
+        above ``n eps lambda_max``) and the rest of G's spectrum too small
+        to matter.  A must be exactly symmetric; ``eigh_G`` is ``eigh(G)``
+        and ``lam_Q`` is ``eigvalsh(Q)``, as :func:`check_psd` returns them.
 
         The steps solve for ``B B' = G - E``, E the dropped eigenvalues, but
         the strong residual is read with G, so at the limit it carries
         ``X E X``.  X lies below the Lyapunov solution of (A, Q), whose norm
         is at most ``||Q|| / (2 |d_max|)``; the kernel is taken only when
         that bound keeps ``||X E X||`` within 1 % of the residual gate."""
-        if not np.array_equal(A, A.T):
-            return None
         floor = A.shape[0] * np.finfo(float).eps
-        w, U = np.linalg.eigh(G)
+        w, U = eigh_G
         keep = w > floor * w[-1]
         if not 0 < np.count_nonzero(keep) <= CAPACITANCE_MAX_RANK:
             return None
-        lam_Q = np.linalg.eigvalsh(Q)
         if not lam_Q[0] > floor * lam_Q[-1]:
             return None
         d, V = np.linalg.eigh(A)
@@ -245,14 +243,18 @@ def solve_are(A, G, Q, tol=DEFAULT_STEP_TOL, cert=None, keep_history=False, X0=N
     A = ensure_operator(A, "A")
     G = ensure_operator(G, "G")
     Q = ensure_operator(Q, "Q")
-    check_psd(G, "G")
-    check_psd(Q, "Q")
+    # the PSD tests hand their spectra on to the eigenbasis kernel's gate,
+    # which reads G's eigenvectors only for an exactly symmetric A
+    symmetric = np.array_equal(A, A.T)
+    spectrum_G = check_psd(G, "G", vectors=symmetric)
+    lam_Q = check_psd(Q, "Q")
     if tol <= 0.0:
         raise ValueError("tol must be positive")
     if cert is None:
         cert = certify_stability(A)  # raises UnstableGenerator
     Q_bounds = _norm_bounds(Q)
-    kernel = _EigenbasisKernel.build(A, G, Q) or _SchurKernel(A, G, Q)
+    kernel = symmetric and _EigenbasisKernel.build(A, G, Q, spectrum_G, lam_Q)
+    kernel = kernel or _SchurKernel(A, G, Q)
 
     n = A.shape[0]
     X = np.zeros((n, n)) if X0 is None else symmetrize(ensure_operator(X0, "X0"))

@@ -20,7 +20,7 @@ from riccati_place.linalg import (
     solve_sylvester,
 )
 
-from conftest import count_calls, rand_psd, rand_stable
+from conftest import count_calls, heat1d, rand_psd, rand_stable, rand_stable_symmetric
 
 
 class TestMatrixExponential:
@@ -287,6 +287,52 @@ class TestBochnerQuadrature:
         bochner_quadrature(A, rand_stable(4, rng), -np.eye(4), horizon=20.0, nodes=200,
                            cert=cert)
         assert len(calls) == 34
+
+    @staticmethod
+    def exactly_symmetric_generators(rng):
+        S = rand_psd(6, rng)
+        negated_spd = -0.5 * (S + S.T) - 0.5 * np.eye(6)
+        return [heat1d(16)[0], negated_spd]
+
+    def test_exactly_symmetric_generators_match_direct_node_sum(self, rng):
+        for A in self.exactly_symmetric_generators(rng):
+            assert np.array_equal(A, A.T)
+            P = rng.standard_normal(A.shape)
+            assert_factored_panels_match_direct_node_sum(A, A.copy(), P)
+
+    def test_exactly_symmetric_generators_take_no_exponential(self, monkeypatch, rng):
+        expm = count_calls(monkeypatch, "matrix_exponential", linalg)
+        eigh = count_calls(monkeypatch, "eigh", np.linalg)
+        for A in self.exactly_symmetric_generators(rng):
+            cert = semigroup.certify_stability(A)
+            eigh.clear()
+            bochner_quadrature(A, A, -np.eye(len(A)), horizon=20.0 / cert.alpha,
+                               nodes=200, cert=cert)
+            assert (len(expm), len(eigh)) == (0, 1)
+
+    def test_symmetric_to_rounding_takes_the_exponentials(self, monkeypatch, rng):
+        # Q diag Q' is symmetric only to rounding, so it keeps the factored path
+        A = rand_stable_symmetric(4, rng)
+        assert not np.array_equal(A, A.T)
+        cert = semigroup.certify_stability(A)
+        calls = count_calls(monkeypatch, "matrix_exponential", linalg)
+        bochner_quadrature(A, A, -np.eye(4), horizon=20.0 / cert.alpha, nodes=200,
+                           cert=cert)
+        assert len(calls) == 17
+
+    def test_eigenbasis_path_keeps_the_tail_test_and_the_certificate(self, monkeypatch):
+        A = 1e-3 * heat1d(4)[0]  # decay rate ~1e-2: a unit horizon is too short
+        with pytest.raises(HorizonTooShort):
+            bochner_quadrature(A, A, np.eye(4), horizon=1.0, nodes=64)
+        A = heat1d(4)[0]
+        cert = semigroup.certify_stability(A)
+        calls = count_calls(monkeypatch, "certify_stability", semigroup)
+        B = bochner_quadrature(A, A, -np.eye(4), horizon=20.0 / cert.alpha, nodes=200,
+                               cert=cert)
+        assert len(calls) == 0
+        assert np.array_equal(B, bochner_quadrature(A, A, -np.eye(4),
+                                                    horizon=20.0 / cert.alpha, nodes=200))
+        assert len(calls) == 1
 
     def test_oracle_equivalence_with_schur_solve(self, rng):
         # dual-route check: direct solve vs quadrature on certified triples

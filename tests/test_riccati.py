@@ -4,7 +4,7 @@ import scipy.linalg as spla
 
 from riccati_place import GaussianActuators, Problem2Config, linalg, riccati, semigroup
 from riccati_place.errors import ClosedLoopUnstable, NewtonStall, UnstableGenerator
-from riccati_place.linalg import _residual_within, operator_norm, solve_sylvester
+from riccati_place.linalg import _residual_within, check_psd, operator_norm, solve_sylvester
 from riccati_place.riccati import (
     riccati_residual,
     solve_are,
@@ -15,6 +15,12 @@ from riccati_place.optimize import solve_state_pair
 from riccati_place.semigroup import certify_stability
 
 from conftest import count_calls, heat1d, rand_psd, rand_stable, rand_stable_symmetric
+
+
+def eigenbasis_kernel(A, G, Q):
+    """The eigenbasis kernel for (A, G, Q), or None, built from the spectra
+    that solve_are's PSD tests hand it."""
+    return riccati._EigenbasisKernel.build(A, G, Q, check_psd(G, vectors=True), check_psd(Q))
 
 
 def scalar(x):
@@ -153,7 +159,7 @@ class TestEigenbasisKernel:
 
         eigen = cold_and_warm()
         monkeypatch.setattr(riccati._EigenbasisKernel, "build",
-                            classmethod(lambda cls, A, G, Q: None))
+                            classmethod(lambda cls, *args: None))
         for sol, ref in zip(eigen, cold_and_warm()):
             assert sol.schur_steps == 0 and ref.schur_steps == ref.newton_iters
             assert operator_norm(sol.X - ref.X) <= 1e-10 * (1.0 + operator_norm(ref.X))
@@ -188,7 +194,7 @@ class TestEigenbasisKernel:
         A, grid = heat1d(16)
         G = GaussianActuators(grid=grid, sigma=0.12).G([0.3])
         Q = np.diag(np.linspace(2.0, 1.0, 16))
-        kernel = riccati._EigenbasisKernel.build(A, G, Q)
+        kernel = eigenbasis_kernel(A, G, Q)
         assert kernel.lam_min_Q == 1.0
         X0 = kernel.into(np.zeros((16, 16)))
         assert kernel._capacitance_step(X0) is not None
@@ -205,6 +211,37 @@ class TestEigenbasisKernel:
         assert (len(schur), len(sylvester), sol.schur_steps) == (0, 0, 0)
         assert sol.newton_iters >= 3
         assert sol.strong_residual <= 1e-10 * 2.0
+
+    def test_one_spectrum_of_each_input_per_call(self, monkeypatch):
+        # the PSD tests of G and Q hand their spectra on to the kernel's gate
+        A, grid = heat1d(64)
+        G = GaussianActuators(grid=grid, sigma=0.12).G([0.3])
+        Q = np.eye(64)
+        cert = certify_stability(A)
+        eigh = count_calls(monkeypatch, "eigh", np.linalg)
+        eigvalsh = count_calls(monkeypatch, "eigvalsh", np.linalg)
+        sol = solve_are(A, G, Q, cert=cert)
+        assert sol.schur_steps == 0
+
+        def decomposed(calls):
+            inputs = {"A": A, "G": G, "Q": Q}
+            return sorted(next((name for name, T in inputs.items() if args[0] is T), "other")
+                          for args in calls)
+
+        assert (decomposed(eigh), decomposed(eigvalsh)) == (["A", "G"], ["Q"])
+
+    @pytest.mark.parametrize("symmetric_A", [True, False])
+    def test_non_psd_inputs_keep_their_messages(self, symmetric_A):
+        A = heat1d(2)[0] if symmetric_A else np.array([[-1.0, 1.0], [0.0, -2.0]])
+        indefinite, skew = np.diag([1.0, -1.0]), np.array([[1.0, 1.0], [0.0, 1.0]])
+        for args, message in [
+                ((indefinite, np.eye(2)), "G is not PSD: lambda_min = -1.000e+00 < -2.000e-10"),
+                ((np.eye(2), indefinite), "Q is not PSD: lambda_min = -1.000e+00 < -2.000e-10"),
+                ((skew, np.eye(2)), "G is not symmetric: max|T - T.T| = 1.000e+00 > 2.618e-12"),
+                ((np.eye(2), skew), "Q is not symmetric: max|T - T.T| = 1.000e+00 > 2.618e-12")]:
+            with pytest.raises(ValueError) as err:
+                solve_are(A, *args)
+            assert str(err.value) == message
 
     @pytest.mark.parametrize("case", ["rank4_G", "rank5_G", "singular_Q"])
     def test_schur_form_per_step_outside_the_kernel(self, monkeypatch, case):
@@ -231,7 +268,7 @@ class TestEigenbasisKernel:
         # is read with G: X_22 = 50 and 5000 put g X_22^2 = 1.25e-7 and 1e-8
         # above the 2e-10 gate, and Newton-Kleinman would stall
         A, G, Q = a * np.eye(2), np.diag([1.0, g]), np.eye(2)
-        assert riccati._EigenbasisKernel.build(A, G, Q) is None
+        assert eigenbasis_kernel(A, G, Q) is None
         sol = solve_are(A, G, Q)
         assert sol.schur_steps == sol.newton_iters
         assert sol.strong_residual <= 1e-10 * 2.0

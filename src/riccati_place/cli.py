@@ -14,6 +14,7 @@ significant digits in matrix files).
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import sys
@@ -338,7 +339,7 @@ def _build_ledger(problem, family, seed):
         beta=problem.beta, gamma=getattr(problem, "gamma", None), cert=problem.cert)
 
 
-def _triple_payload(problem, triple):
+def _triple_payload(triple):
     return {
         "p": triple.p,
         "converged": triple.converged,
@@ -373,7 +374,7 @@ def _cmd_optimize(cfg, out_dir):
         exit_code = 2
     if not triple.converged:
         exit_code = 2
-    payload = _triple_payload(problem, triple)
+    payload = _triple_payload(triple)
     payload.update({
         "cost": cost,
         "contraction_k": contraction.k,
@@ -415,16 +416,7 @@ def _cmd_sweep_beta(cfg, out_dir, betas):
         "gamma": report.gamma,
         "sup_xlx_recorded": report.sup_xlx_recorded,
         "gap_law_holds": report.gap_law_holds,
-        "rows": [{
-            "beta": r.beta, "p": r.p, "trace_G": r.trace_G,
-            "trace_gap": r.trace_gap, "cost": r.cost,
-            "trace_term": r.trace_term, "penalty_term": r.penalty_term,
-            "xlx_norm": r.xlx_norm, "k": r.k,
-            "is_contraction": r.is_contraction, "converged": r.converged,
-            "iterations": r.iterations,
-            "stationarity_residual": r.stationarity_residual,
-            "failed": r.failed, "error": r.error,
-        } for r in report.rows],
+        "rows": [dataclasses.asdict(r) for r in report.rows],
     })
     return 0 if all(not r.failed and r.converged for r in report.rows) else 2
 

@@ -22,22 +22,16 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DegenerateFamily, DimensionMismatch
-from .linalg import check_symmetric, ensure_operator, operator_norm, symmetrize
-
-
-def _readings(T):
-    """T's norm under each reading, from one SVD: "nuc" and "op" are its sum
-    and max, bit-identical to separate ``svd(T).sum()`` and
-    :func:`operator_norm` calls; "abs" is |tr T|."""
-    sv = np.linalg.svd(T, compute_uv=False) if T.size else np.zeros(1)
-    return {"nuc": float(sv.sum()), "abs": abs(float(np.trace(T))), "op": float(sv.max())}
+from .linalg import check_symmetric, ensure_operator, norms, operator_norm, symmetrize
 
 
 def _raise_sups(sups, T, dist=1.0):
-    """Raise each running sup in ``sups`` (keyed by reading) to T's norm / dist."""
-    norms = _readings(T)
+    """Raise each running sup in ``sups`` (keyed by reading) to T's norm / dist,
+    all readings from the one SVD of :func:`norms`."""
+    rep = norms(T)
+    readings = {"nuc": rep.trace_norm_schatten, "abs": rep.abs_trace, "op": rep.op_norm}
     for r in sups:
-        sups[r] = max(sups[r], norms[r] / dist)
+        sups[r] = max(sups[r], readings[r] / dist)
 
 
 class Family:
@@ -70,21 +64,22 @@ class Family:
     def dG_adjoint(self, p, T):
         """Vector v with v . q = tr(T dG_p(q)) for every direction q.
 
-        Realizes the adjoint of dG_p under the trace duality pairing;
-        computed coordinate-by-coordinate.  T must be symmetric.
+        Realizes the adjoint of dG_p under the trace duality pairing.  T must
+        be symmetric; the value comes from :meth:`_adjoint` on the checked
+        arguments.
         """
         T = ensure_operator(T, "T")
         if T.shape[0] != self.state_dim:
             raise DimensionMismatch(
                 f"T has shape {T.shape}, expected ({self.state_dim}, {self.state_dim})")
         check_symmetric(T, "T")
-        p = self._check_param(p)
-        out = np.zeros(self.param_dim)
-        for k in range(self.param_dim):
-            e = np.zeros(self.param_dim)
-            e[k] = 1.0
-            out[k] = float(np.tensordot(T, self.dG(p, e)))
-        return out
+        return self._adjoint(self._check_param(p), T)
+
+    def _adjoint(self, p, T):
+        """dG_adjoint, coordinate by coordinate; a family with a closed form
+        overrides this."""
+        return np.array([float(np.tensordot(T, self.dG(p, e)))
+                         for e in np.eye(self.param_dim)])
 
     def gram(self, p):
         """The param_dim x param_dim matrix of dG*dG under the trace pairing."""
@@ -189,13 +184,7 @@ class GaussianActuators(Family):
         p = self._check_param(p)
         return float(sum(np.dot(b, b) for b in map(self._profile, p))) / self.r_weight
 
-    def dG_adjoint(self, p, T):
-        T = ensure_operator(T, "T")
-        if T.shape[0] != self.state_dim:
-            raise DimensionMismatch(
-                f"T has shape {T.shape}, expected ({self.state_dim}, {self.state_dim})")
-        check_symmetric(T, "T")
-        p = self._check_param(p)
+    def _adjoint(self, p, T):
         # tr(T (db b^T + b db^T)) = 2 b^T T db for symmetric T
         return np.array([
             2.0 * float(self._profile(c) @ T @ self._profile_d1(c))

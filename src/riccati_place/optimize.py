@@ -18,10 +18,10 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .devices import GRAM_SINGULAR_RTOL, _readings, sample_box
+from .devices import GRAM_SINGULAR_RTOL, sample_box
 from .dual import solve_dual
 from .errors import ClosedLoopUnstable, DegenerateFamily, MaxIterExceeded, RiccatiPlaceError
-from .linalg import check_psd, ensure_operator, operator_norm, solve_sylvester, symmetrize
+from .linalg import check_psd, ensure_operator, norms, operator_norm, solve_sylvester, symmetrize
 from .riccati import solve_are
 from .semigroup import certify_stability
 
@@ -339,14 +339,20 @@ def fixed_point_map_p2(cfg, p, direction=None, state=None):
     """
     if state is None:
         state = solve_state_pair(cfg, p)
+    return _map_p2(cfg, np.atleast_1d(np.asarray(p, dtype=float)), state, direction)
+
+
+def _map_p2(cfg, p, state, direction=None, Sinv=None):
+    """fixed_point_map_p2 at a float vector p, given its state pair and, when
+    the caller holds it, the Gram inverse (dG*dG)^{-1} at p."""
     _, sol, dsol = state
-    p = np.atleast_1d(np.asarray(p, dtype=float))
     direction = p if direction is None else np.atleast_1d(np.asarray(direction, dtype=float))
     M = _xlx(sol.X, dsol.Lambda)
     m_norm = operator_norm(M)
     if m_norm == 0.0:
         raise DegenerateFamily("X Lambda X vanishes (W = 0?); the map is undefined")
-    Sinv = _gram_inverse(cfg.family, p)
+    if Sinv is None:
+        Sinv = _gram_inverse(cfg.family, p)
     T = symmetrize(M @ cfg.family.dG(p, direction))
     return Sinv @ cfg.family.dG_adjoint(p, T) / m_norm
 
@@ -379,11 +385,11 @@ def solve_p2(cfg, p0, state=None):
     p0 = np.atleast_1d(np.asarray(p0, dtype=float)).copy()
     if state is not None and not np.array_equal(state[0], cfg.family.G(p0)):
         raise ValueError("the state pair handed to solve_p2 was not solved at p0")
-    _gram_inverse(cfg.family, p0)  # invertibility must hold near p0
+    Sinv = _gram_inverse(cfg.family, p0)  # must be invertible near p0; the map start reads it
     history = [p0.copy()]
-    p, state, iterations, stationary = _newton_p2(cfg, p0, history, state)
-    triple = _finish_p2(cfg, p, state, iterations, history)
-    if not stationary:
+    p, state, iterations, grad = _newton_p2(cfg, p0, Sinv, history, state)
+    triple = _finish_p2(cfg, p, state, grad, iterations, history)
+    if not triple.residual_stationarity <= cfg.tol:
         raise MaxIterExceeded(
             f"projected Newton stopped away from a stationary point after "
             f"{iterations} iterations (residual {triple.residual_stationarity:.3e})",
@@ -398,7 +404,7 @@ HESSIAN_FLOOR = 1e-8    # eigenvalue floor, relative to 1 + max |H_ij|
 COST_ROUNDING = 1e-13   # relative cost decrease that rounding can swallow
 
 
-def _newton_p2(cfg, p, history, state):
+def _newton_p2(cfg, p, Sinv, history, state):
     """Projected Newton on cost_p2 from p (Bertsekas, SIAM J. Control Optim.
     20, 1982).
 
@@ -416,11 +422,11 @@ def _newton_p2(cfg, p, history, state):
     solve when that X does not stabilize the trial's closed loop).  The
     method is local, so it first moves to the image of the paper's map at
     p, clipped to the box, when that costs less (heat16 has a minimum near
-    each end).  ``state`` is the state pair at p that solve_p2 was handed,
-    or None, in which case it is solved cold.
+    each end); ``Sinv`` is the Gram inverse (dG*dG)^{-1} at p that the map
+    reads.  ``state`` is the state pair at p that solve_p2 was handed, or
+    None, in which case it is solved cold.
 
-    Returns (p, state, iterations, stationary), stationary meaning that the
-    gradient norm is <= cfg.tol.
+    Returns (p, state, iterations, grad), grad being the gradient at p.
     """
     if hasattr(cfg.family, "domain"):
         lo, hi = np.atleast_2d(np.asarray(cfg.family.domain(), dtype=float)).T
@@ -430,7 +436,7 @@ def _newton_p2(cfg, p, history, state):
         state = solve_state_pair(cfg, p)
     value = _p2_value(cfg, p, state[1].X)
     try:
-        image = np.clip(fixed_point_map_p2(cfg, p, state=state), lo, hi)
+        image = np.clip(_map_p2(cfg, p, state, Sinv=Sinv), lo, hi)
     except DegenerateFamily:
         image = p
     moved = 0
@@ -443,7 +449,7 @@ def _newton_p2(cfg, p, history, state):
     grad = gradient_p2(cfg, p, state)
     for it in range(moved, cfg.max_iter):
         if np.linalg.norm(grad) <= cfg.tol:
-            return p, state, it, True
+            return p, state, it, grad
         band = np.minimum(ACTIVE_BAND * (hi - lo),
                           np.linalg.norm(p - np.clip(p - grad, lo, hi)))
         active = (((p <= lo + band) & (grad > 0))
@@ -451,10 +457,10 @@ def _newton_p2(cfg, p, history, state):
         step = _newton_step(_reduced_hessian_p2(cfg, p, state), grad, active)
         trial = _backtrack(cfg, p, state[1].X, value, grad, step, active, lo, hi)
         if trial is None:
-            return p, state, it + 1, False
+            return p, state, it + 1, grad
         p, state, value, grad = trial
         history.append(p.copy())
-    return p, state, cfg.max_iter, float(np.linalg.norm(grad)) <= cfg.tol
+    return p, state, cfg.max_iter, grad
 
 
 def _backtrack(cfg, p, X, value, grad, step, active, lo, hi):
@@ -537,38 +543,22 @@ def _p2_value(cfg, p, X):
     return float(np.tensordot(X, cfg.W)) + 0.5 * cfg.beta * gap**2
 
 
-def _finish_p2(cfg, p, state, iterations, history):
-    G, sol, dsol = state
-    M = _xlx(sol.X, dsol.Lambda)
+def _finish_p2(cfg, p, state, grad, iterations, history):
+    """The problem-1 record at p, with the stationarity residual read off
+    ``grad`` (the gradient at p), extended by problem 2's trace constraint
+    and map residual; converged also asks the trace-constraint identity."""
+    _, sol, dsol = state
+    triple = _finish_triple(cfg, p, sol, dsol, float(np.linalg.norm(grad)),
+                            iterations, history)
     trace_gap = cfg.family.trace_G(p) - cfg.gamma
-    trace_res = abs(trace_gap - operator_norm(M) / cfg.beta)
-    grad = gradient_p2(cfg, p, state)
-    stat_res = float(np.linalg.norm(grad))
+    trace_res = abs(trace_gap - operator_norm(_xlx(sol.X, dsol.Lambda)) / cfg.beta)
     try:
-        fmap = fixed_point_map_p2(cfg, p, state=state)
-        map_res = float(np.linalg.norm(p - fmap))
+        map_res = float(np.linalg.norm(p - fixed_point_map_p2(cfg, p, state=state)))
     except DegenerateFamily:
         map_res = math.nan
-    converged = (stat_res <= cfg.tol
-                 and sol.strong_residual <= cfg.tol
-                 and dsol.residual <= cfg.tol
-                 and trace_res <= cfg.tol)
-    return OptimalityTriple(
-        X=sol.X,
-        Lambda=dsol.Lambda,
-        p=np.atleast_1d(np.asarray(p, dtype=float)),
-        residual_primal=sol.strong_residual,
-        residual_dual=dsol.residual,
-        residual_stationarity=stat_res,
-        iterations=iterations,
-        converged=converged,
-        history=history,
-        trace_gap=trace_gap,
-        trace_constraint_residual=trace_res,
-        fixed_point_residual=map_res,
-        mode="newton",
-        state=state,
-    )
+    return replace(triple, converged=triple.converged and trace_res <= cfg.tol,
+                   trace_gap=trace_gap, trace_constraint_residual=trace_res,
+                   fixed_point_residual=map_res, mode="newton", state=state)
 
 
 def contraction_constant_p2(ledger):
@@ -684,16 +674,7 @@ class SweepReport:
     rows: List[SweepRow]
     gamma: float
     sup_xlx_recorded: float
-    gap_law_holds: List[bool] = field(default_factory=list)
-
-    def finalize(self):
-        self.sup_xlx_recorded = max((r.xlx_norm for r in self.rows if not r.failed),
-                                    default=math.nan)
-        self.gap_law_holds = [
-            (not r.failed) and r.trace_gap <= self.sup_xlx_recorded / r.beta + 1e-12
-            for r in self.rows
-        ]
-        return self
+    gap_law_holds: List[bool]
 
 
 def beta_sweep(cfg, betas, p0, ledger=None):
@@ -753,7 +734,11 @@ def beta_sweep(cfg, betas, p0, ledger=None):
             failed=failed, error=error,
         ))
         p_warm, state = triple.p, triple.state
-    return SweepReport(rows=rows, gamma=cfg.gamma, sup_xlx_recorded=math.nan).finalize()
+    sup = max((r.xlx_norm for r in rows if not r.failed), default=math.nan)
+    return SweepReport(
+        rows=rows, gamma=cfg.gamma, sup_xlx_recorded=sup,
+        gap_law_holds=[(not r.failed) and r.trace_gap <= sup / r.beta + 1e-12
+                       for r in rows])
 
 
 def replace_beta(cfg, beta):
@@ -819,7 +804,8 @@ def lipschitz_bound_check(cfg, ledger, domain, pairs, seed):
             continue
         _, s1, d1 = solve_state_pair(cfg, p1)
         _, s2, d2 = solve_state_pair(cfg, p2)
-        dX_norms = _readings(s1.X - s2.X)
+        dX = norms(s1.X - s2.X)
+        dX_norms = {"nuc": dX.trace_norm_schatten, "abs": dX.abs_trace}
         dL_op = operator_norm(d1.Lambda - d2.Lambda)
         for reading in ("nuc", "abs"):
             worst_x[reading] = max(

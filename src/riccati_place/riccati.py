@@ -48,7 +48,6 @@ class RiccatiSolution:
     newton_iters: int
     strong_residual: float
     trace_bound_slack: float
-    bochner_residual: Optional[float] = None  # filled by verify_are
     schur_steps: int = 0  # Newton steps solved on a Schur form; not reported
     history: Optional[List[np.ndarray]] = None
 
@@ -293,15 +292,14 @@ def verify_are(A, G, Q, sol, cert, horizon, nodes):
     ``||X - int_0^h exp(At)(Q - XGX)exp(A.T t) dt||`` via the quadrature
     oracle, (iii) the trace bound ``tr X <= M^2/(2 alpha) tr Q``, and
     (iv) symmetry / PSD of X.  ``cert`` is A's certificate; the quadrature
-    reuses it, so nothing is certified here.  Fills ``sol.bochner_residual`` as a side
-    effect and returns the full report.
+    reuses it, so nothing is certified here.  Returns the full report and
+    leaves ``sol`` as it was.
     """
     A = ensure_operator(A, "A")
     X = sol.X
     integrand = symmetrize(Q - X @ G @ X)
     X_quad = bochner_quadrature(A, A, -integrand, horizon, nodes, cert=cert)
     bochner_abs = operator_norm(X - X_quad)
-    sol.bochner_residual = bochner_abs
 
     tr_X = float(np.trace(X))
     tr_bound = cert.M**2 / (2.0 * cert.alpha) * float(np.trace(Q))

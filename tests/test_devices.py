@@ -10,7 +10,7 @@ from riccati_place.devices import (
     sample_box,
 )
 from riccati_place.errors import DegenerateFamily, DimensionMismatch
-from riccati_place.linalg import operator_norm
+from riccati_place.linalg import NormReport, operator_norm
 
 from conftest import count_calls
 
@@ -216,10 +216,12 @@ class TestEstimateConstants:
 
         # the per-reading ledger: each norm from its own call, as before
         def per_reading(T):
-            return {"nuc": float(np.linalg.svd(T, compute_uv=False).sum()),
-                    "abs": abs(float(np.trace(T))), "op": operator_norm(T)}
+            tr = float(np.trace(T))
+            nuc = float(np.linalg.svd(T, compute_uv=False).sum())
+            return NormReport(op_norm=operator_norm(T), trace=tr,
+                              trace_norm_schatten=nuc, abs_trace=abs(tr))
 
-        monkeypatch.setattr(devices, "_readings", per_reading)
+        monkeypatch.setattr(devices, "norms", per_reading)
         assert estimate_constants(fam, fam.domain(), samples, seed=4) == one
         monkeypatch.undo()
 

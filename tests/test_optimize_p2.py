@@ -404,6 +404,26 @@ class TestBetaSweep:
         for row in report.rows[:-1]:
             assert sum(np.array_equal(args[1], row.p) for args in pairs) == 1
 
+    def test_heat16_sweep_inverts_two_gram_matrices_a_row(self, monkeypatch):
+        # at the row's start, where the map start reuses the inverse, and at
+        # its end point, for the reported map residual
+        grams = count_calls(monkeypatch, "gram", GaussianActuators)
+        report, _, _, _ = self.counted_heat16_sweep(monkeypatch)
+        assert len(grams) == 2 * len(report.rows) == 8
+
+    def test_heat16_sweep_takes_one_gradient_per_newton_point(self, monkeypatch):
+        # each row's start and each backtracking trial; the end point's
+        # gradient is the one Newton's stop test read
+        grads = count_calls(monkeypatch, "gradient_p2", optimize)
+        report, pairs, _, _ = self.counted_heat16_sweep(monkeypatch)
+        assert len(grads) == 12
+        assert len(pairs) == 13
+        assert [r.iterations for r in report.rows] == [6, 1, 1, 1]
+        np.testing.assert_allclose(
+            [r.p[0] for r in report.rows],
+            [0.07762478600169102, 0.07762476895589714,
+             0.07762476725132166, 0.07762476708086385], rtol=1e-9)
+
     def test_heat16_sweep_builds_no_certificate(self, monkeypatch):
         # A is certified once, when the config is built
         cfg = heat16_config(beta=10.0)

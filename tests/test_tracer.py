@@ -1,14 +1,16 @@
 """The benchmark's span tracer against the library it wraps.
 
-perfbench/tracer.py wraps library functions by name, so a renamed function,
-or a beta_sweep row that no longer goes through solve_p2, would otherwise
-show only as wrong per-layer counts in a traced benchmark run.
+perfbench/tracer.py wraps library functions by name, and device-family
+methods on the GaussianActuators class, so a renamed function, a beta_sweep
+row that no longer goes through solve_p2, or a family method reached around
+the class attribute would otherwise show only as wrong per-layer counts in a
+traced benchmark run.
 """
 
 import importlib
 from pathlib import Path
 
-from riccati_place import optimize
+from riccati_place import GaussianActuators, optimize
 from riccati_place.optimize import beta_sweep
 
 from conftest import count_calls
@@ -33,3 +35,9 @@ def test_traced_heat16_sweep_counts_match_the_library(monkeypatch):
     metrics = tracer.unit_metrics(0)
     assert metrics["optimize.iterations"] == sum(r.iterations for r in report.rows)
     assert metrics["optimize.state_pairs"] == len(pairs) > 0
+
+    # the same sweep untraced, each family method counted directly
+    family_calls = [count_calls(monkeypatch, name, GaussianActuators)
+                    for name in tracer_module.FAMILY_METHODS]
+    beta_sweep(cfg, [10.0, 1e2, 1e3], [0.3])
+    assert metrics["devices.family_calls"] == sum(map(len, family_calls)) > 0

@@ -13,6 +13,7 @@ conventions hold everywhere:
 All functions are pure and never mutate their arguments.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +24,7 @@ from .errors import HorizonTooShort, SingularSystem, UnstableGenerator
 SYMMETRY_RTOL = 1e-12
 PSD_RTOL = 1e-10
 NORM_BOUND_MARGIN = 1e-12
+POWER_STEPS = 3     # power steps on S'S behind each lower norm bound
 SYLVESTER_RTOL = 1e-10
 
 
@@ -101,6 +103,50 @@ def check_psd(T, name="operator", vectors=False):
     return spectrum
 
 
+def low_rank_psd(T, max_rank, name="operator"):
+    """``(B, e)`` with ``T = B B' + E`` and ``||E|| <= e`` when at most
+    ``max_rank`` pivoted Cholesky steps (Higham 1990) prove T PSD, else None;
+    :func:`check_psd` then decides T as it always has.
+
+    Raises ValueError as :func:`check_psd` does when T is not symmetric.
+    Each step takes the largest diagonal entry ``E_jj`` of the remainder E
+    (at first T) and subtracts the rank-one ``E[:, j] E[:, j]' / E_jj``; the
+    steps stop once no diagonal entry exceeds ``n eps max_i T_ii``, and a T
+    with more steps to go after ``max_rank`` gets None.  Since
+    ``lambda_min(T) >= -||E||``, T is PSD when ``e``, ``||E||_F`` plus the
+    rounding of the steps, is within the tolerance ``1e-10 (1 + ||T||)``,
+    ``||T||`` taken from its lower Frobenius bound.
+    """
+    bounds = _norm_bounds(T)
+    fault = _asymmetry(T, bounds, name)
+    if fault:
+        raise ValueError(fault)
+    if T.size == 0:
+        return None
+    n = T.shape[0]
+    E = T.copy()
+    diagonal = E.diagonal()  # a view, updated with E
+    floor = n * np.finfo(float).eps * max(float(diagonal.max()), 0.0)
+    columns = []
+    while True:
+        j = int(diagonal.argmax())
+        if diagonal[j] <= floor:
+            break
+        if len(columns) == max_rank:
+            return None
+        b = E[:, j] / np.sqrt(diagonal[j])
+        E -= np.outer(b, b)
+        columns.append(b)
+    B = np.array(columns).reshape(-1, n).T
+    # each of the r subtractions rounds every entry by at most eps times
+    # |E_ij| + |b_i b_j|, which sum to at most ||T||_F + 2 ||B||_F^2
+    rounding = len(columns) * np.finfo(float).eps * (bounds[1] + 2.0 * float(np.vdot(B, B)))
+    dropped = _frobenius(E) + rounding
+    if not dropped <= PSD_RTOL * (1.0 + bounds[0]):  # a NaN proves nothing either
+        return None
+    return B, dropped
+
+
 def psd_flags(T):
     """``(symmetric, psd)`` of T under the tests of :func:`check_psd`; a
     matrix that is not symmetric is not PSD either."""
@@ -116,18 +162,53 @@ def _norm_bounds(T):
     Both are widened by a relative margin of 1e-12, far above the rounding
     of either norm, so a comparison they settle is the SVD's own, ties
     included (rank-1 T has ``||T|| = ||T||_F``)."""
-    fro = float(np.linalg.norm(T))
+    fro = _frobenius(T)
     r = max(min(T.shape), 1)
-    return fro / np.sqrt(r) * (1.0 - NORM_BOUND_MARGIN), fro * (1.0 + NORM_BOUND_MARGIN)
+    return fro / math.sqrt(r) * (1.0 - NORM_BOUND_MARGIN), fro * (1.0 + NORM_BOUND_MARGIN)
+
+
+def _frobenius(T):
+    """``np.linalg.norm(T)``, bit for bit, without its dispatch."""
+    x = T.ravel(order="K")
+    return math.sqrt(x.dot(x))
+
+
+def _brackets(S):
+    """Bounds ``lo <= ||S_k|| <= hi`` on the operator norm of each matrix of
+    the stack S, without an SVD.
+
+    With B = S'S: ``hi = ||B||_F^(1/2)``, and ``lo = ||B x||^(1/2)`` for a
+    unit x after a few power steps, started from B's largest column.  Each
+    matrix is first scaled by a power of two (exactly) so that B can neither
+    overflow nor underflow.  Both bounds are widened by NORM_BOUND_MARGIN,
+    far above their rounding, so a comparison they settle is the SVD's own.
+    """
+    _, exponent = np.frexp(np.abs(S).max(axis=(1, 2)))
+    S = np.ldexp(S, -exponent[:, None, None])
+    B = np.matmul(S.transpose(0, 2, 1), S)
+    hi = np.sqrt(np.sqrt(np.einsum("kij,kij->k", B, B)))
+    x = B[np.arange(len(B)), :, np.einsum("kij,kij->kj", B, B).argmax(axis=1)]
+    for _ in range(POWER_STEPS):
+        size = np.linalg.norm(x, axis=1)
+        x = np.matmul(B, (x / np.where(size > 0.0, size, 1.0)[:, None])[:, :, None])[:, :, 0]
+    lo = np.sqrt(np.linalg.norm(x, axis=1))
+    return (np.ldexp(lo * (1.0 - NORM_BOUND_MARGIN), exponent),
+            np.ldexp(hi * (1.0 + NORM_BOUND_MARGIN), exponent))
 
 
 def norm_within(T, tol):
-    """Decide ``operator_norm(T) <= tol``, with an SVD only when the
-    Frobenius bounds of :func:`_norm_bounds` leave the answer open."""
+    """Decide ``operator_norm(T) <= tol`` as the SVD would.  The Frobenius
+    bounds of :func:`_norm_bounds` come first, then the power-step brackets
+    of :func:`_brackets`; the SVD runs only when both leave it open."""
     lo, hi = _norm_bounds(T)
     if hi <= tol:
         return True
     if lo > tol:
+        return False
+    lo, hi = _brackets(T[None])
+    if hi[0] <= tol:
+        return True
+    if lo[0] > tol:
         return False
     return operator_norm(T) <= tol
 
@@ -272,15 +353,20 @@ def solve_sylvester(A1, A2, P):
 
 
 def _residual_within(R, P, P_bounds):
-    """Decide ``operator_norm(R) <= SYLVESTER_RTOL (1 + operator_norm(P))``
-    as the SVDs would, taking P's SVD only when the Frobenius bounds
-    ``P_bounds`` of P and those of R leave the answer open."""
+    """The Sylvester residual gate: ``_relative_within`` at SYLVESTER_RTOL."""
+    return _relative_within(R, SYLVESTER_RTOL, P, P_bounds)
+
+
+def _relative_within(R, rtol, P, P_bounds):
+    """Decide ``operator_norm(R) <= rtol (1 + operator_norm(P))`` as the
+    SVDs would, taking P's SVD only when the Frobenius bounds ``P_bounds``
+    of P and those of R leave the answer open."""
     lo, hi = _norm_bounds(R)
-    if hi <= SYLVESTER_RTOL * (1.0 + P_bounds[0]):
+    if hi <= rtol * (1.0 + P_bounds[0]):
         return True
-    if lo > SYLVESTER_RTOL * (1.0 + P_bounds[1]):
+    if lo > rtol * (1.0 + P_bounds[1]):
         return False
-    return norm_within(R, SYLVESTER_RTOL * (1.0 + operator_norm(P)))
+    return norm_within(R, rtol * (1.0 + operator_norm(P)))
 
 
 def _gauss_legendre_panel(width, npts=16):
@@ -304,15 +390,19 @@ def bochner_quadrature(A1, A2, P, horizon, nodes, cert=None):
     and each further panel costs two products.  Equal generators take R and
     each node's right factor as the left one transposed, which halves the
     exponentials.  Equal and exactly symmetric generators
-    (``np.array_equal(A1, A1.T)``) take no exponential of a matrix: with one
-    ``eigh``, ``A1 = V diag(d) V'`` and ``exp(A1 t) = V exp(diag(d) t) V'``,
+    (``np.array_equal(A1, A1.T)``) take no exponential of a matrix: with
+    ``A1 = V diag(d) V'`` (the pair kept on A1's certificate, or one
+    ``eigh`` when the certificate holds none for A1; see
+    ``StabilityCertificate.eigh``), ``exp(A1 t) = V exp(diag(d) t) V'``,
     so the rule is summed entrywise in the eigenbasis, K as
     ``sum_k w_k exp((d_i + d_j) s_k)`` and each panel step as the entrywise
     factor ``exp((d_i + d_j) h)``.  Either way the result differs from a
     direct node-by-node sum only by rounding.
 
     Raises HorizonTooShort when the analytic truncation tail
-    ``M^2 ||P|| exp(-2 alpha horizon) / (2 alpha)`` exceeds 1e-8.
+    ``M^2 ||P|| exp(-2 alpha horizon) / (2 alpha)`` exceeds 1e-8.  ``||P||``
+    is taken from its upper Frobenius bound, and from an SVD only when that
+    bound fails the test (or to word the error).
     """
     from .semigroup import certify_stability  # deferred: semigroup builds on linalg
 
@@ -332,17 +422,21 @@ def bochner_quadrature(A1, A2, P, horizon, nodes, cert=None):
     m_star = max(cert1.M, cert2.M)
     alpha_star = min(cert1.alpha, cert2.alpha)
 
-    tail = m_star**2 * operator_norm(P) * np.exp(-2.0 * alpha_star * horizon) / (2.0 * alpha_star)
-    if tail > 1e-8:
-        raise HorizonTooShort(
-            f"tail bound {tail:.3e} > 1e-8; need horizon >= "
-            f"{np.log(m_star**2 * max(operator_norm(P), 1e-300) / (2e-8 * alpha_star)) / (2 * alpha_star):.3g}")
+    def tail(norm_P):  # nondecreasing in norm_P, rounding included
+        return m_star**2 * norm_P * np.exp(-2.0 * alpha_star * horizon) / (2.0 * alpha_star)
+
+    if tail(_norm_bounds(P)[1]) > 1e-8:
+        norm_P = operator_norm(P)
+        if tail(norm_P) > 1e-8:
+            raise HorizonTooShort(
+                f"tail bound {tail(norm_P):.3e} > 1e-8; need horizon >= "
+                f"{np.log(m_star**2 * max(norm_P, 1e-300) / (2e-8 * alpha_star)) / (2 * alpha_star):.3g}")
 
     panels = max(int(np.ceil(nodes / 16)), int(np.ceil(2.0 * alpha_star * horizon)), 1)
     width = horizon / panels
     offsets, weights = _gauss_legendre_panel(width)
     if same and np.array_equal(A1, A1.T):
-        return -_eigenbasis_panel_sum(A1, P, offsets, weights, width, panels)
+        return -_eigenbasis_panel_sum(cert1.eigh(A1), P, offsets, weights, width, panels)
 
     # panel m is L^m K R^m (see the docstring)
     def right(left, t):
@@ -361,15 +455,16 @@ def bochner_quadrature(A1, A2, P, horizon, nodes, cert=None):
     return -acc
 
 
-def _eigenbasis_panel_sum(A, P, offsets, weights, width, panels):
+def _eigenbasis_panel_sum(eigen, P, offsets, weights, width, panels):
     """The composite rule of :func:`bochner_quadrature` for A1 = A2 = A
-    exactly symmetric, summed entrywise in A's eigenbasis.
+    exactly symmetric, summed entrywise in A's eigenbasis
+    ``eigen = (d, V)``.
 
     With ``A = V diag(d) V'`` and ``S_ij = d_i + d_j``, the integrand at t
     is ``V (exp(S t) o V' P V) V'``; the first panel's weighted node sum
     is ``K = sum_k w_k exp(S s_k)`` and panel m is ``exp(S width)^m o K``.
     """
-    d, V = np.linalg.eigh(A)
+    d, V = eigen
     S = d[:, None] + d[None, :]
     K = np.zeros_like(S)
     for s, w in zip(offsets, weights):

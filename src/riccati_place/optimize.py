@@ -691,7 +691,9 @@ def beta_sweep(cfg, betas, p0, ledger=None):
 
     A ledger (device constants + model fields) enables the per-beta
     contraction report; rows carry failure markers instead of raising when a
-    single beta fails.
+    single beta fails.  A failed row reports the iterations of the best
+    iterate its error carries, and 0 when the error carries none (e.g. a
+    degenerate family, rejected before the first iteration).
     """
     betas = [float(b) for b in betas]
     if any(b <= 0 for b in betas) or any(b2 <= b1 for b1, b2 in zip(betas, betas[1:])):
@@ -716,7 +718,7 @@ def beta_sweep(cfg, betas, p0, ledger=None):
                                  trace_gap=math.nan, cost=math.nan,
                                  trace_term=math.nan, penalty_term=math.nan,
                                  xlx_norm=math.nan, k=k, is_contraction=is_k,
-                                 converged=False, iterations=cfg.max_iter,
+                                 converged=False, iterations=0,
                                  stationarity_residual=math.nan,
                                  failed=True, error=error))
             continue

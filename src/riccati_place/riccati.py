@@ -9,7 +9,8 @@ Note the operator ordering: A multiplies X from the *left* (the transposed
 form A.T X + X A of classical LQR is obtained by transposing everything).
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import List, Optional
 
 import numpy as np
@@ -17,12 +18,13 @@ import scipy.linalg as spla
 
 from .errors import ClosedLoopUnstable, NewtonStall, UnstableGenerator
 from .linalg import (
-    _exceeds,
     _norm_bounds,
+    _relative_within,
     _residual_within,
     bochner_quadrature,
     check_psd,
     ensure_operator,
+    low_rank_psd,
     norm_within,
     operator_norm,
     psd_flags,
@@ -44,12 +46,24 @@ CAPACITANCE_MAX_RANK = 3
 
 @dataclass
 class RiccatiSolution:
+    """A Riccati solution X and what its solve did.
+
+    ``strong_residual`` is ``riccati_residual(A, G, Q, X)``, computed on
+    first read and cached; ``operands`` holds references to (A, G, Q) for
+    it, so the residual matrix itself is not kept.
+    """
+
     X: np.ndarray
     newton_iters: int
-    strong_residual: float
     trace_bound_slack: float
+    operands: tuple = field(repr=False, compare=False)
     schur_steps: int = 0  # Newton steps solved on a Schur form; not reported
     history: Optional[List[np.ndarray]] = None
+
+    @cached_property
+    def strong_residual(self):
+        """Operator norm of the strong residual at X."""
+        return riccati_residual(*self.operands, self.X)
 
 
 @dataclass(frozen=True)
@@ -64,9 +78,13 @@ class AREVerification:
     psd: bool
 
 
+def _residual_matrix(A, G, Q, X):
+    return A @ X + X @ A.T - X @ G @ X + Q
+
+
 def riccati_residual(A, G, Q, X):
     """Operator norm of A X + X A.T - X G X + Q."""
-    return operator_norm(A @ X + X @ A.T - X @ G @ X + Q)
+    return operator_norm(_residual_matrix(A, G, Q, X))
 
 
 class _SchurKernel:
@@ -127,32 +145,31 @@ class _EigenbasisKernel(_SchurKernel):
         self.Qb = symmetrize(self.into(Q))
 
     @classmethod
-    def build(cls, A, G, Q, eigh_G, lam_Q):
+    def build(cls, A, G, Q, factor, lam_Q, cert):
         """The kernel for (A, G, Q), or None unless A is stable, Q positive
-        definite, G of numerical rank 1 to CAPACITANCE_MAX_RANK (eigenvalues
-        above ``n eps lambda_max``) and the rest of G's spectrum too small
-        to matter.  A must be exactly symmetric; ``eigh_G`` is ``eigh(G)``
-        and ``lam_Q`` is ``eigvalsh(Q)``, as :func:`check_psd` returns them.
+        definite, ``factor`` a pair ``(B, e)`` with ``G = B B' + E``,
+        ``||E|| <= e`` and 1 to CAPACITANCE_MAX_RANK columns in B, and E
+        too small to matter.  A must be exactly symmetric; its eigenbasis
+        comes from ``cert.eigh(A)`` (the pair kept on A's certificate),
+        ``lam_Q`` is ``eigvalsh(Q)`` as :func:`check_psd` returns it, and
+        ``factor`` comes from :func:`low_rank_psd` or :func:`_spectral_factor`.
 
-        The steps solve for ``B B' = G - E``, E the dropped eigenvalues, but
-        the strong residual is read with G, so at the limit it carries
-        ``X E X``.  X lies below the Lyapunov solution of (A, Q), whose norm
-        is at most ``||Q|| / (2 |d_max|)``; the kernel is taken only when
-        that bound keeps ``||X E X||`` within 1 % of the residual gate."""
-        floor = A.shape[0] * np.finfo(float).eps
-        w, U = eigh_G
-        keep = w > floor * w[-1]
-        if not 0 < np.count_nonzero(keep) <= CAPACITANCE_MAX_RANK:
+        The steps solve for ``B B' = G - E``, but the strong residual is
+        read with G, so at the limit it carries ``X E X``.  X lies below the
+        Lyapunov solution of (A, Q), whose norm is at most
+        ``||Q|| / (2 |d_max|)``; the kernel is taken only when that bound
+        keeps ``||X E X||`` within 1 % of the residual gate."""
+        B, dropped = factor
+        if not 0 < B.shape[1] <= CAPACITANCE_MAX_RANK:
             return None
-        if not lam_Q[0] > floor * lam_Q[-1]:
+        if not lam_Q[0] > A.shape[0] * np.finfo(float).eps * lam_Q[-1]:
             return None
-        d, V = np.linalg.eigh(A)
+        d, V = cert.eigh(A)
         if d[-1] >= 0.0:
             return None
-        dropped = np.max(np.abs(w[~keep]), initial=0.0)
         if dropped * (lam_Q[-1] / (2.0 * d[-1])) ** 2 > 0.01 * RESIDUAL_RTOL * (1.0 + lam_Q[-1]):
             return None
-        return cls(A, G, Q, V, d, V.T @ (U[:, keep] * np.sqrt(w[keep])), lam_Q[0])
+        return cls(A, G, Q, V, d, V.T @ B, lam_Q[0])
 
     def into(self, X):
         return self.V.T @ X @ self.V
@@ -206,6 +223,28 @@ class _EigenbasisKernel(_SchurKernel):
         return self.C * (S + T + T.T)
 
 
+def _spectral_factor(eigh_G):
+    """``(B, e)`` for the kernel's gate from ``eigh(G)``: B spans the
+    eigenvalues above ``n eps lambda_max`` and e is the largest magnitude
+    of the others."""
+    w, U = eigh_G
+    keep = w > w.size * np.finfo(float).eps * w[-1]
+    return U[:, keep] * np.sqrt(w[keep]), float(np.max(np.abs(w[~keep]), initial=0.0))
+
+
+def _eigenbasis_kernel(A, G, Q, cholesky, spectrum_G, lam_Q, cert):
+    """The eigenbasis kernel for an exactly symmetric A, or None.  The gate
+    reads G's pivoted-Cholesky factor ``cholesky`` when there is one; when
+    it is None or fails the gate, the gate reads ``eigh(G)``
+    (``spectrum_G``, or from :func:`check_psd` when that is None too)."""
+    kernel = cholesky and _EigenbasisKernel.build(A, G, Q, cholesky, lam_Q, cert)
+    if not kernel:
+        if spectrum_G is None:
+            spectrum_G = check_psd(G, "G", vectors=True)
+        kernel = _EigenbasisKernel.build(A, G, Q, _spectral_factor(spectrum_G), lam_Q, cert)
+    return kernel
+
+
 def solve_are(A, G, Q, tol=DEFAULT_STEP_TOL, cert=None, keep_history=False, X0=None):
     """Solve the Riccati equation by Newton-Kleinman from X0 (default 0).
 
@@ -214,19 +253,25 @@ def solve_are(A, G, Q, tol=DEFAULT_STEP_TOL, cert=None, keep_history=False, X0=N
         (A - Xk G) X_{k+1} + X_{k+1} (A - Xk G).T = -(Xk G Xk + Q).
 
     When A is exactly symmetric and stable, Q positive definite and G of
-    numerical rank 1 to CAPACITANCE_MAX_RANK (its other eigenvalues too
-    small to move the residual test below), the steps run in A's
-    eigenbasis on a rank-r capacitance system, and each is kept only when
-    Lyapunov's theorem proves its closed loop stable (see
-    :class:`_EigenbasisKernel`); an unproved step is solved again as below.
+    numerical rank 1 to CAPACITANCE_MAX_RANK (the rest of G too small to
+    move the residual test below), the steps run in A's eigenbasis on a
+    rank-r capacitance system, and each is kept only when Lyapunov's
+    theorem proves its closed loop stable (see :class:`_EigenbasisKernel`);
+    an unproved step is solved again as below.  The eigenbasis is the pair
+    kept on A's certificate, and G's factor comes from at most
+    CAPACITANCE_MAX_RANK pivoted Cholesky steps (:func:`low_rank_psd`),
+    which also prove G PSD; ``eigh(G)`` runs only when they leave the PSD
+    test or the kernel's gate open.
     Otherwise each step is solved from one real Schur factorization of the
     closed loop ``A - Xk G``, which also certifies its spectrum:
     ClosedLoopUnstable is raised when that spectrum leaves the open left
     half-plane.  Iteration stops once the step norm is <= tol *and* the
     strong residual (original basis, true G) is within
-    ``1e-10 (1 + ||Q||)``, with ``||Q||`` taken from Frobenius bounds (an
-    SVD only when they leave that test open).  ``schur_steps`` on the
-    solution counts the steps solved on a Schur form.
+    ``1e-10 (1 + ||Q||)``.  Both tests are decided as SVDs would decide
+    them, from norm bounds, with an SVD only where the bounds leave a test
+    open; the solution's ``strong_residual`` is computed when first read.
+    ``schur_steps`` on the solution counts the steps solved on a Schur
+    form.
     X0 = 0 is admissible because A itself is required to be stable
     (certified on entry); any other X0 must keep A - X0 G stable (e.g. a warm
     start from a nearby instance).
@@ -235,24 +280,27 @@ def solve_are(A, G, Q, tol=DEFAULT_STEP_TOL, cert=None, keep_history=False, X0=N
     ----------
     cert : StabilityCertificate, optional
         Reuse a certificate for A instead of recomputing one.  The trace
-        bound slack ``M^2/(2 alpha) tr(Q) - tr(X)`` is evaluated with it.
+        bound slack ``M^2/(2 alpha) tr(Q) - tr(X)`` is evaluated with it,
+        and the eigenbasis kernel takes A's eigenbasis from it (see
+        ``StabilityCertificate.eigh``).
     keep_history : bool
         Record the iterate sequence (X1, X2, ...) on the solution.
     """
     A = ensure_operator(A, "A")
     G = ensure_operator(G, "G")
     Q = ensure_operator(Q, "Q")
-    # the PSD tests hand their spectra on to the eigenbasis kernel's gate,
-    # which reads G's eigenvectors only for an exactly symmetric A
+    # for a symmetric A, pivoted Cholesky proves G PSD and hands its factor
+    # to the eigenbasis kernel's gate; check_psd decides what it leaves open
     symmetric = np.array_equal(A, A.T)
-    spectrum_G = check_psd(G, "G", vectors=symmetric)
+    cholesky = low_rank_psd(G, CAPACITANCE_MAX_RANK, "G") if symmetric else None
+    spectrum_G = None if cholesky else check_psd(G, "G", vectors=symmetric)
     lam_Q = check_psd(Q, "Q")
     if tol <= 0.0:
         raise ValueError("tol must be positive")
     if cert is None:
         cert = certify_stability(A)  # raises UnstableGenerator
     Q_bounds = _norm_bounds(Q)
-    kernel = symmetric and _EigenbasisKernel.build(A, G, Q, spectrum_G, lam_Q)
+    kernel = symmetric and _eigenbasis_kernel(A, G, Q, cholesky, spectrum_G, lam_Q, cert)
     kernel = kernel or _SchurKernel(A, G, Q)
 
     n = A.shape[0]
@@ -267,8 +315,7 @@ def solve_are(A, G, Q, tol=DEFAULT_STEP_TOL, cert=None, keep_history=False, X0=N
             history.append(np.array(kernel.out(Xb)))
         if norm_within(step, tol):
             X = kernel.out(Xb)
-            residual = riccati_residual(A, G, Q, X)
-            if not _exceeds(residual, RESIDUAL_RTOL, Q, Q_bounds):
+            if _relative_within(_residual_matrix(A, G, Q, X), RESIDUAL_RTOL, Q, Q_bounds):
                 break
     else:
         raise NewtonStall(
@@ -278,8 +325,8 @@ def solve_are(A, G, Q, tol=DEFAULT_STEP_TOL, cert=None, keep_history=False, X0=N
     return RiccatiSolution(
         X=X,
         newton_iters=k,
-        strong_residual=residual,
         trace_bound_slack=cert.M**2 / (2.0 * cert.alpha) * float(np.trace(Q)) - float(np.trace(X)),
+        operands=(A, G, Q),
         schur_steps=kernel.schur_steps,
         history=history,
     )

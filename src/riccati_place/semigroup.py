@@ -6,14 +6,14 @@ decay-rate bound in the package is parameterized by these two constants, so
 they are manufactured here once and passed around explicitly.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
 
 from .errors import UnstableGenerator
 from .linalg import (
-    NORM_BOUND_MARGIN,
+    _brackets,
     check_psd,
     ensure_operator,
     matrix_exponential,
@@ -26,7 +26,6 @@ GRID_POINTS = 1000
 FRESH_GRID_POINTS = 500
 DECAY_SLACK = 1.0 + 1e-9
 CHUNK_POINTS = 128  # time points per stack held in memory
-POWER_STEPS = 3     # power steps on S'S behind each lower norm bound
 
 
 @dataclass(frozen=True)
@@ -39,6 +38,13 @@ class StabilityCertificate:
     on a fresh grid.  ``unperturbed_bound_holds`` is only set by
     :func:`perturbed_certificate` and records whether the original
     certificate still bounded the perturbed semigroup on the fresh grid.
+
+    ``eigenbasis`` is ``(A, d, V)`` with ``A = V diag(d) V'`` when A is
+    exactly symmetric: the array the certificate was made from (a
+    reference, not a copy) and its ``eigh``, so that :meth:`eigh` hands the
+    pair on instead of decomposing A again.  It takes no part in equality or
+    ``repr`` and is not a reported constant.  The certificate describes A
+    as it was certified; an A changed in place afterwards needs a new one.
     """
 
     M: float
@@ -47,6 +53,17 @@ class StabilityCertificate:
     sample_count: int
     unperturbed_bound_holds: Optional[bool] = None
     method: str = "sampled"
+    eigenbasis: Optional[tuple] = field(default=None, compare=False, repr=False)
+
+    def eigh(self, A):
+        """``(d, V)`` with ``A = V diag(d) V'`` for an exactly symmetric A:
+        the kept pair when A is the certified array or equal to it,
+        otherwise a fresh ``np.linalg.eigh(A)``."""
+        if self.eigenbasis is not None:
+            certified, d, V = self.eigenbasis
+            if A is certified or np.array_equal(A, certified):
+                return d, V
+        return np.linalg.eigh(A)
 
 
 def _log_norm_proves(A, alpha):
@@ -77,28 +94,6 @@ def _chunks(count):
 def _opnorms(S):
     """Largest singular value of each matrix of the stack S."""
     return np.linalg.svd(S, compute_uv=False)[:, 0]
-
-
-def _brackets(S):
-    """Bounds ``lo <= _opnorms(S) <= hi`` without an SVD.
-
-    With B = S'S: ``hi = ||B||_F^(1/2)``, and ``lo = ||B x||^(1/2)`` for a
-    unit x after a few power steps, started from B's largest column.  Each
-    matrix is first scaled by a power of two (exactly) so that B can neither
-    overflow nor underflow.  Both bounds are widened by NORM_BOUND_MARGIN,
-    far above their rounding, so a comparison they settle is the SVD's own.
-    """
-    _, exponent = np.frexp(np.abs(S).max(axis=(1, 2)))
-    S = np.ldexp(S, -exponent[:, None, None])
-    B = np.matmul(S.transpose(0, 2, 1), S)
-    hi = np.sqrt(np.sqrt(np.einsum("kij,kij->k", B, B)))
-    x = B[np.arange(len(B)), :, np.einsum("kij,kij->kj", B, B).argmax(axis=1)]
-    for _ in range(POWER_STEPS):
-        size = np.linalg.norm(x, axis=1)
-        x = np.matmul(B, (x / np.where(size > 0.0, size, 1.0)[:, None])[:, :, None])[:, :, 0]
-    lo = np.sqrt(np.linalg.norm(x, axis=1))
-    return (np.ldexp(lo * (1.0 - NORM_BOUND_MARGIN), exponent),
-            np.ldexp(hi * (1.0 + NORM_BOUND_MARGIN), exponent))
 
 
 def _grid_sup(stacks, ts, weights):
@@ -149,8 +144,11 @@ def certify_stability(A):
     ``||exp(A t)|| exp(alpha t) <= 1`` for every t >= 0, with equality at
     t = 0, so the grid sup below would be exactly 1: M is ``M_HEADROOM`` and
     no grid is sampled (``method="log_norm"``).  This covers every stable
-    symmetric A, whose spectral abscissa is its largest ``eigvalsh``
-    eigenvalue, so the test needs no second eigendecomposition.
+    exactly symmetric A, whose spectral abscissa is its largest eigenvalue,
+    so the test needs no second eigendecomposition.  Such an A is
+    decomposed by one ``eigh``, and the certificate keeps the pair (see
+    ``StabilityCertificate.eigenbasis``) for the Riccati kernel and the
+    quadrature, which would otherwise decompose A again.
 
     Otherwise M is the sup of ``||exp(A t)|| exp(alpha t)`` over a
     1000-point log-spaced grid on ``[0, horizon]``, rounded up by 1%, and the
@@ -167,17 +165,18 @@ def certify_stability(A):
     """
     A = ensure_operator(A, "A")
     # a symmetric A has lambda_max((A + A')/2) = sigma <= -alpha: its
-    # certificate is the log-norm proof, from one eigvalsh
+    # certificate is the log-norm proof, from one eigh
     symmetric = np.array_equal(A, A.T)
-    eigen = None if symmetric else np.linalg.eig(A)
-    sigma = float(np.linalg.eigvalsh(A)[-1] if symmetric else np.max(eigen[0].real))
+    eigen = np.linalg.eigh(A) if symmetric else np.linalg.eig(A)
+    sigma = float(eigen[0][-1] if symmetric else np.max(eigen[0].real))
     if sigma >= 0.0:
         raise UnstableGenerator(f"spectral abscissa {sigma:.3e} >= 0")
     alpha = ALPHA_SAFETY * (-sigma)
     horizon = 20.0 / alpha
     if symmetric or _log_norm_proves(A, alpha):
         return StabilityCertificate(M=M_HEADROOM, alpha=alpha, sample_horizon=horizon,
-                                    sample_count=FRESH_GRID_POINTS, method="log_norm")
+                                    sample_count=FRESH_GRID_POINTS, method="log_norm",
+                                    eigenbasis=(A, *eigen) if symmetric else None)
 
     stacks = _semigroup(A, eigen)
     ts = _log_grid(horizon, GRID_POINTS)

@@ -12,6 +12,7 @@ from riccati_place.linalg import (
     bochner_quadrature,
     check_psd,
     check_symmetric,
+    low_rank_psd,
     matrix_exponential,
     norm_within,
     norms,
@@ -170,6 +171,69 @@ class TestNormWithin:
         assert len(svds) == 0
 
 
+    def test_frobenius_norm_is_numpys_bit_for_bit(self, rng):
+        T = rng.standard_normal((9, 7))
+        for view in (T, T.T, T[::2, 1::3], np.asfortranarray(T), T[:1, :1], T[:0, :0]):
+            assert linalg._frobenius(view) == float(np.linalg.norm(view))
+
+    def test_power_brackets_decide_between_frobenius_bounds(self, monkeypatch):
+        # ||R|| = 1 and ||R||_F = 1.5 at n = 6: tolerances 0.9 and 1.2 lie
+        # between the Frobenius bounds 0.61 and 1.5, and the power-step
+        # brackets (lower ~1, upper ||R'R||_F^(1/2) = 1.07) settle both
+        R = np.diag([1.0, 0.5, 0.5, 0.5, 0.5, 0.5])
+        lo, hi = linalg._norm_bounds(R)
+        assert lo < 0.9 and 1.2 < hi
+        norms_taken = count_calls(monkeypatch, "operator_norm", linalg)
+        assert norm_within(R, 1.2) and not norm_within(R, 0.9)
+        assert len(norms_taken) == 0
+        # a tolerance inside the power-step brackets is left to the SVD
+        assert norm_within(R, 1.0) and not norm_within(R, np.nextafter(1.0, 0.0))
+        assert len(norms_taken) == 2
+
+
+class TestLowRankPsd:
+    @pytest.mark.parametrize("rank", [1, 2, 3])
+    def test_factors_low_rank_psd(self, rank, rng):
+        T = rand_psd(8, rng, rank=rank)
+        B, dropped = low_rank_psd(T, 3, "T")
+        assert B.shape == (8, rank)
+        assert operator_norm(T - B @ B.T) <= dropped <= 1e-13 * operator_norm(T)
+
+    def test_rank_above_the_cap_is_left_to_check_psd(self, rng):
+        assert low_rank_psd(rand_psd(8, rng, rank=4), 3, "T") is None
+        assert low_rank_psd(rand_psd(8, rng, rank=4), 4, "T") is not None
+
+    def test_indefinite_or_zero_is_left_to_check_psd(self):
+        assert low_rank_psd(np.diag([1.0, -1.0]), 3, "T") is None
+        assert low_rank_psd(np.diag([1.0, 1e-9]), 1, "T") is None
+        B, dropped = low_rank_psd(np.zeros((3, 3)), 3, "T")
+        assert B.shape == (3, 0) and dropped == 0.0
+
+    def test_overflow_is_left_to_check_psd(self):
+        # ||T||_F is finite, but the first step's outer product overflows
+        T = np.array([[1e-200, 1e150], [1e150, 1e-200]])
+        with np.errstate(over="ignore"):
+            assert low_rank_psd(T, 3, "T") is None
+        with pytest.raises(ValueError, match="not PSD"):
+            check_psd(T, "T")
+
+    def test_small_remainder_is_proved_psd(self):
+        # -5e-11 is inside the PSD tolerance 1e-10 (1 + ||T||): T is PSD
+        # under check_psd's test, and the remainder bound says so
+        T = np.diag([1.0, -5e-11])
+        check_psd(T, "T")
+        B, dropped = low_rank_psd(T, 3, "T")
+        assert B.shape == (2, 1) and 5e-11 <= dropped <= 5.1e-11
+
+    def test_asymmetry_raises_as_check_psd(self):
+        skew = np.array([[1.0, 1.0], [0.0, 1.0]])
+        with pytest.raises(ValueError) as expected:
+            check_psd(skew, "G")
+        with pytest.raises(ValueError) as err:
+            low_rank_psd(skew, 3, "G")
+        assert str(err.value) == str(expected.value)
+
+
 class TestSymmetryAndPsdGates:
     def test_symmetric_psd_input_takes_no_svd(self, monkeypatch, rng):
         T = rand_psd(6, rng)
@@ -248,6 +312,37 @@ class TestBochnerQuadrature:
             bochner_quadrature(np.array([[-0.1]]), np.array([[-0.1]]),
                                np.array([[1.0]]), horizon=1.0, nodes=64)
 
+    def test_tail_test_reads_the_frobenius_bound_first(self, monkeypatch):
+        # ||P||_F = 2 and ||P|| = 1: a horizon whose tail bound is 1e-8 at
+        # ||P|| = 1.5 passes on the SVD alone, one at ||P|| = 0.5 on the
+        # Frobenius bound, and one at ||P|| = 0.9 fails with the SVD's norm
+        A, P = -np.eye(4), np.eye(4)
+        cert = semigroup.certify_stability(A)
+
+        def horizon(norm_P):
+            m, a = cert.M, cert.alpha
+            return np.log(m**2 * norm_P / (2e-8 * a)) / (2.0 * a)
+
+        norms_taken = count_calls(monkeypatch, "operator_norm", linalg)
+        bochner_quadrature(A, A, P, horizon(2.5), nodes=64, cert=cert)
+        assert len(norms_taken) == 0
+        bochner_quadrature(A, A, P, horizon(1.5), nodes=64, cert=cert)
+        assert len(norms_taken) == 1
+        with pytest.raises(HorizonTooShort, match=f"need horizon >= {horizon(1.0):.3g}$"):
+            bochner_quadrature(A, A, P, horizon(0.9), nodes=64, cert=cert)
+
+    def test_eigenbasis_of_another_generator_is_not_read(self):
+        A = heat1d(16)[0]
+        P = -np.eye(16)
+        cert = semigroup.certify_stability(A)
+        forged = semigroup.StabilityCertificate(
+            **{**vars(cert), "eigenbasis": semigroup.certify_stability(2.0 * A).eigenbasis})
+        bare = semigroup.StabilityCertificate(**{**vars(cert), "eigenbasis": None})
+        ref = bochner_quadrature(A, A, P, 20.0 / cert.alpha, nodes=200, cert=cert)
+        for other in (forged, bare):
+            assert np.array_equal(
+                bochner_quadrature(A, A, P, 20.0 / cert.alpha, nodes=200, cert=other), ref)
+
     def test_equal_generators_certified_once(self, monkeypatch, rng):
         # the oracle imports certify_stability from semigroup at call time
         calls = count_calls(monkeypatch, "certify_stability", semigroup)
@@ -308,7 +403,8 @@ class TestBochnerQuadrature:
             eigh.clear()
             bochner_quadrature(A, A, -np.eye(len(A)), horizon=20.0 / cert.alpha,
                                nodes=200, cert=cert)
-            assert (len(expm), len(eigh)) == (0, 1)
+            # the eigenbasis is the one kept on A's certificate
+            assert (len(expm), len(eigh)) == (0, 0)
 
     def test_symmetric_to_rounding_takes_the_exponentials(self, monkeypatch, rng):
         # Q diag Q' is symmetric only to rounding, so it keeps the factored path

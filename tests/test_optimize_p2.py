@@ -360,6 +360,16 @@ class TestBetaSweep:
         for row in report.rows:
             assert row.trace_gap <= cfg.tol
 
+    def test_row_failing_before_iterating_reports_no_iterations(self):
+        # a constant family has a singular Gram matrix: solve_p2 raises
+        # DegenerateFamily before its first iteration
+        cfg = Problem2Config(A=-np.eye(3), Q=np.eye(3), W=np.eye(3),
+                             family=ConstantFamily(matrix=np.eye(3)), beta=1.0,
+                             gamma=1.0, max_iter=500)
+        report = beta_sweep(cfg, [10.0, 100.0], [0.3])
+        assert [(r.failed, r.iterations) for r in report.rows] == [(True, 0), (True, 0)]
+        assert all(r.error.startswith("dG*dG numerically singular") for r in report.rows)
+
     def test_ledger_enables_contraction_columns(self, p2_problem):
         cfg = p2_problem
         led = unit_ledger()

@@ -4,7 +4,13 @@ import scipy.linalg as spla
 
 from riccati_place import GaussianActuators, Problem2Config, linalg, riccati, semigroup
 from riccati_place.errors import ClosedLoopUnstable, NewtonStall, UnstableGenerator
-from riccati_place.linalg import _residual_within, check_psd, operator_norm, solve_sylvester
+from riccati_place.linalg import (
+    _residual_within,
+    check_psd,
+    low_rank_psd,
+    operator_norm,
+    solve_sylvester,
+)
 from riccati_place.riccati import (
     riccati_residual,
     solve_are,
@@ -18,9 +24,11 @@ from conftest import count_calls, heat1d, rand_psd, rand_stable, rand_stable_sym
 
 
 def eigenbasis_kernel(A, G, Q):
-    """The eigenbasis kernel for (A, G, Q), or None, built from the spectra
-    that solve_are's PSD tests hand it."""
-    return riccati._EigenbasisKernel.build(A, G, Q, check_psd(G, vectors=True), check_psd(Q))
+    """The eigenbasis kernel for (A, G, Q), or None, gated as solve_are
+    gates it: on G's pivoted-Cholesky factor, then on eigh(G)."""
+    cholesky = low_rank_psd(G, riccati.CAPACITANCE_MAX_RANK, "G")
+    return riccati._eigenbasis_kernel(A, G, Q, cholesky, None, check_psd(Q),
+                                      certify_stability(A))
 
 
 def scalar(x):
@@ -213,7 +221,8 @@ class TestEigenbasisKernel:
         assert sol.strong_residual <= 1e-10 * 2.0
 
     def test_one_spectrum_of_each_input_per_call(self, monkeypatch):
-        # the PSD tests of G and Q hand their spectra on to the kernel's gate
+        # A's eigenbasis comes from its certificate and G's factor from
+        # pivoted Cholesky; only Q's PSD test takes a spectrum
         A, grid = heat1d(64)
         G = GaussianActuators(grid=grid, sigma=0.12).G([0.3])
         Q = np.eye(64)
@@ -228,7 +237,7 @@ class TestEigenbasisKernel:
             return sorted(next((name for name, T in inputs.items() if args[0] is T), "other")
                           for args in calls)
 
-        assert (decomposed(eigh), decomposed(eigvalsh)) == (["A", "G"], ["Q"])
+        assert (decomposed(eigh), decomposed(eigvalsh)) == ([], ["Q"])
 
     @pytest.mark.parametrize("symmetric_A", [True, False])
     def test_non_psd_inputs_keep_their_messages(self, symmetric_A):
@@ -306,6 +315,68 @@ class TestEigenbasisKernel:
         _, cold, _ = solve_state_pair(cfg, [0.3])
         _, warm, _ = solve_state_pair(cfg, [0.3], X0=-1e3 * np.eye(16))
         assert np.array_equal(warm.X, cold.X)
+
+
+class TestSpectralWork:
+    """A's eigenbasis comes from its certificate, G's factor from pivoted
+    Cholesky, and the strong residual is read only when asked for."""
+
+    @staticmethod
+    def heat_path(n=64, placements=4):
+        A, grid = heat1d(n)
+        family = GaussianActuators(grid=grid, sigma=0.12)
+        return A, [family.G([p]) for p in np.linspace(0.2, 0.8, placements)], np.eye(n)
+
+    def test_warm_path_takes_no_spectrum_of_A_or_G_and_no_svd(self, monkeypatch):
+        A, Gs, Q = self.heat_path()
+        cert = certify_stability(A)
+        eigh = count_calls(monkeypatch, "eigh", np.linalg)
+        eigvalsh = count_calls(monkeypatch, "eigvalsh", np.linalg)
+        svd = count_calls(monkeypatch, "svd", np.linalg)
+        norms = count_calls(monkeypatch, "operator_norm", linalg, riccati)
+        sols, X = [], None
+        for G in Gs:
+            sols.append(solve_are(A, G, Q, cert=cert, X0=X))
+            X = sols[-1].X
+        assert [s.schur_steps for s in sols] == [0] * len(Gs)
+        assert (len(eigh), len(svd), len(norms)) == (0, 0, 0)
+        assert [args[0] is Q for args in eigvalsh] == [True] * len(Gs)
+        assert all("strong_residual" not in vars(s) for s in sols)
+
+        verify_are(A, Gs[-1], Q, sols[-1], cert, horizon=20.0 / cert.alpha, nodes=200)
+        assert len(eigh) == 0
+        assert not any(args[0] is A for args in eigvalsh)
+        for G, sol in zip(Gs, sols):
+            assert sol.strong_residual == riccati_residual(A, G, Q, sol.X)
+            assert sol.strong_residual <= 1e-10 * 2.0
+
+    def test_certificate_of_another_generator_gives_the_same_solution(self):
+        # a certificate whose eigenbasis belongs to another symmetric A is
+        # not read: A is decomposed again, as with no certificate at all
+        A, (G, *_), Q = self.heat_path(n=16)
+        other = certify_stability(2.0 * A)
+        forged = semigroup.StabilityCertificate(
+            **{**vars(certify_stability(A)), "eigenbasis": other.eigenbasis})
+        bare = semigroup.StabilityCertificate(
+            **{**vars(certify_stability(A)), "eigenbasis": None})
+        ref = solve_are(A, G, Q)
+        for cert in (other, forged, bare):
+            sol = solve_are(A, G, Q, cert=cert)
+            assert sol.schur_steps == 0
+            assert np.array_equal(sol.X, ref.X)
+        # an equal copy of A still reads the kept pair
+        assert np.array_equal(solve_are(A.copy(), G, Q, cert=certify_stability(A)).X, ref.X)
+
+    def test_strong_residual_is_computed_on_first_read(self, monkeypatch):
+        A, (G, *_), Q = self.heat_path(n=16)
+        sol = solve_are(A, G, Q, cert=certify_stability(A))
+        assert sol.operands[0] is A and sol.operands[1] is G and sol.operands[2] is Q
+        assert "strong_residual" not in vars(sol) and "operands" not in repr(sol)
+        norms = count_calls(monkeypatch, "operator_norm", riccati)
+        first = sol.strong_residual
+        assert len(norms) == 1
+        assert first == riccati_residual(A, G, Q, sol.X)
+        assert sol.strong_residual == first and len(norms) == 2  # the read is cached
 
 
 class TestVerifyAre:

@@ -200,20 +200,45 @@ class TestCertificateKernel:
         assert certificate_holds(cert, skew)
         assert len(svd) == 0
 
-    def test_symmetric_generator_takes_one_eigvalsh(self, monkeypatch):
-        eigvalsh = count_calls(monkeypatch, "eigvalsh", np.linalg)
-        others = [count_calls(monkeypatch, name, np.linalg) for name in ("eig", "eigvals")]
+    def test_symmetric_generator_takes_one_eigh(self, monkeypatch):
+        eigh = count_calls(monkeypatch, "eigh", np.linalg)
+        others = [count_calls(monkeypatch, name, np.linalg)
+                  for name in ("eig", "eigvals", "eigvalsh")]
         assert certify_stability(heat(16)).method == "log_norm"
-        assert (len(eigvalsh), [len(c) for c in others]) == (1, [0, 0])
+        assert (len(eigh), [len(c) for c in others]) == (1, [0, 0, 0])
 
     @pytest.mark.parametrize("n", [16, 256])
     def test_heat_certificate_is_the_log_norm_proof(self, n):
         A = heat(n)
         cert = certify_stability(A)
-        alpha = semigroup.ALPHA_SAFETY * -float(np.linalg.eigvalsh(A)[-1])
+        alpha = semigroup.ALPHA_SAFETY * -float(np.linalg.eigh(A)[0][-1])
         assert cert == StabilityCertificate(
             M=1.01, alpha=alpha, sample_horizon=20.0 / alpha, sample_count=500,
             method="log_norm")
+
+    def test_symmetric_certificate_keeps_its_eigenbasis(self, monkeypatch):
+        A = heat(16)
+        cert = certify_stability(A)
+        kept, d, V = cert.eigenbasis
+        assert kept is A and np.allclose(V @ np.diag(d) @ V.T, A, rtol=0.0, atol=1e-10)
+        eigh = count_calls(monkeypatch, "eigh", np.linalg)
+        for same in (A, A.copy()):
+            assert all(x is y for x, y in zip(cert.eigh(same), (d, V)))
+        assert len(eigh) == 0
+        other = 2.0 * A
+        assert np.array_equal(cert.eigh(other)[0], np.linalg.eigh(other)[0])
+        assert len(eigh) == 2
+        # the pair takes no part in equality, repr or the reported constants
+        bare = StabilityCertificate(M=cert.M, alpha=cert.alpha,
+                                    sample_horizon=cert.sample_horizon,
+                                    sample_count=cert.sample_count, method=cert.method)
+        assert cert == bare and hash(cert) == hash(bare) and repr(cert) == repr(bare)
+        assert bare.eigenbasis is None and np.array_equal(bare.eigh(A)[0], d)
+
+    def test_non_symmetric_certificate_keeps_no_eigenbasis(self):
+        skew = np.array([[-1.0, 0.1], [-0.1, -2.0]])
+        for A in (skew, convection_diffusion(16)):
+            assert certify_stability(A).eigenbasis is None
 
     def test_certificate_holds_decides_as_the_svd(self, rng):
         for A in (convection_diffusion(16), rand_stable(6, rng)):

@@ -313,7 +313,7 @@ def _cmd_solve_are(cfg, out_dir):
     sol = solve_are(problem.A, G, problem.Q, cert=problem.cert)
     horizon = cfg.horizon if cfg.horizon is not None else 20.0 / problem.cert.alpha
     ver = verify_are(problem.A, G, problem.Q, sol, problem.cert, horizon, cfg.nodes)
-    dsol = solve_dual(problem.A, G, sol.X, problem.W)
+    dsol = solve_dual(problem.A, G, sol, problem.W)
     dver = verify_dual(dsol, dsol.closed_loop_cert, problem.W, nodes=cfg.nodes)
     write_report(out_dir, "report.json", {
         "placement": p0,
@@ -434,7 +434,7 @@ def _cmd_verify_bounds(cfg, out_dir):
         G = family.G(p)
         sol = solve_are(problem.A, G, problem.Q, cert=problem.cert)
         trace_ok &= sol.trace_bound_slack >= -1e-9
-        dsol = solve_dual(problem.A, G, sol.X, problem.W)
+        dsol = solve_dual(problem.A, G, sol, problem.W)
         dual_ok &= dsol.norm_bound_slack >= -1e-9
     payload = {
         "x_lipschitz_pass": lip.x_pass,

@@ -303,10 +303,16 @@ def sample_box(domain, count, rng):
 
 
 def _unit_directions(dim, rng, extra=8):
+    """The coordinate axes, then ``extra`` random unit vectors, each kept
+    once: a repeat of an earlier direction (for dim = 1 every draw is +-1)
+    adds nothing to a sup over directions.  The same ``extra`` draws are
+    taken from rng either way."""
     dirs = [np.eye(dim)[k] for k in range(dim)]
     for _ in range(extra):
         v = rng.standard_normal(dim)
-        dirs.append(v / np.linalg.norm(v))
+        v = v / np.linalg.norm(v)
+        if not any(np.array_equal(v, u) for u in dirs):
+            dirs.append(v)
     return dirs
 
 
@@ -397,9 +403,9 @@ def estimate_constants(family, domain, samples, seed,
         xlx_norms = []
         for p in points:
             Gp = family.G(p)
-            X = solve_are(A, Gp, Q, cert=cert).X
-            Lam = solve_dual(A, Gp, X, W).Lambda
-            xlx_norms.append(operator_norm(X @ Lam @ X))
+            sol = solve_are(A, Gp, Q, cert=cert)
+            Lam = solve_dual(A, Gp, sol, W).Lambda
+            xlx_norms.append(operator_norm(sol.X @ Lam @ sol.X))
         ledger.mu = float(min(xlx_norms))
         ledger.sup_xlx = float(max(xlx_norms))
         ledger.M = cert.M

@@ -9,21 +9,23 @@ constants belong to the well-posedness analysis, not to the optimality
 system, so the closed loop is certified lazily: only when the bound is read.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
+from typing import Optional
 
 import numpy as np
 
 from .errors import ClosedLoopUnstable, UnstableGenerator
 from .linalg import (
+    SylvesterFactor,
     bochner_quadrature,
     check_psd,
     ensure_operator,
     operator_norm,
     psd_flags,
-    solve_sylvester,
     symmetrize,
 )
+from .riccati import RiccatiSolution, closed_loop_capacitance
 from .semigroup import certify_stability
 
 NORM_BOUND_SLACK = 1e-9
@@ -33,19 +35,39 @@ def _closed_loop_unstable(err):
     return ClosedLoopUnstable(f"A.T - G X is not stable: {err}")
 
 
+def _schur_factor(closed_loop):
+    """The Schur factor of the closed loop ``A' - G X``; ClosedLoopUnstable
+    when its spectrum leaves the open left half-plane."""
+    try:
+        return SylvesterFactor(closed_loop, closed_loop)
+    except UnstableGenerator as err:
+        raise _closed_loop_unstable(err) from err
+
+
 @dataclass
 class DualSolution:
-    """Multiplier of the Riccati constraint.
+    """Multiplier of the Riccati constraint, and the factored closed loop
+    it was solved on.
 
-    ``norm_W``, ``closed_loop_cert`` and ``norm_bound_slack`` are computed
-    on first read and cached; the first read of either of the last two raises
-    ClosedLoopUnstable when the closed loop cannot be certified.
+    ``residual``, ``norm_W``, ``closed_loop_cert`` and ``norm_bound_slack``
+    are computed on first read and cached; the first read of either of the
+    last two raises ClosedLoopUnstable when the closed loop cannot be
+    certified.  :meth:`solve_closed_loop` solves further Lyapunov equations
+    on the closed loop from the same factor: ``capacitance``, the closed
+    loop proved stable and factored in A's eigenbasis, or ``schur``, its
+    real Schur form (built on first need when the capacitance declines).
     """
 
     Lambda: np.ndarray
-    residual: float
     closed_loop: np.ndarray  # A.T - G X
     W: np.ndarray
+    capacitance: Optional[object] = field(default=None, repr=False, compare=False)
+    schur: Optional[SylvesterFactor] = field(default=None, repr=False, compare=False)
+
+    @cached_property
+    def residual(self):
+        """Operator norm of the dual equation's residual at Lambda."""
+        return dual_residual(self.closed_loop, self.Lambda, self.W)
 
     @cached_property
     def norm_W(self):
@@ -67,6 +89,19 @@ class DualSolution:
         bound = cert.M**2 / (2.0 * cert.alpha) * self.norm_W
         return bound - operator_norm(self.Lambda)
 
+    def solve_closed_loop(self, P):
+        """The symmetric Y with ``(A - X G) Y + Y (A - X G)' = P`` for
+        symmetric P, e.g. a state sensitivity ``P = X dG X``.  It is solved
+        on the capacitance when that passes its gates, and otherwise on the
+        Schur form by ``trsyl`` with both transpose flags flipped (the
+        closed loop held is ``A' - G X``)."""
+        Y = None if self.capacitance is None else self.capacitance.solve(P)
+        if Y is None:
+            if self.schur is None:
+                self.schur = _schur_factor(self.closed_loop)
+            Y = self.schur.solve(P, transpose=True)
+        return symmetrize(Y)
+
 
 def dual_residual(closed_loop, Lam, W):
     return operator_norm(closed_loop @ Lam + Lam @ closed_loop.T + W)
@@ -75,27 +110,44 @@ def dual_residual(closed_loop, Lam, W):
 def solve_dual(A, G, X, W):
     """Solve the dual equation for the multiplier Lambda.
 
-    X must be the Riccati solution for (A, G, Q); W symmetric PSD.  Raises
-    ClosedLoopUnstable when the closed loop ``A.T - G X`` has spectrum off
-    the open left half-plane.  Its decay certificate is not built here: the
-    solution certifies the closed loop on the first read of
-    ``closed_loop_cert`` or ``norm_bound_slack``.
+    X is the Riccati solution for (A, G, Q): an array, or the
+    :class:`RiccatiSolution` that ``solve_are`` returned; W symmetric PSD.
+
+    A solution whose solve ran in A's eigenbasis lets the closed loop be
+    proved stable by Lyapunov's theorem and factored through the rank-r
+    capacitance system of the Newton steps, whose transpose is the dual
+    operator's (see :func:`closed_loop_capacitance`): no Schur form.  The
+    multiplier is taken from it when it passes the Sylvester gate (up to
+    two refinements on the same LU) and G's dropped part moves the residual
+    by at most 1 % of the gate.  Otherwise, and always for an array X, the
+    closed loop ``A.T - G X`` is factored into real Schur form (bit for bit
+    as ``solve_sylvester`` solves it), which raises ClosedLoopUnstable when
+    its spectrum leaves the open left half-plane.  Either factor stays on
+    the solution for :meth:`DualSolution.solve_closed_loop`.
+
+    The closed loop's decay certificate is not built here: the solution
+    certifies it on the first read of ``closed_loop_cert`` or
+    ``norm_bound_slack``.
     """
+    solution = X if isinstance(X, RiccatiSolution) else None
     A = ensure_operator(A, "A")
     G = ensure_operator(G, "G")
-    X = ensure_operator(X, "X")
+    X = ensure_operator(X if solution is None else solution.X, "X")
     W = ensure_operator(W, "W")
     check_psd(W, "W")
     closed_loop = A.T - G @ X
-    try:
-        Lam = symmetrize(solve_sylvester(closed_loop, closed_loop, -W))
-    except UnstableGenerator as err:
-        raise _closed_loop_unstable(err) from err
+    capacitance = solution and closed_loop_capacitance(solution, A, G)
+    Lam = capacitance and capacitance.solve(-W, adjoint=True)
+    schur = None
+    if Lam is None:
+        capacitance, schur = None, _schur_factor(closed_loop)
+        Lam = schur.solve(-W)
     return DualSolution(
-        Lambda=Lam,
-        residual=dual_residual(closed_loop, Lam, W),
+        Lambda=symmetrize(Lam),
         closed_loop=closed_loop,
         W=W,
+        capacitance=capacitance,
+        schur=schur,
     )
 
 

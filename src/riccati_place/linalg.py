@@ -284,21 +284,85 @@ def _require_stable(lam, name):
             f"{name} has spectral abscissa {lam.real.max():.3e} >= 0")
 
 
-def _trsyl(schur1, schur2, P):
-    """Bartels-Stewart back end on given Schur forms, associated exactly as
-    ``scipy.linalg.solve_sylvester(A1, A2.T, P)`` associates it."""
-    T1, U1, _ = schur1
-    T2, U2, _ = schur2
-    F = np.dot(np.dot(U1.T, P), U2)
-    trsyl, = spla.get_lapack_funcs(("trsyl",), (T1, T2, F))
-    Y, scale, info = trsyl(T1, T2, F, tranb="C")
-    if info < 0:
-        raise np.linalg.LinAlgError(f"illegal value in argument {-info} of trsyl")
-    return np.dot(np.dot(U1, scale * Y), U2.T)
+class SylvesterFactor:
+    """Real Schur forms of stable generators A1 and A2, factored once for
+    any number of solves of ``A1 T + T A2' = P`` and of its transpose
+    ``A1' T + T A2 = P``.
+
+    Factoring checks both spectra (UnstableGenerator unless they lie in
+    the open left half-plane) and the separation guard (SingularSystem when
+    ``min |lambda_i(A1) + lambda_j(A2)| < 1e-12 (||A1|| + ||A2||)``); equal
+    generators share one Schur form.  A1 and A2 must be validated operators
+    (:func:`ensure_operator`).  The norms of A1 and A2 are taken from
+    Frobenius bounds, with an SVD only when they leave the guard open.
+    """
+
+    def __init__(self, A1, A2):
+        self.A1, self.A2 = A1, A2
+        same = A2 is A1 or np.array_equal(A1, A2)
+        self.schur1 = _real_schur(A1)
+        self.schur2 = self.schur1 if same else _real_schur(A2)
+        lam1, lam2 = self.schur1[2], self.schur2[2]
+        _require_stable(lam1, "A1")
+        _require_stable(lam2, "A2")
+
+        # Conditioning guard: the solve degenerates when eigenvalue sums cancel.
+        # ||A1|| + ||A2|| is needed only when its Frobenius bound leaves it open.
+        smin = np.abs(lam1[:, None] + lam2[None, :]).min()
+        hi1 = _norm_bounds(A1)[1]
+        if smin < 1e-12 * (2.0 * hi1 if same else hi1 + _norm_bounds(A2)[1]):
+            norm1 = operator_norm(A1)
+            sep_tol = 1e-12 * (2.0 * norm1 if same else norm1 + operator_norm(A2))
+            if smin < sep_tol:
+                raise SingularSystem(
+                    f"min |lambda_i(A1) + lambda_j(A2)| = {smin:.3e} < {sep_tol:.3e}")
+
+    def solve(self, P, transpose=False):
+        """T with ``A1 T + T A2' = P``, or with ``A1' T + T A2 = P`` when
+        ``transpose``, refined up to twice on the Schur forms; raises
+        SingularSystem unless ``||R|| <= 1e-10 (1 + ||P||)`` for the
+        residual R of the returned T, norms decided as in
+        :func:`_relative_within`.  The untransposed solve is bit-identical
+        to ``scipy.linalg.solve_sylvester(A1, A2', P)``."""
+        P = ensure_operator(P, "P")
+        A1, A2 = (self.A1.T, self.A2.T) if transpose else (self.A1, self.A2)
+        if A1.size == 1:
+            return P / (A1[0, 0] + A2[0, 0])
+
+        T = self._trsyl(P, transpose)
+        P_bounds = _norm_bounds(P)
+        for _ in range(2):
+            R = P - (A1 @ T + T @ A2.T)
+            if _residual_within(R, P, P_bounds):
+                return T
+            T = T + self._trsyl(R, transpose)
+        R = P - (A1 @ T + T @ A2.T)
+        if not _residual_within(R, P, P_bounds):
+            res_tol = SYLVESTER_RTOL * (1.0 + operator_norm(P))
+            raise SingularSystem(
+                f"Sylvester residual {operator_norm(R):.3e} exceeds {res_tol:.3e} "
+                "after refinement; system too ill-conditioned")
+        return T
+
+    def _trsyl(self, P, transpose):
+        """Bartels-Stewart back end on the Schur forms; untransposed it is
+        associated exactly as ``scipy.linalg.solve_sylvester(A1, A2', P)``
+        associates it.  With ``Ak = Uk Tk Uk'`` the transposed equation
+        reads ``T1' Y + Y T2 = U1' P U2`` for ``Y = U1' T U2``."""
+        T1, U1, _ = self.schur1
+        T2, U2, _ = self.schur2
+        F = np.dot(np.dot(U1.T, P), U2)
+        trsyl, = spla.get_lapack_funcs(("trsyl",), (T1, T2, F))
+        trana, tranb = ("C", "N") if transpose else ("N", "C")
+        Y, scale, info = trsyl(T1, T2, F, trana=trana, tranb=tranb)
+        if info < 0:
+            raise np.linalg.LinAlgError(f"illegal value in argument {-info} of trsyl")
+        return np.dot(np.dot(U1, scale * Y), U2.T)
 
 
 def solve_sylvester(A1, A2, P):
-    """Solve A1 T + T A2.T = P for stable A1, A2 by Bartels-Stewart.
+    """Solve A1 T + T A2.T = P for stable A1, A2 by Bartels-Stewart: one
+    :class:`SylvesterFactor` of (A1, A2), then its solve.
 
     Each distinct generator is factored once into real Schur form; equal
     generators (every Lyapunov equation) share one factorization.  The
@@ -310,46 +374,14 @@ def solve_sylvester(A1, A2, P):
     of the returned T satisfies ``||A1 T + T A2.T - P|| <= 1e-10 (1 + ||P||)``
     in the operator norm, or SingularSystem is raised.  The separation guard
     and this gate take the norms of A1, A2 and P from Frobenius bounds and
-    call an SVD only when the bounds leave the decision open.
+    call an SVD only when the bounds leave the decision open.  A caller
+    with several right-hand sides for one pair of generators keeps the
+    :class:`SylvesterFactor` instead.
     """
     A1 = ensure_operator(A1, "A1")
     A2 = ensure_operator(A2, "A2")
     P = ensure_operator(P, "P")
-    same = A2 is A1 or np.array_equal(A1, A2)
-    schur1 = _real_schur(A1)
-    schur2 = schur1 if same else _real_schur(A2)
-    lam1, lam2 = schur1[2], schur2[2]
-    _require_stable(lam1, "A1")
-    _require_stable(lam2, "A2")
-
-    # Conditioning guard: the solve degenerates when eigenvalue sums cancel.
-    # ||A1|| + ||A2|| is needed only when its Frobenius bound leaves it open.
-    smin = np.abs(lam1[:, None] + lam2[None, :]).min()
-    hi1 = _norm_bounds(A1)[1]
-    if smin < 1e-12 * (2.0 * hi1 if same else hi1 + _norm_bounds(A2)[1]):
-        norm1 = operator_norm(A1)
-        sep_tol = 1e-12 * (2.0 * norm1 if same else norm1 + operator_norm(A2))
-        if smin < sep_tol:
-            raise SingularSystem(
-                f"min |lambda_i(A1) + lambda_j(A2)| = {smin:.3e} < {sep_tol:.3e}")
-
-    if A1.size == 1:
-        return P / (A1[0, 0] + A2[0, 0])
-
-    T = _trsyl(schur1, schur2, P)
-    P_bounds = _norm_bounds(P)
-    for _ in range(2):
-        R = P - (A1 @ T + T @ A2.T)
-        if _residual_within(R, P, P_bounds):
-            return T
-        T = T + _trsyl(schur1, schur2, R)
-    R = P - (A1 @ T + T @ A2.T)
-    if not _residual_within(R, P, P_bounds):
-        res_tol = SYLVESTER_RTOL * (1.0 + operator_norm(P))
-        raise SingularSystem(
-            f"Sylvester residual {operator_norm(R):.3e} exceeds {res_tol:.3e} "
-            "after refinement; system too ill-conditioned")
-    return T
+    return SylvesterFactor(A1, A2).solve(P)
 
 
 def _residual_within(R, P, P_bounds):

@@ -21,7 +21,7 @@ import numpy as np
 from .devices import GRAM_SINGULAR_RTOL, sample_box
 from .dual import solve_dual
 from .errors import ClosedLoopUnstable, DegenerateFamily, MaxIterExceeded, RiccatiPlaceError
-from .linalg import check_psd, ensure_operator, norms, operator_norm, solve_sylvester, symmetrize
+from .linalg import check_psd, ensure_operator, norms, operator_norm, symmetrize
 from .riccati import solve_are
 from .semigroup import certify_stability
 
@@ -111,7 +111,7 @@ def solve_state_pair(cfg, p, X0=None):
             pass
     if sol is None:
         sol = solve_are(cfg.A, G, cfg.Q, tol=INNER_ARE_TOL, cert=cfg.cert)
-    dsol = solve_dual(cfg.A, G, sol.X, cfg.W)
+    dsol = solve_dual(cfg.A, G, sol, cfg.W)
     return G, sol, dsol
 
 
@@ -504,7 +504,9 @@ def _reduced_hessian_p2(cfg, p, state):
     2009).
 
     With Acl = A - X G, the state sensitivity X'_k in coordinate direction
-    k solves Acl X'_k + X'_k Acl.T = X dG_k X (one Sylvester solve each).
+    k solves Acl X'_k + X'_k Acl.T = X dG_k X, each on the closed-loop
+    factor the multiplier was solved on (DualSolution.solve_closed_loop):
+    no factorization per direction.
     Differentiating the gradient beta gap tr dG_k - tr(Lambda X dG_k X)
     in direction j gives
 
@@ -521,9 +523,8 @@ def _reduced_hessian_p2(cfg, p, state):
     p = np.atleast_1d(np.asarray(p, dtype=float))
     family = cfg.family
     E = np.eye(p.size)
-    Acl = cfg.A - X @ G
     dG = [family.dG(p, e) for e in E]
-    dX = [symmetrize(solve_sylvester(Acl, Acl, symmetrize(X @ D @ X))) for D in dG]
+    dX = [dsol.solve_closed_loop(symmetrize(X @ D @ X)) for D in dG]
     tr_dG = np.array([np.trace(D) for D in dG])
     gap = family.trace_G(p) - cfg.gamma
     M = _xlx(X, Lam)

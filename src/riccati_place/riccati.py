@@ -18,6 +18,8 @@ import scipy.linalg as spla
 
 from .errors import ClosedLoopUnstable, NewtonStall, UnstableGenerator
 from .linalg import (
+    SYLVESTER_RTOL,
+    _frobenius,
     _norm_bounds,
     _relative_within,
     _residual_within,
@@ -44,13 +46,32 @@ MAX_NEWTON_ITERS = 100
 CAPACITANCE_MAX_RANK = 3
 
 
+@dataclass(frozen=True)
+class _EigenbasisFacts:
+    """What the eigenbasis kernel knew at a solution X: A's eigenbasis
+    ``A = V diag(d) V'`` (the pair kept on A's certificate, referenced, not
+    copied), G's factor ``B`` in that basis (n x r) with the bound
+    ``dropped`` on ``||G - V B B' V'||``, ``lambda_min(Q)``, and the
+    Frobenius norm of the strong residual at X that the stop test formed."""
+
+    d: np.ndarray
+    V: np.ndarray
+    B: np.ndarray
+    dropped: float
+    lam_min_Q: float
+    residual_fro: float
+
+
 @dataclass
 class RiccatiSolution:
     """A Riccati solution X and what its solve did.
 
     ``strong_residual`` is ``riccati_residual(A, G, Q, X)``, computed on
     first read and cached; ``operands`` holds references to (A, G, Q) for
-    it, so the residual matrix itself is not kept.
+    it, so the residual matrix itself is not kept.  ``eigenbasis`` holds
+    the eigenbasis kernel's facts when the solve ran on it (O(n r) arrays
+    and scalars); :func:`closed_loop_capacitance` factors the final closed
+    loop from them.
     """
 
     X: np.ndarray
@@ -59,6 +80,7 @@ class RiccatiSolution:
     operands: tuple = field(repr=False, compare=False)
     schur_steps: int = 0  # Newton steps solved on a Schur form; not reported
     history: Optional[List[np.ndarray]] = None
+    eigenbasis: Optional[_EigenbasisFacts] = field(default=None, repr=False, compare=False)
 
     @cached_property
     def strong_residual(self):
@@ -106,6 +128,10 @@ class _SchurKernel:
     def step(self, Xb, k):
         return self._schur_step(Xb, k)
 
+    def facts(self, residual_fro):
+        """What a solution keeps of the kernel: nothing on a Schur form."""
+        return None
+
     def _schur_step(self, X, k):
         self.schur_steps += 1
         Acl = self.A - X @ self.G
@@ -117,6 +143,71 @@ class _SchurKernel:
             raise ClosedLoopUnstable(f"A - X_{k - 1} G lost stability: {err}") from err
 
 
+class _Capacitance:
+    """The closed loop ``D - F B'`` of a rank-r G in the eigenbasis
+    ``A = V diag(d) V'`` of a symmetric A, factored through one LU of its
+    (n r) x (n r) capacitance matrix.
+
+    For symmetric S the Lyapunov equation
+
+        (D - F B') Y + Y (D - B F') = S
+
+    has ``Y = C o (S + F Z' + Z F')`` with ``C_ij = 1/(d_i + d_j)`` and
+    ``Z = Y B`` the solution of the capacitance system.  Its trace-adjoint,
+    the dual equation ``(D - B F') Y + Y (D - F B') = S``, has
+    ``Y = C o (S + B U' + U B')`` with ``U = Y F``, and its capacitance
+    matrix is the transpose of the first: one LU serves both, through
+    ``getrs`` with ``trans=0`` and ``trans=1``.
+    """
+
+    def __init__(self, Dsum, C, B, F, lu):
+        self.Dsum, self.C, self.B, self.F, self.lu = Dsum, C, B, F, lu
+
+    @classmethod
+    def factor(cls, Dsum, C, B, F):
+        """The factored closed loop, or None when the LU is singular."""
+        *lu, info = spla.lapack.dgetrf(cls._matrix(C, B, F))
+        return None if info != 0 else cls(Dsum, C, B, F, lu)
+
+    @staticmethod
+    def _matrix(C, B, F):
+        """``I - diag(F_b) C diag(B_a) - diag(C (F_b o B_a))`` in block (a, b)."""
+        n, r = B.shape
+        M = -(C[None, :, None, :] * F[None, :, :, None] * B.T[:, None, None, :])
+        diag = C @ (B[:, :, None] * F[:, None, :]).reshape(n, r * r)
+        idx = np.arange(n)
+        M[:, idx, :, idx] -= diag.reshape(n, r, r)
+        M = M.reshape(n * r, n * r)
+        M[np.diag_indices(n * r)] += 1.0
+        return M
+
+    def solve(self, S, adjoint=False):
+        """``(Y, R)``: the solution Y of the equation for symmetric S (the
+        dual one with ``adjoint``) and its residual R, refined up to twice on
+        the LU; None when Y is not finite or R fails the Sylvester gate."""
+        S_bounds = _norm_bounds(S)
+        left, right = (self.B, self.F) if adjoint else (self.F, self.B)
+        Y = self._solve(S, adjoint)
+        for refinements in range(3):
+            if not np.isfinite(Y).all():
+                return None
+            W = left @ (Y @ right).T
+            R = S - self.Dsum * Y + W + W.T
+            if _residual_within(R, S, S_bounds):
+                return Y, R
+            if refinements == 2:
+                return None
+            Y = Y + self._solve(R, adjoint)
+
+    def _solve(self, S, adjoint):
+        n, r = self.B.shape
+        left, right = (self.B, self.F) if adjoint else (self.F, self.B)
+        Z = spla.lapack.dgetrs(*self.lu, ((self.C * S) @ right).T.ravel(),
+                               trans=int(adjoint))[0].reshape(r, n).T
+        T = left @ Z.T
+        return self.C * (S + T + T.T)
+
+
 class _EigenbasisKernel(_SchurKernel):
     """Newton-Kleinman steps in the eigenbasis ``A = V diag(d) V'`` of a
     symmetric stable A, with ``G = B B'`` of rank r.
@@ -126,8 +217,7 @@ class _EigenbasisKernel(_SchurKernel):
 
         (D - F B') Y + Y (D - B F') = S,   S = -(F F' + V' Q V),
 
-    so ``Y = C o (S + F Z' + Z F')`` with ``C_ij = 1/(d_i + d_j)``, and
-    ``Z = Y B`` solves an (n r) x (n r) capacitance system: one LU a step
+    solved on the closed loop's :class:`_Capacitance`: one LU a step
     instead of a Schur form of the closed loop.  A step is kept only when
     its residual passes the Sylvester gate (with up to two refinements on
     the same LU) and Lyapunov's theorem proves its closed loop stable:
@@ -137,9 +227,9 @@ class _EigenbasisKernel(_SchurKernel):
     ClosedLoopUnstable or SingularSystem as it always has.
     """
 
-    def __init__(self, A, G, Q, V, d, B, lam_min_Q):
+    def __init__(self, A, G, Q, V, d, B, lam_min_Q, dropped):
         super().__init__(A, G, Q)
-        self.V, self.B, self.lam_min_Q = V, B, lam_min_Q
+        self.V, self.d, self.B, self.lam_min_Q, self.dropped = V, d, B, lam_min_Q, dropped
         self.Dsum = d[:, None] + d[None, :]
         self.C = 1.0 / self.Dsum
         self.Qb = symmetrize(self.into(Q))
@@ -169,7 +259,7 @@ class _EigenbasisKernel(_SchurKernel):
             return None
         if dropped * (lam_Q[-1] / (2.0 * d[-1])) ** 2 > 0.01 * RESIDUAL_RTOL * (1.0 + lam_Q[-1]):
             return None
-        return cls(A, G, Q, V, d, V.T @ B, lam_Q[0])
+        return cls(A, G, Q, V, d, V.T @ B, lam_Q[0], dropped)
 
     def into(self, X):
         return self.V.T @ X @ self.V
@@ -181,46 +271,84 @@ class _EigenbasisKernel(_SchurKernel):
         Y = self._capacitance_step(Xb)
         return self.into(self._schur_step(self.out(Xb), k)) if Y is None else Y
 
+    def facts(self, residual_fro):
+        """The kernel's facts for a solution whose strong residual has
+        Frobenius norm ``residual_fro``."""
+        return _EigenbasisFacts(self.d, self.V, self.B, self.dropped, self.lam_min_Q,
+                                residual_fro)
+
     def _capacitance_step(self, Xb):
         """The next iterate, or None when the step is not proved."""
         F = Xb @ self.B
         S = -symmetrize(F @ F.T + self.Qb)
-        S_bounds = _norm_bounds(S)
-        *lu, info = spla.lapack.dgetrf(self._capacitance(F))
-        if info != 0:
+        closed_loop = _Capacitance.factor(self.Dsum, self.C, self.B, F)
+        solved = closed_loop and closed_loop.solve(S)
+        if not solved:
             return None
-        Y = self._solve(lu, F, S)
-        for refinements in range(3):
-            if not np.isfinite(Y).all():
-                return None
-            W = F @ (Y @ self.B).T
-            R = S - self.Dsum * Y + W + W.T
-            if _residual_within(R, S, S_bounds):
-                break
-            if refinements == 2:
-                return None
-            Y = Y + self._solve(lu, F, R)
+        Y, R = solved
         if spla.lapack.dpotrf(Y)[1] != 0:  # Y is not positive definite
             return None
         return Y if np.linalg.norm(R) < self.lam_min_Q else None
 
-    def _capacitance(self, F):
-        """``I - diag(F_b) C diag(B_a) - diag(C (F_b o B_a))`` in block (a, b)."""
-        n, r = self.B.shape
-        M = -(self.C[None, :, None, :] * F[None, :, :, None] * self.B.T[:, None, None, :])
-        diag = self.C @ (self.B[:, :, None] * F[:, None, :]).reshape(n, r * r)
-        idx = np.arange(n)
-        M[:, idx, :, idx] -= diag.reshape(n, r, r)
-        M = M.reshape(n * r, n * r)
-        M[np.diag_indices(n * r)] += 1.0
-        return M
 
-    def _solve(self, lu, F, S):
-        """Y with ``(D - F B') Y + Y (D - B F') = S`` for symmetric S."""
-        n, r = self.B.shape
-        Z = spla.lapack.dgetrs(*lu, ((self.C * S) @ self.B).T.ravel())[0].reshape(r, n).T
-        T = F @ Z.T
-        return self.C * (S + T + T.T)
+class _ClosedLoop:
+    """The final closed loop ``A - X G`` of a solution, proved stable and
+    factored in A's eigenbasis (see :func:`closed_loop_capacitance`)."""
+
+    def __init__(self, V, capacitance, dropped, x_fro):
+        self.V, self.capacitance, self.dropped, self.x_fro = V, capacitance, dropped, x_fro
+
+    def solve(self, P, adjoint=False):
+        """Y with ``(A - X G) Y + Y (A - X G)' = P`` for symmetric P, or
+        with the dual operator ``(A' - G X) Y + Y (A - X G)`` when
+        ``adjoint``; None when the capacitance solve fails its gate or G's
+        dropped part E, which enters the residual as ``E X Y + Y X E``, can
+        move it by more than 1 % of the gate."""
+        V = self.V
+        S = symmetrize(V.T @ P @ V)
+        solved = self.capacitance.solve(S, adjoint)
+        if not solved:
+            return None
+        Y = solved[0]
+        if (2.0 * self.dropped * self.x_fro * _frobenius(Y)
+                > 0.01 * SYLVESTER_RTOL * (1.0 + _norm_bounds(S)[0])):
+            return None
+        return V @ Y @ V.T
+
+
+def closed_loop_capacitance(sol, A, G):
+    """The closed loop ``A - X G`` at the solution ``sol`` of the Riccati
+    equation for (A, G, Q), factored in A's eigenbasis, or None.
+
+    Requires the solve to have run on the eigenbasis kernel (``sol.eigenbasis``)
+    and A and G to be its operands.  Lyapunov's theorem proves the closed
+    loop stable: with R the strong residual at X (true G),
+
+        (A - X G) X + X (A - X G)' = -(X G X + Q) + R,
+
+    and ``X G X >= -e ||X||^2`` for G's dropped part ``||E|| <= e``, so the
+    right side is negative definite when ``||R||_F + e ||X||_F^2 <
+    lambda_min(Q)``; with X positive definite (``dpotrf``) the closed loop
+    is stable.  None when the proof or the capacitance LU fails.  The work
+    is O(n^2 r) plus one Cholesky of X and one LU of the capacitance
+    matrix; no Schur form is taken.
+    """
+    facts = sol.eigenbasis
+    operands = sol.operands
+    if facts is None or not all(T is U or np.array_equal(T, U)
+                                for T, U in zip((A, G), operands)):
+        return None
+    X = sol.X
+    x_fro = _frobenius(X)
+    if not facts.residual_fro + facts.dropped * x_fro**2 < facts.lam_min_Q:
+        return None
+    if spla.lapack.dpotrf(X)[1] != 0:  # X is not positive definite
+        return None
+    V, B = facts.V, facts.B
+    F = V.T @ (X @ (V @ B))
+    Dsum = facts.d[:, None] + facts.d[None, :]
+    capacitance = _Capacitance.factor(Dsum, 1.0 / Dsum, B, F)
+    return capacitance and _ClosedLoop(V, capacitance, facts.dropped, x_fro)
 
 
 def _spectral_factor(eigh_G):
@@ -315,7 +443,8 @@ def solve_are(A, G, Q, tol=DEFAULT_STEP_TOL, cert=None, keep_history=False, X0=N
             history.append(np.array(kernel.out(Xb)))
         if norm_within(step, tol):
             X = kernel.out(Xb)
-            if _relative_within(_residual_matrix(A, G, Q, X), RESIDUAL_RTOL, Q, Q_bounds):
+            R = _residual_matrix(A, G, Q, X)
+            if _relative_within(R, RESIDUAL_RTOL, Q, Q_bounds):
                 break
     else:
         raise NewtonStall(
@@ -329,6 +458,7 @@ def solve_are(A, G, Q, tol=DEFAULT_STEP_TOL, cert=None, keep_history=False, X0=N
         operands=(A, G, Q),
         schur_steps=kernel.schur_steps,
         history=history,
+        eigenbasis=kernel.facts(_frobenius(R)),
     )
 
 

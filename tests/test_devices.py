@@ -211,8 +211,17 @@ class TestEstimateConstants:
     def test_one_svd_per_sampled_matrix(self, fam, monkeypatch):
         from riccati_place import devices
 
-        samples, dirs = 30, fam.param_dim + 8  # _unit_directions: axes + 8 random
+        samples = 30
+        drawn = []
+
+        def directions(*args, _original=devices._unit_directions):
+            drawn.append(_original(*args))
+            return drawn[-1]
+
+        monkeypatch.setattr(devices, "_unit_directions", directions)
         one = estimate_constants(fam, fam.domain(), samples, seed=4)
+        dirs = len(drawn[0])  # the distinct ones of axes + 8 random
+        assert dirs <= 2  # for param_dim = 1 each draw is +-1
 
         # the per-reading ledger: each norm from its own call, as before
         def per_reading(T):
@@ -234,6 +243,39 @@ class TestEstimateConstants:
         # each direction once per point (the Gram matrix reuses the axes'),
         # twice per pair
         assert len(dG) == samples * dirs + samples * 2 * dirs
+
+    def test_scalar_parameter_reads_each_distinct_direction_once(self, fam, monkeypatch):
+        # for param_dim = 1 the axis and the 8 random unit vectors hold at
+        # most the two values +-1; reading each once leaves every sup as it is
+        from riccati_place import devices
+
+        samples = 100
+        dG = count_calls(monkeypatch, "dG", GaussianActuators)
+        led = estimate_constants(fam, fam.domain(), samples, seed=0)
+        assert len(dG) <= samples * 2 + samples * 2 * 2
+        monkeypatch.undo()
+
+        def every_draw(dim, rng, extra=8):
+            return [np.eye(dim)[0]] + [v / np.linalg.norm(v)
+                                       for v in (rng.standard_normal(dim) for _ in range(extra))]
+
+        monkeypatch.setattr(devices, "_unit_directions", every_draw)
+        assert estimate_constants(fam, fam.domain(), samples, seed=0) == led
+
+    def test_two_parameters_keep_every_direction(self):
+        # no two of the axes and 8 random directions coincide at d = 2, so
+        # none is dropped and the ledger keeps its pinned values
+        fam = GaussianActuators(grid=np.linspace(0.1, 0.9, 9), sigma=0.15, r_weight=2.0,
+                                param_dim=2)
+        led = estimate_constants(fam, fam.domain(), 20, seed=5)
+        expected = dict(
+            g=2.6586007873062907, L_G=16.65349137243278, L_dG=152.9992586356651,
+            C_dG=17.137619905877028, K=40.16361166682973, g_abs=2.6586007873062902,
+            g_op=2.6172239659205148, L_G_abs=1.4242285327102728, L_G_op=8.11913468654501,
+            L_dG_abs=13.927521678243263, C_dG_abs=5.8034705570093985,
+            C_dG_op=8.625650252182098)
+        for name, value in expected.items():
+            assert getattr(led, name) == pytest.approx(value, rel=1e-13, abs=0.0), name
 
     def test_deterministic_given_seed(self, fam):
         led1 = estimate_constants(fam, fam.domain(), 50, seed=7)

@@ -1,14 +1,17 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+import scipy.linalg as spla
 
-from riccati_place import dual, semigroup
+from riccati_place import GaussianActuators, dual, riccati, semigroup
 from riccati_place.dual import solve_dual, verify_dual
 from riccati_place.errors import ClosedLoopUnstable, UnstableGenerator
-from riccati_place.linalg import operator_norm
+from riccati_place.linalg import _residual_within, operator_norm, solve_sylvester, symmetrize
 from riccati_place.riccati import solve_are
 from riccati_place.semigroup import certify_stability
 
-from conftest import count_calls, rand_psd, rand_stable_symmetric
+from conftest import count_calls, heat1d, rand_psd, rand_stable, rand_stable_symmetric
 
 
 def scalar(x):
@@ -142,3 +145,124 @@ class TestLazyCertificate:
         sol = solve_dual(A, G, X, W)
         with pytest.raises(ClosedLoopUnstable):
             sol.norm_bound_slack
+
+
+class TestLazyResidual:
+    def test_residual_is_computed_on_first_read(self, monkeypatch, rng):
+        A = rand_stable_symmetric(5, rng)
+        G, Q, W = rand_psd(5, rng), rand_psd(5, rng), rand_psd(5, rng)
+        calls = count_calls(monkeypatch, "dual_residual", dual)
+        sol = solve_dual(A, G, solve_are(A, G, Q), W)
+        assert len(calls) == 0
+        assert sol.residual == sol.residual <= 1e-10
+        assert len(calls) == 1
+        assert sol.residual == dual.dual_residual(sol.closed_loop, sol.Lambda, W)
+
+
+def heat_instance(n=16, d=1):
+    A, grid = heat1d(n)
+    G = GaussianActuators(grid=grid, sigma=0.12, param_dim=d).G(np.linspace(0.2, 0.8, d) + 0.05)
+    W = np.zeros((n, n))
+    W[n // 4, n // 4] = W[3 * n // 4, 3 * n // 4] = 1.0
+    return A, G, np.eye(n), W
+
+
+def relative(T, ref):
+    return operator_norm(T - ref) / operator_norm(ref)
+
+
+class TestClosedLoopFactor:
+    """The multiplier and the closed-loop Lyapunov solves on one factor."""
+
+    def test_bare_array_keeps_the_schur_path_bit_for_bit(self, monkeypatch):
+        A, G, Q, W = heat_instance()
+        X = solve_are(A, G, Q).X
+        schur = count_calls(monkeypatch, "schur", spla)
+        sol = solve_dual(A, G, X, W)
+        assert len(schur) == 1
+        assert sol.capacitance is None and sol.schur is not None
+        closed_loop = A.T - G @ X
+        assert np.array_equal(sol.Lambda, symmetrize(solve_sylvester(closed_loop, closed_loop, -W)))
+
+    @pytest.mark.parametrize("n, d", [(16, 1), (16, 2), (64, 2), (32, 3)])
+    def test_heat_solution_takes_no_schur_form(self, monkeypatch, n, d):
+        A, G, Q, W = heat_instance(n, d)
+        are = solve_are(A, G, Q)
+        schur = count_calls(monkeypatch, "schur", spla)
+        sol = solve_dual(A, G, are, W)
+        Acl = A - are.X @ G
+        P = symmetrize(are.X @ G @ are.X)
+        Y = sol.solve_closed_loop(P)
+        assert len(schur) == 0 and sol.capacitance is not None and sol.schur is None
+        monkeypatch.undo()
+        assert relative(sol.Lambda, solve_dual(A, G, are.X, W).Lambda) <= 1e-12
+        assert relative(Y, symmetrize(solve_sylvester(Acl, Acl, P))) <= 1e-12
+        assert np.array_equal(Y, Y.T)
+        assert sol.residual <= 1e-10 * (1.0 + operator_norm(W))
+
+    @pytest.mark.parametrize("failure", ["proof", "positive definite", "gate", "lu"])
+    def test_failure_falls_back_to_the_schur_form(self, monkeypatch, failure):
+        A, G, Q, W = heat_instance()
+        are = solve_are(A, G, Q)
+        if failure == "proof":
+            are = replace(are, eigenbasis=replace(are.eigenbasis, residual_fro=1.0))
+        elif failure == "positive definite":
+            monkeypatch.setattr(spla.lapack, "dpotrf", lambda X: (X, 1))
+        elif failure == "gate":
+            monkeypatch.setattr(riccati, "_residual_within", lambda R, P, P_bounds: False)
+        else:
+            monkeypatch.setattr(spla.lapack, "dgetrf", lambda M: (M, None, 1))
+        schur = count_calls(monkeypatch, "schur", spla)
+        sol = solve_dual(A, G, are, W)
+        assert len(schur) == 1 and sol.capacitance is None
+        monkeypatch.undo()
+        ref = solve_dual(A, G, are.X, W).Lambda
+        assert relative(sol.Lambda, ref) <= 1e-12
+
+    def test_dropped_part_of_G_over_budget_falls_back(self, monkeypatch):
+        # E X Lambda + Lambda X E may move the dual residual by at most 1 %
+        # of the gate
+        A, G, Q, W = heat_instance()
+        are = solve_are(A, G, Q)
+        schur = count_calls(monkeypatch, "schur", spla)
+        assert solve_dual(A, G, are, W).capacitance is not None
+        heavy = replace(are, eigenbasis=replace(are.eigenbasis, dropped=1e-6))
+        assert solve_dual(A, G, heavy, W).capacitance is None
+        assert len(schur) == 1
+
+    def test_solution_of_other_operands_takes_the_schur_form(self, monkeypatch):
+        A, G, Q, W = heat_instance()
+        are = solve_are(A, G, Q)
+        schur = count_calls(monkeypatch, "schur", spla)
+        sol = solve_dual(A, 1.0001 * G, are, W)
+        assert len(schur) == 1 and sol.capacitance is None
+
+    @pytest.mark.parametrize("symmetric", [True, False])
+    def test_closed_loop_solves_share_one_factor(self, monkeypatch, rng, symmetric):
+        n = 8
+        A = heat1d(n)[0] if symmetric else rand_stable(n, rng)
+        G, Q, W = rand_psd(n, rng, rank=2), np.eye(n), rand_psd(n, rng)
+        are = solve_are(A, G, Q)
+        schur = count_calls(monkeypatch, "schur", spla)
+        sol = solve_dual(A, G, are, W)
+        Ps = [symmetrize(rand_psd(n, rng)) for _ in range(3)]
+        Ys = [sol.solve_closed_loop(P) for P in Ps]
+        assert len(schur) == (0 if symmetric else 1)
+        monkeypatch.undo()
+        Acl = A - are.X @ G
+        for P, Y in zip(Ps, Ys):
+            assert relative(Y, symmetrize(solve_sylvester(Acl, Acl, P))) <= 1e-12
+
+    def test_capacitance_failing_a_direction_builds_the_schur_form_once(self, monkeypatch):
+        A, G, Q, W = heat_instance()
+        are = solve_are(A, G, Q)
+        sol = solve_dual(A, G, are, W)
+        monkeypatch.setattr(riccati, "_residual_within", lambda R, P, P_bounds: False)
+        schur = count_calls(monkeypatch, "schur", spla)
+        Ps = [symmetrize(are.X @ G @ are.X), np.eye(16)]
+        Ys = [sol.solve_closed_loop(P) for P in Ps]
+        assert len(schur) == 1 and sol.schur is not None
+        monkeypatch.undo()
+        Acl = A - are.X @ G
+        for P, Y in zip(Ps, Ys):
+            assert relative(Y, symmetrize(solve_sylvester(Acl, Acl, P))) <= 1e-12

@@ -9,6 +9,7 @@ from scipy.integrate import quad
 from riccati_place import linalg, semigroup
 from riccati_place.errors import HorizonTooShort, SingularSystem, UnstableGenerator
 from riccati_place.linalg import (
+    SylvesterFactor,
     bochner_quadrature,
     check_psd,
     check_symmetric,
@@ -114,6 +115,24 @@ class TestSolveSylvester:
         solve_sylvester(A1, A2, P)
         assert len(schur) == 3
         assert len(eigvals) == 0
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 32])
+    @pytest.mark.parametrize("pairing", ["same object", "distinct"])
+    def test_factor_serves_both_transposes(self, monkeypatch, n, pairing, rng):
+        A1 = rand_stable(n, rng)
+        A2 = A1 if pairing == "same object" else rand_stable(n, rng)
+        Ps = [rng.standard_normal((n, n)) for _ in range(3)]
+        schur = count_calls(monkeypatch, "schur", spla)
+        factor = SylvesterFactor(A1, A2)
+        plain = [factor.solve(P) for P in Ps]
+        transposed = [factor.solve(P, transpose=True) for P in Ps]
+        assert len(schur) == (0 if n == 1 else 1 if pairing == "same object" else 2)
+        monkeypatch.undo()
+        for P, T, Tt in zip(Ps, plain, transposed):
+            assert np.array_equal(T, solve_sylvester(A1, A2, P))
+            ref = solve_sylvester(A1.T, A2.T, P)
+            assert operator_norm(Tt - ref) <= 1e-12 * operator_norm(ref)
+            assert operator_norm(A1.T @ Tt + Tt @ A2 - P) <= 1e-10 * (1.0 + operator_norm(P))
 
     def test_tolerance_gates_take_no_svd(self, monkeypatch, rng):
         A1, A2 = rand_stable(6, rng), rand_stable(6, rng)

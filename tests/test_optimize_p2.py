@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg as spla
 
 from riccati_place import dual, optimize, riccati
 from riccati_place.devices import ConstantFamily, ConstantLedger, GaussianActuators
@@ -19,7 +20,7 @@ from riccati_place.optimize import (
 )
 from riccati_place.riccati import solve_are
 
-from conftest import count_calls
+from conftest import count_calls, rand_stable
 from test_optimize_p1 import heat_like
 
 
@@ -288,6 +289,24 @@ class TestReducedHessianP2:
             assert abs(H[0, 1]) > 0.0  # the actuators couple
 
 
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_non_symmetric_model_takes_one_schur_form_for_dual_and_directions(
+            self, monkeypatch, rng, d):
+        n = 8
+        fam = GaussianActuators(grid=np.linspace(0.1, 0.9, n), sigma=0.15, param_dim=d)
+        p = np.linspace(0.3, 0.7, d)
+        W = np.zeros((n, n))
+        W[2, 2] = 1.0
+        cfg = Problem2Config(A=rand_stable(n, rng), Q=np.eye(n), W=W, family=fam,
+                             beta=200.0, gamma=0.9 * fam.trace_G(p))
+        schur = count_calls(monkeypatch, "schur", spla)
+        state = optimize.solve_state_pair(cfg, p)
+        H = optimize._reduced_hessian_p2(cfg, p, state)
+        assert len(schur) == state[1].schur_steps + 1
+        monkeypatch.undo()
+        assert np.linalg.norm(H - gradient_differences(cfg, p)) <= 1e-6 * np.linalg.norm(H)
+
+
 class TestHessianP2:
     def test_zero_direction(self, p2_problem):
         tri = solve_p2(p2_problem, [0.3])
@@ -383,12 +402,19 @@ class TestBetaSweep:
 
     @staticmethod
     def counted_heat16_sweep(monkeypatch):
-        """The README sweep, with its state pairs, solve_are calls and
-        Newton-Kleinman steps (one Sylvester solve each) counted."""
+        """The README sweep, with its state pairs and solve_are calls counted,
+        and the Newton-Kleinman steps of each solution solve_are returned."""
         cfg = heat16_config(beta=10.0)
         pairs = count_calls(monkeypatch, "solve_state_pair", optimize)
         ares = count_calls(monkeypatch, "solve_are", optimize, keywords=True)
-        steps = count_calls(monkeypatch, "solve_sylvester", riccati)
+        steps = []
+
+        def solve_are(*args, _original=optimize.solve_are, **kwargs):
+            sol = _original(*args, **kwargs)
+            steps.append(sol.newton_iters)
+            return sol
+
+        monkeypatch.setattr(optimize, "solve_are", solve_are)
         report = beta_sweep(cfg, [10.0, 1e2, 1e3, 1e4], [0.3])
         assert all(r.converged and not r.failed for r in report.rows)
         return report, pairs, ares, steps
@@ -400,8 +426,17 @@ class TestBetaSweep:
         assert len(pairs) <= 13
 
     def test_heat16_sweep_newton_steps(self, monkeypatch):
-        _, _, _, steps = self.counted_heat16_sweep(monkeypatch)
-        assert len(steps) <= 40
+        _, _, ares, steps = self.counted_heat16_sweep(monkeypatch)
+        assert len(steps) == len(ares) > 0
+        assert sum(steps) <= 40
+
+    def test_heat16_sweep_takes_no_schur_form(self, monkeypatch):
+        # the Newton steps, the multipliers and the Hessian directions all
+        # run on capacitance systems in A's eigenbasis
+        schur = count_calls(monkeypatch, "schur", spla)
+        report, _, _, _ = self.counted_heat16_sweep(monkeypatch)
+        assert [r.iterations for r in report.rows] == [6, 1, 1, 1]
+        assert len(schur) == 0
 
     def test_heat16_sweep_warm_starts_riccati(self, monkeypatch):
         _, _, ares, _ = self.counted_heat16_sweep(monkeypatch)

@@ -367,6 +367,25 @@ class TestSpectralWork:
         # an equal copy of A still reads the kept pair
         assert np.array_equal(solve_are(A.copy(), G, Q, cert=certify_stability(A)).X, ref.X)
 
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_solution_keeps_only_rank_r_facts(self, d):
+        # what the dual needs to factor the final closed loop: G's factor
+        # (n x r), scalars, and A's eigenbasis as the certificate's own pair
+        n = 64
+        A, grid = heat1d(n)
+        G = GaussianActuators(grid=grid, sigma=0.12, param_dim=d).G(np.linspace(0.2, 0.8, d))
+        Q = np.eye(n)
+        cert = certify_stability(A)
+        sol = solve_are(A, G, Q, cert=cert)
+        facts = sol.eigenbasis
+        _, d_cert, V_cert = cert.eigenbasis
+        assert facts.V is V_cert and facts.d is d_cert
+        assert facts.B.shape == (n, d)
+        assert facts.lam_min_Q == 1.0 and 0.0 <= facts.dropped <= 1e-12
+        R = A @ sol.X + sol.X @ A.T - sol.X @ G @ sol.X + Q
+        assert facts.residual_fro == np.linalg.norm(R)
+        assert solve_are(A, G, np.diag(np.r_[np.ones(n - 1), 0.0]), cert=cert).eigenbasis is None
+
     def test_strong_residual_is_computed_on_first_read(self, monkeypatch):
         A, (G, *_), Q = self.heat_path(n=16)
         sol = solve_are(A, G, Q, cert=certify_stability(A))

@@ -318,7 +318,7 @@ def _cmd_solve_are(cfg, out_dir):
     write_report(out_dir, "report.json", {
         "placement": p0,
         "newton_iters": sol.newton_iters,
-        "strong_residual": sol.strong_residual,
+        "strong_residual": ver.strong_residual,
         "bochner_residual": ver.bochner_residual,
         "trace_X": ver.trace_X,
         "trace_bound": ver.trace_bound,

@@ -33,7 +33,7 @@ from .linalg import (
     solve_sylvester,
     symmetrize,
 )
-from .semigroup import certify_stability
+from .semigroup import PsdWeight, certify_stability
 
 DEFAULT_STEP_TOL = 1e-11
 RESIDUAL_RTOL = 1e-10
@@ -171,9 +171,12 @@ class _Capacitance:
 
     @staticmethod
     def _matrix(C, B, F):
-        """``I - diag(F_b) C diag(B_a) - diag(C (F_b o B_a))`` in block (a, b)."""
+        """``I - diag(F_b) C diag(B_a) - diag(C (F_b o B_a))`` in block (a, b),
+        built in one (n r) x (n r) array."""
         n, r = B.shape
-        M = -(C[None, :, None, :] * F[None, :, :, None] * B.T[:, None, None, :])
+        M = np.empty((r, n, r, n))
+        np.multiply(C[None, :, None, :], F[None, :, :, None], out=M)
+        M *= -B.T[:, None, None, :]  # = -((C F) B) bit for bit: rounding commutes with negation
         diag = C @ (B[:, :, None] * F[:, None, :]).reshape(n, r * r)
         idx = np.arange(n)
         M[:, idx, :, idx] -= diag.reshape(n, r, r)
@@ -227,22 +230,24 @@ class _EigenbasisKernel(_SchurKernel):
     ClosedLoopUnstable or SingularSystem as it always has.
     """
 
-    def __init__(self, A, G, Q, V, d, B, lam_min_Q, dropped):
+    def __init__(self, A, G, Q, V, d, B, lam_min_Q, dropped, Qb):
         super().__init__(A, G, Q)
         self.V, self.d, self.B, self.lam_min_Q, self.dropped = V, d, B, lam_min_Q, dropped
         self.Dsum = d[:, None] + d[None, :]
         self.C = 1.0 / self.Dsum
-        self.Qb = symmetrize(self.into(Q))
+        self.Qb = Qb
 
     @classmethod
-    def build(cls, A, G, Q, factor, lam_Q, cert):
+    def build(cls, A, G, Q, factor, weight, cert):
         """The kernel for (A, G, Q), or None unless A is stable, Q positive
         definite, ``factor`` a pair ``(B, e)`` with ``G = B B' + E``,
         ``||E|| <= e`` and 1 to CAPACITANCE_MAX_RANK columns in B, and E
         too small to matter.  A must be exactly symmetric; its eigenbasis
         comes from ``cert.eigh(A)`` (the pair kept on A's certificate),
-        ``lam_Q`` is ``eigvalsh(Q)`` as :func:`check_psd` returns it, and
-        ``factor`` comes from :func:`low_rank_psd` or :func:`_spectral_factor`.
+        ``weight`` is Q's :class:`PsdWeight` (its spectrum and its
+        projection ``symmetrize(V' Q V)``, kept on the certificate when V
+        is the certificate's own), and ``factor`` comes from
+        :func:`low_rank_psd` or :func:`_spectral_factor`.
 
         The steps solve for ``B B' = G - E``, but the strong residual is
         read with G, so at the limit it carries ``X E X``.  X lies below the
@@ -250,6 +255,7 @@ class _EigenbasisKernel(_SchurKernel):
         ``||Q|| / (2 |d_max|)``; the kernel is taken only when that bound
         keeps ``||X E X||`` within 1 % of the residual gate."""
         B, dropped = factor
+        lam_Q = weight.spectrum
         if not 0 < B.shape[1] <= CAPACITANCE_MAX_RANK:
             return None
         if not lam_Q[0] > A.shape[0] * np.finfo(float).eps * lam_Q[-1]:
@@ -259,7 +265,7 @@ class _EigenbasisKernel(_SchurKernel):
             return None
         if dropped * (lam_Q[-1] / (2.0 * d[-1])) ** 2 > 0.01 * RESIDUAL_RTOL * (1.0 + lam_Q[-1]):
             return None
-        return cls(A, G, Q, V, d, V.T @ B, lam_Q[0], dropped)
+        return cls(A, G, Q, V, d, V.T @ B, lam_Q[0], dropped, weight.projection(Q, V))
 
     def into(self, X):
         return self.V.T @ X @ self.V
@@ -280,7 +286,7 @@ class _EigenbasisKernel(_SchurKernel):
     def _capacitance_step(self, Xb):
         """The next iterate, or None when the step is not proved."""
         F = Xb @ self.B
-        S = -symmetrize(F @ F.T + self.Qb)
+        S = -(F @ F.T + self.Qb)  # exactly symmetric: numpy forms F F' by syrk
         closed_loop = _Capacitance.factor(self.Dsum, self.C, self.B, F)
         solved = closed_loop and closed_loop.solve(S)
         if not solved:
@@ -360,16 +366,16 @@ def _spectral_factor(eigh_G):
     return U[:, keep] * np.sqrt(w[keep]), float(np.max(np.abs(w[~keep]), initial=0.0))
 
 
-def _eigenbasis_kernel(A, G, Q, cholesky, spectrum_G, lam_Q, cert):
+def _eigenbasis_kernel(A, G, Q, cholesky, spectrum_G, weight, cert):
     """The eigenbasis kernel for an exactly symmetric A, or None.  The gate
     reads G's pivoted-Cholesky factor ``cholesky`` when there is one; when
     it is None or fails the gate, the gate reads ``eigh(G)``
     (``spectrum_G``, or from :func:`check_psd` when that is None too)."""
-    kernel = cholesky and _EigenbasisKernel.build(A, G, Q, cholesky, lam_Q, cert)
+    kernel = cholesky and _EigenbasisKernel.build(A, G, Q, cholesky, weight, cert)
     if not kernel:
         if spectrum_G is None:
             spectrum_G = check_psd(G, "G", vectors=True)
-        kernel = _EigenbasisKernel.build(A, G, Q, _spectral_factor(spectrum_G), lam_Q, cert)
+        kernel = _EigenbasisKernel.build(A, G, Q, _spectral_factor(spectrum_G), weight, cert)
     return kernel
 
 
@@ -409,8 +415,10 @@ def solve_are(A, G, Q, tol=DEFAULT_STEP_TOL, cert=None, keep_history=False, X0=N
     cert : StabilityCertificate, optional
         Reuse a certificate for A instead of recomputing one.  The trace
         bound slack ``M^2/(2 alpha) tr(Q) - tr(X)`` is evaluated with it,
-        and the eigenbasis kernel takes A's eigenbasis from it (see
-        ``StabilityCertificate.eigh``).
+        the eigenbasis kernel takes A's eigenbasis from it (see
+        ``StabilityCertificate.eigh``), and Q's PSD test and projection
+        are read from it when it served an equal Q before (see
+        ``StabilityCertificate.weight``).
     keep_history : bool
         Record the iterate sequence (X1, X2, ...) on the solution.
     """
@@ -422,18 +430,17 @@ def solve_are(A, G, Q, tol=DEFAULT_STEP_TOL, cert=None, keep_history=False, X0=N
     symmetric = np.array_equal(A, A.T)
     cholesky = low_rank_psd(G, CAPACITANCE_MAX_RANK, "G") if symmetric else None
     spectrum_G = None if cholesky else check_psd(G, "G", vectors=symmetric)
-    lam_Q = check_psd(Q, "Q")
+    weight = PsdWeight(check_psd(Q, "Q")) if cert is None else cert.weight(Q)
     if tol <= 0.0:
         raise ValueError("tol must be positive")
     if cert is None:
         cert = certify_stability(A)  # raises UnstableGenerator
     Q_bounds = _norm_bounds(Q)
-    kernel = symmetric and _eigenbasis_kernel(A, G, Q, cholesky, spectrum_G, lam_Q, cert)
+    kernel = symmetric and _eigenbasis_kernel(A, G, Q, cholesky, spectrum_G, weight, cert)
     kernel = kernel or _SchurKernel(A, G, Q)
 
     n = A.shape[0]
-    X = np.zeros((n, n)) if X0 is None else symmetrize(ensure_operator(X0, "X0"))
-    Xb = kernel.into(X)
+    Xb = np.zeros((n, n)) if X0 is None else kernel.into(symmetrize(ensure_operator(X0, "X0")))
     history = [] if keep_history else None
     for k in range(1, MAX_NEWTON_ITERS + 1):
         Xb_next = kernel.step(Xb, k)
@@ -469,11 +476,17 @@ def verify_are(A, G, Q, sol, cert, horizon, nodes):
     ``||X - int_0^h exp(At)(Q - XGX)exp(A.T t) dt||`` via the quadrature
     oracle, (iii) the trace bound ``tr X <= M^2/(2 alpha) tr Q``, and
     (iv) symmetry / PSD of X.  ``cert`` is A's certificate; the quadrature
-    reuses it, so nothing is certified here.  Returns the full report and
-    leaves ``sol`` as it was.
+    reuses it, so nothing is certified here.  The strong residual is the
+    solution's own when it has been read and (A, G, Q) are its operands.
+    Returns the full report and leaves ``sol`` as it was.
     """
     A = ensure_operator(A, "A")
     X = sol.X
+    # the solution's strong residual if it has been read for these operands;
+    # reading sol.strong_residual here would cache it on sol
+    strong = None
+    if all(T is U or np.array_equal(T, U) for T, U in zip((A, G, Q), sol.operands)):
+        strong = vars(sol).get("strong_residual")
     integrand = symmetrize(Q - X @ G @ X)
     X_quad = bochner_quadrature(A, A, -integrand, horizon, nodes, cert=cert)
     bochner_abs = operator_norm(X - X_quad)
@@ -482,7 +495,7 @@ def verify_are(A, G, Q, sol, cert, horizon, nodes):
     tr_bound = cert.M**2 / (2.0 * cert.alpha) * float(np.trace(Q))
     sym_ok, psd_ok = psd_flags(X)
     return AREVerification(
-        strong_residual=riccati_residual(A, G, Q, X),
+        strong_residual=riccati_residual(A, G, Q, X) if strong is None else strong,
         bochner_residual=bochner_abs,
         bochner_residual_rel=bochner_abs / (1.0 + operator_norm(X)),
         trace_X=tr_X,

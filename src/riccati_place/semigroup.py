@@ -6,6 +6,7 @@ decay-rate bound in the package is parameterized by these two constants, so
 they are manufactured here once and passed around explicitly.
 """
 
+import hashlib
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -28,6 +29,28 @@ DECAY_SLACK = 1.0 + 1e-9
 CHUNK_POINTS = 128  # time points per stack held in memory
 
 
+class PsdWeight:
+    """A weight Q that passed ``check_psd(Q, "Q")``: ``spectrum`` is the
+    ``eigvalsh(Q)`` the test read, and :meth:`projection` projects Q onto
+    an eigenbasis.  A weight served by a certificate (see
+    :meth:`StabilityCertificate.weight`) carries the ``digest`` of Q's bytes
+    and the certificate's eigenbasis ``basis``; it holds no copy of Q.
+    """
+
+    def __init__(self, spectrum, digest=None, basis=None):
+        self.spectrum, self.digest, self.basis = spectrum, digest, basis
+        self._projection = None
+
+    def projection(self, Q, V):
+        """``symmetrize(V' Q V)`` for the Q this weight was validated from,
+        computed once when V is ``basis``."""
+        if V is not self.basis:
+            return symmetrize(V.T @ Q @ V)
+        if self._projection is None:
+            self._projection = symmetrize(V.T @ Q @ V)
+        return self._projection
+
+
 @dataclass(frozen=True)
 class StabilityCertificate:
     """Constants certifying ||exp(A t)|| <= M exp(-alpha t) on [0, sample_horizon].
@@ -45,6 +68,10 @@ class StabilityCertificate:
     pair on instead of decomposing A again.  It takes no part in equality or
     ``repr`` and is not a reported constant.  The certificate describes A
     as it was certified; an A changed in place afterwards needs a new one.
+
+    The certificate also keeps the last weight Q it validated (see
+    :meth:`weight`), so the Riccati solves of a path that share A, its
+    certificate and Q test and project Q once.
     """
 
     M: float
@@ -64,6 +91,22 @@ class StabilityCertificate:
             if A is certified or np.array_equal(A, certified):
                 return d, V
         return np.linalg.eigh(A)
+
+    def weight(self, Q):
+        """Q validated as a PSD weight: the :class:`PsdWeight` of
+        ``check_psd(Q, "Q")``, which raises for any other Q.  The last
+        weight served is handed on while Q's bytes keep its digest (an equal
+        copy of Q hits; a Q changed in place is tested again), and its
+        projection onto the kept eigenbasis is computed once."""
+        digest = hashlib.blake2b(np.ascontiguousarray(Q)).digest()
+        last = getattr(self, "_weight", None)
+        if last is None or last.digest != digest:
+            basis = None if self.eigenbasis is None else self.eigenbasis[2]
+            last = PsdWeight(check_psd(Q, "Q"), digest, basis)
+            # a memo, not a certified constant: no field, so neither
+            # equality, hash nor repr sees it
+            object.__setattr__(self, "_weight", last)
+        return last
 
 
 def _log_norm_proves(A, alpha):

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from riccati_place import riccati
 from riccati_place.cli import (
     build_model,
     load_matrix,
@@ -12,6 +13,8 @@ from riccati_place.cli import (
     save_matrix,
 )
 from riccati_place.errors import ConfigError
+
+from conftest import count_calls
 
 
 def base_config(**overrides):
@@ -130,6 +133,16 @@ class TestCommands:
         payload = json.loads((tmp_path / "out" / "report.json").read_text())
         assert payload["trace_bound_holds"] and payload["X_psd"]
         assert payload["strong_residual"] <= 1e-9
+
+    def test_solve_are_takes_one_svd_of_the_residual(self, monkeypatch, tmp_path):
+        # the report's strong residual is verify_are's: the solution's own
+        # is never read, so the residual's SVD is taken once
+        residuals = count_calls(monkeypatch, "riccati_residual", riccati)
+        norms = count_calls(monkeypatch, "operator_norm", riccati)
+        cfg = self.write_cfg(tmp_path, base_config())
+        assert main(["solve-are", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        assert len(residuals) == 1
+        assert len(norms) == 3  # verify_are: the residual, X - X_quad and X
 
     def test_optimize_w_zero_gives_origin(self, tmp_path):
         Wpath = tmp_path / "Wzero.txt"

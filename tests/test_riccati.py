@@ -6,10 +6,10 @@ from riccati_place import GaussianActuators, Problem2Config, linalg, riccati, se
 from riccati_place.errors import ClosedLoopUnstable, NewtonStall, UnstableGenerator
 from riccati_place.linalg import (
     _residual_within,
-    check_psd,
     low_rank_psd,
     operator_norm,
     solve_sylvester,
+    symmetrize,
 )
 from riccati_place.riccati import (
     riccati_residual,
@@ -27,8 +27,8 @@ def eigenbasis_kernel(A, G, Q):
     """The eigenbasis kernel for (A, G, Q), or None, gated as solve_are
     gates it: on G's pivoted-Cholesky factor, then on eigh(G)."""
     cholesky = low_rank_psd(G, riccati.CAPACITANCE_MAX_RANK, "G")
-    return riccati._eigenbasis_kernel(A, G, Q, cholesky, None, check_psd(Q),
-                                      certify_stability(A))
+    cert = certify_stability(A)
+    return riccati._eigenbasis_kernel(A, G, Q, cholesky, None, cert.weight(Q), cert)
 
 
 def scalar(x):
@@ -209,6 +209,35 @@ class TestEigenbasisKernel:
         kernel.lam_min_Q = 0.0
         assert kernel._capacitance_step(X0) is None
 
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    def test_right_side_is_exactly_symmetric(self, monkeypatch, r):
+        # S = -(F F' + Qb) is taken without symmetrizing: F F' and the
+        # symmetrized projection Qb are each exactly symmetric
+        A, grid = heat1d(64)
+        G = GaussianActuators(grid=grid, sigma=0.12, param_dim=r).G(np.linspace(0.2, 0.8, r))
+        X0 = solve_are(A, G, np.eye(64)).X
+        solves = count_calls(monkeypatch, "solve", riccati._Capacitance)
+        sol = solve_are(A, G, 2.0 * np.eye(64), X0=X0)
+        assert sol.schur_steps == 0 and len(solves) == sol.newton_iters
+        for _, S in solves:
+            assert np.array_equal(S, S.T) and symmetrize(S).tobytes() == S.tobytes()
+
+    @pytest.mark.parametrize("n", [16, 64])
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    def test_capacitance_matrix_is_the_broadcast_formula(self, n, r):
+        A, grid = heat1d(n)
+        G = GaussianActuators(grid=grid, sigma=0.12, param_dim=r).G(np.linspace(0.2, 0.8, r))
+        kernel = eigenbasis_kernel(A, G, np.eye(n))
+        C, B = kernel.C, kernel.B
+        F = kernel.into(solve_are(A, G, np.eye(n)).X) @ B
+        ref = -(C[None, :, None, :] * F[None, :, :, None] * B.T[:, None, None, :])
+        idx = np.arange(n)
+        ref[:, idx, :, idx] -= (C @ (B[:, :, None] * F[:, None, :]).reshape(n, r * r)
+                                ).reshape(n, r, r)
+        ref = ref.reshape(n * r, n * r)
+        ref[np.diag_indices(n * r)] += 1.0
+        assert riccati._Capacitance._matrix(C, B, F).tobytes() == ref.tobytes()
+
     def test_heat64_rank1_takes_no_schur_form(self, monkeypatch):
         A, grid = heat1d(64)
         G = GaussianActuators(grid=grid, sigma=0.12).G([0.3])
@@ -328,23 +357,30 @@ class TestSpectralWork:
         return A, [family.G([p]) for p in np.linspace(0.2, 0.8, placements)], np.eye(n)
 
     def test_warm_path_takes_no_spectrum_of_A_or_G_and_no_svd(self, monkeypatch):
+        # Q's spectrum and its projection V' Q V are taken once per path:
+        # the certificate keeps them for every later solve with an equal Q
         A, Gs, Q = self.heat_path()
         cert = certify_stability(A)
         eigh = count_calls(monkeypatch, "eigh", np.linalg)
         eigvalsh = count_calls(monkeypatch, "eigvalsh", np.linalg)
         svd = count_calls(monkeypatch, "svd", np.linalg)
         norms = count_calls(monkeypatch, "operator_norm", linalg, riccati)
+        projections = count_calls(monkeypatch, "symmetrize", semigroup)
+        kernels = count_calls(monkeypatch, "__init__", riccati._EigenbasisKernel)
         sols, X = [], None
         for G in Gs:
             sols.append(solve_are(A, G, Q, cert=cert, X0=X))
             X = sols[-1].X
         assert [s.schur_steps for s in sols] == [0] * len(Gs)
         assert (len(eigh), len(svd), len(norms)) == (0, 0, 0)
-        assert [args[0] is Q for args in eigvalsh] == [True] * len(Gs)
+        assert [args[0] is Q for args in eigvalsh] == [True]
+        assert len(projections) == 1 and len(kernels) == len(Gs)
+        assert all(args[-1] is kernels[0][-1] for args in kernels)  # one V' Q V
         assert all("strong_residual" not in vars(s) for s in sols)
 
         verify_are(A, Gs[-1], Q, sols[-1], cert, horizon=20.0 / cert.alpha, nodes=200)
-        assert len(eigh) == 0
+        assert len(eigh) == 0 and len(projections) == 1
+        assert sum(args[0] is Q for args in eigvalsh) == 1
         assert not any(args[0] is A for args in eigvalsh)
         for G, sol in zip(Gs, sols):
             assert sol.strong_residual == riccati_residual(A, G, Q, sol.X)
@@ -398,6 +434,75 @@ class TestSpectralWork:
         assert sol.strong_residual == first and len(norms) == 2  # the read is cached
 
 
+class TestWeightMemo:
+    """A certificate tests and projects each Q once: it keeps the last Q it
+    validated, keyed by a digest of Q's bytes, never by identity alone."""
+
+    def test_equal_copy_of_Q_hits(self, monkeypatch):
+        A, (G, *_), Q = TestSpectralWork.heat_path(n=16)
+        cert = certify_stability(A)
+        eigvalsh = count_calls(monkeypatch, "eigvalsh", np.linalg)
+        projections = count_calls(monkeypatch, "symmetrize", semigroup)
+        first = solve_are(A, G, Q, cert=cert)
+        second = solve_are(A, G, Q.copy(), cert=cert)
+        assert (len(eigvalsh), len(projections)) == (1, 1)
+        assert first.X.tobytes() == second.X.tobytes()
+
+    def test_Q_changed_in_place_is_tested_and_projected_again(self, monkeypatch):
+        A, (G, *_), Q = TestSpectralWork.heat_path(n=16)
+        cert = certify_stability(A)
+        solve_are(A, G, Q, cert=cert)
+        Q[0, 0] = 2.0
+        checks = count_calls(monkeypatch, "check_psd", semigroup)
+        projections = count_calls(monkeypatch, "symmetrize", semigroup)
+        sol = solve_are(A, G, Q, cert=cert)
+        assert (len(checks), len(projections)) == (1, 1)
+        fresh = solve_are(A, G, Q.copy(), cert=certify_stability(A))
+        assert sol.schur_steps == 0 and sol.X.tobytes() == fresh.X.tobytes()
+
+    @pytest.mark.parametrize("symmetric_A", [True, False])
+    def test_rejected_Q_keeps_its_message_through_a_memo(self, symmetric_A):
+        A = heat1d(2)[0] if symmetric_A else np.array([[-1.0, 1.0], [0.0, -2.0]])
+        indefinite, skew = np.diag([1.0, -1.0]), np.array([[1.0, 1.0], [0.0, 1.0]])
+        cert = certify_stability(A)
+        Q = np.eye(2)
+        solve_are(A, np.eye(2), Q, cert=cert)  # the memo now holds Q
+        for args, message in [
+                ((indefinite, Q), "G is not PSD: lambda_min = -1.000e+00 < -2.000e-10"),
+                ((np.eye(2), indefinite), "Q is not PSD: lambda_min = -1.000e+00 < -2.000e-10"),
+                ((np.eye(2), skew), "Q is not symmetric: max|T - T.T| = 1.000e+00 > 2.618e-12")]:
+            with pytest.raises(ValueError) as err:
+                solve_are(A, *args, cert=cert)
+            assert str(err.value) == message
+        Q[1, 1] = -1.0  # in place: the same array, now indefinite
+        with pytest.raises(ValueError, match="^Q is not PSD: lambda_min = -1.000e"):
+            solve_are(A, np.eye(2), Q, cert=cert)
+        with pytest.raises(ValueError, match="^tol must be positive$"):
+            solve_are(A, np.eye(2), np.eye(2), cert=cert, tol=0.0)
+
+    def test_cold_start_takes_no_projection(self, monkeypatch):
+        A, (G, *_), Q = TestSpectralWork.heat_path(n=16)
+        cert = certify_stability(A)
+        into = count_calls(monkeypatch, "into", riccati._EigenbasisKernel)
+        cold = solve_are(A, G, Q, cert=cert)
+        assert cold.schur_steps == 0 and len(into) == 0
+        solve_are(A, G, Q, cert=cert, X0=cold.X)
+        assert len(into) == 1
+
+    def test_one_psd_test_of_Q_per_certificate_on_a_non_symmetric_generator(
+            self, monkeypatch, rng):
+        A = rand_stable(8, rng)
+        Q = rand_psd(8, rng)
+        cert = certify_stability(A)
+        checks = count_calls(monkeypatch, "check_psd", semigroup, riccati)
+        for _ in range(20):
+            solve_are(A, rand_psd(8, rng), Q, cert=cert)
+        assert [args[0] is Q for args in checks if args[1] == "Q"] == [True]
+        # the memo lives on the certificate: another one tests Q again
+        solve_are(A, rand_psd(8, rng), Q, cert=certify_stability(A))
+        assert [args[0] is Q for args in checks if args[1] == "Q"] == [True, True]
+
+
 class TestVerifyAre:
     def test_scalar_instance(self):
         A, G, Q = scalar(-1), scalar(1), scalar(3)
@@ -430,6 +535,27 @@ class TestVerifyAre:
         assert vars(sol).keys() == before.keys()
         assert all(getattr(sol, name) is value for name, value in before.items())
         assert np.array_equal(sol.X, X)
+
+    def test_reports_the_solutions_residual_once_read(self, monkeypatch, rng):
+        A = rand_stable_symmetric(6, rng)
+        G, Q = rand_psd(6, rng), rand_psd(6, rng)
+        cert = certify_stability(A)
+        sol = solve_are(A, G, Q, cert=cert)
+        residuals = count_calls(monkeypatch, "riccati_residual", riccati)
+
+        def verify(*operands):
+            return verify_are(*operands, sol, cert, horizon=20.0 / cert.alpha, nodes=200)
+
+        unread = verify(A, G, Q)
+        assert len(residuals) == 1 and "strong_residual" not in vars(sol)
+        read = sol.strong_residual
+        assert len(residuals) == 2 and read == unread.strong_residual
+        for operands in ((A, G, Q), (A.copy(), G.copy(), Q.copy())):
+            assert verify(*operands).strong_residual == read
+        assert len(residuals) == 2
+        other = verify(A, G, 2.0 * Q)
+        assert len(residuals) == 3
+        assert other.strong_residual == riccati_residual(A, G, 2.0 * Q, sol.X)
 
     def test_zero_q(self):
         A, G, Q = scalar(-2), scalar(1), scalar(0)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -234,6 +236,26 @@ class TestCertificateKernel:
                                     sample_count=cert.sample_count, method=cert.method)
         assert cert == bare and hash(cert) == hash(bare) and repr(cert) == repr(bare)
         assert bare.eigenbasis is None and np.array_equal(bare.eigh(A)[0], d)
+
+    def test_weight_memo_is_keyed_by_content_and_not_a_constant(self, monkeypatch):
+        A = heat(16)
+        cert, twin = certify_stability(A), certify_stability(A)
+        _, _, V = cert.eigenbasis
+        Q = np.diag(np.linspace(1.0, 2.0, 16))
+        eigvalsh = count_calls(monkeypatch, "eigvalsh", np.linalg)
+        weight = cert.weight(Q)
+        assert cert.weight(Q.copy()) is weight and len(eigvalsh) == 1
+        assert np.array_equal(weight.spectrum, np.linalg.eigvalsh(Q))
+        projection = weight.projection(Q, V)
+        assert weight.projection(Q, V) is projection
+        assert projection.tobytes() == (0.5 * ((V.T @ Q @ V) + (V.T @ Q @ V).T)).tobytes()
+        # another basis is projected afresh and not kept
+        other = np.linalg.eigh(2.0 * A)[1]
+        assert weight.projection(Q, other) is not weight.projection(Q, other)
+        # equality, hash and repr ignore the memo; a copy starts without one
+        assert cert == twin and hash(cert) == hash(twin) and repr(cert) == repr(twin)
+        assert replace(cert).weight(Q) is not weight
+        assert cert.weight(2.0 * Q) is not weight
 
     def test_non_symmetric_certificate_keeps_no_eigenbasis(self):
         skew = np.array([[-1.0, 0.1], [-0.1, -2.0]])

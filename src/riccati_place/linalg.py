@@ -260,22 +260,44 @@ def matrix_exponential(A, t):
     return spla.expm(A * t)
 
 
+def _schur_form(A):
+    """:func:`_real_schur` of A; a 1x1 (or empty) A is its own Schur form
+    and takes none."""
+    if A.shape[0] < 2:
+        return A, np.ones(A.shape), A.ravel().astype(complex)
+    return _real_schur(A)
+
+
 def _real_schur(A):
-    """Real Schur form ``A = U T U.T`` with the eigenvalues of A.
+    """Real Schur form ``A = U T U.T`` with the eigenvalues of A, for a
+    validated operator A (:func:`ensure_operator`) of order n >= 2.
+
+    T and U come from LAPACK's ``gees`` with the workspace query and the
+    arguments ``scipy.linalg.schur(A, output="real")`` uses, so they are
+    that function's bit for bit, without its finiteness and batch checks;
+    raises LinAlgError when ``gees`` fails.  This is the one place the
+    package takes a Schur form of a generator.
 
     The eigenvalues are read off T's diagonal blocks.  LAPACK standardises
     each 2x2 block to ``[[a, b], [c, a]]`` with ``b c < 0``, whose
     eigenvalues are ``a +- i sqrt(|b| |c|)``.
     """
-    if A.shape[0] == 1:
-        return A, np.ones((1, 1)), A.ravel().astype(complex)
-    T, U = spla.schur(A, output="real")
+    gees, = spla.get_lapack_funcs(("gees",), (A,))
+    lwork = gees(_no_sort, A, lwork=-1)[-2][0].real.astype(np.int_)
+    T, _, _, _, U, _, info = gees(_no_sort, A, lwork=lwork, overwrite_a=False, sort_t=0)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"gees failed with info = {info}")
     lam = np.diag(T).astype(complex)
     k = np.flatnonzero(np.diag(T, -1))
     im = np.sqrt(np.abs(T[k, k + 1])) * np.sqrt(np.abs(T[k + 1, k]))
     lam[k] += 1j * im
     lam[k + 1] -= 1j * im
     return T, U, lam
+
+
+def _no_sort(re, im=None):
+    """The eigenvalue selector ``gees`` requires; unused with ``sort_t=0``."""
+    return None
 
 
 def _require_stable(lam, name):
@@ -300,8 +322,8 @@ class SylvesterFactor:
     def __init__(self, A1, A2):
         self.A1, self.A2 = A1, A2
         same = A2 is A1 or np.array_equal(A1, A2)
-        self.schur1 = _real_schur(A1)
-        self.schur2 = self.schur1 if same else _real_schur(A2)
+        self.schur1 = _schur_form(A1)
+        self.schur2 = self.schur1 if same else _schur_form(A2)
         lam1, lam2 = self.schur1[2], self.schur2[2]
         _require_stable(lam1, "A1")
         _require_stable(lam2, "A2")

@@ -51,9 +51,10 @@ class Problem1Config:
         n = self.A.shape[0]
         if self.Q.shape[0] != n or self.W.shape[0] != n or self.family.state_dim != n:
             raise ValueError("A, Q, W, family dimensions are inconsistent")
-        check_psd(self.Q, "Q")
+        spectrum_Q = check_psd(self.Q, "Q")
         check_psd(self.W, "W")
         self.cert = certify_stability(self.A)
+        self.cert.weight(self.Q, spectrum_Q)  # the solves read Q's test from the certificate
 
 
 @dataclass

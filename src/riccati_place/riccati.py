@@ -78,7 +78,7 @@ class RiccatiSolution:
     newton_iters: int
     trace_bound_slack: float
     operands: tuple = field(repr=False, compare=False)
-    schur_steps: int = 0  # Newton steps solved on a Schur form; not reported
+    schur_steps: int = 0  # Schur forms the Newton steps took (none for a kept X1); not reported
     history: Optional[List[np.ndarray]] = None
     eigenbasis: Optional[_EigenbasisFacts] = field(default=None, repr=False, compare=False)
 
@@ -111,10 +111,16 @@ def riccati_residual(A, G, Q, X):
 
 class _SchurKernel:
     """Newton-Kleinman steps on a real Schur form of each closed loop; the
-    iterate is held in the original basis."""
+    iterate is held in the original basis.
+
+    ``start`` is Q's :class:`PsdWeight` when the solve starts cold (X0 = 0):
+    the first step is then the Lyapunov solve of (A, Q), which depends on
+    neither G nor X0, and is read from the weight (see
+    :meth:`PsdWeight.lyapunov`)."""
 
     def __init__(self, A, G, Q):
         self.A, self.G, self.Q = A, G, Q
+        self.start = None
         self.schur_steps = 0
 
     def into(self, X):
@@ -133,6 +139,12 @@ class _SchurKernel:
         return None
 
     def _schur_step(self, X, k):
+        if k == 1 and self.start is not None:
+            return self.start.lyapunov(self.A, lambda: self._solve_step(X, k))
+        return self._solve_step(X, k)
+
+    def _solve_step(self, X, k):
+        """The step from X solved on a Schur form of its closed loop."""
         self.schur_steps += 1
         Acl = self.A - X @ self.G
         rhs = -symmetrize(X @ self.G @ X + self.Q)
@@ -404,11 +416,16 @@ def solve_are(A, G, Q, tol=DEFAULT_STEP_TOL, cert=None, keep_history=False, X0=N
     ``1e-10 (1 + ||Q||)``.  Both tests are decided as SVDs would decide
     them, from norm bounds, with an SVD only where the bounds leave a test
     open; the solution's ``strong_residual`` is computed when first read.
-    ``schur_steps`` on the solution counts the steps solved on a Schur
-    form.
     X0 = 0 is admissible because A itself is required to be stable
     (certified on entry); any other X0 must keep A - X0 G stable (e.g. a warm
-    start from a nearby instance).
+    start from a nearby instance).  From X0 = 0 the first iterate X1 solves
+    ``A X1 + X1 A' = -Q`` whatever G is: a cold start whose first step is
+    taken on a Schur form reads X1 from Q's weight on A's certificate, which
+    solves it on the first such start and keeps it (see
+    ``PsdWeight.lyapunov``), so every cold start that shares A, its
+    certificate and Q takes one Schur form of A between them.  X1 still
+    counts in ``newton_iters``; ``schur_steps`` on the solution counts the
+    Schur forms the solve actually took.
 
     Parameters
     ----------
@@ -416,9 +433,9 @@ def solve_are(A, G, Q, tol=DEFAULT_STEP_TOL, cert=None, keep_history=False, X0=N
         Reuse a certificate for A instead of recomputing one.  The trace
         bound slack ``M^2/(2 alpha) tr(Q) - tr(X)`` is evaluated with it,
         the eigenbasis kernel takes A's eigenbasis from it (see
-        ``StabilityCertificate.eigh``), and Q's PSD test and projection
-        are read from it when it served an equal Q before (see
-        ``StabilityCertificate.weight``).
+        ``StabilityCertificate.eigh``), and Q's PSD test, its projection
+        and a cold start's X1 are read from it when it served an equal Q
+        before (see ``StabilityCertificate.weight``).
     keep_history : bool
         Record the iterate sequence (X1, X2, ...) on the solution.
     """
@@ -438,6 +455,8 @@ def solve_are(A, G, Q, tol=DEFAULT_STEP_TOL, cert=None, keep_history=False, X0=N
     Q_bounds = _norm_bounds(Q)
     kernel = symmetric and _eigenbasis_kernel(A, G, Q, cholesky, spectrum_G, weight, cert)
     kernel = kernel or _SchurKernel(A, G, Q)
+    if X0 is None:
+        kernel.start = weight
 
     n = A.shape[0]
     Xb = np.zeros((n, n)) if X0 is None else kernel.into(symmetrize(ensure_operator(X0, "X0")))

@@ -31,8 +31,9 @@ CHUNK_POINTS = 128  # time points per stack held in memory
 
 class PsdWeight:
     """A weight Q that passed ``check_psd(Q, "Q")``: ``spectrum`` is the
-    ``eigvalsh(Q)`` the test read, and :meth:`projection` projects Q onto
-    an eigenbasis.  A weight served by a certificate (see
+    ``eigvalsh(Q)`` the test read, :meth:`projection` projects Q onto an
+    eigenbasis, and :meth:`lyapunov` keeps the first Newton-Kleinman iterate
+    of a cold start.  A weight served by a certificate (see
     :meth:`StabilityCertificate.weight`) carries the ``digest`` of Q's bytes
     and the certificate's eigenbasis ``basis``; it holds no copy of Q.
     """
@@ -40,6 +41,7 @@ class PsdWeight:
     def __init__(self, spectrum, digest=None, basis=None):
         self.spectrum, self.digest, self.basis = spectrum, digest, basis
         self._projection = None
+        self._lyapunov = None
 
     def projection(self, Q, V):
         """``symmetrize(V' Q V)`` for the Q this weight was validated from,
@@ -49,6 +51,18 @@ class PsdWeight:
         if self._projection is None:
             self._projection = symmetrize(V.T @ Q @ V)
         return self._projection
+
+    def lyapunov(self, A, solve):
+        """A copy of X1, the solution of ``A X + X A' = -Q`` that ``solve()``
+        returns for the Q this weight was validated from; ``solve`` runs
+        only when the kept X1 was solved for another A.  The weight keeps a
+        reference to A, not a copy, and matches it by ``is`` or
+        ``np.array_equal``: as for :meth:`StabilityCertificate.eigh`, an A
+        changed in place after its solve needs a new certificate."""
+        kept = self._lyapunov
+        if kept is None or not (A is kept[0] or np.array_equal(A, kept[0])):
+            kept = self._lyapunov = (A, solve())
+        return kept[1].copy()
 
 
 @dataclass(frozen=True)
@@ -71,7 +85,8 @@ class StabilityCertificate:
 
     The certificate also keeps the last weight Q it validated (see
     :meth:`weight`), so the Riccati solves of a path that share A, its
-    certificate and Q test and project Q once.
+    certificate and Q test and project Q once, and the cold starts among
+    them solve the Lyapunov equation of (A, Q) once.
     """
 
     M: float
@@ -92,17 +107,21 @@ class StabilityCertificate:
                 return d, V
         return np.linalg.eigh(A)
 
-    def weight(self, Q):
+    def weight(self, Q, spectrum=None):
         """Q validated as a PSD weight: the :class:`PsdWeight` of
         ``check_psd(Q, "Q")``, which raises for any other Q.  The last
         weight served is handed on while Q's bytes keep its digest (an equal
         copy of Q hits; a Q changed in place is tested again), and its
-        projection onto the kept eigenbasis is computed once."""
+        projection onto the kept eigenbasis is computed once.  A caller
+        that has already run ``check_psd(Q, "Q")`` hands the ``spectrum`` it
+        returned, and Q is not tested again."""
         digest = hashlib.blake2b(np.ascontiguousarray(Q)).digest()
         last = getattr(self, "_weight", None)
         if last is None or last.digest != digest:
             basis = None if self.eigenbasis is None else self.eigenbasis[2]
-            last = PsdWeight(check_psd(Q, "Q"), digest, basis)
+            if spectrum is None:
+                spectrum = check_psd(Q, "Q")
+            last = PsdWeight(spectrum, digest, basis)
             # a memo, not a certified constant: no field, so neither
             # equality, hash nor repr sees it
             object.__setattr__(self, "_weight", last)

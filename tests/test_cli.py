@@ -1,9 +1,10 @@
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
-from riccati_place import riccati
+from riccati_place import linalg, riccati
 from riccati_place.cli import (
     build_model,
     load_matrix,
@@ -27,6 +28,29 @@ def base_config(**overrides):
     for section, fields in overrides.items():
         raw.setdefault(section, {}).update(fields)
     return raw
+
+
+def convdiff16_config(tmp_path):
+    """Problem 2 on the non-normal convection-diffusion model u_t = nu u_xx -
+    c u_x (nu = 1, c = 10, n = 16, central differences, Dirichlet ends) as
+    a ``matrix_file`` config, W = rank1:4, Q = identity."""
+    n, nu, c = 16, 1.0, 10.0
+    h = 1.0 / (n + 1)
+    A = nu * (np.diag(np.ones(n - 1), -1) + np.diag(np.full(n, -2.0))
+              + np.diag(np.ones(n - 1), 1)) / h**2
+    A = A + (c / (2.0 * h)) * (np.diag(np.ones(n - 1), -1) - np.diag(np.ones(n - 1), 1))
+    model = tmp_path / "convdiff16.txt"
+    model.write_text(f"{n}\n" + "".join(
+        " ".join(format(x, ".17g") for x in row) + "\n" for row in A))
+    path = tmp_path / "convdiff16.json"
+    path.write_text(json.dumps({
+        "model": {"kind": "matrix_file", "file_path": str(model)},
+        "device": {"kind": "gaussian_actuator", "sigma": 0.12,
+                   "grid": (h * np.arange(1, n + 1)).tolist()},
+        "problem": {"variant": 2, "beta": 10.0, "gamma": 2.6, "W": "rank1:4", "Q": "identity"},
+        "solver": {"tol": 1e-6, "max_iter": 500},
+    }))
+    return str(path)
 
 
 class TestBuildModel:
@@ -200,3 +224,34 @@ class TestCommands:
         code = main(["optimize", "--config", cfg, "--out", str(tmp_path / "out")])
         assert code == 2
         assert (tmp_path / "out" / "report.json").exists()
+
+
+class TestVerifyBoundsConvDiff16:
+    """verify-bounds on a non-normal generator: 220 cold state solves at
+    scattered placements, each on Schur forms."""
+
+    # sha256 of report.json for --seed 0, 1, 2 as written before cold starts
+    # shared their first Newton-Kleinman iterate; sharing it moves no byte
+    REPORTS = {
+        0: "46099b4463d0c778336dd200b1d29c77e40bf2708813c6d70dda9b8b589ee4bc",
+        1: "7208ac86daeeb9c013c44bee5ad6bbba8ca28a9e5ea823f7743fe2ec63a7f819",
+        2: "076221990223eaa4ff2892c46ec66ab10ff5bef8ab36efc4817bc472d3ba154e",
+    }
+
+    def test_cold_solves_share_one_schur_form_of_A(self, monkeypatch, tmp_path):
+        # 840 Newton steps and 220 closed-loop duals took 1060 Schur forms;
+        # 219 of the steps are a first iterate read from Q's weight
+        cfg = convdiff16_config(tmp_path)
+        schur = count_calls(monkeypatch, "_real_schur", linalg)
+        assert main(["verify-bounds", "--config", cfg, "--out", str(tmp_path / "out"),
+                     "--seed", "0"]) == 0
+        assert len(schur) == 841
+
+    @pytest.mark.parametrize("seed", sorted(REPORTS))
+    def test_report_bytes(self, tmp_path, seed):
+        cfg = convdiff16_config(tmp_path)
+        out = tmp_path / "out"
+        assert main(["verify-bounds", "--config", cfg, "--out", str(out),
+                     "--seed", str(seed)]) == 0
+        digest = hashlib.sha256((out / "report.json").read_bytes()).hexdigest()
+        assert digest == self.REPORTS[seed]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg as spla
 
-from riccati_place import GaussianActuators, dual, riccati, semigroup
+from riccati_place import GaussianActuators, dual, linalg, riccati, semigroup
 from riccati_place.dual import solve_dual, verify_dual
 from riccati_place.errors import ClosedLoopUnstable, UnstableGenerator
 from riccati_place.linalg import _residual_within, operator_norm, solve_sylvester, symmetrize
@@ -177,7 +177,7 @@ class TestClosedLoopFactor:
     def test_bare_array_keeps_the_schur_path_bit_for_bit(self, monkeypatch):
         A, G, Q, W = heat_instance()
         X = solve_are(A, G, Q).X
-        schur = count_calls(monkeypatch, "schur", spla)
+        schur = count_calls(monkeypatch, "_real_schur", linalg)
         sol = solve_dual(A, G, X, W)
         assert len(schur) == 1
         assert sol.capacitance is None and sol.schur is not None
@@ -188,7 +188,7 @@ class TestClosedLoopFactor:
     def test_heat_solution_takes_no_schur_form(self, monkeypatch, n, d):
         A, G, Q, W = heat_instance(n, d)
         are = solve_are(A, G, Q)
-        schur = count_calls(monkeypatch, "schur", spla)
+        schur = count_calls(monkeypatch, "_real_schur", linalg)
         sol = solve_dual(A, G, are, W)
         Acl = A - are.X @ G
         P = symmetrize(are.X @ G @ are.X)
@@ -212,7 +212,7 @@ class TestClosedLoopFactor:
             monkeypatch.setattr(riccati, "_residual_within", lambda R, P, P_bounds: False)
         else:
             monkeypatch.setattr(spla.lapack, "dgetrf", lambda M: (M, None, 1))
-        schur = count_calls(monkeypatch, "schur", spla)
+        schur = count_calls(monkeypatch, "_real_schur", linalg)
         sol = solve_dual(A, G, are, W)
         assert len(schur) == 1 and sol.capacitance is None
         monkeypatch.undo()
@@ -224,7 +224,7 @@ class TestClosedLoopFactor:
         # of the gate
         A, G, Q, W = heat_instance()
         are = solve_are(A, G, Q)
-        schur = count_calls(monkeypatch, "schur", spla)
+        schur = count_calls(monkeypatch, "_real_schur", linalg)
         assert solve_dual(A, G, are, W).capacitance is not None
         heavy = replace(are, eigenbasis=replace(are.eigenbasis, dropped=1e-6))
         assert solve_dual(A, G, heavy, W).capacitance is None
@@ -233,7 +233,7 @@ class TestClosedLoopFactor:
     def test_solution_of_other_operands_takes_the_schur_form(self, monkeypatch):
         A, G, Q, W = heat_instance()
         are = solve_are(A, G, Q)
-        schur = count_calls(monkeypatch, "schur", spla)
+        schur = count_calls(monkeypatch, "_real_schur", linalg)
         sol = solve_dual(A, 1.0001 * G, are, W)
         assert len(schur) == 1 and sol.capacitance is None
 
@@ -243,7 +243,7 @@ class TestClosedLoopFactor:
         A = heat1d(n)[0] if symmetric else rand_stable(n, rng)
         G, Q, W = rand_psd(n, rng, rank=2), np.eye(n), rand_psd(n, rng)
         are = solve_are(A, G, Q)
-        schur = count_calls(monkeypatch, "schur", spla)
+        schur = count_calls(monkeypatch, "_real_schur", linalg)
         sol = solve_dual(A, G, are, W)
         Ps = [symmetrize(rand_psd(n, rng)) for _ in range(3)]
         Ys = [sol.solve_closed_loop(P) for P in Ps]
@@ -258,7 +258,7 @@ class TestClosedLoopFactor:
         are = solve_are(A, G, Q)
         sol = solve_dual(A, G, are, W)
         monkeypatch.setattr(riccati, "_residual_within", lambda R, P, P_bounds: False)
-        schur = count_calls(monkeypatch, "schur", spla)
+        schur = count_calls(monkeypatch, "_real_schur", linalg)
         Ps = [symmetrize(are.X @ G @ are.X), np.eye(16)]
         Ys = [sol.solve_closed_loop(P) for P in Ps]
         assert len(schur) == 1 and sol.schur is not None

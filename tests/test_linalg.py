@@ -22,7 +22,14 @@ from riccati_place.linalg import (
     solve_sylvester,
 )
 
-from conftest import count_calls, heat1d, rand_psd, rand_stable, rand_stable_symmetric
+from conftest import (
+    count_calls,
+    heat1d,
+    rand_orthogonal,
+    rand_psd,
+    rand_stable,
+    rand_stable_symmetric,
+)
 
 
 class TestMatrixExponential:
@@ -108,7 +115,7 @@ class TestSolveSylvester:
     def test_one_schur_form_per_distinct_generator(self, monkeypatch, rng):
         A1, A2 = rand_stable(6, rng), rand_stable(6, rng)
         P = rng.standard_normal((6, 6))
-        schur = count_calls(monkeypatch, "schur", spla)
+        schur = count_calls(monkeypatch, "_real_schur", linalg)
         eigvals = count_calls(monkeypatch, "eigvals", np.linalg)
         solve_sylvester(A1, A1.copy(), P)
         assert len(schur) == 1
@@ -122,7 +129,7 @@ class TestSolveSylvester:
         A1 = rand_stable(n, rng)
         A2 = A1 if pairing == "same object" else rand_stable(n, rng)
         Ps = [rng.standard_normal((n, n)) for _ in range(3)]
-        schur = count_calls(monkeypatch, "schur", spla)
+        schur = count_calls(monkeypatch, "_real_schur", linalg)
         factor = SylvesterFactor(A1, A2)
         plain = [factor.solve(P) for P in Ps]
         transposed = [factor.solve(P, transpose=True) for P in Ps]
@@ -153,6 +160,31 @@ class TestSolveSylvester:
         assert T[0, 0] == pytest.approx(1.0 / -3e-9, rel=1e-12)
         with pytest.raises(SingularSystem):
             solve_sylvester(diag(-0.9e-9), diag(-0.9e-9), np.eye(5))
+
+    @pytest.mark.parametrize("n", [2, 7, 32])
+    def test_schur_form_is_scipys_bit_for_bit(self, n, rng):
+        # a non-normal A with complex pairs: rotations coupled by a strictly
+        # upper triangular part
+        A = np.triu(rng.standard_normal((n, n)), 1) - np.eye(n)
+        for i in range(0, n - 1, 2):
+            A[i:i + 2, i:i + 2] = [[-1.0 - i, 1.0 + i], [-2.0 - i, -1.0 - i]]
+        U = rand_orthogonal(n, rng)
+        A = U @ A @ U.T
+        T, U, lam = linalg._real_schur(A)
+        T_ref, U_ref = spla.schur(A, output="real")
+        assert T.tobytes() == T_ref.tobytes() and U.tobytes() == U_ref.tobytes()
+        assert np.count_nonzero(lam.imag) >= 2 * (n // 2)
+        assert np.abs(np.sort_complex(lam) - np.sort_complex(np.linalg.eigvals(A))).max() \
+            <= 1e-10 * np.abs(lam).max()
+
+    def test_failed_schur_form_raises_linalg_error(self, monkeypatch):
+        def gees(select, A, lwork=None, **kwargs):
+            work = np.array([4.0 * A.shape[0]])
+            return A, 0, None, None, np.eye(A.shape[0]), work, 0 if lwork == -1 else 3
+
+        monkeypatch.setattr(spla, "get_lapack_funcs", lambda names, arrays: (gees,))
+        with pytest.raises(np.linalg.LinAlgError, match="info = 3"):
+            solve_sylvester(-np.eye(2), -np.eye(2), np.eye(2))
 
     def test_complex_spectra_read_off_schur_blocks(self):
         # spectra -eps +- i and -eps +- 2i, each one 2x2 Schur block: a pair

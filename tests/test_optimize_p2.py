@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
-import scipy.linalg as spla
 
-from riccati_place import dual, optimize, riccati
+from riccati_place import dual, linalg, optimize, riccati, semigroup
 from riccati_place.devices import ConstantFamily, ConstantLedger, GaussianActuators
+from riccati_place.errors import UnstableGenerator
 from riccati_place.linalg import operator_norm, symmetrize
 from riccati_place.optimize import (
     Problem2Config,
@@ -299,7 +299,7 @@ class TestReducedHessianP2:
         W[2, 2] = 1.0
         cfg = Problem2Config(A=rand_stable(n, rng), Q=np.eye(n), W=W, family=fam,
                              beta=200.0, gamma=0.9 * fam.trace_G(p))
-        schur = count_calls(monkeypatch, "schur", spla)
+        schur = count_calls(monkeypatch, "_real_schur", linalg)
         state = optimize.solve_state_pair(cfg, p)
         H = optimize._reduced_hessian_p2(cfg, p, state)
         assert len(schur) == state[1].schur_steps + 1
@@ -433,10 +433,17 @@ class TestBetaSweep:
     def test_heat16_sweep_takes_no_schur_form(self, monkeypatch):
         # the Newton steps, the multipliers and the Hessian directions all
         # run on capacitance systems in A's eigenbasis
-        schur = count_calls(monkeypatch, "schur", spla)
+        schur = count_calls(monkeypatch, "_real_schur", linalg)
         report, _, _, _ = self.counted_heat16_sweep(monkeypatch)
         assert [r.iterations for r in report.rows] == [6, 1, 1, 1]
         assert len(schur) == 0
+
+    def test_heat16_sweep_tests_Q_once(self, monkeypatch):
+        # the config's PSD test of Q is handed to its certificate, and every
+        # solve reads it from there
+        eigvalsh = count_calls(monkeypatch, "eigvalsh", np.linalg)
+        self.counted_heat16_sweep(monkeypatch)
+        assert sum(np.array_equal(args[0], np.eye(16)) for args in eigvalsh) == 1
 
     def test_heat16_sweep_warm_starts_riccati(self, monkeypatch):
         _, _, ares, _ = self.counted_heat16_sweep(monkeypatch)
@@ -476,3 +483,29 @@ class TestBetaSweep:
         report = beta_sweep(cfg, [10.0, 100.0], [0.3])
         assert all(r.converged and not r.failed for r in report.rows)
         assert len(calls) == 0
+
+
+class TestConfigValidation:
+    """Q and W are tested before A is certified, with the texts of
+    check_psd; the certificate then holds Q's test for the solves."""
+
+    @staticmethod
+    def config(A, Q, W):
+        grid = np.linspace(0.1, 0.9, 4)
+        return Problem2Config(A=A, Q=Q, W=W, family=GaussianActuators(grid=grid, sigma=0.12),
+                              beta=10.0, gamma=1.0)
+
+    def test_Q_then_W_then_the_generator(self):
+        unstable, indefinite = np.eye(4), np.diag([1.0, 1.0, 1.0, -1.0])
+        with pytest.raises(ValueError, match="^Q is not PSD: lambda_min = -1.000e"):
+            self.config(unstable, indefinite, indefinite)
+        with pytest.raises(ValueError, match="^W is not PSD: lambda_min = -1.000e"):
+            self.config(unstable, np.eye(4), indefinite)
+        with pytest.raises(UnstableGenerator):
+            self.config(unstable, np.eye(4), np.eye(4))
+
+    def test_certificate_holds_the_configs_test_of_Q(self, monkeypatch):
+        cfg = self.config(-np.eye(4), np.eye(4), np.eye(4))
+        checks = count_calls(monkeypatch, "check_psd", semigroup)
+        weight = cfg.cert.weight(cfg.Q.copy())
+        assert len(checks) == 0 and np.array_equal(weight.spectrum, np.ones(4))

@@ -79,7 +79,7 @@ class TestSolveAre:
         A = rand_stable(8, rng)
         G, Q = rand_psd(8, rng), rand_psd(8, rng)
         cert = certify_stability(A)
-        schur = count_calls(monkeypatch, "schur", spla)
+        schur = count_calls(monkeypatch, "_real_schur", linalg)
         eigvals = count_calls(monkeypatch, "eigvals", np.linalg)
         sol = solve_are(A, G, Q, cert=cert)
         assert sol.newton_iters >= 3
@@ -242,7 +242,7 @@ class TestEigenbasisKernel:
         A, grid = heat1d(64)
         G = GaussianActuators(grid=grid, sigma=0.12).G([0.3])
         cert = certify_stability(A)
-        schur = count_calls(monkeypatch, "schur", spla)
+        schur = count_calls(monkeypatch, "_real_schur", linalg)
         sylvester = count_calls(monkeypatch, "solve_sylvester", linalg, riccati)
         sol = solve_are(A, G, np.eye(64), cert=cert)
         assert (len(schur), len(sylvester), sol.schur_steps) == (0, 0, 0)
@@ -294,7 +294,7 @@ class TestEigenbasisKernel:
             G = GaussianActuators(grid=grid, sigma=0.12).G([0.3])
             Q = np.diag(np.r_[np.ones(15), 0.0])
         cert = certify_stability(A)
-        schur = count_calls(monkeypatch, "schur", spla)
+        schur = count_calls(monkeypatch, "_real_schur", linalg)
         sol = solve_are(A, G, Q, cert=cert)
         assert sol.newton_iters >= 3
         assert len(schur) == sol.schur_steps == sol.newton_iters
@@ -328,7 +328,7 @@ class TestEigenbasisKernel:
         X0 = -1e3 * np.eye(n)
         assert np.max(np.linalg.eigvals(A - X0 @ G).real) > 0.0
         tried = count_calls(monkeypatch, "_capacitance_step", riccati._EigenbasisKernel)
-        schur = count_calls(monkeypatch, "schur", spla)
+        schur = count_calls(monkeypatch, "_real_schur", linalg)
         with pytest.raises(ClosedLoopUnstable):
             solve_are(A, G, np.eye(n), X0=X0)
         assert len(tried) == 1
@@ -501,6 +501,91 @@ class TestWeightMemo:
         # the memo lives on the certificate: another one tests Q again
         solve_are(A, rand_psd(8, rng), Q, cert=certify_stability(A))
         assert [args[0] is Q for args in checks if args[1] == "Q"] == [True, True]
+
+
+class TestColdStartLyapunov:
+    """From X0 = 0 the first Newton-Kleinman iterate solves A X1 + X1 A' = -Q
+    whatever G is: the cold starts that share A, its certificate and Q take
+    one Schur form for X1 between them."""
+
+    @staticmethod
+    def non_normal(rng, n=8, placements=5):
+        """A non-symmetric stable A, a positive definite Q and rank-2 G's."""
+        return (rand_stable(n, rng), rand_psd(n, rng),
+                [rand_psd(n, rng, rank=2) for _ in range(placements)])
+
+    def test_m_cold_solves_take_m_minus_1_fewer_schur_forms(self, monkeypatch, rng):
+        A, Q, Gs = self.non_normal(rng)
+        fresh = [solve_are(A, G, Q, cert=certify_stability(A)) for G in Gs]
+        cert = certify_stability(A)
+        schur = count_calls(monkeypatch, "_real_schur", linalg)
+        shared = [solve_are(A, G, Q, cert=cert) for G in Gs]
+        assert len(schur) == sum(f.newton_iters for f in fresh) - (len(Gs) - 1)
+        assert [s.schur_steps for s in shared] == [s.newton_iters - (i > 0)
+                                                   for i, s in enumerate(shared)]
+        for s, f in zip(shared, fresh):
+            assert s.newton_iters == f.newton_iters and s.schur_steps <= f.schur_steps
+            assert s.X.tobytes() == f.X.tobytes()
+
+    def test_history_starts_at_the_lyapunov_solution(self, rng):
+        A, Q, (G1, G2, *_) = self.non_normal(rng)
+        cert = certify_stability(A)
+        solve_are(A, G1, Q, cert=cert)
+        sol = solve_are(A, G2, Q, cert=cert, keep_history=True)
+        X1 = symmetrize(solve_sylvester(A, A, -symmetrize(Q)))
+        assert sol.history[0].tobytes() == X1.tobytes()
+        assert len(sol.history) == sol.newton_iters == sol.schur_steps + 1
+
+    def test_equal_copy_of_Q_hits(self, monkeypatch, rng):
+        A, Q, (G1, G2, *_) = self.non_normal(rng)
+        cert = certify_stability(A)
+        solve_are(A, G1, Q, cert=cert)
+        schur = count_calls(monkeypatch, "_real_schur", linalg)
+        sol = solve_are(A, G2, Q.copy(), cert=cert)
+        assert len(schur) == sol.schur_steps == sol.newton_iters - 1
+
+    def test_Q_changed_in_place_or_another_A_solves_again(self, rng):
+        A, Q, (G1, G2, *_) = self.non_normal(rng)
+        cert = certify_stability(A)
+        solve_are(A, G1, Q, cert=cert)
+        Q += np.eye(8)  # the same array, another weight
+        sol = solve_are(A, G2, Q, cert=cert)
+        fresh = solve_are(A, G2, Q.copy(), cert=certify_stability(A))
+        assert sol.schur_steps == sol.newton_iters
+        assert sol.X.tobytes() == fresh.X.tobytes()
+        B = A - np.eye(8)  # another generator through the same certificate
+        sol = solve_are(B, G2, Q, cert=cert)
+        fresh = solve_are(B, G2, Q, cert=certify_stability(B))
+        assert sol.schur_steps == sol.newton_iters
+        assert sol.X.tobytes() == fresh.X.tobytes()
+        again = solve_are(B.copy(), G1, Q, cert=cert)  # an equal copy of B hits
+        assert again.schur_steps == again.newton_iters - 1
+
+    def test_warm_start_never_reads_the_kept_solution(self, monkeypatch, rng):
+        A, Q, (G1, G2, *_) = self.non_normal(rng)
+        cert = certify_stability(A)
+        cold = solve_are(A, G1, Q, cert=cert)
+        reads = count_calls(monkeypatch, "lyapunov", semigroup.PsdWeight)
+        warm = solve_are(A, G2, Q, cert=cert, X0=cold.X)
+        zero = solve_are(A, G2, Q, cert=cert, X0=np.zeros((8, 8)))
+        assert len(reads) == 0
+        assert (warm.schur_steps, zero.schur_steps) == (warm.newton_iters, zero.newton_iters)
+
+    def test_without_a_certificate_nothing_is_shared(self, rng):
+        A, Q, (G1, G2, *_) = self.non_normal(rng)
+        sols = [solve_are(A, G, Q) for G in (G1, G2)]
+        assert [s.schur_steps for s in sols] == [s.newton_iters for s in sols]
+
+    def test_eigenbasis_fallback_at_the_first_step_reads_it(self, monkeypatch):
+        A, grid = heat1d(16)
+        family = GaussianActuators(grid=grid, sigma=0.12)
+        Gs = [family.G([p]) for p in (0.3, 0.6)]
+        monkeypatch.setattr(riccati._EigenbasisKernel, "_capacitance_step", lambda self, Xb: None)
+        fresh = [solve_are(A, G, np.eye(16), cert=certify_stability(A)) for G in Gs]
+        cert = certify_stability(A)
+        shared = [solve_are(A, G, np.eye(16), cert=cert) for G in Gs]
+        assert [s.schur_steps for s in shared] == [fresh[0].newton_iters, fresh[1].newton_iters - 1]
+        assert [s.X.tobytes() for s in shared] == [f.X.tobytes() for f in fresh]
 
 
 class TestVerifyAre:

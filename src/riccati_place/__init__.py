@@ -42,6 +42,7 @@ from .optimize import (
     OptimalityTriple,
     Problem1Config,
     Problem2Config,
+    StatePair,
     beta_sweep,
     contraction_constant_p1,
     contraction_constant_p2,

@@ -14,15 +14,16 @@ tr G_p -> gamma.
 import copy
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import List, Optional, Tuple
 
 import numpy as np
 
 from .devices import GRAM_SINGULAR_RTOL, sample_box
-from .dual import solve_dual
+from .dual import DualSolution, solve_dual
 from .errors import ClosedLoopUnstable, DegenerateFamily, MaxIterExceeded, RiccatiPlaceError
 from .linalg import check_psd, ensure_operator, norms, operator_norm, symmetrize
-from .riccati import solve_are
+from .riccati import RiccatiSolution, solve_are
 from .semigroup import certify_stability
 
 INNER_ARE_TOL = 1e-12
@@ -83,8 +84,7 @@ class OptimalityTriple:
     trace_constraint_residual: Optional[float] = None
     fixed_point_residual: Optional[float] = None
     mode: str = "fixed_point"
-    # problem 2: the state pair (G_p, RiccatiSolution, DualSolution) at p
-    state: Optional[tuple] = field(default=None, repr=False, compare=False)
+    state: Optional["StatePair"] = field(default=None, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -95,14 +95,57 @@ class ContractionReport:
     beta_threshold: float
 
 
+@dataclass(frozen=True, eq=False)
+class StatePair:
+    """The state at a placement p: G_p, the Riccati solution X(p), the
+    multiplier Lambda(p) and the beta-free facts derived from them, each
+    computed on first read and kept; gram_inverse raises DegenerateFamily
+    when dG*dG is singular at p."""
+    p: np.ndarray
+    G: np.ndarray
+    sol: RiccatiSolution
+    dsol: DualSolution
+    family: object = field(repr=False)
+
+    @cached_property
+    def xlx(self):
+        return symmetrize(self.sol.X @ self.dsol.Lambda @ self.sol.X)
+
+    @cached_property
+    def xlx_norm(self):
+        return operator_norm(self.xlx)
+
+    @cached_property
+    def trace_G(self):
+        return self.family.trace_G(self.p)
+
+    @cached_property
+    def adjoint_identity(self):
+        return self.family.dG_adjoint(self.p, np.eye(self.G.shape[0]))
+
+    @cached_property
+    def adjoint_xlx(self):
+        return self.family.dG_adjoint(self.p, self.xlx)
+
+    @cached_property
+    def gram_inverse(self):
+        return _gram_inverse(self.family, self.p)
+
+    def cost_p2(self, cfg):
+        """The problem-2 cost tr(X W) + beta/2 (tr G_p - gamma)^2 at p."""
+        gap = self.trace_G - cfg.gamma
+        return float(np.tensordot(self.sol.X, cfg.W)) + 0.5 * cfg.beta * gap**2
+
+
 def solve_state_pair(cfg, p, X0=None):
-    """Primal and dual solves at parameter p: (G_p, RiccatiSolution, DualSolution).
+    """Primal and dual solves at parameter p, as a StatePair.
 
     Newton-Kleinman starts from X0 when one is given (X at a nearby p), and
     from X = 0 otherwise.  When the warm solve raises ClosedLoopUnstable, as
     it does at its first step if A - X0 G_p is unstable, the pair is solved
     again from X = 0, which the stability of A always admits.
     """
+    p = np.array(p, dtype=float, ndmin=1)
     G = cfg.family.G(p)
     sol = None
     if X0 is not None:
@@ -112,13 +155,7 @@ def solve_state_pair(cfg, p, X0=None):
             pass
     if sol is None:
         sol = solve_are(cfg.A, G, cfg.Q, tol=INNER_ARE_TOL, cert=cfg.cert)
-    dsol = solve_dual(cfg.A, G, sol, cfg.W)
-    return G, sol, dsol
-
-
-def _xlx(X, Lam):
-    """symmetrize(X Lambda X), the matrix the adjoint gradients pair with dG."""
-    return symmetrize(X @ Lam @ X)
+    return StatePair(p, G, sol, solve_dual(cfg.A, G, sol, cfg.W), cfg.family)
 
 
 # ---------------------------------------------------------------------------
@@ -133,20 +170,15 @@ def cost_p1(cfg, p):
     return float(np.tensordot(sol.X, cfg.W)) + 0.5 * cfg.beta * float(p @ p)
 
 
-def _gradient_p1(cfg, p, X, Lam):
-    p = np.atleast_1d(np.asarray(p, dtype=float))
-    return cfg.beta * p - cfg.family.dG_adjoint(p, _xlx(X, Lam))
-
-
 def gradient_p1(cfg, p):
     """Adjoint gradient beta p - dG_p*(X Lambda X) of the reduced problem-1 cost."""
-    _, sol, dsol = solve_state_pair(cfg, p)
-    return _gradient_p1(cfg, p, sol.X, dsol.Lambda)
+    state = solve_state_pair(cfg, p)
+    return cfg.beta * state.p - state.adjoint_xlx
 
 
 def stationarity_residual_p1(cfg, triple):
-    """||beta p - dG_p*(X Lambda X)|| evaluated on the triple's own (X, Lambda)."""
-    return float(np.linalg.norm(_gradient_p1(cfg, triple.p, triple.X, triple.Lambda)))
+    """||beta p - dG_p*(X Lambda X)|| evaluated on the triple's own state pair."""
+    return float(np.linalg.norm(cfg.beta * triple.p - triple.state.adjoint_xlx))
 
 
 def solve_p1(cfg, p0, damping=1.0):
@@ -166,38 +198,38 @@ def solve_p1(cfg, p0, damping=1.0):
     best = None
     best_res = math.inf
     for it in range(1, cfg.max_iter + 1):
-        G, sol, dsol = solve_state_pair(cfg, p)
-        f = cfg.family.dG_adjoint(p, _xlx(sol.X, dsol.Lambda)) / cfg.beta
+        state = solve_state_pair(cfg, p)
+        f = state.adjoint_xlx / cfg.beta
         stat_res = cfg.beta * float(np.linalg.norm(p - f))
         if stat_res < best_res:
             best_res = stat_res
-            best = (p.copy(), sol, dsol)
+            best = state
         p_next = (1.0 - damping) * p + damping * f
         step = float(np.linalg.norm(p_next - p))
         if stat_res <= cfg.tol and step <= cfg.tol:
-            return _finish_triple(cfg, p, sol, dsol, stat_res, it, history)
+            return _finish_triple(cfg, state, stat_res, it, history)
         p = p_next
         history.append(p.copy())
-    p_best, sol, dsol = best
-    triple = _finish_triple(cfg, p_best, sol, dsol, best_res, cfg.max_iter, history)
+    triple = _finish_triple(cfg, best, best_res, cfg.max_iter, history)
     raise MaxIterExceeded(
         f"no fixed point within {cfg.max_iter} iterations "
         f"(best stationarity residual {best_res:.3e})", best=triple)
 
 
-def _finish_triple(cfg, p, sol, dsol, stat_res, iterations, history):
-    primal = sol.strong_residual
-    dual_res = dsol.residual
+def _finish_triple(cfg, state, stat_res, iterations, history):
+    primal = state.sol.strong_residual
+    dual_res = state.dsol.residual
     return OptimalityTriple(
-        X=sol.X,
-        Lambda=dsol.Lambda,
-        p=p,
+        X=state.sol.X,
+        Lambda=state.dsol.Lambda,
+        p=state.p,
         residual_primal=primal,
         residual_dual=dual_res,
         residual_stationarity=stat_res,
         iterations=iterations,
         converged=(stat_res <= cfg.tol and primal <= cfg.tol and dual_res <= cfg.tol),
         history=history,
+        state=state,
     )
 
 
@@ -235,7 +267,7 @@ def hessian_p1(cfg, triple, q, r):
     q = np.atleast_1d(np.asarray(q, dtype=float))
     r = np.atleast_1d(np.asarray(r, dtype=float))
     D2 = cfg.family.d2G(triple.p, q, r)
-    return cfg.beta * float(q @ r) - float(np.tensordot(_xlx(triple.X, triple.Lambda), D2))
+    return cfg.beta * float(q @ r) - float(np.tensordot(triple.state.xlx, D2))
 
 
 def hessian_p1_full(cfg, triple, Phi, q, Psi, r):
@@ -250,7 +282,7 @@ def hessian_p1_full(cfg, triple, Phi, q, Psi, r):
     Phi = ensure_operator(Phi, "Phi")
     Psi = ensure_operator(Psi, "Psi")
     Lam, X, p = triple.Lambda, triple.X, triple.p
-    G = cfg.family.G(p)
+    G = triple.state.G
     dGr = cfg.family.dG(p, r)
     dGq = cfg.family.dG(p, q)
     D2 = cfg.family.d2G(p, q, r)
@@ -295,29 +327,22 @@ def critical_cone_basis(family, p, X):
 # ---------------------------------------------------------------------------
 
 def cost_p2(cfg, p):
-    """tr(X(p) W) + beta/2 (tr G_p - gamma)^2."""
-    sol = solve_are(cfg.A, cfg.family.G(p), cfg.Q, tol=INNER_ARE_TOL, cert=cfg.cert)
-    return _p2_value(cfg, p, sol.X)
-
-
-def _gradient_p2(cfg, p, X, Lam):
-    p = np.atleast_1d(np.asarray(p, dtype=float))
-    v = cfg.family.dG_adjoint(p, np.eye(cfg.A.shape[0]))
-    w = cfg.family.dG_adjoint(p, _xlx(X, Lam))
-    return cfg.beta * (cfg.family.trace_G(p) - cfg.gamma) * v - w
+    """tr(X(p) W) + beta/2 (tr G_p - gamma)^2 (one Riccati solve)."""
+    X = solve_are(cfg.A, cfg.family.G(p), cfg.Q, tol=INNER_ARE_TOL, cert=cfg.cert).X
+    gap = cfg.family.trace_G(p) - cfg.gamma
+    return float(np.tensordot(X, cfg.W)) + 0.5 * cfg.beta * gap**2
 
 
 def gradient_p2(cfg, p, state=None):
     """Weak-form stationarity vector beta (tr G_p - gamma) dG*(I) - dG*(X Lambda X)."""
     if state is None:
         state = solve_state_pair(cfg, p)
-    _, sol, dsol = state
-    return _gradient_p2(cfg, p, sol.X, dsol.Lambda)
+    return cfg.beta * (state.trace_G - cfg.gamma) * state.adjoint_identity - state.adjoint_xlx
 
 
 def stationarity_residual_p2(cfg, triple):
     """Norm of the weak-form stationarity vector at the triple."""
-    return float(np.linalg.norm(_gradient_p2(cfg, triple.p, triple.X, triple.Lambda)))
+    return float(np.linalg.norm(gradient_p2(cfg, triple.p, triple.state)))
 
 
 def _gram_inverse(family, p):
@@ -340,22 +365,12 @@ def fixed_point_map_p2(cfg, p, direction=None, state=None):
     """
     if state is None:
         state = solve_state_pair(cfg, p)
-    return _map_p2(cfg, np.atleast_1d(np.asarray(p, dtype=float)), state, direction)
-
-
-def _map_p2(cfg, p, state, direction=None, Sinv=None):
-    """fixed_point_map_p2 at a float vector p, given its state pair and, when
-    the caller holds it, the Gram inverse (dG*dG)^{-1} at p."""
-    _, sol, dsol = state
+    p = state.p
     direction = p if direction is None else np.atleast_1d(np.asarray(direction, dtype=float))
-    M = _xlx(sol.X, dsol.Lambda)
-    m_norm = operator_norm(M)
-    if m_norm == 0.0:
+    if state.xlx_norm == 0.0:
         raise DegenerateFamily("X Lambda X vanishes (W = 0?); the map is undefined")
-    if Sinv is None:
-        Sinv = _gram_inverse(cfg.family, p)
-    T = symmetrize(M @ cfg.family.dG(p, direction))
-    return Sinv @ cfg.family.dG_adjoint(p, T) / m_norm
+    T = symmetrize(state.xlx @ cfg.family.dG(p, direction))
+    return state.gram_inverse @ cfg.family.dG_adjoint(p, T) / state.xlx_norm
 
 
 def solve_p2(cfg, p0, state=None):
@@ -373,27 +388,28 @@ def solve_p2(cfg, p0, state=None):
     and dual residuals, and the trace-constraint identity
     |tr G_p - gamma - ||X L X||/beta| <= tol.
 
-    ``state`` is the state pair (G_p, RiccatiSolution, DualSolution) at p0
-    when the caller holds it, e.g. a previous triple's ``state`` at its
-    ``p``; X and Lambda do not depend on beta, so it serves any config of
-    the same model.  Raises ValueError when its G_p is not cfg.family.G(p0).
-    Without it, the state pair at p0 is solved cold.  The triple carries the
-    final state pair.
+    ``state`` is the StatePair at p0 when the caller holds it, e.g. a
+    previous triple's ``state`` at its ``p``; X and Lambda do not depend on
+    beta, so it serves any config of the same model.  Raises ValueError when
+    its p is not p0.  Without it, the Gram matrix at p0 is checked and the
+    state pair at p0 is solved cold.  The triple carries the final state pair.
 
     Raises MaxIterExceeded (best iterate attached) when Newton stalls or
     runs out of cfg.max_iter iterations away from a weak stationary point.
     """
-    p0 = np.atleast_1d(np.asarray(p0, dtype=float)).copy()
-    if state is not None and not np.array_equal(state[0], cfg.family.G(p0)):
+    p0 = np.atleast_1d(np.asarray(p0, dtype=float))
+    if state is None:
+        Sinv = _gram_inverse(cfg.family, p0)  # raises before any state solve
+        state = solve_state_pair(cfg, p0)
+        vars(state)["gram_inverse"] = Sinv  # seeds the cached_property: one inversion at p0
+    elif not np.array_equal(state.p, p0):
         raise ValueError("the state pair handed to solve_p2 was not solved at p0")
-    Sinv = _gram_inverse(cfg.family, p0)  # must be invertible near p0; the map start reads it
-    history = [p0.copy()]
-    p, state, iterations, grad = _newton_p2(cfg, p0, Sinv, history, state)
-    triple = _finish_p2(cfg, p, state, grad, iterations, history)
+    state.gram_inverse  # DegenerateFamily when dG*dG is singular at p0; the map start reads it
+    triple = _newton_p2(cfg, state, [p0.copy()])
     if not triple.residual_stationarity <= cfg.tol:
         raise MaxIterExceeded(
             f"projected Newton stopped away from a stationary point after "
-            f"{iterations} iterations (residual {triple.residual_stationarity:.3e})",
+            f"{triple.iterations} iterations (residual {triple.residual_stationarity:.3e})",
             best=triple)
     return triple
 
@@ -405,9 +421,9 @@ HESSIAN_FLOOR = 1e-8    # eigenvalue floor, relative to 1 + max |H_ij|
 COST_ROUNDING = 1e-13   # relative cost decrease that rounding can swallow
 
 
-def _newton_p2(cfg, p, Sinv, history, state):
-    """Projected Newton on cost_p2 from p (Bertsekas, SIAM J. Control Optim.
-    20, 1982).
+def _newton_p2(cfg, state, history):
+    """Projected Newton on cost_p2 from state.p (Bertsekas, SIAM J. Control
+    Optim. 20, 1982).
 
     A coordinate within the epsilon band of a bound whose gradient points
     out of the box is active: it takes a gradient step scaled by its Hessian
@@ -423,66 +439,63 @@ def _newton_p2(cfg, p, Sinv, history, state):
     solve when that X does not stabilize the trial's closed loop).  The
     method is local, so it first moves to the image of the paper's map at
     p, clipped to the box, when that costs less (heat16 has a minimum near
-    each end); ``Sinv`` is the Gram inverse (dG*dG)^{-1} at p that the map
-    reads.  ``state`` is the state pair at p that solve_p2 was handed, or
-    None, in which case it is solved cold.
+    each end).
 
-    Returns (p, state, iterations, grad), grad being the gradient at p.
+    Returns _finish_p2's triple at the last iterate; ``history`` collects the iterates.
     """
     if hasattr(cfg.family, "domain"):
         lo, hi = np.atleast_2d(np.asarray(cfg.family.domain(), dtype=float)).T
     else:
-        lo, hi = np.full(p.size, -np.inf), np.full(p.size, np.inf)
-    if state is None:
-        state = solve_state_pair(cfg, p)
-    value = _p2_value(cfg, p, state[1].X)
+        lo, hi = np.full(state.p.size, -np.inf), np.full(state.p.size, np.inf)
+    value = state.cost_p2(cfg)
     try:
-        image = np.clip(_map_p2(cfg, p, state, Sinv=Sinv), lo, hi)
+        image = np.clip(fixed_point_map_p2(cfg, state.p, state=state), lo, hi)
     except DegenerateFamily:
-        image = p
+        image = state.p
     moved = 0
-    if np.isfinite(image).all() and not np.array_equal(image, p):
-        image_state = solve_state_pair(cfg, image, X0=state[1].X)
-        image_value = _p2_value(cfg, image, image_state[1].X)
+    if np.isfinite(image).all() and not np.array_equal(image, state.p):
+        image_state = solve_state_pair(cfg, image, X0=state.sol.X)
+        image_value = image_state.cost_p2(cfg)
         if image_value < value:
-            p, state, value, moved = image, image_state, image_value, 1
-            history.append(p.copy())
-    grad = gradient_p2(cfg, p, state)
+            state, value, moved = image_state, image_value, 1
+            history.append(state.p.copy())
+    grad = gradient_p2(cfg, state.p, state)
     for it in range(moved, cfg.max_iter):
+        p = state.p
         if np.linalg.norm(grad) <= cfg.tol:
-            return p, state, it, grad
+            return _finish_p2(cfg, state, grad, it, history)
         band = np.minimum(ACTIVE_BAND * (hi - lo),
                           np.linalg.norm(p - np.clip(p - grad, lo, hi)))
         active = (((p <= lo + band) & (grad > 0))
                   | ((p >= hi - band) & (grad < 0)))
-        step = _newton_step(_reduced_hessian_p2(cfg, p, state), grad, active)
-        trial = _backtrack(cfg, p, state[1].X, value, grad, step, active, lo, hi)
+        step = _newton_step(_reduced_hessian_p2(cfg, state), grad, active)
+        trial = _backtrack(cfg, state, value, grad, step, active, lo, hi)
         if trial is None:
-            return p, state, it + 1, grad
-        p, state, value, grad = trial
-        history.append(p.copy())
-    return p, state, cfg.max_iter, grad
+            return _finish_p2(cfg, state, grad, it + 1, history)
+        state, value, grad = trial
+        history.append(state.p.copy())
+    return _finish_p2(cfg, state, grad, cfg.max_iter, history)
 
 
-def _backtrack(cfg, p, X, value, grad, step, active, lo, hi):
-    """Armijo backtracking along the projected arc p(t) = clip(p - t step),
-    each trial's state pair warm-started from X = X(p); (p, state, value,
-    grad) at the accepted point, or None when the arc does not leave p or
-    no trial is accepted."""
+def _backtrack(cfg, state, value, grad, step, active, lo, hi):
+    """Armijo backtracking along the projected arc p(t) = clip(p - t step)
+    from p = state.p, each trial's state pair warm-started from X(p);
+    (state, value, grad) at the accepted point, or None when the arc does
+    not leave p or no trial is accepted."""
     t = 1.0
     for _ in range(MAX_BACKTRACKS):
-        p_try = np.clip(p - t * step, lo, hi)
-        if np.array_equal(p_try, p):
+        p_try = np.clip(state.p - t * step, lo, hi)
+        if np.array_equal(p_try, state.p):
             return None
         decrease = (t * float(grad[~active] @ step[~active])
-                    + float(grad[active] @ (p - p_try)[active]))
-        state = solve_state_pair(cfg, p_try, X0=X)
-        value_try = _p2_value(cfg, p_try, state[1].X)
-        grad_try = gradient_p2(cfg, p_try, state)
+                    + float(grad[active] @ (state.p - p_try)[active]))
+        trial = solve_state_pair(cfg, p_try, X0=state.sol.X)
+        value_try = trial.cost_p2(cfg)
+        grad_try = gradient_p2(cfg, p_try, trial)
         if (value_try <= value - ARMIJO_SLOPE * decrease
                 or (decrease <= COST_ROUNDING * (1.0 + abs(value))
                     and np.linalg.norm(grad_try) <= 0.5 * np.linalg.norm(grad))):
-            return p_try, state, value_try, grad_try
+            return trial, value_try, grad_try
         t *= 0.5
     return None
 
@@ -499,10 +512,10 @@ def _newton_step(H, grad, active):
     return step
 
 
-def _reduced_hessian_p2(cfg, p, state):
-    """Exact Hessian of p -> cost_p2(cfg, p) by second-order adjoints
-    (Hinze, Pinnau, Ulbrich & Ulbrich, Optimization with PDE Constraints,
-    2009).
+def _reduced_hessian_p2(cfg, state):
+    """Exact Hessian of p -> cost_p2(cfg, p) at p = state.p by second-order
+    adjoints (Hinze, Pinnau, Ulbrich & Ulbrich, Optimization with PDE
+    Constraints, 2009).
 
     With Acl = A - X G, the state sensitivity X'_k in coordinate direction
     k solves Acl X'_k + X'_k Acl.T = X dG_k X, each on the closed-loop
@@ -519,48 +532,39 @@ def _reduced_hessian_p2(cfg, p, state):
     adjoint identity, tr(Lambda'_j X dG_k X) = 2 <B_j, X'_k> with
     B_j = (G X'_j + dG_j X) Lambda, since X'_k is symmetric.
     """
-    G, sol, dsol = state
-    X, Lam = sol.X, dsol.Lambda
-    p = np.atleast_1d(np.asarray(p, dtype=float))
-    family = cfg.family
+    X, Lam = state.sol.X, state.dsol.Lambda
+    p = state.p
     E = np.eye(p.size)
-    dG = [family.dG(p, e) for e in E]
-    dX = [dsol.solve_closed_loop(symmetrize(X @ D @ X)) for D in dG]
+    dG = [cfg.family.dG(p, e) for e in E]
+    dX = [state.dsol.solve_closed_loop(symmetrize(X @ D @ X)) for D in dG]
     tr_dG = np.array([np.trace(D) for D in dG])
-    gap = family.trace_G(p) - cfg.gamma
-    M = _xlx(X, Lam)
+    gap = state.trace_G - cfg.gamma
     H = cfg.beta * np.outer(tr_dG, tr_dG)
     for j in range(p.size):
-        B = (G @ dX[j] + dG[j] @ X) @ Lam
+        B = (state.G @ dX[j] + dG[j] @ X) @ Lam
         LdX = Lam @ dX[j]
         for k in range(p.size):
-            D2 = family.d2G(p, E[k], E[j])
-            H[k, j] += (cfg.beta * gap * np.trace(D2) - np.tensordot(M, D2)
+            D2 = cfg.family.d2G(p, E[k], E[j])
+            H[k, j] += (cfg.beta * gap * np.trace(D2) - np.tensordot(state.xlx, D2)
                         - 2.0 * (np.vdot(B, dX[k]) + np.vdot(LdX, X @ dG[k])))
     return symmetrize(H)
 
 
-def _p2_value(cfg, p, X):
-    gap = cfg.family.trace_G(p) - cfg.gamma
-    return float(np.tensordot(X, cfg.W)) + 0.5 * cfg.beta * gap**2
-
-
-def _finish_p2(cfg, p, state, grad, iterations, history):
-    """The problem-1 record at p, with the stationarity residual read off
-    ``grad`` (the gradient at p), extended by problem 2's trace constraint
-    and map residual; converged also asks the trace-constraint identity."""
-    _, sol, dsol = state
-    triple = _finish_triple(cfg, p, sol, dsol, float(np.linalg.norm(grad)),
-                            iterations, history)
-    trace_gap = cfg.family.trace_G(p) - cfg.gamma
-    trace_res = abs(trace_gap - operator_norm(_xlx(sol.X, dsol.Lambda)) / cfg.beta)
+def _finish_p2(cfg, state, grad, iterations, history):
+    """The problem-1 record at p = state.p, with the stationarity residual
+    read off ``grad`` (the gradient at p), extended by problem 2's trace
+    constraint and map residual; converged also asks the trace-constraint identity."""
+    p = state.p
+    triple = _finish_triple(cfg, state, float(np.linalg.norm(grad)), iterations, history)
+    trace_gap = state.trace_G - cfg.gamma
+    trace_res = abs(trace_gap - state.xlx_norm / cfg.beta)
     try:
         map_res = float(np.linalg.norm(p - fixed_point_map_p2(cfg, p, state=state)))
     except DegenerateFamily:
         map_res = math.nan
     return replace(triple, converged=triple.converged and trace_res <= cfg.tol,
                    trace_gap=trace_gap, trace_constraint_residual=trace_res,
-                   fixed_point_residual=map_res, mode="newton", state=state)
+                   fixed_point_residual=map_res, mode="newton")
 
 
 def contraction_constant_p2(ledger):
@@ -633,19 +637,18 @@ def hessian_p2(cfg, triple, q, coefficient="gain"):
     both are exposed so the gap between them stays visible.
     """
     q = np.atleast_1d(np.asarray(q, dtype=float))
-    p = triple.p
-    G = cfg.family.G(p)
-    D1 = cfg.family.dG(p, q)
-    D2 = cfg.family.d2G(p, q, q)
+    state = triple.state
+    D1 = cfg.family.dG(state.p, q)
+    D2 = cfg.family.d2G(state.p, q, q)
     if coefficient == "gain":
-        lead = operator_norm(triple.X @ G @ triple.X)
+        lead = operator_norm(triple.X @ state.G @ triple.X)
     elif coefficient == "trace_gap":
-        lead = cfg.beta * (cfg.family.trace_G(p) - cfg.gamma)
+        lead = cfg.beta * (state.trace_G - cfg.gamma)
     else:
         raise ValueError(f"unknown coefficient {coefficient!r}")
     return (lead * float(np.trace(D2))
             + cfg.beta * float(np.trace(D1))**2
-            - float(np.tensordot(_xlx(triple.X, triple.Lambda), D2)))
+            - float(np.tensordot(state.xlx, D2)))
 
 
 # ---------------------------------------------------------------------------
@@ -685,10 +688,10 @@ def beta_sweep(cfg, betas, p0, ledger=None):
     |tr G_p - gamma| <= sup ||X L X|| / beta row by row.
 
     X(p) and Lambda(p) do not depend on beta, so each row after the first
-    hands solve_p2 the placement and state pair its predecessor ended at
-    (``triple.p`` and ``triple.state``) instead of solving it again; inside
-    a row, Newton warm-starts every state pair from the current iterate's X
-    (see _newton_p2).  Only the first row's state pair at p0, and any pair
+    starts from the state pair its predecessor ended at (``triple.state``,
+    which holds its p) instead of solving it again; inside a row, Newton
+    warm-starts every state pair from the current iterate's X (see
+    _newton_p2).  Only the first row's state pair at p0, and any pair
     whose warm start does not stabilize the closed loop, are solved cold.
 
     A ledger (device constants + model fields) enables the per-beta
@@ -701,7 +704,6 @@ def beta_sweep(cfg, betas, p0, ledger=None):
     if any(b <= 0 for b in betas) or any(b2 <= b1 for b1, b2 in zip(betas, betas[1:])):
         raise ValueError("betas must be positive and strictly ascending")
     rows = []
-    p_warm = np.atleast_1d(np.asarray(p0, dtype=float))
     state = None
     for b in betas:
         k = is_k = None
@@ -710,7 +712,7 @@ def beta_sweep(cfg, betas, p0, ledger=None):
             k, is_k = rep.k, rep.is_contraction
         failed, error = False, ""
         try:
-            triple = solve_p2(replace_beta(cfg, b), p_warm, state=state)
+            triple = solve_p2(replace_beta(cfg, b), state.p if state else p0, state=state)
         except MaxIterExceeded as err:
             triple, failed, error = err.best, True, str(err)
         except RiccatiPlaceError as err:
@@ -724,20 +726,18 @@ def beta_sweep(cfg, betas, p0, ledger=None):
                                  stationarity_residual=math.nan,
                                  failed=True, error=error))
             continue
-        trG = cfg.family.trace_G(triple.p)
-        M = _xlx(triple.X, triple.Lambda)
+        state = triple.state
         trace_term = float(np.tensordot(triple.X, cfg.W))
-        penalty = 0.5 * b * (trG - cfg.gamma)**2
+        penalty = 0.5 * b * (state.trace_G - cfg.gamma)**2
         rows.append(SweepRow(
-            beta=b, p=triple.p.copy(), trace_G=trG,
-            trace_gap=abs(trG - cfg.gamma),
+            beta=b, p=triple.p.copy(), trace_G=state.trace_G,
+            trace_gap=abs(state.trace_G - cfg.gamma),
             cost=trace_term + penalty, trace_term=trace_term, penalty_term=penalty,
-            xlx_norm=operator_norm(M), k=k, is_contraction=is_k,
+            xlx_norm=state.xlx_norm, k=k, is_contraction=is_k,
             converged=triple.converged, iterations=triple.iterations,
             stationarity_residual=triple.residual_stationarity,
             failed=failed, error=error,
         ))
-        p_warm, state = triple.p, triple.state
     sup = max((r.xlx_norm for r in rows if not r.failed), default=math.nan)
     return SweepReport(
         rows=rows, gamma=cfg.gamma, sup_xlx_recorded=sup,
@@ -806,11 +806,11 @@ def lipschitz_bound_check(cfg, ledger, domain, pairs, seed):
         dist = float(np.linalg.norm(p1 - p2))
         if dist < 1e-12:
             continue
-        _, s1, d1 = solve_state_pair(cfg, p1)
-        _, s2, d2 = solve_state_pair(cfg, p2)
-        dX = norms(s1.X - s2.X)
+        s1 = solve_state_pair(cfg, p1)
+        s2 = solve_state_pair(cfg, p2)
+        dX = norms(s1.sol.X - s2.sol.X)
         dX_norms = {"nuc": dX.trace_norm_schatten, "abs": dX.abs_trace}
-        dL_op = operator_norm(d1.Lambda - d2.Lambda)
+        dL_op = operator_norm(s1.dsol.Lambda - s2.dsol.Lambda)
         for reading in ("nuc", "abs"):
             worst_x[reading] = max(
                 worst_x[reading],

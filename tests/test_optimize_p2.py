@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -76,9 +78,10 @@ class TestStatePair:
         A = np.array([[-1.0, 2.0, 0.0], [0.0, -2.0, 2.0], [0.0, 0.0, -3.0]])
         cfg = Problem2Config(A=A, Q=np.eye(3), W=np.eye(3),
                              family=ConstantFamily(matrix=np.eye(3)), beta=1.0)
-        _, cold, _ = solve_state_pair(cfg, [0.0])
+        cold = solve_state_pair(cfg, [0.0]).sol
         ares = count_calls(monkeypatch, "solve_are", optimize, keywords=True)
-        _, sol, dsol = solve_state_pair(cfg, [0.0], X0=-5.0 * np.eye(3))
+        state = solve_state_pair(cfg, [0.0], X0=-5.0 * np.eye(3))
+        sol, dsol = state.sol, state.dsol
         assert [kwargs.get("X0") is not None for _, kwargs in ares] == [True, False]
         assert operator_norm(sol.X - cold.X) <= 1e-12 * (1.0 + operator_norm(cold.X))
         assert sol.strong_residual <= 1e-10 and dsol.residual <= 1e-10
@@ -270,7 +273,7 @@ class TestReducedHessianP2:
         signs = set()
         for p in ([0.1], [0.3], [0.55]):
             p = np.array(p)
-            H = optimize._reduced_hessian_p2(cfg, p, optimize.solve_state_pair(cfg, p))
+            H = optimize._reduced_hessian_p2(cfg, optimize.solve_state_pair(cfg, p))
             assert abs(H[0, 0] - gradient_differences(cfg, p)[0, 0]) <= 1e-6 * abs(H[0, 0])
             signs.add(np.sign(H[0, 0]))
         assert signs == {-1.0, 1.0}
@@ -284,7 +287,7 @@ class TestReducedHessianP2:
                              gamma=0.9 * fam.trace_G([0.35, 0.65]))
         for p in ([0.3, 0.35], [0.2, 0.7]):
             p = np.array(p)
-            H = optimize._reduced_hessian_p2(cfg, p, optimize.solve_state_pair(cfg, p))
+            H = optimize._reduced_hessian_p2(cfg, optimize.solve_state_pair(cfg, p))
             assert np.linalg.norm(H - gradient_differences(cfg, p)) <= 1e-6 * np.linalg.norm(H)
             assert abs(H[0, 1]) > 0.0  # the actuators couple
 
@@ -301,8 +304,8 @@ class TestReducedHessianP2:
                              beta=200.0, gamma=0.9 * fam.trace_G(p))
         schur = count_calls(monkeypatch, "_real_schur", linalg)
         state = optimize.solve_state_pair(cfg, p)
-        H = optimize._reduced_hessian_p2(cfg, p, state)
-        assert len(schur) == state[1].schur_steps + 1
+        H = optimize._reduced_hessian_p2(cfg, state)
+        assert len(schur) == state.sol.schur_steps + 1
         monkeypatch.undo()
         assert np.linalg.norm(H - gradient_differences(cfg, p)) <= 1e-6 * np.linalg.norm(H)
 
@@ -456,12 +459,49 @@ class TestBetaSweep:
         for row in report.rows[:-1]:
             assert sum(np.array_equal(args[1], row.p) for args in pairs) == 1
 
-    def test_heat16_sweep_inverts_two_gram_matrices_a_row(self, monkeypatch):
-        # at the row's start, where the map start reuses the inverse, and at
-        # its end point, for the reported map residual
+    def test_heat16_sweep_inverts_one_gram_matrix_a_placement(self, monkeypatch):
+        # at the first row's start p0, where the map start reuses the
+        # inverse, and at each row's end point, for the reported map
+        # residual; the next row reads that inverse off the state pair it
+        # is handed
         grams = count_calls(monkeypatch, "gram", GaussianActuators)
         report, _, _, _ = self.counted_heat16_sweep(monkeypatch)
-        assert len(grams) == 2 * len(report.rows) == 8
+        assert len(grams) == len(report.rows) + 1 == 5
+        placements = [0.3] + [r.p[0] for r in report.rows]
+        assert [args[1][0] for args in grams] == placements
+
+    def test_heat16_sweep_derives_each_state_fact_once(self, monkeypatch):
+        # G_p is built once per state pair; tr G_p, X Lambda X and its norm
+        # are derived at most once per state pair and read off the record
+        Gs = count_calls(monkeypatch, "G", GaussianActuators)
+        traces = count_calls(monkeypatch, "trace_G", GaussianActuators)
+        op_norms = count_calls(monkeypatch, "operator_norm", optimize)
+        formed = []
+
+        def xlx(state, _form=optimize.StatePair.xlx.func):
+            formed.append(state)
+            return _form(state)
+
+        counted_xlx = functools.cached_property(xlx)
+        counted_xlx.__set_name__(optimize.StatePair, "xlx")
+        monkeypatch.setattr(optimize.StatePair, "xlx", counted_xlx)
+        _, pairs, _, _ = self.counted_heat16_sweep(monkeypatch)
+        assert len(pairs) == len(Gs) == 13
+        assert len(traces) <= 13
+        assert len(op_norms) <= 5
+        assert len(formed) <= 13 and len(set(map(id, formed))) == len(formed)
+
+        # a record's facts read twice ask the family once
+        state = solve_state_pair(heat16_config(beta=10.0), [0.3])
+        calls = {name: count_calls(monkeypatch, name, GaussianActuators)
+                 for name in ("trace_G", "dG_adjoint", "gram")}
+        for _ in range(2):
+            facts = (state.xlx, state.xlx_norm, state.trace_G, state.adjoint_identity,
+                     state.adjoint_xlx, state.gram_inverse)
+            assert all(fact is not None for fact in facts)
+        assert {name: len(c) for name, c in calls.items()} == {
+            "trace_G": 1, "dG_adjoint": 2, "gram": 1}
+        assert formed[-1] is state and formed.count(state) == 1
 
     def test_heat16_sweep_takes_one_gradient_per_newton_point(self, monkeypatch):
         # each row's start and each backtracking trial; the end point's

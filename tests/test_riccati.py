@@ -341,8 +341,8 @@ class TestEigenbasisKernel:
         cfg = Problem2Config(A=A, Q=np.eye(16), W=W,
                              family=GaussianActuators(grid=grid, sigma=0.12),
                              beta=1e3, gamma=2.6)
-        _, cold, _ = solve_state_pair(cfg, [0.3])
-        _, warm, _ = solve_state_pair(cfg, [0.3], X0=-1e3 * np.eye(16))
+        cold = solve_state_pair(cfg, [0.3]).sol
+        warm = solve_state_pair(cfg, [0.3], X0=-1e3 * np.eye(16)).sol
         assert np.array_equal(warm.X, cold.X)
 
 

@@ -29,7 +29,7 @@ print(f"||Lambda|| = {np.linalg.norm(dsol.Lambda, 2):.4f}, "
       f"bound slack = {dsol.norm_bound_slack:.4f}")
 
 cert_cl = dsol.closed_loop_cert  # cached by the slack read above
-rep = verify_dual(dsol, cert_cl, W)
+rep = verify_dual(dsol)
 print(f"closed-loop certificate: alpha = {cert_cl.alpha:.3f}, M = {cert_cl.M:.3f}")
 print(f"integral representation residual: {rep.quadrature_residual_rel:.2e} relative")
 print(f"Lambda PSD: {rep.psd}; norm bound holds: {rep.norm_bound_holds}")

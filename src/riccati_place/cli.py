@@ -314,7 +314,7 @@ def _cmd_solve_are(cfg, out_dir):
     horizon = cfg.horizon if cfg.horizon is not None else 20.0 / problem.cert.alpha
     ver = verify_are(problem.A, G, problem.Q, sol, problem.cert, horizon, cfg.nodes)
     dsol = solve_dual(problem.A, G, sol, problem.W)
-    dver = verify_dual(dsol, dsol.closed_loop_cert, problem.W, nodes=cfg.nodes)
+    dver = verify_dual(dsol, nodes=cfg.nodes)
     write_report(out_dir, "report.json", {
         "placement": p0,
         "newton_iters": sol.newton_iters,
@@ -339,21 +339,6 @@ def _build_ledger(problem, family, seed):
         beta=problem.beta, gamma=getattr(problem, "gamma", None), cert=problem.cert)
 
 
-def _triple_payload(triple):
-    return {
-        "p": triple.p,
-        "converged": triple.converged,
-        "iterations": triple.iterations,
-        "residual_primal": triple.residual_primal,
-        "residual_dual": triple.residual_dual,
-        "residual_stationarity": triple.residual_stationarity,
-        "trace_gap": triple.trace_gap,
-        "trace_constraint_residual": triple.trace_constraint_residual,
-        "fixed_point_residual": triple.fixed_point_residual,
-        "mode": triple.mode,
-    }
-
-
 def _cmd_optimize(cfg, out_dir):
     problem, family = build_problem(cfg)
     p0 = _initial_p(cfg, family)
@@ -364,25 +349,33 @@ def _cmd_optimize(cfg, out_dir):
     try:
         if cfg.variant == 1:
             triple = optimize.solve_p1(problem, p0, damping=cfg.damping)
-            cost = optimize.cost_p1(problem, triple.p)
+            cost = triple.state.cost_p1(problem)
         else:
             triple = optimize.solve_p2(problem, p0)
-            cost = optimize.cost_p2(problem, triple.p)
+            cost = triple.state.cost_p2(problem)
     except MaxIterExceeded as err:
         triple = err.best
         cost = math.nan
         exit_code = 2
     if not triple.converged:
         exit_code = 2
-    payload = _triple_payload(triple)
-    payload.update({
+    write_report(out_dir, "report.json", {
+        "p": triple.p,
+        "converged": triple.converged,
+        "iterations": triple.iterations,
+        "residual_primal": triple.state.sol.strong_residual,
+        "residual_dual": triple.state.dsol.residual,
+        "residual_stationarity": triple.residual_stationarity,
+        "trace_gap": triple.trace_gap,
+        "trace_constraint_residual": triple.trace_constraint_residual,
+        "fixed_point_residual": triple.fixed_point_residual,
+        "mode": "fixed_point" if cfg.variant == 1 else "newton",
         "cost": cost,
         "contraction_k": contraction.k,
         "is_contraction": contraction.is_contraction,
         "beta_threshold": contraction.beta_threshold,
         "term_breakdown": [[label, value] for label, value in contraction.term_breakdown],
     })
-    write_report(out_dir, "report.json", payload)
     return exit_code
 
 
@@ -431,11 +424,9 @@ def _cmd_verify_bounds(cfg, out_dir):
     points = devices.sample_box(family.domain(), 20, rng)
     trace_ok, dual_ok = True, True
     for p in points:
-        G = family.G(p)
-        sol = solve_are(problem.A, G, problem.Q, cert=problem.cert)
-        trace_ok &= sol.trace_bound_slack >= -1e-9
-        dsol = solve_dual(problem.A, G, sol, problem.W)
-        dual_ok &= dsol.norm_bound_slack >= -1e-9
+        state = optimize.solve_state_pair(problem, p)
+        trace_ok &= state.sol.trace_bound_slack >= -1e-9
+        dual_ok &= state.dsol.norm_bound_slack >= -1e-9
     payload = {
         "x_lipschitz_pass": lip.x_pass,
         "lambda_lipschitz_pass": lip.lambda_pass,

@@ -49,13 +49,14 @@ class DualSolution:
     """Multiplier of the Riccati constraint, and the factored closed loop
     it was solved on.
 
-    ``residual``, ``norm_W``, ``closed_loop_cert`` and ``norm_bound_slack``
-    are computed on first read and cached; the first read of either of the
-    last two raises ClosedLoopUnstable when the closed loop cannot be
-    certified.  :meth:`solve_closed_loop` solves further Lyapunov equations
-    on the closed loop from the same factor: ``capacitance``, the closed
-    loop proved stable and factored in A's eigenbasis, or ``schur``, its
-    real Schur form (built on first need when the capacitance declines).
+    ``residual``, ``norm_W``, ``closed_loop_cert``, ``norm_bound`` and
+    ``norm_bound_slack`` are computed on first read and cached; the first
+    read of any of the last three raises ClosedLoopUnstable when the closed
+    loop cannot be certified.  :meth:`solve_closed_loop` solves further
+    Lyapunov equations on the closed loop from the same factor:
+    ``capacitance``, the closed loop proved stable and factored in A's
+    eigenbasis, or ``schur``, its real Schur form (built on first need when
+    the capacitance declines).
     """
 
     Lambda: np.ndarray
@@ -83,11 +84,15 @@ class DualSolution:
             raise _closed_loop_unstable(err) from err
 
     @cached_property
-    def norm_bound_slack(self):
-        """``M^2/(2 alpha) ||W|| - ||Lambda||`` with closed-loop constants."""
+    def norm_bound(self):
+        """The decay bound ``M^2/(2 alpha) ||W||`` on ||Lambda||, with closed-loop constants."""
         cert = self.closed_loop_cert
-        bound = cert.M**2 / (2.0 * cert.alpha) * self.norm_W
-        return bound - operator_norm(self.Lambda)
+        return cert.M**2 / (2.0 * cert.alpha) * self.norm_W
+
+    @cached_property
+    def norm_bound_slack(self):
+        """``norm_bound - ||Lambda||``."""
+        return self.norm_bound - operator_norm(self.Lambda)
 
     def solve_closed_loop(self, P):
         """The symmetric Y with ``(A - X G) Y + Y (A - X G)' = P`` for
@@ -126,8 +131,8 @@ def solve_dual(A, G, X, W):
     the solution for :meth:`DualSolution.solve_closed_loop`.
 
     The closed loop's decay certificate is not built here: the solution
-    certifies it on the first read of ``closed_loop_cert`` or
-    ``norm_bound_slack``.
+    certifies it on the first read of ``closed_loop_cert``, ``norm_bound``
+    or ``norm_bound_slack``.
     """
     solution = X if isinstance(X, RiccatiSolution) else None
     A = ensure_operator(A, "A")
@@ -162,28 +167,27 @@ class DualVerification:
     quadrature_residual_rel: float
 
 
-def verify_dual(sol, cert_closed_loop, W, horizon=None, nodes=200):
+def verify_dual(sol, horizon=None, nodes=200):
     """Check the multiplier bound, PSD-ness, and the integral representation.
 
-    The integral cross-check evaluates ``int_0^h T(t) W T*(t) dt`` with
-    T(t) the closed-loop semigroup, via the quadrature oracle, which reuses
-    ``cert_closed_loop``: nothing is certified here.  horizon defaults to
-    20/alpha of the closed-loop certificate.
+    The residual, bound and closed-loop certificate are the ones ``sol``
+    caches.  The integral cross-check evaluates ``int_0^h T(t) W T*(t) dt``
+    with T(t) the closed-loop semigroup, via the quadrature oracle, which
+    reuses that certificate.  horizon defaults to 20/alpha of it.
     """
-    W = ensure_operator(W, "W")
     Lam = sol.Lambda
+    cert = sol.closed_loop_cert
     if horizon is None:
-        horizon = 20.0 / cert_closed_loop.alpha
-    quad = bochner_quadrature(sol.closed_loop, sol.closed_loop, -W, horizon, nodes,
-                              cert=cert_closed_loop)
+        horizon = 20.0 / cert.alpha
+    quad = bochner_quadrature(sol.closed_loop, sol.closed_loop, -sol.W, horizon, nodes,
+                              cert=cert)
     qres = operator_norm(Lam - quad)
 
     sym_ok, psd_ok = psd_flags(Lam)
-    bound = cert_closed_loop.M**2 / (2.0 * cert_closed_loop.alpha) * operator_norm(W)
     return DualVerification(
-        residual=dual_residual(sol.closed_loop, Lam, W),
-        norm_bound=bound,
-        norm_bound_holds=operator_norm(Lam) <= bound + NORM_BOUND_SLACK,
+        residual=sol.residual,
+        norm_bound=sol.norm_bound,
+        norm_bound_holds=sol.norm_bound_slack >= -NORM_BOUND_SLACK,
         symmetric=sym_ok,
         psd=psd_ok,
         quadrature_residual=qres,

@@ -70,11 +70,8 @@ class Problem2Config(Problem1Config):
 
 @dataclass
 class OptimalityTriple:
-    X: np.ndarray
-    Lambda: np.ndarray
-    p: np.ndarray
-    residual_primal: float
-    residual_dual: float
+    """An optimizer's result; X, Lambda, p and their residuals are read off ``state``."""
+    state: "StatePair" = field(repr=False)
     residual_stationarity: float
     iterations: int
     converged: bool
@@ -83,8 +80,18 @@ class OptimalityTriple:
     trace_gap: Optional[float] = None
     trace_constraint_residual: Optional[float] = None
     fixed_point_residual: Optional[float] = None
-    mode: str = "fixed_point"
-    state: Optional["StatePair"] = field(default=None, repr=False, compare=False)
+
+    @property
+    def X(self):
+        return self.state.sol.X
+
+    @property
+    def Lambda(self):
+        return self.state.dsol.Lambda
+
+    @property
+    def p(self):
+        return self.state.p
 
 
 @dataclass(frozen=True)
@@ -131,6 +138,10 @@ class StatePair:
     def gram_inverse(self):
         return _gram_inverse(self.family, self.p)
 
+    def cost_p1(self, cfg):
+        """The problem-1 cost tr(X W) + beta/2 ||p||^2 at p."""
+        return float(np.tensordot(self.sol.X, cfg.W)) + 0.5 * cfg.beta * float(self.p @ self.p)
+
     def cost_p2(self, cfg):
         """The problem-2 cost tr(X W) + beta/2 (tr G_p - gamma)^2 at p."""
         gap = self.trace_G - cfg.gamma
@@ -163,11 +174,8 @@ def solve_state_pair(cfg, p, X0=None):
 # ---------------------------------------------------------------------------
 
 def cost_p1(cfg, p):
-    """tr(X(p) W) + beta/2 ||p||^2 (one Riccati solve)."""
-    G = cfg.family.G(p)
-    sol = solve_are(cfg.A, G, cfg.Q, tol=INNER_ARE_TOL, cert=cfg.cert)
-    p = np.atleast_1d(np.asarray(p, dtype=float))
-    return float(np.tensordot(sol.X, cfg.W)) + 0.5 * cfg.beta * float(p @ p)
+    """tr(X(p) W) + beta/2 ||p||^2 (one state pair)."""
+    return solve_state_pair(cfg, p).cost_p1(cfg)
 
 
 def gradient_p1(cfg, p):
@@ -216,20 +224,17 @@ def solve_p1(cfg, p0, damping=1.0):
         f"(best stationarity residual {best_res:.3e})", best=triple)
 
 
-def _finish_triple(cfg, state, stat_res, iterations, history):
-    primal = state.sol.strong_residual
-    dual_res = state.dsol.residual
+def _finish_triple(cfg, state, stat_res, iterations, history, converged=True, **extras):
+    """The triple at state.p; it converged when ``converged`` holds and the
+    stationarity, primal and dual residuals meet cfg.tol."""
     return OptimalityTriple(
-        X=state.sol.X,
-        Lambda=state.dsol.Lambda,
-        p=state.p,
-        residual_primal=primal,
-        residual_dual=dual_res,
+        state=state,
         residual_stationarity=stat_res,
         iterations=iterations,
-        converged=(stat_res <= cfg.tol and primal <= cfg.tol and dual_res <= cfg.tol),
+        converged=(converged and stat_res <= cfg.tol and state.sol.strong_residual <= cfg.tol
+                   and state.dsol.residual <= cfg.tol),
         history=history,
-        state=state,
+        **extras,
     )
 
 
@@ -327,10 +332,8 @@ def critical_cone_basis(family, p, X):
 # ---------------------------------------------------------------------------
 
 def cost_p2(cfg, p):
-    """tr(X(p) W) + beta/2 (tr G_p - gamma)^2 (one Riccati solve)."""
-    X = solve_are(cfg.A, cfg.family.G(p), cfg.Q, tol=INNER_ARE_TOL, cert=cfg.cert).X
-    gap = cfg.family.trace_G(p) - cfg.gamma
-    return float(np.tensordot(X, cfg.W)) + 0.5 * cfg.beta * gap**2
+    """tr(X(p) W) + beta/2 (tr G_p - gamma)^2 (one state pair)."""
+    return solve_state_pair(cfg, p).cost_p2(cfg)
 
 
 def gradient_p2(cfg, p, state=None):
@@ -404,7 +407,6 @@ def solve_p2(cfg, p0, state=None):
         vars(state)["gram_inverse"] = Sinv  # seeds the cached_property: one inversion at p0
     elif not np.array_equal(state.p, p0):
         raise ValueError("the state pair handed to solve_p2 was not solved at p0")
-    state.gram_inverse  # DegenerateFamily when dG*dG is singular at p0; the map start reads it
     triple = _newton_p2(cfg, state, [p0.copy()])
     if not triple.residual_stationarity <= cfg.tol:
         raise MaxIterExceeded(
@@ -555,16 +557,15 @@ def _finish_p2(cfg, state, grad, iterations, history):
     read off ``grad`` (the gradient at p), extended by problem 2's trace
     constraint and map residual; converged also asks the trace-constraint identity."""
     p = state.p
-    triple = _finish_triple(cfg, state, float(np.linalg.norm(grad)), iterations, history)
     trace_gap = state.trace_G - cfg.gamma
     trace_res = abs(trace_gap - state.xlx_norm / cfg.beta)
     try:
         map_res = float(np.linalg.norm(p - fixed_point_map_p2(cfg, p, state=state)))
     except DegenerateFamily:
         map_res = math.nan
-    return replace(triple, converged=triple.converged and trace_res <= cfg.tol,
-                   trace_gap=trace_gap, trace_constraint_residual=trace_res,
-                   fixed_point_residual=map_res, mode="newton")
+    return _finish_triple(cfg, state, float(np.linalg.norm(grad)), iterations, history,
+                          converged=trace_res <= cfg.tol, trace_gap=trace_gap,
+                          trace_constraint_residual=trace_res, fixed_point_residual=map_res)
 
 
 def contraction_constant_p2(ledger):

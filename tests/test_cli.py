@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from riccati_place import linalg, riccati
+from riccati_place import cli, dual, linalg, optimize, riccati
 from riccati_place.cli import (
     build_model,
     load_matrix,
@@ -28,6 +28,21 @@ def base_config(**overrides):
     for section, fields in overrides.items():
         raw.setdefault(section, {}).update(fields)
     return raw
+
+
+def readme_config(tmp_path, variant):
+    """The README example config (heat1d n = 16, sigma = 0.12, gamma = 2.6,
+    W = rank1:4) with the given problem variant; returns its path."""
+    path = tmp_path / "readme.json"
+    path.write_text(json.dumps({
+        "model": {"kind": "heat1d", "n": 16, "diffusivity": 1.0, "domain_length": 1.0},
+        "device": {"kind": "gaussian_actuator", "sigma": 0.12},
+        "problem": {"variant": variant, "beta": 10.0, "gamma": 2.6, "W": "rank1:4",
+                    "Q": "identity"},
+        "solver": {"tol": 1e-6, "max_iter": 500, "quadrature": {"nodes": 200}, "seed": 0,
+                   "damping": 1.0},
+    }))
+    return str(path)
 
 
 def convdiff16_config(tmp_path):
@@ -168,6 +183,37 @@ class TestCommands:
         assert len(residuals) == 1
         assert len(norms) == 3  # verify_are: the residual, X - X_quad and X
 
+    def test_solve_are_takes_one_svd_of_the_dual_residual(self, monkeypatch, tmp_path):
+        # the report's dual residual and verify_dual's are the solution's own
+        residuals = count_calls(monkeypatch, "dual_residual", dual)
+        cfg = self.write_cfg(tmp_path, base_config())
+        assert main(["solve-are", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        assert len(residuals) == 1
+
+    @pytest.mark.parametrize("variant", [1, 2])
+    def test_optimize_solves_riccati_only_in_state_pairs(self, monkeypatch, tmp_path, variant):
+        # the reported cost is read off the optimizer's final state pair
+        depth, outside = [0], []
+
+        def solve_state_pair(*args, _original=optimize.solve_state_pair, **kwargs):
+            depth[0] += 1
+            try:
+                return _original(*args, **kwargs)
+            finally:
+                depth[0] -= 1
+
+        def solve_are(*args, _original=riccati.solve_are, **kwargs):
+            if not depth[0]:
+                outside.append(args)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(optimize, "solve_state_pair", solve_state_pair)
+        for owner in (optimize, cli):
+            monkeypatch.setattr(owner, "solve_are", solve_are)
+        cfg = readme_config(tmp_path, variant)
+        assert main(["optimize", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        assert outside == []
+
     def test_optimize_w_zero_gives_origin(self, tmp_path):
         Wpath = tmp_path / "Wzero.txt"
         save_matrix(Wpath, np.zeros((8, 8)))
@@ -176,7 +222,7 @@ class TestCommands:
         code = main(["optimize", "--config", cfg, "--out", str(tmp_path / "out")])
         assert code == 0
         payload = json.loads((tmp_path / "out" / "report.json").read_text())
-        assert payload["converged"]
+        assert payload["converged"] and payload["mode"] == "fixed_point"
         assert abs(payload["p"][0]) <= 1e-8
 
     def test_sweep_beta_csv(self, tmp_path):
@@ -202,6 +248,7 @@ class TestCommands:
         b1 = (tmp_path / "r1" / "report.json").read_bytes()
         b2 = (tmp_path / "r2" / "report.json").read_bytes()
         assert b1 == b2
+        assert json.loads(b1)["mode"] == "newton"
 
     def test_verify_bounds(self, tmp_path):
         cfg = self.write_cfg(tmp_path, base_config())
@@ -239,13 +286,13 @@ class TestVerifyBoundsConvDiff16:
     }
 
     def test_cold_solves_share_one_schur_form_of_A(self, monkeypatch, tmp_path):
-        # 840 Newton steps and 220 closed-loop duals took 1060 Schur forms;
+        # 844 Newton steps and 220 closed-loop duals took 1064 Schur forms;
         # 219 of the steps are a first iterate read from Q's weight
         cfg = convdiff16_config(tmp_path)
         schur = count_calls(monkeypatch, "_real_schur", linalg)
         assert main(["verify-bounds", "--config", cfg, "--out", str(tmp_path / "out"),
                      "--seed", "0"]) == 0
-        assert len(schur) == 841
+        assert len(schur) == 845
 
     @pytest.mark.parametrize("seed", sorted(REPORTS))
     def test_report_bytes(self, tmp_path, seed):
@@ -255,3 +302,30 @@ class TestVerifyBoundsConvDiff16:
                      "--seed", str(seed)]) == 0
         digest = hashlib.sha256((out / "report.json").read_bytes()).hexdigest()
         assert digest == self.REPORTS[seed]
+
+
+class TestReadmeReports:
+    """The README example config's reports, pinned byte for byte."""
+
+    # sha256 of each file as written before the reports read the optimizer's
+    # state pair and the dual solution's own residual and bound
+    REPORTS = {
+        ("optimize", 1): {
+            "report.json": "5cdfa1e892170b3339cc35b1691cf6b246fb9381cc5ec501c0b4e00dd5cbfa89"},
+        ("optimize", 2): {
+            "report.json": "2eb46b1cda0a7edfd2732da41a143a99ca5d972c7e5ccafd53a58ac08fdac2a3"},
+        ("solve-are", 2): {
+            "report.json": "286eb6b6acc1d43cb45ffd8a982fb2020c51621405dceb92135cc918b111120c"},
+        ("sweep-beta", 2): {
+            "report.json": "bbe721e26770133518269ee13e5df9ba44b40b58e9a08a930231aaba8d5effda",
+            "sweep.csv": "0b4d1c3ab10ffa2edef7cf2b66719c96219c05d7d604727195b796539314dc8f"},
+    }
+
+    @pytest.mark.parametrize("command,variant", sorted(REPORTS))
+    def test_report_bytes(self, tmp_path, command, variant):
+        out = tmp_path / "out"
+        assert main([command, "--config", readme_config(tmp_path, variant),
+                     "--out", str(out)]) == 0
+        digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+                   for name in self.REPORTS[command, variant]}
+        assert digests == self.REPORTS[command, variant]

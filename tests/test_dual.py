@@ -67,8 +67,8 @@ class TestVerifyDual:
     def test_scalar_bound_arithmetic(self):
         A, G, X, W = scalar(-1), scalar(1), scalar(1), scalar(1)
         sol = solve_dual(A, G, X, W)
-        cert = certify_stability(sol.closed_loop)
-        rep = verify_dual(sol, cert, W)
+        cert = sol.closed_loop_cert
+        rep = verify_dual(sol)
         # 0.25 <= M^2/(2 * 1.9) * 1 with M slightly above 1
         assert rep.norm_bound == pytest.approx(cert.M**2 / (2.0 * 1.9))
         assert rep.norm_bound_holds and rep.symmetric and rep.psd
@@ -79,19 +79,20 @@ class TestVerifyDual:
         G = rand_psd(3, rng)
         X = solve_are(A, G, rand_psd(3, rng)).X
         sol = solve_dual(A, G, X, np.zeros((3, 3)))
-        cert = certify_stability(sol.closed_loop)
-        rep = verify_dual(sol, cert, np.zeros((3, 3)))
+        rep = verify_dual(sol)
         assert rep.norm_bound_holds and rep.psd
         assert rep.quadrature_residual <= 1e-12
 
     def test_given_certificate_builds_no_certificate(self, monkeypatch, rng):
+        # a solution whose certificate was read builds none in verify_dual
         A = rand_stable_symmetric(5, rng)
         G, Q, W = rand_psd(5, rng), rand_psd(5, rng), rand_psd(5, rng)
         sol = solve_dual(A, G, solve_are(A, G, Q).X, W)
-        cert = certify_stability(sol.closed_loop)
+        cert = sol.closed_loop_cert
         calls = count_calls(monkeypatch, "certify_stability", semigroup, dual)
-        verify_dual(sol, cert, W)
+        rep = verify_dual(sol)
         assert len(calls) == 0
+        assert rep.norm_bound == cert.M**2 / (2.0 * cert.alpha) * operator_norm(W)
 
     def test_random_instances_against_quadrature(self, rng):
         for _ in range(5):
@@ -99,9 +100,7 @@ class TestVerifyDual:
             A = rand_stable_symmetric(n, rng)
             G, Q, W = rand_psd(n, rng), rand_psd(n, rng), rand_psd(n, rng)
             X = solve_are(A, G, Q).X
-            sol = solve_dual(A, G, X, W)
-            cert = certify_stability(sol.closed_loop)
-            rep = verify_dual(sol, cert, W)
+            rep = verify_dual(solve_dual(A, G, X, W))
             assert rep.norm_bound_holds and rep.psd
             assert rep.quadrature_residual_rel <= 1e-6
 

@@ -1,4 +1,4 @@
-"""End-to-end checks with two actuators (param_dim = 2)."""
+"""End-to-end checks with several actuators (param_dim >= 2)."""
 
 import json
 
@@ -10,14 +10,17 @@ from riccati_place.devices import GaussianActuators, estimate_constants
 from riccati_place.optimize import (
     Problem1Config,
     Problem2Config,
+    beta_sweep,
     contraction_constant_p1,
     cost_p2,
     critical_cone_basis,
     gradient_p2,
     solve_p1,
     solve_p2,
+    solve_state_pair,
 )
 
+from conftest import heat1d
 from test_optimize_p1 import heat_like
 
 
@@ -90,3 +93,34 @@ def test_cli_multi_gaussian(tmp_path):
     assert code == 0
     payload = json.loads((tmp_path / "out" / "report.json").read_text())
     assert len(payload["p"]) == 2 and payload["converged"]
+
+
+def test_p2_from_handed_state_at_coincident_actuators():
+    # dG*dG is singular where two actuators coincide; only the map start
+    # reads its inverse, and it falls back to p0 there
+    A, grid = heat1d(16)
+    W = np.zeros((16, 16))
+    W[3, 3] = 1.0
+    fam = GaussianActuators(grid=grid, sigma=0.12, param_dim=2)
+    cfg = Problem2Config(A=A, Q=np.eye(16), W=W, family=fam, beta=10.0,
+                         gamma=5.2, tol=1e-6, max_iter=500)
+    p = np.array([0.45, 0.45])
+    tri = solve_p2(cfg, p, state=solve_state_pair(cfg, p))
+    assert tri.converged
+
+
+def test_p2_sweep_continues_from_coincident_actuators():
+    # the first row ends with three of four actuators coincident; each
+    # later row starts from that state pair.  Whether the first row itself
+    # converges is not at issue here.
+    n, d = 32, 4
+    A, grid = heat1d(n)
+    W = np.zeros((n, n))
+    W[n // 4, n // 4] = W[3 * n // 4, 3 * n // 4] = 1.0
+    fam = GaussianActuators(grid=grid, sigma=0.12, param_dim=d)
+    p0 = np.linspace(0.2, 0.8, d) + 0.01
+    cfg = Problem2Config(A=A, Q=np.eye(n), W=W, family=fam, beta=10.0,
+                         gamma=fam.trace_G(p0), tol=1e-6, max_iter=200)
+    report = beta_sweep(cfg, [10.0, 1e2, 1e3, 1e4], p0)
+    assert not any(r.failed for r in report.rows)
+    assert all(r.converged and r.iterations == 1 for r in report.rows[1:])

@@ -26,7 +26,7 @@ W = np.zeros((n, n))
 W[3, 3] = 1.0  # cost focuses on the initial condition at node 4
 
 ledger = estimate_constants(fam, fam.domain(), 100, seed=0,
-                            A=A, Q=np.eye(n), W=W, beta=10.0, gamma=1.0)
+                            cfg=Problem1Config(A=A, Q=np.eye(n), W=W, family=fam, beta=10.0))
 report = contraction_constant_p1(ledger)
 print(f"k at beta=10: {report.k:.3f}  (threshold beta = {report.beta_threshold:.1f})")
 for label, value in report.term_breakdown:

@@ -23,9 +23,9 @@ from pathlib import Path
 import numpy as np
 
 from . import devices, optimize
-from .dual import solve_dual, verify_dual
+from .dual import NORM_BOUND_SLACK, verify_dual
 from .errors import ConfigError, MaxIterExceeded, RiccatiPlaceError
-from .riccati import solve_are, verify_are
+from .riccati import TRACE_SLACK, verify_are
 from .semigroup import certify_stability
 
 LEDGER_SAMPLES = 100
@@ -309,15 +309,13 @@ def _cmd_certify(cfg, out_dir):
 def _cmd_solve_are(cfg, out_dir):
     problem, family = build_problem(cfg)
     p0 = _initial_p(cfg, family)
-    G = family.G(p0)
-    sol = solve_are(problem.A, G, problem.Q, cert=problem.cert)
+    state = optimize.solve_state_pair(problem, p0)
     horizon = cfg.horizon if cfg.horizon is not None else 20.0 / problem.cert.alpha
-    ver = verify_are(problem.A, G, problem.Q, sol, problem.cert, horizon, cfg.nodes)
-    dsol = solve_dual(problem.A, G, sol, problem.W)
-    dver = verify_dual(dsol, nodes=cfg.nodes)
+    ver = verify_are(problem.A, state.G, problem.Q, state.sol, problem.cert, horizon, cfg.nodes)
+    dver = verify_dual(state.dsol, nodes=cfg.nodes)
     write_report(out_dir, "report.json", {
         "placement": p0,
-        "newton_iters": sol.newton_iters,
+        "newton_iters": state.sol.newton_iters,
         "strong_residual": ver.strong_residual,
         "bochner_residual": ver.bochner_residual,
         "trace_X": ver.trace_X,
@@ -325,7 +323,7 @@ def _cmd_solve_are(cfg, out_dir):
         "trace_bound_holds": ver.trace_bound_holds,
         "X_symmetric": ver.symmetric,
         "X_psd": ver.psd,
-        "dual_residual": dsol.residual,
+        "dual_residual": state.dsol.residual,
         "dual_norm_bound_holds": dver.norm_bound_holds,
         "dual_psd": dver.psd,
     })
@@ -333,10 +331,8 @@ def _cmd_solve_are(cfg, out_dir):
 
 
 def _build_ledger(problem, family, seed):
-    return devices.estimate_constants(
-        family, family.domain(), LEDGER_SAMPLES, seed,
-        A=problem.A, Q=problem.Q, W=problem.W,
-        beta=problem.beta, gamma=getattr(problem, "gamma", None), cert=problem.cert)
+    return devices.estimate_constants(family, family.domain(), LEDGER_SAMPLES, seed,
+                                      cfg=problem)
 
 
 def _cmd_optimize(cfg, out_dir):
@@ -425,8 +421,8 @@ def _cmd_verify_bounds(cfg, out_dir):
     trace_ok, dual_ok = True, True
     for p in points:
         state = optimize.solve_state_pair(problem, p)
-        trace_ok &= state.sol.trace_bound_slack >= -1e-9
-        dual_ok &= state.dsol.norm_bound_slack >= -1e-9
+        trace_ok &= state.sol.trace_bound_slack >= -TRACE_SLACK
+        dual_ok &= state.dsol.norm_bound_slack >= -NORM_BOUND_SLACK
     payload = {
         "x_lipschitz_pass": lip.x_pass,
         "lambda_lipschitz_pass": lip.lambda_pass,

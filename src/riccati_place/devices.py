@@ -259,7 +259,7 @@ class ConstantLedger:
     of the trace-class norm; the |trace| ("abs") and operator-norm readings
     are recorded alongside since the two trace-class readings split on
     indefinite operands (differences, derivatives).  Fields below ``mu``
-    are only populated when a model (A, Q, W) is supplied to
+    are only populated when a problem config is supplied to
     estimate_constants.
     """
 
@@ -320,24 +320,27 @@ LIPSCHITZ_INFLATION = 1.1
 GRAM_SINGULAR_RTOL = 1e-12
 
 
-def estimate_constants(family, domain, samples, seed,
-                       A=None, Q=None, W=None, beta=None, gamma=None, cert=None):
+def estimate_constants(family, domain, samples, seed, cfg=None):
     """Estimate the constant ledger by seeded sampling over the domain box.
 
     g is the sampled sup of ||G_p||; L_G and L_dG are maximal difference
     quotients over sampled pairs, inflated by 10%; C_dG the sampled sup of
     the derivative's direction norm; K the sampled sup of ||(dG*dG)^{-1}||
-    where that Gram matrix is invertible.  Supplying A, Q, W additionally
-    fills mu = min ||X(p) L(p) X(p)|| and sup_xlx = max of the same (one
-    Riccati + dual solve per sample), plus the certificate constants; a
-    ``cert`` of A is reused instead of certifying A again.
+    where that Gram matrix is invertible.  Supplying a problem config
+    ``cfg`` of this family additionally fills mu = min ||X(p) L(p) X(p)||
+    and sup_xlx = max of the same (one state pair per sample point), plus
+    M and alpha from the config's certificate of A, tr Q, ||W||, beta and
+    gamma (None for problem 1).
 
     Deterministic for a fixed seed.  Raises DegenerateFamily when the
     derivative vanishes on all samples or the Gram matrix is singular
-    everywhere (nonzero / invertibility assumptions violated).
+    everywhere (nonzero / invertibility assumptions violated), and
+    ValueError when ``cfg`` holds another family.
     """
     if samples < 2:
         raise ValueError("need samples >= 2")
+    if cfg is not None and cfg.family is not family:
+        raise ValueError("cfg.family is not the family being sampled")
     rng = np.random.default_rng(seed)
     points = sample_box(domain, samples, rng)
     pairs = (sample_box(domain, samples, rng), sample_box(domain, samples, rng))
@@ -387,29 +390,18 @@ def estimate_constants(family, domain, samples, seed,
         L_dG_abs=LIPSCHITZ_INFLATION * l_dg["abs"],
         C_dG_abs=c_dg["abs"],
         C_dG_op=c_dg["op"],
-        beta=beta,
-        gamma=gamma,
     )
 
-    if A is not None:
-        from .riccati import solve_are
-        from .dual import solve_dual
-        from .semigroup import certify_stability
+    if cfg is not None:
+        from .optimize import solve_state_pair
 
-        if Q is None or W is None:
-            raise ValueError("A, Q, W must be supplied together")
-        if cert is None:
-            cert = certify_stability(A)
-        xlx_norms = []
-        for p in points:
-            Gp = family.G(p)
-            sol = solve_are(A, Gp, Q, cert=cert)
-            Lam = solve_dual(A, Gp, sol, W).Lambda
-            xlx_norms.append(operator_norm(sol.X @ Lam @ sol.X))
+        xlx_norms = [solve_state_pair(cfg, p).xlx_norm for p in points]
         ledger.mu = float(min(xlx_norms))
         ledger.sup_xlx = float(max(xlx_norms))
-        ledger.M = cert.M
-        ledger.alpha = cert.alpha
-        ledger.trQ = float(np.trace(Q))
-        ledger.normW = operator_norm(W)
+        ledger.M = cfg.cert.M
+        ledger.alpha = cfg.cert.alpha
+        ledger.trQ = float(np.trace(cfg.Q))
+        ledger.normW = operator_norm(cfg.W)
+        ledger.beta = cfg.beta
+        ledger.gamma = getattr(cfg, "gamma", None)
     return ledger

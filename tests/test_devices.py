@@ -11,6 +11,7 @@ from riccati_place.devices import (
 )
 from riccati_place.errors import DegenerateFamily, DimensionMismatch
 from riccati_place.linalg import NormReport, operator_norm
+from riccati_place.optimize import Problem2Config, solve_state_pair
 
 from conftest import count_calls
 
@@ -180,15 +181,35 @@ class TestEstimateConstants:
 
     def test_model_coupled_fields(self, fam):
         n = fam.state_dim
-        A = -2.0 * np.eye(n)
-        led = estimate_constants(fam, fam.domain(), 30, seed=2,
-                                 A=A, Q=np.eye(n), W=np.eye(n), beta=4.0, gamma=1.0)
+        cfg = Problem2Config(A=-2.0 * np.eye(n), Q=np.eye(n), W=np.eye(n), family=fam,
+                             beta=4.0, gamma=1.0)
+        led = estimate_constants(fam, fam.domain(), 30, seed=2, cfg=cfg)
         assert led.mu is not None and led.mu > 0
         assert led.sup_xlx >= led.mu
         assert led.M >= 1.0 and led.alpha == pytest.approx(0.95 * 2.0)
         assert led.trQ == pytest.approx(float(n))
         assert led.normW == pytest.approx(1.0)
         led.require_model()
+
+    def test_xlx_extremes_are_the_state_pairs(self, fam):
+        # mu and sup_xlx are the least and greatest ||X Lambda X|| of the
+        # state pairs at the sample points, the first draw of the seeded rng
+        n = fam.state_dim
+        A = -2.0 * np.eye(n) + np.diag(np.ones(n - 1), 1)
+        cfg = Problem2Config(A=A, Q=np.eye(n), W=np.eye(n), family=fam, beta=4.0, gamma=1.0)
+        led = estimate_constants(fam, fam.domain(), 12, seed=3, cfg=cfg)
+        points = sample_box(fam.domain(), 12, np.random.default_rng(3))
+        xlx = [solve_state_pair(cfg, p).xlx_norm for p in points]
+        assert (led.mu, led.sup_xlx) == (min(xlx), max(xlx))
+        assert (led.beta, led.gamma) == (4.0, 1.0)
+
+    def test_config_of_another_family_is_rejected(self, fam):
+        n = fam.state_dim
+        twin = GaussianActuators(grid=fam.grid, sigma=fam.sigma, r_weight=fam.r_weight)
+        cfg = Problem2Config(A=-2.0 * np.eye(n), Q=np.eye(n), W=np.eye(n), family=twin,
+                             beta=4.0, gamma=1.0)
+        with pytest.raises(ValueError, match="family"):
+            estimate_constants(fam, fam.domain(), 10, seed=2, cfg=cfg)
 
     def test_require_model_names_missing_fields(self):
         led = ConstantLedger(g=1.0, L_G=1.0, L_dG=1.0, C_dG=1.0, K=1.0, M=1.0, alpha=1.0)
@@ -201,12 +222,11 @@ class TestEstimateConstants:
     def test_given_certificate_is_reused(self, fam, monkeypatch):
         n = fam.state_dim
         A = -2.0 * np.eye(n) + np.diag(np.ones(n - 1), 1)
-        cert = semigroup.certify_stability(A)
+        cfg = Problem2Config(A=A, Q=np.eye(n), W=np.eye(n), family=fam, beta=4.0, gamma=1.0)
         calls = count_calls(monkeypatch, "certify_stability", semigroup)
-        led = estimate_constants(fam, fam.domain(), 10, seed=2, A=A, Q=np.eye(n),
-                                 W=np.eye(n), beta=4.0, gamma=1.0, cert=cert)
+        led = estimate_constants(fam, fam.domain(), 10, seed=2, cfg=cfg)
         assert len(calls) == 0
-        assert (led.M, led.alpha) == (cert.M, cert.alpha)
+        assert (led.M, led.alpha) == (cfg.cert.M, cfg.cert.alpha)
 
     def test_one_svd_per_sampled_matrix(self, fam, monkeypatch):
         from riccati_place import devices

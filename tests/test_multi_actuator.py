@@ -66,8 +66,8 @@ def test_p2_two_actuators_meets_constraint(pair_family):
 def test_two_actuator_ledger_and_cone(pair_family):
     A, grid, fam = pair_family
     n = len(grid)
-    led = estimate_constants(fam, fam.domain(), 80, seed=3,
-                             A=A, Q=np.eye(n), W=np.eye(n), beta=10.0, gamma=1.0)
+    cfg = Problem2Config(A=A, Q=np.eye(n), W=np.eye(n), family=fam, beta=10.0, gamma=1.0)
+    led = estimate_constants(fam, fam.domain(), 80, seed=3, cfg=cfg)
     assert led.K > 0 and led.mu > 0
     rep = contraction_constant_p1(led)
     assert np.isfinite(rep.k) and rep.beta_threshold > 0

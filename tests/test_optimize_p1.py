@@ -173,8 +173,7 @@ class TestContractionConstantP1:
         # k < 1 certified => observed iterate ratios <= k + 0.05 and a unique limit
         cfg = small_problem
         fam = cfg.family
-        led = estimate_constants(fam, fam.domain(), 60, seed=3,
-                                 A=cfg.A, Q=cfg.Q, W=cfg.W, beta=cfg.beta, gamma=1.0)
+        led = estimate_constants(fam, fam.domain(), 60, seed=3, cfg=cfg)
         beta = 2.0 * contraction_constant_p1(led).beta_threshold
         cfg2 = Problem1Config(A=cfg.A, Q=cfg.Q, W=cfg.W, family=fam, beta=beta,
                               tol=1e-11, max_iter=200)
@@ -271,8 +270,7 @@ class TestCriticalCone:
 def test_lipschitz_bounds_small(small_problem):
     cfg = small_problem
     fam = cfg.family
-    led = estimate_constants(fam, fam.domain(), 80, seed=9,
-                             A=cfg.A, Q=cfg.Q, W=cfg.W, beta=cfg.beta, gamma=1.0)
+    led = estimate_constants(fam, fam.domain(), 80, seed=9, cfg=cfg)
     rep = lipschitz_bound_check(cfg, led, fam.domain(), pairs=30, seed=10)
     assert rep.x_passing_readings, rep.worst_x_ratio
     assert rep.lambda_passing_readings, rep.worst_lambda_ratio

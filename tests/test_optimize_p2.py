@@ -505,7 +505,7 @@ class TestBetaSweep:
     def test_heat16_sweep_takes_one_gradient_per_newton_point(self, monkeypatch):
         # each row's start and each backtracking trial; the end point's
         # gradient is the one Newton's stop test read
-        grads = count_calls(monkeypatch, "gradient_p2", optimize)
+        grads = count_calls(monkeypatch, "gradient_p2", optimize.StatePair)
         report, pairs, _, _ = self.counted_heat16_sweep(monkeypatch)
         assert len(grads) == 12
         assert len(pairs) == 13
@@ -514,6 +514,12 @@ class TestBetaSweep:
             [r.p[0] for r in report.rows],
             [0.07762478600169102, 0.07762476895589714,
              0.07762476725132166, 0.07762476708086385], rtol=1e-9)
+
+    def test_heat16_sweep_row_cost_is_its_terms(self, monkeypatch):
+        # each row's cost is its state pair's cost_p2, the sum of the trace
+        # and penalty terms the row reports, bit for bit
+        report, _, _, _ = self.counted_heat16_sweep(monkeypatch)
+        assert all(r.cost == r.trace_term + r.penalty_term for r in report.rows)
 
     def test_heat16_sweep_builds_no_certificate(self, monkeypatch):
         # A is certified once, when the config is built

@@ -601,6 +601,18 @@ class TestVerifyAre:
         assert rep.trace_bound == pytest.approx(cert.M**2 / (2 * 0.95) * 3.0)
         assert rep.trace_bound_holds and rep.symmetric and rep.psd
 
+    def test_solve_and_verify_read_one_trace_bound(self, rng):
+        # the slack the solve stores and the bound verify_are reports are
+        # both M^2/(2 alpha) tr Q, bit for bit
+        A = rand_stable(6, rng)
+        G, Q = rand_psd(6, rng), rand_psd(6, rng)
+        cert = certify_stability(A)
+        sol = solve_are(A, G, Q, cert=cert)
+        rep = verify_are(A, G, Q, sol, cert, horizon=20.0 / cert.alpha, nodes=200)
+        bound = cert.M**2 / (2.0 * cert.alpha) * float(np.trace(Q))
+        assert riccati.trace_bound(cert, Q) == bound == rep.trace_bound
+        assert sol.trace_bound_slack == bound - float(np.trace(sol.X))
+
     def test_given_certificate_builds_no_certificate(self, monkeypatch, rng):
         A = rand_stable_symmetric(6, rng)
         G, Q = rand_psd(6, rng), rand_psd(6, rng)

@@ -112,11 +112,13 @@ def dual_residual(closed_loop, Lam, W):
     return operator_norm(closed_loop @ Lam + Lam @ closed_loop.T + W)
 
 
-def solve_dual(A, G, X, W):
+def solve_dual(A, G, X, W, W_spectrum=None):
     """Solve the dual equation for the multiplier Lambda.
 
     X is the Riccati solution for (A, G, Q): an array, or the
     :class:`RiccatiSolution` that ``solve_are`` returned; W symmetric PSD.
+    A caller that has already run ``check_psd(W, "W")`` hands the
+    ``W_spectrum`` it returned, and W is not tested again.
 
     A solution whose solve ran in A's eigenbasis lets the closed loop be
     proved stable by Lyapunov's theorem and factored through the rank-r
@@ -139,7 +141,8 @@ def solve_dual(A, G, X, W):
     G = ensure_operator(G, "G")
     X = ensure_operator(X if solution is None else solution.X, "X")
     W = ensure_operator(W, "W")
-    check_psd(W, "W")
+    if W_spectrum is None:
+        check_psd(W, "W")
     closed_loop = A.T - G @ X
     capacitance = solution and closed_loop_capacitance(solution, A, G)
     Lam = capacitance and capacitance.solve(-W, adjoint=True)

@@ -51,7 +51,7 @@ class Problem1Config:
         if self.Q.shape[0] != n or self.W.shape[0] != n or self.family.state_dim != n:
             raise ValueError("A, Q, W, family dimensions are inconsistent")
         spectrum_Q = check_psd(self.Q, "Q")
-        check_psd(self.W, "W")
+        self.W_spectrum = check_psd(self.W, "W")  # the duals read W's test from here
         self.cert = certify_stability(self.A)
         self.cert.weight(self.Q, spectrum_Q)  # the solves read Q's test from the certificate
 
@@ -188,7 +188,7 @@ def solve_state_pair(cfg, p, X0=None):
             pass
     if sol is None:
         sol = solve_are(cfg.A, G, cfg.Q, cert=cfg.cert)
-    return StatePair(p, G, sol, solve_dual(cfg.A, G, sol, cfg.W), cfg.family)
+    return StatePair(p, G, sol, solve_dual(cfg.A, G, sol, cfg.W, cfg.W_spectrum), cfg.family)
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +216,7 @@ def solve_p1(cfg, p0, damping=1.0):
     damping = 1 is the analyzed map; damping theta in (0, 1) iterates the
     averaged map (1 - theta) p + theta f(p), useful when the contraction
     regime is narrow.  Stops when both the step norm and the stationarity
-    residual ||beta (p - f(p))|| fall below cfg.tol.
+    residual ||beta p - dG_p*(X Lambda X)|| fall below cfg.tol.
 
     Raises MaxIterExceeded with the best iterate attached.
     """
@@ -229,7 +229,7 @@ def solve_p1(cfg, p0, damping=1.0):
     for it in range(1, cfg.max_iter + 1):
         state = solve_state_pair(cfg, p)
         f = state.adjoint_xlx / cfg.beta
-        stat_res = cfg.beta * float(np.linalg.norm(p - f))
+        stat_res = float(np.linalg.norm(state.gradient_p1(cfg)))
         if stat_res < best_res:
             best_res = stat_res
             best = state

@@ -14,6 +14,7 @@ import numpy as np
 
 from .errors import UnstableGenerator
 from .linalg import (
+    NORM_BOUND_MARGIN,
     _brackets,
     check_psd,
     ensure_operator,
@@ -27,6 +28,7 @@ GRID_POINTS = 1000
 FRESH_GRID_POINTS = 500
 DECAY_SLACK = 1.0 + 1e-9
 CHUNK_POINTS = 128  # time points per stack held in memory
+_TINY = np.finfo(float).tiny  # smallest normal float: covers underflowed terms
 
 
 class PsdWeight:
@@ -134,19 +136,62 @@ def _log_norm_proves(A, alpha):
     return float(np.linalg.eigvalsh(symmetrize(A))[-1]) <= -alpha
 
 
-def _semigroup(A, eigen=None):
-    """Stack builder ``ts -> [exp(A t) for t in ts]``.
+class _Stacks:
+    """``stacks(ts)`` is the stack ``[exp(A t) for t in ts]``, and
+    ``stacks.bound(ts)`` an upper bound on the norm of each of its matrices,
+    read without building them (stage 1 of :func:`certify_stability`'s
+    cascade).
 
-    With a well-conditioned eigenbasis (``eigen = (lam, V)`` of A, computed
-    here when not given) each matrix is ``(V e^{lam t}) @ V^{-1}``, one
-    product per t, so a matrix does not depend on the batch it is built in;
-    otherwise each is one expm.
+    With a well-conditioned eigenbasis (``cond(V) < 1e8``) each matrix is
+    ``(V e^{lam t}) @ V^{-1}``, one product per t, so a matrix does not
+    depend on the batch it is built in, and the bound is the eigen-expansion
+    ``sum_i c_i e^{Re lam_i t}`` with ``c_i = ||V e_i|| ||e_i' V^{-1}||``.
+    Otherwise each matrix is one expm and the bound is infinite.
     """
-    lam, V = np.linalg.eig(A) if eigen is None else eigen
-    if np.linalg.cond(V) >= 1e8:
-        return lambda ts: np.stack([matrix_exponential(A, t) for t in ts])
-    Vinv = np.linalg.inv(V)
-    return lambda ts: np.matmul(V * np.exp(np.multiply.outer(ts, lam))[:, None, :], Vinv).real
+
+    def __init__(self, A, lam, V):
+        self.A, self.n = A, A.shape[0]
+        self.lam = None if np.linalg.cond(V) >= 1e8 else lam
+        if self.lam is not None:
+            self.V, self.Vinv = V, np.linalg.inv(V)
+            self.c = np.linalg.norm(V, axis=0) * np.linalg.norm(self.Vinv, axis=1)
+
+    def __call__(self, ts):
+        if self.lam is None:
+            return np.stack([matrix_exponential(self.A, t) for t in ts])
+        return np.matmul(self.V * np.exp(np.multiply.outer(ts, self.lam))[:, None, :],
+                         self.Vinv).real
+
+    def bound(self, ts):
+        if self.lam is None:
+            return np.full(len(ts), np.inf)
+        value = np.exp(np.multiply.outer(ts, self.lam.real)) @ self.c
+        return value * (1.0 + _widening(self.n)) + self.n**2 * _TINY
+
+
+def _semigroup(A, eigen=None):
+    """The :class:`_Stacks` of A, from ``eigen = (lam, V)`` of A when given
+    and from ``np.linalg.eig(A)`` otherwise."""
+    return _Stacks(A, *(np.linalg.eig(A) if eigen is None else eigen))
+
+
+def _widening(n):
+    """Relative widening of the stage-1 and stage-2 bounds of n x n
+    matrices: NORM_BOUND_MARGIN plus ``n^2 eps``, which exceeds the
+    worst-case rounding of either (see :func:`certify_stability`)."""
+    return NORM_BOUND_MARGIN + n * n * np.finfo(float).eps
+
+
+def _stack_bound(S):
+    """An upper bound on the operator norm of each matrix of the stack S,
+    from O(n^2) work each (stage 2 of :func:`certify_stability`'s cascade):
+    ``min(||S||_F, (||S||_1 ||S||_inf)^(1/2))``."""
+    n = S.shape[-1]
+    a = np.abs(S)
+    ones = np.ones(n)
+    holder2 = (ones @ a).max(axis=1) * (a @ ones).max(axis=1)
+    square = np.minimum(np.einsum("kij,kij->k", a, a), holder2)
+    return np.sqrt(square + n * n * _TINY) * (1.0 + _widening(n))
 
 
 def _chunks(count):
@@ -160,24 +205,44 @@ def _opnorms(S):
 
 def _grid_sup(stacks, ts, weights):
     """``max_k ||exp(A t_k)|| weights_k``, equal to the max over an SVD of
-    every grid point.  The SVD runs at the point of the largest lower bound,
-    then only where an upper bound reaches the value found there."""
-    lo, hi = np.empty_like(ts), np.empty_like(ts)
+    every grid point.
+
+    Every point is built once, in chunks of CHUNK_POINTS, for its stage-2
+    bound; with no value known yet, stage 1 cannot spare a build here, and
+    the smaller of the two bounds is kept.  The first SVD runs at the
+    argmax of that bound.  The points whose bound reaches the value found
+    there are built again and bracketed by power steps (stage 3), and the
+    SVD (stage 4) runs where the bracket reaches both the best value so far
+    and the largest lower bound of its chunk.  A point left out has an
+    upper bound below a norm that an SVD'd point reaches, so the max is the
+    SVD's own, bit for bit.
+    """
+    hi = stacks.bound(ts)
     for part in _chunks(len(ts)):
-        lo[part], hi[part] = _brackets(stacks(ts[part]))
-    k = int(np.argmax(lo * weights))
+        hi[part] = np.minimum(hi[part], _stack_bound(stacks(ts[part])))
+    hi *= weights
+    k = int(np.argmax(hi))
     best = _opnorms(stacks(ts[[k]]))[0] * weights[k]
-    open_ = np.flatnonzero(hi * weights >= best)
+    open_ = np.flatnonzero(hi >= best)
     open_ = open_[open_ != k]
     for part in _chunks(len(open_)):
         pts = open_[part]
-        best = max(best, float(np.max(_opnorms(stacks(ts[pts])) * weights[pts])))
+        S, w = stacks(ts[pts]), weights[pts]
+        low, high = _brackets(S)
+        keep = high * w >= max(best, float(np.max(low * w)))
+        best = max(best, float(np.max(_opnorms(S[keep]) * w[keep], initial=best)))
     return float(best)
 
 
 def _breaks(S, bound):
     """Whether some ``||S_k|| > bound_k``, decided as an SVD of every S_k
-    would; the SVD runs only where the brackets straddle the bound."""
+    would: the stage-2 bound first, the power-step brackets where it leaves
+    the decision open, and the SVD only where the brackets straddle the
+    bound."""
+    open_ = _stack_bound(S) > bound
+    if not np.any(open_):
+        return False
+    S, bound = S[open_], bound[open_]
     lo, hi = _brackets(S)
     straddle = (lo <= bound) & (hi > bound)
     return bool(np.any(lo > bound) or np.any(_opnorms(S[straddle]) > bound[straddle]))
@@ -186,8 +251,11 @@ def _breaks(S, bound):
 def _decay_violation(stacks, ts, bound):
     """None when ``||exp(A t_k)|| <= bound_k`` at every grid point, else the
     largest ratio of the two (from an SVD at every point, to word the
-    failure)."""
-    if not any(_breaks(stacks(ts[part]), bound[part]) for part in _chunks(len(ts))):
+    failure).  A point whose stage-1 bound is within ``bound_k`` passes
+    before it is built; the others are decided by :func:`_breaks`."""
+    pts = np.flatnonzero(stacks.bound(ts) > bound)
+    if not any(_breaks(stacks(ts[pts[part]]), bound[pts[part]])
+               for part in _chunks(len(pts))):
         return None
     return max(float(np.max(_opnorms(stacks(ts[part])) / bound[part]))
                for part in _chunks(len(ts)))
@@ -217,10 +285,33 @@ def certify_stability(A):
     certificate is re-checked on a fresh 500-point uniform grid
     (``method="sampled"``).  One eigendecomposition of A gives the spectral
     abscissa and every ``exp(A t)``, built in chunks of CHUNK_POINTS time
-    points.  Each norm is bracketed without an SVD (see :func:`_brackets`),
-    and the SVD runs only where the bracket leaves the grid max or a
-    pass/fail open, so M and the validation are those of an SVD at every
-    grid point.
+    points.  M and the validation are those of an SVD at every grid point,
+    but each norm is first bounded by a cascade of cheaper bounds, and a
+    stage runs only where those before it leave the grid max or a
+    pass/fail open (see :func:`_grid_sup` and :func:`_decay_violation`):
+
+    1. the eigen-expansion ``sum_i c_i e^{Re lam_i t}``, with ``c_i =
+       ||V e_i|| ||e_i' V^{-1}||``, O(n) per point and read before the
+       point's matrix is built.  Entrywise, the computed
+       ``(V e^{lam t}) @ V^{-1}`` is at most ``(1 + d) sum_i |V e_i|
+       |e^{lam_i t}| |e_i' V^{-1}|`` with ``d <= sqrt(2) gamma_{n+2}`` for
+       the complex products and sums (Higham, *Accuracy and Stability of
+       Numerical Algorithms*, 2002, Sec. 3.6), and a matrix dominated
+       entrywise by a non-negative one has the smaller norm.  With the
+       rounding of ``c_i``, of the exponentials and of the sum, the bound
+       is off by less than ``8 (n + 4) u``; it is off on the expm path
+       (``cond(V) >= 1e8``);
+    2. ``min(||S||_F, (||S||_1 ||S||_inf)^(1/2))`` on the built matrix,
+       O(n^2).  Its sums of ``n^2`` non-negative terms are off by less than
+       ``n^2 u`` relative (Higham, Sec. 3.1; Golub & Van Loan, *Matrix
+       Computations*, Sec. 2.3, for the inequalities);
+    3. the power-step brackets of :func:`_brackets`, O(n^3);
+    4. the SVD.
+
+    Stages 1 and 2 are widened by NORM_BOUND_MARGIN plus ``n^2 eps``, which
+    exceeds either rounding for every n, and by ``n^2`` times the smallest
+    normal number, which exceeds the absolute error of underflowed terms;
+    so a comparison they settle is the SVD's own, ties included.
 
     Raises UnstableGenerator when the spectral abscissa is >= 0 or the
     fresh-grid validation fails.

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import riccati_place
-from riccati_place import cli, devices, dual, linalg, optimize, riccati
+from riccati_place import cli, devices, dual, linalg, optimize, riccati, semigroup
 from riccati_place.cli import (
     build_model,
     load_matrix,
@@ -304,6 +304,29 @@ class TestVerifyBoundsConvDiff16:
                      "--seed", "0"]) == 0
         assert len(schur) == 861
 
+    def test_spot_check_certificates_settle_their_grids_with_norm_bounds(
+            self, monkeypatch, tmp_path):
+        # each closed loop's 1500 grid points are settled by norm bounds, not
+        # bracketed by power steps, and one grid SVD each finds M
+        brackets = count_calls(monkeypatch, "_brackets", semigroup)
+        svds = count_calls(monkeypatch, "_opnorms", semigroup)
+        spans = []
+
+        def closed_loop_certificate(A, _original=dual.certify_stability):
+            start = (len(brackets), len(svds))
+            try:
+                return _original(A)
+            finally:
+                spans.append((start, (len(brackets), len(svds))))
+
+        monkeypatch.setattr(dual, "certify_stability", closed_loop_certificate)
+        assert main(["verify-bounds", "--config", convdiff16_config(tmp_path),
+                     "--out", str(tmp_path / "out"), "--seed", "0"]) == 0
+        bracketed = sum(len(S) for (b0, _), (b1, _) in spans for (S,) in brackets[b0:b1])
+        svd = sum(len(S) for (_, s0), (_, s1) in spans for (S,) in svds[s0:s1])
+        assert len(spans) == 20
+        assert bracketed <= 100 and svd <= 20
+
     @pytest.mark.parametrize("seed", sorted(REPORTS))
     def test_report_bytes(self, tmp_path, seed):
         cfg = convdiff16_config(tmp_path)
@@ -320,7 +343,7 @@ class TestReadmeReports:
     # sha256 of each file
     REPORTS = {
         ("optimize", 1): {
-            "report.json": "5cdfa1e892170b3339cc35b1691cf6b246fb9381cc5ec501c0b4e00dd5cbfa89"},
+            "report.json": "686b20cc24cecf32aeffb262eee49be1cca31683cba773b82f9141c248b3f279"},
         ("optimize", 2): {
             "report.json": "facff7324d82d18f120cf7334794c056864abfad125d31058b1f919bec45ae3a"},
         ("solve-are", 2): {

@@ -130,6 +130,11 @@ class TestSolveP1:
         assert dual_residual(cfg.A.T - G @ tri.X, tri.Lambda, cfg.W) <= cfg.tol
         assert stationarity_residual_p1(cfg, tri) <= cfg.tol
 
+    def test_reports_the_state_pairs_gradient(self, small_problem):
+        # one owner for the problem-1 gradient: the triple's residual is its norm
+        tri = solve_p1(small_problem, [0.35])
+        assert tri.residual_stationarity == stationarity_residual_p1(small_problem, tri)
+
     def test_max_iter_exceeded_carries_best(self):
         A, grid = heat_like()
         fam = GaussianActuators(grid=grid, sigma=0.18)

@@ -554,3 +554,16 @@ class TestConfigValidation:
         checks = count_calls(monkeypatch, "check_psd", semigroup)
         weight = cfg.cert.weight(cfg.Q.copy())
         assert len(checks) == 0 and np.array_equal(weight.spectrum, np.ones(4))
+
+    def test_duals_read_the_configs_test_of_W(self, monkeypatch):
+        W = np.diag([0.0, 1.0, 2.0, 0.0])
+        cfg = self.config(-np.eye(4), np.eye(4), W)
+        assert np.array_equal(cfg.W_spectrum, np.linalg.eigvalsh(W))
+        checks = count_calls(monkeypatch, "check_psd", dual)
+        state = solve_state_pair(cfg, np.array([0.4]))
+        assert len(checks) == 0
+        # a direct call still tests W, with check_psd's text
+        bare = dual.solve_dual(cfg.A, state.G, state.sol, W)
+        assert len(checks) == 1 and np.array_equal(bare.Lambda, state.dsol.Lambda)
+        with pytest.raises(ValueError, match="^W is not PSD: lambda_min = -1.000e"):
+            dual.solve_dual(cfg.A, state.G, state.sol, np.diag([1.0, 1.0, 1.0, -1.0]))

@@ -1,11 +1,13 @@
+import functools
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from riccati_place import semigroup
+from riccati_place import GaussianActuators, semigroup
 from riccati_place.errors import UnstableGenerator
 from riccati_place.linalg import matrix_exponential, operator_norm
+from riccati_place.riccati import solve_are
 from riccati_place.semigroup import (
     StabilityCertificate,
     certificate_holds,
@@ -30,9 +32,23 @@ def convection_diffusion(n, nu=1.0, c=10.0):
 
 
 def full_grid_norms(A, ts):
-    """Reference: the SVD of exp(A t) at every grid point, one stack for the
-    whole grid (no chunks, no bounds)."""
-    return np.linalg.svd(semigroup._semigroup(A)(ts), compute_uv=False)[:, 0]
+    """Reference: the SVD of exp(A t) at every grid point, one stack per 100
+    points (no bounds)."""
+    stacks = semigroup._semigroup(A)
+    return np.concatenate([np.linalg.svd(stacks(ts[i:i + 100]), compute_uv=False)[:, 0]
+                           for i in range(0, len(ts), 100)])
+
+
+def convdiff_closed_loops(n, placements=(0.2, 0.5, 0.8)):
+    """``A' - G X`` of convection-diffusion (c = 10) with one Gaussian
+    actuator at each placement, Q = I: the generators the dual bound reads."""
+    A = convection_diffusion(n)
+    family = GaussianActuators(grid=np.arange(1, n + 1) / (n + 1), sigma=0.12)
+    loops = []
+    for p in placements:
+        G = family.G(np.array([p]))
+        loops.append(A.T - G @ solve_are(A, G, np.eye(n)).X)
+    return loops
 
 
 class TestCertifyStability:
@@ -274,3 +290,94 @@ class TestCertificateKernel:
                 expected = bool(np.all(
                     observed <= trial.M * np.exp(-trial.alpha * ts) * semigroup.DECAY_SLACK))
                 assert certificate_holds(trial, A) is expected
+
+
+class TestCertificateCascade:
+    """The norm-bound cascade in front of the SVD decides as an SVD at every
+    grid point: M bit for bit, and every pass/fail."""
+
+    GENERATORS = {
+        "closed_loop_16": lambda: convdiff_closed_loops(16),
+        "closed_loop_32": lambda: convdiff_closed_loops(32),
+        # transient peaks near the horizon (ROADMAP item 9)
+        "convdiff_32_c40": lambda: [convection_diffusion(32, c=40.0)],
+        "convdiff_64_c40": lambda: [convection_diffusion(64, c=40.0)],
+        # singular eigenbases: one expm per point, no eigen-expansion bound
+        "expm_fallback": lambda: [np.array([[-1.0, 10.0], [0.0, -1.0]]),
+                                  np.array([[-1.0, 30.0, 0.0], [0.0, -1.0, 30.0],
+                                            [0.0, 0.0, -1.0]])],
+    }
+
+    @staticmethod
+    @functools.lru_cache(maxsize=None)
+    def certified(name):
+        """``[(A, certify_stability(A))]`` for the named generators, built once."""
+        return [(A, certify_stability(A)) for A in TestCertificateCascade.GENERATORS[name]()]
+
+    @pytest.mark.parametrize("name", sorted(GENERATORS))
+    def test_M_is_the_sup_of_an_svd_at_every_grid_point(self, name):
+        for A, cert in self.certified(name):
+            assert cert.method == "sampled"
+            ts = semigroup._log_grid(cert.sample_horizon, semigroup.GRID_POINTS)
+            sup = float(np.max(full_grid_norms(A, ts) * np.exp(cert.alpha * ts)))
+            assert cert.M == semigroup.M_HEADROOM * sup
+
+    @pytest.mark.parametrize("name", sorted(GENERATORS))
+    def test_certificate_holds_decides_as_the_svd(self, name):
+        for A, cert in self.certified(name):
+            ts = np.linspace(0.0, cert.sample_horizon, 100)
+            observed = full_grid_norms(A, ts)
+            edge = float(np.max(observed / (np.exp(-cert.alpha * ts) * semigroup.DECAY_SLACK)))
+            decisions = []
+            for M in (0.5 * cert.M, np.nextafter(edge, 0.0), edge, np.nextafter(edge, 2.0 * edge),
+                      cert.M):
+                trial = replace(cert, M=float(M), sample_count=100)
+                expected = bool(np.all(
+                    observed <= trial.M * np.exp(-trial.alpha * ts) * semigroup.DECAY_SLACK))
+                decisions.append(certificate_holds(trial, A))
+                assert decisions[-1] is expected
+            assert decisions[0] is False and decisions[-1] is True
+
+    @pytest.mark.parametrize("name", ["closed_loop_16", "convdiff_32_c40", "expm_fallback"])
+    def test_validation_decides_as_the_svd(self, name):
+        # bounds at, just above and just below a grid point's SVD norm; at
+        # the norms themselves every point reaches the SVD
+        for A, cert in self.certified(name)[:1]:
+            ts = np.linspace(0.0, cert.sample_horizon, 2 * semigroup.CHUNK_POINTS + 1)
+            observed = full_grid_norms(A, ts)
+            stacks = semigroup._semigroup(A)
+            assert semigroup._decay_violation(stacks, ts, observed) is None
+            assert semigroup._decay_violation(stacks, ts, np.nextafter(observed, np.inf)) is None
+            peak = int(np.argmax(observed * np.exp(cert.alpha * ts)))
+            for k in (0, peak, len(ts) - 1):
+                bound = np.maximum(observed, cert.M * np.exp(-cert.alpha * ts))
+                bound[k] = np.nextafter(observed[k], 0.0)
+                worst = semigroup._decay_violation(stacks, ts, bound)
+                assert worst == observed[k] / bound[k] > 1.0
+
+    @pytest.mark.parametrize("name", ["closed_loop_16", "convdiff_32_c40", "expm_fallback"])
+    def test_failed_validation_words_the_svd_ratio(self, name, monkeypatch):
+        A, cert = self.certified(name)[0]
+        ts = semigroup._log_grid(cert.sample_horizon, semigroup.GRID_POINTS)
+        sup = float(np.max(full_grid_norms(A, ts) * np.exp(cert.alpha * ts)))
+        headroom = 0.99 * semigroup.M_HEADROOM
+        monkeypatch.setattr(semigroup, "M_HEADROOM", headroom)
+        fresh = np.linspace(0.0, cert.sample_horizon, semigroup.FRESH_GRID_POINTS)
+        bound = headroom * sup * np.exp(-cert.alpha * fresh) * semigroup.DECAY_SLACK
+        worst = float(np.max(full_grid_norms(A, fresh) / bound))
+        assert worst > 1.0
+        message = f"certificate validation failed: decay bound violated by factor {worst:.3e}"
+        with pytest.raises(UnstableGenerator) as failure:
+            certify_stability(A)
+        assert str(failure.value) == message
+
+    @pytest.mark.parametrize("name", sorted(GENERATORS))
+    def test_expansion_bound_is_an_upper_bound_or_off(self, name):
+        for A, cert in self.certified(name):
+            stacks = semigroup._semigroup(A)
+            ts = semigroup._log_grid(cert.sample_horizon, 200)
+            bound = stacks.bound(ts)
+            if stacks.lam is None:
+                assert np.all(bound == np.inf)
+            else:
+                assert np.all(full_grid_norms(A, ts) <= bound) and np.all(np.isfinite(bound))

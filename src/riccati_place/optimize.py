@@ -245,14 +245,14 @@ def solve_p1(cfg, p0, damping=1.0):
         f"(best stationarity residual {best_res:.3e})", best=triple)
 
 
-def _finish_triple(cfg, state, stat_res, iterations, history, converged=True, **extras):
-    """The triple at state.p; it converged when ``converged`` holds and the
-    stationarity, primal and dual residuals meet cfg.tol."""
+def _finish_triple(cfg, state, stat_res, iterations, history, **extras):
+    """The triple at state.p; it converged when the stationarity, primal and
+    dual residuals meet cfg.tol."""
     return OptimalityTriple(
         state=state,
         residual_stationarity=stat_res,
         iterations=iterations,
-        converged=(converged and stat_res <= cfg.tol and state.sol.strong_residual <= cfg.tol
+        converged=(stat_res <= cfg.tol and state.sol.strong_residual <= cfg.tol
                    and state.dsol.residual <= cfg.tol),
         history=history,
         **extras,
@@ -393,9 +393,10 @@ def solve_p2(cfg, p0, state=None):
     it serves the uniqueness proof (contraction_constant_p2) and the
     reported fixed_point_residual.
 
-    A converged triple satisfies the weak stationarity residual, the primal
-    and dual residuals, and the trace-constraint identity
-    |tr G_p - gamma - ||X L X||/beta| <= tol.
+    A converged triple meets cfg.tol in the weak stationarity residual and
+    the primal and dual residuals.  The trace-constraint residual
+    |tr G_p - gamma - ||X L X||/beta| is reported, not required: it
+    measures the map's identity, which a stationary point need not satisfy.
 
     ``state`` is the StatePair at p0 when the caller holds it, e.g. a
     previous triple's ``state`` at its ``p``; X and Lambda do not depend on
@@ -561,7 +562,8 @@ def _reduced_hessian_p2(cfg, state):
 def _finish_p2(cfg, state, grad, iterations, history):
     """The problem-1 record at p = state.p, with the stationarity residual
     read off ``grad`` (the gradient at p), extended by problem 2's trace
-    constraint and map residual; converged also asks the trace-constraint identity."""
+    gap, trace-constraint residual and map residual, which are reported
+    and do not enter ``converged``."""
     trace_gap = state.trace_G - cfg.gamma
     trace_res = abs(trace_gap - state.xlx_norm / cfg.beta)
     try:
@@ -569,8 +571,8 @@ def _finish_p2(cfg, state, grad, iterations, history):
     except DegenerateFamily:
         map_res = math.nan
     return _finish_triple(cfg, state, float(np.linalg.norm(grad)), iterations, history,
-                          converged=trace_res <= cfg.tol, trace_gap=trace_gap,
-                          trace_constraint_residual=trace_res, fixed_point_residual=map_res)
+                          trace_gap=trace_gap, trace_constraint_residual=trace_res,
+                          fixed_point_residual=map_res)
 
 
 def contraction_constant_p2(ledger):

@@ -52,7 +52,10 @@ class _EigenbasisFacts:
     ``A = V diag(d) V'`` (the pair kept on A's certificate, referenced, not
     copied), G's factor ``B`` in that basis (n x r) with the bound
     ``dropped`` on ``||G - V B B' V'||``, ``lambda_min(Q)``, and the
-    Frobenius norm of the strong residual at X that the stop test formed."""
+    Frobenius norm of the residual at X that the stop test formed: the
+    residual on G's factor, ``A X + X A' - X B B' X + Q`` in the original
+    basis, which differs from the strong residual by ``X E X`` for G's
+    dropped part E."""
 
     d: np.ndarray
     V: np.ndarray
@@ -139,6 +142,19 @@ class _SchurKernel:
     def step(self, Xb, k):
         return self._schur_step(Xb, k)
 
+    def residual(self, X):
+        """The residual the stop test reads at an iterate X, which is exactly
+        symmetric, so ``A X + X A' = M + M'`` takes one product ``M = A X``;
+        on a Schur form it is the strong residual."""
+        M = self.A @ X
+        R = M + M.T
+        R -= self._xgx(X)
+        R += self.Q
+        return R
+
+    def _xgx(self, X):
+        return X @ self.G @ X
+
     def facts(self, residual_fro):
         """What a solution keeps of the kernel: nothing on a Schur form."""
         return None
@@ -183,23 +199,24 @@ class _Capacitance:
     @classmethod
     def factor(cls, Dsum, C, B, F):
         """The factored closed loop, or None when the LU is singular."""
-        *lu, info = spla.lapack.dgetrf(cls._matrix(C, B, F))
+        *lu, info = spla.lapack.dgetrf(cls._matrix(C, B, F), overwrite_a=1)
         return None if info != 0 else cls(Dsum, C, B, F, lu)
 
     @staticmethod
     def _matrix(C, B, F):
         """``I - diag(F_b) C diag(B_a) - diag(C (F_b o B_a))`` in block (a, b),
-        built in one (n r) x (n r) array."""
+        built in one (n r) x (n r) array in Fortran order, as ``getrf``
+        takes it: its transpose, entry (b, j, a, i), is built in C order."""
         n, r = B.shape
-        M = np.empty((r, n, r, n))
-        np.multiply(C[None, :, None, :], F[None, :, :, None], out=M)
-        M *= -B.T[:, None, None, :]  # = -((C F) B) bit for bit: rounding commutes with negation
+        Mt = np.empty((r, n, r, n))
+        np.multiply(C[None, :, None, :], F.T[:, None, None, :], out=Mt)  # C is symmetric
+        Mt *= -B[None, :, :, None]  # = -((C F) B) bit for bit: rounding commutes with negation
         diag = C @ (B[:, :, None] * F[:, None, :]).reshape(n, r * r)
         idx = np.arange(n)
-        M[:, idx, :, idx] -= diag.reshape(n, r, r)
-        M = M.reshape(n * r, n * r)
-        M[np.diag_indices(n * r)] += 1.0
-        return M
+        Mt[:, idx, :, idx] -= diag.reshape(n, r, r).transpose(0, 2, 1)
+        Mt = Mt.reshape(n * r, n * r)
+        Mt[np.diag_indices(n * r)] += 1.0
+        return Mt.T
 
     def solve(self, S, adjoint=False):
         """``(Y, R)``: the solution Y of the equation for symmetric S (the
@@ -211,21 +228,39 @@ class _Capacitance:
         for refinements in range(3):
             if not np.isfinite(Y).all():
                 return None
-            W = left @ (Y @ right).T
-            R = S - self.Dsum * Y + W + W.T
+            # R = S - Dsum o Y + W + W' with W = left (Y right)'
+            P = Y @ right
+            R = np.multiply(self.Dsum, Y)
+            np.subtract(S, R, out=R)
+            W = _outer(left, P)
+            R += W
+            R += _outer(P, left, out=W)
             if _residual_within(R, S, S_bounds):
                 return Y, R
             if refinements == 2:
                 return None
-            Y = Y + self._solve(R, adjoint)
+            Y += self._solve(R, adjoint)
 
     def _solve(self, S, adjoint):
         n, r = self.B.shape
         left, right = (self.B, self.F) if adjoint else (self.F, self.B)
         Z = spla.lapack.dgetrs(*self.lu, ((self.C * S) @ right).T.ravel(),
                                trans=int(adjoint))[0].reshape(r, n).T
-        T = left @ Z.T
-        return self.C * (S + T + T.T)
+        # C o (S + T + T') with T = left Z'
+        Y = _outer(left, Z)
+        Y += S
+        Y += _outer(Z, left)
+        Y *= self.C
+        return Y
+
+
+def _outer(U, V, out=None):
+    """``U V'`` for n x r factors: a broadcast product at r = 1 (each entry
+    one rounded product, as the GEMM's), a GEMM otherwise.  ``_outer(V, U)``
+    is its transpose, formed without a strided read."""
+    if U.shape[1] == 1:
+        return np.multiply(U, V.T, out=out)
+    return np.matmul(U, V.T, out=out)
 
 
 class _EigenbasisKernel(_SchurKernel):
@@ -247,9 +282,10 @@ class _EigenbasisKernel(_SchurKernel):
     ClosedLoopUnstable or SingularSystem as it always has.
     """
 
-    def __init__(self, A, G, Q, V, d, B, lam_min_Q, dropped, Qb):
+    def __init__(self, A, G, Q, V, d, factor, lam_min_Q, Qb):
         super().__init__(A, G, Q)
-        self.V, self.d, self.B, self.lam_min_Q, self.dropped = V, d, B, lam_min_Q, dropped
+        self.G_factor, self.dropped = factor
+        self.V, self.d, self.B, self.lam_min_Q = V, d, V.T @ self.G_factor, lam_min_Q
         self.Dsum = d[:, None] + d[None, :]
         self.C = 1.0 / self.Dsum
         self.Qb = Qb
@@ -266,11 +302,12 @@ class _EigenbasisKernel(_SchurKernel):
         is the certificate's own), and ``factor`` comes from
         :func:`low_rank_psd` or :func:`_spectral_factor`.
 
-        The steps solve for ``B B' = G - E``, but the strong residual is
-        read with G, so at the limit it carries ``X E X``.  X lies below the
-        Lyapunov solution of (A, Q), whose norm is at most
-        ``||Q|| / (2 |d_max|)``; the kernel is taken only when that bound
-        keeps ``||X E X||`` within 1 % of the residual gate."""
+        The steps and the stop test's residual (:meth:`residual`) read
+        ``B B' = G - E``, so the strong residual, read with G, differs from
+        the tested one by ``X E X``.  X lies below the Lyapunov solution of
+        (A, Q), whose norm is at most ``||Q|| / (2 |d_max|)``; the kernel is
+        taken only when that bound keeps ``||X E X||`` within 1 % of the
+        residual gate."""
         B, dropped = factor
         lam_Q = weight.spectrum
         if not 0 < B.shape[1] <= CAPACITANCE_MAX_RANK:
@@ -282,13 +319,19 @@ class _EigenbasisKernel(_SchurKernel):
             return None
         if dropped * (lam_Q[-1] / (2.0 * d[-1])) ** 2 > 0.01 * RESIDUAL_RTOL * (1.0 + lam_Q[-1]):
             return None
-        return cls(A, G, Q, V, d, V.T @ B, lam_Q[0], dropped, weight.projection(Q, V))
+        return cls(A, G, Q, V, d, factor, lam_Q[0], weight.projection(Q, V))
 
     def into(self, X):
         return self.V.T @ X @ self.V
 
     def out(self, Xb):
         return symmetrize(self.V @ Xb @ self.V.T)
+
+    def _xgx(self, X):
+        """``X B B' X`` from G's factor in the original basis, O(n^2 r): the
+        residual is read on ``B B'`` (see :meth:`build`)."""
+        F = X @ self.G_factor
+        return F @ F.T
 
     def step(self, Xb, k):
         Y = self._capacitance_step(Xb)
@@ -303,15 +346,22 @@ class _EigenbasisKernel(_SchurKernel):
     def _capacitance_step(self, Xb):
         """The next iterate, or None when the step is not proved."""
         F = Xb @ self.B
-        S = -(F @ F.T + self.Qb)  # exactly symmetric: numpy forms F F' by syrk
+        S = F @ F.T  # exactly symmetric: numpy forms F F' by syrk
+        S += self.Qb
+        np.negative(S, out=S)
         closed_loop = _Capacitance.factor(self.Dsum, self.C, self.B, F)
         solved = closed_loop and closed_loop.solve(S)
         if not solved:
             return None
         Y, R = solved
-        if spla.lapack.dpotrf(Y)[1] != 0:  # Y is not positive definite
+        if not _frobenius(R) < self.lam_min_Q:
             return None
-        return Y if np.linalg.norm(R) < self.lam_min_Q else None
+        # R is spent: Cholesky overwrites a copy of Y in its buffer, read as
+        # Y' in Fortran order, whose lower triangle is Y's upper one
+        np.copyto(R, Y)
+        if spla.lapack.dpotrf(R.T, lower=1, overwrite_a=1)[1] != 0:  # Y is not positive definite
+            return None
+        return Y
 
 
 class _ClosedLoop:
@@ -345,16 +395,17 @@ def closed_loop_capacitance(sol, A, G):
 
     Requires the solve to have run on the eigenbasis kernel (``sol.eigenbasis``)
     and A and G to be its operands.  Lyapunov's theorem proves the closed
-    loop stable: with R the strong residual at X (true G),
+    loop stable: with ``G = B B' + E``, ``||E|| <= e``, and R_B the
+    residual at X on ``B B'`` (the one the stop test formed),
 
-        (A - X G) X + X (A - X G)' = -(X G X + Q) + R,
+        (A - X G) X + X (A - X G)' = -(Q + X B B' X) + R_B - 2 X E X,
 
-    and ``X G X >= -e ||X||^2`` for G's dropped part ``||E|| <= e``, so the
-    right side is negative definite when ``||R||_F + e ||X||_F^2 <
-    lambda_min(Q)``; with X positive definite (``dpotrf``) the closed loop
-    is stable.  None when the proof or the capacitance LU fails.  The work
-    is O(n^2 r) plus one Cholesky of X and one LU of the capacitance
-    matrix; no Schur form is taken.
+    and ``||X E X||_F <= e ||X||_F^2``, so the right side is negative
+    definite when ``||R_B||_F + 2 e ||X||_F^2 < lambda_min(Q)``; with X
+    positive definite (``dpotrf``) the closed loop is stable.  None when
+    the proof or the capacitance LU fails.  The work is O(n^2 r) plus one
+    Cholesky of X and one LU of the capacitance matrix; no Schur form is
+    taken.
     """
     facts = sol.eigenbasis
     operands = sol.operands
@@ -363,7 +414,7 @@ def closed_loop_capacitance(sol, A, G):
         return None
     X = sol.X
     x_fro = _frobenius(X)
-    if not facts.residual_fro + facts.dropped * x_fro**2 < facts.lam_min_Q:
+    if not facts.residual_fro + 2.0 * facts.dropped * x_fro**2 < facts.lam_min_Q:
         return None
     if spla.lapack.dpotrf(X)[1] != 0:  # X is not positive definite
         return None
@@ -417,10 +468,16 @@ def solve_are(A, G, Q, tol=DEFAULT_STEP_TOL, cert=None, keep_history=False, X0=N
     closed loop ``A - Xk G``, which also certifies its spectrum:
     ClosedLoopUnstable is raised when that spectrum leaves the open left
     half-plane.  Iteration stops once the step norm is <= tol *and* the
-    strong residual (original basis, true G) is within
-    ``1e-10 (1 + ||Q||)``.  Both tests are decided as SVDs would decide
-    them, from norm bounds, with an SVD only where the bounds leave a test
-    open; the solution's ``strong_residual`` is computed when first read.
+    residual in the original basis is within ``1e-10 (1 + ||Q||)``.  That
+    residual takes one n^3 product, ``M = A X``, since
+    ``A X + X A' = M + M'`` for the symmetric iterate; on the eigenbasis
+    kernel ``X G X`` is read from G's rank-r factor as ``(X B)(X B)'``, and
+    G's dropped part moves the strong residual by at most 1 % of the gate
+    (see :meth:`_EigenbasisKernel.build`).  Both tests are decided as SVDs
+    would decide them, from norm bounds, with an SVD only where the bounds
+    leave a test open; the solution's ``strong_residual``, the operator norm
+    of ``A X + X A' - X G X + Q`` with the true G, is computed when first
+    read.
     X0 = 0 is admissible because A itself is required to be stable
     (certified on entry); any other X0 must keep A - X0 G stable (e.g. a warm
     start from a nearby instance).  From X0 = 0 the first iterate X1 solves
@@ -474,7 +531,7 @@ def solve_are(A, G, Q, tol=DEFAULT_STEP_TOL, cert=None, keep_history=False, X0=N
             history.append(np.array(kernel.out(Xb)))
         if norm_within(step, tol):
             X = kernel.out(Xb)
-            R = _residual_matrix(A, G, Q, X)
+            R = kernel.residual(X)
             if _relative_within(R, RESIDUAL_RTOL, Q, Q_bounds):
                 break
     else:

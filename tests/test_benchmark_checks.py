@@ -3,8 +3,9 @@
 perfbench/workloads.py checks the outputs of every timed unit (placements
 against reference values, residuals, report flags and bytes), so a change
 that trips one of those checks would otherwise show only as a benchmark run
-whose outputs are marked incorrect.  Each workload is built at seed 0, and
-one unit is run and checked.
+whose outputs are marked incorrect.  Each workload is built at seed 0
+(``are-path-heat256`` also at seeds 1 and 2), and one unit is run and
+checked.
 """
 
 import importlib
@@ -26,8 +27,14 @@ def test_every_workload_is_checked(workloads):
     assert sorted(workloads.WORKLOADS) == sorted(NAMES)
 
 
-@pytest.mark.parametrize("name", NAMES)
-def test_one_unit_passes_the_benchmark_check(workloads, name, tmp_path):
-    workload = workloads.WORKLOADS[name](0, tmp_path)
+# the n = 256 path's jittered placements at seeds 1 and 2 take other Newton
+# paths through its residual, PSD and trace-bound checks
+UNITS = [pytest.param(name, 0, id=name) for name in NAMES] + [
+    pytest.param("are-path-heat256", seed, id=f"are-path-heat256-seed{seed}") for seed in (1, 2)]
+
+
+@pytest.mark.parametrize("name,seed", UNITS)
+def test_one_unit_passes_the_benchmark_check(workloads, name, seed, tmp_path):
+    workload = workloads.WORKLOADS[name](seed, tmp_path)
     errors, _ = workload.check(0, workload.run_unit(0))
     assert errors == []

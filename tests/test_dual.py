@@ -210,7 +210,7 @@ class TestClosedLoopFactor:
         elif failure == "gate":
             monkeypatch.setattr(riccati, "_residual_within", lambda R, P, P_bounds: False)
         else:
-            monkeypatch.setattr(spla.lapack, "dgetrf", lambda M: (M, None, 1))
+            monkeypatch.setattr(spla.lapack, "dgetrf", lambda M, **flags: (M, None, 1))
         schur = count_calls(monkeypatch, "_real_schur", linalg)
         sol = solve_dual(A, G, are, W)
         assert len(schur) == 1 and sol.capacitance is None

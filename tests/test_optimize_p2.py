@@ -164,6 +164,15 @@ class TestSolveP2:
         assert identity_gap == pytest.approx(tri.trace_constraint_residual, abs=1e-14)
         assert identity_gap <= cfg.tol
 
+    def test_converged_does_not_ask_the_trace_constraint_identity(self):
+        # the README model at beta = 10: a stationary point where the map's
+        # identity |tr G_p - gamma - ||X L X||/beta| is 4.4e-7, far above
+        # tol, and is reported, not required
+        tri = solve_p2(heat16_config(beta=10.0, tol=1e-8), [0.3])
+        assert tri.residual_stationarity <= 1e-12
+        assert tri.trace_constraint_residual == pytest.approx(4.37e-7, rel=1e-3)
+        assert tri.converged
+
     def test_matches_brute_force_grid_search(self, p2_problem):
         cfg = Problem2Config(A=p2_problem.A, Q=p2_problem.Q, W=p2_problem.W,
                              family=p2_problem.family, beta=100.0,

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.linalg as spla
@@ -236,7 +238,91 @@ class TestEigenbasisKernel:
                                 ).reshape(n, r, r)
         ref = ref.reshape(n * r, n * r)
         ref[np.diag_indices(n * r)] += 1.0
-        assert riccati._Capacitance._matrix(C, B, F).tobytes() == ref.tobytes()
+        M = riccati._Capacitance._matrix(C, B, F)
+        assert M.tobytes() == ref.tobytes()
+        assert M.flags.f_contiguous  # getrf factors it without a copy
+
+    @pytest.mark.parametrize("eigenbasis", [True, False])
+    def test_stop_residual_takes_one_cubic_product(self, eigenbasis):
+        # A X + X A' = M + M' with M = A X; the eigenbasis kernel reads
+        # X G X from G's factor, a Schur form takes two more n^3 products
+        n = 64
+        A, grid = heat1d(n)
+        G = GaussianActuators(grid=grid, sigma=0.12).G([0.3])
+        Q = np.eye(n)
+        kernel = eigenbasis_kernel(A, G, Q) if eigenbasis else riccati._SchurKernel(A, G, Q)
+        X = solve_are(A, G, Q).X
+        products = []
+
+        class Counted(np.ndarray):
+            def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+                inputs = [np.asarray(T) for T in inputs]
+                if ufunc is np.matmul and all(T.shape == (n, n) for T in inputs):
+                    products.append(ufunc)
+                return getattr(ufunc, method)(*inputs, **kwargs)
+
+        R = kernel.residual(X.view(Counted))
+        assert len(products) == (1 if eigenbasis else 3)
+        assert type(R) is np.ndarray and R.tobytes() == kernel.residual(X).tobytes()
+        M = A @ X
+        XGX = X @ G @ X
+        assert np.linalg.norm(R - (M + M.T - XGX + Q)) <= 1e-3 * 1e-10 * 2.0
+
+    @staticmethod
+    def textbook_capacitance_solve(cap, S, adjoint):
+        """``_Capacitance.solve`` as its docstring states it: Y = C o (S +
+        T + T') with T = left Z', the residual S - Dsum o Y + W + W' with
+        W = left (Y right)', and the same refinements on the LU."""
+        n, r = cap.B.shape
+        left, right = (cap.B, cap.F) if adjoint else (cap.F, cap.B)
+
+        def solve(S):
+            Z = spla.lapack.dgetrs(*cap.lu, ((cap.C * S) @ right).T.ravel(),
+                                   trans=int(adjoint))[0].reshape(r, n).T
+            T = left @ Z.T
+            return cap.C * (S + T + T.T)
+
+        Y = solve(S)
+        for _ in range(3):
+            W = left @ (Y @ right).T
+            R = S - cap.Dsum * Y + W + W.T
+            if riccati._residual_within(R, S, linalg._norm_bounds(S)):
+                return Y, R
+            Y = Y + solve(R)
+        return None
+
+    @pytest.mark.parametrize("r", [1, 3])
+    @pytest.mark.parametrize("adjoint", [False, True])
+    @pytest.mark.parametrize("failures", [0, 2])
+    def test_capacitance_solve_is_the_textbook_formula(self, monkeypatch, rng, r, adjoint,
+                                                       failures):
+        # bit for bit at r = 1, where every outer product is one rounded
+        # product an entry; to rounding at r = 3, where the swapped GEMM
+        # may sum in another order than a transpose.  `failures` forces
+        # that many refinements on both.
+        n = 64
+        A, grid = heat1d(n)
+        G = GaussianActuators(grid=grid, sigma=0.12, param_dim=r).G(np.linspace(0.2, 0.8, r))
+        kernel = eigenbasis_kernel(A, G, np.eye(n))
+        F = kernel.into(solve_are(A, G, np.eye(n)).X) @ kernel.B
+        cap = riccati._Capacitance.factor(kernel.Dsum, kernel.C, kernel.B, F)
+        seen = []
+
+        def gate(R, P, P_bounds):
+            seen.append(P)
+            return sum(T is P for T in seen) > failures and _residual_within(R, P, P_bounds)
+
+        monkeypatch.setattr(riccati, "_residual_within", gate)
+        for S in (-(F @ F.T + kernel.Qb), symmetrize(rng.standard_normal((n, n)))):
+            Y, R = cap.solve(S, adjoint)
+            seen.clear()
+            Y_ref, R_ref = self.textbook_capacitance_solve(cap, S, adjoint)
+            assert len(seen) == failures + 1
+            if r == 1:
+                assert Y.tobytes() == Y_ref.tobytes() and R.tobytes() == R_ref.tobytes()
+            else:
+                assert operator_norm(Y - Y_ref) <= 1e-13 * operator_norm(Y_ref)
+                assert operator_norm(R - R_ref) <= 1e-13 * operator_norm(S)
 
     def test_heat64_rank1_takes_no_schur_form(self, monkeypatch):
         A, grid = heat1d(64)
@@ -418,9 +504,46 @@ class TestSpectralWork:
         assert facts.V is V_cert and facts.d is d_cert
         assert facts.B.shape == (n, d)
         assert facts.lam_min_Q == 1.0 and 0.0 <= facts.dropped <= 1e-12
+        # the stop test's residual, read on G's factor: G = B B' + E
+        B = low_rank_psd(G, riccati.CAPACITANCE_MAX_RANK, "G")[0]
+        M, F = A @ sol.X, sol.X @ B
+        assert facts.residual_fro == np.linalg.norm(M + M.T - F @ F.T + Q)
+        # the strong residual, with the true G, differs by X E X: far below the gate
         R = A @ sol.X + sol.X @ A.T - sol.X @ G @ sol.X + Q
-        assert facts.residual_fro == np.linalg.norm(R)
+        gate = 1e-10 * (1.0 + operator_norm(Q))
+        assert abs(facts.residual_fro - np.linalg.norm(R)) <= 1e-3 * gate
         assert solve_are(A, G, np.diag(np.r_[np.ones(n - 1), 0.0]), cert=cert).eigenbasis is None
+
+    def test_closed_loop_proof_counts_the_dropped_part_twice(self):
+        # (A - X G) X + X (A - X G)' = -(Q + X B B' X) + R_B - 2 X E X: the
+        # proof needs ||R_B||_F + 2 e ||X||_F^2 < lambda_min(Q)
+        A, (G, *_), Q = self.heat_path(n=16)
+        sol = solve_are(A, G, Q, cert=certify_stability(A))
+        facts = sol.eigenbasis
+        budget = (facts.lam_min_Q - facts.residual_fro) / np.linalg.norm(sol.X) ** 2
+        for dropped, proved in [(0.49 * budget, True), (0.51 * budget, False)]:
+            kept = replace(sol, eigenbasis=replace(facts, dropped=dropped))
+            assert (riccati.closed_loop_capacitance(kept, A, G) is not None) == proved
+
+    def test_heat256_warm_path_reads_its_stop_residual_on_the_factor(self, monkeypatch):
+        # the benchmark's n = 256 path at seed 0: every step runs in the
+        # eigenbasis, and the stop test reads X G X from G's factor, so the
+        # four-product residual matrix is never formed inside solve_are
+        n = 256
+        A, grid = heat1d(n)
+        family = GaussianActuators(grid=grid, sigma=0.12)
+        placements = (np.linspace(0.1, 0.9, 8)
+                      + np.random.default_rng(0).uniform(-0.01, 0.01, 8))
+        cert = certify_stability(A)
+        residuals = count_calls(monkeypatch, "_residual_matrix", riccati)
+        sols, X = [], None
+        for p in placements:
+            sols.append(solve_are(A, family.G([p]), np.eye(n), tol=1e-12, cert=cert, X0=X))
+            X = sols[-1].X
+        assert [s.newton_iters for s in sols] == [4, 4, 4, 4, 3, 3, 4, 3]
+        assert [s.schur_steps for s in sols] == [0] * 8
+        assert residuals == []
+        assert sols[-1].strong_residual <= 1e-10 * 2.0
 
     def test_strong_residual_is_computed_on_first_read(self, monkeypatch):
         A, (G, *_), Q = self.heat_path(n=16)

@@ -411,16 +411,16 @@ def _residual_within(R, P, P_bounds):
     return _relative_within(R, SYLVESTER_RTOL, P, P_bounds)
 
 
-def _relative_within(R, rtol, P, P_bounds):
-    """Decide ``operator_norm(R) <= rtol (1 + operator_norm(P))`` as the
-    SVDs would, taking P's SVD only when the Frobenius bounds ``P_bounds``
-    of P and those of R leave the answer open."""
+def _relative_within(R, rtol, P, P_bounds, margin=0.0):
+    """Decide ``operator_norm(R) <= rtol (1 + operator_norm(P)) - margin``
+    as the SVDs would, taking P's SVD only when the Frobenius bounds
+    ``P_bounds`` of P and those of R leave the answer open."""
     lo, hi = _norm_bounds(R)
-    if hi <= rtol * (1.0 + P_bounds[0]):
+    if hi <= rtol * (1.0 + P_bounds[0]) - margin:
         return True
-    if lo > rtol * (1.0 + P_bounds[1]):
+    if lo > rtol * (1.0 + P_bounds[1]) - margin:
         return False
-    return norm_within(R, rtol * (1.0 + operator_norm(P)))
+    return norm_within(R, rtol * (1.0 + operator_norm(P)) - margin)
 
 
 def _gauss_legendre_panel(width, npts=16):

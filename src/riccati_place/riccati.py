@@ -152,6 +152,11 @@ class _SchurKernel:
         R += self.Q
         return R
 
+    def residual_margin(self, X):
+        """What the stop test takes off its gate for the residual's distance
+        from the strong one: none on a Schur form."""
+        return 0.0
+
     def _xgx(self, X):
         return X @ self.G @ X
 
@@ -228,13 +233,15 @@ class _Capacitance:
         for refinements in range(3):
             if not np.isfinite(Y).all():
                 return None
-            # R = S - Dsum o Y + W + W' with W = left (Y right)'
+            # R = S - Dsum o Y + W + W' with W = left (Y right)'; W' is
+            # formed as its own product, not read strided.  Outer products
+            # go through np.dot: matmul takes a slower loop at r = 1
             P = Y @ right
             R = np.multiply(self.Dsum, Y)
             np.subtract(S, R, out=R)
-            W = _outer(left, P)
+            W = np.dot(left, P.T)
             R += W
-            R += _outer(P, left, out=W)
+            R += np.dot(P, left.T, out=W)
             if _residual_within(R, S, S_bounds):
                 return Y, R
             if refinements == 2:
@@ -247,20 +254,11 @@ class _Capacitance:
         Z = spla.lapack.dgetrs(*self.lu, ((self.C * S) @ right).T.ravel(),
                                trans=int(adjoint))[0].reshape(r, n).T
         # C o (S + T + T') with T = left Z'
-        Y = _outer(left, Z)
+        Y = np.dot(left, Z.T)
         Y += S
-        Y += _outer(Z, left)
+        Y += np.dot(Z, left.T)
         Y *= self.C
         return Y
-
-
-def _outer(U, V, out=None):
-    """``U V'`` for n x r factors: a broadcast product at r = 1 (each entry
-    one rounded product, as the GEMM's), a GEMM otherwise.  ``_outer(V, U)``
-    is its transpose, formed without a strided read."""
-    if U.shape[1] == 1:
-        return np.multiply(U, V.T, out=out)
-    return np.matmul(U, V.T, out=out)
 
 
 class _EigenbasisKernel(_SchurKernel):
@@ -304,10 +302,12 @@ class _EigenbasisKernel(_SchurKernel):
 
         The steps and the stop test's residual (:meth:`residual`) read
         ``B B' = G - E``, so the strong residual, read with G, differs from
-        the tested one by ``X E X``.  X lies below the Lyapunov solution of
-        (A, Q), whose norm is at most ``||Q|| / (2 |d_max|)``; the kernel is
-        taken only when that bound keeps ``||X E X||`` within 1 % of the
-        residual gate."""
+        the tested one by ``X E X``; the stop test takes ``e ||X||_F^2`` off
+        its gate (:meth:`residual_margin`), so the strong residual passes
+        the gate whenever the tested one does.  The exact solution lies
+        below the Lyapunov solution of (A, Q), whose norm is at most
+        ``||Q|| / (2 |d_max|)``; the kernel is taken only when that bound
+        keeps the margin within 1 % of the gate."""
         B, dropped = factor
         lam_Q = weight.spectrum
         if not 0 < B.shape[1] <= CAPACITANCE_MAX_RANK:
@@ -326,6 +326,10 @@ class _EigenbasisKernel(_SchurKernel):
 
     def out(self, Xb):
         return symmetrize(self.V @ Xb @ self.V.T)
+
+    def residual_margin(self, X):
+        """``e ||X||_F^2``, a bound on ``||X E X||`` (see :meth:`build`)."""
+        return self.dropped * _frobenius(X) ** 2
 
     def _xgx(self, X):
         """``X B B' X`` from G's factor in the original basis, O(n^2 r): the
@@ -356,10 +360,7 @@ class _EigenbasisKernel(_SchurKernel):
         Y, R = solved
         if not _frobenius(R) < self.lam_min_Q:
             return None
-        # R is spent: Cholesky overwrites a copy of Y in its buffer, read as
-        # Y' in Fortran order, whose lower triangle is Y's upper one
-        np.copyto(R, Y)
-        if spla.lapack.dpotrf(R.T, lower=1, overwrite_a=1)[1] != 0:  # Y is not positive definite
+        if spla.lapack.dpotrf(Y)[1] != 0:  # Y is not positive definite
             return None
         return Y
 
@@ -472,10 +473,10 @@ def solve_are(A, G, Q, tol=DEFAULT_STEP_TOL, cert=None, keep_history=False, X0=N
     residual takes one n^3 product, ``M = A X``, since
     ``A X + X A' = M + M'`` for the symmetric iterate; on the eigenbasis
     kernel ``X G X`` is read from G's rank-r factor as ``(X B)(X B)'``, and
-    G's dropped part moves the strong residual by at most 1 % of the gate
-    (see :meth:`_EigenbasisKernel.build`).  Both tests are decided as SVDs
-    would decide them, from norm bounds, with an SVD only where the bounds
-    leave a test open; the solution's ``strong_residual``, the operator norm
+    the gate is lowered by a bound on what G's dropped part moves the
+    strong residual by (see :meth:`_EigenbasisKernel.build`).  Both tests
+    are decided as SVDs would decide them, from norm bounds, with an SVD
+    only where the bounds leave a test open; the solution's ``strong_residual``, the operator norm
     of ``A X + X A' - X G X + Q`` with the true G, is computed when first
     read.
     X0 = 0 is admissible because A itself is required to be stable
@@ -532,7 +533,7 @@ def solve_are(A, G, Q, tol=DEFAULT_STEP_TOL, cert=None, keep_history=False, X0=N
         if norm_within(step, tol):
             X = kernel.out(Xb)
             R = kernel.residual(X)
-            if _relative_within(R, RESIDUAL_RTOL, Q, Q_bounds):
+            if _relative_within(R, RESIDUAL_RTOL, Q, Q_bounds, kernel.residual_margin(X)):
                 break
     else:
         raise NewtonStall(

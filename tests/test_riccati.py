@@ -525,25 +525,24 @@ class TestSpectralWork:
             kept = replace(sol, eigenbasis=replace(facts, dropped=dropped))
             assert (riccati.closed_loop_capacitance(kept, A, G) is not None) == proved
 
-    def test_heat256_warm_path_reads_its_stop_residual_on_the_factor(self, monkeypatch):
-        # the benchmark's n = 256 path at seed 0: every step runs in the
-        # eigenbasis, and the stop test reads X G X from G's factor, so the
-        # four-product residual matrix is never formed inside solve_are
-        n = 256
-        A, grid = heat1d(n)
-        family = GaussianActuators(grid=grid, sigma=0.12)
-        placements = (np.linspace(0.1, 0.9, 8)
-                      + np.random.default_rng(0).uniform(-0.01, 0.01, 8))
+    def test_stop_test_takes_the_dropped_part_off_its_gate(self, monkeypatch):
+        # the residual on B B' differs from the strong one by X E X, with
+        # ||X E X|| <= e ||X||_F^2: the gate is lowered by that bound, so a
+        # dropped part that could fill the gate never lets the test pass
+        A, (G, *_), Q = self.heat_path(n=16)
         cert = certify_stability(A)
-        residuals = count_calls(monkeypatch, "_residual_matrix", riccati)
-        sols, X = [], None
-        for p in placements:
-            sols.append(solve_are(A, family.G([p]), np.eye(n), tol=1e-12, cert=cert, X0=X))
-            X = sols[-1].X
-        assert [s.newton_iters for s in sols] == [4, 4, 4, 4, 3, 3, 4, 3]
-        assert [s.schur_steps for s in sols] == [0] * 8
-        assert residuals == []
-        assert sols[-1].strong_residual <= 1e-10 * 2.0
+        x_fro = np.linalg.norm(solve_are(A, G, Q, cert=cert).X)
+        gate = riccati.RESIDUAL_RTOL * (1.0 + operator_norm(Q))
+        build = riccati._EigenbasisKernel.build
+
+        def inflated(*args):
+            kernel = build(*args)
+            kernel.dropped = 2.0 * gate / x_fro**2
+            return kernel
+
+        monkeypatch.setattr(riccati._EigenbasisKernel, "build", inflated)
+        with pytest.raises(NewtonStall):
+            solve_are(A, G, Q, cert=cert)
 
     def test_strong_residual_is_computed_on_first_read(self, monkeypatch):
         A, (G, *_), Q = self.heat_path(n=16)

@@ -54,7 +54,7 @@ class DualSolution:
     read of any of the last three raises ClosedLoopUnstable when the closed
     loop cannot be certified.  :meth:`solve_closed_loop` solves further
     Lyapunov equations on the closed loop from the same factor:
-    ``capacitance``, the closed loop proved stable and factored in A's
+    ``capacitance``, the closed loop proved stable and factored in A's real
     eigenbasis, or ``schur``, its real Schur form (built on first need when
     the capacitance declines).
     """
@@ -120,13 +120,18 @@ def solve_dual(A, G, X, W, W_spectrum=None):
     A caller that has already run ``check_psd(W, "W")`` hands the
     ``W_spectrum`` it returned, and W is not tested again.
 
-    A solution whose solve ran in A's eigenbasis lets the closed loop be
+    A solution whose solve ran in A's real eigenbasis
+    ``A = V diag(d) V^{-1}`` (symmetric or not) lets the closed loop be
     proved stable by Lyapunov's theorem and factored through the rank-r
     capacitance system of the Newton steps, whose transpose is the dual
     operator's (see :func:`closed_loop_capacitance`): no Schur form.  The
-    multiplier is taken from it when it passes the Sylvester gate (up to
-    two refinements on the same LU) and G's dropped part moves the residual
-    by at most 1 % of the gate.  Otherwise, and always for an array X, the
+    dual equation is solved there for the right side ``-V' W V`` and its
+    solution Lb mapped back as ``V^{-T} Lb V^{-1}``.  The
+    multiplier is taken from it when it passes the Sylvester gate in the
+    original basis: for an orthonormal V the capacitance's own gate (up to
+    two refinements on the same LU), with G's dropped part moving the
+    residual by at most 1 % of the gate; for any other V its residual on
+    ``A.T - G X`` itself.  Otherwise, and always for an array X, the
     closed loop ``A.T - G X`` is factored into real Schur form (bit for bit
     as ``solve_sylvester`` solves it), which raises ClosedLoopUnstable when
     its spectrum leaves the open left half-plane.  Either factor stays on

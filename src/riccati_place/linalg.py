@@ -490,7 +490,8 @@ def bochner_quadrature(A1, A2, P, horizon, nodes, cert=None):
     width = horizon / panels
     offsets, weights = _gauss_legendre_panel(width)
     if same and np.array_equal(A1, A1.T):
-        return -_eigenbasis_panel_sum(cert1.eigh(A1), P, offsets, weights, width, panels)
+        return -_eigenbasis_panel_sum(cert1.eigh(A1)[:2], P, offsets, weights, width,
+                                      panels)
 
     # panel m is L^m K R^m (see the docstring)
     def right(left, t):

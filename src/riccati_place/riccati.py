@@ -49,16 +49,18 @@ CAPACITANCE_MAX_RANK = 3
 @dataclass(frozen=True)
 class _EigenbasisFacts:
     """What the eigenbasis kernel knew at a solution X: A's eigenbasis
-    ``A = V diag(d) V'`` (the pair kept on A's certificate, referenced, not
-    copied), G's factor ``B`` in that basis (n x r) with the bound
-    ``dropped`` on ``||G - V B B' V'||``, ``lambda_min(Q)``, and the
-    Frobenius norm of the residual at X that the stop test formed: the
-    residual on G's factor, ``A X + X A' - X B B' X + Q`` in the original
-    basis, which differs from the strong residual by ``X E X`` for G's
-    dropped part E."""
+    ``A = V diag(d) W`` with ``W = V^{-1}`` and ``cond = cond(V)`` (the
+    basis kept on A's certificate, referenced, not copied), G's factor
+    ``B = V' B_G`` in that basis (n x r), where ``G = B_G B_G' + E`` and
+    ``dropped`` bounds ``||E||``, ``lambda_min(Q)``, and the Frobenius norm
+    of the residual at X that the stop test formed: the residual on G's
+    factor, ``A X + X A' - X B_G B_G' X + Q`` in the original basis, which
+    differs from the strong residual by ``X E X``."""
 
     d: np.ndarray
     V: np.ndarray
+    W: np.ndarray
+    cond: float
     B: np.ndarray
     dropped: float
     lam_min_Q: float
@@ -142,6 +144,10 @@ class _SchurKernel:
     def step(self, Xb, k):
         return self._schur_step(Xb, k)
 
+    def fallback(self):
+        """The kernel a stalled solve carries on with: this one."""
+        return self
+
     def residual(self, X):
         """The residual the stop test reads at an iterate X, which is exactly
         symmetric, so ``A X + X A' = M + M'`` takes one product ``M = A X``;
@@ -182,8 +188,8 @@ class _SchurKernel:
 
 
 class _Capacitance:
-    """The closed loop ``D - F B'`` of a rank-r G in the eigenbasis
-    ``A = V diag(d) V'`` of a symmetric A, factored through one LU of its
+    """The closed loop ``D - F B'`` of a rank-r G in a real eigenbasis
+    ``A = V diag(d) V^{-1}`` of A, factored through one LU of its
     (n r) x (n r) capacitance matrix.
 
     For symmetric S the Lyapunov equation
@@ -261,44 +267,96 @@ class _Capacitance:
         return Y
 
 
+@dataclass(frozen=True)
+class _WeightInBasis:
+    """Q's weight in A's eigenbasis ``A = V diag(d) W``, as the eigenbasis
+    kernel's steps read it: ``Qb = symmetrize(W Q W')``, ``lam_min`` its
+    smallest eigenvalue, and ``drift``, a bound on ``||V^{-1} A V - diag(d)||``
+    (see :func:`_weight_in_basis`)."""
+
+    Qb: np.ndarray
+    lam_min: float
+    drift: float
+
+
+def _weight_in_basis(A, Q, basis, weight):
+    """The :class:`_WeightInBasis` of Q's ``weight`` in A's eigenbasis
+    ``basis = (d, V, W, cond)``, or None when the basis cannot carry a
+    solution back to the original basis within the stop test's gate.
+
+    ``lam_min`` is ``lambda_min(Q)`` for an orthonormal V (cond 1), whose
+    ``Qb`` is an orthogonal congruence of Q, and ``eigvalsh(Qb)`` otherwise.
+    ``drift`` is ``||W||_F ||A V - V diag(d)||_F``: eig's residual taken to
+    the eigenbasis, where it perturbs the diagonal the kernel steps on.
+
+    The round trip: the first Newton-Kleinman iterate of a cold start,
+    ``A X1 + X1 A' = -Q``, is ``X1 = V (-Qb / (d_i + d_j)) V'``.  Built that
+    way, X1 must pass the stop test's gate ``1e-10 (1 + ||Q||)`` in the
+    original basis, where rounding in an ill-conditioned V is amplified
+    by up to ``cond(V)``; a basis whose own X1 fails it is not taken.
+    """
+    d, V, W, cond = basis
+    Qb = weight.projection(Q, V, W)
+    Dsum = d[:, None] + d[None, :]
+    X1 = symmetrize(V @ (-Qb / Dsum) @ V.T)
+    M = A @ X1
+    R = M + M.T
+    R += Q
+    if not _relative_within(R, RESIDUAL_RTOL, Q, _norm_bounds(Q)):
+        return None
+    lam_min = weight.spectrum[0] if cond == 1.0 else float(np.linalg.eigvalsh(Qb)[0])
+    return _WeightInBasis(Qb, lam_min, _frobenius(W) * _frobenius(A @ V - V * d))
+
+
 class _EigenbasisKernel(_SchurKernel):
-    """Newton-Kleinman steps in the eigenbasis ``A = V diag(d) V'`` of a
-    symmetric stable A, with ``G = B B'`` of rank r.
+    """Newton-Kleinman steps in the real eigenbasis ``A = V diag(d) W``,
+    ``W = V^{-1}``, of a stable A, with ``G = B_G B_G'`` of rank r; for an
+    exactly symmetric A, V is orthonormal and ``W = V'``.
 
-    The iterate is held as ``V' X V``.  With ``F = X B`` (all in the
-    eigenbasis) a step's Lyapunov equation reads
+    The iterate is held as ``Xb = W X W'``.  With ``B = V' B_G`` and
+    ``F = Xb B`` a step's Lyapunov equation reads
 
-        (D - F B') Y + Y (D - B F') = S,   S = -(F F' + V' Q V),
+        (D - F B') Y + Y (D - B F') = S,   S = -(F F' + W Q W'),
 
     solved on the closed loop's :class:`_Capacitance`: one LU a step
-    instead of a Schur form of the closed loop.  A step is kept only when
-    its residual passes the Sylvester gate (with up to two refinements on
-    the same LU) and Lyapunov's theorem proves its closed loop stable:
-    ``Y`` is positive definite and ``||R||_F < lambda_min(Q)``, so the
-    closed loop satisfies ``Acl Y + Y Acl' = -(F F' + Q) - R < 0``.  Any
+    instead of a Schur form of the closed loop, which is similar to
+    ``D - F B'`` through V.  A step is kept only when its residual passes
+    the Sylvester gate (with up to two refinements on the same LU) and
+    Lyapunov's theorem proves its closed loop stable: ``Y`` is positive
+    definite and ``||R||_F + 2 drift ||Y||_F < lambda_min(W Q W')``, so the
+    closed loop in the eigenbasis, ``D + Delta - F B'`` with eig's residual
+    ``||Delta|| <= drift`` (see :func:`_weight_in_basis`), satisfies
+    ``Acl Y + Y Acl' = -(F F' + W Q W') - R + Delta Y + Y Delta' < 0``.  Any
     other step is solved again on the Schur form, which raises
-    ClosedLoopUnstable or SingularSystem as it always has.
+    ClosedLoopUnstable or SingularSystem as it always has.  ``lam_min_Q`` is
+    that proof's ``lambda_min(W Q W')``; ``lam_min_weight`` is
+    ``lambda_min(Q)``, which the final closed loop's proof reads (see
+    :func:`closed_loop_capacitance`).
     """
 
-    def __init__(self, A, G, Q, V, d, factor, lam_min_Q, Qb):
+    def __init__(self, A, G, Q, basis, factor, lam_min_weight, weighted):
         super().__init__(A, G, Q)
         self.G_factor, self.dropped = factor
-        self.V, self.d, self.B, self.lam_min_Q = V, d, V.T @ self.G_factor, lam_min_Q
-        self.Dsum = d[:, None] + d[None, :]
+        self.lam_min_weight = lam_min_weight
+        self.d, self.V, self.W, self.cond = basis
+        self.B = self.V.T @ self.G_factor
+        self.Qb, self.lam_min_Q, self.drift = weighted.Qb, weighted.lam_min, weighted.drift
+        self.Dsum = self.d[:, None] + self.d[None, :]
         self.C = 1.0 / self.Dsum
-        self.Qb = Qb
 
     @classmethod
     def build(cls, A, G, Q, factor, weight, cert):
-        """The kernel for (A, G, Q), or None unless A is stable, Q positive
-        definite, ``factor`` a pair ``(B, e)`` with ``G = B B' + E``,
-        ``||E|| <= e`` and 1 to CAPACITANCE_MAX_RANK columns in B, and E
-        too small to matter.  A must be exactly symmetric; its eigenbasis
-        comes from ``cert.eigh(A)`` (the pair kept on A's certificate),
-        ``weight`` is Q's :class:`PsdWeight` (its spectrum and its
-        projection ``symmetrize(V' Q V)``, kept on the certificate when V
-        is the certificate's own), and ``factor`` comes from
-        :func:`low_rank_psd` or :func:`_spectral_factor`.
+        """The kernel for (A, G, Q), or None unless A is stable with a real
+        eigenbasis, Q positive definite, ``factor`` a pair ``(B, e)`` with
+        ``G = B B' + E``, ``||E|| <= e`` and 1 to CAPACITANCE_MAX_RANK
+        columns in B, E too small to matter, and the basis able to carry
+        a solution back within the stop test's gate (see
+        :func:`_weight_in_basis`).  The eigenbasis comes from
+        ``cert.eigh(A)``: the basis kept on A's certificate, or a fresh
+        ``eigh`` of an exactly symmetric A.  ``weight`` is Q's
+        :class:`PsdWeight` (its spectrum, and Q's facts in the basis, kept on
+        the certificate when the basis is the certificate's own), and
+        ``factor`` comes from :func:`low_rank_psd` or :func:`_spectral_factor`.
 
         The steps and the stop test's residual (:meth:`residual`) read
         ``B B' = G - E``, so the strong residual, read with G, differs from
@@ -306,26 +364,40 @@ class _EigenbasisKernel(_SchurKernel):
         its gate (:meth:`residual_margin`), so the strong residual passes
         the gate whenever the tested one does.  The exact solution lies
         below the Lyapunov solution of (A, Q), whose norm is at most
-        ``||Q|| / (2 |d_max|)``; the kernel is taken only when that bound
-        keeps the margin within 1 % of the gate."""
+        ``||Q||`` times the integral of ``||e^{At}||^2``; with
+        ``||e^{At}|| <= cond(V) e^{d_max t}``, and ``<= M e^{-alpha t}`` on
+        A's certificate, that integral is at most the smaller of
+        ``cond(V)^2 / (2 |d_max|)`` and ``M^2 / (2 alpha)``.  The kernel is
+        taken only when that bound keeps the margin within 1 % of the gate."""
         B, dropped = factor
         lam_Q = weight.spectrum
         if not 0 < B.shape[1] <= CAPACITANCE_MAX_RANK:
             return None
         if not lam_Q[0] > A.shape[0] * np.finfo(float).eps * lam_Q[-1]:
             return None
-        d, V = cert.eigh(A)
-        if d[-1] >= 0.0:
+        basis = cert.eigh(A)
+        if basis is None or basis[0][-1] >= 0.0:
             return None
-        if dropped * (lam_Q[-1] / (2.0 * d[-1])) ** 2 > 0.01 * RESIDUAL_RTOL * (1.0 + lam_Q[-1]):
+        d, V, _, cond = basis
+        x_bound = min(cond**2 * lam_Q[-1] / (-2.0 * d[-1]),
+                      lam_Q[-1] * cert.M**2 / (2.0 * cert.alpha))
+        if dropped * x_bound**2 > 0.01 * RESIDUAL_RTOL * (1.0 + lam_Q[-1]):
             return None
-        return cls(A, G, Q, V, d, factor, lam_Q[0], weight.projection(Q, V))
+        weighted = weight.kept("eigenbasis", V, lambda: _weight_in_basis(A, Q, basis, weight))
+        return weighted and cls(A, G, Q, basis, factor, lam_Q[0], weighted)
 
     def into(self, X):
-        return self.V.T @ X @ self.V
+        return self.W @ X @ self.W.T
 
     def out(self, Xb):
         return symmetrize(self.V @ Xb @ self.V.T)
+
+    def fallback(self):
+        """A Schur kernel that carries on from an iterate in the original
+        basis, counting the Schur forms this one took."""
+        kernel = _SchurKernel(self.A, self.G, self.Q)
+        kernel.schur_steps = self.schur_steps
+        return kernel
 
     def residual_margin(self, X):
         """``e ||X||_F^2``, a bound on ``||X E X||`` (see :meth:`build`)."""
@@ -333,9 +405,11 @@ class _EigenbasisKernel(_SchurKernel):
 
     def _xgx(self, X):
         """``X B B' X`` from G's factor in the original basis, O(n^2 r): the
-        residual is read on ``B B'`` (see :meth:`build`)."""
+        residual is read on ``B B'`` (see :meth:`build`).  The outer product
+        goes through np.dot, which forms it exactly symmetric; matmul takes
+        a slower loop at r = 1."""
         F = X @ self.G_factor
-        return F @ F.T
+        return np.dot(F, F.T)
 
     def step(self, Xb, k):
         Y = self._capacitance_step(Xb)
@@ -344,13 +418,13 @@ class _EigenbasisKernel(_SchurKernel):
     def facts(self, residual_fro):
         """The kernel's facts for a solution whose strong residual has
         Frobenius norm ``residual_fro``."""
-        return _EigenbasisFacts(self.d, self.V, self.B, self.dropped, self.lam_min_Q,
-                                residual_fro)
+        return _EigenbasisFacts(self.d, self.V, self.W, self.cond, self.B, self.dropped,
+                                self.lam_min_weight, residual_fro)
 
     def _capacitance_step(self, Xb):
         """The next iterate, or None when the step is not proved."""
         F = Xb @ self.B
-        S = F @ F.T  # exactly symmetric: numpy forms F F' by syrk
+        S = np.dot(F, F.T)  # exactly symmetric (see _xgx)
         S += self.Qb
         np.negative(S, out=S)
         closed_loop = _Capacitance.factor(self.Dsum, self.C, self.B, F)
@@ -358,7 +432,7 @@ class _EigenbasisKernel(_SchurKernel):
         if not solved:
             return None
         Y, R = solved
-        if not _frobenius(R) < self.lam_min_Q:
+        if not _frobenius(R) + 2.0 * self.drift * _frobenius(Y) < self.lam_min_Q:
             return None
         if spla.lapack.dpotrf(Y)[1] != 0:  # Y is not positive definite
             return None
@@ -367,45 +441,66 @@ class _EigenbasisKernel(_SchurKernel):
 
 class _ClosedLoop:
     """The final closed loop ``A - X G`` of a solution, proved stable and
-    factored in A's eigenbasis (see :func:`closed_loop_capacitance`)."""
+    factored in A's eigenbasis ``A = V diag(d) W`` (see
+    :func:`closed_loop_capacitance`).  ``closed_loop`` is ``A - X G`` itself
+    when V is not orthonormal, and None when it is."""
 
-    def __init__(self, V, capacitance, dropped, x_fro):
-        self.V, self.capacitance, self.dropped, self.x_fro = V, capacitance, dropped, x_fro
+    def __init__(self, V, W, capacitance, dropped, x_fro, closed_loop):
+        self.V, self.W, self.capacitance = V, W, capacitance
+        self.dropped, self.x_fro, self.closed_loop = dropped, x_fro, closed_loop
 
     def solve(self, P, adjoint=False):
-        """Y with ``(A - X G) Y + Y (A - X G)' = P`` for symmetric P, or
-        with the dual operator ``(A' - G X) Y + Y (A - X G)`` when
-        ``adjoint``; None when the capacitance solve fails its gate or G's
-        dropped part E, which enters the residual as ``E X Y + Y X E``, can
-        move it by more than 1 % of the gate."""
-        V = self.V
-        S = symmetrize(V.T @ P @ V)
+        """Y with ``(A - X G) Y + Y (A - X G)' = P`` for symmetric P, or with
+        the dual operator ``(A' - G X) Y + Y (A - X G)`` when ``adjoint``;
+        None when Y fails the Sylvester gate.
+
+        The equation is solved in the eigenbasis: the primal one on
+        ``W P W'`` with ``Y = V Yb V'``, the dual one on ``V' P V`` with
+        ``Y = W' Yb W``.  For an orthonormal V those congruences keep every
+        norm, so the capacitance solve's own gate is the original one, and
+        G's dropped part E, which enters the residual as ``E X Y + Y X E``,
+        may move it by at most 1 % of the gate.  Any other V moves norms by
+        up to its condition number: the symmetrized Y is then returned only
+        when its residual on ``A - X G`` itself, with the true G, passes the
+        gate."""
+        into, out = (self.V.T, self.W.T) if adjoint else (self.W, self.V)
+        S = symmetrize(into @ P @ into.T)
         solved = self.capacitance.solve(S, adjoint)
         if not solved:
             return None
-        Y = solved[0]
-        if (2.0 * self.dropped * self.x_fro * _frobenius(Y)
-                > 0.01 * SYLVESTER_RTOL * (1.0 + _norm_bounds(S)[0])):
-            return None
-        return V @ Y @ V.T
+        Yb = solved[0]
+        if self.closed_loop is None:
+            if (2.0 * self.dropped * self.x_fro * _frobenius(Yb)
+                    > 0.01 * SYLVESTER_RTOL * (1.0 + _norm_bounds(S)[0])):
+                return None
+            return out @ Yb @ out.T
+        Y = symmetrize(out @ Yb @ out.T)
+        M = (self.closed_loop.T if adjoint else self.closed_loop) @ Y
+        R = P - M
+        R -= M.T
+        return Y if _residual_within(R, P, _norm_bounds(P)) else None
 
 
 def closed_loop_capacitance(sol, A, G):
     """The closed loop ``A - X G`` at the solution ``sol`` of the Riccati
-    equation for (A, G, Q), factored in A's eigenbasis, or None.
+    equation for (A, G, Q), factored in A's eigenbasis ``A = V diag(d) W``,
+    or None.
 
     Requires the solve to have run on the eigenbasis kernel (``sol.eigenbasis``)
     and A and G to be its operands.  Lyapunov's theorem proves the closed
-    loop stable: with ``G = B B' + E``, ``||E|| <= e``, and R_B the
-    residual at X on ``B B'`` (the one the stop test formed),
+    loop stable, in the original basis: with ``G = B B' + E``,
+    ``||E|| <= e``, and R_B the residual at X on ``B B'`` (the one the stop
+    test formed),
 
         (A - X G) X + X (A - X G)' = -(Q + X B B' X) + R_B - 2 X E X,
 
     and ``||X E X||_F <= e ||X||_F^2``, so the right side is negative
     definite when ``||R_B||_F + 2 e ||X||_F^2 < lambda_min(Q)``; with X
     positive definite (``dpotrf``) the closed loop is stable.  None when
-    the proof or the capacitance LU fails.  The work is O(n^2 r) plus one
-    Cholesky of X and one LU of the capacitance matrix; no Schur form is
+    the proof or the capacitance LU fails.  In the eigenbasis the closed
+    loop is ``D - F B'`` with ``F = (W X W') B``.  The work is O(n^2 r) plus
+    one Cholesky of X, one LU of the capacitance matrix and the products
+    that form F, and ``A - X G`` when V is not orthonormal; no Schur form is
     taken.
     """
     facts = sol.eigenbasis
@@ -419,11 +514,12 @@ def closed_loop_capacitance(sol, A, G):
         return None
     if spla.lapack.dpotrf(X)[1] != 0:  # X is not positive definite
         return None
-    V, B = facts.V, facts.B
-    F = V.T @ (X @ (V @ B))
+    V, W, B = facts.V, facts.W, facts.B
+    F = W @ (X @ (W.T @ B))
     Dsum = facts.d[:, None] + facts.d[None, :]
     capacitance = _Capacitance.factor(Dsum, 1.0 / Dsum, B, F)
-    return capacitance and _ClosedLoop(V, capacitance, facts.dropped, x_fro)
+    closed_loop = None if facts.cond == 1.0 else A - X @ G
+    return capacitance and _ClosedLoop(V, W, capacitance, facts.dropped, x_fro, closed_loop)
 
 
 def _spectral_factor(eigh_G):
@@ -436,7 +532,7 @@ def _spectral_factor(eigh_G):
 
 
 def _eigenbasis_kernel(A, G, Q, cholesky, spectrum_G, weight, cert):
-    """The eigenbasis kernel for an exactly symmetric A, or None.  The gate
+    """The eigenbasis kernel for A, or None.  The gate
     reads G's pivoted-Cholesky factor ``cholesky`` when there is one; when
     it is None or fails the gate, the gate reads ``eigh(G)``
     (``spectrum_G``, or from :func:`check_psd` when that is None too)."""
@@ -455,13 +551,17 @@ def solve_are(A, G, Q, tol=DEFAULT_STEP_TOL, cert=None, keep_history=False, X0=N
 
         (A - Xk G) X_{k+1} + X_{k+1} (A - Xk G).T = -(Xk G Xk + Q).
 
-    When A is exactly symmetric and stable, Q positive definite and G of
-    numerical rank 1 to CAPACITANCE_MAX_RANK (the rest of G too small to
-    move the residual test below), the steps run in A's eigenbasis on a
-    rank-r capacitance system, and each is kept only when Lyapunov's
-    theorem proves its closed loop stable (see :class:`_EigenbasisKernel`);
-    an unproved step is solved again as below.  The eigenbasis is the pair
-    kept on A's certificate, and G's factor comes from at most
+    When A is stable with a real, well-conditioned eigenbasis
+    ``A = V diag(d) V^{-1}`` (orthonormal for an exactly symmetric A), Q is
+    positive definite and G of numerical rank 1 to CAPACITANCE_MAX_RANK (the
+    rest of G too small to move the residual test below), the steps run in
+    A's eigenbasis on a rank-r capacitance system, and each is kept only
+    when Lyapunov's theorem proves its closed loop stable (see
+    :class:`_EigenbasisKernel`); an unproved step is solved again as below.
+    The eigenbasis is the one kept on A's certificate (or a fresh ``eigh``
+    of a symmetric A), and is taken only when the first iterate of a cold
+    start, built in it, passes the residual gate below in the original
+    basis (see :func:`_weight_in_basis`).  G's factor comes from at most
     CAPACITANCE_MAX_RANK pivoted Cholesky steps (:func:`low_rank_psd`),
     which also prove G PSD; ``eigh(G)`` runs only when they leave the PSD
     test or the kernel's gate open.
@@ -474,7 +574,10 @@ def solve_are(A, G, Q, tol=DEFAULT_STEP_TOL, cert=None, keep_history=False, X0=N
     ``A X + X A' = M + M'`` for the symmetric iterate; on the eigenbasis
     kernel ``X G X`` is read from G's rank-r factor as ``(X B)(X B)'``, and
     the gate is lowered by a bound on what G's dropped part moves the
-    strong residual by (see :meth:`_EigenbasisKernel.build`).  Both tests
+    strong residual by (see :meth:`_EigenbasisKernel.build`).  When two
+    stop tests in a row pass the step test but fail the residual gate on
+    the eigenbasis kernel, its steps no longer move the residual: the solve
+    carries on from the iterate in the original basis on Schur steps.  Both tests
     are decided as SVDs would decide them, from norm bounds, with an SVD
     only where the bounds leave a test open; the solution's ``strong_residual``, the operator norm
     of ``A X + X A' - X G X + Q`` with the true G, is computed when first
@@ -496,45 +599,50 @@ def solve_are(A, G, Q, tol=DEFAULT_STEP_TOL, cert=None, keep_history=False, X0=N
         Reuse a certificate for A instead of recomputing one.  The trace
         bound slack ``M^2/(2 alpha) tr(Q) - tr(X)`` is evaluated with it,
         the eigenbasis kernel takes A's eigenbasis from it (see
-        ``StabilityCertificate.eigh``), and Q's PSD test, its projection
-        and a cold start's X1 are read from it when it served an equal Q
-        before (see ``StabilityCertificate.weight``).
+        ``StabilityCertificate.eigh``), and Q's PSD test, Q's facts in the
+        eigenbasis and a cold start's X1 are read from it when it served an
+        equal Q before (see ``StabilityCertificate.weight``).
     keep_history : bool
         Record the iterate sequence (X1, X2, ...) on the solution.
     """
     A = ensure_operator(A, "A")
     G = ensure_operator(G, "G")
     Q = ensure_operator(Q, "Q")
-    # for a symmetric A, pivoted Cholesky proves G PSD and hands its factor
-    # to the eigenbasis kernel's gate; check_psd decides what it leaves open
-    symmetric = np.array_equal(A, A.T)
-    cholesky = low_rank_psd(G, CAPACITANCE_MAX_RANK, "G") if symmetric else None
-    spectrum_G = None if cholesky else check_psd(G, "G", vectors=symmetric)
+    # pivoted Cholesky proves G PSD and hands its factor to the eigenbasis
+    # kernel's gate; check_psd decides what it leaves open
+    cholesky = low_rank_psd(G, CAPACITANCE_MAX_RANK, "G")
+    spectrum_G = None if cholesky else check_psd(G, "G", vectors=True)
     weight = PsdWeight(check_psd(Q, "Q")) if cert is None else cert.weight(Q)
     if tol <= 0.0:
         raise ValueError("tol must be positive")
     if cert is None:
         cert = certify_stability(A)  # raises UnstableGenerator
     Q_bounds = _norm_bounds(Q)
-    kernel = symmetric and _eigenbasis_kernel(A, G, Q, cholesky, spectrum_G, weight, cert)
-    kernel = kernel or _SchurKernel(A, G, Q)
+    kernel = (_eigenbasis_kernel(A, G, Q, cholesky, spectrum_G, weight, cert)
+              or _SchurKernel(A, G, Q))
     if X0 is None:
         kernel.start = weight
 
     n = A.shape[0]
     Xb = np.zeros((n, n)) if X0 is None else kernel.into(symmetrize(ensure_operator(X0, "X0")))
     history = [] if keep_history else None
+    stalled = False
     for k in range(1, MAX_NEWTON_ITERS + 1):
         Xb_next = kernel.step(Xb, k)
         step = Xb_next - Xb
         Xb = Xb_next
         if history is not None:
             history.append(np.array(kernel.out(Xb)))
-        if norm_within(step, tol):
-            X = kernel.out(Xb)
-            R = kernel.residual(X)
-            if _relative_within(R, RESIDUAL_RTOL, Q, Q_bounds, kernel.residual_margin(X)):
-                break
+        if not norm_within(step, tol):
+            stalled = False
+            continue
+        X = kernel.out(Xb)
+        R = kernel.residual(X)
+        if _relative_within(R, RESIDUAL_RTOL, Q, Q_bounds, kernel.residual_margin(X)):
+            break
+        if stalled:  # two stop tests in a row failed only the residual gate
+            kernel, Xb = kernel.fallback(), X
+        stalled = True
     else:
         raise NewtonStall(
             f"step norm {operator_norm(step):.3e} after {MAX_NEWTON_ITERS} "

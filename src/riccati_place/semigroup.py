@@ -34,6 +34,7 @@ _TINY = np.finfo(float).tiny  # smallest normal float: covers underflowed terms
 class PsdWeight:
     """A weight Q that passed ``check_psd(Q, "Q")``: ``spectrum`` is the
     ``eigvalsh(Q)`` the test read, :meth:`projection` projects Q onto an
+    eigenbasis, :meth:`kept` keeps other facts of Q in the certificate's
     eigenbasis, and :meth:`lyapunov` keeps the first Newton-Kleinman iterate
     of a cold start.  A weight served by a certificate (see
     :meth:`StabilityCertificate.weight`) carries the ``digest`` of Q's bytes
@@ -42,17 +43,24 @@ class PsdWeight:
 
     def __init__(self, spectrum, digest=None, basis=None):
         self.spectrum, self.digest, self.basis = spectrum, digest, basis
-        self._projection = None
+        self._kept = {}
         self._lyapunov = None
 
-    def projection(self, Q, V):
-        """``symmetrize(V' Q V)`` for the Q this weight was validated from,
-        computed once when V is ``basis``."""
+    def kept(self, name, V, derive):
+        """``derive()``, computed once under ``name`` and kept when V is
+        ``basis``, computed afresh for any other V."""
         if V is not self.basis:
-            return symmetrize(V.T @ Q @ V)
-        if self._projection is None:
-            self._projection = symmetrize(V.T @ Q @ V)
-        return self._projection
+            return derive()
+        if name not in self._kept:
+            self._kept[name] = derive()
+        return self._kept[name]
+
+    def projection(self, Q, V, W=None):
+        """``symmetrize(W Q W')`` for the Q this weight was validated from:
+        Q in the eigenbasis V, whose inverse is W (``V'`` by default, for an
+        orthonormal V), computed once when V is ``basis``."""
+        W = V.T if W is None else W
+        return self.kept("projection", V, lambda: symmetrize(W @ Q @ W.T))
 
     def lyapunov(self, A, solve):
         """A copy of X1, the solution of ``A X + X A' = -Q`` that ``solve()``
@@ -78,11 +86,16 @@ class StabilityCertificate:
     :func:`perturbed_certificate` and records whether the original
     certificate still bounded the perturbed semigroup on the fresh grid.
 
-    ``eigenbasis`` is ``(A, d, V)`` with ``A = V diag(d) V'`` when A is
-    exactly symmetric: the array the certificate was made from (a
-    reference, not a copy) and its ``eigh``, so that :meth:`eigh` hands the
-    pair on instead of decomposing A again.  It takes no part in equality or
-    ``repr`` and is not a reported constant.  The certificate describes A
+    ``eigenbasis`` holds A's eigenbasis ``A = V diag(d) V^{-1}``, d
+    ascending, when A has a real spectrum and a well-conditioned eigenbasis:
+    ``(A, d, V)`` with the array the certificate was made from (a reference,
+    not a copy) and its ``eigh`` when A is exactly symmetric (V
+    orthonormal), and ``(A, d, V, W, cond)`` with its ``eig`` otherwise,
+    where ``W = V^{-1}`` and cond, the 2-norm condition number of V, are
+    those the grid's stacks formed (see :class:`_Stacks`).  So :meth:`eigh`
+    hands the basis on instead of decomposing A again.  A complex spectrum
+    or ``cond(V) >= 1e8`` keeps no eigenbasis.  It takes no part in equality
+    or ``repr`` and is not a reported constant.  The certificate describes A
     as it was certified; an A changed in place afterwards needs a new one.
 
     The certificate also keeps the last weight Q it validated (see
@@ -100,24 +113,29 @@ class StabilityCertificate:
     eigenbasis: Optional[tuple] = field(default=None, compare=False, repr=False)
 
     def eigh(self, A):
-        """``(d, V)`` with ``A = V diag(d) V'`` for an exactly symmetric A:
-        the kept pair when A is the certified array or equal to it,
-        otherwise a fresh ``np.linalg.eigh(A)``."""
+        """``(d, V, W, cond)`` with ``A = V diag(d) W``, ``W = V^{-1}``, d
+        ascending and ``cond = cond(V)``: the kept basis when A is the
+        certified array or equal to it; otherwise, for an exactly symmetric
+        A, a fresh ``np.linalg.eigh(A)`` with ``W = V'`` and cond 1, and None
+        for any other A."""
         if self.eigenbasis is not None:
-            certified, d, V = self.eigenbasis
+            certified, d, V, *inverse = self.eigenbasis
             if A is certified or np.array_equal(A, certified):
-                return d, V
-        return np.linalg.eigh(A)
+                return (d, V, *inverse) if inverse else (d, V, V.T, 1.0)
+        if not np.array_equal(A, A.T):
+            return None
+        d, V = np.linalg.eigh(A)
+        return d, V, V.T, 1.0
 
     def weight(self, Q, spectrum=None):
         """Q validated as a PSD weight: the :class:`PsdWeight` of
         ``check_psd(Q, "Q")``, which raises for any other Q.  The last
-        weight served is handed on while Q's bytes keep its digest (an equal
-        copy of Q hits; a Q changed in place is tested again), and its
+        weight served is handed on while Q's bytes keep its sha256 digest (an
+        equal copy of Q hits; a Q changed in place is tested again), and its
         projection onto the kept eigenbasis is computed once.  A caller
         that has already run ``check_psd(Q, "Q")`` hands the ``spectrum`` it
         returned, and Q is not tested again."""
-        digest = hashlib.blake2b(np.ascontiguousarray(Q)).digest()
+        digest = hashlib.sha256(np.ascontiguousarray(Q)).digest()
         last = getattr(self, "_weight", None)
         if last is None or last.digest != digest:
             basis = None if self.eigenbasis is None else self.eigenbasis[2]
@@ -151,10 +169,20 @@ class _Stacks:
 
     def __init__(self, A, lam, V):
         self.A, self.n = A, A.shape[0]
-        self.lam = None if np.linalg.cond(V) >= 1e8 else lam
+        self.cond = np.linalg.cond(V)
+        self.lam = None if self.cond >= 1e8 else lam
         if self.lam is not None:
             self.V, self.Vinv = V, np.linalg.inv(V)
             self.c = np.linalg.norm(V, axis=0) * np.linalg.norm(self.Vinv, axis=1)
+
+    def eigenbasis(self):
+        """The certificate's ``eigenbasis`` ``(A, d, V, V^{-1}, cond(V))``,
+        sorted by eigenvalue, for a real spectrum with a well-conditioned
+        eigenbasis; None otherwise."""
+        if self.lam is None or np.iscomplexobj(self.lam):
+            return None
+        order = np.argsort(self.lam)
+        return self.A, self.lam[order], self.V[:, order], self.Vinv[order], self.cond
 
     def __call__(self, ts):
         if self.lam is None:
@@ -278,7 +306,11 @@ def certify_stability(A):
     so the test needs no second eigendecomposition.  Such an A is
     decomposed by one ``eigh``, and the certificate keeps the pair (see
     ``StabilityCertificate.eigenbasis``) for the Riccati kernel and the
-    quadrature, which would otherwise decompose A again.
+    quadrature, which would otherwise decompose A again.  Any other A is
+    decomposed by one ``eig``; when its spectrum is real and its eigenbasis
+    well-conditioned, the certificate keeps the sorted basis with the
+    inverse and condition number formed for the grid, for the Riccati
+    kernel.
 
     Otherwise M is the sup of ``||exp(A t)|| exp(alpha t)`` over a
     1000-point log-spaced grid on ``[0, horizon]``, rounded up by 1%, and the
@@ -326,12 +358,16 @@ def certify_stability(A):
         raise UnstableGenerator(f"spectral abscissa {sigma:.3e} >= 0")
     alpha = ALPHA_SAFETY * (-sigma)
     horizon = 20.0 / alpha
-    if symmetric or _log_norm_proves(A, alpha):
+    if symmetric:
         return StabilityCertificate(M=M_HEADROOM, alpha=alpha, sample_horizon=horizon,
                                     sample_count=FRESH_GRID_POINTS, method="log_norm",
-                                    eigenbasis=(A, *eigen) if symmetric else None)
-
+                                    eigenbasis=(A, *eigen))
     stacks = _semigroup(A, eigen)
+    if _log_norm_proves(A, alpha):
+        return StabilityCertificate(M=M_HEADROOM, alpha=alpha, sample_horizon=horizon,
+                                    sample_count=FRESH_GRID_POINTS, method="log_norm",
+                                    eigenbasis=stacks.eigenbasis())
+
     ts = _log_grid(horizon, GRID_POINTS)
     M = M_HEADROOM * _grid_sup(stacks, ts, np.exp(alpha * ts))
 
@@ -342,7 +378,8 @@ def certify_stability(A):
             f"certificate validation failed: decay bound violated by factor {worst:.3e}")
     return StabilityCertificate(M=M, alpha=alpha,
                                 sample_horizon=horizon,
-                                sample_count=FRESH_GRID_POINTS)
+                                sample_count=FRESH_GRID_POINTS,
+                                eigenbasis=stacks.eigenbasis())
 
 
 def certificate_holds(cert, A, count=100):

@@ -35,6 +35,17 @@ def heat1d(n):
     return A, h * np.arange(1, n + 1)
 
 
+def convdiff1d(n, nu=1.0, c=10.0):
+    """Central differences of u_t = nu u_xx - c u_x on (0, 1), Dirichlet
+    ends: the non-normal convection-diffusion generator and its interior
+    grid.  Its spectrum is real while the cell Peclet number c h / (2 nu) is
+    below 1, with an eigenbasis whose condition number grows with c."""
+    A, grid = heat1d(n)
+    h = grid[0]
+    convection = np.diag(np.ones(n - 1), -1) - np.diag(np.ones(n - 1), 1)
+    return nu * A + c / (2.0 * h) * convection, grid
+
+
 def count_calls(monkeypatch, name, *owners, keywords=False):
     """Route attribute ``name`` of each owner (a module or object) through one
     counter; returns the list of positional-argument tuples, one per call,

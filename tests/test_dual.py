@@ -11,7 +11,14 @@ from riccati_place.linalg import _residual_within, operator_norm, solve_sylveste
 from riccati_place.riccati import solve_are
 from riccati_place.semigroup import certify_stability
 
-from conftest import count_calls, heat1d, rand_psd, rand_stable, rand_stable_symmetric
+from conftest import (
+    convdiff1d,
+    count_calls,
+    heat1d,
+    rand_psd,
+    rand_stable,
+    rand_stable_symmetric,
+)
 
 
 def scalar(x):
@@ -265,3 +272,54 @@ class TestClosedLoopFactor:
         Acl = A - are.X @ G
         for P, Y in zip(Ps, Ys):
             assert relative(Y, symmetrize(solve_sylvester(Acl, Acl, P))) <= 1e-12
+
+
+class TestRealEigenbasisClosedLoop:
+    """The multiplier and the closed-loop solves of a non-symmetric A with a
+    real, well-conditioned eigenbasis (convection-diffusion, c = 10), taken
+    from the capacitance system and gated in the original basis."""
+
+    @staticmethod
+    def instance(p=(0.3,)):
+        A, grid = convdiff1d(16)
+        G = GaussianActuators(grid=grid, sigma=0.12, param_dim=len(p)).G(np.array(p))
+        W = np.zeros((16, 16))
+        W[4, 4] = W[11, 11] = 1.0
+        return A, G, np.eye(16), W
+
+    @pytest.mark.parametrize("p", [(0.05,), (0.3,), (0.9,), (0.3, 0.7)])
+    def test_multiplier_and_closed_loop_solves_take_no_schur_form(self, monkeypatch, p):
+        A, G, Q, W = self.instance(p)
+        are = solve_are(A, G, Q, cert=certify_stability(A))
+        schur = count_calls(monkeypatch, "_real_schur", linalg)
+        sol = solve_dual(A, G, are, W)
+        P = symmetrize(are.X @ G @ are.X)
+        Y = sol.solve_closed_loop(P)
+        assert len(schur) == 0 and sol.capacitance is not None and sol.schur is None
+        assert sol.capacitance.closed_loop is not None  # V is not orthonormal
+        monkeypatch.undo()
+        ref = solve_dual(A, G, are.X, W)
+        assert ref.capacitance is None and ref.schur is not None
+        assert relative(sol.Lambda, ref.Lambda) <= 1e-12
+        assert relative(Y, ref.solve_closed_loop(P)) <= 1e-12
+        assert np.array_equal(Y, Y.T)
+        assert sol.residual <= 1e-10 * (1.0 + operator_norm(W))
+
+    def test_residual_in_the_original_basis_decides(self, monkeypatch):
+        # a solution that passes the capacitance's gate in the eigenbasis is
+        # still checked on A - X G itself; one that fails there is solved
+        # again on the Schur form
+        A, G, Q, W = self.instance()
+        are = solve_are(A, G, Q, cert=certify_stability(A))
+        sol = solve_dual(A, G, are, W)
+        P = symmetrize(are.X @ G @ are.X)
+        closed_loop = sol.capacitance.closed_loop
+        sol.capacitance.closed_loop = 1.001 * closed_loop
+        assert sol.capacitance.solve(P) is None and sol.capacitance.solve(-W, True) is None
+        schur = count_calls(monkeypatch, "_real_schur", linalg)
+        Y = sol.solve_closed_loop(P)
+        assert len(schur) == 1 and sol.schur is not None
+        monkeypatch.undo()
+        sol.capacitance.closed_loop = closed_loop
+        assert relative(Y, sol.capacitance.solve(P)) <= 1e-12
+

@@ -22,7 +22,14 @@ from riccati_place.riccati import (
 from riccati_place.optimize import solve_state_pair
 from riccati_place.semigroup import certify_stability
 
-from conftest import count_calls, heat1d, rand_psd, rand_stable, rand_stable_symmetric
+from conftest import (
+    convdiff1d,
+    count_calls,
+    heat1d,
+    rand_psd,
+    rand_stable,
+    rand_stable_symmetric,
+)
 
 
 def eigenbasis_kernel(A, G, Q):
@@ -432,6 +439,113 @@ class TestEigenbasisKernel:
         assert np.array_equal(warm.X, cold.X)
 
 
+class TestRealEigenbasis:
+    """Newton-Kleinman in the real, well-conditioned eigenbasis
+    ``A = V diag(d) V^{-1}`` of a non-symmetric A: convection-diffusion with
+    cell Peclet number below 1."""
+
+    CASES = [(1, (0.05,)), (1, (0.3,)), (1, (0.9,)), (2, (0.3, 0.7))]
+    GATE = riccati.RESIDUAL_RTOL * 2.0  # Q = I
+
+    @staticmethod
+    def instance(c=10.0, p=(0.3,)):
+        A, grid = convdiff1d(16, c=c)
+        G = GaussianActuators(grid=grid, sigma=0.12, param_dim=len(p)).G(np.array(p))
+        return A, G, np.eye(16)
+
+    @pytest.mark.parametrize("d, p", CASES)
+    def test_convdiff_takes_no_schur_form(self, monkeypatch, d, p):
+        A, G, Q = self.instance(p=p)
+        cert = certify_stability(A)
+        assert cert.method == "sampled" and cert.eigenbasis is not None
+        schur = count_calls(monkeypatch, "_real_schur", linalg)
+        sol = solve_are(A, G, Q, cert=cert)
+        assert len(schur) == sol.schur_steps == 0
+        assert sol.eigenbasis is not None and sol.eigenbasis.B.shape == (16, d)
+        monkeypatch.undo()
+        X_ham = solve_are_hamiltonian(A, G, Q)
+        assert operator_norm(sol.X - X_ham) <= 1e-12 * operator_norm(X_ham)
+        assert sol.strong_residual <= self.GATE
+
+    def test_iterate_is_held_as_the_congruence_with_the_inverse(self):
+        A, G, Q = self.instance()
+        kernel = eigenbasis_kernel(A, G, Q)
+        d, V, W, cond = certify_stability(A).eigh(A)
+        assert 90.0 < cond < 100.0
+        assert np.allclose(W @ V, np.eye(16), rtol=0.0, atol=1e-12)
+        X = solve_are(A, G, Q).X
+        assert kernel.into(X).tobytes() == (W @ X @ W.T).tobytes()
+        assert kernel.Qb.tobytes() == symmetrize(W @ Q @ W.T).tobytes()
+        assert kernel.lam_min_Q == np.linalg.eigvalsh(kernel.Qb)[0] < 1.0
+        assert np.array_equal(kernel.B, V.T @ low_rank_psd(G, 3, "G")[0])
+        assert operator_norm(kernel.out(kernel.into(X)) - X) <= 1e-13 * operator_norm(X)
+
+    def test_step_proof_covers_eigs_residual(self):
+        # Lyapunov's theorem on D + Delta - F B', ||Delta|| <= drift: a step
+        # is proved only when ||R||_F + 2 drift ||Y||_F < lambda_min(W Q W')
+        A, G, Q = self.instance()
+        kernel = eigenbasis_kernel(A, G, Q)
+        d, V, W, _ = certify_stability(A).eigh(A)
+        drift = np.linalg.norm(W) * np.linalg.norm(A @ V - V * d)
+        assert kernel.drift == drift and 0.0 < drift < 1e-9
+        X0 = np.zeros((16, 16))
+        Y = kernel._capacitance_step(X0)
+        assert Y is not None
+        kernel.drift = 0.51 * kernel.lam_min_Q / np.linalg.norm(Y)
+        assert kernel._capacitance_step(X0) is None
+
+    @pytest.mark.parametrize("c", [20.0, 40.0])
+    def test_ill_conditioned_or_complex_spectrum_keeps_the_schur_kernel(self, monkeypatch, c):
+        # c = 20: a real eigenbasis with cond(V) ~ 2.7e4, whose round trip
+        # fails the stop test's gate; c = 40: a complex spectrum.  Both give
+        # the Schur kernel's X bit for bit
+        A, G, Q = self.instance(c=c)
+        cert = certify_stability(A)
+        basis = cert.eigh(A)
+        if c == 20.0:
+            assert 1e4 < basis[3] < 1e5
+            assert riccati._weight_in_basis(A, Q, basis, cert.weight(Q)) is None
+        else:
+            assert basis is None
+        assert eigenbasis_kernel(A, G, Q) is None
+        sol = solve_are(A, G, Q, cert=cert)
+        monkeypatch.setattr(riccati._EigenbasisKernel, "build",
+                            classmethod(lambda cls, *args: None))
+        ref = solve_are(A, G, Q, cert=certify_stability(A))
+        assert sol.schur_steps == ref.schur_steps == sol.newton_iters
+        assert sol.X.tobytes() == ref.X.tobytes()
+
+    @pytest.mark.parametrize("c", [0.0, 10.0])
+    def test_stalled_eigenbasis_steps_finish_on_schur_steps(self, monkeypatch, c):
+        # a stop test that can never pass in the eigenbasis: the solve
+        # carries on from its iterate on Schur steps, and never stalls
+        A, G, Q = self.instance(c=c)
+        monkeypatch.setattr(riccati._EigenbasisKernel, "residual_margin",
+                            lambda self, X: 2.0 * TestRealEigenbasis.GATE)
+        fallbacks = count_calls(monkeypatch, "fallback", riccati._EigenbasisKernel)
+        tests = count_calls(monkeypatch, "residual", riccati._EigenbasisKernel)
+        sol = solve_are(A, G, Q, cert=certify_stability(A))
+        assert (len(fallbacks), len(tests)) == (1, 2)
+        assert 0 < sol.schur_steps < sol.newton_iters and sol.eigenbasis is None
+        assert sol.strong_residual <= self.GATE
+        X_ham = solve_are_hamiltonian(A, G, Q)
+        assert operator_norm(sol.X - X_ham) <= 1e-12 * operator_norm(X_ham)
+
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    def test_outer_products_are_exactly_symmetric(self, r):
+        # F F' goes through np.dot in the step's right side and in the stop
+        # test's X B B' X: both are exactly symmetric
+        A, grid = heat1d(64)
+        G = GaussianActuators(grid=grid, sigma=0.12, param_dim=r).G(np.linspace(0.2, 0.8, r))
+        kernel = eigenbasis_kernel(A, G, np.eye(64))
+        X = solve_are(A, G, np.eye(64)).X
+        XGX = kernel._xgx(X)
+        assert np.array_equal(XGX, XGX.T)
+        F = kernel.into(X) @ kernel.B
+        S = np.dot(F, F.T)
+        assert np.array_equal(S, S.T)
+
+
 class TestSpectralWork:
     """A's eigenbasis comes from its certificate, G's factor from pivoted
     Cholesky, and the strong residual is read only when asked for."""
@@ -528,7 +642,8 @@ class TestSpectralWork:
     def test_stop_test_takes_the_dropped_part_off_its_gate(self, monkeypatch):
         # the residual on B B' differs from the strong one by X E X, with
         # ||X E X|| <= e ||X||_F^2: the gate is lowered by that bound, so a
-        # dropped part that could fill the gate never lets the test pass
+        # dropped part that could fill the gate never lets the eigenbasis
+        # stop test pass; the solve finishes on Schur steps
         A, (G, *_), Q = self.heat_path(n=16)
         cert = certify_stability(A)
         x_fro = np.linalg.norm(solve_are(A, G, Q, cert=cert).X)
@@ -541,8 +656,18 @@ class TestSpectralWork:
             return kernel
 
         monkeypatch.setattr(riccati._EigenbasisKernel, "build", inflated)
-        with pytest.raises(NewtonStall):
-            solve_are(A, G, Q, cert=cert)
+        passed = []
+        relative_within = riccati._relative_within
+
+        def stop_test(R, rtol, P, P_bounds, margin=0.0):
+            passed.append((margin > 0.0, relative_within(R, rtol, P, P_bounds, margin)))
+            return passed[-1][1]
+
+        monkeypatch.setattr(riccati, "_relative_within", stop_test)
+        sol = solve_are(A, G, Q, cert=cert)
+        assert passed[:2] == [(True, False), (True, False)] and passed[-1] == (False, True)
+        assert sol.schur_steps > 0 and sol.eigenbasis is None
+        assert sol.strong_residual <= gate
 
     def test_strong_residual_is_computed_on_first_read(self, monkeypatch):
         A, (G, *_), Q = self.heat_path(n=16)

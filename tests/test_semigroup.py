@@ -274,9 +274,32 @@ class TestCertificateKernel:
         assert cert.weight(2.0 * Q) is not weight
 
     def test_non_symmetric_certificate_keeps_no_eigenbasis(self):
+        # a complex spectrum, on the log-norm and the sampled path
+        rotation = np.array([[-1.0, 1.0], [-1.0, -1.0]])
+        for A in (rotation, convection_diffusion(16, c=40.0)):
+            cert = certify_stability(A)
+            assert (cert.eigenbasis, cert.eigh(A)) == (None, None)
+        assert certify_stability(rotation).method == "log_norm"
+
+    def test_real_spectrum_keeps_its_eigenbasis_and_inverse(self, monkeypatch):
+        # the sorted eigenbasis of eig, with the inverse and condition number
+        # the sampled grid formed: no second inversion
         skew = np.array([[-1.0, 0.1], [-0.1, -2.0]])
-        for A in (skew, convection_diffusion(16)):
-            assert certify_stability(A).eigenbasis is None
+        for A, method in ((skew, "log_norm"), (convection_diffusion(16), "sampled")):
+            inv = count_calls(monkeypatch, "inv", np.linalg)
+            cert = certify_stability(A)
+            monkeypatch.undo()
+            assert cert.method == method and len(inv) == 1
+            kept, d, V, W, cond = cert.eigenbasis
+            assert kept is A and np.all(np.diff(d) > 0.0)
+            assert abs(cond - np.linalg.cond(V)) <= 1e-12 * cond
+            assert np.allclose(W @ V, np.eye(len(d)), rtol=0.0, atol=1e-13 * cond)
+            assert np.allclose((V * d) @ W, A, rtol=0.0, atol=1e-12 * np.linalg.norm(A))
+            assert all(x is y for x, y in zip(cert.eigh(A.copy()), (d, V, W)))
+            assert cert.eigh(A)[3] == cond
+        # an eigenbasis with cond(V) >= 1e8 is not kept
+        jordan = np.array([[-1.0, 1.0], [0.0, -1.0 - 1e-12]])
+        assert certify_stability(jordan).eigenbasis is None
 
     def test_certificate_holds_decides_as_the_svd(self, rng):
         for A in (convection_diffusion(16), rand_stable(6, rng)):

@@ -26,6 +26,10 @@ PSD_RTOL = 1e-10
 NORM_BOUND_MARGIN = 1e-12
 POWER_STEPS = 3     # power steps on S'S behind each lower norm bound
 SYLVESTER_RTOL = 1e-10
+_EPS = np.finfo(float).eps  # read once: np.finfo costs a call each time
+# np.exp returns exactly 0.0 below log(2^-1075) = -745.13...; one unit
+# lower leaves room for any last-bit difference of its implementations
+EXP_UNDERFLOW = -746.0
 
 
 def ensure_operator(T, name="operator"):
@@ -126,7 +130,7 @@ def low_rank_psd(T, max_rank, name="operator"):
     n = T.shape[0]
     E = T.copy()
     diagonal = E.diagonal()  # a view, updated with E
-    floor = n * np.finfo(float).eps * max(float(diagonal.max()), 0.0)
+    floor = n * _EPS * max(float(diagonal.max()), 0.0)
     columns = []
     while True:
         j = int(diagonal.argmax())
@@ -140,7 +144,7 @@ def low_rank_psd(T, max_rank, name="operator"):
     B = np.array(columns).reshape(-1, n).T
     # each of the r subtractions rounds every entry by at most eps times
     # |E_ij| + |b_i b_j|, which sum to at most ||T||_F + 2 ||B||_F^2
-    rounding = len(columns) * np.finfo(float).eps * (bounds[1] + 2.0 * float(np.vdot(B, B)))
+    rounding = len(columns) * _EPS * (bounds[1] + 2.0 * float(np.vdot(B, B)))
     dropped = _frobenius(E) + rounding
     if not dropped <= PSD_RTOL * (1.0 + bounds[0]):  # a NaN proves nothing either
         return None
@@ -150,10 +154,17 @@ def low_rank_psd(T, max_rank, name="operator"):
 def psd_flags(T):
     """``(symmetric, psd)`` of T under the tests of :func:`check_psd`; a
     matrix that is not symmetric is not PSD either."""
+    return _psd_spectrum(T)[:2]
+
+
+def _psd_spectrum(T):
+    """``(symmetric, psd, spectrum)``: :func:`psd_flags` and the
+    ``eigvalsh(T)`` its PSD test read, None when T is not symmetric."""
     bounds = _norm_bounds(T)
-    symmetric = _asymmetry(T, bounds, "T") is None
-    return symmetric, symmetric and _indefiniteness(
-        T, np.linalg.eigvalsh(T), bounds, "T") is None
+    if _asymmetry(T, bounds, "T") is not None:
+        return False, False, None
+    spectrum = np.linalg.eigvalsh(T)
+    return True, _indefiniteness(T, spectrum, bounds, "T") is None, spectrum
 
 
 def _norm_bounds(T):
@@ -518,15 +529,40 @@ def _eigenbasis_panel_sum(eigen, P, offsets, weights, width, panels):
     With ``A = V diag(d) V'`` and ``S_ij = d_i + d_j``, the integrand at t
     is ``V (exp(S t) o V' P V) V'``; the first panel's weighted node sum
     is ``K = sum_k w_k exp(S s_k)`` and panel m is ``exp(S width)^m o K``.
+
+    On a stiff A most of these exponentials underflow, and ``np.exp``
+    takes a slow path on each of them: exp is called only on arguments at
+    or above EXP_UNDERFLOW, and every other entry is set to the 0.0 that
+    exp returns there.  Since the weights are positive, K >= 0 and an entry
+    whose ``exp(S width)`` is 0 adds exactly +0 to every later panel, so
+    the panels after the first are summed only where it is not.  The sum is
+    the unmasked formula's bit for bit.
     """
     d, V = eigen
     S = d[:, None] + d[None, :]
-    K = np.zeros_like(S)
+    acc = np.zeros_like(S)  # K, then the sum over the panels
+    E = np.empty_like(S)
     for s, w in zip(offsets, weights):
-        K += w * np.exp(S * s)
-    step = np.exp(S * width)
-    acc = K.copy()
+        _exp_above_underflow(np.multiply(S, s, out=E))
+        E *= w
+        acc += E
+    step = _exp_above_underflow(np.multiply(S, width, out=E)).ravel()
+    live = np.flatnonzero(step)
+    step = step[live]
+    del S, E  # two n x n arrays fewer while the final products run
+    K = acc.ravel()[live]
+    acc_live = K.copy()
     for _ in range(panels - 1):
         K *= step
-        acc += K
+        acc_live += K
+    acc.ravel()[live] = acc_live
     return V @ (acc * (V.T @ P @ V)) @ V.T
+
+
+def _exp_above_underflow(T):
+    """``np.exp(T)`` in place, bit for bit: exp runs only on the entries
+    of T at or above EXP_UNDERFLOW, and the others are set to 0.0."""
+    keep = T >= EXP_UNDERFLOW
+    np.exp(T, out=T, where=keep)
+    np.copyto(T, 0.0, where=~keep)
+    return T

@@ -9,6 +9,7 @@ Note the operator ordering: A multiplies X from the *left* (the transposed
 form A.T X + X A of classical LQR is obtained by transposing everything).
 """
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import List, Optional
@@ -18,9 +19,12 @@ import scipy.linalg as spla
 
 from .errors import ClosedLoopUnstable, NewtonStall, UnstableGenerator
 from .linalg import (
+    NORM_BOUND_MARGIN,
     SYLVESTER_RTOL,
+    _EPS,
     _frobenius,
     _norm_bounds,
+    _psd_spectrum,
     _relative_within,
     _residual_within,
     bochner_quadrature,
@@ -29,7 +33,6 @@ from .linalg import (
     low_rank_psd,
     norm_within,
     operator_norm,
-    psd_flags,
     solve_sylvester,
     symmetrize,
 )
@@ -49,8 +52,9 @@ CAPACITANCE_MAX_RANK = 3
 @dataclass(frozen=True)
 class _EigenbasisFacts:
     """What the eigenbasis kernel knew at a solution X: A's eigenbasis
-    ``A = V diag(d) W`` with ``W = V^{-1}`` and ``cond = cond(V)`` (the
-    basis kept on A's certificate, referenced, not copied), G's factor
+    ``A = V diag(d) W`` with ``W = V^{-1}`` and ``cond = cond(V)``, and the
+    basis's ``Dsum = d_i + d_j`` and ``C = 1 / Dsum`` (references to the
+    arrays kept on A's certificate, not copies), G's factor
     ``B = V' B_G`` in that basis (n x r), where ``G = B_G B_G' + E`` and
     ``dropped`` bounds ``||E||``, ``lambda_min(Q)``, and the Frobenius norm
     of the residual at X that the stop test formed: the residual on G's
@@ -61,6 +65,8 @@ class _EigenbasisFacts:
     V: np.ndarray
     W: np.ndarray
     cond: float
+    Dsum: np.ndarray
+    C: np.ndarray
     B: np.ndarray
     dropped: float
     lam_min_Q: float
@@ -74,9 +80,9 @@ class RiccatiSolution:
     ``strong_residual`` is ``riccati_residual(A, G, Q, X)``, computed on
     first read and cached; ``operands`` holds references to (A, G, Q) for
     it, so the residual matrix itself is not kept.  ``eigenbasis`` holds
-    the eigenbasis kernel's facts when the solve ran on it (O(n r) arrays
-    and scalars); :func:`closed_loop_capacitance` factors the final closed
-    loop from them.
+    the eigenbasis kernel's facts when the solve ran on it (O(n r) arrays,
+    scalars and references to the basis's arrays); :func:`closed_loop_capacitance`
+    factors the final closed loop from them.
     """
 
     X: np.ndarray
@@ -110,13 +116,15 @@ def trace_bound(cert, Q):
     return cert.M**2 / (2.0 * cert.alpha) * float(np.trace(Q))
 
 
-def _residual_matrix(A, G, Q, X):
-    return A @ X + X @ A.T - X @ G @ X + Q
+def _residual_matrix(A, G, Q, X, XGX=None):
+    """``A X + X A.T - X G X + Q``; ``XGX``, when given, is ``X @ G @ X``
+    as the caller formed it."""
+    return A @ X + X @ A.T - (X @ G @ X if XGX is None else XGX) + Q
 
 
-def riccati_residual(A, G, Q, X):
-    """Operator norm of A X + X A.T - X G X + Q."""
-    return operator_norm(_residual_matrix(A, G, Q, X))
+def riccati_residual(A, G, Q, X, XGX=None):
+    """Operator norm of A X + X A.T - X G X + Q (see :func:`_residual_matrix`)."""
+    return operator_norm(_residual_matrix(A, G, Q, X, XGX))
 
 
 class _SchurKernel:
@@ -143,6 +151,13 @@ class _SchurKernel:
 
     def step(self, Xb, k):
         return self._schur_step(Xb, k)
+
+    def enter(self, X0, tol):
+        """``(Xb, step)``: the first iterate from the warm start X0, given in
+        the original basis, and its step from X0 in the iterate's basis, or
+        None for the step when it is proved to exceed ``tol``."""
+        Xb = self.step(X0, 1)
+        return Xb, Xb - X0
 
     def fallback(self):
         """The kernel a stalled solve carries on with: this one."""
@@ -272,11 +287,19 @@ class _WeightInBasis:
     """Q's weight in A's eigenbasis ``A = V diag(d) W``, as the eigenbasis
     kernel's steps read it: ``Qb = symmetrize(W Q W')``, ``lam_min`` its
     smallest eigenvalue, and ``drift``, a bound on ``||V^{-1} A V - diag(d)||``
-    (see :func:`_weight_in_basis`)."""
+    (see :func:`_weight_in_basis`); with the basis's own constants, kept
+    with it: ``Dsum = d_i + d_j``, ``C = 1 / Dsum``, ``gamma = gamma_n`` (see
+    :func:`_gamma`), and the rounding coefficients of a warm start's gain and
+    projection (see :meth:`_EigenbasisKernel._step_floor`)."""
 
     Qb: np.ndarray
     lam_min: float
     drift: float
+    Dsum: np.ndarray
+    C: np.ndarray
+    gamma: float
+    gain_rounding: float
+    projection_rounding: float
 
 
 def _weight_in_basis(A, Q, basis, weight):
@@ -288,6 +311,10 @@ def _weight_in_basis(A, Q, basis, weight):
     ``Qb`` is an orthogonal congruence of Q, and ``eigvalsh(Qb)`` otherwise.
     ``drift`` is ``||W||_F ||A V - V diag(d)||_F``: eig's residual taken to
     the eigenbasis, where it perturbs the diagonal the kernel steps on.
+    The rounding coefficients read ``||V W - I||_F`` for the exact product
+    of the stored V and W, bounded by ``||fl(V W) - I||_F + gamma_n ||V||_F
+    ||W||_F`` (Higham's bound ``|fl(A B) - A B| <= gamma_n |A| |B|``); an
+    orthonormal V has ``W = V'`` and is measured the same way.
 
     The round trip: the first Newton-Kleinman iterate of a cold start,
     ``A X1 + X1 A' = -Q``, is ``X1 = V (-Qb / (d_i + d_j)) V'``.  Built that
@@ -305,7 +332,23 @@ def _weight_in_basis(A, Q, basis, weight):
     if not _relative_within(R, RESIDUAL_RTOL, Q, _norm_bounds(Q)):
         return None
     lam_min = weight.spectrum[0] if cond == 1.0 else float(np.linalg.eigvalsh(Qb)[0])
-    return _WeightInBasis(Qb, lam_min, _frobenius(W) * _frobenius(A @ V - V * d))
+    V_fro, W_fro = _frobenius(V), _frobenius(W)
+    P = V @ W
+    P.ravel()[::d.size + 1] -= 1.0  # V W - I
+    g = _gamma(d.size)
+    inverse_error = _frobenius(P) + g * V_fro * W_fro
+    products = 2.0 * g + g * g  # two products in a chain
+    return _WeightInBasis(Qb, lam_min, W_fro * _frobenius(A @ V - V * d), Dsum, 1.0 / Dsum, g,
+                          W_fro * (products + inverse_error + g * W_fro * V_fro),
+                          products * W_fro**2)
+
+
+def _gamma(n):
+    """Higham's ``gamma_n = n u / (1 - n u)``, u the unit roundoff: a dot
+    product of length n is computed within ``gamma_n`` times the dot product
+    of the absolute values."""
+    u = 0.5 * _EPS
+    return n * u / (1.0 - n * u)
 
 
 class _EigenbasisKernel(_SchurKernel):
@@ -340,9 +383,9 @@ class _EigenbasisKernel(_SchurKernel):
         self.lam_min_weight = lam_min_weight
         self.d, self.V, self.W, self.cond = basis
         self.B = self.V.T @ self.G_factor
+        self.weighted = weighted
         self.Qb, self.lam_min_Q, self.drift = weighted.Qb, weighted.lam_min, weighted.drift
-        self.Dsum = self.d[:, None] + self.d[None, :]
-        self.C = 1.0 / self.Dsum
+        self.Dsum, self.C = weighted.Dsum, weighted.C
 
     @classmethod
     def build(cls, A, G, Q, factor, weight, cert):
@@ -373,7 +416,7 @@ class _EigenbasisKernel(_SchurKernel):
         lam_Q = weight.spectrum
         if not 0 < B.shape[1] <= CAPACITANCE_MAX_RANK:
             return None
-        if not lam_Q[0] > A.shape[0] * np.finfo(float).eps * lam_Q[-1]:
+        if not lam_Q[0] > A.shape[0] * _EPS * lam_Q[-1]:
             return None
         basis = cert.eigh(A)
         if basis is None or basis[0][-1] >= 0.0:
@@ -412,18 +455,67 @@ class _EigenbasisKernel(_SchurKernel):
         return np.dot(F, F.T)
 
     def step(self, Xb, k):
-        Y = self._capacitance_step(Xb)
+        Y = self._capacitance_step(Xb @ self.B)
         return self.into(self._schur_step(self.out(Xb), k)) if Y is None else Y
+
+    def enter(self, X0, tol):
+        """A step reads its iterate only through the gain ``F = Xb B``, and
+        ``V W = I`` makes the gain of ``Xb = W X0 W'`` equal to
+        ``W (X0 B_G)``: O(n^2 r), with no n^3 projection of X0.  The first
+        iterate Y is taken from that gain (a step that is not proved is
+        solved again on a Schur form of ``A - X0 G``), and its step test
+        ``||Y - W X0 W'|| <= tol`` is decided from :meth:`_step_floor`.  Only
+        when the floor leaves the test open is ``W X0 W'`` formed and the
+        step ``Y - W X0 W'`` returned, for the test to decide as any other
+        step (a warm start from the solution itself takes this path)."""
+        F = self.W @ (X0 @ self.G_factor)
+        Y = self._capacitance_step(F)
+        if Y is None:
+            Y = self.into(self._schur_step(X0, 1))
+        if self._step_floor(Y, F, X0) > tol:
+            return Y, None
+        return Y, Y - self.into(X0)
+
+    def _step_floor(self, Y, F, X0):
+        """A lower bound on ``||fl(Y - fl(fl(W X0) W'))||``, the norm of the
+        step the test would form from the projected warm start, read from
+        the gain ``F = fl(W fl(X0 B_G))`` of X0 in O(n^2 r).
+
+        For any M, ``||M B||_F <= ||M|| ||B||_F``.  Take ``M = Y - W X0 W'``
+        (exact); with ``V W = I + Delta``,
+
+            M B = (fl(Y B) - F) - E_YB + E_F - W X0 Delta' B_G - W X0 W' E_B,
+
+        and by Higham's bound ``|fl(A B) - A B| <= gamma_n |A| |B|``,
+        ``||E_YB||_F <= gamma_n ||Y||_F ||B||_F``, ``||E_F||_F <= (2 gamma_n +
+        gamma_n^2) ||W||_F ||X0||_F ||B_G||_F`` and ``||E_B||_F <= gamma_n
+        ||V||_F ||B_G||_F`` for ``B = fl(V' B_G)``: the last four terms are
+        within ``gain_rounding ||X0||_F ||B_G||_F`` (see
+        :func:`_weight_in_basis`).  The projection ``fl(fl(W X0) W')`` is
+        within ``projection_rounding ||X0||_F = (2 gamma_n + gamma_n^2)
+        ||W||_F^2 ||X0||_F`` of ``W X0 W'``, and the subtraction rounds each
+        entry of the step by at most u, so by ``sqrt(n) u`` of its norm.
+        Every rounding term is taken at twice its bound, which covers the
+        rounding of the norms and of the floor's own arithmetic."""
+        basis = self.weighted
+        x_fro, b_fro = _frobenius(X0), _frobenius(self.B)
+        D = Y @ self.B
+        D -= F
+        margin = (basis.gamma * _frobenius(Y) * b_fro
+                  + basis.gain_rounding * x_fro * _frobenius(self.G_factor))
+        floor = ((_frobenius(D) * (1.0 - NORM_BOUND_MARGIN) - 2.0 * margin)
+                 / (b_fro * (1.0 + NORM_BOUND_MARGIN)) - 2.0 * basis.projection_rounding * x_fro)
+        return floor * (1.0 - math.sqrt(self.d.size) * _EPS)
 
     def facts(self, residual_fro):
         """The kernel's facts for a solution whose strong residual has
         Frobenius norm ``residual_fro``."""
-        return _EigenbasisFacts(self.d, self.V, self.W, self.cond, self.B, self.dropped,
-                                self.lam_min_weight, residual_fro)
+        return _EigenbasisFacts(self.d, self.V, self.W, self.cond, self.Dsum, self.C, self.B,
+                                self.dropped, self.lam_min_weight, residual_fro)
 
-    def _capacitance_step(self, Xb):
-        """The next iterate, or None when the step is not proved."""
-        F = Xb @ self.B
+    def _capacitance_step(self, F):
+        """The next iterate from an iterate whose gain is ``F = Xb B``, or
+        None when the step is not proved."""
         S = np.dot(F, F.T)  # exactly symmetric (see _xgx)
         S += self.Qb
         np.negative(S, out=S)
@@ -516,8 +608,7 @@ def closed_loop_capacitance(sol, A, G):
         return None
     V, W, B = facts.V, facts.W, facts.B
     F = W @ (X @ (W.T @ B))
-    Dsum = facts.d[:, None] + facts.d[None, :]
-    capacitance = _Capacitance.factor(Dsum, 1.0 / Dsum, B, F)
+    capacitance = _Capacitance.factor(facts.Dsum, facts.C, B, F)
     closed_loop = None if facts.cond == 1.0 else A - X @ G
     return capacitance and _ClosedLoop(V, W, capacitance, facts.dropped, x_fro, closed_loop)
 
@@ -527,7 +618,7 @@ def _spectral_factor(eigh_G):
     eigenvalues above ``n eps lambda_max`` and e is the largest magnitude
     of the others."""
     w, U = eigh_G
-    keep = w > w.size * np.finfo(float).eps * w[-1]
+    keep = w > w.size * _EPS * w[-1]
     return U[:, keep] * np.sqrt(w[keep]), float(np.max(np.abs(w[~keep]), initial=0.0))
 
 
@@ -584,14 +675,21 @@ def solve_are(A, G, Q, tol=DEFAULT_STEP_TOL, cert=None, keep_history=False, X0=N
     read.
     X0 = 0 is admissible because A itself is required to be stable
     (certified on entry); any other X0 must keep A - X0 G stable (e.g. a warm
-    start from a nearby instance).  From X0 = 0 the first iterate X1 solves
-    ``A X1 + X1 A' = -Q`` whatever G is: a cold start whose first step is
+    start from a nearby instance).  On the eigenbasis kernel a warm start
+    enters through its gain ``W (X0 B_G)``, O(n^2 r), and its first step
+    test is decided from a lower bound on the step, read from that gain;
+    ``W X0 W'`` (two n^3 products) is formed only when the bound leaves the
+    test open (see :meth:`_EigenbasisKernel.enter`).  From X0 = 0 the first
+    iterate X1 solves ``A X1 + X1 A' = -Q`` whatever G is: a cold start whose first step is
     taken on a Schur form reads X1 from Q's weight on A's certificate, which
     solves it on the first such start and keeps it (see
     ``PsdWeight.lyapunov``), so every cold start that shares A, its
     certificate and Q takes one Schur form of A between them.  X1 still
     counts in ``newton_iters``; ``schur_steps`` on the solution counts the
     Schur forms the solve actually took.
+
+    G, Q and X0 must have A's shape and tol must be positive: both are
+    checked, with ValueError, before any other work.
 
     Parameters
     ----------
@@ -605,16 +703,20 @@ def solve_are(A, G, Q, tol=DEFAULT_STEP_TOL, cert=None, keep_history=False, X0=N
     keep_history : bool
         Record the iterate sequence (X1, X2, ...) on the solution.
     """
+    if not tol > 0.0:
+        raise ValueError("tol must be positive")
     A = ensure_operator(A, "A")
     G = ensure_operator(G, "G")
     Q = ensure_operator(Q, "Q")
+    X0 = None if X0 is None else ensure_operator(X0, "X0")
+    for name, T in (("G", G), ("Q", Q), ("X0", X0)):
+        if T is not None and T.shape != A.shape:
+            raise ValueError(f"{name} has shape {T.shape}, A has shape {A.shape}")
     # pivoted Cholesky proves G PSD and hands its factor to the eigenbasis
     # kernel's gate; check_psd decides what it leaves open
     cholesky = low_rank_psd(G, CAPACITANCE_MAX_RANK, "G")
     spectrum_G = None if cholesky else check_psd(G, "G", vectors=True)
     weight = PsdWeight(check_psd(Q, "Q")) if cert is None else cert.weight(Q)
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
     if cert is None:
         cert = certify_stability(A)  # raises UnstableGenerator
     Q_bounds = _norm_bounds(Q)
@@ -623,17 +725,19 @@ def solve_are(A, G, Q, tol=DEFAULT_STEP_TOL, cert=None, keep_history=False, X0=N
     if X0 is None:
         kernel.start = weight
 
-    n = A.shape[0]
-    Xb = np.zeros((n, n)) if X0 is None else kernel.into(symmetrize(ensure_operator(X0, "X0")))
+    Xb = np.zeros(A.shape) if X0 is None else None
     history = [] if keep_history else None
     stalled = False
     for k in range(1, MAX_NEWTON_ITERS + 1):
-        Xb_next = kernel.step(Xb, k)
-        step = Xb_next - Xb
-        Xb = Xb_next
+        if Xb is None:  # the first step from a warm start
+            Xb, step = kernel.enter(symmetrize(X0), tol)
+        else:
+            Xb_next = kernel.step(Xb, k)
+            step = Xb_next - Xb
+            Xb = Xb_next
         if history is not None:
             history.append(np.array(kernel.out(Xb)))
-        if not norm_within(step, tol):
+        if step is None or not norm_within(step, tol):
             stalled = False
             continue
         X = kernel.out(Xb)
@@ -667,7 +771,13 @@ def verify_are(A, G, Q, sol, cert, horizon, nodes):
     oracle, (iii) the trace bound ``tr X <= M^2/(2 alpha) tr Q``, and
     (iv) symmetry / PSD of X.  ``cert`` is A's certificate; the quadrature
     reuses it, so nothing is certified here.  The strong residual is the
-    solution's own when it has been read and (A, G, Q) are its operands.
+    solution's own when it has been read and (A, G, Q) are its operands;
+    otherwise it is computed before the quadrature, from the ``X G X`` that
+    the integrand reads too, and that product is let go before the
+    quadrature runs.  ``||X||`` in ``bochner_residual_rel`` is
+    ``max(|lambda_min|, |lambda_max|)`` of the ``eigvalsh(X)`` that the PSD
+    test reads (an SVD only for an X that is not symmetric), so the
+    report takes two SVDs: the strong residual's and ``||X - X_quad||``.
     Returns the full report and leaves ``sol`` as it was.
     """
     A = ensure_operator(A, "A")
@@ -677,17 +787,23 @@ def verify_are(A, G, Q, sol, cert, horizon, nodes):
     strong = None
     if all(T is U or np.array_equal(T, U) for T, U in zip((A, G, Q), sol.operands)):
         strong = vars(sol).get("strong_residual")
-    integrand = symmetrize(Q - X @ G @ X)
-    X_quad = bochner_quadrature(A, A, -integrand, horizon, nodes, cert=cert)
+    XGX = X @ G @ X
+    if strong is None:
+        strong = riccati_residual(A, G, Q, X, XGX)
+    integrand = symmetrize(Q - XGX)
+    del XGX  # negated in place too: the quadrature runs with one n x n array of verify_are's
+    X_quad = bochner_quadrature(A, A, np.negative(integrand, out=integrand), horizon, nodes,
+                                cert=cert)
     bochner_abs = operator_norm(X - X_quad)
 
     tr_X = float(np.trace(X))
     tr_bound = trace_bound(cert, Q)
-    sym_ok, psd_ok = psd_flags(X)
+    sym_ok, psd_ok, spectrum = _psd_spectrum(X)
+    x_norm = operator_norm(X) if spectrum is None else float(max(-spectrum[0], spectrum[-1]))
     return AREVerification(
-        strong_residual=riccati_residual(A, G, Q, X) if strong is None else strong,
+        strong_residual=strong,
         bochner_residual=bochner_abs,
-        bochner_residual_rel=bochner_abs / (1.0 + operator_norm(X)),
+        bochner_residual_rel=bochner_abs / (1.0 + x_norm),
         trace_X=tr_X,
         trace_bound=tr_bound,
         trace_bound_holds=tr_X <= tr_bound + TRACE_SLACK,

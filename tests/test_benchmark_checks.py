@@ -41,6 +41,8 @@ UNITS = [pytest.param(name, 0, id=name) for name in NAMES] + [
 def test_one_unit_passes_the_benchmark_check(workloads, name, seed, tmp_path, monkeypatch):
     workload = workloads.WORKLOADS[name](seed, tmp_path)
     residuals = count_calls(monkeypatch, "_residual_matrix", riccati)
+    projections = count_calls(monkeypatch, "into", riccati._EigenbasisKernel)
+    svds = count_calls(monkeypatch, "operator_norm", riccati)
     out = workload.run_unit(0)
     errors, _ = workload.check(0, out)
     assert errors == []
@@ -52,3 +54,7 @@ def test_one_unit_passes_the_benchmark_check(workloads, name, seed, tmp_path, mo
         assert [sol.newton_iters for sol in sols] == [4, 4, 4, 4, 3, 3, 4, 3]
         assert [sol.schur_steps for sol in sols] == [0] * 8
         assert len(residuals) == 1 and residuals[0][3] is sols[-1].X
+        # the 7 warm starts enter the eigenbasis through their gains, and
+        # verify_are reads ||X|| off eigvalsh(X): its two SVDs are the
+        # strong residual's and ||X - X_quad||
+        assert len(projections) == 0 and len(svds) == 2

@@ -382,6 +382,39 @@ class TestBochnerQuadrature:
         with pytest.raises(HorizonTooShort, match=f"need horizon >= {horizon(1.0):.3g}$"):
             bochner_quadrature(A, A, P, horizon(0.9), nodes=64, cert=cert)
 
+    @pytest.mark.parametrize("n", [16, 64, 256])
+    def test_masked_panel_sum_is_the_unmasked_formula(self, rng, n):
+        # exp is skipped where it underflows and the later panels are summed
+        # only where exp(S width) > 0; the sum is the plain formula's bit for
+        # bit, at n = 16 (nothing underflows) as on the stiffer heat64/256
+        A = heat1d(n)[0]
+        cert = semigroup.certify_stability(A)
+        d, V = cert.eigh(A)[:2]
+        horizon = 20.0 / cert.alpha
+        panels = max(int(np.ceil(200 / 16)), int(np.ceil(2.0 * cert.alpha * horizon)))
+        width = horizon / panels
+        offsets, weights = linalg._gauss_legendre_panel(width)
+        P = linalg.symmetrize(rng.standard_normal((n, n)))
+        S = d[:, None] + d[None, :]
+        K = np.zeros_like(S)
+        for s, w in zip(offsets, weights):
+            K += w * np.exp(S * s)
+        step = np.exp(S * width)
+        acc = K.copy()
+        for _ in range(panels - 1):
+            K *= step
+            acc += K
+        plain = V @ (acc * (V.T @ P @ V)) @ V.T
+        masked = linalg._eigenbasis_panel_sum((d, V), P, offsets, weights, width, panels)
+        assert masked.tobytes() == plain.tobytes()
+        underflowed = np.mean(S * width < linalg.EXP_UNDERFLOW)
+        assert (underflowed > 0.5) == (n > 16)
+
+    def test_exp_is_zero_below_its_underflow_point(self):
+        below = np.nextafter(linalg.EXP_UNDERFLOW, -np.inf) * np.array([1.0, 2.0, 1e3, 1e300])
+        assert not np.exp(below).any() and np.exp(linalg.EXP_UNDERFLOW) == 0.0
+        assert np.exp(linalg.EXP_UNDERFLOW + 1.0) > 0.0
+
     def test_eigenbasis_of_another_generator_is_not_read(self):
         A = heat1d(16)[0]
         P = -np.eye(16)

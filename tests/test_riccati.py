@@ -76,6 +76,28 @@ class TestSolveAre:
         with pytest.raises(ValueError):
             solve_are(scalar(-1), scalar(1), scalar(3), tol=0.0)
 
+    @pytest.mark.parametrize("tol", [0.0, -1.0, np.nan])
+    def test_tol_is_checked_before_any_work(self, monkeypatch, tol):
+        # not even the operands are read: a non-square A is not reported
+        checks = count_calls(monkeypatch, "ensure_operator", riccati)
+        with pytest.raises(ValueError, match="tol must be positive"):
+            solve_are(np.ones((2, 3)), scalar(1), scalar(3), tol=tol)
+        assert len(checks) == 0
+
+    @pytest.mark.parametrize("operand", ["G", "Q", "X0"])
+    def test_operand_of_another_shape_is_named_before_any_work(self, monkeypatch, operand):
+        # an 8 x 8 operand with the heat16 generator: no PSD test, no
+        # pivoted Cholesky and no certificate before the ValueError
+        A, grid = heat1d(16)
+        operands = {"G": GaussianActuators(grid=grid, sigma=0.12).G([0.3]), "Q": np.eye(16),
+                    "X0": np.zeros((16, 16))}
+        operands[operand] = np.eye(8)
+        work = [count_calls(monkeypatch, name, riccati)
+                for name in ("low_rank_psd", "check_psd", "certify_stability")]
+        with pytest.raises(ValueError, match=rf"^{operand} has shape \(8, 8\), A has shape"):
+            solve_are(A, operands["G"], operands["Q"], X0=operands["X0"])
+        assert all(len(calls) == 0 for calls in work)
+
     def test_destabilizing_warm_start_surfaces(self):
         with pytest.raises(ClosedLoopUnstable):
             solve_are(scalar(-1), scalar(1), scalar(3), X0=scalar(-5))
@@ -213,10 +235,10 @@ class TestEigenbasisKernel:
         Q = np.diag(np.linspace(2.0, 1.0, 16))
         kernel = eigenbasis_kernel(A, G, Q)
         assert kernel.lam_min_Q == 1.0
-        X0 = kernel.into(np.zeros((16, 16)))
-        assert kernel._capacitance_step(X0) is not None
+        F0 = kernel.into(np.zeros((16, 16))) @ kernel.B  # the gain of X0 = 0
+        assert kernel._capacitance_step(F0) is not None
         kernel.lam_min_Q = 0.0
-        assert kernel._capacitance_step(X0) is None
+        assert kernel._capacitance_step(F0) is None
 
     @pytest.mark.parametrize("r", [1, 2, 3])
     def test_right_side_is_exactly_symmetric(self, monkeypatch, r):
@@ -488,11 +510,11 @@ class TestRealEigenbasis:
         d, V, W, _ = certify_stability(A).eigh(A)
         drift = np.linalg.norm(W) * np.linalg.norm(A @ V - V * d)
         assert kernel.drift == drift and 0.0 < drift < 1e-9
-        X0 = np.zeros((16, 16))
-        Y = kernel._capacitance_step(X0)
+        F0 = np.zeros((16, 16)) @ kernel.B  # the gain of X0 = 0
+        Y = kernel._capacitance_step(F0)
         assert Y is not None
         kernel.drift = 0.51 * kernel.lam_min_Q / np.linalg.norm(Y)
-        assert kernel._capacitance_step(X0) is None
+        assert kernel._capacitance_step(F0) is None
 
     @pytest.mark.parametrize("c", [20.0, 40.0])
     def test_ill_conditioned_or_complex_spectrum_keeps_the_schur_kernel(self, monkeypatch, c):
@@ -679,6 +701,125 @@ class TestSpectralWork:
         assert len(norms) == 1
         assert first == riccati_residual(A, G, Q, sol.X)
         assert sol.strong_residual == first and len(norms) == 2  # the read is cached
+
+
+def projected_enter(kernel, X0, tol):
+    """The first warm step as it is taken from the projected start
+    ``W X0 W'``: the eigenbasis kernel's warm entry without the gain."""
+    Xb = kernel.into(X0)
+    Y = kernel.step(Xb, 1)
+    return Y, Y - Xb
+
+
+class TestWarmEntry:
+    """A warm start enters A's eigenbasis through its gain ``W (X0 B_G)``:
+    ``W X0 W'`` is formed only when the step floor leaves the first step
+    test open."""
+
+    def test_takes_no_cubic_product_before_its_first_step(self, monkeypatch):
+        n = 64
+        A, Gs, Q = TestSpectralWork.heat_path(n=n, placements=2)
+        cert = certify_stability(A)
+        X0 = solve_are(A, Gs[0], Q, cert=cert).X
+        ref = solve_are(A, Gs[1], Q, cert=cert, X0=X0)
+        events = []
+
+        class Counted(np.ndarray):
+            def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+                inputs = [np.asarray(T) for T in inputs]
+                if ufunc is np.matmul and all(T.shape == (n, n) for T in inputs):
+                    events.append("product")
+                return getattr(ufunc, method)(*inputs, **kwargs)
+
+        init, step = riccati._EigenbasisKernel.__init__, riccati._EigenbasisKernel._capacitance_step
+
+        def counted_init(kernel, *args):  # every product with V or W is counted
+            init(kernel, *args)
+            kernel.V, kernel.W = kernel.V.view(Counted), kernel.W.view(Counted)
+
+        def marked_step(kernel, F):
+            events.append("step")
+            return step(kernel, F)
+
+        monkeypatch.setattr(riccati._EigenbasisKernel, "__init__", counted_init)
+        monkeypatch.setattr(riccati._EigenbasisKernel, "_capacitance_step", marked_step)
+        into = count_calls(monkeypatch, "into", riccati._EigenbasisKernel)
+        outs = count_calls(monkeypatch, "out", riccati._EigenbasisKernel)
+        sol = solve_are(A, Gs[1], Q, cert=cert, X0=X0)
+        assert events[0] == "step" and len(into) == 0
+        # after it, only the stop tests' V Xb V' (two products each)
+        assert events.count("product") == 2 * len(outs) > 0
+        assert sol.X.tobytes() == ref.X.tobytes()
+        monkeypatch.setattr(riccati._EigenbasisKernel, "enter", projected_enter)
+        events.clear()
+        solve_are(A, Gs[1], Q, cert=cert, X0=X0)
+        assert events[:3] == ["product", "product", "step"]  # the projection W X0 W'
+
+    def test_warm_start_from_the_solution_itself(self, monkeypatch):
+        # the first step is below tol: the floor cannot prove otherwise, so
+        # W X0 W' is formed once and the step tested from it
+        A, (G, *_), Q = TestSpectralWork.heat_path(n=64)
+        cert = certify_stability(A)
+        sol = solve_are(A, G, Q, cert=cert)
+        into = count_calls(monkeypatch, "into", riccati._EigenbasisKernel)
+        again = solve_are(A, G, Q, cert=cert, X0=sol.X)
+        assert (again.newton_iters, again.schur_steps, len(into)) == (1, 0, 1)
+        assert operator_norm(again.X - sol.X) <= 1e-14 * operator_norm(sol.X)
+        monkeypatch.setattr(riccati._EigenbasisKernel, "enter", projected_enter)
+        projected = solve_are(A, G, Q, cert=cert, X0=sol.X)
+        assert projected.newton_iters == 1
+        assert operator_norm(again.X - projected.X) <= 1e-14 * operator_norm(sol.X)
+
+    def test_convdiff_warm_path_matches_the_projected_start(self, monkeypatch):
+        # a non-orthonormal basis, cond(V) ~ 96: the same Newton counts and
+        # the same X to rounding as the warm starts projected into the basis
+        A, grid = convdiff1d(16, c=10.0)
+        family = GaussianActuators(grid=grid, sigma=0.12)
+        Q = np.eye(16)
+
+        def path():
+            cert, sols, X = certify_stability(A), [], None
+            for p in np.linspace(0.1, 0.9, 8):
+                sols.append(solve_are(A, family.G([p]), Q, cert=cert, X0=X))
+                X = sols[-1].X
+            return sols
+
+        into = count_calls(monkeypatch, "into", riccati._EigenbasisKernel)
+        warm = path()
+        assert len(into) == 0 and [s.schur_steps for s in warm] == [0] * 8
+        monkeypatch.setattr(riccati._EigenbasisKernel, "enter", projected_enter)
+        projected = path()
+        assert [s.newton_iters for s in warm] == [s.newton_iters for s in projected]
+        for s, ref in zip(warm, projected):
+            assert operator_norm(s.X - ref.X) <= 1e-12 * operator_norm(ref.X)
+
+    @pytest.mark.parametrize("orthonormal", [True, False])
+    def test_step_floor_is_a_lower_bound(self, rng, orthonormal):
+        # the floor never exceeds the norm of the step formed from the
+        # projection, also where that step is 0 and the floor reads rounding
+        # only; for a step along G's factor it is tight
+        n = 24
+        if orthonormal:
+            A = symmetrize(rand_stable_symmetric(n, rng))  # exactly symmetric: eigh
+        else:
+            V = rng.standard_normal((n, n)) + 8.0 * np.eye(n)  # cond(V) ~ 10
+            A = V @ np.diag(-rng.uniform(0.5, 5.0, n)) @ np.linalg.inv(V)
+        g = 0.1 * rng.standard_normal((n, 1))  # G's dropped part within the kernel's gate
+        kernel = eigenbasis_kernel(A, g @ g.T, np.eye(n))
+        assert kernel is not None and (kernel.cond == 1.0) == orthonormal
+        b = kernel.B[:, 0]
+        along_B = np.outer(b, b) / (b @ b)  # ||along_B B|| = ||along_B|| ||B||
+        for _ in range(10):
+            X0 = rand_psd(n, rng, scale=10.0 ** rng.uniform(-3.0, 1.0))
+            Xb = kernel.into(X0)
+            F = kernel.W @ (X0 @ kernel.G_factor)
+            for scale in (0.0, 1e-15, 1e-12, 1e-8, 1e-3):
+                E = symmetrize(rng.standard_normal((n, n)))
+                for direction in (E, along_B):
+                    Y = Xb + scale * operator_norm(Xb) * direction
+                    assert kernel._step_floor(Y, F, X0) <= operator_norm(Y - Xb)
+            Y = Xb + 1e-6 * operator_norm(Xb) * along_B
+            assert kernel._step_floor(Y, F, X0) >= 0.999 * operator_norm(Y - Xb)
 
 
 class TestWeightMemo:
@@ -900,6 +1041,28 @@ class TestVerifyAre:
         other = verify(A, G, 2.0 * Q)
         assert len(residuals) == 3
         assert other.strong_residual == riccati_residual(A, G, 2.0 * Q, sol.X)
+
+    def test_two_svds_on_the_heat256_path(self, monkeypatch):
+        # ||X|| for the relative quadrature residual is read off the
+        # eigvalsh(X) of the PSD test; on this path it equals the SVD's
+        # bit for bit.  X G X is formed once, for the residual and integrand
+        n = 256
+        A, grid = heat1d(n)
+        family = GaussianActuators(grid=grid, sigma=0.12)
+        Q = np.eye(n)
+        cert = certify_stability(A)
+        sol = None
+        for p in np.linspace(0.1, 0.9, 8):
+            G = family.G([p])
+            sol = solve_are(A, G, Q, cert=cert, X0=None if sol is None else sol.X)
+        norms = count_calls(monkeypatch, "operator_norm", riccati)
+        residuals = count_calls(monkeypatch, "_residual_matrix", riccati)
+        rep = verify_are(A, G, Q, sol, cert, horizon=20.0 / cert.alpha, nodes=200)
+        assert len(norms) == 2
+        assert len(residuals) == 1 and residuals[0][4] is not None
+        monkeypatch.undo()
+        assert rep.bochner_residual_rel == rep.bochner_residual / (1.0 + operator_norm(sol.X))
+        assert rep.strong_residual == riccati_residual(A, G, Q, sol.X)
 
     def test_zero_q(self):
         A, G, Q = scalar(-2), scalar(1), scalar(0)

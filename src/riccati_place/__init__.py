@@ -10,6 +10,28 @@ A X + X A.T - X G_p X + Q = 0, and certifies the fixed-point contraction
 constants that make the minimizers unique.
 """
 
+# optimize first: its compile, the package's largest, then runs before the
+# other modules are loaded, which keeps the import's peak memory down
+from .optimize import (
+    ContractionReport,
+    OptimalityTriple,
+    Problem1Config,
+    Problem2Config,
+    StatePair,
+    beta_sweep,
+    contraction_constant_p1,
+    contraction_constant_p2,
+    cost_p1,
+    cost_p2,
+    critical_cone_basis,
+    hessian_p1,
+    hessian_p2,
+    lipschitz_bound_check,
+    solve_p1,
+    solve_p2,
+    stationarity_residual_p1,
+    stationarity_residual_p2,
+)
 from .devices import (
     CallableFamily,
     ConstantFamily,
@@ -36,26 +58,6 @@ from .linalg import (
     matrix_exponential,
     norms,
     solve_sylvester,
-)
-from .optimize import (
-    ContractionReport,
-    OptimalityTriple,
-    Problem1Config,
-    Problem2Config,
-    StatePair,
-    beta_sweep,
-    contraction_constant_p1,
-    contraction_constant_p2,
-    cost_p1,
-    cost_p2,
-    critical_cone_basis,
-    hessian_p1,
-    hessian_p2,
-    lipschitz_bound_check,
-    solve_p1,
-    solve_p2,
-    stationarity_residual_p1,
-    stationarity_residual_p2,
 )
 from .riccati import RiccatiSolution, solve_are, solve_are_hamiltonian, verify_are
 from .semigroup import StabilityCertificate, certify_stability, perturbed_certificate

@@ -419,8 +419,7 @@ def _cmd_verify_bounds(cfg, out_dir):
     rng = np.random.default_rng(cfg.seed + 2)
     points = devices.sample_box(family.domain(), 20, rng)
     trace_ok, dual_ok = True, True
-    for p in points:
-        state = optimize.solve_state_pair(problem, p)
+    for state in optimize.solve_state_pairs(problem, points):
         trace_ok &= state.sol.trace_bound_slack >= -TRACE_SLACK
         dual_ok &= state.dsol.norm_bound_slack >= -NORM_BOUND_SLACK
     payload = {

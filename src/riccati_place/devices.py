@@ -22,16 +22,28 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DegenerateFamily, DimensionMismatch
-from .linalg import check_symmetric, ensure_operator, norms, operator_norm, symmetrize
+from .linalg import (
+    STACK_CHUNK,
+    check_symmetric,
+    ensure_operator,
+    norms,
+    operator_norm,
+    symmetrize,
+)
 
 
 def _raise_sups(sups, T, dist=1.0):
-    """Raise each running sup in ``sups`` (keyed by reading) to T's norm / dist,
-    all readings from the one SVD of :func:`norms`."""
-    rep = norms(T)
-    readings = {"nuc": rep.trace_norm_schatten, "abs": rep.abs_trace, "op": rep.op_norm}
-    for r in sups:
-        sups[r] = max(sups[r], readings[r] / dist)
+    """Raise each running sup in ``sups`` (keyed by reading) to the norm / dist
+    of each matrix of the list T (``dist`` one number, or one per matrix),
+    all readings of a matrix from its one SVD, stacked by :func:`norms` in
+    chunks of STACK_CHUNK."""
+    dist = np.broadcast_to(np.asarray(dist, dtype=float), len(T)).tolist()
+    for start in range(0, len(T), STACK_CHUNK):
+        part = slice(start, start + STACK_CHUNK)
+        for rep, d in zip(norms(np.stack(T[part])), dist[part]):
+            readings = {"nuc": rep.trace_norm_schatten, "abs": rep.abs_trace, "op": rep.op_norm}
+            for r in sups:
+                sups[r] = max(sups[r], readings[r] / d)
 
 
 class Family:
@@ -304,14 +316,15 @@ def sample_box(domain, count, rng):
 
 def _unit_directions(dim, rng, extra=8):
     """The coordinate axes, then ``extra`` random unit vectors, each kept
-    once: a repeat of an earlier direction (for dim = 1 every draw is +-1)
-    adds nothing to a sup over directions.  The same ``extra`` draws are
-    taken from rng either way."""
+    once up to sign: dG is linear in its direction, so a repeat of an
+    earlier direction or of its negation (for dim = 1 every draw is +-1)
+    adds nothing to a sup of norms over directions.  The same ``extra``
+    draws are taken from rng either way."""
     dirs = [np.eye(dim)[k] for k in range(dim)]
     for _ in range(extra):
         v = rng.standard_normal(dim)
         v = v / np.linalg.norm(v)
-        if not any(np.array_equal(v, u) for u in dirs):
+        if not any(np.array_equal(v, u) or np.array_equal(-v, u) for u in dirs):
             dirs.append(v)
     return dirs
 
@@ -350,16 +363,17 @@ def estimate_constants(family, domain, samples, seed, cfg=None):
     c_dg = {r: 0.0 for r in ("nuc", "abs", "op")}
     K = 0.0
     any_invertible = False
-    for p in points:
-        _raise_sups(g, family.G(p))
-        dGs = [family.dG(p, q) for q in directions]
-        for dG in dGs:
-            _raise_sups(c_dg, dG)
-        S = _gram(dGs[:family.param_dim])  # the directions start with the axes
-        sv = np.linalg.svd(S, compute_uv=False)
-        if sv.size and sv[-1] > GRAM_SINGULAR_RTOL * max(sv[0], 1.0):
-            any_invertible = True
-            K = max(K, 1.0 / float(sv[-1]))
+    for start in range(0, samples, STACK_CHUNK):
+        chunk = points[start:start + STACK_CHUNK]
+        _raise_sups(g, [family.G(p) for p in chunk])
+        dGs = [[family.dG(p, q) for q in directions] for p in chunk]
+        _raise_sups(c_dg, [dG for at_p in dGs for dG in at_p])
+        # the directions start with the axes
+        for sv in np.linalg.svd(np.stack([_gram(at_p[:family.param_dim]) for at_p in dGs]),
+                                compute_uv=False):
+            if sv.size and sv[-1] > GRAM_SINGULAR_RTOL * max(sv[0], 1.0):
+                any_invertible = True
+                K = max(K, 1.0 / float(sv[-1]))
     if c_dg["nuc"] == 0.0:
         raise DegenerateFamily("dG_p vanishes at every sample point")
     if not any_invertible:
@@ -367,13 +381,15 @@ def estimate_constants(family, domain, samples, seed, cfg=None):
 
     l_g = {r: 0.0 for r in ("nuc", "abs", "op")}
     l_dg = {r: 0.0 for r in ("nuc", "abs")}
-    for p1, p2 in zip(*pairs):
-        dist = float(np.linalg.norm(p1 - p2))
-        if dist < 1e-12:
-            continue
-        _raise_sups(l_g, family.G(p1) - family.G(p2), dist)
-        for q in directions:
-            _raise_sups(l_dg, family.dG(p1, q) - family.dG(p2, q), dist)
+    apart = [(p1, p2, dist) for p1, p2 in zip(*pairs)
+             if (dist := float(np.linalg.norm(p1 - p2))) >= 1e-12]
+    for start in range(0, len(apart), STACK_CHUNK):
+        chunk = apart[start:start + STACK_CHUNK]
+        _raise_sups(l_g, [family.G(p1) - family.G(p2) for p1, p2, _ in chunk],
+                    [dist for _, _, dist in chunk])
+        _raise_sups(l_dg, [family.dG(p1, q) - family.dG(p2, q)
+                           for p1, p2, _ in chunk for q in directions],
+                    [dist for _, _, dist in chunk for _ in directions])
     if l_g["nuc"] == 0.0:
         raise DegenerateFamily("G_p is constant over the sampled pairs")
 
@@ -393,9 +409,15 @@ def estimate_constants(family, domain, samples, seed, cfg=None):
     )
 
     if cfg is not None:
-        from .optimize import solve_state_pair
+        from .optimize import solve_state_pairs
 
-        xlx_norms = [solve_state_pair(cfg, p).xlx_norm for p in points]
+        # ||X L X|| of each state pair, from stacked SVDs of STACK_CHUNK pairs
+        xlx_norms, xlx = [], []
+        for state in solve_state_pairs(cfg, points):
+            xlx.append(state.xlx)
+            if len(xlx) == STACK_CHUNK or len(xlx_norms) + len(xlx) == samples:
+                xlx_norms.extend(operator_norm(np.stack(xlx)))
+                xlx.clear()
         ledger.mu = float(min(xlx_norms))
         ledger.sup_xlx = float(max(xlx_norms))
         ledger.M = cfg.cert.M

@@ -100,8 +100,8 @@ class DualSolution:
         on the capacitance when that passes its gates, and otherwise on the
         Schur form by ``trsyl`` with both transpose flags flipped (the
         closed loop held is ``A' - G X``)."""
-        Y = None if self.capacitance is None else self.capacitance.solve(P)
-        if Y is None:
+        Y, solved = (None, False) if self.capacitance is None else self.capacitance.solve(P)
+        if not solved:
             if self.schur is None:
                 self.schur = _schur_factor(self.closed_loop)
             Y = self.schur.solve(P, transpose=True)
@@ -150,9 +150,9 @@ def solve_dual(A, G, X, W, W_spectrum=None):
         check_psd(W, "W")
     closed_loop = A.T - G @ X
     capacitance = solution and closed_loop_capacitance(solution, A, G)
-    Lam = capacitance and capacitance.solve(-W, adjoint=True)
+    Lam, solved = (None, False) if not capacitance else capacitance.solve(-W, adjoint=True)
     schur = None
-    if Lam is None:
+    if not solved:
         capacitance, schur = None, _schur_factor(closed_loop)
         Lam = schur.solve(-W)
     return DualSolution(

@@ -24,8 +24,9 @@ from .errors import HorizonTooShort, SingularSystem, UnstableGenerator
 SYMMETRY_RTOL = 1e-12
 PSD_RTOL = 1e-10
 NORM_BOUND_MARGIN = 1e-12
-POWER_STEPS = 3     # power steps on S'S behind each lower norm bound
+POWER_STEPS = 3     # power steps behind each lower norm bound
 SYLVESTER_RTOL = 1e-10
+STACK_CHUNK = 16    # matrices per stack of a batch: placements, or SVDs of the ledger
 _EPS = np.finfo(float).eps  # read once: np.finfo costs a call each time
 # np.exp returns exactly 0.0 below log(2^-1075) = -745.13...; one unit
 # lower leaves room for any last-bit difference of its implementations
@@ -43,7 +44,13 @@ def ensure_operator(T, name="operator"):
 
 
 def operator_norm(T):
-    """Largest singular value of T (the L(H) norm on the truncation)."""
+    """Largest singular value of T (the L(H) norm on the truncation), or of
+    each matrix of a stack T: one stacked SVD, whose values are the
+    per-matrix SVDs' bit for bit."""
+    if T.ndim > 2:
+        if T.shape[-1] == 0 or T.shape[-2] == 0:
+            return np.zeros(T.shape[:-2])
+        return np.linalg.svd(T, compute_uv=False)[..., 0]
     if T.size == 0:
         return 0.0
     if T.size == 1:
@@ -169,19 +176,25 @@ def _psd_spectrum(T):
 
 def _norm_bounds(T):
     """Bounds ``lo <= operator_norm(T) <= hi`` from the Frobenius norm:
-    ``||T||_F / sqrt(r) <= ||T|| <= ||T||_F`` with r the smaller dimension.
-    Both are widened by a relative margin of 1e-12, far above the rounding
-    of either norm, so a comparison they settle is the SVD's own, ties
-    included (rank-1 T has ``||T|| = ||T||_F``)."""
+    ``||T||_F / sqrt(r) <= ||T|| <= ||T||_F`` with r the smaller dimension;
+    one pair of arrays for a stack T.  Both are widened by a relative
+    margin of 1e-12, far above the rounding of either norm, so a comparison
+    they settle is the SVD's own, ties included (rank-1 T has
+    ``||T|| = ||T||_F``)."""
     fro = _frobenius(T)
-    r = max(min(T.shape), 1)
+    r = max(min(T.shape[-2:]), 1)
     return fro / math.sqrt(r) * (1.0 - NORM_BOUND_MARGIN), fro * (1.0 + NORM_BOUND_MARGIN)
 
 
 def _frobenius(T):
-    """``np.linalg.norm(T)``, bit for bit, without its dispatch."""
-    x = T.ravel(order="K")
-    return math.sqrt(x.dot(x))
+    """``np.linalg.norm(T)``, bit for bit, without its dispatch; for a stack
+    T of C-ordered matrices, one array with the norm of each, from a
+    stacked product whose sums are ``dot``'s bit for bit."""
+    if T.ndim <= 2:
+        x = T.ravel(order="K")
+        return math.sqrt(x.dot(x))
+    x = T.reshape(T.shape[:-2] + (1, -1))
+    return np.sqrt(np.matmul(x, x.swapaxes(-1, -2))[..., 0, 0])
 
 
 def _brackets(S):
@@ -207,25 +220,78 @@ def _brackets(S):
             np.ldexp(hi * (1.0 + NORM_BOUND_MARGIN), exponent))
 
 
+def _square_bounds(S):
+    """Bounds ``lo <= ||S_k|| <= hi`` on the operator norm of each matrix of
+    the stack S from O(n^2) work: ``hi = (||S||_1 ||S||_inf)^(1/2)``, the
+    largest absolute row sum for a symmetric S, and ``lo = ||S x||`` for a
+    unit x after POWER_STEPS power steps on S itself, started from its
+    column of largest absolute sum; with a dominant eigenvalue, as on a
+    Newton step of small rank, lo is close to ``||S||``.  Each matrix is
+    first scaled by a power of two (exactly), and both bounds are widened
+    by NORM_BOUND_MARGIN, as in :func:`_brackets`."""
+    a = np.abs(S)
+    _, exponent = np.frexp(a.max(axis=(1, 2)))
+    S, a = np.ldexp(S, -exponent[:, None, None]), np.ldexp(a, -exponent[:, None, None])
+    columns = a.sum(axis=1)
+    hi = np.sqrt(columns.max(axis=1) * a.sum(axis=2).max(axis=1))
+    x = S[np.arange(len(S)), :, columns.argmax(axis=1)]
+    for _ in range(POWER_STEPS):
+        size = np.linalg.norm(x, axis=1)
+        x = np.matmul(S, (x / np.where(size > 0.0, size, 1.0)[:, None])[:, :, None])[:, :, 0]
+    lo = np.linalg.norm(x, axis=1)
+    return (np.ldexp(lo * (1.0 - NORM_BOUND_MARGIN), exponent),
+            np.ldexp(hi * (1.0 + NORM_BOUND_MARGIN), exponent))
+
+
+def _any(mask):
+    """Whether ``mask``, a bool or an array of them, holds a True."""
+    return np.count_nonzero(mask) > 0 if isinstance(mask, np.ndarray) else bool(mask)
+
+
+def _pick(x, open_):
+    """The entries that ``open_`` marks of a value x given per matrix of a
+    stack (one axis more than a shared number or matrix), or x shared."""
+    return x[open_] if np.ndim(x) in (1, 3) else x
+
+
 def norm_within(T, tol):
-    """Decide ``operator_norm(T) <= tol`` as the SVD would.  The Frobenius
-    bounds of :func:`_norm_bounds` come first, then the power-step brackets
-    of :func:`_brackets`; the SVD runs only when both leave it open."""
+    """Decide ``operator_norm(T) <= tol`` as the SVD would, for T or for each
+    matrix of a stack T (``tol`` a number, or one per matrix).
+
+    The Frobenius bounds of :func:`_norm_bounds` come first.  Where they
+    leave the test open, T is bounded from O(n^2) work
+    (:func:`_square_bounds`), then by the power-step brackets of
+    :func:`_brackets`, which form ``T'T``; the SVD runs only where all of
+    them leave it open."""
     lo, hi = _norm_bounds(T)
-    if hi <= tol:
-        return True
-    if lo > tol:
-        return False
-    lo, hi = _brackets(T[None])
-    if hi[0] <= tol:
-        return True
-    if lo[0] > tol:
-        return False
-    return operator_norm(T) <= tol
+    within = hi <= tol
+    open_ = (lo <= tol) > within
+    if not _any(open_):
+        return within
+    if T.ndim == 2:
+        return bool(_within_open(T[None], tol)[0])
+    within[open_] = _within_open(T[open_], _pick(tol, open_))
+    return within
+
+
+def _within_open(S, tol):
+    """:func:`norm_within` for the stack S that the Frobenius bounds leave
+    open: its later stages, each on the matrices the one before leaves open."""
+    tol = np.full(len(S), tol) if np.ndim(tol) == 0 else tol
+    within = np.zeros(len(S), dtype=bool)
+    live = np.arange(len(S))
+    for bounds in (_square_bounds, _brackets):
+        lo, hi = bounds(S if live.size == len(S) else S[live])
+        within[live] = hi <= tol[live]
+        live = live[(lo <= tol[live]) & (hi > tol[live])]
+        if not live.size:
+            return within
+    within[live] = operator_norm(S[live]) <= tol[live]
+    return within
 
 
 def symmetrize(T):
-    return 0.5 * (T + T.T)
+    return 0.5 * (T + T.swapaxes(-1, -2))
 
 
 @dataclass(frozen=True)
@@ -244,18 +310,22 @@ class NormReport:
 
 
 def norms(T):
-    """Compute the NormReport of a square matrix."""
-    T = ensure_operator(T)
-    if T.size == 0:
-        return NormReport(0.0, 0.0, 0.0, 0.0)
+    """Compute the NormReport of a square matrix, or the list of them of a
+    stack T of square matrices: one stacked SVD, each report the
+    per-matrix one bit for bit."""
+    if np.ndim(T) != 3:
+        return norms(ensure_operator(T)[None])[0]
+    T = np.asarray(T, dtype=float)
+    if T.shape[1] != T.shape[2]:
+        raise ValueError(f"operator must be square, got shape {T.shape[1:]}")
+    if not np.isfinite(T).all():
+        raise ValueError("operator has non-finite entries")
+    if T.shape[1] == 0:
+        return [NormReport(0.0, 0.0, 0.0, 0.0) for _ in T]
     sv = np.linalg.svd(T, compute_uv=False)
-    tr = float(np.trace(T))
-    return NormReport(
-        op_norm=float(sv[0]),
-        trace=tr,
-        trace_norm_schatten=float(sv.sum()),
-        abs_trace=abs(tr),
-    )
+    return [NormReport(op_norm=float(s[0]), trace=float(tr), trace_norm_schatten=float(s.sum()),
+                       abs_trace=abs(float(tr)))
+            for s, tr in zip(sv, np.trace(T, axis1=1, axis2=2))]
 
 
 def matrix_exponential(A, t):
@@ -425,13 +495,19 @@ def _residual_within(R, P, P_bounds):
 def _relative_within(R, rtol, P, P_bounds, margin=0.0):
     """Decide ``operator_norm(R) <= rtol (1 + operator_norm(P)) - margin``
     as the SVDs would, taking P's SVD only when the Frobenius bounds
-    ``P_bounds`` of P and those of R leave the answer open."""
+    ``P_bounds`` of P and those of R leave the answer open.  For a stack R
+    each matrix is decided on its own, and P, ``P_bounds`` and ``margin``
+    are either given per matrix or shared by all."""
     lo, hi = _norm_bounds(R)
-    if hi <= rtol * (1.0 + P_bounds[0]) - margin:
-        return True
-    if lo > rtol * (1.0 + P_bounds[1]) - margin:
-        return False
-    return norm_within(R, rtol * (1.0 + operator_norm(P)) - margin)
+    inside = hi <= rtol * (1.0 + P_bounds[0]) - margin
+    open_ = (lo <= rtol * (1.0 + P_bounds[1]) - margin) > inside
+    if not _any(open_):
+        return inside
+    if R.ndim == 2:
+        return norm_within(R, rtol * (1.0 + operator_norm(P)) - margin)
+    inside[open_] = norm_within(R[open_], rtol * (1.0 + operator_norm(_pick(P, open_)))
+                                - _pick(margin, open_))
+    return inside
 
 
 def _gauss_legendre_panel(width, npts=16):

@@ -22,7 +22,7 @@ import numpy as np
 from .devices import GRAM_SINGULAR_RTOL, sample_box
 from .dual import DualSolution, solve_dual
 from .errors import ClosedLoopUnstable, DegenerateFamily, MaxIterExceeded, RiccatiPlaceError
-from .linalg import check_psd, ensure_operator, norms, operator_norm, symmetrize
+from .linalg import STACK_CHUNK, check_psd, ensure_operator, norms, operator_norm, symmetrize
 from .riccati import RiccatiSolution, solve_are
 from .semigroup import certify_stability
 
@@ -189,6 +189,34 @@ def solve_state_pair(cfg, p, X0=None):
     if sol is None:
         sol = solve_are(cfg.A, G, cfg.Q, cert=cfg.cert)
     return StatePair(p, G, sol, solve_dual(cfg.A, G, sol, cfg.W, cfg.W_spectrum), cfg.family)
+
+
+def solve_state_pairs(cfg, points):
+    """The cold StatePair at each placement of ``points``, in order, each
+    bit for bit the one ``solve_state_pair(cfg, p)`` solves.
+
+    Each chunk of STACK_CHUNK placements builds its G_p, then solves its
+    Riccati equations in one batch and its multipliers in another (see
+    ``batch``, imported on the first call); a placement that leaves either
+    is solved by ``solve_are`` or ``solve_dual`` alone.  The pairs are
+    yielded a chunk at a time, so a caller that reads each and lets it go
+    holds at most a chunk of them.
+    """
+    from .batch import dual_batch, riccati_batch
+
+    points = [np.array(p, dtype=float, ndmin=1) for p in points]
+    for start in range(0, len(points), STACK_CHUNK):
+        chunk = points[start:start + STACK_CHUNK]
+        Gs = [cfg.family.G(p) for p in chunk]
+        sols = riccati_batch(cfg.A, Gs, cfg.Q, cfg.cert)
+        batched = [k for k, sol in enumerate(sols) if sol is not None]
+        duals = dict(zip(batched, dual_batch(cfg.A, [Gs[k] for k in batched],
+                                             [sols[k] for k in batched], cfg.W)))
+        for k, (p, G) in enumerate(zip(chunk, Gs)):
+            sol = sols[k] if sols[k] is not None else solve_are(cfg.A, G, cfg.Q, cert=cfg.cert)
+            dsol = duals.pop(k, None) or solve_dual(cfg.A, G, sol, cfg.W, cfg.W_spectrum)
+            sols[k] = Gs[k] = None  # the pair is the caller's alone
+            yield StatePair(p, G, sol, dsol, cfg.family)
 
 
 # ---------------------------------------------------------------------------
@@ -811,21 +839,23 @@ def lipschitz_bound_check(cfg, ledger, domain, pairs, seed):
 
     worst_x = {"nuc": 0.0, "abs": 0.0}
     worst_lam = {"nuc": 0.0, "abs": 0.0}
-    for p1, p2 in zip(P1, P2):
-        dist = float(np.linalg.norm(p1 - p2))
-        if dist < 1e-12:
-            continue
-        s1 = solve_state_pair(cfg, p1)
-        s2 = solve_state_pair(cfg, p2)
-        dX = norms(s1.sol.X - s2.sol.X)
-        dX_norms = {"nuc": dX.trace_norm_schatten, "abs": dX.abs_trace}
-        dL_op = operator_norm(s1.dsol.Lambda - s2.dsol.Lambda)
-        for reading in ("nuc", "abs"):
-            worst_x[reading] = max(
-                worst_x[reading],
-                ratio(dX_norms[reading], x_const[reading] * dist))
-            worst_lam[reading] = max(
-                worst_lam[reading], ratio(dL_op, lam_const[reading] * dist))
+    apart = [(p1, p2, dist) for p1, p2 in zip(P1, P2)
+             if (dist := float(np.linalg.norm(p1 - p2))) >= 1e-12]
+    states = solve_state_pairs(cfg, [p for p1, p2, _ in apart for p in (p1, p2)])
+    # the pairs' differences (s1, s2: consecutive items of one iterator),
+    # STACK_CHUNK at a time, normed by stacked SVDs
+    for start in range(0, len(apart), STACK_CHUNK):
+        chunk = apart[start:start + STACK_CHUNK]
+        dX, dL = zip(*[(s1.sol.X - s2.sol.X, s1.dsol.Lambda - s2.dsol.Lambda)
+                       for _, s1, s2 in zip(chunk, states, states)])
+        for (_, _, dist), dX, dL_op in zip(chunk, norms(np.stack(dX)), operator_norm(np.stack(dL))):
+            dX_norms = {"nuc": dX.trace_norm_schatten, "abs": dX.abs_trace}
+            for reading in ("nuc", "abs"):
+                worst_x[reading] = max(
+                    worst_x[reading],
+                    ratio(dX_norms[reading], x_const[reading] * dist))
+                worst_lam[reading] = max(
+                    worst_lam[reading], ratio(float(dL_op), lam_const[reading] * dist))
     x_pass = {r: worst_x[r] <= 1.0 for r in worst_x}
     lam_pass = {r: worst_lam[r] <= 1.0 for r in worst_lam}
     return LipschitzReport(

@@ -9,8 +9,9 @@ Note the operator ordering: A multiplies X from the *left* (the transposed
 form A.T X + X A of classical LQR is obtained by transposing everything).
 """
 
+import copy
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import List, Optional
 
@@ -22,6 +23,7 @@ from .linalg import (
     NORM_BOUND_MARGIN,
     SYLVESTER_RTOL,
     _EPS,
+    _any,
     _frobenius,
     _norm_bounds,
     _psd_spectrum,
@@ -71,6 +73,20 @@ class _EigenbasisFacts:
     dropped: float
     lam_min_Q: float
     residual_fro: float
+
+    def member(self, k):
+        """The facts of member k of a batch's facts, whose ``B``, ``dropped``
+        and ``residual_fro`` hold one entry per member."""
+        return replace(self, B=self.B[k].copy(), dropped=float(self.dropped[k]),
+                       residual_fro=float(self.residual_fro[k]))
+
+    @classmethod
+    def stack(cls, facts):
+        """One batch's facts from the facts of its members, which share A's
+        eigenbasis."""
+        return replace(facts[0], B=np.stack([f.B for f in facts]),
+                       dropped=np.array([f.dropped for f in facts]),
+                       residual_fro=np.array([f.residual_fro for f in facts]))
 
 
 @dataclass
@@ -127,6 +143,22 @@ def riccati_residual(A, G, Q, X, XGX=None):
     return operator_norm(_residual_matrix(A, G, Q, X, XGX))
 
 
+def _dot(T):
+    """The product for T's matrices: np.dot for a single matrix, whose outer
+    products ``F F'`` are exactly symmetric and, at r = 1, faster than
+    matmul's; np.matmul over the leading axis of a stack, whose products
+    are the per-matrix ones bit for bit."""
+    return np.dot if T.ndim == 2 else np.matmul
+
+
+def _positive_definite(T, where=True):
+    """Whether T, or each matrix of a stack T, is positive definite, by
+    ``dpotrf``, tried only where ``where`` holds (False elsewhere)."""
+    if T.ndim == 3:
+        return np.array([_positive_definite(M, w) for M, w in zip(T, where)], dtype=bool)
+    return bool(where) and spla.lapack.dpotrf(T)[1] == 0
+
+
 class _SchurKernel:
     """Newton-Kleinman steps on a real Schur form of each closed loop; the
     iterate is held in the original basis.
@@ -138,6 +170,7 @@ class _SchurKernel:
 
     def __init__(self, A, G, Q):
         self.A, self.G, self.Q = A, G, Q
+        self.Q_bounds = _norm_bounds(Q)
         self.start = None
         self.schur_steps = 0
 
@@ -166,12 +199,21 @@ class _SchurKernel:
     def residual(self, X):
         """The residual the stop test reads at an iterate X, which is exactly
         symmetric, so ``A X + X A' = M + M'`` takes one product ``M = A X``;
-        on a Schur form it is the strong residual."""
+        on a Schur form it is the strong residual.  Over the leading axis of
+        a stack X on the eigenbasis kernel."""
         M = self.A @ X
-        R = M + M.T
+        R = M + M.swapaxes(-1, -2)
         R -= self._xgx(X)
         R += self.Q
         return R
+
+    def stops(self, X):
+        """``(R, stop)``: the stop test's residual R at the iterate X and
+        whether it passes the gate ``1e-10 (1 + ||Q||)`` less
+        :meth:`residual_margin`, for X or each member of a stack X."""
+        R = self.residual(X)
+        return R, _relative_within(R, RESIDUAL_RTOL, self.Q, self.Q_bounds,
+                                   self.residual_margin(X))
 
     def residual_margin(self, X):
         """What the stop test takes off its gate for the residual's distance
@@ -217,67 +259,98 @@ class _Capacitance:
     ``Y = C o (S + B U' + U B')`` with ``U = Y F``, and its capacitance
     matrix is the transpose of the first: one LU serves both, through
     ``getrs`` with ``trans=0`` and ``trans=1``.
+
+    B and F may carry a leading axis of members, each a closed loop of its
+    own with its own LU (``lu`` holds one ``getrf`` factor pair per member,
+    ``regular`` whether each is regular); every product is then the
+    per-member one bit for bit, and each member is refined and gated on its
+    own.
     """
 
-    def __init__(self, Dsum, C, B, F, lu):
+    def __init__(self, Dsum, C, B, F, lu, regular):
         self.Dsum, self.C, self.B, self.F, self.lu = Dsum, C, B, F, lu
+        self.regular = regular
 
     @classmethod
     def factor(cls, Dsum, C, B, F):
-        """The factored closed loop, or None when the LU is singular."""
-        *lu, info = spla.lapack.dgetrf(cls._matrix(C, B, F), overwrite_a=1)
-        return None if info != 0 else cls(Dsum, C, B, F, lu)
+        """The factored closed loop, or None when no LU is regular."""
+        matrices = cls._matrix(C, B, F)
+        lu, regular = [], []
+        for M in matrices if matrices.ndim == 3 else matrices[None]:
+            *factors, info = spla.lapack.dgetrf(M, overwrite_a=1)
+            lu.append(factors)
+            regular.append(info == 0)
+        regular = np.array(regular) if matrices.ndim == 3 else regular[0]
+        return cls(Dsum, C, B, F, lu, regular) if _any(regular) else None
+
+    def member(self, k):
+        """The closed loop of member k, holding copies of its arrays only."""
+        lu, piv = self.lu[k]
+        return _Capacitance(self.Dsum, self.C, self.B[k].copy(), self.F[k].copy(),
+                            [(lu.copy(order="F"), piv)], bool(self.regular[k]))
 
     @staticmethod
     def _matrix(C, B, F):
         """``I - diag(F_b) C diag(B_a) - diag(C (F_b o B_a))`` in block (a, b),
         built in one (n r) x (n r) array in Fortran order, as ``getrf``
-        takes it: its transpose, entry (b, j, a, i), is built in C order."""
-        n, r = B.shape
-        Mt = np.empty((r, n, r, n))
-        np.multiply(C[None, :, None, :], F.T[:, None, None, :], out=Mt)  # C is symmetric
-        Mt *= -B[None, :, :, None]  # = -((C F) B) bit for bit: rounding commutes with negation
-        diag = C @ (B[:, :, None] * F[:, None, :]).reshape(n, r * r)
-        idx = np.arange(n)
-        Mt[:, idx, :, idx] -= diag.reshape(n, r, r).transpose(0, 2, 1)
-        Mt = Mt.reshape(n * r, n * r)
-        Mt[np.diag_indices(n * r)] += 1.0
-        return Mt.T
+        takes it: its transpose, entry (b, j, a, i), is built in C order.
+        The entries ``(b, i, a, i)`` of block diagonals and the diagonal are
+        updated through strided views, without index arrays."""
+        lead, (n, r) = F.shape[:-2], F.shape[-2:]
+        Mt = np.empty(lead + (r, n, r, n))
+        np.multiply(C[:, None, :], F.swapaxes(-1, -2)[..., None, None, :], out=Mt)  # C is symmetric
+        Mt *= -B[..., None, :, :, None]  # = -((C F) B) bit for bit: rounding commutes with negation
+        diag = np.matmul(C, (B[..., None] * F[..., None, :]).reshape(lead + (n, r * r)))
+        diag = diag.reshape(lead + (n, r, r))
+        blocks = Mt.reshape(lead + (r, r * n * n))
+        for a in range(r):  # entry (b, i, a, i) sits at a n + i (r n + 1) in row b
+            blocks[..., a * n::r * n + 1][..., :n] -= diag[..., a, :].swapaxes(-1, -2)
+        Mt = Mt.reshape(lead + (n * r, n * r))
+        Mt.reshape(lead + (-1,))[..., ::n * r + 1] += 1.0
+        return Mt.swapaxes(-1, -2)
 
     def solve(self, S, adjoint=False):
-        """``(Y, R)``: the solution Y of the equation for symmetric S (the
-        dual one with ``adjoint``) and its residual R, refined up to twice on
-        the LU; None when Y is not finite or R fails the Sylvester gate."""
+        """``(Y, R, solved)``: the solution Y of the equation for symmetric S
+        (the dual one with ``adjoint``), its residual R, and whether Y is
+        finite and R passes the Sylvester gate, refined up to twice on the
+        LU; for a batch, S is shared or one per member, and a member is
+        refined only while it fails the gate."""
         S_bounds = _norm_bounds(S)
         left, right = (self.B, self.F) if adjoint else (self.F, self.B)
+        dot = _dot(left)
         Y = self._solve(S, adjoint)
         for refinements in range(3):
-            if not np.isfinite(Y).all():
-                return None
+            finite = np.isfinite(Y).all(axis=(1, 2)) if Y.ndim == 3 else bool(np.isfinite(Y).all())
+            if not _any(finite):
+                return Y, None, finite
             # R = S - Dsum o Y + W + W' with W = left (Y right)'; W' is
             # formed as its own product, not read strided.  Outer products
             # go through np.dot: matmul takes a slower loop at r = 1
             P = Y @ right
             R = np.multiply(self.Dsum, Y)
             np.subtract(S, R, out=R)
-            W = np.dot(left, P.T)
+            W = dot(left, P.swapaxes(-1, -2))
             R += W
-            R += np.dot(P, left.T, out=W)
-            if _residual_within(R, S, S_bounds):
-                return Y, R
-            if refinements == 2:
-                return None
-            Y += self._solve(R, adjoint)
+            R += dot(P, left.swapaxes(-1, -2), out=W)
+            solved = finite & _residual_within(R, S, S_bounds)
+            retry = finite > solved
+            if refinements == 2 or not _any(retry):
+                return Y, R, solved
+            np.add(Y, self._solve(R, adjoint), out=Y, where=np.asarray(retry)[..., None, None])
 
     def _solve(self, S, adjoint):
-        n, r = self.B.shape
+        n, r = self.B.shape[-2:]
         left, right = (self.B, self.F) if adjoint else (self.F, self.B)
-        Z = spla.lapack.dgetrs(*self.lu, ((self.C * S) @ right).T.ravel(),
-                               trans=int(adjoint))[0].reshape(r, n).T
+        # each member's right side Z' = ((C o S) right)' as one vector
+        Z = np.matmul(self.C * S, right).swapaxes(-1, -2).reshape(-1, r * n)
+        for z, lu in zip(Z, self.lu):
+            z[:] = spla.lapack.dgetrs(*lu, z, trans=int(adjoint))[0]
+        Z = Z.reshape(self.B.shape[:-2] + (r, n))
         # C o (S + T + T') with T = left Z'
-        Y = np.dot(left, Z.T)
+        dot = _dot(left)
+        Y = dot(left, Z)
         Y += S
-        Y += np.dot(Z, left.T)
+        Y += dot(Z.swapaxes(-1, -2), left.swapaxes(-1, -2))
         Y *= self.C
         return Y
 
@@ -331,7 +404,7 @@ def _weight_in_basis(A, Q, basis, weight):
     R += Q
     if not _relative_within(R, RESIDUAL_RTOL, Q, _norm_bounds(Q)):
         return None
-    lam_min = weight.spectrum[0] if cond == 1.0 else float(np.linalg.eigvalsh(Qb)[0])
+    lam_min = float(weight.spectrum[0] if cond == 1.0 else np.linalg.eigvalsh(Qb)[0])
     V_fro, W_fro = _frobenius(V), _frobenius(W)
     P = V @ W
     P.ravel()[::d.size + 1] -= 1.0  # V W - I
@@ -382,7 +455,7 @@ class _EigenbasisKernel(_SchurKernel):
         self.G_factor, self.dropped = factor
         self.lam_min_weight = lam_min_weight
         self.d, self.V, self.W, self.cond = basis
-        self.B = self.V.T @ self.G_factor
+        self.B = np.matmul(self.V.T, self.G_factor)
         self.weighted = weighted
         self.Qb, self.lam_min_Q, self.drift = weighted.Qb, weighted.lam_min, weighted.drift
         self.Dsum, self.C = weighted.Dsum, weighted.C
@@ -411,10 +484,15 @@ class _EigenbasisKernel(_SchurKernel):
         ``||e^{At}|| <= cond(V) e^{d_max t}``, and ``<= M e^{-alpha t}`` on
         A's certificate, that integral is at most the smaller of
         ``cond(V)^2 / (2 |d_max|)`` and ``M^2 / (2 alpha)``.  The kernel is
-        taken only when that bound keeps the margin within 1 % of the gate."""
+        taken only when that bound keeps the margin within 1 % of the gate.
+
+        For a batch, ``factor`` carries a leading axis of members whose
+        factors share one rank r (G, read only by Schur steps, may be None);
+        the kernel's ``admitted`` says which members the margin admits, and
+        it is None when none is."""
         B, dropped = factor
         lam_Q = weight.spectrum
-        if not 0 < B.shape[1] <= CAPACITANCE_MAX_RANK:
+        if not 0 < B.shape[-1] <= CAPACITANCE_MAX_RANK:
             return None
         if not lam_Q[0] > A.shape[0] * _EPS * lam_Q[-1]:
             return None
@@ -424,16 +502,28 @@ class _EigenbasisKernel(_SchurKernel):
         d, V, _, cond = basis
         x_bound = min(cond**2 * lam_Q[-1] / (-2.0 * d[-1]),
                       lam_Q[-1] * cert.M**2 / (2.0 * cert.alpha))
-        if dropped * x_bound**2 > 0.01 * RESIDUAL_RTOL * (1.0 + lam_Q[-1]):
+        admitted = dropped * x_bound**2 <= 0.01 * RESIDUAL_RTOL * (1.0 + lam_Q[-1])
+        if not _any(admitted):
             return None
         weighted = weight.kept("eigenbasis", V, lambda: _weight_in_basis(A, Q, basis, weight))
-        return weighted and cls(A, G, Q, basis, factor, lam_Q[0], weighted)
+        if weighted is None:
+            return None
+        kernel = cls(A, G, Q, basis, factor, float(lam_Q[0]), weighted)
+        kernel.admitted = admitted
+        return kernel
 
     def into(self, X):
         return self.W @ X @ self.W.T
 
     def out(self, Xb):
         return symmetrize(self.V @ Xb @ self.V.T)
+
+    def members(self, keep):
+        """The kernel of the members of a batch that ``keep`` selects."""
+        kernel = copy.copy(self)
+        for name in ("G_factor", "dropped", "B"):
+            setattr(kernel, name, getattr(self, name)[keep])
+        return kernel
 
     def fallback(self):
         """A Schur kernel that carries on from an iterate in the original
@@ -452,11 +542,11 @@ class _EigenbasisKernel(_SchurKernel):
         goes through np.dot, which forms it exactly symmetric; matmul takes
         a slower loop at r = 1."""
         F = X @ self.G_factor
-        return np.dot(F, F.T)
+        return _dot(F)(F, F.swapaxes(-1, -2))
 
     def step(self, Xb, k):
-        Y = self._capacitance_step(Xb @ self.B)
-        return self.into(self._schur_step(self.out(Xb), k)) if Y is None else Y
+        Y, proved = self._capacitance_step(Xb @ self.B)
+        return Y if proved else self.into(self._schur_step(self.out(Xb), k))
 
     def enter(self, X0, tol):
         """A step reads its iterate only through the gain ``F = Xb B``, and
@@ -469,8 +559,8 @@ class _EigenbasisKernel(_SchurKernel):
         step ``Y - W X0 W'`` returned, for the test to decide as any other
         step (a warm start from the solution itself takes this path)."""
         F = self.W @ (X0 @ self.G_factor)
-        Y = self._capacitance_step(F)
-        if Y is None:
+        Y, proved = self._capacitance_step(F)
+        if not proved:
             Y = self.into(self._schur_step(X0, 1))
         if self._step_floor(Y, F, X0) > tol:
             return Y, None
@@ -514,37 +604,46 @@ class _EigenbasisKernel(_SchurKernel):
                                 self.dropped, self.lam_min_weight, residual_fro)
 
     def _capacitance_step(self, F):
-        """The next iterate from an iterate whose gain is ``F = Xb B``, or
-        None when the step is not proved."""
-        S = np.dot(F, F.T)  # exactly symmetric (see _xgx)
+        """``(Y, proved)``: the next iterate from an iterate whose gain is
+        ``F = Xb B``, and whether its step is proved; over the members of a
+        batch, each proved on its own (Y is None when no member's is)."""
+        S = _dot(F)(F, F.swapaxes(-1, -2))  # exactly symmetric (see _xgx)
         S += self.Qb
         np.negative(S, out=S)
         closed_loop = _Capacitance.factor(self.Dsum, self.C, self.B, F)
-        solved = closed_loop and closed_loop.solve(S)
-        if not solved:
-            return None
-        Y, R = solved
-        if not _frobenius(R) + 2.0 * self.drift * _frobenius(Y) < self.lam_min_Q:
-            return None
-        if spla.lapack.dpotrf(Y)[1] != 0:  # Y is not positive definite
-            return None
-        return Y
+        if closed_loop is None:
+            return None, False
+        Y, R, solved = closed_loop.solve(S)
+        proved = closed_loop.regular & solved
+        if _any(proved):
+            proved = proved & (_frobenius(R) + 2.0 * self.drift * _frobenius(Y) < self.lam_min_Q)
+            proved = proved & _positive_definite(Y, proved)  # tried only where still proved
+        return (Y, proved) if _any(proved) else (None, proved)
 
 
 class _ClosedLoop:
     """The final closed loop ``A - X G`` of a solution, proved stable and
     factored in A's eigenbasis ``A = V diag(d) W`` (see
     :func:`closed_loop_capacitance`).  ``closed_loop`` is ``A - X G`` itself
-    when V is not orthonormal, and None when it is."""
+    when V is not orthonormal, and None when it is.  For a batch, the
+    capacitance, ``dropped``, ``x_fro`` and ``closed_loop`` hold one entry
+    per member."""
 
     def __init__(self, V, W, capacitance, dropped, x_fro, closed_loop):
         self.V, self.W, self.capacitance = V, W, capacitance
         self.dropped, self.x_fro, self.closed_loop = dropped, x_fro, closed_loop
 
+    def member(self, k):
+        """The closed loop of member k."""
+        return _ClosedLoop(self.V, self.W, self.capacitance.member(k), float(self.dropped[k]),
+                           float(self.x_fro[k]),
+                           None if self.closed_loop is None else self.closed_loop[k].copy())
+
     def solve(self, P, adjoint=False):
-        """Y with ``(A - X G) Y + Y (A - X G)' = P`` for symmetric P, or with
-        the dual operator ``(A' - G X) Y + Y (A - X G)`` when ``adjoint``;
-        None when Y fails the Sylvester gate.
+        """``(Y, solved)``: Y with ``(A - X G) Y + Y (A - X G)' = P`` for
+        symmetric P, or with the dual operator ``(A' - G X) Y + Y (A - X G)``
+        when ``adjoint``, and whether Y passes the Sylvester gate (for a
+        batch, P is shared or one per member).
 
         The equation is solved in the eigenbasis: the primal one on
         ``W P W'`` with ``Y = V Yb V'``, the dual one on ``V' P V`` with
@@ -552,25 +651,23 @@ class _ClosedLoop:
         norm, so the capacitance solve's own gate is the original one, and
         G's dropped part E, which enters the residual as ``E X Y + Y X E``,
         may move it by at most 1 % of the gate.  Any other V moves norms by
-        up to its condition number: the symmetrized Y is then returned only
+        up to its condition number: the symmetrized Y is then taken only
         when its residual on ``A - X G`` itself, with the true G, passes the
         gate."""
         into, out = (self.V.T, self.W.T) if adjoint else (self.W, self.V)
         S = symmetrize(into @ P @ into.T)
-        solved = self.capacitance.solve(S, adjoint)
-        if not solved:
-            return None
-        Yb = solved[0]
+        Yb, _, solved = self.capacitance.solve(S, adjoint)
+        if not _any(solved):
+            return None, solved
         if self.closed_loop is None:
-            if (2.0 * self.dropped * self.x_fro * _frobenius(Yb)
-                    > 0.01 * SYLVESTER_RTOL * (1.0 + _norm_bounds(S)[0])):
-                return None
-            return out @ Yb @ out.T
+            solved = solved & (2.0 * self.dropped * self.x_fro * _frobenius(Yb)
+                               <= 0.01 * SYLVESTER_RTOL * (1.0 + _norm_bounds(S)[0]))
+            return out @ Yb @ out.T, solved
         Y = symmetrize(out @ Yb @ out.T)
-        M = (self.closed_loop.T if adjoint else self.closed_loop) @ Y
+        M = (self.closed_loop.swapaxes(-1, -2) if adjoint else self.closed_loop) @ Y
         R = P - M
-        R -= M.T
-        return Y if _residual_within(R, P, _norm_bounds(P)) else None
+        R -= M.swapaxes(-1, -2)
+        return Y, solved & _residual_within(R, P, _norm_bounds(P))
 
 
 def closed_loop_capacitance(sol, A, G):
@@ -579,38 +676,50 @@ def closed_loop_capacitance(sol, A, G):
     or None.
 
     Requires the solve to have run on the eigenbasis kernel (``sol.eigenbasis``)
-    and A and G to be its operands.  Lyapunov's theorem proves the closed
-    loop stable, in the original basis: with ``G = B B' + E``,
-    ``||E|| <= e``, and R_B the residual at X on ``B B'`` (the one the stop
-    test formed),
-
-        (A - X G) X + X (A - X G)' = -(Q + X B B' X) + R_B - 2 X E X,
-
-    and ``||X E X||_F <= e ||X||_F^2``, so the right side is negative
-    definite when ``||R_B||_F + 2 e ||X||_F^2 < lambda_min(Q)``; with X
-    positive definite (``dpotrf``) the closed loop is stable.  None when
-    the proof or the capacitance LU fails.  In the eigenbasis the closed
-    loop is ``D - F B'`` with ``F = (W X W') B``.  The work is O(n^2 r) plus
-    one Cholesky of X, one LU of the capacitance matrix and the products
-    that form F, and ``A - X G`` when V is not orthonormal; no Schur form is
-    taken.
-    """
+    and A and G to be its operands; see :func:`_closed_loop`."""
     facts = sol.eigenbasis
     operands = sol.operands
     if facts is None or not all(T is U or np.array_equal(T, U)
                                 for T, U in zip((A, G), operands)):
         return None
-    X = sol.X
+    closed_loop, proved = _closed_loop(facts, sol.X, A, G)
+    return closed_loop if proved else None
+
+
+def _closed_loop(facts, X, A, G):
+    """``(closed loop, proved)``: the closed loop ``A - X G`` at a solution X
+    on the eigenbasis kernel with facts ``facts``, and whether it is proved
+    stable and factored; over the members of a batch, whose X, G and facts
+    hold one entry per member.
+
+    Lyapunov's theorem proves the closed loop stable, in the original
+    basis: with ``G = B B' + E``, ``||E|| <= e``, and R_B the residual at X
+    on ``B B'`` (the one the stop test formed),
+
+        (A - X G) X + X (A - X G)' = -(Q + X B B' X) + R_B - 2 X E X,
+
+    and ``||X E X||_F <= e ||X||_F^2``, so the right side is negative
+    definite when ``||R_B||_F + 2 e ||X||_F^2 < lambda_min(Q)``; with X
+    positive definite (``dpotrf``) the closed loop is stable.  It is not
+    proved when the proof or the capacitance LU fails.  In the eigenbasis
+    the closed loop is ``D - F B'`` with ``F = (W X W') B``.  The work is
+    O(n^2 r) plus one Cholesky of X, one LU of the capacitance matrix and
+    the products that form F, and ``A - X G`` when V is not orthonormal; no
+    Schur form is taken.
+    """
     x_fro = _frobenius(X)
-    if not facts.residual_fro + 2.0 * facts.dropped * x_fro**2 < facts.lam_min_Q:
-        return None
-    if spla.lapack.dpotrf(X)[1] != 0:  # X is not positive definite
-        return None
+    proved = facts.residual_fro + 2.0 * facts.dropped * x_fro**2 < facts.lam_min_Q
+    proved = proved & _positive_definite(X, proved)  # tried only where the proof holds
+    if not _any(proved):
+        return None, proved
     V, W, B = facts.V, facts.W, facts.B
     F = W @ (X @ (W.T @ B))
     capacitance = _Capacitance.factor(facts.Dsum, facts.C, B, F)
+    if capacitance is None:
+        return None, False
     closed_loop = None if facts.cond == 1.0 else A - X @ G
-    return capacitance and _ClosedLoop(V, W, capacitance, facts.dropped, x_fro, closed_loop)
+    return (_ClosedLoop(V, W, capacitance, facts.dropped, x_fro, closed_loop),
+            proved & capacitance.regular)
 
 
 def _spectral_factor(eigh_G):
@@ -719,7 +828,6 @@ def solve_are(A, G, Q, tol=DEFAULT_STEP_TOL, cert=None, keep_history=False, X0=N
     weight = PsdWeight(check_psd(Q, "Q")) if cert is None else cert.weight(Q)
     if cert is None:
         cert = certify_stability(A)  # raises UnstableGenerator
-    Q_bounds = _norm_bounds(Q)
     kernel = (_eigenbasis_kernel(A, G, Q, cholesky, spectrum_G, weight, cert)
               or _SchurKernel(A, G, Q))
     if X0 is None:
@@ -741,8 +849,8 @@ def solve_are(A, G, Q, tol=DEFAULT_STEP_TOL, cert=None, keep_history=False, X0=N
             stalled = False
             continue
         X = kernel.out(Xb)
-        R = kernel.residual(X)
-        if _relative_within(R, RESIDUAL_RTOL, Q, Q_bounds, kernel.residual_margin(X)):
+        R, stop = kernel.stops(X)
+        if stop:
             break
         if stalled:  # two stop tests in a row failed only the residual gate
             kernel, Xb = kernel.fallback(), X

@@ -1,0 +1,142 @@
+"""Cold state pairs in batches: ``optimize.solve_state_pairs`` against a
+per-placement ``solve_are`` + ``solve_dual`` loop, bit for bit."""
+
+import numpy as np
+import pytest
+
+from riccati_place import batch, cli, optimize, riccati
+from riccati_place.devices import GaussianActuators, sample_box
+from riccati_place.dual import solve_dual
+from riccati_place.linalg import low_rank_psd
+from riccati_place.optimize import Problem2Config, solve_state_pair, solve_state_pairs
+from riccati_place.riccati import solve_are
+
+from conftest import count_calls, heat1d
+from test_cli import convdiff16_config
+
+
+def sequential(cfg, points):
+    """Each placement's (RiccatiSolution, DualSolution), one solve at a time."""
+    pairs = []
+    for p in points:
+        G = cfg.family.G(p)
+        sol = solve_are(cfg.A, G, cfg.Q, cert=cfg.cert)
+        pairs.append((sol, solve_dual(cfg.A, G, sol, cfg.W, cfg.W_spectrum)))
+    return pairs
+
+
+def assert_bit_for_bit(states, reference):
+    assert len(states) == len(reference)
+    for state, (sol, dsol) in zip(states, reference):
+        assert state.sol.X.tobytes() == sol.X.tobytes()
+        assert state.dsol.Lambda.tobytes() == dsol.Lambda.tobytes()
+        assert (state.sol.newton_iters, state.sol.schur_steps) == (sol.newton_iters,
+                                                                    sol.schur_steps)
+        assert state.sol.trace_bound_slack == sol.trace_bound_slack
+        assert (state.dsol.capacitance is None) == (dsol.capacitance is None)
+
+
+def heat16_config(d=1):
+    A, grid = heat1d(16)
+    W = np.zeros((16, 16))
+    W[3, 3] = 1.0
+    return Problem2Config(A=A, Q=np.eye(16), W=W,
+                          family=GaussianActuators(grid=grid, sigma=0.12, param_dim=d),
+                          beta=10.0, gamma=2.6)
+
+
+def placements(cfg, count, seed):
+    return sample_box(cfg.family.domain(), count, np.random.default_rng(seed))
+
+
+class TestSolveStatePairs:
+    def test_verify_bounds_placements(self, tmp_path, monkeypatch):
+        # the 220 placements of a seed-0 verify-bounds run on convdiff16, in
+        # the order it solves them: the ledger's 100 points, the 50
+        # Lipschitz pairs, the 20 spot checks
+        cfg, _ = cli.build_problem(cli.load_config(convdiff16_config(tmp_path)))
+        domain = cfg.family.domain()
+        ledger = sample_box(domain, cli.LEDGER_SAMPLES, np.random.default_rng(0))
+        rng = np.random.default_rng(1)
+        P1, P2 = sample_box(domain, 50, rng), sample_box(domain, 50, rng)
+        spots = sample_box(domain, 20, np.random.default_rng(2))
+        points = list(ledger) + [p for pair in zip(P1, P2) for p in pair] + list(spots)
+        reference = sequential(cfg, points)
+        singles = count_calls(monkeypatch, "solve_are", optimize)
+        states = list(solve_state_pairs(cfg, points))
+        assert_bit_for_bit(states, reference)
+        assert len(singles) == 0  # every placement stays in its batch
+        assert sum(s.sol.newton_iters for s in states) == 877
+
+    def test_heat16_placements(self, monkeypatch):
+        cfg = heat16_config()
+        points = placements(cfg, 50, 3)
+        reference = sequential(cfg, points)
+        singles = count_calls(monkeypatch, "solve_are", optimize)
+        assert_bit_for_bit(list(solve_state_pairs(cfg, points)), reference)
+        assert len(singles) == 0
+
+    def test_batch_of_one_is_the_state_pair(self):
+        cfg = heat16_config()
+        p = np.array([0.3])
+        (state,) = solve_state_pairs(cfg, [p])
+        assert_bit_for_bit([state], sequential(cfg, [p]))
+        assert_bit_for_bit([state], [(s.sol, s.dsol) for s in [solve_state_pair(cfg, p)]])
+        assert np.array_equal(state.p, p) and state.G.tobytes() == cfg.family.G(p).tobytes()
+
+    @pytest.mark.parametrize("count", [0, 1, 5, 11])
+    def test_counts_off_the_chunk_size(self, monkeypatch, count):
+        monkeypatch.setattr(optimize, "STACK_CHUNK", 4)
+        cfg = heat16_config()
+        points = placements(cfg, count, 4)
+        batches = count_calls(monkeypatch, "riccati_batch", batch)
+        states = list(solve_state_pairs(cfg, points))
+        assert_bit_for_bit(states, sequential(cfg, points))
+        assert [len(args[1]) for args in batches] == [4] * (count // 4) + [count % 4][:count % 4]
+
+    def test_member_failing_a_gate_finishes_on_the_single_path(self, monkeypatch):
+        # the steps of one placement are never proved: it leaves the batch at
+        # its first step, and its single solve takes a Schur step each time
+        cfg = heat16_config()
+        points = placements(cfg, 9, 5)
+        d, V, _, _ = cfg.cert.eigh(cfg.A)
+        target = V.T @ low_rank_psd(cfg.family.G(points[4]), 3)[0]
+        step = riccati._EigenbasisKernel._capacitance_step
+
+        def failing(kernel, F):
+            Y, proved = step(kernel, F)
+            proved = proved & ~np.all(kernel.B == target, axis=(-2, -1))
+            return (Y if np.any(proved) else None), proved
+
+        monkeypatch.setattr(riccati._EigenbasisKernel, "_capacitance_step", failing)
+        # a certificate of its own: the first cold Schur step on a
+        # certificate solves X1, and later ones read it (see PsdWeight.lyapunov)
+        reference = sequential(heat16_config(), points)
+        singles = count_calls(monkeypatch, "solve_are", optimize)
+        states = list(solve_state_pairs(cfg, points))
+        assert_bit_for_bit(states, reference)
+        assert len(singles) == 1 and singles[0][1] is states[4].G
+        assert [s.sol.schur_steps > 0 for s in states] == [k == 4 for k in range(9)]
+
+    def test_another_rank_of_G_leaves_the_batch(self, monkeypatch):
+        # coincident centres of a d = 2 family give G rank 1 where the
+        # others have rank 2: those placements are solved one at a time
+        cfg = heat16_config(d=2)
+        points = list(placements(cfg, 7, 6))
+        points[2] = np.array([0.4, 0.4])
+        points[5] = np.array([0.7, 0.7])
+        reference = sequential(cfg, points)
+        singles = count_calls(monkeypatch, "solve_are", optimize)
+        states = list(solve_state_pairs(cfg, points))
+        assert_bit_for_bit(states, reference)
+        assert [args[1] is states[k].G for k, args in zip((2, 5), singles)] == [True, True]
+        assert [s.sol.eigenbasis.B.shape[1] for s in states] == [2, 2, 1, 2, 2, 1, 2]
+
+    def test_pairs_are_yielded_a_chunk_at_a_time(self, monkeypatch):
+        monkeypatch.setattr(optimize, "STACK_CHUNK", 3)
+        cfg = heat16_config()
+        batches = count_calls(monkeypatch, "riccati_batch", batch)
+        pairs = solve_state_pairs(cfg, placements(cfg, 7, 7))
+        next(pairs)
+        assert len(batches) == 1
+        assert len(list(pairs)) == 6 and len(batches) == 3

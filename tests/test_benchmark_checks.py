@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from riccati_place import riccati
+from riccati_place import linalg, riccati
 
 from conftest import count_calls
 
@@ -43,6 +43,7 @@ def test_one_unit_passes_the_benchmark_check(workloads, name, seed, tmp_path, mo
     residuals = count_calls(monkeypatch, "_residual_matrix", riccati)
     projections = count_calls(monkeypatch, "into", riccati._EigenbasisKernel)
     svds = count_calls(monkeypatch, "operator_norm", riccati)
+    brackets = count_calls(monkeypatch, "_brackets", linalg)
     out = workload.run_unit(0)
     errors, _ = workload.check(0, out)
     assert errors == []
@@ -58,3 +59,6 @@ def test_one_unit_passes_the_benchmark_check(workloads, name, seed, tmp_path, mo
         # verify_are reads ||X|| off eigvalsh(X): its two SVDs are the
         # strong residual's and ||X - X_quad||
         assert len(projections) == 0 and len(svds) == 2
+        # the step tests the Frobenius bounds leave open (4 here) are
+        # settled by O(n^2) bounds, without forming S'S
+        assert len(brackets) == 0

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import riccati_place
-from riccati_place import cli, devices, dual, linalg, optimize, riccati, semigroup
+from riccati_place import batch, cli, devices, dual, linalg, optimize, riccati, semigroup
 from riccati_place.cli import (
     build_model,
     load_matrix,
@@ -199,13 +199,21 @@ class TestCommands:
     def test_optimize_solves_riccati_only_in_state_pairs(self, monkeypatch, tmp_path,
                                                          command, variant):
         # every command, the ledger and the reported cost included, solves
-        # the Riccati and dual equations only inside solve_state_pair
+        # the Riccati and dual equations only inside solve_state_pair or the
+        # batches of solve_state_pairs
         depth, outside = [0], []
 
         def solve_state_pair(*args, _original=optimize.solve_state_pair, **kwargs):
             depth[0] += 1
             try:
                 return _original(*args, **kwargs)
+            finally:
+                depth[0] -= 1
+
+        def solve_state_pairs(*args, _original=optimize.solve_state_pairs, **kwargs):
+            depth[0] += 1
+            try:
+                yield from _original(*args, **kwargs)
             finally:
                 depth[0] -= 1
 
@@ -217,6 +225,7 @@ class TestCommands:
             return routed
 
         monkeypatch.setattr(optimize, "solve_state_pair", solve_state_pair)
+        monkeypatch.setattr(optimize, "solve_state_pairs", solve_state_pairs)
         for name, original in (("solve_are", riccati.solve_are),
                                ("solve_dual", dual.solve_dual)):
             routed = outside_state_pairs(name, original)
@@ -300,13 +309,32 @@ class TestVerifyBoundsConvDiff16:
     def test_cold_solves_share_one_schur_form_of_A(self, monkeypatch, tmp_path):
         # the 877 Newton steps and the 220 closed-loop duals all run on
         # capacitance systems in A's eigenbasis, so no cold start reads the
-        # Schur-form X1 of Q's weight: no Schur form at all
+        # Schur-form X1 of Q's weight: no Schur form at all.  The 220 state
+        # pairs (100 ledger points, 50 Lipschitz pairs, 20 spot checks) are
+        # solved in batches, and none leaves its batch for a single solve
         cfg = convdiff16_config(tmp_path)
         schur = count_calls(monkeypatch, "_real_schur", linalg)
+        batches = count_calls(monkeypatch, "riccati_batch", batch)
+        ares = count_calls(monkeypatch, "solve_are", optimize)
         duals = count_calls(monkeypatch, "solve_dual", optimize)
         assert main(["verify-bounds", "--config", cfg, "--out", str(tmp_path / "out"),
                      "--seed", "0"]) == 0
-        assert len(schur) == 0 and len(duals) == 220
+        assert len(schur) == 0
+        assert [len(args[1]) for args in batches] == [16] * 6 + [4] + [16] * 6 + [4, 16, 4]
+        assert len(ares) == len(duals) == 0
+
+    def test_svds_are_stacked(self, monkeypatch, tmp_path):
+        # every SVD of a seed-0 run, operator_norm's through np.linalg.norm
+        # included: the ledger's norms (G, dG, Gram matrices, differences,
+        # ||X L X||) and the Lipschitz check's differences come in stacks of
+        # STACK_CHUNK, and most of the single ones left are the spot checks'
+        # closed-loop certificates.  Each sampling direction is read once
+        # up to sign.  (Unstacked, with both signs: 1004 calls, 983 matrices.)
+        svd = count_calls(monkeypatch, "svd", np.linalg, np.linalg._linalg)
+        assert main(["verify-bounds", "--config", convdiff16_config(tmp_path),
+                     "--out", str(tmp_path / "out"), "--seed", "0"]) == 0
+        sizes = [len(args[0]) if args[0].ndim == 3 else 1 for args in svd]
+        assert (len(svd), sum(sizes)) == (154, 783)
 
     def test_spot_check_certificates_settle_their_grids_with_norm_bounds(
             self, monkeypatch, tmp_path):

@@ -138,7 +138,57 @@ class TestMultiGaussian:
             assert abs(v[k] - float(np.tensordot(T, f.dG(p, e)))) <= 1e-12
 
 
+def reference_ledger(family, samples, seed, cfg=None):
+    """estimate_constants as a plain loop: every matrix normed on its own by
+    numpy, every direction drawn read (+-1 both at param_dim = 1)."""
+    rng = np.random.default_rng(seed)
+    domain = family.domain()
+    points = sample_box(domain, samples, rng)
+    pairs = zip(sample_box(domain, samples, rng), sample_box(domain, samples, rng))
+    d = family.param_dim
+    directions = list(np.eye(d)) + [v / np.linalg.norm(v)
+                                    for v in (rng.standard_normal(d) for _ in range(8))]
+
+    def readings(T, dist=1.0):
+        sv = np.linalg.svd(T, compute_uv=False)
+        tr = float(np.trace(T))
+        return {"nuc": float(sv.sum()) / dist, "abs": abs(tr) / dist, "op": float(sv[0]) / dist}
+
+    g, c_dg, l_g, l_dg, K = [], [], [], [], 0.0
+    for p in points:
+        g.append(readings(family.G(p)))
+        c_dg += [readings(family.dG(p, q)) for q in directions]
+        sv = np.linalg.svd([[float(np.tensordot(family.dG(p, e), family.dG(p, f)))
+                             for f in np.eye(d)] for e in np.eye(d)], compute_uv=False)
+        if sv[-1] > 1e-12 * max(sv[0], 1.0):
+            K = max(K, 1.0 / float(sv[-1]))
+    for p1, p2 in pairs:
+        dist = float(np.linalg.norm(p1 - p2))
+        l_g.append(readings(family.G(p1) - family.G(p2), dist))
+        l_dg += [readings(family.dG(p1, q) - family.dG(p2, q), dist) for q in directions]
+
+    def sup(values, reading):
+        return max(v[reading] for v in values)
+
+    return ConstantLedger(
+        g=sup(g, "nuc"), L_G=1.1 * sup(l_g, "nuc"), L_dG=1.1 * sup(l_dg, "nuc"),
+        C_dG=sup(c_dg, "nuc"), K=K, g_abs=sup(g, "abs"), g_op=sup(g, "op"),
+        L_G_abs=1.1 * sup(l_g, "abs"), L_G_op=1.1 * sup(l_g, "op"),
+        L_dG_abs=1.1 * sup(l_dg, "abs"), C_dG_abs=sup(c_dg, "abs"), C_dG_op=sup(c_dg, "op"))
+
+
 class TestEstimateConstants:
+    @pytest.mark.parametrize("param_dim,samples", [(1, 100), (2, 45)])
+    def test_ledger_is_the_reference_loop(self, param_dim, samples):
+        # field by field, bit for bit: stacked SVDs in chunks, and each
+        # direction read once up to sign
+        family = GaussianActuators(grid=np.linspace(0.1, 0.9, 9), sigma=0.15, r_weight=2.0,
+                                   param_dim=param_dim)
+        led = estimate_constants(family, family.domain(), samples, seed=3)
+        ref = reference_ledger(family, samples, seed=3)
+        for name in vars(ref):
+            assert repr(getattr(led, name)) == repr(getattr(ref, name)), name
+
     def test_gaussian_ledger_positive_and_finite(self, fam):
         led = estimate_constants(fam, fam.domain(), 200, seed=5)
         for name in ("g", "L_G", "L_dG", "C_dG", "K", "g_op", "L_G_op"):
@@ -240,15 +290,18 @@ class TestEstimateConstants:
 
         monkeypatch.setattr(devices, "_unit_directions", directions)
         one = estimate_constants(fam, fam.domain(), samples, seed=4)
-        dirs = len(drawn[0])  # the distinct ones of axes + 8 random
-        assert dirs <= 2  # for param_dim = 1 each draw is +-1
+        dirs = len(drawn[0])  # the distinct ones of axes + 8 random, up to sign
+        assert dirs == 1  # for param_dim = 1 each draw is +-1
 
-        # the per-reading ledger: each norm from its own call, as before
-        def per_reading(T):
-            tr = float(np.trace(T))
-            nuc = float(np.linalg.svd(T, compute_uv=False).sum())
-            return NormReport(op_norm=operator_norm(T), trace=tr,
-                              trace_norm_schatten=nuc, abs_trace=abs(tr))
+        # the per-reading ledger: each norm of each matrix from its own call
+        def per_reading(stack):
+            reports = []
+            for T in stack:
+                tr = float(np.trace(T))
+                nuc = float(np.linalg.svd(T, compute_uv=False).sum())
+                reports.append(NormReport(op_norm=operator_norm(T), trace=tr,
+                                          trace_norm_schatten=nuc, abs_trace=abs(tr)))
+            return reports
 
         monkeypatch.setattr(devices, "norms", per_reading)
         assert estimate_constants(fam, fam.domain(), samples, seed=4) == one
@@ -258,8 +311,12 @@ class TestEstimateConstants:
         dG = count_calls(monkeypatch, "dG", GaussianActuators)
         estimate_constants(fam, fam.domain(), samples, seed=4)
         # per point: G, each direction's dG, the Gram matrix; per pair: the G
-        # difference and each direction's dG difference
-        assert len(svd) == samples * (dirs + 2) + samples * (1 + dirs)
+        # difference and each direction's dG difference; in stacks of at
+        # most STACK_CHUNK matrices
+        chunks = [min(devices.STACK_CHUNK, samples - start)
+                  for start in range(0, samples, devices.STACK_CHUNK)]
+        assert [len(args[0]) for args in svd] == ([c for c in chunks for _ in range(3)]
+                                                  + [c for c in chunks for _ in range(2)])
         # each direction once per point (the Gram matrix reuses the axes'),
         # twice per pair
         assert len(dG) == samples * dirs + samples * 2 * dirs
@@ -272,7 +329,8 @@ class TestEstimateConstants:
         samples = 100
         dG = count_calls(monkeypatch, "dG", GaussianActuators)
         led = estimate_constants(fam, fam.domain(), samples, seed=0)
-        assert len(dG) <= samples * 2 + samples * 2 * 2
+        # one direction: half the calls that reading both +1 and -1 takes
+        assert len(dG) == samples + samples * 2
         monkeypatch.undo()
 
         def every_draw(dim, rng, extra=8):

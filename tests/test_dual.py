@@ -315,11 +315,12 @@ class TestRealEigenbasisClosedLoop:
         P = symmetrize(are.X @ G @ are.X)
         closed_loop = sol.capacitance.closed_loop
         sol.capacitance.closed_loop = 1.001 * closed_loop
-        assert sol.capacitance.solve(P) is None and sol.capacitance.solve(-W, True) is None
+        assert not sol.capacitance.solve(P)[1] and not sol.capacitance.solve(-W, True)[1]
         schur = count_calls(monkeypatch, "_real_schur", linalg)
         Y = sol.solve_closed_loop(P)
         assert len(schur) == 1 and sol.schur is not None
         monkeypatch.undo()
         sol.capacitance.closed_loop = closed_loop
-        assert relative(Y, sol.capacitance.solve(P)) <= 1e-12
+        Y_capacitance, solved = sol.capacitance.solve(P)
+        assert solved and relative(Y, Y_capacitance) <= 1e-12
 

@@ -241,6 +241,49 @@ class TestNormWithin:
         assert norm_within(R, 1.0) and not norm_within(R, np.nextafter(1.0, 0.0))
         assert len(norms_taken) == 2
 
+    @staticmethod
+    def instances(rng, n):
+        """Symmetric definite, symmetric indefinite and non-symmetric S."""
+        U = rand_orthogonal(n, rng)
+        definite = (U * rng.uniform(0.1, 2.0, n)) @ U.T
+        indefinite = (U * rng.uniform(-2.0, 2.0, n)) @ U.T
+        return [0.5 * (definite + definite.T), 0.5 * (indefinite + indefinite.T),
+                rng.standard_normal((n, n))]
+
+    @pytest.mark.parametrize("n", [5, 16, 64])
+    def test_decisions_near_tol_are_the_svds(self, rng, n):
+        # tolerances within 1e-12 relative of ||S|| (and farther), for each
+        # matrix alone and for the stack of them
+        for _ in range(4):
+            stack = np.array(self.instances(rng, n))
+            sigma = operator_norm(stack)
+            for rel in (-0.3, -1e-6, -1e-12, -4e-13, -1e-13, 0.0, 1e-13, 4e-13, 1e-12,
+                        1e-6, 0.3):
+                tol = sigma * (1.0 + rel)
+                expected = sigma <= tol
+                assert [norm_within(S, t) for S, t in zip(stack, tol)] == list(expected)
+                assert list(norm_within(stack, tol)) == list(expected)
+
+    def test_square_bounds_decide_a_dominant_step(self, monkeypatch, rng):
+        # a Newton step above tol is of small rank and symmetric to
+        # rounding: the Frobenius bounds leave its test open, the power
+        # steps on S itself settle it without forming S'S
+        b = rng.standard_normal(64)
+        S = np.outer(b, b) + 1e-3 * rand_psd(64, rng)
+        S[0, 1] *= 1.0 + 1e-15  # not exactly symmetric
+        sigma = operator_norm(S)
+        assert linalg._norm_bounds(S)[0] < 0.5 * sigma
+        brackets = count_calls(monkeypatch, "_brackets", linalg)
+        norms_taken = count_calls(monkeypatch, "operator_norm", linalg)
+        assert not norm_within(S, 0.5 * sigma) and not norm_within(S, (1.0 - 1e-9) * sigma)
+        assert len(brackets) == len(norms_taken) == 0
+
+    def test_stacks_are_per_matrix_bit_for_bit(self, rng):
+        stack = rng.standard_normal((7, 16, 16))
+        assert [linalg._frobenius(T) for T in stack] == list(linalg._frobenius(stack))
+        assert [operator_norm(T) for T in stack] == list(operator_norm(stack))
+        assert operator_norm(stack[:0]).shape == (0,)
+
 
 class TestLowRankPsd:
     @pytest.mark.parametrize("rank", [1, 2, 3])
@@ -552,6 +595,20 @@ class TestNorms:
             r = norms(T)
             assert abs(r.trace - r.trace_norm_schatten) <= 1e-10 * (1.0 + abs(r.trace))
             assert abs(r.trace - r.abs_trace) <= 1e-10 * (1.0 + abs(r.trace))
+
+    @pytest.mark.parametrize("n", [1, 3, 16])
+    def test_stack_is_per_matrix_bit_for_bit(self, rng, n):
+        stack = rng.standard_normal((9, n, n))
+        assert norms(stack) == [norms(T) for T in stack]
+        assert norms(stack[:0]) == [] and norms(np.zeros((2, 0, 0))) == [norms(np.zeros((0, 0)))] * 2
+
+    def test_stack_is_validated(self):
+        with pytest.raises(ValueError, match="square"):
+            norms(np.zeros((2, 3, 4)))
+        stack = np.zeros((2, 3, 3))
+        stack[1, 0, 0] = np.inf
+        with pytest.raises(ValueError, match="non-finite"):
+            norms(stack)
 
     @settings(max_examples=100, deadline=None)
     @given(arrays(np.float64, (4, 4), elements=st.floats(-1e6, 1e6)))

@@ -236,9 +236,9 @@ class TestEigenbasisKernel:
         kernel = eigenbasis_kernel(A, G, Q)
         assert kernel.lam_min_Q == 1.0
         F0 = kernel.into(np.zeros((16, 16))) @ kernel.B  # the gain of X0 = 0
-        assert kernel._capacitance_step(F0) is not None
+        assert kernel._capacitance_step(F0)[1]
         kernel.lam_min_Q = 0.0
-        assert kernel._capacitance_step(F0) is None
+        assert kernel._capacitance_step(F0) == (None, False)
 
     @pytest.mark.parametrize("r", [1, 2, 3])
     def test_right_side_is_exactly_symmetric(self, monkeypatch, r):
@@ -306,7 +306,7 @@ class TestEigenbasisKernel:
         left, right = (cap.B, cap.F) if adjoint else (cap.F, cap.B)
 
         def solve(S):
-            Z = spla.lapack.dgetrs(*cap.lu, ((cap.C * S) @ right).T.ravel(),
+            Z = spla.lapack.dgetrs(*cap.lu[0], ((cap.C * S) @ right).T.ravel(),
                                    trans=int(adjoint))[0].reshape(r, n).T
             T = left @ Z.T
             return cap.C * (S + T + T.T)
@@ -343,7 +343,8 @@ class TestEigenbasisKernel:
 
         monkeypatch.setattr(riccati, "_residual_within", gate)
         for S in (-(F @ F.T + kernel.Qb), symmetrize(rng.standard_normal((n, n)))):
-            Y, R = cap.solve(S, adjoint)
+            Y, R, solved = cap.solve(S, adjoint)
+            assert solved
             seen.clear()
             Y_ref, R_ref = self.textbook_capacitance_solve(cap, S, adjoint)
             assert len(seen) == failures + 1
@@ -511,10 +512,10 @@ class TestRealEigenbasis:
         drift = np.linalg.norm(W) * np.linalg.norm(A @ V - V * d)
         assert kernel.drift == drift and 0.0 < drift < 1e-9
         F0 = np.zeros((16, 16)) @ kernel.B  # the gain of X0 = 0
-        Y = kernel._capacitance_step(F0)
-        assert Y is not None
+        Y, proved = kernel._capacitance_step(F0)
+        assert proved
         kernel.drift = 0.51 * kernel.lam_min_Q / np.linalg.norm(Y)
-        assert kernel._capacitance_step(F0) is None
+        assert kernel._capacitance_step(F0) == (None, False)
 
     @pytest.mark.parametrize("c", [20.0, 40.0])
     def test_ill_conditioned_or_complex_spectrum_keeps_the_schur_kernel(self, monkeypatch, c):
@@ -968,7 +969,7 @@ class TestColdStartLyapunov:
         A, grid = heat1d(16)
         family = GaussianActuators(grid=grid, sigma=0.12)
         Gs = [family.G([p]) for p in (0.3, 0.6)]
-        monkeypatch.setattr(riccati._EigenbasisKernel, "_capacitance_step", lambda self, Xb: None)
+        monkeypatch.setattr(riccati._EigenbasisKernel, "_capacitance_step", lambda self, Xb: (None, False))
         fresh = [solve_are(A, G, np.eye(16), cert=certify_stability(A)) for G in Gs]
         cert = certify_stability(A)
         shared = [solve_are(A, G, np.eye(16), cert=cert) for G in Gs]

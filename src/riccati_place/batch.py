@@ -30,25 +30,24 @@ from .riccati import (
     _closed_loop,
     _EigenbasisFacts,
     _EigenbasisKernel,
-    trace_bound,
 )
 
 
-def riccati_batch(A, Gs, Q, cert, tol=DEFAULT_STEP_TOL):
+def riccati_batch(plant, Gs, tol=DEFAULT_STEP_TOL):
     """For each G of the list Gs, the RiccatiSolution that the cold
-    ``solve_are(A, G, Q, tol, cert)`` returns, with its Newton count, or
-    None for a G whose solve left the batch.
+    ``solve_are(A, G, Q, tol, cert)`` returns for the ``riccati.Plant`` of
+    (A, Q) on cert, with its Newton count, or None for a G whose solve left
+    the batch.
 
     The members are the Gs whose pivoted-Cholesky factor has the batch's
     rank (the most common one) and passes the eigenbasis kernel's margin;
-    they share one ``cert.weight(Q)`` and one kernel, with each member's
-    factor and iterate on a leading axis, and step in lockstep, each
+    they share the plant and one kernel, with each member's factor and
+    iterate on a leading axis, and step in lockstep, each
     finishing at its own stop test.  A member leaves where its single
     solve would leave the eigenbasis: an unproved step, a second stop test
     in a row that fails only the residual gate, or MAX_NEWTON_ITERS steps.
     """
-    A = ensure_operator(A, "A")
-    Q = ensure_operator(Q, "Q")
+    A, Q = plant.A, plant.Q
     solutions = [None] * len(Gs)
     Gs, factors = list(Gs), {}
     for m, G in enumerate(Gs):
@@ -65,13 +64,11 @@ def riccati_batch(A, Gs, Q, cert, tol=DEFAULT_STEP_TOL):
     live = np.array([m for m, (B, _) in factors.items() if B.shape[1] == rank])
     # the members' G is read only by Schur steps, which a member leaves for
     kernel = _EigenbasisKernel.build(
-        A, None, Q,
-        (np.stack([factors[m][0] for m in live]), np.array([factors[m][1] for m in live])),
-        cert.weight(Q), cert)
+        plant, None,
+        (np.stack([factors[m][0] for m in live]), np.array([factors[m][1] for m in live])))
     if kernel is None:
         return solutions
     kernel, live = kernel.members(kernel.admitted), live[kernel.admitted]
-    bound = trace_bound(cert, Q)
     Xb = np.zeros((live.size,) + A.shape)
     stalled = np.zeros(live.size, dtype=bool)
     # a member that fails a gate may carry non-finite values until it leaves
@@ -92,7 +89,7 @@ def riccati_batch(A, Gs, Q, cert, tol=DEFAULT_STEP_TOL):
                     if stop[j]:
                         solutions[m] = RiccatiSolution(
                             X=X[j].copy(), newton_iters=k,
-                            trace_bound_slack=bound - float(np.trace(X[j])),
+                            trace_bound_slack=plant.trace_bound - float(np.trace(X[j])),
                             operands=(A, Gs[m], Q), eigenbasis=facts.member(j))
                 done[tested] = stop | stalled[tested]
                 stalled[tested] = True

@@ -246,10 +246,17 @@ def build_problem(cfg):
     Q = resolve_weight(cfg.Q_spec, n, "problem.Q")
     kwargs = dict(A=A, Q=Q, W=W, family=family, beta=cfg.beta,
                   tol=cfg.tol, max_iter=cfg.max_iter)
-    if cfg.variant == 2:
-        problem = optimize.Problem2Config(gamma=cfg.gamma, **kwargs)
-    else:
-        problem = optimize.Problem1Config(**kwargs)
+    try:
+        if cfg.variant == 2:
+            problem = optimize.Problem2Config(gamma=cfg.gamma, **kwargs)
+        else:
+            problem = optimize.Problem1Config(**kwargs)
+    except ValueError as err:  # the test of a matrix names it first (see check_psd)
+        fields = {"A": "model.file_path", "Q": "problem.Q", "W": "problem.W"}
+        field = fields.get(str(err).split()[0])
+        if field is None:
+            raise
+        raise ConfigError(str(err), field) from err
     return problem, family
 
 

@@ -23,7 +23,7 @@ from .devices import GRAM_SINGULAR_RTOL, sample_box
 from .dual import DualSolution, solve_dual
 from .errors import ClosedLoopUnstable, DegenerateFamily, MaxIterExceeded, RiccatiPlaceError
 from .linalg import STACK_CHUNK, check_psd, ensure_operator, norms, operator_norm, symmetrize
-from .riccati import RiccatiSolution, solve_are
+from .riccati import Plant, RiccatiSolution, solve_are
 from .semigroup import certify_stability
 
 
@@ -53,7 +53,7 @@ class Problem1Config:
         spectrum_Q = check_psd(self.Q, "Q")
         self.W_spectrum = check_psd(self.W, "W")  # the duals read W's test from here
         self.cert = certify_stability(self.A)
-        self.cert.weight(self.Q, spectrum_Q)  # the solves read Q's test from the certificate
+        self.plant = Plant.of(self.cert, self.A, self.Q, spectrum_Q)  # kept on the certificate
 
 
 @dataclass
@@ -208,7 +208,7 @@ def solve_state_pairs(cfg, points):
     for start in range(0, len(points), STACK_CHUNK):
         chunk = points[start:start + STACK_CHUNK]
         Gs = [cfg.family.G(p) for p in chunk]
-        sols = riccati_batch(cfg.A, Gs, cfg.Q, cfg.cert)
+        sols = riccati_batch(cfg.plant, Gs)
         batched = [k for k, sol in enumerate(sols) if sol is not None]
         duals = dict(zip(batched, dual_batch(cfg.A, [Gs[k] for k in batched],
                                              [sols[k] for k in batched], cfg.W)))

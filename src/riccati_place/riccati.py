@@ -38,7 +38,7 @@ from .linalg import (
     solve_sylvester,
     symmetrize,
 )
-from .semigroup import PsdWeight, certify_stability
+from .semigroup import certify_stability
 
 DEFAULT_STEP_TOL = 1e-12
 RESIDUAL_RTOL = 1e-10
@@ -56,7 +56,7 @@ class _EigenbasisFacts:
     """What the eigenbasis kernel knew at a solution X: A's eigenbasis
     ``A = V diag(d) W`` with ``W = V^{-1}`` and ``cond = cond(V)``, and the
     basis's ``Dsum = d_i + d_j`` and ``C = 1 / Dsum`` (references to the
-    arrays kept on A's certificate, not copies), G's factor
+    arrays kept on the :class:`Plant`, not copies), G's factor
     ``B = V' B_G`` in that basis (n x r), where ``G = B_G B_G' + E`` and
     ``dropped`` bounds ``||E||``, ``lambda_min(Q)``, and the Frobenius norm
     of the residual at X that the stop test formed: the residual on G's
@@ -159,19 +159,138 @@ def _positive_definite(T, where=True):
     return bool(where) and spla.lapack.dpotrf(T)[1] == 0
 
 
+class Plant:
+    """The model (A, Q) of the Riccati equation, of which only G moves with
+    the placement, and every fact of it that the kernels read, built once
+    per (A, Q, certificate).
+
+    ``A`` is a reference (an A changed in place needs a new certificate),
+    ``Q`` a copy of the weight, ``spectrum`` the ``check_psd(Q, "Q")`` it
+    passed (run here, before A is certified, unless a caller hands it),
+    ``Q_bounds`` the Frobenius bounds on ``||Q||``, ``M`` and ``alpha`` the
+    certificate's, ``trace_bound`` the bound ``M^2/(2 alpha) tr Q`` on tr X
+    and ``basis`` A's eigenbasis ``cert.eigh(A)``.  Q's facts in that basis
+    and a cold start's first iterate (:meth:`lyapunov`) are computed on
+    first read.  Every fact is the plant's own A's and Q's, so none is
+    keyed, and the plant holds no reference to the certificate.
+    """
+
+    def __init__(self, A, Q, cert=None, spectrum=None):
+        self.spectrum = check_psd(Q, "Q") if spectrum is None else spectrum
+        cert = certify_stability(A) if cert is None else cert  # raises UnstableGenerator
+        self.A, self.Q = A, Q.copy()
+        self.Q_bounds = _norm_bounds(self.Q)
+        self.M, self.alpha = cert.M, cert.alpha
+        self.trace_bound = trace_bound(cert, self.Q)
+        self.basis = cert.eigh(A)
+        self._X1 = None
+
+    @classmethod
+    def of(cls, cert, A, Q, spectrum=None):
+        """The plant that ``cert`` keeps when it is the plant of A (the
+        same array or an equal one) and Q (equal to the plant's copy);
+        otherwise a new plant, which ``cert`` keeps instead."""
+        plant = cert._plant
+        if plant is None or not ((A is plant.A or np.array_equal(A, plant.A))
+                                 and np.array_equal(Q, plant.Q)):
+            plant = cls(A, Q, cert, spectrum)
+            cert.keep(plant)
+        return plant
+
+    def lyapunov(self, solve):
+        """A copy of X1, the solution of ``A X + X A' = -Q``, which
+        ``solve()`` returns on the first call only."""
+        if self._X1 is None:
+            self._X1 = solve()
+        return self._X1.copy()
+
+    @cached_property
+    def Qb(self):
+        """Q in A's eigenbasis ``A = V diag(d) W``: ``symmetrize(W Q W')``."""
+        W = self.basis[2]
+        return symmetrize(W @ self.Q @ W.T)
+
+    @cached_property
+    def Dsum(self):
+        """``d_i + d_j``."""
+        d = self.basis[0]
+        return d[:, None] + d[None, :]
+
+    @cached_property
+    def C(self):
+        """``1 / (d_i + d_j)``."""
+        return 1.0 / self.Dsum
+
+    @cached_property
+    def round_trip(self):
+        """Whether the basis can carry a solution back to the original
+        basis within the stop test's gate.
+
+        The first Newton-Kleinman iterate of a cold start,
+        ``A X1 + X1 A' = -Q``, is ``X1 = V (-Qb / (d_i + d_j)) V'``.  Built
+        that way, X1 must pass the stop test's gate ``1e-10 (1 + ||Q||)`` in
+        the original basis, where rounding in an ill-conditioned V is
+        amplified by up to ``cond(V)``; a basis whose own X1 fails it is not
+        taken."""
+        V = self.basis[1]
+        X1 = symmetrize(V @ (-self.Qb / self.Dsum) @ V.T)
+        M = self.A @ X1
+        R = M + M.T
+        R += self.Q
+        return bool(_relative_within(R, RESIDUAL_RTOL, self.Q, self.Q_bounds))
+
+    @cached_property
+    def lam_min_Qb(self):
+        """``lambda_min(Qb)``: ``lambda_min(Q)`` for an orthonormal V (cond
+        1), whose ``Qb`` is an orthogonal congruence of Q, and
+        ``eigvalsh(Qb)`` otherwise."""
+        cond = self.basis[3]
+        return float(self.spectrum[0] if cond == 1.0 else np.linalg.eigvalsh(self.Qb)[0])
+
+    @cached_property
+    def drift(self):
+        """A bound on ``||V^{-1} A V - diag(d)||``: ``||W||_F ||A V - V
+        diag(d)||_F``, eig's residual taken to the eigenbasis, where it
+        perturbs the diagonal the kernel steps on."""
+        d, V, W, _ = self.basis
+        return _frobenius(W) * _frobenius(self.A @ V - V * d)
+
+    @cached_property
+    def gain_rounding(self):
+        """The rounding coefficient of a warm start's gain (see
+        :meth:`_EigenbasisKernel._step_floor`).  It reads ``||V W - I||_F``
+        for the exact product of the stored V and W, bounded by
+        ``||fl(V W) - I||_F + gamma_n ||V||_F ||W||_F`` (Higham's bound
+        ``|fl(A B) - A B| <= gamma_n |A| |B|``); an orthonormal V has
+        ``W = V'`` and is measured the same way."""
+        d, V, W, _ = self.basis
+        V_fro, W_fro = _frobenius(V), _frobenius(W)
+        P = V @ W
+        P.ravel()[::d.size + 1] -= 1.0  # V W - I
+        g = _gamma(d.size)
+        inverse_error = _frobenius(P) + g * V_fro * W_fro
+        return W_fro * (2.0 * g + g * g + inverse_error + g * W_fro * V_fro)
+
+    @cached_property
+    def projection_rounding(self):
+        """The rounding coefficient of a warm start's projection
+        ``fl(fl(W X0) W')`` (see :meth:`_EigenbasisKernel._step_floor`)."""
+        W, g = self.basis[2], _gamma(self.A.shape[0])
+        return (2.0 * g + g * g) * _frobenius(W)**2  # two products in a chain
+
+
 class _SchurKernel:
-    """Newton-Kleinman steps on a real Schur form of each closed loop; the
-    iterate is held in the original basis.
+    """Newton-Kleinman steps on a real Schur form of each closed loop, for
+    the plant's A and Q; the iterate is held in the original basis.
 
-    ``start`` is Q's :class:`PsdWeight` when the solve starts cold (X0 = 0):
-    the first step is then the Lyapunov solve of (A, Q), which depends on
-    neither G nor X0, and is read from the weight (see
-    :meth:`PsdWeight.lyapunov`)."""
+    Step k = 1 is taken only from a cold start (X0 = 0; a warm start enters
+    through :meth:`enter`): it is the Lyapunov solve of (A, Q), which
+    depends on neither G nor X0, and is read from the plant (see
+    :meth:`Plant.lyapunov`)."""
 
-    def __init__(self, A, G, Q):
-        self.A, self.G, self.Q = A, G, Q
-        self.Q_bounds = _norm_bounds(Q)
-        self.start = None
+    def __init__(self, plant, G):
+        self.plant, self.G = plant, G
+        self.A, self.Q, self.Q_bounds = plant.A, plant.Q, plant.Q_bounds
         self.schur_steps = 0
 
     def into(self, X):
@@ -189,7 +308,7 @@ class _SchurKernel:
         """``(Xb, step)``: the first iterate from the warm start X0, given in
         the original basis, and its step from X0 in the iterate's basis, or
         None for the step when it is proved to exceed ``tol``."""
-        Xb = self.step(X0, 1)
+        Xb = self._solve_step(X0, 1)
         return Xb, Xb - X0
 
     def fallback(self):
@@ -228,8 +347,8 @@ class _SchurKernel:
         return None
 
     def _schur_step(self, X, k):
-        if k == 1 and self.start is not None:
-            return self.start.lyapunov(self.A, lambda: self._solve_step(X, k))
+        if k == 1:
+            return self.plant.lyapunov(lambda: self._solve_step(X, k))
         return self._solve_step(X, k)
 
     def _solve_step(self, X, k):
@@ -355,67 +474,6 @@ class _Capacitance:
         return Y
 
 
-@dataclass(frozen=True)
-class _WeightInBasis:
-    """Q's weight in A's eigenbasis ``A = V diag(d) W``, as the eigenbasis
-    kernel's steps read it: ``Qb = symmetrize(W Q W')``, ``lam_min`` its
-    smallest eigenvalue, and ``drift``, a bound on ``||V^{-1} A V - diag(d)||``
-    (see :func:`_weight_in_basis`); with the basis's own constants, kept
-    with it: ``Dsum = d_i + d_j``, ``C = 1 / Dsum``, ``gamma = gamma_n`` (see
-    :func:`_gamma`), and the rounding coefficients of a warm start's gain and
-    projection (see :meth:`_EigenbasisKernel._step_floor`)."""
-
-    Qb: np.ndarray
-    lam_min: float
-    drift: float
-    Dsum: np.ndarray
-    C: np.ndarray
-    gamma: float
-    gain_rounding: float
-    projection_rounding: float
-
-
-def _weight_in_basis(A, Q, basis, weight):
-    """The :class:`_WeightInBasis` of Q's ``weight`` in A's eigenbasis
-    ``basis = (d, V, W, cond)``, or None when the basis cannot carry a
-    solution back to the original basis within the stop test's gate.
-
-    ``lam_min`` is ``lambda_min(Q)`` for an orthonormal V (cond 1), whose
-    ``Qb`` is an orthogonal congruence of Q, and ``eigvalsh(Qb)`` otherwise.
-    ``drift`` is ``||W||_F ||A V - V diag(d)||_F``: eig's residual taken to
-    the eigenbasis, where it perturbs the diagonal the kernel steps on.
-    The rounding coefficients read ``||V W - I||_F`` for the exact product
-    of the stored V and W, bounded by ``||fl(V W) - I||_F + gamma_n ||V||_F
-    ||W||_F`` (Higham's bound ``|fl(A B) - A B| <= gamma_n |A| |B|``); an
-    orthonormal V has ``W = V'`` and is measured the same way.
-
-    The round trip: the first Newton-Kleinman iterate of a cold start,
-    ``A X1 + X1 A' = -Q``, is ``X1 = V (-Qb / (d_i + d_j)) V'``.  Built that
-    way, X1 must pass the stop test's gate ``1e-10 (1 + ||Q||)`` in the
-    original basis, where rounding in an ill-conditioned V is amplified
-    by up to ``cond(V)``; a basis whose own X1 fails it is not taken.
-    """
-    d, V, W, cond = basis
-    Qb = weight.projection(Q, V, W)
-    Dsum = d[:, None] + d[None, :]
-    X1 = symmetrize(V @ (-Qb / Dsum) @ V.T)
-    M = A @ X1
-    R = M + M.T
-    R += Q
-    if not _relative_within(R, RESIDUAL_RTOL, Q, _norm_bounds(Q)):
-        return None
-    lam_min = float(weight.spectrum[0] if cond == 1.0 else np.linalg.eigvalsh(Qb)[0])
-    V_fro, W_fro = _frobenius(V), _frobenius(W)
-    P = V @ W
-    P.ravel()[::d.size + 1] -= 1.0  # V W - I
-    g = _gamma(d.size)
-    inverse_error = _frobenius(P) + g * V_fro * W_fro
-    products = 2.0 * g + g * g  # two products in a chain
-    return _WeightInBasis(Qb, lam_min, W_fro * _frobenius(A @ V - V * d), Dsum, 1.0 / Dsum, g,
-                          W_fro * (products + inverse_error + g * W_fro * V_fro),
-                          products * W_fro**2)
-
-
 def _gamma(n):
     """Higham's ``gamma_n = n u / (1 - n u)``, u the unit roundoff: a dot
     product of length n is computed within ``gamma_n`` times the dot product
@@ -441,38 +499,33 @@ class _EigenbasisKernel(_SchurKernel):
     Lyapunov's theorem proves its closed loop stable: ``Y`` is positive
     definite and ``||R||_F + 2 drift ||Y||_F < lambda_min(W Q W')``, so the
     closed loop in the eigenbasis, ``D + Delta - F B'`` with eig's residual
-    ``||Delta|| <= drift`` (see :func:`_weight_in_basis`), satisfies
+    ``||Delta|| <= drift`` (see :attr:`Plant.drift`), satisfies
     ``Acl Y + Y Acl' = -(F F' + W Q W') - R + Delta Y + Y Delta' < 0``.  Any
     other step is solved again on the Schur form, which raises
     ClosedLoopUnstable or SingularSystem as it always has.  ``lam_min_Q`` is
-    that proof's ``lambda_min(W Q W')``; ``lam_min_weight`` is
-    ``lambda_min(Q)``, which the final closed loop's proof reads (see
-    :func:`closed_loop_capacitance`).
+    that proof's ``lambda_min(W Q W')``; the final closed loop's proof
+    reads ``lambda_min(Q)`` (see :func:`closed_loop_capacitance`).
     """
 
-    def __init__(self, A, G, Q, basis, factor, lam_min_weight, weighted):
-        super().__init__(A, G, Q)
+    def __init__(self, plant, G, factor):
+        super().__init__(plant, G)
         self.G_factor, self.dropped = factor
-        self.lam_min_weight = lam_min_weight
-        self.d, self.V, self.W, self.cond = basis
+        self.d, self.V, self.W, self.cond = plant.basis
         self.B = np.matmul(self.V.T, self.G_factor)
-        self.weighted = weighted
-        self.Qb, self.lam_min_Q, self.drift = weighted.Qb, weighted.lam_min, weighted.drift
-        self.Dsum, self.C = weighted.Dsum, weighted.C
+        self.Qb, self.lam_min_Q, self.drift = plant.Qb, plant.lam_min_Qb, plant.drift
+        self.Dsum, self.C = plant.Dsum, plant.C
 
     @classmethod
-    def build(cls, A, G, Q, factor, weight, cert):
-        """The kernel for (A, G, Q), or None unless A is stable with a real
-        eigenbasis, Q positive definite, ``factor`` a pair ``(B, e)`` with
-        ``G = B B' + E``, ``||E|| <= e`` and 1 to CAPACITANCE_MAX_RANK
-        columns in B, E too small to matter, and the basis able to carry
-        a solution back within the stop test's gate (see
-        :func:`_weight_in_basis`).  The eigenbasis comes from
-        ``cert.eigh(A)``: the basis kept on A's certificate, or a fresh
-        ``eigh`` of an exactly symmetric A.  ``weight`` is Q's
-        :class:`PsdWeight` (its spectrum, and Q's facts in the basis, kept on
-        the certificate when the basis is the certificate's own), and
-        ``factor`` comes from :func:`low_rank_psd` or :func:`_spectral_factor`.
+    def build(cls, plant, G, factor):
+        """The kernel for the plant's (A, Q) and G, or None unless A is
+        stable with a real eigenbasis, Q positive definite, ``factor`` a
+        pair ``(B, e)`` with ``G = B B' + E``, ``||E|| <= e`` and 1 to
+        CAPACITANCE_MAX_RANK columns in B, E too small to matter, and the
+        basis able to carry a solution back within the stop test's gate
+        (see :attr:`Plant.round_trip`).  The eigenbasis is the plant's:
+        the basis kept on A's certificate, or a fresh ``eigh`` of an exactly
+        symmetric A.  ``factor`` comes from :func:`low_rank_psd` or
+        :func:`_spectral_factor`.
 
         The steps and the stop test's residual (:meth:`residual`) read
         ``B B' = G - E``, so the strong residual, read with G, differs from
@@ -491,24 +544,20 @@ class _EigenbasisKernel(_SchurKernel):
         the kernel's ``admitted`` says which members the margin admits, and
         it is None when none is."""
         B, dropped = factor
-        lam_Q = weight.spectrum
+        lam_Q = plant.spectrum
         if not 0 < B.shape[-1] <= CAPACITANCE_MAX_RANK:
             return None
-        if not lam_Q[0] > A.shape[0] * _EPS * lam_Q[-1]:
+        if not lam_Q[0] > plant.A.shape[0] * _EPS * lam_Q[-1]:
             return None
-        basis = cert.eigh(A)
-        if basis is None or basis[0][-1] >= 0.0:
+        if plant.basis is None or plant.basis[0][-1] >= 0.0:
             return None
-        d, V, _, cond = basis
+        d, _, _, cond = plant.basis
         x_bound = min(cond**2 * lam_Q[-1] / (-2.0 * d[-1]),
-                      lam_Q[-1] * cert.M**2 / (2.0 * cert.alpha))
+                      lam_Q[-1] * plant.M**2 / (2.0 * plant.alpha))
         admitted = dropped * x_bound**2 <= 0.01 * RESIDUAL_RTOL * (1.0 + lam_Q[-1])
-        if not _any(admitted):
+        if not (_any(admitted) and plant.round_trip):
             return None
-        weighted = weight.kept("eigenbasis", V, lambda: _weight_in_basis(A, Q, basis, weight))
-        if weighted is None:
-            return None
-        kernel = cls(A, G, Q, basis, factor, float(lam_Q[0]), weighted)
+        kernel = cls(plant, G, factor)
         kernel.admitted = admitted
         return kernel
 
@@ -528,7 +577,7 @@ class _EigenbasisKernel(_SchurKernel):
     def fallback(self):
         """A Schur kernel that carries on from an iterate in the original
         basis, counting the Schur forms this one took."""
-        kernel = _SchurKernel(self.A, self.G, self.Q)
+        kernel = _SchurKernel(self.plant, self.G)
         kernel.schur_steps = self.schur_steps
         return kernel
 
@@ -561,7 +610,7 @@ class _EigenbasisKernel(_SchurKernel):
         F = self.W @ (X0 @ self.G_factor)
         Y, proved = self._capacitance_step(F)
         if not proved:
-            Y = self.into(self._schur_step(X0, 1))
+            Y = self.into(self._solve_step(X0, 1))
         if self._step_floor(Y, F, X0) > tol:
             return Y, None
         return Y, Y - self.into(X0)
@@ -581,27 +630,27 @@ class _EigenbasisKernel(_SchurKernel):
         gamma_n^2) ||W||_F ||X0||_F ||B_G||_F`` and ``||E_B||_F <= gamma_n
         ||V||_F ||B_G||_F`` for ``B = fl(V' B_G)``: the last four terms are
         within ``gain_rounding ||X0||_F ||B_G||_F`` (see
-        :func:`_weight_in_basis`).  The projection ``fl(fl(W X0) W')`` is
+        :attr:`Plant.gain_rounding`).  The projection ``fl(fl(W X0) W')`` is
         within ``projection_rounding ||X0||_F = (2 gamma_n + gamma_n^2)
         ||W||_F^2 ||X0||_F`` of ``W X0 W'``, and the subtraction rounds each
         entry of the step by at most u, so by ``sqrt(n) u`` of its norm.
         Every rounding term is taken at twice its bound, which covers the
         rounding of the norms and of the floor's own arithmetic."""
-        basis = self.weighted
+        plant = self.plant
         x_fro, b_fro = _frobenius(X0), _frobenius(self.B)
         D = Y @ self.B
         D -= F
-        margin = (basis.gamma * _frobenius(Y) * b_fro
-                  + basis.gain_rounding * x_fro * _frobenius(self.G_factor))
+        margin = (_gamma(self.d.size) * _frobenius(Y) * b_fro
+                  + plant.gain_rounding * x_fro * _frobenius(self.G_factor))
         floor = ((_frobenius(D) * (1.0 - NORM_BOUND_MARGIN) - 2.0 * margin)
-                 / (b_fro * (1.0 + NORM_BOUND_MARGIN)) - 2.0 * basis.projection_rounding * x_fro)
+                 / (b_fro * (1.0 + NORM_BOUND_MARGIN)) - 2.0 * plant.projection_rounding * x_fro)
         return floor * (1.0 - math.sqrt(self.d.size) * _EPS)
 
     def facts(self, residual_fro):
         """The kernel's facts for a solution whose strong residual has
         Frobenius norm ``residual_fro``."""
         return _EigenbasisFacts(self.d, self.V, self.W, self.cond, self.Dsum, self.C, self.B,
-                                self.dropped, self.lam_min_weight, residual_fro)
+                                self.dropped, float(self.plant.spectrum[0]), residual_fro)
 
     def _capacitance_step(self, F):
         """``(Y, proved)``: the next iterate from an iterate whose gain is
@@ -731,16 +780,16 @@ def _spectral_factor(eigh_G):
     return U[:, keep] * np.sqrt(w[keep]), float(np.max(np.abs(w[~keep]), initial=0.0))
 
 
-def _eigenbasis_kernel(A, G, Q, cholesky, spectrum_G, weight, cert):
-    """The eigenbasis kernel for A, or None.  The gate
+def _eigenbasis_kernel(plant, G, cholesky, spectrum_G):
+    """The eigenbasis kernel for the plant and G, or None.  The gate
     reads G's pivoted-Cholesky factor ``cholesky`` when there is one; when
     it is None or fails the gate, the gate reads ``eigh(G)``
     (``spectrum_G``, or from :func:`check_psd` when that is None too)."""
-    kernel = cholesky and _EigenbasisKernel.build(A, G, Q, cholesky, weight, cert)
+    kernel = cholesky and _EigenbasisKernel.build(plant, G, cholesky)
     if not kernel:
         if spectrum_G is None:
             spectrum_G = check_psd(G, "G", vectors=True)
-        kernel = _EigenbasisKernel.build(A, G, Q, _spectral_factor(spectrum_G), weight, cert)
+        kernel = _EigenbasisKernel.build(plant, G, _spectral_factor(spectrum_G))
     return kernel
 
 
@@ -761,7 +810,7 @@ def solve_are(A, G, Q, tol=DEFAULT_STEP_TOL, cert=None, keep_history=False, X0=N
     The eigenbasis is the one kept on A's certificate (or a fresh ``eigh``
     of a symmetric A), and is taken only when the first iterate of a cold
     start, built in it, passes the residual gate below in the original
-    basis (see :func:`_weight_in_basis`).  G's factor comes from at most
+    basis (see :attr:`Plant.round_trip`).  G's factor comes from at most
     CAPACITANCE_MAX_RANK pivoted Cholesky steps (:func:`low_rank_psd`),
     which also prove G PSD; ``eigh(G)`` runs only when they leave the PSD
     test or the kernel's gate open.
@@ -790,9 +839,9 @@ def solve_are(A, G, Q, tol=DEFAULT_STEP_TOL, cert=None, keep_history=False, X0=N
     ``W X0 W'`` (two n^3 products) is formed only when the bound leaves the
     test open (see :meth:`_EigenbasisKernel.enter`).  From X0 = 0 the first
     iterate X1 solves ``A X1 + X1 A' = -Q`` whatever G is: a cold start whose first step is
-    taken on a Schur form reads X1 from Q's weight on A's certificate, which
+    taken on a Schur form reads X1 from the :class:`Plant` of (A, Q), which
     solves it on the first such start and keeps it (see
-    ``PsdWeight.lyapunov``), so every cold start that shares A, its
+    :meth:`Plant.lyapunov`), so every cold start that shares A, its
     certificate and Q takes one Schur form of A between them.  X1 still
     counts in ``newton_iters``; ``schur_steps`` on the solution counts the
     Schur forms the solve actually took.
@@ -803,12 +852,11 @@ def solve_are(A, G, Q, tol=DEFAULT_STEP_TOL, cert=None, keep_history=False, X0=N
     Parameters
     ----------
     cert : StabilityCertificate, optional
-        Reuse a certificate for A instead of recomputing one.  The trace
-        bound slack ``M^2/(2 alpha) tr(Q) - tr(X)`` is evaluated with it,
-        the eigenbasis kernel takes A's eigenbasis from it (see
-        ``StabilityCertificate.eigh``), and Q's PSD test, Q's facts in the
-        eigenbasis and a cold start's X1 are read from it when it served an
-        equal Q before (see ``StabilityCertificate.weight``).
+        Reuse a certificate for A instead of recomputing one.  The solve
+        reads the certificate's :class:`Plant` when it is the plant of A
+        and Q, and builds and keeps a new one otherwise (see
+        :meth:`Plant.of`), so Q's PSD test, Q's facts in A's eigenbasis and
+        a cold start's X1 are taken once per path.
     keep_history : bool
         Record the iterate sequence (X1, X2, ...) on the solution.
     """
@@ -825,13 +873,8 @@ def solve_are(A, G, Q, tol=DEFAULT_STEP_TOL, cert=None, keep_history=False, X0=N
     # kernel's gate; check_psd decides what it leaves open
     cholesky = low_rank_psd(G, CAPACITANCE_MAX_RANK, "G")
     spectrum_G = None if cholesky else check_psd(G, "G", vectors=True)
-    weight = PsdWeight(check_psd(Q, "Q")) if cert is None else cert.weight(Q)
-    if cert is None:
-        cert = certify_stability(A)  # raises UnstableGenerator
-    kernel = (_eigenbasis_kernel(A, G, Q, cholesky, spectrum_G, weight, cert)
-              or _SchurKernel(A, G, Q))
-    if X0 is None:
-        kernel.start = weight
+    plant = Plant(A, Q) if cert is None else Plant.of(cert, A, Q)
+    kernel = _eigenbasis_kernel(plant, G, cholesky, spectrum_G) or _SchurKernel(plant, G)
 
     Xb = np.zeros(A.shape) if X0 is None else None
     history = [] if keep_history else None
@@ -863,7 +906,7 @@ def solve_are(A, G, Q, tol=DEFAULT_STEP_TOL, cert=None, keep_history=False, X0=N
     return RiccatiSolution(
         X=X,
         newton_iters=k,
-        trace_bound_slack=trace_bound(cert, Q) - float(np.trace(X)),
+        trace_bound_slack=plant.trace_bound - float(np.trace(X)),
         operands=(A, G, Q),
         schur_steps=kernel.schur_steps,
         history=history,

@@ -6,7 +6,6 @@ decay-rate bound in the package is parameterized by these two constants, so
 they are manufactured here once and passed around explicitly.
 """
 
-import hashlib
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -29,50 +28,6 @@ FRESH_GRID_POINTS = 500
 DECAY_SLACK = 1.0 + 1e-9
 CHUNK_POINTS = 128  # time points per stack held in memory
 _TINY = np.finfo(float).tiny  # smallest normal float: covers underflowed terms
-
-
-class PsdWeight:
-    """A weight Q that passed ``check_psd(Q, "Q")``: ``spectrum`` is the
-    ``eigvalsh(Q)`` the test read, :meth:`projection` projects Q onto an
-    eigenbasis, :meth:`kept` keeps other facts of Q in the certificate's
-    eigenbasis, and :meth:`lyapunov` keeps the first Newton-Kleinman iterate
-    of a cold start.  A weight served by a certificate (see
-    :meth:`StabilityCertificate.weight`) carries the ``digest`` of Q's bytes
-    and the certificate's eigenbasis ``basis``; it holds no copy of Q.
-    """
-
-    def __init__(self, spectrum, digest=None, basis=None):
-        self.spectrum, self.digest, self.basis = spectrum, digest, basis
-        self._kept = {}
-        self._lyapunov = None
-
-    def kept(self, name, V, derive):
-        """``derive()``, computed once under ``name`` and kept when V is
-        ``basis``, computed afresh for any other V."""
-        if V is not self.basis:
-            return derive()
-        if name not in self._kept:
-            self._kept[name] = derive()
-        return self._kept[name]
-
-    def projection(self, Q, V, W=None):
-        """``symmetrize(W Q W')`` for the Q this weight was validated from:
-        Q in the eigenbasis V, whose inverse is W (``V'`` by default, for an
-        orthonormal V), computed once when V is ``basis``."""
-        W = V.T if W is None else W
-        return self.kept("projection", V, lambda: symmetrize(W @ Q @ W.T))
-
-    def lyapunov(self, A, solve):
-        """A copy of X1, the solution of ``A X + X A' = -Q`` that ``solve()``
-        returns for the Q this weight was validated from; ``solve`` runs
-        only when the kept X1 was solved for another A.  The weight keeps a
-        reference to A, not a copy, and matches it by ``is`` or
-        ``np.array_equal``: as for :meth:`StabilityCertificate.eigh`, an A
-        changed in place after its solve needs a new certificate."""
-        kept = self._lyapunov
-        if kept is None or not (A is kept[0] or np.array_equal(A, kept[0])):
-            kept = self._lyapunov = (A, solve())
-        return kept[1].copy()
 
 
 @dataclass(frozen=True)
@@ -98,8 +53,9 @@ class StabilityCertificate:
     or ``repr`` and is not a reported constant.  The certificate describes A
     as it was certified; an A changed in place afterwards needs a new one.
 
-    The certificate also keeps the last weight Q it validated (see
-    :meth:`weight`), so the Riccati solves of a path that share A, its
+    The certificate also keeps one model record, the ``riccati.Plant`` of
+    the last (A, Q) a Riccati solve or a problem config read through it
+    (see :meth:`keep`), so the solves of a path that share A, its
     certificate and Q test and project Q once, and the cold starts among
     them solve the Lyapunov equation of (A, Q) once.
     """
@@ -111,6 +67,7 @@ class StabilityCertificate:
     unperturbed_bound_holds: Optional[bool] = None
     method: str = "sampled"
     eigenbasis: Optional[tuple] = field(default=None, compare=False, repr=False)
+    _plant: Optional[object] = field(default=None, init=False, compare=False, repr=False)
 
     def eigh(self, A):
         """``(d, V, W, cond)`` with ``A = V diag(d) W``, ``W = V^{-1}``, d
@@ -127,25 +84,12 @@ class StabilityCertificate:
         d, V = np.linalg.eigh(A)
         return d, V, V.T, 1.0
 
-    def weight(self, Q, spectrum=None):
-        """Q validated as a PSD weight: the :class:`PsdWeight` of
-        ``check_psd(Q, "Q")``, which raises for any other Q.  The last
-        weight served is handed on while Q's bytes keep its sha256 digest (an
-        equal copy of Q hits; a Q changed in place is tested again), and its
-        projection onto the kept eigenbasis is computed once.  A caller
-        that has already run ``check_psd(Q, "Q")`` hands the ``spectrum`` it
-        returned, and Q is not tested again."""
-        digest = hashlib.sha256(np.ascontiguousarray(Q)).digest()
-        last = getattr(self, "_weight", None)
-        if last is None or last.digest != digest:
-            basis = None if self.eigenbasis is None else self.eigenbasis[2]
-            if spectrum is None:
-                spectrum = check_psd(Q, "Q")
-            last = PsdWeight(spectrum, digest, basis)
-            # a memo, not a certified constant: no field, so neither
-            # equality, hash nor repr sees it
-            object.__setattr__(self, "_weight", last)
-        return last
+    def keep(self, plant):
+        """Keep ``plant`` in place of the last one.  A memo, not a certified
+        constant: it takes no part in equality, hash or repr, and a copy
+        made by ``dataclasses.replace`` starts without one (``vars`` shows
+        it once kept, so copy a certificate with ``replace``)."""
+        vars(self)["_plant"] = plant
 
 
 def _log_norm_proves(A, alpha):

@@ -1,5 +1,7 @@
 """Shared random-instance generators for the test suite."""
 
+from functools import cached_property
+
 import numpy as np
 import pytest
 
@@ -58,6 +60,23 @@ def count_calls(monkeypatch, name, *owners, keywords=False):
 
         monkeypatch.setattr(owner, name, counted)
     return calls
+
+
+def count_computed(monkeypatch, owner, name):
+    """Route the cached property ``name`` of the class ``owner`` through a
+    counter; returns the list of instances it was computed for, one per
+    computation (a cached read is not counted)."""
+    fact = vars(owner)[name]
+    computed = []
+
+    def counted(instance):
+        computed.append(instance)
+        return fact.func(instance)
+
+    replacement = cached_property(counted)
+    replacement.__set_name__(owner, name)
+    monkeypatch.setattr(owner, name, replacement)
+    return computed
 
 
 @pytest.fixture

@@ -109,8 +109,8 @@ class TestSolveStatePairs:
             return (Y if np.any(proved) else None), proved
 
         monkeypatch.setattr(riccati._EigenbasisKernel, "_capacitance_step", failing)
-        # a certificate of its own: the first cold Schur step on a
-        # certificate solves X1, and later ones read it (see PsdWeight.lyapunov)
+        # a certificate of its own: the first cold Schur step on a plant
+        # solves X1, and later ones read it (see riccati.Plant.lyapunov)
         reference = sequential(heat16_config(), points)
         singles = count_calls(monkeypatch, "solve_are", optimize)
         states = list(solve_state_pairs(cfg, points))

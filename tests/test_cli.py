@@ -287,6 +287,29 @@ class TestCommands:
         assert main(["certify", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field,entry,message", [
+        ("problem.Q", (0, 0, -1.0), "Q is not PSD: lambda_min = -1.000e+00 < -2.000e-10"),
+        ("problem.W", (1, 2, 1.0), "W is not symmetric: max|T - T.T| = 1.000e+00 > 2.618e-12"),
+        ("model.file_path", (0, 0, np.nan), "A has non-finite entries")])
+    def test_matrix_rejected_by_the_problem_is_a_config_error(self, tmp_path, capsys,
+                                                              field, entry, message):
+        # a matrix file the problem config rejects: exit code 1 and the
+        # config's own text under the file's field, no traceback
+        A = build_model(parse_config(base_config()))[0]
+        i, j, value = entry
+        T = A.copy() if field == "model.file_path" else np.eye(8)
+        T[i, j] = value
+        save_matrix(tmp_path / "T.txt", T)
+        if field == "model.file_path":
+            raw = base_config(model={"kind": "matrix_file", "file_path": str(tmp_path / "T.txt")},
+                              device={"grid": np.linspace(0.1, 0.9, 8).tolist()})
+            del raw["model"]["n"], raw["model"]["diffusivity"], raw["model"]["domain_length"]
+        else:
+            raw = base_config(problem={field.split(".")[1]: str(tmp_path / "T.txt")})
+        cfg = self.write_cfg(tmp_path, raw)
+        assert main(["solve-are", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"config error: {field}: {message}\n"
+
     def test_nonconvergence_exit_code_still_writes_report(self, tmp_path):
         raw = base_config(solver={"max_iter": 1, "tol": 1e-14})
         cfg = self.write_cfg(tmp_path, raw)

@@ -3,7 +3,7 @@ import functools
 import numpy as np
 import pytest
 
-from riccati_place import dual, linalg, optimize, riccati, semigroup
+from riccati_place import dual, linalg, optimize, riccati
 from riccati_place.devices import ConstantFamily, ConstantLedger, GaussianActuators
 from riccati_place.errors import UnstableGenerator
 from riccati_place.linalg import operator_norm, symmetrize
@@ -541,7 +541,7 @@ class TestBetaSweep:
 
 class TestConfigValidation:
     """Q and W are tested before A is certified, with the texts of
-    check_psd; the certificate then holds Q's test for the solves."""
+    check_psd; the config's plant then holds Q's test for the solves."""
 
     @staticmethod
     def config(A, Q, W):
@@ -558,11 +558,14 @@ class TestConfigValidation:
         with pytest.raises(UnstableGenerator):
             self.config(unstable, np.eye(4), np.eye(4))
 
-    def test_certificate_holds_the_configs_test_of_Q(self, monkeypatch):
+    def test_the_configs_plant_holds_its_test_of_Q(self, monkeypatch):
         cfg = self.config(-np.eye(4), np.eye(4), np.eye(4))
-        checks = count_calls(monkeypatch, "check_psd", semigroup)
-        weight = cfg.cert.weight(cfg.Q.copy())
-        assert len(checks) == 0 and np.array_equal(weight.spectrum, np.ones(4))
+        checks = count_calls(monkeypatch, "check_psd", riccati)
+        assert cfg.cert._plant is cfg.plant
+        assert riccati.Plant.of(cfg.cert, cfg.A, cfg.Q.copy()) is cfg.plant
+        solve_state_pair(cfg, np.array([0.4]))
+        assert cfg.cert._plant is cfg.plant
+        assert len(checks) == 0 and np.array_equal(cfg.plant.spectrum, np.ones(4))
 
     def test_duals_read_the_configs_test_of_W(self, monkeypatch):
         W = np.diag([0.0, 1.0, 2.0, 0.0])

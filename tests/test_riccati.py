@@ -4,7 +4,15 @@ import numpy as np
 import pytest
 import scipy.linalg as spla
 
-from riccati_place import GaussianActuators, Problem2Config, linalg, riccati, semigroup
+from riccati_place import (
+    GaussianActuators,
+    Problem2Config,
+    cli,
+    linalg,
+    optimize,
+    riccati,
+    semigroup,
+)
 from riccati_place.errors import ClosedLoopUnstable, NewtonStall, UnstableGenerator
 from riccati_place.linalg import (
     _residual_within,
@@ -25,19 +33,21 @@ from riccati_place.semigroup import certify_stability
 from conftest import (
     convdiff1d,
     count_calls,
+    count_computed,
     heat1d,
     rand_psd,
     rand_stable,
     rand_stable_symmetric,
 )
+from test_cli import convdiff16_config
+from test_optimize_p2 import heat16_config
 
 
 def eigenbasis_kernel(A, G, Q):
     """The eigenbasis kernel for (A, G, Q), or None, gated as solve_are
     gates it: on G's pivoted-Cholesky factor, then on eigh(G)."""
     cholesky = low_rank_psd(G, riccati.CAPACITANCE_MAX_RANK, "G")
-    cert = certify_stability(A)
-    return riccati._eigenbasis_kernel(A, G, Q, cholesky, None, cert.weight(Q), cert)
+    return riccati._eigenbasis_kernel(riccati.Plant(A, Q), G, cholesky, None)
 
 
 def scalar(x):
@@ -279,7 +289,8 @@ class TestEigenbasisKernel:
         A, grid = heat1d(n)
         G = GaussianActuators(grid=grid, sigma=0.12).G([0.3])
         Q = np.eye(n)
-        kernel = eigenbasis_kernel(A, G, Q) if eigenbasis else riccati._SchurKernel(A, G, Q)
+        plant = riccati.Plant(A, Q)
+        kernel = eigenbasis_kernel(A, G, Q) if eigenbasis else riccati._SchurKernel(plant, G)
         X = solve_are(A, G, Q).X
         products = []
 
@@ -527,7 +538,7 @@ class TestRealEigenbasis:
         basis = cert.eigh(A)
         if c == 20.0:
             assert 1e4 < basis[3] < 1e5
-            assert riccati._weight_in_basis(A, Q, basis, cert.weight(Q)) is None
+            assert not riccati.Plant(A, Q, cert).round_trip
         else:
             assert basis is None
         assert eigenbasis_kernel(A, G, Q) is None
@@ -581,14 +592,15 @@ class TestSpectralWork:
 
     def test_warm_path_takes_no_spectrum_of_A_or_G_and_no_svd(self, monkeypatch):
         # Q's spectrum and its projection V' Q V are taken once per path:
-        # the certificate keeps them for every later solve with an equal Q
+        # the certificate keeps the plant of (A, Q) for every later solve
+        # with an equal Q
         A, Gs, Q = self.heat_path()
         cert = certify_stability(A)
         eigh = count_calls(monkeypatch, "eigh", np.linalg)
         eigvalsh = count_calls(monkeypatch, "eigvalsh", np.linalg)
         svd = count_calls(monkeypatch, "svd", np.linalg)
         norms = count_calls(monkeypatch, "operator_norm", linalg, riccati)
-        projections = count_calls(monkeypatch, "symmetrize", semigroup)
+        projections = count_computed(monkeypatch, riccati.Plant, "Qb")
         kernels = count_calls(monkeypatch, "__init__", riccati._EigenbasisKernel)
         sols, X = [], None
         for G in Gs:
@@ -598,7 +610,7 @@ class TestSpectralWork:
         assert (len(eigh), len(svd), len(norms)) == (0, 0, 0)
         assert [args[0] is Q for args in eigvalsh] == [True]
         assert len(projections) == 1 and len(kernels) == len(Gs)
-        assert all(args[-1] is kernels[0][-1] for args in kernels)  # one V' Q V
+        assert all(args[1] is kernels[0][1] for args in kernels)  # one plant
         assert all("strong_residual" not in vars(s) for s in sols)
 
         verify_are(A, Gs[-1], Q, sols[-1], cert, horizon=20.0 / cert.alpha, nodes=200)
@@ -824,14 +836,14 @@ class TestWarmEntry:
 
 
 class TestWeightMemo:
-    """A certificate tests and projects each Q once: it keeps the last Q it
-    validated, keyed by a digest of Q's bytes, never by identity alone."""
+    """A certificate tests and projects each Q once: it keeps the plant of
+    the last (A, Q), matched by content, never by identity alone."""
 
     def test_equal_copy_of_Q_hits(self, monkeypatch):
         A, (G, *_), Q = TestSpectralWork.heat_path(n=16)
         cert = certify_stability(A)
         eigvalsh = count_calls(monkeypatch, "eigvalsh", np.linalg)
-        projections = count_calls(monkeypatch, "symmetrize", semigroup)
+        projections = count_computed(monkeypatch, riccati.Plant, "Qb")
         first = solve_are(A, G, Q, cert=cert)
         second = solve_are(A, G, Q.copy(), cert=cert)
         assert (len(eigvalsh), len(projections)) == (1, 1)
@@ -842,8 +854,8 @@ class TestWeightMemo:
         cert = certify_stability(A)
         solve_are(A, G, Q, cert=cert)
         Q[0, 0] = 2.0
-        checks = count_calls(monkeypatch, "check_psd", semigroup)
-        projections = count_calls(monkeypatch, "symmetrize", semigroup)
+        checks = count_calls(monkeypatch, "check_psd", riccati)
+        projections = count_computed(monkeypatch, riccati.Plant, "Qb")
         sol = solve_are(A, G, Q, cert=cert)
         assert (len(checks), len(projections)) == (1, 1)
         fresh = solve_are(A, G, Q.copy(), cert=certify_stability(A))
@@ -954,7 +966,7 @@ class TestColdStartLyapunov:
         A, Q, (G1, G2, *_) = self.non_normal(rng)
         cert = certify_stability(A)
         cold = solve_are(A, G1, Q, cert=cert)
-        reads = count_calls(monkeypatch, "lyapunov", semigroup.PsdWeight)
+        reads = count_calls(monkeypatch, "lyapunov", riccati.Plant)
         warm = solve_are(A, G2, Q, cert=cert, X0=cold.X)
         zero = solve_are(A, G2, Q, cert=cert, X0=np.zeros((8, 8)))
         assert len(reads) == 0
@@ -975,6 +987,69 @@ class TestColdStartLyapunov:
         shared = [solve_are(A, G, np.eye(16), cert=cert) for G in Gs]
         assert [s.schur_steps for s in shared] == [fresh[0].newton_iters, fresh[1].newton_iters - 1]
         assert [s.X.tobytes() for s in shared] == [f.X.tobytes() for f in fresh]
+
+
+class TestPlant:
+    """One plant per configuration: the solves that share A, its
+    certificate and Q build one ``Plant``, test Q once and compute each of
+    Q's facts in A's eigenbasis once."""
+
+    FACTS = ("Qb", "round_trip", "lam_min_Qb", "drift")
+
+    @staticmethod
+    def counters(monkeypatch):
+        """Plant builds, the PSD tests of Q in a problem config and in the
+        solves, and the computations of each fact."""
+        builds = count_calls(monkeypatch, "__init__", riccati.Plant)
+        checks = [count_calls(monkeypatch, "check_psd", owner) for owner in (optimize, riccati)]
+        facts = {name: count_computed(monkeypatch, riccati.Plant, name)
+                 for name in TestPlant.FACTS}
+        return builds, checks, facts
+
+    @staticmethod
+    def q_checks(checks):
+        """How many PSD tests of Q each owner took."""
+        return [sum(args[1] == "Q" for args in calls) for calls in checks]
+
+    def test_readme_sweep_and_verify_bounds_build_one_plant_each(self, monkeypatch, tmp_path):
+        builds, checks, facts = self.counters(monkeypatch)
+        cfg = heat16_config(beta=10.0)
+        report = optimize.beta_sweep(cfg, [10.0, 1e2, 1e3, 1e4], [0.3])
+        assert all(row.converged and not row.failed for row in report.rows)
+        assert (len(builds), self.q_checks(checks)) == (1, [1, 0])  # Q tested in the config
+        assert builds[0][0] is cfg.plant is cfg.cert._plant
+        assert {name: len(calls) for name, calls in facts.items()} == dict.fromkeys(self.FACTS, 1)
+
+        for calls in (builds, *checks, *facts.values()):
+            calls.clear()
+        config = convdiff16_config(tmp_path)
+        out = tmp_path / "out"
+        assert cli.main(["verify-bounds", "--config", config, "--out", str(out),
+                         "--seed", "0"]) == 0
+        assert (len(builds), self.q_checks(checks)) == (1, [1, 0])
+        assert {name: len(calls) for name, calls in facts.items()} == dict.fromkeys(self.FACTS, 1)
+
+    def test_path_units_through_one_certificate_build_one_plant(self, monkeypatch):
+        n = 64
+        A, grid = heat1d(n)
+        family = GaussianActuators(grid=grid, sigma=0.12)
+        Gs = [family.G([p]) for p in np.linspace(0.1, 0.9, 8)]
+        Q = np.eye(n)
+        cert = certify_stability(A)
+        builds, checks, facts = self.counters(monkeypatch)
+        for _ in range(3):
+            X = None
+            for G in Gs:
+                X = solve_are(A, G, Q, cert=cert, X0=X).X
+        assert (len(builds), self.q_checks(checks)) == (1, [0, 1])
+        assert [len(calls) for calls in facts.values()] == [1] * len(self.FACTS)
+        # a Q changed in place is another weight: a second plant, Q tested again
+        Q += np.eye(n)
+        sol = solve_are(A, Gs[0], Q, cert=cert)
+        assert (len(builds), self.q_checks(checks)) == (2, [0, 2])
+        assert cert._plant is builds[1][0] and np.array_equal(cert._plant.Q, Q)
+        fresh = solve_are(A, Gs[0], Q.copy(), cert=certify_stability(A))
+        assert sol.X.tobytes() == fresh.X.tobytes()
 
 
 class TestVerifyAre:

@@ -7,7 +7,7 @@ import pytest
 from riccati_place import GaussianActuators, semigroup
 from riccati_place.errors import UnstableGenerator
 from riccati_place.linalg import matrix_exponential, operator_norm
-from riccati_place.riccati import solve_are
+from riccati_place.riccati import Plant, solve_are
 from riccati_place.semigroup import (
     StabilityCertificate,
     certificate_holds,
@@ -253,25 +253,23 @@ class TestCertificateKernel:
         assert cert == bare and hash(cert) == hash(bare) and repr(cert) == repr(bare)
         assert bare.eigenbasis is None and np.array_equal(bare.eigh(A)[0], d)
 
-    def test_weight_memo_is_keyed_by_content_and_not_a_constant(self, monkeypatch):
+    def test_plant_memo_is_matched_by_content_and_not_a_constant(self, monkeypatch):
         A = heat(16)
         cert, twin = certify_stability(A), certify_stability(A)
         _, _, V = cert.eigenbasis
         Q = np.diag(np.linspace(1.0, 2.0, 16))
         eigvalsh = count_calls(monkeypatch, "eigvalsh", np.linalg)
-        weight = cert.weight(Q)
-        assert cert.weight(Q.copy()) is weight and len(eigvalsh) == 1
-        assert np.array_equal(weight.spectrum, np.linalg.eigvalsh(Q))
-        projection = weight.projection(Q, V)
-        assert weight.projection(Q, V) is projection
+        plant = Plant.of(cert, A, Q)
+        assert Plant.of(cert, A, Q.copy()) is plant and len(eigvalsh) == 1
+        assert cert._plant is plant and plant.A is A and plant.Q is not Q
+        assert np.array_equal(plant.spectrum, np.linalg.eigvalsh(Q))
+        projection = plant.Qb
+        assert plant.Qb is projection
         assert projection.tobytes() == (0.5 * ((V.T @ Q @ V) + (V.T @ Q @ V).T)).tobytes()
-        # another basis is projected afresh and not kept
-        other = np.linalg.eigh(2.0 * A)[1]
-        assert weight.projection(Q, other) is not weight.projection(Q, other)
         # equality, hash and repr ignore the memo; a copy starts without one
         assert cert == twin and hash(cert) == hash(twin) and repr(cert) == repr(twin)
-        assert replace(cert).weight(Q) is not weight
-        assert cert.weight(2.0 * Q) is not weight
+        assert replace(cert)._plant is None and Plant.of(replace(cert), A, Q) is not plant
+        assert Plant.of(cert, A, 2.0 * Q) is not plant and cert._plant is not plant
 
     def test_non_symmetric_certificate_keeps_no_eigenbasis(self):
         # a complex spectrum, on the log-norm and the sampled path

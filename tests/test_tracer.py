@@ -36,8 +36,12 @@ def test_traced_heat16_sweep_counts_match_the_library(monkeypatch):
     assert metrics["optimize.iterations"] == sum(r.iterations for r in report.rows)
     assert metrics["optimize.state_pairs"] == len(pairs) > 0
 
-    # the same sweep untraced, each family method counted directly
+    # the same sweep untraced, each family method and Riccati solve counted
+    # directly
     family_calls = [count_calls(monkeypatch, name, GaussianActuators)
                     for name in tracer_module.FAMILY_METHODS]
+    are_calls = count_calls(monkeypatch, "solve_are", optimize)
     beta_sweep(cfg, [10.0, 1e2, 1e3], [0.3])
     assert metrics["devices.family_calls"] == sum(map(len, family_calls)) > 0
+    assert metrics["riccati.are_calls"] == len(are_calls) > 0
+    assert metrics["riccati.newton_steps"] > 0

@@ -7,6 +7,12 @@ inherits symmetry and positive semi-definiteness from W and obeys the decay
 bound ||L|| <= M^2/(2 alpha) ||W|| with closed-loop constants.  Those
 constants belong to the well-posedness analysis, not to the optimality
 system, so the closed loop is certified lazily: only when the bound is read.
+
+Whether the bound holds is decided without the certificate where it can be.
+Every certificate has M >= 1 (at t = 0, ``e^{alpha t} ||e^{A t}|| = 1``), so
+``||L|| <= ||W||/(2 alpha)``, with alpha from one eigendecomposition, passes
+the bound for every M the certificate could find; only a check that this
+floor leaves open builds the certificate.
 """
 
 from dataclasses import dataclass, field
@@ -21,12 +27,13 @@ from .linalg import (
     bochner_quadrature,
     check_psd,
     ensure_operator,
+    norm_within,
     operator_norm,
     psd_flags,
     symmetrize,
 )
 from .riccati import RiccatiSolution, closed_loop_capacitance
-from .semigroup import certify_stability
+from .semigroup import certify_stability, decay_rate
 
 NORM_BOUND_SLACK = 1e-9
 
@@ -49,10 +56,12 @@ class DualSolution:
     """Multiplier of the Riccati constraint, and the factored closed loop
     it was solved on.
 
-    ``residual``, ``norm_W``, ``closed_loop_cert``, ``norm_bound`` and
-    ``norm_bound_slack`` are computed on first read and cached; the first
-    read of any of the last three raises ClosedLoopUnstable when the closed
-    loop cannot be certified.  :meth:`solve_closed_loop` solves further
+    ``residual``, ``norm_W``, ``closed_loop_cert``, ``norm_bound``,
+    ``norm_bound_slack`` and ``norm_bound_holds`` are computed on first read
+    and cached; the first read of any of the last four raises
+    ClosedLoopUnstable when the closed loop cannot be certified
+    (``norm_bound_holds`` certifies it only when ``||Lambda||`` exceeds the
+    bound's floor ``||W||/(2 alpha)``).  :meth:`solve_closed_loop` solves further
     Lyapunov equations on the closed loop from the same factor:
     ``capacitance``, the closed loop proved stable and factored in A's real
     eigenbasis, or ``schur``, its real Schur form (built on first need when
@@ -93,6 +102,27 @@ class DualSolution:
     def norm_bound_slack(self):
         """``norm_bound - ||Lambda||``."""
         return self.norm_bound - operator_norm(self.Lambda)
+
+    @cached_property
+    def norm_bound_holds(self):
+        """``norm_bound_slack >= -NORM_BOUND_SLACK``, without the certificate
+        when ``||Lambda|| <= ||W||/(2 alpha)``.
+
+        That floor is ``norm_bound``'s own expression at ``M = 1``, with
+        alpha from :func:`~riccati_place.semigroup.decay_rate`, the
+        certificate's own, bit for bit.  Every certificate has ``M >= 1``
+        and rounding is monotone, so ``norm_bound >= floor`` and the slack
+        would be >= 0.  The comparison is the SVD's (see ``norm_within``).
+        A check the floor leaves open reads ``norm_bound_slack``, which
+        certifies the closed loop; one it decides skips the certificate and
+        so its fresh-grid validation too."""
+        try:
+            alpha = decay_rate(self.closed_loop)[0]
+        except UnstableGenerator as err:
+            raise _closed_loop_unstable(err) from err
+        if norm_within(self.Lambda, 1.0 / (2.0 * alpha) * self.norm_W):
+            return True
+        return self.norm_bound_slack >= -NORM_BOUND_SLACK
 
     def solve_closed_loop(self, P):
         """The symmetric Y with ``(A - X G) Y + Y (A - X G)' = P`` for
@@ -139,7 +169,8 @@ def solve_dual(A, G, X, W, W_spectrum=None):
 
     The closed loop's decay certificate is not built here: the solution
     certifies it on the first read of ``closed_loop_cert``, ``norm_bound``
-    or ``norm_bound_slack``.
+    or ``norm_bound_slack``, and on a read of ``norm_bound_holds`` that the
+    floor ``||W||/(2 alpha)`` leaves open.
     """
     solution = X if isinstance(X, RiccatiSolution) else None
     A = ensure_operator(A, "A")
@@ -178,10 +209,12 @@ class DualVerification:
 def verify_dual(sol, horizon=None, nodes=200):
     """Check the multiplier bound, PSD-ness, and the integral representation.
 
-    The residual, bound and closed-loop certificate are the ones ``sol``
-    caches.  The integral cross-check evaluates ``int_0^h T(t) W T*(t) dt``
-    with T(t) the closed-loop semigroup, via the quadrature oracle, which
-    reuses that certificate.  horizon defaults to 20/alpha of it.
+    The residual, bound, closed-loop certificate and ``norm_bound_holds``
+    (the slack's decision, taken from the floor ``||W||/(2 alpha)`` where
+    that decides it) are the ones ``sol`` caches.  The integral cross-check
+    evaluates ``int_0^h T(t) W T*(t) dt`` with T(t) the closed-loop
+    semigroup, via the quadrature oracle, which reuses that certificate.
+    horizon defaults to 20/alpha of it.
     """
     Lam = sol.Lambda
     cert = sol.closed_loop_cert
@@ -195,7 +228,7 @@ def verify_dual(sol, horizon=None, nodes=200):
     return DualVerification(
         residual=sol.residual,
         norm_bound=sol.norm_bound,
-        norm_bound_holds=sol.norm_bound_slack >= -NORM_BOUND_SLACK,
+        norm_bound_holds=sol.norm_bound_holds,
         symmetric=sym_ok,
         psd=psd_ok,
         quadrature_residual=qres,

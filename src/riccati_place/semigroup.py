@@ -238,10 +238,28 @@ def _log_grid(horizon, count):
     return np.concatenate([[0.0], np.geomspace(1e-6 * horizon, horizon, count - 1)])
 
 
+def decay_rate(A):
+    """``(alpha, eigen, symmetric)`` of the square array A: the decay rate
+    ``alpha = ALPHA_SAFETY * (-spectral abscissa)`` that
+    :func:`certify_stability` certifies, the eigendecomposition it was read
+    from (``eigh`` when A is exactly symmetric, ``eig`` otherwise) and
+    whether A is.  Raises UnstableGenerator when the spectral abscissa is
+    >= 0."""
+    # a symmetric A has lambda_max((A + A')/2) = sigma <= -alpha: its
+    # certificate is the log-norm proof, from one eigh
+    symmetric = np.array_equal(A, A.T)
+    eigen = np.linalg.eigh(A) if symmetric else np.linalg.eig(A)
+    sigma = float(eigen[0][-1] if symmetric else np.max(eigen[0].real))
+    if sigma >= 0.0:
+        raise UnstableGenerator(f"spectral abscissa {sigma:.3e} >= 0")
+    return ALPHA_SAFETY * (-sigma), eigen, symmetric
+
+
 def certify_stability(A):
     """Certify exponential stability of A.
 
-    Takes ``alpha = 0.95 * (-spectral abscissa)`` and ``horizon = 20/alpha``.
+    Takes ``alpha = 0.95 * (-spectral abscissa)`` from :func:`decay_rate`
+    and ``horizon = 20/alpha``.
     When the log-norm test ``lambda_max((A + A')/2) <= -alpha`` holds,
     ``||exp(A t)|| exp(alpha t) <= 1`` for every t >= 0, with equality at
     t = 0, so the grid sup below would be exactly 1: M is ``M_HEADROOM`` and
@@ -293,14 +311,7 @@ def certify_stability(A):
     fresh-grid validation fails.
     """
     A = ensure_operator(A, "A")
-    # a symmetric A has lambda_max((A + A')/2) = sigma <= -alpha: its
-    # certificate is the log-norm proof, from one eigh
-    symmetric = np.array_equal(A, A.T)
-    eigen = np.linalg.eigh(A) if symmetric else np.linalg.eig(A)
-    sigma = float(eigen[0][-1] if symmetric else np.max(eigen[0].real))
-    if sigma >= 0.0:
-        raise UnstableGenerator(f"spectral abscissa {sigma:.3e} >= 0")
-    alpha = ALPHA_SAFETY * (-sigma)
+    alpha, eigen, symmetric = decay_rate(A)
     horizon = 20.0 / alpha
     if symmetric:
         return StabilityCertificate(M=M_HEADROOM, alpha=alpha, sample_horizon=horizon,

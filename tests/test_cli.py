@@ -16,7 +16,7 @@ from riccati_place.cli import (
 )
 from riccati_place.errors import ConfigError
 
-from conftest import count_calls
+from conftest import count_calls, count_computed
 
 
 def base_config(**overrides):
@@ -351,36 +351,40 @@ class TestVerifyBoundsConvDiff16:
         # included: the ledger's norms (G, dG, Gram matrices, differences,
         # ||X L X||) and the Lipschitz check's differences come in stacks of
         # STACK_CHUNK, and most of the single ones left are the spot checks'
-        # closed-loop certificates.  Each sampling direction is read once
-        # up to sign.  (Unstacked, with both signs: 1004 calls, 983 matrices.)
+        # ||W||, one per multiplier bound: each ||Lambda|| is decided under
+        # the floor ||W||/(2 alpha) by norm bounds, with no closed-loop
+        # certificate.  Each sampling direction is read once up to sign.
+        # (Unstacked, with both signs: 1004 calls, 983 matrices.)
         svd = count_calls(monkeypatch, "svd", np.linalg, np.linalg._linalg)
         assert main(["verify-bounds", "--config", convdiff16_config(tmp_path),
                      "--out", str(tmp_path / "out"), "--seed", "0"]) == 0
         sizes = [len(args[0]) if args[0].ndim == 3 else 1 for args in svd]
-        assert (len(svd), sum(sizes)) == (154, 783)
+        assert (len(svd), sum(sizes)) == (74, 723)
+
+    @pytest.mark.parametrize("seed", sorted(REPORTS))
+    def test_spot_checks_build_no_closed_loop_certificate(self, monkeypatch, tmp_path, seed):
+        # every spot check's ||Lambda|| sits under the floor ||W||/(2 alpha)
+        # of its bound, so no closed loop is certified
+        certificates = count_calls(monkeypatch, "certify_stability", dual)
+        decided = count_computed(monkeypatch, dual.DualSolution, "norm_bound_holds")
+        assert main(["verify-bounds", "--config", convdiff16_config(tmp_path),
+                     "--out", str(tmp_path / "out"), "--seed", str(seed)]) == 0
+        assert len(decided) == 20 and len(certificates) == 0
 
     def test_spot_check_certificates_settle_their_grids_with_norm_bounds(
             self, monkeypatch, tmp_path):
-        # each closed loop's 1500 grid points are settled by norm bounds, not
-        # bracketed by power steps, and one grid SVD each finds M
-        brackets = count_calls(monkeypatch, "_brackets", semigroup)
-        svds = count_calls(monkeypatch, "_opnorms", semigroup)
-        spans = []
-
-        def closed_loop_certificate(A, _original=dual.certify_stability):
-            start = (len(brackets), len(svds))
-            try:
-                return _original(A)
-            finally:
-                spans.append((start, (len(brackets), len(svds))))
-
-        monkeypatch.setattr(dual, "certify_stability", closed_loop_certificate)
+        # certified directly, each of the 20 spot checks' closed loops has
+        # its 1500 grid points settled by norm bounds, not bracketed by
+        # power steps, and one grid SVD each finds M
+        decided = count_computed(monkeypatch, dual.DualSolution, "norm_bound_holds")
         assert main(["verify-bounds", "--config", convdiff16_config(tmp_path),
                      "--out", str(tmp_path / "out"), "--seed", "0"]) == 0
-        bracketed = sum(len(S) for (b0, _), (b1, _) in spans for (S,) in brackets[b0:b1])
-        svd = sum(len(S) for (_, s0), (_, s1) in spans for (S,) in svds[s0:s1])
-        assert len(spans) == 20
-        assert bracketed <= 100 and svd <= 20
+        brackets = count_calls(monkeypatch, "_brackets", semigroup)
+        svds = count_calls(monkeypatch, "_opnorms", semigroup)
+        certificates = [semigroup.certify_stability(sol.closed_loop) for sol in decided]
+        assert len(certificates) == 20
+        assert all(cert.method == "sampled" for cert in certificates)
+        assert sum(len(S) for (S,) in brackets) <= 100 and sum(len(S) for (S,) in svds) <= 20
 
     @pytest.mark.parametrize("seed", sorted(REPORTS))
     def test_report_bytes(self, tmp_path, seed):

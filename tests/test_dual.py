@@ -152,6 +152,110 @@ class TestLazyCertificate:
         with pytest.raises(ClosedLoopUnstable):
             sol.norm_bound_slack
 
+    def test_verification_is_the_slacks(self, rng):
+        # field for field the verification that reads the slack's decision
+        for _ in range(3):
+            A, G, X, W = self.instance(rng)
+            rep = verify_dual(solve_dual(A, G, X, W))
+            sol = solve_dual(A, G, X, W)
+            cert = certify_stability(sol.closed_loop)
+            quad = linalg.bochner_quadrature(sol.closed_loop, sol.closed_loop, -W,
+                                             20.0 / cert.alpha, 200, cert=cert)
+            qres = operator_norm(sol.Lambda - quad)
+            norm_bound = cert.M**2 / (2.0 * cert.alpha) * operator_norm(W)
+            symmetric, psd = linalg.psd_flags(sol.Lambda)
+            assert rep == dual.DualVerification(
+                residual=dual.dual_residual(sol.closed_loop, sol.Lambda, W),
+                norm_bound=norm_bound,
+                norm_bound_holds=norm_bound - operator_norm(sol.Lambda) >= -dual.NORM_BOUND_SLACK,
+                symmetric=symmetric,
+                psd=psd,
+                quadrature_residual=qres,
+                quadrature_residual_rel=qres / (1.0 + operator_norm(sol.Lambda)),
+            )
+
+
+class TestNormBoundFloor:
+    """``norm_bound_holds`` from the floor ``||W||/(2 alpha)`` of the bound
+    ``M^2/(2 alpha) ||W||``: every certificate has M >= 1."""
+
+    @staticmethod
+    def scaled(c):
+        """A solution with ``Lambda = c I``, closed loop ``-I`` (alpha =
+        0.95) and ``W = I``: the floor is ``1/1.9``."""
+        return dual.DualSolution(Lambda=c * np.eye(2), closed_loop=-np.eye(2), W=np.eye(2))
+
+    @pytest.mark.parametrize("symmetric", [True, False])
+    def test_alpha_is_the_certificates_bit_for_bit(self, rng, symmetric):
+        # closed loops A' - G X of non-symmetric A, and exactly symmetric ones
+        for _ in range(4):
+            G, Q = rand_psd(6, rng, rank=2), rand_psd(6, rng)
+            if symmetric:
+                closed_loop = symmetrize(rand_stable_symmetric(6, rng) - G)
+            else:
+                A = rand_stable(6, rng)
+                closed_loop = solve_dual(A, G, solve_are(A, G, Q).X, Q).closed_loop
+            alpha, _, exact = semigroup.decay_rate(closed_loop)
+            assert exact is symmetric
+            assert alpha == certify_stability(closed_loop).alpha
+
+    def test_floor_decides_without_the_certificate(self, monkeypatch, rng):
+        A, G, Q, W = heat_instance()
+        calls = count_calls(monkeypatch, "certify_stability", dual)
+        sol = solve_dual(A, G, solve_are(A, G, Q), W)
+        assert sol.norm_bound_holds is True
+        assert len(calls) == 0
+        floor = 1.0 / (2.0 * sol.closed_loop_cert.alpha) * operator_norm(W)
+        assert operator_norm(sol.Lambda) <= floor <= sol.norm_bound
+        assert sol.norm_bound_slack >= 0.0
+
+    def test_floor_is_the_bound_at_M_one(self, monkeypatch):
+        # at the floor itself the check is decided; one ulp above it the
+        # certificate is read, and a refused certificate raises there only
+        floor = 1.0 / (2.0 * 0.95) * 1.0
+
+        def refuse(A):
+            raise UnstableGenerator("certificate validation failed")
+
+        monkeypatch.setattr(dual, "certify_stability", refuse)
+        assert self.scaled(floor).norm_bound_holds is True
+        with pytest.raises(ClosedLoopUnstable,
+                           match="^A.T - G X is not stable: certificate validation failed$"):
+            self.scaled(np.nextafter(floor, 1.0)).norm_bound_holds
+
+    def test_above_the_floor_the_slack_decides(self, monkeypatch):
+        # a strongly non-normal closed loop: ||Lambda|| is far above the
+        # floor, the certificate is built once and its slack decides, with
+        # the true M and with a forged M = 1
+        A = np.array([[-1.0, 0.0], [30.0, -2.0]])
+        W = np.eye(2)
+        Z = np.zeros((2, 2))
+        certify = count_calls(monkeypatch, "certify_stability", dual)
+        sol = solve_dual(A, Z, Z, W)
+        assert sol.norm_bound_holds is True
+        assert len(certify) == 1
+        assert sol.norm_bound_slack >= -dual.NORM_BOUND_SLACK
+        assert operator_norm(sol.Lambda) > 10.0 / (2.0 * sol.closed_loop_cert.alpha)
+        assert len(certify) == 1
+
+        unit = replace(sol.closed_loop_cert, M=1.0)
+        monkeypatch.setattr(dual, "certify_stability", lambda A: unit)
+        forged = solve_dual(A, Z, Z, W)
+        assert forged.norm_bound_holds is False
+        assert forged.norm_bound_slack < -dual.NORM_BOUND_SLACK
+
+    @pytest.mark.parametrize("closed_loop", [np.diag([0.5, -1.0]),
+                                             np.array([[0.5, 3.0], [0.0, -1.0]])])
+    def test_unstable_closed_loop_raises_the_slacks_error(self, closed_loop):
+        # a bare X's solution forged onto an unstable closed loop
+        A, G, Q, W = scalar(-1.0), scalar(1.0), scalar(1.0), scalar(1.0)
+        sol = solve_dual(np.eye(2) * A, np.eye(2) * G, np.eye(2) * Q, np.eye(2) * W)
+        message = "^A.T - G X is not stable: spectral abscissa 5.000e-01 >= 0$"
+        for read in ("norm_bound_holds", "norm_bound_slack"):
+            with pytest.raises(ClosedLoopUnstable, match=message) as err:
+                getattr(replace(sol, closed_loop=closed_loop), read)
+            assert isinstance(err.value.__cause__, UnstableGenerator)
+
 
 class TestLazyResidual:
     def test_residual_is_computed_on_first_read(self, monkeypatch, rng):

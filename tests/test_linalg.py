@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.linalg as spla
@@ -462,9 +464,8 @@ class TestBochnerQuadrature:
         A = heat1d(16)[0]
         P = -np.eye(16)
         cert = semigroup.certify_stability(A)
-        forged = semigroup.StabilityCertificate(
-            **{**vars(cert), "eigenbasis": semigroup.certify_stability(2.0 * A).eigenbasis})
-        bare = semigroup.StabilityCertificate(**{**vars(cert), "eigenbasis": None})
+        forged = replace(cert, eigenbasis=semigroup.certify_stability(2.0 * A).eigenbasis)
+        bare = replace(cert, eigenbasis=None)
         ref = bochner_quadrature(A, A, P, 20.0 / cert.alpha, nodes=200, cert=cert)
         for other in (forged, bare):
             assert np.array_equal(

@@ -626,10 +626,8 @@ class TestSpectralWork:
         # not read: A is decomposed again, as with no certificate at all
         A, (G, *_), Q = self.heat_path(n=16)
         other = certify_stability(2.0 * A)
-        forged = semigroup.StabilityCertificate(
-            **{**vars(certify_stability(A)), "eigenbasis": other.eigenbasis})
-        bare = semigroup.StabilityCertificate(
-            **{**vars(certify_stability(A)), "eigenbasis": None})
+        forged = replace(certify_stability(A), eigenbasis=other.eigenbasis)
+        bare = replace(certify_stability(A), eigenbasis=None)
         ref = solve_are(A, G, Q)
         for cert in (other, forged, bare):
             sol = solve_are(A, G, Q, cert=cert)
@@ -1050,6 +1048,24 @@ class TestPlant:
         assert cert._plant is builds[1][0] and np.array_equal(cert._plant.Q, Q)
         fresh = solve_are(A, Gs[0], Q.copy(), cert=certify_stability(A))
         assert sol.X.tobytes() == fresh.X.tobytes()
+
+    def test_replaced_certificate_starts_without_a_plant(self, monkeypatch):
+        # the plant is a memo, not a certified constant: a copy made by
+        # dataclasses.replace keeps none, and a solve through it builds its own
+        A, grid = heat1d(16)
+        G, Q = GaussianActuators(grid=grid, sigma=0.12).G([0.3]), np.eye(16)
+        cert = certify_stability(A)
+        ref = solve_are(A, G, Q, cert=cert)
+        kept = cert._plant
+        copy = replace(cert, eigenbasis=cert.eigenbasis)
+        assert kept is not None and copy._plant is None and copy == cert
+        with pytest.raises(TypeError, match="_plant"):
+            semigroup.StabilityCertificate(**vars(cert))
+        builds = count_calls(monkeypatch, "__init__", riccati.Plant)
+        sol = solve_are(A, G, Q, cert=copy)
+        assert len(builds) == 1 and copy._plant is builds[0][0]
+        assert cert._plant is kept is not copy._plant
+        assert sol.X.tobytes() == ref.X.tobytes()
 
 
 class TestVerifyAre:

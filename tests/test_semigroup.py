@@ -3,15 +3,18 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from riccati_place import GaussianActuators, semigroup
 from riccati_place.errors import UnstableGenerator
-from riccati_place.linalg import matrix_exponential, operator_norm
+from riccati_place.linalg import matrix_exponential, operator_norm, symmetrize
 from riccati_place.riccati import Plant, solve_are
 from riccati_place.semigroup import (
     StabilityCertificate,
     certificate_holds,
     certify_stability,
+    decay_rate,
     perturbed_certificate,
 )
 
@@ -402,3 +405,52 @@ class TestCertificateCascade:
                 assert np.all(bound == np.inf)
             else:
                 assert np.all(full_grid_norms(A, ts) <= bound) and np.all(np.isfinite(bound))
+
+
+def shifted(A, abscissa):
+    """A shifted by a multiple of I to the spectral abscissa ``abscissa``
+    (up to rounding)."""
+    return A - (np.max(np.linalg.eigvals(A).real) - abscissa) * np.eye(len(A))
+
+
+class TestDecayRate:
+    """The invariant the multiplier bound's floor rests on: every certificate
+    has M >= 1, and its alpha is :func:`decay_rate`'s."""
+
+    GENERATORS = {
+        # exactly symmetric: one eigh, the log-norm proof
+        "log_norm": lambda n, rng: symmetrize(rng.standard_normal((n, n))),
+        # a strong upper triangle over a spread spectrum: sampled on A's
+        # eigenbasis
+        "sampled": lambda n, rng: (
+            np.triu(rng.choice([-1.0, 1.0], (n, n)) * rng.uniform(3.0, 6.0, (n, n)), 1)
+            - np.diag(np.arange(n) + rng.uniform(0.5, 1.5, n))),
+        # a perturbed Jordan block: cond(V) >= 1e8, one expm per grid point
+        "expm": lambda n, rng: (np.diag(np.full(n - 1, rng.uniform(1.0, 10.0)), 1)
+                                - np.diag(1.0 + 1e-12 * np.arange(n))),
+    }
+
+    @pytest.mark.parametrize("path", sorted(GENERATORS))
+    @settings(max_examples=25, deadline=None)
+    @given(n=st.integers(2, 8), seed=st.integers(0, 2**32 - 1),
+           abscissa=st.one_of(st.just(0.0), st.floats(-3.0, 1.0)))
+    def test_certificate_M_is_at_least_one(self, path, n, seed, abscissa):
+        A = shifted(self.GENERATORS[path](n, np.random.default_rng(seed)), abscissa)
+        if path == "log_norm":
+            A = symmetrize(A)
+        errors = []
+        for build in (decay_rate, certify_stability):
+            try:
+                errors.append((build(A), None))
+            except UnstableGenerator as err:
+                errors.append((None, str(err)))
+        (rate, rate_error), (cert, cert_error) = errors
+        if rate_error is not None:
+            assert cert_error == rate_error
+            assert rate_error.startswith("spectral abscissa")
+            return
+        assert cert_error is None or cert_error.startswith("certificate validation failed")
+        if cert is not None:
+            assert cert.M >= 1.0 and cert.alpha == rate[0]
+            assert cert.method == ("log_norm" if path == "log_norm" else "sampled")
+            assert (cert.eigenbasis is None) is (path == "expm")

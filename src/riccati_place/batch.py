@@ -27,9 +27,9 @@ from .riccati import (
     DEFAULT_STEP_TOL,
     MAX_NEWTON_ITERS,
     RiccatiSolution,
-    _closed_loop,
     _EigenbasisFacts,
     _EigenbasisKernel,
+    closed_loop,
 )
 
 
@@ -105,21 +105,21 @@ def riccati_batch(plant, Gs, tol=DEFAULT_STEP_TOL):
 def dual_batch(A, Gs, sols, W):
     """The multipliers at the solutions ``sols`` of one :func:`riccati_batch`
     (A, and each G of Gs, their operands) for a validated W, each as
-    ``solve_dual(A, G, sol, W)`` returns it: the closed loops are proved
-    and factored by one ``riccati._closed_loop`` over the batch.  None for a
-    member whose proof or gate fails."""
+    ``solve_dual(A, G, sol, W)`` returns it: the closed loops are built,
+    proved and factored by one ``riccati.closed_loop`` over the batch, and
+    the multipliers solved on their factors alone.  None for a member whose
+    proof or gate fails."""
     duals = [None] * len(sols)
     if not sols:
         return duals
     X = np.stack([sol.X for sol in sols])
     # a member that fails a gate may carry non-finite values
     with np.errstate(all="ignore"):
-        closed, proved = _closed_loop(_EigenbasisFacts.stack([sol.eigenbasis for sol in sols]),
-                                      X, A, np.stack(Gs))
-        if closed is None:
+        loop, proved = closed_loop(A, np.stack(Gs), X,
+                                   _EigenbasisFacts.stack([sol.eigenbasis for sol in sols]))
+        if loop.capacitance is None:
             return duals
-        Lam, solved = closed.solve(-W, adjoint=True)
+        Lam, solved = loop.factored(-W, adjoint=True)
     for k in np.flatnonzero(proved & solved):
-        duals[k] = DualSolution(Lambda=symmetrize(Lam[k]), closed_loop=A.T - Gs[k] @ sols[k].X,
-                                W=W, capacitance=closed.member(k))
+        duals[k] = DualSolution(Lambda=symmetrize(Lam[k]), loop=loop.member(k), W=W)
     return duals

@@ -423,7 +423,7 @@ def estimate_constants(family, domain, samples, seed, cfg=None):
         ledger.M = cfg.cert.M
         ledger.alpha = cfg.cert.alpha
         ledger.trQ = float(np.trace(cfg.Q))
-        ledger.normW = operator_norm(cfg.W)
+        ledger.normW = cfg.norm_W
         ledger.beta = cfg.beta
         ledger.gamma = getattr(cfg, "gamma", None)
     return ledger

@@ -2,7 +2,10 @@
 
     (A.T - G X) L + L (A - X G) = -W,
 
-a Sylvester equation in the closed-loop generator A.T - G X.  Its solution
+a Sylvester equation in the closed-loop generator A.T - G X.  It is solved
+on the state pair's one :class:`~riccati_place.riccati.ClosedLoop`, which
+the solution keeps: the state sensitivities of the reduced Hessian are
+solved on the same loop, its factor or its Schur form.  The solution
 inherits symmetry and positive semi-definiteness from W and obeys the decay
 bound ||L|| <= M^2/(2 alpha) ||W|| with closed-loop constants.  Those
 constants belong to the well-posedness analysis, not to the optimality
@@ -15,15 +18,12 @@ the bound for every M the certificate could find; only a check that this
 floor leaves open builds the certificate.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
 
 import numpy as np
 
-from .errors import ClosedLoopUnstable, UnstableGenerator
 from .linalg import (
-    SylvesterFactor,
     bochner_quadrature,
     check_psd,
     ensure_operator,
@@ -32,47 +32,34 @@ from .linalg import (
     psd_flags,
     symmetrize,
 )
-from .riccati import RiccatiSolution, closed_loop_capacitance
+from .riccati import ClosedLoop, RiccatiSolution, closed_loop
 from .semigroup import certify_stability, decay_rate
 
 NORM_BOUND_SLACK = 1e-9
 
 
-def _closed_loop_unstable(err):
-    return ClosedLoopUnstable(f"A.T - G X is not stable: {err}")
-
-
-def _schur_factor(closed_loop):
-    """The Schur factor of the closed loop ``A' - G X``; ClosedLoopUnstable
-    when its spectrum leaves the open left half-plane."""
-    try:
-        return SylvesterFactor(closed_loop, closed_loop)
-    except UnstableGenerator as err:
-        raise _closed_loop_unstable(err) from err
-
-
 @dataclass
 class DualSolution:
-    """Multiplier of the Riccati constraint, and the factored closed loop
-    it was solved on.
+    """Multiplier of the Riccati constraint, and the closed loop
+    (:class:`~riccati_place.riccati.ClosedLoop`) it was solved on.
 
     ``residual``, ``norm_W``, ``closed_loop_cert``, ``norm_bound``,
     ``norm_bound_slack`` and ``norm_bound_holds`` are computed on first read
     and cached; the first read of any of the last four raises
     ClosedLoopUnstable when the closed loop cannot be certified
     (``norm_bound_holds`` certifies it only when ``||Lambda||`` exceeds the
-    bound's floor ``||W||/(2 alpha)``).  :meth:`solve_closed_loop` solves further
-    Lyapunov equations on the closed loop from the same factor:
-    ``capacitance``, the closed loop proved stable and factored in A's real
-    eigenbasis, or ``schur``, its real Schur form (built on first need when
-    the capacitance declines).
+    bound's floor ``||W||/(2 alpha)``).  :meth:`solve_closed_loop` solves
+    further Lyapunov equations on the same loop.
     """
 
     Lambda: np.ndarray
-    closed_loop: np.ndarray  # A.T - G X
+    loop: ClosedLoop
     W: np.ndarray
-    capacitance: Optional[object] = field(default=None, repr=False, compare=False)
-    schur: Optional[SylvesterFactor] = field(default=None, repr=False, compare=False)
+
+    @property
+    def closed_loop(self):
+        """``A.T - G X``, the loop's matrix."""
+        return self.loop.matrix
 
     @cached_property
     def residual(self):
@@ -87,10 +74,7 @@ class DualSolution:
     @cached_property
     def closed_loop_cert(self):
         """Stability certificate (M, alpha) of the closed-loop generator."""
-        try:
-            return certify_stability(self.closed_loop)
-        except UnstableGenerator as err:
-            raise _closed_loop_unstable(err) from err
+        return self.loop.stable(certify_stability)
 
     @cached_property
     def norm_bound(self):
@@ -116,26 +100,16 @@ class DualSolution:
         A check the floor leaves open reads ``norm_bound_slack``, which
         certifies the closed loop; one it decides skips the certificate and
         so its fresh-grid validation too."""
-        try:
-            alpha = decay_rate(self.closed_loop)[0]
-        except UnstableGenerator as err:
-            raise _closed_loop_unstable(err) from err
+        alpha = self.loop.stable(decay_rate)[0]
         if norm_within(self.Lambda, 1.0 / (2.0 * alpha) * self.norm_W):
             return True
         return self.norm_bound_slack >= -NORM_BOUND_SLACK
 
     def solve_closed_loop(self, P):
         """The symmetric Y with ``(A - X G) Y + Y (A - X G)' = P`` for
-        symmetric P, e.g. a state sensitivity ``P = X dG X``.  It is solved
-        on the capacitance when that passes its gates, and otherwise on the
-        Schur form by ``trsyl`` with both transpose flags flipped (the
-        closed loop held is ``A' - G X``)."""
-        Y, solved = (None, False) if self.capacitance is None else self.capacitance.solve(P)
-        if not solved:
-            if self.schur is None:
-                self.schur = _schur_factor(self.closed_loop)
-            Y = self.schur.solve(P, transpose=True)
-        return symmetrize(Y)
+        symmetric P, e.g. a state sensitivity ``P = X dG X``, solved on the
+        loop (see :meth:`ClosedLoop.solve <riccati_place.riccati.ClosedLoop.solve>`)."""
+        return symmetrize(self.loop.solve(P))
 
 
 def dual_residual(closed_loop, Lam, W):
@@ -150,22 +124,14 @@ def solve_dual(A, G, X, W, W_spectrum=None):
     A caller that has already run ``check_psd(W, "W")`` hands the
     ``W_spectrum`` it returned, and W is not tested again.
 
-    A solution whose solve ran in A's real eigenbasis
-    ``A = V diag(d) V^{-1}`` (symmetric or not) lets the closed loop be
-    proved stable by Lyapunov's theorem and factored through the rank-r
-    capacitance system of the Newton steps, whose transpose is the dual
-    operator's (see :func:`closed_loop_capacitance`): no Schur form.  The
-    dual equation is solved there for the right side ``-V' W V`` and its
-    solution Lb mapped back as ``V^{-T} Lb V^{-1}``.  The
-    multiplier is taken from it when it passes the Sylvester gate in the
-    original basis: for an orthonormal V the capacitance's own gate (up to
-    two refinements on the same LU), with G's dropped part moving the
-    residual by at most 1 % of the gate; for any other V its residual on
-    ``A.T - G X`` itself.  Otherwise, and always for an array X, the
-    closed loop ``A.T - G X`` is factored into real Schur form (bit for bit
+    The closed loop ``A.T - G X`` is built by
+    :func:`~riccati_place.riccati.closed_loop`, which proves it stable and
+    factors it in A's eigenbasis when the solution's solve ran there and A
+    and G are its operands; the multiplier is the loop's solve for ``-W``
+    (:meth:`~riccati_place.riccati.ClosedLoop.solve`): on that factor when
+    its gate passes, otherwise on the loop's real Schur form (bit for bit
     as ``solve_sylvester`` solves it), which raises ClosedLoopUnstable when
-    its spectrum leaves the open left half-plane.  Either factor stays on
-    the solution for :meth:`DualSolution.solve_closed_loop`.
+    the spectrum leaves the open left half-plane.
 
     The closed loop's decay certificate is not built here: the solution
     certifies it on the first read of ``closed_loop_cert``, ``norm_bound``
@@ -179,20 +145,12 @@ def solve_dual(A, G, X, W, W_spectrum=None):
     W = ensure_operator(W, "W")
     if W_spectrum is None:
         check_psd(W, "W")
-    closed_loop = A.T - G @ X
-    capacitance = solution and closed_loop_capacitance(solution, A, G)
-    Lam, solved = (None, False) if not capacitance else capacitance.solve(-W, adjoint=True)
-    schur = None
-    if not solved:
-        capacitance, schur = None, _schur_factor(closed_loop)
-        Lam = schur.solve(-W)
-    return DualSolution(
-        Lambda=symmetrize(Lam),
-        closed_loop=closed_loop,
-        W=W,
-        capacitance=capacitance,
-        schur=schur,
-    )
+    facts = None
+    if solution is not None and all(T is U or np.array_equal(T, U)
+                                    for T, U in zip((A, G), solution.operands)):
+        facts = solution.eigenbasis
+    loop = closed_loop(A, G, X, facts)[0]
+    return DualSolution(Lambda=symmetrize(loop.solve(-W, adjoint=True)), loop=loop, W=W)
 
 
 @dataclass(frozen=True)

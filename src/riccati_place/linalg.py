@@ -27,7 +27,9 @@ NORM_BOUND_MARGIN = 1e-12
 POWER_STEPS = 3     # power steps behind each lower norm bound
 SYLVESTER_RTOL = 1e-10
 STACK_CHUNK = 16    # matrices per stack of a batch: placements, or SVDs of the ledger
-_EPS = np.finfo(float).eps  # read once: np.finfo costs a call each time
+# read once, as a Python float: np.finfo costs a call each time, and a numpy
+# scalar costs more per arithmetic operation than a float, with the same bits
+_EPS = float(np.finfo(float).eps)
 # np.exp returns exactly 0.0 below log(2^-1075) = -745.13...; one unit
 # lower leaves room for any last-bit difference of its implementations
 EXP_UNDERFLOW = -746.0
@@ -174,16 +176,27 @@ def _psd_spectrum(T):
     return True, _indefiniteness(T, spectrum, bounds, "T") is None, spectrum
 
 
+def _widening(n):
+    """Relative widening of norm bounds on matrices of at most n rows and
+    columns: NORM_BOUND_MARGIN plus ``n^2 eps``.  A sum of up to ``n^2``
+    non-negative terms is off by at most ``gamma_{n^2}`` relative (Higham,
+    *Accuracy and Stability of Numerical Algorithms*, Sec. 3.1), a norm
+    read off it by about half that, ``n^2 u / 2`` with u = eps/2, and the
+    widening exceeds it for every n; so a comparison that bounds widened by
+    it settle is the SVD's own, ties included."""
+    return NORM_BOUND_MARGIN + n * n * _EPS
+
+
 def _norm_bounds(T):
     """Bounds ``lo <= operator_norm(T) <= hi`` from the Frobenius norm:
     ``||T||_F / sqrt(r) <= ||T|| <= ||T||_F`` with r the smaller dimension;
-    one pair of arrays for a stack T.  Both are widened by a relative
-    margin of 1e-12, far above the rounding of either norm, so a comparison
-    they settle is the SVD's own, ties included (rank-1 T has
-    ``||T|| = ||T||_F``)."""
+    one pair of arrays for a stack T.  Both are widened by
+    :func:`_widening`, so a comparison they settle is the SVD's own, ties
+    included (rank-1 T has ``||T|| = ||T||_F``)."""
     fro = _frobenius(T)
     r = max(min(T.shape[-2:]), 1)
-    return fro / math.sqrt(r) * (1.0 - NORM_BOUND_MARGIN), fro * (1.0 + NORM_BOUND_MARGIN)
+    widening = _widening(max(T.shape[-2:]))
+    return fro / math.sqrt(r) * (1.0 - widening), fro * (1.0 + widening)
 
 
 def _frobenius(T):
@@ -204,8 +217,8 @@ def _brackets(S):
     With B = S'S: ``hi = ||B||_F^(1/2)``, and ``lo = ||B x||^(1/2)`` for a
     unit x after a few power steps, started from B's largest column.  Each
     matrix is first scaled by a power of two (exactly) so that B can neither
-    overflow nor underflow.  Both bounds are widened by NORM_BOUND_MARGIN,
-    far above their rounding, so a comparison they settle is the SVD's own.
+    overflow nor underflow.  Both bounds are widened by :func:`_widening`,
+    so a comparison they settle is the SVD's own.
     """
     _, exponent = np.frexp(np.abs(S).max(axis=(1, 2)))
     S = np.ldexp(S, -exponent[:, None, None])
@@ -216,8 +229,9 @@ def _brackets(S):
         size = np.linalg.norm(x, axis=1)
         x = np.matmul(B, (x / np.where(size > 0.0, size, 1.0)[:, None])[:, :, None])[:, :, 0]
     lo = np.sqrt(np.linalg.norm(x, axis=1))
-    return (np.ldexp(lo * (1.0 - NORM_BOUND_MARGIN), exponent),
-            np.ldexp(hi * (1.0 + NORM_BOUND_MARGIN), exponent))
+    widening = _widening(max(S.shape[-2:]))
+    return (np.ldexp(lo * (1.0 - widening), exponent),
+            np.ldexp(hi * (1.0 + widening), exponent))
 
 
 def _square_bounds(S):
@@ -228,7 +242,7 @@ def _square_bounds(S):
     column of largest absolute sum; with a dominant eigenvalue, as on a
     Newton step of small rank, lo is close to ``||S||``.  Each matrix is
     first scaled by a power of two (exactly), and both bounds are widened
-    by NORM_BOUND_MARGIN, as in :func:`_brackets`."""
+    by :func:`_widening`, as in :func:`_brackets`."""
     a = np.abs(S)
     _, exponent = np.frexp(a.max(axis=(1, 2)))
     S, a = np.ldexp(S, -exponent[:, None, None]), np.ldexp(a, -exponent[:, None, None])
@@ -239,8 +253,9 @@ def _square_bounds(S):
         size = np.linalg.norm(x, axis=1)
         x = np.matmul(S, (x / np.where(size > 0.0, size, 1.0)[:, None])[:, :, None])[:, :, 0]
     lo = np.linalg.norm(x, axis=1)
-    return (np.ldexp(lo * (1.0 - NORM_BOUND_MARGIN), exponent),
-            np.ldexp(hi * (1.0 + NORM_BOUND_MARGIN), exponent))
+    widening = _widening(max(S.shape[-2:]))
+    return (np.ldexp(lo * (1.0 - widening), exponent),
+            np.ldexp(hi * (1.0 + widening), exponent))
 
 
 def _any(mask):

@@ -55,6 +55,13 @@ class Problem1Config:
         self.cert = certify_stability(self.A)
         self.plant = Plant.of(self.cert, self.A, self.Q, spectrum_Q)  # kept on the certificate
 
+    @cached_property
+    def norm_W(self):
+        """``operator_norm(W)``, taken on first read: the ledger's ``normW``,
+        and the ``norm_W`` of every multiplier that :func:`solve_state_pairs`
+        yields."""
+        return operator_norm(self.W)
+
 
 @dataclass
 class Problem2Config(Problem1Config):
@@ -215,6 +222,7 @@ def solve_state_pairs(cfg, points):
         for k, (p, G) in enumerate(zip(chunk, Gs)):
             sol = sols[k] if sols[k] is not None else solve_are(cfg.A, G, cfg.Q, cert=cfg.cert)
             dsol = duals.pop(k, None) or solve_dual(cfg.A, G, sol, cfg.W, cfg.W_spectrum)
+            vars(dsol)["norm_W"] = cfg.norm_W  # seeds the cached_property: one SVD of W per config
             sols[k] = Gs[k] = None  # the pair is the caller's alone
             yield StatePair(p, G, sol, dsol, cfg.family)
 
@@ -555,9 +563,10 @@ def _reduced_hessian_p2(cfg, state):
     Constraints, 2009).
 
     With Acl = A - X G, the state sensitivity X'_k in coordinate direction
-    k solves Acl X'_k + X'_k Acl.T = X dG_k X, each on the closed-loop
-    factor the multiplier was solved on (DualSolution.solve_closed_loop):
-    no factorization per direction.
+    k solves Acl X'_k + X'_k Acl.T = X dG_k X, each on the closed loop the
+    multiplier was solved on (DualSolution.solve_closed_loop): on its
+    eigenbasis factor, or on its Schur form, built at most once per state
+    pair; no factorization per direction.
     Differentiating the gradient beta gap tr dG_k - tr(Lambda X dG_k X)
     in direction j gives
 

@@ -20,15 +20,16 @@ import scipy.linalg as spla
 
 from .errors import ClosedLoopUnstable, NewtonStall, UnstableGenerator
 from .linalg import (
-    NORM_BOUND_MARGIN,
     SYLVESTER_RTOL,
     _EPS,
+    SylvesterFactor,
     _any,
     _frobenius,
     _norm_bounds,
     _psd_spectrum,
     _relative_within,
     _residual_within,
+    _widening,
     bochner_quadrature,
     check_psd,
     ensure_operator,
@@ -53,25 +54,18 @@ CAPACITANCE_MAX_RANK = 3
 
 @dataclass(frozen=True)
 class _EigenbasisFacts:
-    """What the eigenbasis kernel knew at a solution X: A's eigenbasis
-    ``A = V diag(d) W`` with ``W = V^{-1}`` and ``cond = cond(V)``, and the
-    basis's ``Dsum = d_i + d_j`` and ``C = 1 / Dsum`` (references to the
-    arrays kept on the :class:`Plant`, not copies), G's factor
-    ``B = V' B_G`` in that basis (n x r), where ``G = B_G B_G' + E`` and
-    ``dropped`` bounds ``||E||``, ``lambda_min(Q)``, and the Frobenius norm
-    of the residual at X that the stop test formed: the residual on G's
+    """What the eigenbasis kernel knew at a solution X: the :class:`Plant`
+    whose eigenbasis ``A = V diag(d) W`` it stepped in (and whose
+    ``d_i + d_j``, their inverse and ``lambda_min(Q)`` the closed loop's
+    proof reads), G's factor ``B = V' B_G`` in that basis (n x r), where
+    ``G = B_G B_G' + E`` and ``dropped`` bounds ``||E||``, and the Frobenius
+    norm of the residual at X that the stop test formed: the residual on G's
     factor, ``A X + X A' - X B_G B_G' X + Q`` in the original basis, which
     differs from the strong residual by ``X E X``."""
 
-    d: np.ndarray
-    V: np.ndarray
-    W: np.ndarray
-    cond: float
-    Dsum: np.ndarray
-    C: np.ndarray
+    plant: "Plant"
     B: np.ndarray
     dropped: float
-    lam_min_Q: float
     residual_fro: float
 
     def member(self, k):
@@ -82,8 +76,8 @@ class _EigenbasisFacts:
 
     @classmethod
     def stack(cls, facts):
-        """One batch's facts from the facts of its members, which share A's
-        eigenbasis."""
+        """One batch's facts from the facts of its members, which share a
+        plant."""
         return replace(facts[0], B=np.stack([f.B for f in facts]),
                        dropped=np.array([f.dropped for f in facts]),
                        residual_fro=np.array([f.residual_fro for f in facts]))
@@ -96,9 +90,9 @@ class RiccatiSolution:
     ``strong_residual`` is ``riccati_residual(A, G, Q, X)``, computed on
     first read and cached; ``operands`` holds references to (A, G, Q) for
     it, so the residual matrix itself is not kept.  ``eigenbasis`` holds
-    the eigenbasis kernel's facts when the solve ran on it (O(n r) arrays,
-    scalars and references to the basis's arrays); :func:`closed_loop_capacitance`
-    factors the final closed loop from them.
+    the eigenbasis kernel's facts when the solve ran on it (G's n x r
+    factor, two scalars and a reference to the plant); :func:`closed_loop`
+    proves and factors the final closed loop from them.
     """
 
     X: np.ndarray
@@ -504,7 +498,7 @@ class _EigenbasisKernel(_SchurKernel):
     other step is solved again on the Schur form, which raises
     ClosedLoopUnstable or SingularSystem as it always has.  ``lam_min_Q`` is
     that proof's ``lambda_min(W Q W')``; the final closed loop's proof
-    reads ``lambda_min(Q)`` (see :func:`closed_loop_capacitance`).
+    reads ``lambda_min(Q)`` (see :func:`closed_loop`).
     """
 
     def __init__(self, plant, G, factor):
@@ -642,15 +636,15 @@ class _EigenbasisKernel(_SchurKernel):
         D -= F
         margin = (_gamma(self.d.size) * _frobenius(Y) * b_fro
                   + plant.gain_rounding * x_fro * _frobenius(self.G_factor))
-        floor = ((_frobenius(D) * (1.0 - NORM_BOUND_MARGIN) - 2.0 * margin)
-                 / (b_fro * (1.0 + NORM_BOUND_MARGIN)) - 2.0 * plant.projection_rounding * x_fro)
+        widening = _widening(self.d.size)
+        floor = ((_frobenius(D) * (1.0 - widening) - 2.0 * margin)
+                 / (b_fro * (1.0 + widening)) - 2.0 * plant.projection_rounding * x_fro)
         return floor * (1.0 - math.sqrt(self.d.size) * _EPS)
 
     def facts(self, residual_fro):
         """The kernel's facts for a solution whose strong residual has
         Frobenius norm ``residual_fro``."""
-        return _EigenbasisFacts(self.d, self.V, self.W, self.cond, self.Dsum, self.C, self.B,
-                                self.dropped, float(self.plant.spectrum[0]), residual_fro)
+        return _EigenbasisFacts(self.plant, self.B, self.dropped, residual_fro)
 
     def _capacitance_step(self, F):
         """``(Y, proved)``: the next iterate from an iterate whose gain is
@@ -670,29 +664,59 @@ class _EigenbasisKernel(_SchurKernel):
         return (Y, proved) if _any(proved) else (None, proved)
 
 
-class _ClosedLoop:
-    """The final closed loop ``A - X G`` of a solution, proved stable and
-    factored in A's eigenbasis ``A = V diag(d) W`` (see
-    :func:`closed_loop_capacitance`).  ``closed_loop`` is ``A - X G`` itself
-    when V is not orthonormal, and None when it is.  For a batch, the
-    capacitance, ``dropped``, ``x_fro`` and ``closed_loop`` hold one entry
-    per member."""
+class ClosedLoop:
+    """The closed loop of a Riccati solution X for (A, G), on which the
+    multiplier and the state sensitivities are solved, built by
+    :func:`closed_loop`.  It holds ``matrix = A' - G X``, formed once; the
+    closed loop's factor in A's eigenbasis ``A = V diag(d) W`` when its
+    stability is proved (``capacitance``, with the kernel's ``facts`` and
+    ``x_fro = ||X||_F`` that its gate reads; None otherwise); and
+    ``schur``, the real Schur form of ``matrix``, built on first need by
+    :meth:`solve`.  For a batch, ``matrix``, the capacitance, the facts and
+    ``x_fro`` hold one entry per member."""
 
-    def __init__(self, V, W, capacitance, dropped, x_fro, closed_loop):
-        self.V, self.W, self.capacitance = V, W, capacitance
-        self.dropped, self.x_fro, self.closed_loop = dropped, x_fro, closed_loop
+    def __init__(self, matrix, capacitance=None, facts=None, x_fro=None):
+        self.matrix, self.capacitance = matrix, capacitance
+        self.facts, self.x_fro = facts, x_fro
+        self.schur = None
 
     def member(self, k):
-        """The closed loop of member k."""
-        return _ClosedLoop(self.V, self.W, self.capacitance.member(k), float(self.dropped[k]),
-                           float(self.x_fro[k]),
-                           None if self.closed_loop is None else self.closed_loop[k].copy())
+        """The closed loop of member k of a batch, holding copies of its
+        arrays only."""
+        return ClosedLoop(self.matrix[k].copy(), self.capacitance.member(k),
+                          self.facts.member(k), float(self.x_fro[k]))
+
+    def stable(self, read):
+        """``read(matrix)``, with the UnstableGenerator it raises for a
+        closed loop whose spectrum leaves the open left half-plane raised as
+        ClosedLoopUnstable."""
+        try:
+            return read(self.matrix)
+        except UnstableGenerator as err:
+            raise ClosedLoopUnstable(f"A.T - G X is not stable: {err}") from err
 
     def solve(self, P, adjoint=False):
-        """``(Y, solved)``: Y with ``(A - X G) Y + Y (A - X G)' = P`` for
-        symmetric P, or with the dual operator ``(A' - G X) Y + Y (A - X G)``
-        when ``adjoint``, and whether Y passes the Sylvester gate (for a
-        batch, P is shared or one per member).
+        """Y with ``(A - X G) Y + Y (A - X G)' = P`` for symmetric P, or with
+        the dual operator ``(A' - G X) Y + Y (A - X G)`` when ``adjoint``.
+
+        Y is taken from the capacitance when its solve passes its gate
+        (:meth:`factored`), and otherwise from the Schur form of ``matrix``
+        by ``trsyl``, the primal equation with both transpose flags flipped.
+        The Schur form is built at most once, on the first right side the
+        capacitance declines; it raises ClosedLoopUnstable when the closed
+        loop's spectrum leaves the open left half-plane."""
+        if self.capacitance is not None:
+            Y, solved = self.factored(P, adjoint)
+            if solved:
+                return Y
+        if self.schur is None:
+            self.schur = self.stable(lambda M: SylvesterFactor(M, M))
+        return self.schur.solve(P, transpose=not adjoint)
+
+    def factored(self, P, adjoint=False):
+        """``(Y, solved)``: the solve of :meth:`solve` on the capacitance
+        alone, and whether Y passes the Sylvester gate (for a batch, P is
+        shared or one per member).
 
         The equation is solved in the eigenbasis: the primal one on
         ``W P W'`` with ``Y = V Yb V'``, the dual one on ``V' P V`` with
@@ -701,45 +725,32 @@ class _ClosedLoop:
         G's dropped part E, which enters the residual as ``E X Y + Y X E``,
         may move it by at most 1 % of the gate.  Any other V moves norms by
         up to its condition number: the symmetrized Y is then taken only
-        when its residual on ``A - X G`` itself, with the true G, passes the
-        gate."""
-        into, out = (self.V.T, self.W.T) if adjoint else (self.W, self.V)
+        when its residual on ``matrix`` itself (transposed for the primal
+        equation), with the true G, passes the gate."""
+        _, V, W, cond = self.facts.plant.basis
+        into, out = (V.T, W.T) if adjoint else (W, V)
         S = symmetrize(into @ P @ into.T)
         Yb, _, solved = self.capacitance.solve(S, adjoint)
         if not _any(solved):
             return None, solved
-        if self.closed_loop is None:
-            solved = solved & (2.0 * self.dropped * self.x_fro * _frobenius(Yb)
+        if cond == 1.0:
+            solved = solved & (2.0 * self.facts.dropped * self.x_fro * _frobenius(Yb)
                                <= 0.01 * SYLVESTER_RTOL * (1.0 + _norm_bounds(S)[0]))
             return out @ Yb @ out.T, solved
         Y = symmetrize(out @ Yb @ out.T)
-        M = (self.closed_loop.swapaxes(-1, -2) if adjoint else self.closed_loop) @ Y
+        M = (self.matrix if adjoint else self.matrix.swapaxes(-1, -2)) @ Y
         R = P - M
         R -= M.swapaxes(-1, -2)
         return Y, solved & _residual_within(R, P, _norm_bounds(P))
 
 
-def closed_loop_capacitance(sol, A, G):
-    """The closed loop ``A - X G`` at the solution ``sol`` of the Riccati
-    equation for (A, G, Q), factored in A's eigenbasis ``A = V diag(d) W``,
-    or None.
-
-    Requires the solve to have run on the eigenbasis kernel (``sol.eigenbasis``)
-    and A and G to be its operands; see :func:`_closed_loop`."""
-    facts = sol.eigenbasis
-    operands = sol.operands
-    if facts is None or not all(T is U or np.array_equal(T, U)
-                                for T, U in zip((A, G), operands)):
-        return None
-    closed_loop, proved = _closed_loop(facts, sol.X, A, G)
-    return closed_loop if proved else None
-
-
-def _closed_loop(facts, X, A, G):
-    """``(closed loop, proved)``: the closed loop ``A - X G`` at a solution X
-    on the eigenbasis kernel with facts ``facts``, and whether it is proved
-    stable and factored; over the members of a batch, whose X, G and facts
-    hold one entry per member.
+def closed_loop(A, G, X, facts=None):
+    """``(loop, proved)``: the :class:`ClosedLoop` at a solution X of the
+    Riccati equation for (A, G, Q), and whether it is proved stable and
+    factored in A's eigenbasis; over the members of a batch, whose G, X and
+    facts hold one entry per member.  ``facts`` are the eigenbasis kernel's
+    at X (``RiccatiSolution.eigenbasis``, for these A and G); without them
+    nothing is proved, and the loop's solves take its Schur form.
 
     Lyapunov's theorem proves the closed loop stable, in the original
     basis: with ``G = B B' + E``, ``||E|| <= e``, and R_B the residual at X
@@ -751,24 +762,26 @@ def _closed_loop(facts, X, A, G):
     definite when ``||R_B||_F + 2 e ||X||_F^2 < lambda_min(Q)``; with X
     positive definite (``dpotrf``) the closed loop is stable.  It is not
     proved when the proof or the capacitance LU fails.  In the eigenbasis
-    the closed loop is ``D - F B'`` with ``F = (W X W') B``.  The work is
-    O(n^2 r) plus one Cholesky of X, one LU of the capacitance matrix and
-    the products that form F, and ``A - X G`` when V is not orthonormal; no
-    Schur form is taken.
+    the closed loop is ``D - F B'`` with ``F = (W X W') B``.  Beyond
+    ``A' - G X``, the work is O(n^2 r) plus one Cholesky of X, one LU of the
+    capacitance matrix and the products that form F; no Schur form is
+    taken.
     """
+    matrix = A.T - G @ X
+    if facts is None:
+        return ClosedLoop(matrix), False
+    plant = facts.plant
     x_fro = _frobenius(X)
-    proved = facts.residual_fro + 2.0 * facts.dropped * x_fro**2 < facts.lam_min_Q
+    proved = facts.residual_fro + 2.0 * facts.dropped * x_fro**2 < plant.spectrum[0]
     proved = proved & _positive_definite(X, proved)  # tried only where the proof holds
     if not _any(proved):
-        return None, proved
-    V, W, B = facts.V, facts.W, facts.B
-    F = W @ (X @ (W.T @ B))
-    capacitance = _Capacitance.factor(facts.Dsum, facts.C, B, F)
+        return ClosedLoop(matrix), proved
+    W = plant.basis[2]
+    F = W @ (X @ (W.T @ facts.B))
+    capacitance = _Capacitance.factor(plant.Dsum, plant.C, facts.B, F)
     if capacitance is None:
-        return None, False
-    closed_loop = None if facts.cond == 1.0 else A - X @ G
-    return (_ClosedLoop(V, W, capacitance, facts.dropped, x_fro, closed_loop),
-            proved & capacitance.regular)
+        return ClosedLoop(matrix), False
+    return ClosedLoop(matrix, capacitance, facts, x_fro), proved & capacitance.regular
 
 
 def _spectral_factor(eigh_G):
@@ -844,7 +857,10 @@ def solve_are(A, G, Q, tol=DEFAULT_STEP_TOL, cert=None, keep_history=False, X0=N
     :meth:`Plant.lyapunov`), so every cold start that shares A, its
     certificate and Q takes one Schur form of A between them.  X1 still
     counts in ``newton_iters``; ``schur_steps`` on the solution counts the
-    Schur forms the solve actually took.
+    Schur forms the solve actually took.  A solve that finishes on the
+    eigenbasis kernel keeps its facts on the solution (``eigenbasis``), from
+    which :func:`closed_loop` proves and factors the final closed loop for
+    the multiplier.
 
     G, Q and X0 must have A's shape and tol must be positive: both are
     checked, with ValueError, before any other work.

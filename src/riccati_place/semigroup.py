@@ -13,8 +13,8 @@ import numpy as np
 
 from .errors import UnstableGenerator
 from .linalg import (
-    NORM_BOUND_MARGIN,
     _brackets,
+    _widening,
     check_psd,
     ensure_operator,
     matrix_exponential,
@@ -145,13 +145,6 @@ def _semigroup(A, eigen=None):
     """The :class:`_Stacks` of A, from ``eigen = (lam, V)`` of A when given
     and from ``np.linalg.eig(A)`` otherwise."""
     return _Stacks(A, *(np.linalg.eig(A) if eigen is None else eigen))
-
-
-def _widening(n):
-    """Relative widening of the stage-1 and stage-2 bounds of n x n
-    matrices: NORM_BOUND_MARGIN plus ``n^2 eps``, which exceeds the
-    worst-case rounding of either (see :func:`certify_stability`)."""
-    return NORM_BOUND_MARGIN + n * n * np.finfo(float).eps
 
 
 def _stack_bound(S):
@@ -302,10 +295,11 @@ def certify_stability(A):
     3. the power-step brackets of :func:`_brackets`, O(n^3);
     4. the SVD.
 
-    Stages 1 and 2 are widened by NORM_BOUND_MARGIN plus ``n^2 eps``, which
-    exceeds either rounding for every n, and by ``n^2`` times the smallest
-    normal number, which exceeds the absolute error of underflowed terms;
-    so a comparison they settle is the SVD's own, ties included.
+    Stages 1 and 2 are widened by ``linalg._widening(n)``, NORM_BOUND_MARGIN
+    plus ``n^2 eps``, which exceeds either rounding for every n, and by
+    ``n^2`` times the smallest normal number, which exceeds the absolute
+    error of underflowed terms; so a comparison they settle is the SVD's
+    own, ties included.
 
     Raises UnstableGenerator when the spectral abscissa is >= 0 or the
     fresh-grid validation fails.

@@ -33,7 +33,9 @@ def assert_bit_for_bit(states, reference):
         assert (state.sol.newton_iters, state.sol.schur_steps) == (sol.newton_iters,
                                                                     sol.schur_steps)
         assert state.sol.trace_bound_slack == sol.trace_bound_slack
-        assert (state.dsol.capacitance is None) == (dsol.capacitance is None)
+        assert (state.dsol.loop.capacitance is None) == (dsol.loop.capacitance is None)
+        assert state.dsol.closed_loop.tobytes() == dsol.closed_loop.tobytes()
+        assert state.dsol.norm_W == dsol.norm_W
 
 
 def heat16_config(d=1):
@@ -131,6 +133,14 @@ class TestSolveStatePairs:
         assert_bit_for_bit(states, reference)
         assert [args[1] is states[k].G for k, args in zip((2, 5), singles)] == [True, True]
         assert [s.sol.eigenbasis.B.shape[1] for s in states] == [2, 2, 1, 2, 2, 1, 2]
+
+    def test_multipliers_read_the_configs_norm_of_W(self, monkeypatch):
+        # one SVD of W per config, read by every multiplier the pairs hold
+        cfg = heat16_config()
+        svds = count_calls(monkeypatch, "operator_norm", optimize)
+        states = list(solve_state_pairs(cfg, placements(cfg, 5, 8)))
+        assert all(vars(s.dsol)["norm_W"] is cfg.norm_W for s in states)
+        assert len(svds) == 1 and cfg.norm_W == np.linalg.norm(cfg.W, 2)
 
     def test_pairs_are_yielded_a_chunk_at_a_time(self, monkeypatch):
         monkeypatch.setattr(optimize, "STACK_CHUNK", 3)

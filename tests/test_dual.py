@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 import scipy.linalg as spla
 
-from riccati_place import GaussianActuators, dual, linalg, riccati, semigroup
+from riccati_place import GaussianActuators, dual, linalg, optimize, riccati, semigroup
 from riccati_place.dual import solve_dual, verify_dual
 from riccati_place.errors import ClosedLoopUnstable, UnstableGenerator
 from riccati_place.linalg import _residual_within, operator_norm, solve_sylvester, symmetrize
-from riccati_place.riccati import solve_are
+from riccati_place.optimize import Problem2Config
+from riccati_place.riccati import ClosedLoop, solve_are
 from riccati_place.semigroup import certify_stability
 
 from conftest import (
@@ -183,7 +184,7 @@ class TestNormBoundFloor:
     def scaled(c):
         """A solution with ``Lambda = c I``, closed loop ``-I`` (alpha =
         0.95) and ``W = I``: the floor is ``1/1.9``."""
-        return dual.DualSolution(Lambda=c * np.eye(2), closed_loop=-np.eye(2), W=np.eye(2))
+        return dual.DualSolution(Lambda=c * np.eye(2), loop=ClosedLoop(-np.eye(2)), W=np.eye(2))
 
     @pytest.mark.parametrize("symmetric", [True, False])
     def test_alpha_is_the_certificates_bit_for_bit(self, rng, symmetric):
@@ -253,7 +254,7 @@ class TestNormBoundFloor:
         message = "^A.T - G X is not stable: spectral abscissa 5.000e-01 >= 0$"
         for read in ("norm_bound_holds", "norm_bound_slack"):
             with pytest.raises(ClosedLoopUnstable, match=message) as err:
-                getattr(replace(sol, closed_loop=closed_loop), read)
+                getattr(replace(sol, loop=ClosedLoop(closed_loop)), read)
             assert isinstance(err.value.__cause__, UnstableGenerator)
 
 
@@ -290,7 +291,7 @@ class TestClosedLoopFactor:
         schur = count_calls(monkeypatch, "_real_schur", linalg)
         sol = solve_dual(A, G, X, W)
         assert len(schur) == 1
-        assert sol.capacitance is None and sol.schur is not None
+        assert sol.loop.capacitance is None and sol.loop.schur is not None
         closed_loop = A.T - G @ X
         assert np.array_equal(sol.Lambda, symmetrize(solve_sylvester(closed_loop, closed_loop, -W)))
 
@@ -303,7 +304,7 @@ class TestClosedLoopFactor:
         Acl = A - are.X @ G
         P = symmetrize(are.X @ G @ are.X)
         Y = sol.solve_closed_loop(P)
-        assert len(schur) == 0 and sol.capacitance is not None and sol.schur is None
+        assert len(schur) == 0 and sol.loop.capacitance is not None and sol.loop.schur is None
         monkeypatch.undo()
         assert relative(sol.Lambda, solve_dual(A, G, are.X, W).Lambda) <= 1e-12
         assert relative(Y, symmetrize(solve_sylvester(Acl, Acl, P))) <= 1e-12
@@ -312,6 +313,8 @@ class TestClosedLoopFactor:
 
     @pytest.mark.parametrize("failure", ["proof", "positive definite", "gate", "lu"])
     def test_failure_falls_back_to_the_schur_form(self, monkeypatch, failure):
+        # an unproved closed loop has no factor; a proved one whose
+        # multiplier fails the gate keeps it for the state sensitivities
         A, G, Q, W = heat_instance()
         are = solve_are(A, G, Q)
         if failure == "proof":
@@ -324,7 +327,8 @@ class TestClosedLoopFactor:
             monkeypatch.setattr(spla.lapack, "dgetrf", lambda M, **flags: (M, None, 1))
         schur = count_calls(monkeypatch, "_real_schur", linalg)
         sol = solve_dual(A, G, are, W)
-        assert len(schur) == 1 and sol.capacitance is None
+        assert len(schur) == 1 and sol.loop.schur is not None
+        assert (sol.loop.capacitance is None) == (failure != "gate")
         monkeypatch.undo()
         ref = solve_dual(A, G, are.X, W).Lambda
         assert relative(sol.Lambda, ref) <= 1e-12
@@ -335,9 +339,9 @@ class TestClosedLoopFactor:
         A, G, Q, W = heat_instance()
         are = solve_are(A, G, Q)
         schur = count_calls(monkeypatch, "_real_schur", linalg)
-        assert solve_dual(A, G, are, W).capacitance is not None
+        assert solve_dual(A, G, are, W).loop.schur is None
         heavy = replace(are, eigenbasis=replace(are.eigenbasis, dropped=1e-6))
-        assert solve_dual(A, G, heavy, W).capacitance is None
+        assert solve_dual(A, G, heavy, W).loop.schur is not None
         assert len(schur) == 1
 
     def test_solution_of_other_operands_takes_the_schur_form(self, monkeypatch):
@@ -345,7 +349,7 @@ class TestClosedLoopFactor:
         are = solve_are(A, G, Q)
         schur = count_calls(monkeypatch, "_real_schur", linalg)
         sol = solve_dual(A, 1.0001 * G, are, W)
-        assert len(schur) == 1 and sol.capacitance is None
+        assert len(schur) == 1 and sol.loop.capacitance is None
 
     @pytest.mark.parametrize("symmetric", [True, False])
     def test_closed_loop_solves_share_one_factor(self, monkeypatch, rng, symmetric):
@@ -371,7 +375,7 @@ class TestClosedLoopFactor:
         schur = count_calls(monkeypatch, "_real_schur", linalg)
         Ps = [symmetrize(are.X @ G @ are.X), np.eye(16)]
         Ys = [sol.solve_closed_loop(P) for P in Ps]
-        assert len(schur) == 1 and sol.schur is not None
+        assert len(schur) == 1 and sol.loop.schur is not None
         monkeypatch.undo()
         Acl = A - are.X @ G
         for P, Y in zip(Ps, Ys):
@@ -399,11 +403,11 @@ class TestRealEigenbasisClosedLoop:
         sol = solve_dual(A, G, are, W)
         P = symmetrize(are.X @ G @ are.X)
         Y = sol.solve_closed_loop(P)
-        assert len(schur) == 0 and sol.capacitance is not None and sol.schur is None
-        assert sol.capacitance.closed_loop is not None  # V is not orthonormal
+        assert len(schur) == 0 and sol.loop.capacitance is not None and sol.loop.schur is None
+        assert sol.loop.facts.plant.basis[3] > 1.0  # V is not orthonormal
         monkeypatch.undo()
         ref = solve_dual(A, G, are.X, W)
-        assert ref.capacitance is None and ref.schur is not None
+        assert ref.loop.capacitance is None and ref.loop.schur is not None
         assert relative(sol.Lambda, ref.Lambda) <= 1e-12
         assert relative(Y, ref.solve_closed_loop(P)) <= 1e-12
         assert np.array_equal(Y, Y.T)
@@ -411,20 +415,82 @@ class TestRealEigenbasisClosedLoop:
 
     def test_residual_in_the_original_basis_decides(self, monkeypatch):
         # a solution that passes the capacitance's gate in the eigenbasis is
-        # still checked on A - X G itself; one that fails there is solved
-        # again on the Schur form
+        # still checked on the loop's matrix A' - G X, the dual's closed
+        # loop itself; a perturbed matrix fails that check for both
+        # equations, and the loop's solve takes the Schur form of it
         A, G, Q, W = self.instance()
         are = solve_are(A, G, Q, cert=certify_stability(A))
         sol = solve_dual(A, G, are, W)
+        loop = sol.loop
+        assert sol.closed_loop is loop.matrix
+        assert loop.matrix.tobytes() == (A.T - G @ are.X).tobytes()
         P = symmetrize(are.X @ G @ are.X)
-        closed_loop = sol.capacitance.closed_loop
-        sol.capacitance.closed_loop = 1.001 * closed_loop
-        assert not sol.capacitance.solve(P)[1] and not sol.capacitance.solve(-W, True)[1]
+        Y_capacitance, solved = loop.factored(P)
+        assert solved and loop.factored(-W, True)[1]
+        loop.matrix = 1.001 * loop.matrix
+        assert not loop.factored(P)[1] and not loop.factored(-W, True)[1]
         schur = count_calls(monkeypatch, "_real_schur", linalg)
         Y = sol.solve_closed_loop(P)
-        assert len(schur) == 1 and sol.schur is not None
+        assert len(schur) == 1 and loop.schur is not None
         monkeypatch.undo()
-        sol.capacitance.closed_loop = closed_loop
-        Y_capacitance, solved = sol.capacitance.solve(P)
-        assert solved and relative(Y, Y_capacitance) <= 1e-12
+        Acl = loop.matrix.T
+        assert relative(Y, symmetrize(solve_sylvester(Acl, Acl, P))) <= 1e-12
+        assert relative(Y, Y_capacitance) > 1e-4
 
+
+class TestClosedLoopFallback:
+    """One capacitance -> Schur fallback, in ``ClosedLoop.solve``: every
+    right side tries the factor, and the Schur form is built at most once
+    per state pair."""
+
+    @staticmethod
+    def refuse(monkeypatch, *refused):
+        """Make every capacitance solve of the equations ``refused`` (True
+        for the dual one, False for the primal one) fail its gate."""
+        solve = riccati._Capacitance.solve
+
+        def refusing(self, S, adjoint=False):
+            Y, R, solved = solve(self, S, adjoint)
+            return Y, R, solved & (adjoint not in refused)
+
+        monkeypatch.setattr(riccati._Capacitance, "solve", refusing)
+
+    @pytest.mark.parametrize("instance", ["heat", "convdiff"])
+    def test_refused_multiplier_leaves_the_factor_to_the_directions(self, monkeypatch,
+                                                                     instance):
+        if instance == "heat":
+            A, G, Q, W = heat_instance()
+        else:
+            A, G, Q, W = TestRealEigenbasisClosedLoop.instance()
+        are = solve_are(A, G, Q, cert=certify_stability(A))
+        Ps = [symmetrize(are.X @ G @ are.X), np.eye(16)]
+        Ys_ref = [solve_dual(A, G, are, W).solve_closed_loop(P) for P in Ps]
+        self.refuse(monkeypatch, True)
+        schur = count_calls(monkeypatch, "_real_schur", linalg)
+        sol = solve_dual(A, G, are, W)
+        assert len(schur) == 1 and sol.loop.capacitance is not None
+        schur_solves = count_calls(monkeypatch, "solve", sol.loop.schur)
+        Ys = [sol.solve_closed_loop(P) for P in Ps]
+        assert len(schur) == 1 and len(schur_solves) == 0  # both served by the factor
+        for Y, ref in zip(Ys, Ys_ref):
+            assert Y.tobytes() == ref.tobytes()
+        monkeypatch.undo()
+        assert relative(sol.Lambda, solve_dual(A, G, are.X, W).Lambda) <= 1e-12
+
+    def test_schur_form_is_built_once_per_state_pair(self, monkeypatch):
+        # the multiplier and every direction refused: one Schur form serves
+        # them all, through the reduced Hessian's directions too
+        A, grid = heat1d(16)
+        cfg = Problem2Config(A=A, Q=np.eye(16), W=heat_instance()[3], beta=10.0, gamma=2.6,
+                             family=GaussianActuators(grid=grid, sigma=0.12, param_dim=2))
+        p = np.array([0.3, 0.7])
+        H_ref = optimize._reduced_hessian_p2(cfg, optimize.solve_state_pair(cfg, p))
+        self.refuse(monkeypatch, True)  # the Newton steps' primal solves pass
+        schur = count_calls(monkeypatch, "_real_schur", linalg)
+        state = optimize.solve_state_pair(cfg, p)
+        assert len(schur) == 1 and state.dsol.loop.capacitance is not None
+        self.refuse(monkeypatch, False)
+        schur_solves = count_calls(monkeypatch, "solve", state.dsol.loop.schur)
+        H = optimize._reduced_hessian_p2(cfg, state)
+        assert len(schur) == 1 and len(schur_solves) == p.size
+        assert relative(H, H_ref) <= 1e-10

@@ -224,6 +224,18 @@ class TestNormWithin:
         assert len(svds) == 0
 
 
+    @pytest.mark.parametrize("n", [16, 256, 1024])
+    def test_widening_covers_the_rounding_of_a_frobenius_sum(self, n):
+        # a sum of n^2 squares is off by at most gamma_{n^2} relative, its
+        # square root by about half that (Higham, Sec. 3.1); 1e-12 alone
+        # falls short of it from n = 135 on
+        nu = n * n * np.finfo(float).eps / 2.0
+        assert linalg._widening(n) >= nu / (1.0 - nu) / 2.0
+        T = np.ones((n, 2))
+        fro = float(np.linalg.norm(T))
+        assert linalg._norm_bounds(T)[1] == fro * (1.0 + linalg._widening(n))
+        assert linalg._norm_bounds(T[None])[1][0] == fro * (1.0 + linalg._widening(n))
+
     def test_frobenius_norm_is_numpys_bit_for_bit(self, rng):
         T = rng.standard_normal((9, 7))
         for view in (T, T.T, T[::2, 1::3], np.asfortranarray(T), T[:1, :1], T[:0, :0]):

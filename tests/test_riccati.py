@@ -648,9 +648,9 @@ class TestSpectralWork:
         sol = solve_are(A, G, Q, cert=cert)
         facts = sol.eigenbasis
         _, d_cert, V_cert = cert.eigenbasis
-        assert facts.V is V_cert and facts.d is d_cert
+        assert facts.plant.basis[1] is V_cert and facts.plant.basis[0] is d_cert
         assert facts.B.shape == (n, d)
-        assert facts.lam_min_Q == 1.0 and 0.0 <= facts.dropped <= 1e-12
+        assert facts.plant.spectrum[0] == 1.0 and 0.0 <= facts.dropped <= 1e-12
         # the stop test's residual, read on G's factor: G = B B' + E
         B = low_rank_psd(G, riccati.CAPACITANCE_MAX_RANK, "G")[0]
         M, F = A @ sol.X, sol.X @ B
@@ -667,10 +667,11 @@ class TestSpectralWork:
         A, (G, *_), Q = self.heat_path(n=16)
         sol = solve_are(A, G, Q, cert=certify_stability(A))
         facts = sol.eigenbasis
-        budget = (facts.lam_min_Q - facts.residual_fro) / np.linalg.norm(sol.X) ** 2
+        budget = (facts.plant.spectrum[0] - facts.residual_fro) / np.linalg.norm(sol.X) ** 2
         for dropped, proved in [(0.49 * budget, True), (0.51 * budget, False)]:
             kept = replace(sol, eigenbasis=replace(facts, dropped=dropped))
-            assert (riccati.closed_loop_capacitance(kept, A, G) is not None) == proved
+            loop, closed_loop_proved = riccati.closed_loop(A, G, kept.X, kept.eigenbasis)
+            assert closed_loop_proved == proved == (loop.capacitance is not None)
 
     def test_stop_test_takes_the_dropped_part_off_its_gate(self, monkeypatch):
         # the residual on B B' differs from the strong one by X E X, with

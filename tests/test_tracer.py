@@ -2,9 +2,9 @@
 
 perfbench/tracer.py wraps library functions by name, and device-family
 methods on the GaussianActuators class, so a renamed function, a beta_sweep
-row that no longer goes through solve_p2, or a family method reached around
-the class attribute would otherwise show only as wrong per-layer counts in a
-traced benchmark run.
+row that no longer goes through solve_p2, a multiplier solved around
+solve_dual, or a family method reached around the class attribute would
+otherwise show only as wrong per-layer counts in a traced benchmark run.
 """
 
 import importlib
@@ -36,12 +36,14 @@ def test_traced_heat16_sweep_counts_match_the_library(monkeypatch):
     assert metrics["optimize.iterations"] == sum(r.iterations for r in report.rows)
     assert metrics["optimize.state_pairs"] == len(pairs) > 0
 
-    # the same sweep untraced, each family method and Riccati solve counted
-    # directly
+    # the same sweep untraced, each family method, Riccati solve and
+    # multiplier counted directly
     family_calls = [count_calls(monkeypatch, name, GaussianActuators)
                     for name in tracer_module.FAMILY_METHODS]
     are_calls = count_calls(monkeypatch, "solve_are", optimize)
+    dual_calls = count_calls(monkeypatch, "solve_dual", optimize)
     beta_sweep(cfg, [10.0, 1e2, 1e3], [0.3])
     assert metrics["devices.family_calls"] == sum(map(len, family_calls)) > 0
     assert metrics["riccati.are_calls"] == len(are_calls) > 0
     assert metrics["riccati.newton_steps"] > 0
+    assert metrics["dual.calls"] == len(dual_calls) > 0

@@ -188,7 +188,8 @@ def build_model(cfg):
 
     heat1d is the standard Dirichlet second-difference surrogate
     A = (diffusivity / h^2) tridiag(1, -2, 1) with h = domain_length/(n+1)
-    and interior nodes x_i = i h.
+    and interior nodes x_i = i h.  A matrix_file model has no grid of its
+    own (None): its devices sit on ``device.grid``, which it must supply.
     """
     if cfg.model_kind == "heat1d":
         n = cfg.n
@@ -202,17 +203,23 @@ def build_model(cfg):
     A = load_matrix(cfg.model_file, "model.file_path")
     if cfg.device_grid is None:
         raise ConfigError("matrix_file models must supply device.grid", "device.grid")
-    grid = np.asarray([float(x) for x in cfg.device_grid])
-    if grid.size != A.shape[0]:
-        raise ConfigError(
-            f"grid has {grid.size} nodes but the matrix is {A.shape[0]}x{A.shape[0]}",
-            "device.grid")
-    return A, grid
+    return A, None
 
 
-def build_family(cfg, grid):
-    if cfg.device_grid is not None and cfg.model_kind == "heat1d":
-        grid = np.asarray([float(x) for x in cfg.device_grid])
+def build_family(cfg, A, grid):
+    """The device family on ``device.grid``, or on the model's own ``grid``
+    when the config gives none; raises ConfigError unless that grid holds
+    finite numbers, strictly increasing, one per row of A."""
+    if cfg.device_grid is not None:
+        try:
+            grid = np.asarray(cfg.device_grid, dtype=float)
+        except (TypeError, ValueError) as err:
+            raise ConfigError(f"grid entries must be numbers: {err}", "device.grid") from err
+    n = A.shape[0]
+    if grid.shape != (n,):
+        raise ConfigError(f"grid has {grid.size} nodes but the matrix is {n}x{n}", "device.grid")
+    if not (np.isfinite(grid).all() and (np.diff(grid) > 0).all()):
+        raise ConfigError("grid must be finite and strictly increasing", "device.grid")
     return devices.GaussianActuators(grid=grid, sigma=cfg.sigma,
                                      r_weight=cfg.r_weight,
                                      param_dim=cfg.param_dim)
@@ -240,7 +247,7 @@ def resolve_weight(spec, n, field):
 
 def build_problem(cfg):
     A, grid = build_model(cfg)
-    family = build_family(cfg, grid)
+    family = build_family(cfg, A, grid)
     n = A.shape[0]
     W = resolve_weight(cfg.W_spec, n, "problem.W")
     Q = resolve_weight(cfg.Q_spec, n, "problem.Q")

@@ -2,7 +2,7 @@
 
     (A.T - G X) L + L (A - X G) = -W,
 
-a Sylvester equation in the closed-loop generator A.T - G X.  It is solved
+a Lyapunov equation of the one closed-loop generator A.T - G X.  It is solved
 on the state pair's one :class:`~riccati_place.riccati.ClosedLoop`, which
 the solution keeps: the state sensitivities of the reduced Hessian are
 solved on the same loop, its factor or its Schur form.  The solution
@@ -129,9 +129,10 @@ def solve_dual(A, G, X, W, W_spectrum=None):
     factors it in A's eigenbasis when the solution's solve ran there and A
     and G are its operands; the multiplier is the loop's solve for ``-W``
     (:meth:`~riccati_place.riccati.ClosedLoop.solve`): on that factor when
-    its gate passes, otherwise on the loop's real Schur form (bit for bit
-    as ``solve_sylvester`` solves it), which raises ClosedLoopUnstable when
-    the spectrum leaves the open left half-plane.
+    its gate passes, otherwise on the one real Schur form of
+    ``loop.matrix``, bit for bit ``solve_sylvester(loop.matrix, -W)``,
+    which raises ClosedLoopUnstable when that spectrum leaves the open left
+    half-plane.
 
     The closed loop's decay certificate is not built here: the solution
     certifies it on the first read of ``closed_loop_cert``, ``norm_bound``
@@ -178,8 +179,7 @@ def verify_dual(sol, horizon=None, nodes=200):
     cert = sol.closed_loop_cert
     if horizon is None:
         horizon = 20.0 / cert.alpha
-    quad = bochner_quadrature(sol.closed_loop, sol.closed_loop, -sol.W, horizon, nodes,
-                              cert=cert)
+    quad = bochner_quadrature(sol.closed_loop, -sol.W, horizon, nodes, cert=cert)
     qres = operator_norm(Lam - quad)
 
     sym_ok, psd_ok = psd_flags(Lam)

@@ -10,7 +10,7 @@ class UnstableGenerator(RiccatiPlaceError):
 
 
 class SingularSystem(RiccatiPlaceError):
-    """A Sylvester system is (numerically) singular: lambda_i(A1) + lambda_j(A2) ~ 0."""
+    """A Lyapunov system is (numerically) singular: lambda_i(A) + lambda_j(A) ~ 0."""
 
 
 class HorizonTooShort(RiccatiPlaceError):

@@ -1,6 +1,7 @@
-"""Dense matrix kernels: exponential, Bartels-Stewart Sylvester solve on
-cached real Schur factors, quadrature oracle, and the norms used throughout
-the package.
+"""Dense matrix kernels: exponential, the one Lyapunov kernel (a
+Bartels-Stewart solve of ``A T + T A' = P`` on a cached real Schur form of
+the one generator A) and its quadrature oracle, and the norms used
+throughout the package.
 
 Operators are plain square float64 ndarrays on a fixed Galerkin basis.  Two
 conventions hold everywhere:
@@ -396,65 +397,63 @@ def _no_sort(re, im=None):
     return None
 
 
-def _require_stable(lam, name):
-    if lam.real.max() >= 0.0:
-        raise UnstableGenerator(
-            f"{name} has spectral abscissa {lam.real.max():.3e} >= 0")
+def _min_pair_sum(lam):
+    """``min |lambda_i + lambda_j|`` over the spectrum ``lam`` that
+    :func:`_schur_form` reads off a real stable A, in O(n): ``-2 max Re
+    lambda``.  No pair sums to less, and the rightmost eigenvalue attains
+    it with itself, or with its conjugate, whose imaginary part
+    :func:`_real_schur` makes exactly opposite."""
+    return -2.0 * float(lam.real.max())
 
 
 class SylvesterFactor:
-    """Real Schur forms of stable generators A1 and A2, factored once for
-    any number of solves of ``A1 T + T A2' = P`` and of its transpose
-    ``A1' T + T A2 = P``.
+    """The real Schur form of a stable generator A, factored once for any
+    number of solves of the Lyapunov equation ``A T + T A' = P`` and of its
+    transpose ``A' T + T A = P``.
 
-    Factoring checks both spectra (UnstableGenerator unless they lie in
-    the open left half-plane) and the separation guard (SingularSystem when
-    ``min |lambda_i(A1) + lambda_j(A2)| < 1e-12 (||A1|| + ||A2||)``); equal
-    generators share one Schur form.  A1 and A2 must be validated operators
-    (:func:`ensure_operator`).  The norms of A1 and A2 are taken from
-    Frobenius bounds, with an SVD only when they leave the guard open.
+    Factoring checks the spectrum (UnstableGenerator unless it lies in the
+    open left half-plane) and the separation guard (SingularSystem when
+    ``min |lambda_i + lambda_j| < 1e-12 (2 ||A||)``, the minimum taken by
+    :func:`_min_pair_sum`).  A must be a validated operator
+    (:func:`ensure_operator`); ``||A||`` is taken from its Frobenius bound,
+    with an SVD only when that bound leaves the guard open.
     """
 
-    def __init__(self, A1, A2):
-        self.A1, self.A2 = A1, A2
-        same = A2 is A1 or np.array_equal(A1, A2)
-        self.schur1 = _schur_form(A1)
-        self.schur2 = self.schur1 if same else _schur_form(A2)
-        lam1, lam2 = self.schur1[2], self.schur2[2]
-        _require_stable(lam1, "A1")
-        _require_stable(lam2, "A2")
+    def __init__(self, A):
+        self.A = A
+        self.schur = _schur_form(A)
+        lam = self.schur[2]
+        if lam.real.max() >= 0.0:
+            raise UnstableGenerator(f"A has spectral abscissa {lam.real.max():.3e} >= 0")
 
         # Conditioning guard: the solve degenerates when eigenvalue sums cancel.
-        # ||A1|| + ||A2|| is needed only when its Frobenius bound leaves it open.
-        smin = np.abs(lam1[:, None] + lam2[None, :]).min()
-        hi1 = _norm_bounds(A1)[1]
-        if smin < 1e-12 * (2.0 * hi1 if same else hi1 + _norm_bounds(A2)[1]):
-            norm1 = operator_norm(A1)
-            sep_tol = 1e-12 * (2.0 * norm1 if same else norm1 + operator_norm(A2))
+        smin = _min_pair_sum(lam)
+        if smin < 1e-12 * (2.0 * _norm_bounds(A)[1]):
+            sep_tol = 1e-12 * (2.0 * operator_norm(A))
             if smin < sep_tol:
                 raise SingularSystem(
-                    f"min |lambda_i(A1) + lambda_j(A2)| = {smin:.3e} < {sep_tol:.3e}")
+                    f"min |lambda_i(A) + lambda_j(A)| = {smin:.3e} < {sep_tol:.3e}")
 
     def solve(self, P, transpose=False):
-        """T with ``A1 T + T A2' = P``, or with ``A1' T + T A2 = P`` when
-        ``transpose``, refined up to twice on the Schur forms; raises
+        """T with ``A T + T A' = P``, or with ``A' T + T A = P`` when
+        ``transpose``, refined up to twice on the Schur form; raises
         SingularSystem unless ``||R|| <= 1e-10 (1 + ||P||)`` for the
         residual R of the returned T, norms decided as in
         :func:`_relative_within`.  The untransposed solve is bit-identical
-        to ``scipy.linalg.solve_sylvester(A1, A2', P)``."""
+        to ``scipy.linalg.solve_sylvester(A, A', P)``."""
         P = ensure_operator(P, "P")
-        A1, A2 = (self.A1.T, self.A2.T) if transpose else (self.A1, self.A2)
-        if A1.size == 1:
-            return P / (A1[0, 0] + A2[0, 0])
+        A = self.A.T if transpose else self.A
+        if A.size == 1:
+            return P / (A[0, 0] + A[0, 0])
 
         T = self._trsyl(P, transpose)
         P_bounds = _norm_bounds(P)
         for _ in range(2):
-            R = P - (A1 @ T + T @ A2.T)
+            R = P - (A @ T + T @ A.T)
             if _residual_within(R, P, P_bounds):
                 return T
             T = T + self._trsyl(R, transpose)
-        R = P - (A1 @ T + T @ A2.T)
+        R = P - (A @ T + T @ A.T)
         if not _residual_within(R, P, P_bounds):
             res_tol = SYLVESTER_RTOL * (1.0 + operator_norm(P))
             raise SingularSystem(
@@ -463,43 +462,40 @@ class SylvesterFactor:
         return T
 
     def _trsyl(self, P, transpose):
-        """Bartels-Stewart back end on the Schur forms; untransposed it is
-        associated exactly as ``scipy.linalg.solve_sylvester(A1, A2', P)``
-        associates it.  With ``Ak = Uk Tk Uk'`` the transposed equation
-        reads ``T1' Y + Y T2 = U1' P U2`` for ``Y = U1' T U2``."""
-        T1, U1, _ = self.schur1
-        T2, U2, _ = self.schur2
-        F = np.dot(np.dot(U1.T, P), U2)
-        trsyl, = spla.get_lapack_funcs(("trsyl",), (T1, T2, F))
+        """Bartels-Stewart back end on the Schur form; untransposed it is
+        associated exactly as ``scipy.linalg.solve_sylvester(A, A', P)``
+        associates it.  With ``A = U S U'`` the transposed equation reads
+        ``S' Y + Y S = U' P U`` for ``Y = U' T U``."""
+        S, U, _ = self.schur
+        F = np.dot(np.dot(U.T, P), U)
+        trsyl, = spla.get_lapack_funcs(("trsyl",), (S, S, F))
         trana, tranb = ("C", "N") if transpose else ("N", "C")
-        Y, scale, info = trsyl(T1, T2, F, trana=trana, tranb=tranb)
+        Y, scale, info = trsyl(S, S, F, trana=trana, tranb=tranb)
         if info < 0:
             raise np.linalg.LinAlgError(f"illegal value in argument {-info} of trsyl")
-        return np.dot(np.dot(U1, scale * Y), U2.T)
+        return np.dot(np.dot(U, scale * Y), U.T)
 
 
-def solve_sylvester(A1, A2, P):
-    """Solve A1 T + T A2.T = P for stable A1, A2 by Bartels-Stewart: one
-    :class:`SylvesterFactor` of (A1, A2), then its solve.
+def solve_sylvester(A, P):
+    """Solve the Lyapunov equation ``A T + T A' = P`` for a stable A by
+    Bartels-Stewart: one :class:`SylvesterFactor` of A, then its solve.
 
-    Each distinct generator is factored once into real Schur form; equal
-    generators (every Lyapunov equation) share one factorization.  The
-    factors give the spectra for the stability check and the separation
-    guard, the solve, and up to two refinement passes.  The result is
-    bit-identical to ``scipy.linalg.solve_sylvester(A1, A2.T, P)``.
+    A is factored once into real Schur form, which gives the spectrum for
+    the stability check and the separation guard, the solve, and up to two
+    refinement passes.  The result is bit-identical to
+    ``scipy.linalg.solve_sylvester(A, A.T, P)``; P need not be symmetric.
 
-    Both spectra must lie strictly in the open left half-plane; the residual
-    of the returned T satisfies ``||A1 T + T A2.T - P|| <= 1e-10 (1 + ||P||)``
+    The spectrum must lie strictly in the open left half-plane; the residual
+    of the returned T satisfies ``||A T + T A.T - P|| <= 1e-10 (1 + ||P||)``
     in the operator norm, or SingularSystem is raised.  The separation guard
-    and this gate take the norms of A1, A2 and P from Frobenius bounds and
-    call an SVD only when the bounds leave the decision open.  A caller
-    with several right-hand sides for one pair of generators keeps the
+    and this gate take the norms of A and P from Frobenius bounds and call
+    an SVD only when the bounds leave the decision open.  A caller with
+    several right-hand sides for one generator keeps the
     :class:`SylvesterFactor` instead.
     """
-    A1 = ensure_operator(A1, "A1")
-    A2 = ensure_operator(A2, "A2")
+    A = ensure_operator(A, "A")
     P = ensure_operator(P, "P")
-    return SylvesterFactor(A1, A2).solve(P)
+    return SylvesterFactor(A).solve(P)
 
 
 def _residual_within(R, P, P_bounds):
@@ -530,27 +526,25 @@ def _gauss_legendre_panel(width, npts=16):
     return 0.5 * width * (x + 1.0), 0.5 * width * w
 
 
-def bochner_quadrature(A1, A2, P, horizon, nodes, cert=None):
-    """Quadrature oracle for the integral form of the Sylvester solution.
+def bochner_quadrature(A, P, horizon, nodes, cert=None):
+    """Quadrature oracle for the integral form of the Lyapunov solution.
 
-    Returns ``-int_0^horizon exp(A1 t) P exp(A2.T t) dt`` by composite
+    Returns ``-int_0^horizon exp(A t) P exp(A.T t) dt`` by composite
     16-point Gauss-Legendre with panel width at most ``1/(2 alpha)``, where
-    alpha is the weaker certified decay rate of the two generators.  A
-    given ``cert`` is taken as A1's certificate; equal generators share one
-    certificate, so with both it certifies nothing.  ``nodes`` is a minimum
-    node budget; more panels are used when the decay rate demands them.
+    alpha is the certified decay rate of A: that of ``cert`` when given,
+    else of one :func:`~riccati_place.semigroup.certify_stability` of A.
+    ``nodes`` is a minimum node budget; more panels are used when the decay
+    rate demands them.
 
-    The rule is evaluated in factored form.  With panel width h, L =
-    exp(A1 h) and R = exp(A2.T h), panel m equals ``L^m K R^m``, where K is
-    the first panel's weighted node sum; so K is built once (32 exponentials)
-    and each further panel costs two products.  Equal generators take R and
-    each node's right factor as the left one transposed, which halves the
-    exponentials.  Equal and exactly symmetric generators
-    (``np.array_equal(A1, A1.T)``) take no exponential of a matrix: with
-    ``A1 = V diag(d) V'`` (the pair kept on A1's certificate, or one
-    ``eigh`` when the certificate holds none for A1; see
-    ``StabilityCertificate.eigh``), ``exp(A1 t) = V exp(diag(d) t) V'``,
-    so the rule is summed entrywise in the eigenbasis, K as
+    The rule is evaluated in factored form.  With panel width h and L =
+    exp(A h), panel m equals ``L^m K (L')^m``, where K is the first panel's
+    weighted node sum; so K is built once (16 exponentials, each node's
+    right factor the left one transposed) and each further panel costs two
+    products.  An exactly symmetric A (``np.array_equal(A, A.T)``) takes no
+    exponential of a matrix: with ``A = V diag(d) V'`` (the pair kept on the
+    certificate, or one ``eigh`` when it holds none for A; see
+    ``StabilityCertificate.eigh``), ``exp(A t) = V exp(diag(d) t) V'``, so
+    the rule is summed entrywise in the eigenbasis, K as
     ``sum_k w_k exp((d_i + d_j) s_k)`` and each panel step as the entrywise
     factor ``exp((d_i + d_j) h)``.  Either way the result differs from a
     direct node-by-node sum only by rounding.
@@ -562,8 +556,7 @@ def bochner_quadrature(A1, A2, P, horizon, nodes, cert=None):
     """
     from .semigroup import certify_stability  # deferred: semigroup builds on linalg
 
-    A1 = ensure_operator(A1, "A1")
-    A2 = ensure_operator(A2, "A2")
+    A = ensure_operator(A, "A")
     P = ensure_operator(P, "P")
     horizon = float(horizon)
     if horizon <= 0:
@@ -572,50 +565,41 @@ def bochner_quadrature(A1, A2, P, horizon, nodes, cert=None):
     if nodes <= 0:
         raise ValueError("nodes must be positive")
 
-    same = np.array_equal(A1, A2)
-    cert1 = certify_stability(A1) if cert is None else cert
-    cert2 = cert1 if same else certify_stability(A2)
-    m_star = max(cert1.M, cert2.M)
-    alpha_star = min(cert1.alpha, cert2.alpha)
+    cert = certify_stability(A) if cert is None else cert
+    m, alpha = cert.M, cert.alpha
 
     def tail(norm_P):  # nondecreasing in norm_P, rounding included
-        return m_star**2 * norm_P * np.exp(-2.0 * alpha_star * horizon) / (2.0 * alpha_star)
+        return m**2 * norm_P * np.exp(-2.0 * alpha * horizon) / (2.0 * alpha)
 
     if tail(_norm_bounds(P)[1]) > 1e-8:
         norm_P = operator_norm(P)
         if tail(norm_P) > 1e-8:
             raise HorizonTooShort(
                 f"tail bound {tail(norm_P):.3e} > 1e-8; need horizon >= "
-                f"{np.log(m_star**2 * max(norm_P, 1e-300) / (2e-8 * alpha_star)) / (2 * alpha_star):.3g}")
+                f"{np.log(m**2 * max(norm_P, 1e-300) / (2e-8 * alpha)) / (2 * alpha):.3g}")
 
-    panels = max(int(np.ceil(nodes / 16)), int(np.ceil(2.0 * alpha_star * horizon)), 1)
+    panels = max(int(np.ceil(nodes / 16)), int(np.ceil(2.0 * alpha * horizon)), 1)
     width = horizon / panels
     offsets, weights = _gauss_legendre_panel(width)
-    if same and np.array_equal(A1, A1.T):
-        return -_eigenbasis_panel_sum(cert1.eigh(A1)[:2], P, offsets, weights, width,
-                                      panels)
+    if np.array_equal(A, A.T):
+        return -_eigenbasis_panel_sum(cert.eigh(A)[:2], P, offsets, weights, width, panels)
 
-    # panel m is L^m K R^m (see the docstring)
-    def right(left, t):
-        return left.T if same else matrix_exponential(A2.T, t)
-
-    left_step = matrix_exponential(A1, width)
-    right_step = right(left_step, width)
-    K = np.zeros((A1.shape[0], P.shape[1]))
+    # panel m is L^m K (L')^m (see the docstring)
+    step = matrix_exponential(A, width)
+    K = np.zeros((A.shape[0], P.shape[1]))
     for s, w in zip(offsets, weights):
-        left = matrix_exponential(A1, s)
-        K += w * (left @ P @ right(left, s))
+        left = matrix_exponential(A, s)
+        K += w * (left @ P @ left.T)
     acc = K.copy()
     for _ in range(panels - 1):
-        K = left_step @ K @ right_step
+        K = step @ K @ step.T
         acc += K
     return -acc
 
 
 def _eigenbasis_panel_sum(eigen, P, offsets, weights, width, panels):
-    """The composite rule of :func:`bochner_quadrature` for A1 = A2 = A
-    exactly symmetric, summed entrywise in A's eigenbasis
-    ``eigen = (d, V)``.
+    """The composite rule of :func:`bochner_quadrature` for an exactly
+    symmetric A, summed entrywise in A's eigenbasis ``eigen = (d, V)``.
 
     With ``A = V diag(d) V'`` and ``S_ij = d_i + d_j``, the integrand at t
     is ``V (exp(S t) o V' P V) V'``; the first panel's weighted node sum

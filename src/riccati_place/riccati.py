@@ -351,7 +351,7 @@ class _SchurKernel:
         Acl = self.A - X @ self.G
         rhs = -symmetrize(X @ self.G @ X + self.Q)
         try:
-            return symmetrize(solve_sylvester(Acl, Acl, rhs))
+            return symmetrize(solve_sylvester(Acl, rhs))
         except UnstableGenerator as err:
             # unreachable from X0 = 0 with stable A; surfaced defensively
             raise ClosedLoopUnstable(f"A - X_{k - 1} G lost stability: {err}") from err
@@ -710,7 +710,7 @@ class ClosedLoop:
             if solved:
                 return Y
         if self.schur is None:
-            self.schur = self.stable(lambda M: SylvesterFactor(M, M))
+            self.schur = self.stable(SylvesterFactor)
         return self.schur.solve(P, transpose=not adjoint)
 
     def factored(self, P, adjoint=False):
@@ -809,7 +809,7 @@ def _eigenbasis_kernel(plant, G, cholesky, spectrum_G):
 def solve_are(A, G, Q, tol=DEFAULT_STEP_TOL, cert=None, keep_history=False, X0=None):
     """Solve the Riccati equation by Newton-Kleinman from X0 (default 0).
 
-    Each step solves the Sylvester equation
+    Each step solves the Lyapunov equation
 
         (A - Xk G) X_{k+1} + X_{k+1} (A - Xk G).T = -(Xk G Xk + Q).
 
@@ -959,7 +959,7 @@ def verify_are(A, G, Q, sol, cert, horizon, nodes):
         strong = riccati_residual(A, G, Q, X, XGX)
     integrand = symmetrize(Q - XGX)
     del XGX  # negated in place too: the quadrature runs with one n x n array of verify_are's
-    X_quad = bochner_quadrature(A, A, np.negative(integrand, out=integrand), horizon, nodes,
+    X_quad = bochner_quadrature(A, np.negative(integrand, out=integrand), horizon, nodes,
                                 cert=cert)
     bochner_abs = operator_norm(X - X_quad)
 

@@ -202,10 +202,15 @@ def test_criterion_06_sylvester_oracle_equivalence(announce):
         n = int(rng.integers(1, 11))
         A1, A2 = rand_stable(n, rng), rand_stable(n, rng)
         P = rng.standard_normal((n, n))
-        T = solve_sylvester(A1, A2, P)
+        # A1 T + T A2' = P is the off-diagonal block of the Lyapunov
+        # equation of diag(A1, A2) with right side [[0, P], [0, 0]]
+        A = np.block([[A1, np.zeros((n, n))], [np.zeros((n, n)), A2]])
+        R = np.zeros((2 * n, 2 * n))
+        R[:n, n:] = P
+        T = solve_sylvester(A, R)[:n, n:]
         alpha = 0.95 * min(-np.max(np.linalg.eigvals(A1).real),
                            -np.max(np.linalg.eigvals(A2).real))
-        Tq = bochner_quadrature(A1, A2, P, horizon=20.0 / alpha, nodes=200)
+        Tq = bochner_quadrature(A, R, horizon=20.0 / alpha, nodes=200)[:n, n:]
         worst = max(worst, operator_norm(T - Tq) / (1.0 + operator_norm(P)))
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-6 and elapsed < 20

@@ -103,7 +103,7 @@ class TestBuildModel:
         cfg = parse_config(raw)
         A2, grid = build_model(cfg)
         np.testing.assert_array_equal(A2, A)
-        np.testing.assert_array_equal(grid, [0.0, 1.0])
+        assert grid is None  # the devices sit on device.grid
 
 
 class TestConfigValidation:
@@ -309,6 +309,25 @@ class TestCommands:
         cfg = self.write_cfg(tmp_path, raw)
         assert main(["solve-are", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err == f"config error: {field}: {message}\n"
+
+    @pytest.mark.parametrize("model,grid,message", [
+        ("heat1d", [0.1] * 8, "grid must be finite and strictly increasing"),
+        ("heat1d", [0.2, 0.5, 0.8], "grid has 3 nodes but the matrix is 8x8"),
+        ("heat1d", ["a"] * 8,
+         "grid entries must be numbers: could not convert string to float: 'a'"),
+        ("matrix_file", [0.1] * 8, "grid must be finite and strictly increasing"),
+        ("matrix_file", [0.2, 0.5, 0.8], "grid has 3 nodes but the matrix is 8x8")])
+    def test_bad_device_grid_is_a_config_error(self, tmp_path, capsys, model, grid, message):
+        # a grid that is not strictly increasing, not one node per row of A,
+        # or not numbers: exit code 1 and the message under device.grid, no
+        # traceback
+        raw = base_config(device={"grid": grid})
+        if model == "matrix_file":
+            save_matrix(tmp_path / "A.txt", build_model(parse_config(base_config()))[0])
+            raw["model"] = {"kind": "matrix_file", "file_path": str(tmp_path / "A.txt")}
+        cfg = self.write_cfg(tmp_path, raw)
+        assert main(["solve-are", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"config error: device.grid: {message}\n"
 
     def test_nonconvergence_exit_code_still_writes_report(self, tmp_path):
         raw = base_config(solver={"max_iter": 1, "tol": 1e-14})

@@ -68,87 +68,88 @@ class TestMatrixExponential:
 
 class TestSolveSylvester:
     def test_scalar_cross_checked_against_integral(self):
-        T = solve_sylvester(np.array([[-1.0]]), np.array([[-2.0]]), np.array([[6.0]]))
+        T = solve_sylvester(np.array([[-1.5]]), np.array([[6.0]]))
         assert abs(T[0, 0] - (-2.0)) < 1e-13
-        # independent oracle: -int_0^inf e^{-t} 6 e^{-2t} dt
-        integral, _ = quad(lambda t: np.exp(-t) * 6.0 * np.exp(-2.0 * t), 0, np.inf)
+        # independent oracle: -int_0^inf e^{-1.5 t} 6 e^{-1.5 t} dt
+        integral, _ = quad(lambda t: np.exp(-1.5 * t) * 6.0 * np.exp(-1.5 * t), 0, np.inf)
         assert abs(T[0, 0] - (-integral)) < 1e-10
 
     def test_zero_data(self):
-        T = solve_sylvester(-np.eye(2), -np.eye(2), np.zeros((2, 2)))
+        T = solve_sylvester(-np.eye(2), np.zeros((2, 2)))
         assert np.allclose(T, 0.0, atol=1e-15)
 
     def test_scalar_lyapunov_form(self):
-        T = solve_sylvester(np.array([[-1.0]]), np.array([[-1.0]]), np.array([[-4.0]]))
+        T = solve_sylvester(np.array([[-1.0]]), np.array([[-4.0]]))
         assert abs(T[0, 0] - 2.0) < 1e-13
 
     def test_unstable_generator_rejected(self):
         with pytest.raises(UnstableGenerator):
-            solve_sylvester(np.array([[1.0]]), np.array([[-1.0]]), np.array([[1.0]]))
+            solve_sylvester(np.array([[1.0]]), np.array([[1.0]]))
         with pytest.raises(UnstableGenerator):
-            solve_sylvester(np.array([[-1.0]]), np.array([[0.0]]), np.array([[1.0]]))
+            solve_sylvester(np.array([[0.0]]), np.array([[1.0]]))
 
-    def test_near_singular_pair_rejected(self):
-        # stable spectra, but an eigenvalue sum cancels relative to the norms
-        A1 = np.diag([-1e-13, -1e3])
-        A2 = np.diag([-1e-13, -1e3])
+    def test_near_singular_generator_rejected(self):
+        # a stable spectrum, but an eigenvalue sum cancels relative to the norm
         with pytest.raises(SingularSystem):
-            solve_sylvester(A1, A2, np.eye(2))
+            solve_sylvester(np.diag([-1e-13, -1e3]), np.eye(2))
 
     def test_residual_contract(self, rng):
         for _ in range(20):
             n = int(rng.integers(2, 9))
-            A1, A2 = rand_stable(n, rng), rand_stable(n, rng)
+            A = rand_stable(n, rng)
             P = rng.standard_normal((n, n))
-            T = solve_sylvester(A1, A2, P)
-            res = operator_norm(A1 @ T + T @ A2.T - P)
+            T = solve_sylvester(A, P)
+            res = operator_norm(A @ T + T @ A.T - P)
             assert res <= 1e-10 * (1.0 + operator_norm(P))
 
     @pytest.mark.parametrize("n", [2, 7, 32])
-    @pytest.mark.parametrize("pairing", ["same object", "equal copy", "distinct"])
-    def test_bit_identical_to_scipy(self, n, pairing, rng):
-        A1 = rand_stable(n, rng)
-        A2 = {"same object": A1, "equal copy": A1.copy(),
-              "distinct": rand_stable(n, rng)}[pairing]
+    def test_bit_identical_to_scipy(self, n, rng):
+        A = rand_stable(n, rng)
         P = rng.standard_normal((n, n))
-        T = solve_sylvester(A1, A2, P)
-        assert np.array_equal(T, spla.solve_sylvester(A1, A2.T, P))
+        T = solve_sylvester(A, P)
+        assert np.array_equal(T, spla.solve_sylvester(A, A.T, P))
 
-    def test_one_schur_form_per_distinct_generator(self, monkeypatch, rng):
-        A1, A2 = rand_stable(6, rng), rand_stable(6, rng)
+    @pytest.mark.parametrize("n", [2, 7, 32])
+    def test_exactly_symmetric_generator_bit_identical_to_scipy(self, n, rng):
+        # A = A' exactly: scipy's second Schur form is of the same matrix
+        S = rand_psd(n, rng)
+        A = -0.5 * (S + S.T) - 0.5 * np.eye(n)
+        assert np.array_equal(A, A.T)
+        P = rng.standard_normal((n, n))
+        T = solve_sylvester(A, P)
+        assert np.array_equal(T, spla.solve_sylvester(A, A.T, P))
+
+    def test_one_schur_form_per_solve(self, monkeypatch, rng):
+        A = rand_stable(6, rng)
         P = rng.standard_normal((6, 6))
         schur = count_calls(monkeypatch, "_real_schur", linalg)
         eigvals = count_calls(monkeypatch, "eigvals", np.linalg)
-        solve_sylvester(A1, A1.copy(), P)
+        solve_sylvester(A, P)
         assert len(schur) == 1
-        solve_sylvester(A1, A2, P)
-        assert len(schur) == 3
         assert len(eigvals) == 0
 
     @pytest.mark.parametrize("n", [1, 2, 7, 32])
-    @pytest.mark.parametrize("pairing", ["same object", "distinct"])
-    def test_factor_serves_both_transposes(self, monkeypatch, n, pairing, rng):
-        A1 = rand_stable(n, rng)
-        A2 = A1 if pairing == "same object" else rand_stable(n, rng)
+    def test_factor_serves_both_transposes(self, monkeypatch, n, rng):
+        A = rand_stable(n, rng)
         Ps = [rng.standard_normal((n, n)) for _ in range(3)]
         schur = count_calls(monkeypatch, "_real_schur", linalg)
-        factor = SylvesterFactor(A1, A2)
+        factor = SylvesterFactor(A)
         plain = [factor.solve(P) for P in Ps]
         transposed = [factor.solve(P, transpose=True) for P in Ps]
-        assert len(schur) == (0 if n == 1 else 1 if pairing == "same object" else 2)
+        assert len(schur) == (0 if n == 1 else 1)
         monkeypatch.undo()
         for P, T, Tt in zip(Ps, plain, transposed):
-            assert np.array_equal(T, solve_sylvester(A1, A2, P))
-            ref = solve_sylvester(A1.T, A2.T, P)
+            assert np.array_equal(T, solve_sylvester(A, P))
+            ref = solve_sylvester(A.T, P)
             assert operator_norm(Tt - ref) <= 1e-12 * operator_norm(ref)
-            assert operator_norm(A1.T @ Tt + Tt @ A2 - P) <= 1e-10 * (1.0 + operator_norm(P))
+            assert operator_norm(A.T @ Tt + Tt @ A - P) <= 1e-10 * (1.0 + operator_norm(P))
 
     def test_tolerance_gates_take_no_svd(self, monkeypatch, rng):
-        A1, A2 = rand_stable(6, rng), rand_stable(6, rng)
+        As = [rand_stable(6, rng) for _ in range(2)]
         P = rng.standard_normal((6, 6))
         norms_taken = count_calls(monkeypatch, "operator_norm", linalg)
-        solve_sylvester(A1, A1, P)
-        solve_sylvester(A1, A2, P)
+        for A in As:
+            solve_sylvester(A, P)
         assert len(norms_taken) == 0
 
     def test_separation_guard_between_frobenius_bounds(self):
@@ -158,10 +159,33 @@ class TestSolveSylvester:
         def diag(small):
             return np.diag([small, -1e3, -1e3, -1e3, -1e3])
 
-        T = solve_sylvester(diag(-1.5e-9), diag(-1.5e-9), np.eye(5))
+        T = solve_sylvester(diag(-1.5e-9), np.eye(5))
         assert T[0, 0] == pytest.approx(1.0 / -3e-9, rel=1e-12)
         with pytest.raises(SingularSystem):
-            solve_sylvester(diag(-0.9e-9), diag(-0.9e-9), np.eye(5))
+            solve_sylvester(diag(-0.9e-9), np.eye(5))
+
+    @staticmethod
+    def rotations(n, rng):
+        """A non-normal stable A with a complex pair per 2x2 diagonal block,
+        damped less than its real eigenvalue (odd n), coupled by a strictly
+        upper triangular part and rotated."""
+        A = np.triu(rng.standard_normal((n, n)), 1) - np.diag(rng.uniform(1.0, 2.0, n))
+        for i in range(0, n - 1, 2):
+            a, omega = -rng.uniform(0.01, 1.0), rng.uniform(0.5, 3.0)
+            A[i:i + 2, i:i + 2] = [[a, omega], [-omega, a]]
+        U = rand_orthogonal(n, rng)
+        return U @ A @ U.T
+
+    @pytest.mark.parametrize("n", [2, 7, 32])
+    def test_separation_is_the_all_pairs_minimum(self, n, rng):
+        # the guard's -2 max Re lambda against min |lambda_i + lambda_j| over
+        # all pairs, bit for bit, on generic generators and on generators
+        # whose rightmost eigenvalues are a complex pair
+        for make in (rand_stable, self.rotations):
+            for _ in range(50):
+                lam = linalg._schur_form(make(n, rng))[2]
+                assert linalg._min_pair_sum(lam) == np.abs(lam[:, None] + lam[None, :]).min()
+            assert lam[lam.real.argmax()].imag != 0.0 or make is rand_stable
 
     @pytest.mark.parametrize("n", [2, 7, 32])
     def test_schur_form_is_scipys_bit_for_bit(self, n, rng):
@@ -186,20 +210,20 @@ class TestSolveSylvester:
 
         monkeypatch.setattr(spla, "get_lapack_funcs", lambda names, arrays: (gees,))
         with pytest.raises(np.linalg.LinAlgError, match="info = 3"):
-            solve_sylvester(-np.eye(2), -np.eye(2), np.eye(2))
+            solve_sylvester(-np.eye(2), np.eye(2))
 
     def test_complex_spectra_read_off_schur_blocks(self):
-        # spectra -eps +- i and -eps +- 2i, each one 2x2 Schur block: a pair
-        # and its own conjugate sum to -2 eps, so the guard rejects A1 with
-        # itself; the two different pairs sum to -2 eps +- i or +- 3i
-        def damped_rotation(omega):
-            return np.array([[-1e-14, omega], [-omega, -1e-14]])
+        # spectrum -damping +- i, one 2x2 Schur block: the pair and its
+        # conjugate sum to -2 damping, so the guard rejects the nearly
+        # undamped rotation and passes the damped one
+        def damped_rotation(damping):
+            return np.array([[-damping, 1.0], [-1.0, -damping]])
 
-        A1, A2 = damped_rotation(1.0), damped_rotation(2.0)
         with pytest.raises(SingularSystem):
-            solve_sylvester(A1, A1, np.eye(2))
-        T = solve_sylvester(A1, A2, np.eye(2))
-        assert operator_norm(A1 @ T + T @ A2.T - np.eye(2)) <= 2e-10
+            solve_sylvester(damped_rotation(1e-14), np.eye(2))
+        A = damped_rotation(1e-3)
+        T = solve_sylvester(A, np.eye(2))
+        assert operator_norm(A @ T + T @ A.T - np.eye(2)) <= 2e-10
 
 
 class TestNormWithin:
@@ -383,42 +407,40 @@ class TestSymmetryAndPsdGates:
         assert len(norms_taken) >= 4
 
 
-def assert_factored_panels_match_direct_node_sum(A1, A2, P):
+def assert_factored_panels_match_direct_node_sum(A, P):
     n = len(P)
-    decay = min(-np.max(np.linalg.eigvals(A).real) for A in (A1, A2))
+    decay = -np.max(np.linalg.eigvals(A).real)
     # 48 panels of 16 nodes: more than the 38 the certified decay asks for
     horizon, panels = 20.0 / decay, 48
-    B = bochner_quadrature(A1, A2, P, horizon, nodes=16 * panels)
+    B = bochner_quadrature(A, P, horizon, nodes=16 * panels)
     width = horizon / panels
     x, w = np.polynomial.legendre.leggauss(16)
     direct = np.zeros((n, n))
     for m in range(panels):
         for xi, wi in zip(x, w):
             t = m * width + 0.5 * width * (xi + 1.0)
-            direct += 0.5 * width * wi * (spla.expm(A1 * t) @ P @ spla.expm(A2.T * t))
+            direct += 0.5 * width * wi * (spla.expm(A * t) @ P @ spla.expm(A.T * t))
     assert operator_norm(B + direct) <= 1e-12 * operator_norm(direct)
 
 
 class TestBochnerQuadrature:
     def test_scalar_closed_form(self):
-        B = bochner_quadrature(np.array([[-1.0]]), np.array([[-2.0]]),
-                               np.array([[6.0]]), horizon=20.0, nodes=200)
+        B = bochner_quadrature(np.array([[-1.5]]), np.array([[6.0]]), horizon=20.0,
+                               nodes=200)
         assert abs(B[0, 0] - (-2.0)) <= 1e-8
 
     def test_zero_integrand(self, rng):
-        A1, A2 = rand_stable(3, rng), rand_stable(3, rng)
-        B = bochner_quadrature(A1, A2, np.zeros((3, 3)), horizon=20.0, nodes=200)
+        B = bochner_quadrature(rand_stable(3, rng), np.zeros((3, 3)), horizon=20.0, nodes=200)
         assert np.allclose(B, 0.0)
 
     def test_scalar_lyapunov(self):
-        B = bochner_quadrature(np.array([[-1.0]]), np.array([[-1.0]]),
-                               np.array([[-4.0]]), horizon=20.0, nodes=200)
+        B = bochner_quadrature(np.array([[-1.0]]), np.array([[-4.0]]), horizon=20.0,
+                               nodes=200)
         assert abs(B[0, 0] - 2.0) <= 1e-8
 
     def test_horizon_too_short(self):
         with pytest.raises(HorizonTooShort):
-            bochner_quadrature(np.array([[-0.1]]), np.array([[-0.1]]),
-                               np.array([[1.0]]), horizon=1.0, nodes=64)
+            bochner_quadrature(np.array([[-0.1]]), np.array([[1.0]]), horizon=1.0, nodes=64)
 
     def test_tail_test_reads_the_frobenius_bound_first(self, monkeypatch):
         # ||P||_F = 2 and ||P|| = 1: a horizon whose tail bound is 1e-8 at
@@ -432,12 +454,12 @@ class TestBochnerQuadrature:
             return np.log(m**2 * norm_P / (2e-8 * a)) / (2.0 * a)
 
         norms_taken = count_calls(monkeypatch, "operator_norm", linalg)
-        bochner_quadrature(A, A, P, horizon(2.5), nodes=64, cert=cert)
+        bochner_quadrature(A, P, horizon(2.5), nodes=64, cert=cert)
         assert len(norms_taken) == 0
-        bochner_quadrature(A, A, P, horizon(1.5), nodes=64, cert=cert)
+        bochner_quadrature(A, P, horizon(1.5), nodes=64, cert=cert)
         assert len(norms_taken) == 1
         with pytest.raises(HorizonTooShort, match=f"need horizon >= {horizon(1.0):.3g}$"):
-            bochner_quadrature(A, A, P, horizon(0.9), nodes=64, cert=cert)
+            bochner_quadrature(A, P, horizon(0.9), nodes=64, cert=cert)
 
     @pytest.mark.parametrize("n", [16, 64, 256])
     def test_masked_panel_sum_is_the_unmasked_formula(self, rng, n):
@@ -478,50 +500,40 @@ class TestBochnerQuadrature:
         cert = semigroup.certify_stability(A)
         forged = replace(cert, eigenbasis=semigroup.certify_stability(2.0 * A).eigenbasis)
         bare = replace(cert, eigenbasis=None)
-        ref = bochner_quadrature(A, A, P, 20.0 / cert.alpha, nodes=200, cert=cert)
+        ref = bochner_quadrature(A, P, 20.0 / cert.alpha, nodes=200, cert=cert)
         for other in (forged, bare):
             assert np.array_equal(
-                bochner_quadrature(A, A, P, 20.0 / cert.alpha, nodes=200, cert=other), ref)
-
-    def test_equal_generators_certified_once(self, monkeypatch, rng):
-        # the oracle imports certify_stability from semigroup at call time
-        calls = count_calls(monkeypatch, "certify_stability", semigroup)
-        A = rand_stable(4, rng)
-        bochner_quadrature(A, A, -np.eye(4), horizon=20.0, nodes=200)
-        assert len(calls) == 1
+                bochner_quadrature(A, P, 20.0 / cert.alpha, nodes=200, cert=other), ref)
 
     def test_given_certificate_is_reused(self, monkeypatch, rng):
-        A1, A2 = rand_stable(4, rng), rand_stable(4, rng)
-        cert = semigroup.certify_stability(A1)
+        # the oracle imports certify_stability from semigroup at call time
+        A = rand_stable(4, rng)
+        cert = semigroup.certify_stability(A)
         calls = count_calls(monkeypatch, "certify_stability", semigroup)
-        B = bochner_quadrature(A1, A1, -np.eye(4), horizon=20.0, nodes=200, cert=cert)
+        B = bochner_quadrature(A, -np.eye(4), horizon=20.0, nodes=200, cert=cert)
         assert len(calls) == 0
-        assert np.array_equal(B, bochner_quadrature(A1, A1, -np.eye(4), horizon=20.0,
-                                                    nodes=200))
-        calls.clear()
-        bochner_quadrature(A1, A2, -np.eye(4), horizon=20.0, nodes=200, cert=cert)
-        assert [args[0] is A2 for args in calls] == [True]
+        assert np.array_equal(B, bochner_quadrature(A, -np.eye(4), horizon=20.0, nodes=200))
+        assert [args[0] is A for args in calls] == [True]
 
-    def test_factored_panels_match_direct_node_sum(self, rng):
-        n = 5
-        A1, A2 = rand_stable(n, rng), rand_stable(n, rng)
-        assert_factored_panels_match_direct_node_sum(A1, A2, rng.standard_normal((n, n)))
+    def test_bare_call_certifies_once(self, monkeypatch, rng):
+        calls = count_calls(monkeypatch, "certify_stability", semigroup)
+        A = rand_stable(4, rng)
+        bochner_quadrature(A, -np.eye(4), horizon=20.0, nodes=200)
+        assert len(calls) == 1
 
-    def test_equal_generators_match_direct_node_sum(self, rng):
-        A = rand_stable(5, rng)
-        assert_factored_panels_match_direct_node_sum(A, A.copy(), rng.standard_normal((5, 5)))
-
-    def test_equal_generators_take_half_the_exponentials(self, monkeypatch, rng):
+    def test_factored_path_exponentiates_only_the_generator(self, monkeypatch, rng):
+        # no exponential of A': the right factors are the left ones transposed
         A = rand_stable(4, rng)
         cert = semigroup.certify_stability(A)
         calls = count_calls(monkeypatch, "matrix_exponential", linalg)
-        bochner_quadrature(A, A.copy(), -np.eye(4), horizon=20.0, nodes=200, cert=cert)
-        # one panel step and the 16 nodes of the first panel, left factors only
+        bochner_quadrature(A, -np.eye(4), horizon=20.0, nodes=200, cert=cert)
+        # one panel step and the 16 nodes of the first panel
         assert len(calls) == 17
-        calls.clear()
-        bochner_quadrature(A, rand_stable(4, rng), -np.eye(4), horizon=20.0, nodes=200,
-                           cert=cert)
-        assert len(calls) == 34
+        assert all(args[0] is A for args in calls)
+
+    def test_factored_panels_match_direct_node_sum(self, rng):
+        A = rand_stable(5, rng)
+        assert_factored_panels_match_direct_node_sum(A, rng.standard_normal((5, 5)))
 
     @staticmethod
     def exactly_symmetric_generators(rng):
@@ -533,7 +545,7 @@ class TestBochnerQuadrature:
         for A in self.exactly_symmetric_generators(rng):
             assert np.array_equal(A, A.T)
             P = rng.standard_normal(A.shape)
-            assert_factored_panels_match_direct_node_sum(A, A.copy(), P)
+            assert_factored_panels_match_direct_node_sum(A, P)
 
     def test_exactly_symmetric_generators_take_no_exponential(self, monkeypatch, rng):
         expm = count_calls(monkeypatch, "matrix_exponential", linalg)
@@ -541,7 +553,7 @@ class TestBochnerQuadrature:
         for A in self.exactly_symmetric_generators(rng):
             cert = semigroup.certify_stability(A)
             eigh.clear()
-            bochner_quadrature(A, A, -np.eye(len(A)), horizon=20.0 / cert.alpha,
+            bochner_quadrature(A, -np.eye(len(A)), horizon=20.0 / cert.alpha,
                                nodes=200, cert=cert)
             # the eigenbasis is the one kept on A's certificate
             assert (len(expm), len(eigh)) == (0, 0)
@@ -552,21 +564,22 @@ class TestBochnerQuadrature:
         assert not np.array_equal(A, A.T)
         cert = semigroup.certify_stability(A)
         calls = count_calls(monkeypatch, "matrix_exponential", linalg)
-        bochner_quadrature(A, A, -np.eye(4), horizon=20.0 / cert.alpha, nodes=200,
+        bochner_quadrature(A, -np.eye(4), horizon=20.0 / cert.alpha, nodes=200,
                            cert=cert)
+        # one panel step and the 16 nodes of the first panel, left factors only
         assert len(calls) == 17
 
     def test_eigenbasis_path_keeps_the_tail_test_and_the_certificate(self, monkeypatch):
         A = 1e-3 * heat1d(4)[0]  # decay rate ~1e-2: a unit horizon is too short
         with pytest.raises(HorizonTooShort):
-            bochner_quadrature(A, A, np.eye(4), horizon=1.0, nodes=64)
+            bochner_quadrature(A, np.eye(4), horizon=1.0, nodes=64)
         A = heat1d(4)[0]
         cert = semigroup.certify_stability(A)
         calls = count_calls(monkeypatch, "certify_stability", semigroup)
-        B = bochner_quadrature(A, A, -np.eye(4), horizon=20.0 / cert.alpha, nodes=200,
+        B = bochner_quadrature(A, -np.eye(4), horizon=20.0 / cert.alpha, nodes=200,
                                cert=cert)
         assert len(calls) == 0
-        assert np.array_equal(B, bochner_quadrature(A, A, -np.eye(4),
+        assert np.array_equal(B, bochner_quadrature(A, -np.eye(4),
                                                     horizon=20.0 / cert.alpha, nodes=200))
         assert len(calls) == 1
 
@@ -574,12 +587,11 @@ class TestBochnerQuadrature:
         # dual-route check: direct solve vs quadrature on certified triples
         for _ in range(25):
             n = int(rng.integers(1, 11))
-            A1, A2 = rand_stable(n, rng), rand_stable(n, rng)
+            A = rand_stable(n, rng)
             P = rng.standard_normal((n, n))
-            T_schur = solve_sylvester(A1, A2, P)
-            alpha = 0.95 * min(-np.max(np.linalg.eigvals(A1).real),
-                               -np.max(np.linalg.eigvals(A2).real))
-            T_quad = bochner_quadrature(A1, A2, P, horizon=20.0 / alpha, nodes=200)
+            T_schur = solve_sylvester(A, P)
+            alpha = 0.95 * -np.max(np.linalg.eigvals(A).real)
+            T_quad = bochner_quadrature(A, P, horizon=20.0 / alpha, nodes=200)
             assert operator_norm(T_schur - T_quad) <= 1e-6 * (1.0 + operator_norm(P))
 
 

@@ -33,17 +33,17 @@ from .riccati import (
 )
 
 
-def riccati_batch(plant, Gs, tol=DEFAULT_STEP_TOL):
+def riccati_batch(plant, Gs):
     """For each G of the list Gs, the RiccatiSolution that the cold
-    ``solve_are(A, G, Q, tol, cert)`` returns for the ``riccati.Plant`` of
+    ``solve_are(A, G, Q, cert=cert)`` returns for the ``riccati.Plant`` of
     (A, Q) on cert, with its Newton count, or None for a G whose solve left
     the batch.
 
     The members are the Gs whose pivoted-Cholesky factor has the batch's
     rank (the most common one) and passes the eigenbasis kernel's margin;
     they share the plant and one kernel, with each member's factor and
-    iterate on a leading axis, and step in lockstep, each
-    finishing at its own stop test.  A member leaves where its single
+    iterate on a leading axis, and step in lockstep from the plant's X1,
+    each finishing at its own stop test.  A member leaves where its single
     solve would leave the eigenbasis: an unproved step, a second stop test
     in a row that fails only the residual gate, or MAX_NEWTON_ITERS steps.
     """
@@ -69,16 +69,21 @@ def riccati_batch(plant, Gs, tol=DEFAULT_STEP_TOL):
     if kernel is None:
         return solutions
     kernel, live = kernel.members(kernel.admitted), live[kernel.admitted]
-    Xb = np.zeros((live.size,) + A.shape)
+    # step k = 1 is X1 itself, every member's (see _EigenbasisKernel.enter)
+    X1b = plant.X1b()
+    Xb = np.broadcast_to(X1b, (live.size,) + A.shape)
+    proved = np.ones(live.size, dtype=bool)
+    tested = np.full(live.size, norm_within(X1b, DEFAULT_STEP_TOL))
     stalled = np.zeros(live.size, dtype=bool)
     # a member that fails a gate may carry non-finite values until it leaves
     with np.errstate(all="ignore"):
         for k in range(1, MAX_NEWTON_ITERS + 1):
-            Y, proved = kernel._capacitance_step(np.matmul(Xb, kernel.B))
-            if Y is None:
-                break
-            tested = proved & norm_within(Y - Xb, tol)
-            Xb = Y
+            if k > 1:
+                Y, proved = kernel._capacitance_step(np.matmul(Xb, kernel.B))
+                if Y is None:
+                    break
+                tested = proved & norm_within(Y - Xb, DEFAULT_STEP_TOL)
+                Xb = Y
             done = np.zeros(live.size, dtype=bool)
             if _any(tested):
                 stopping = kernel.members(tested)

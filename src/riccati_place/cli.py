@@ -269,6 +269,11 @@ def build_problem(cfg):
 
 def _initial_p(cfg, family):
     if cfg.p0 is not None:
+        # JSON numbers are int or float (a bool is not one); NaN, infinities
+        # and ints beyond the float range fail the bound
+        for x in cfg.p0:
+            if type(x) not in (int, float) or not abs(x) <= sys.float_info.max:
+                raise ConfigError(f"p0 entries must be finite numbers, got {x!r}", "device.p0")
         p0 = np.asarray([float(x) for x in cfg.p0])
         if p0.shape != (family.param_dim,):
             raise ConfigError(f"p0 must have {family.param_dim} entries", "device.p0")

@@ -100,18 +100,18 @@ def check_symmetric(T, name="operator"):
         raise ValueError(fault)
 
 
-def check_psd(T, name="operator", vectors=False):
+def check_psd(T, name="operator"):
     """Raise unless the symmetric matrix T is PSD within tolerance; ``||T||``
     is taken as in :func:`check_symmetric`.
 
-    Returns the spectrum the test read, ``eigvalsh(T)``, or ``eigh(T)`` with
-    ``vectors``, so a caller that needs it decomposes T only once."""
+    Returns the spectrum the test read, ``eigvalsh(T)``, so a caller that
+    needs it decomposes T only once."""
     bounds = _norm_bounds(T)
     fault = _asymmetry(T, bounds, name)
     if fault:
         raise ValueError(fault)
-    spectrum = np.linalg.eigh(T) if vectors else np.linalg.eigvalsh(T)
-    fault = _indefiniteness(T, spectrum[0] if vectors else spectrum, bounds, name)
+    spectrum = np.linalg.eigvalsh(T)
+    fault = _indefiniteness(T, spectrum, bounds, name)
     if fault:
         raise ValueError(fault)
     return spectrum

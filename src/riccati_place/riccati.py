@@ -99,7 +99,7 @@ class RiccatiSolution:
     newton_iters: int
     trace_bound_slack: float
     operands: tuple = field(repr=False, compare=False)
-    schur_steps: int = 0  # Schur forms the Newton steps took (none for a kept X1); not reported
+    schur_steps: int = 0  # Schur forms the solve took (X1 when it formed it); not reported
     history: Optional[List[np.ndarray]] = None
     eigenbasis: Optional[_EigenbasisFacts] = field(default=None, repr=False, compare=False)
 
@@ -164,8 +164,11 @@ class Plant:
     ``Q_bounds`` the Frobenius bounds on ``||Q||``, ``M`` and ``alpha`` the
     certificate's, ``trace_bound`` the bound ``M^2/(2 alpha) tr Q`` on tr X
     and ``basis`` A's eigenbasis ``cert.eigh(A)``.  Q's facts in that basis
-    and a cold start's first iterate (:meth:`lyapunov`) are computed on
-    first read.  Every fact is the plant's own A's and Q's, so none is
+    are computed on first read.  A cold start's first iterate X1, the
+    solution of ``A X1 + X1 A' = -Q``, is the plant's too: on Schur steps
+    the first cold start solves it and keeps it (``_X1``; see
+    :meth:`_SchurKernel.enter`), and in the eigenbasis it is read anew as
+    :meth:`X1b`.  Every fact is the plant's own A's and Q's, so none is
     keyed, and the plant holds no reference to the certificate.
     """
 
@@ -191,12 +194,10 @@ class Plant:
             cert.keep(plant)
         return plant
 
-    def lyapunov(self, solve):
-        """A copy of X1, the solution of ``A X + X A' = -Q``, which
-        ``solve()`` returns on the first call only."""
-        if self._X1 is None:
-            self._X1 = solve()
-        return self._X1.copy()
+    def X1b(self):
+        """X1 in A's eigenbasis ``A = V diag(d) W``: ``W X1 W' = (-Qb) o C``,
+        formed in O(n^2) on each call and not kept."""
+        return -self.Qb * self.C
 
     @cached_property
     def Qb(self):
@@ -220,14 +221,13 @@ class Plant:
         """Whether the basis can carry a solution back to the original
         basis within the stop test's gate.
 
-        The first Newton-Kleinman iterate of a cold start,
-        ``A X1 + X1 A' = -Q``, is ``X1 = V (-Qb / (d_i + d_j)) V'``.  Built
-        that way, X1 must pass the stop test's gate ``1e-10 (1 + ||Q||)`` in
-        the original basis, where rounding in an ill-conditioned V is
-        amplified by up to ``cond(V)``; a basis whose own X1 fails it is not
-        taken."""
+        A cold start's first Newton-Kleinman iterate, mapped back from
+        :meth:`X1b` as ``X1 = V X1b V'``, must pass the stop test's gate
+        ``1e-10 (1 + ||Q||)`` in the original basis, where rounding in an
+        ill-conditioned V is amplified by up to ``cond(V)``; a basis whose
+        own X1 fails it is not taken."""
         V = self.basis[1]
-        X1 = symmetrize(V @ (-self.Qb / self.Dsum) @ V.T)
+        X1 = symmetrize(V @ self.X1b() @ V.T)
         M = self.A @ X1
         R = M + M.T
         R += self.Q
@@ -275,35 +275,37 @@ class Plant:
 
 class _SchurKernel:
     """Newton-Kleinman steps on a real Schur form of each closed loop, for
-    the plant's A and Q; the iterate is held in the original basis.
-
-    Step k = 1 is taken only from a cold start (X0 = 0; a warm start enters
-    through :meth:`enter`): it is the Lyapunov solve of (A, Q), which
-    depends on neither G nor X0, and is read from the plant (see
-    :meth:`Plant.lyapunov`)."""
+    the plant's A and Q; the iterate is held in the original basis."""
 
     def __init__(self, plant, G):
         self.plant, self.G = plant, G
         self.A, self.Q, self.Q_bounds = plant.A, plant.Q, plant.Q_bounds
         self.schur_steps = 0
 
-    def into(self, X):
-        """X in the basis the iterate is held in."""
-        return X
-
     def out(self, Xb):
         """The iterate Xb in the original basis."""
         return Xb
 
     def step(self, Xb, k):
-        return self._schur_step(Xb, k)
+        return self._solve_step(Xb, k)
 
     def enter(self, X0, tol):
-        """``(Xb, step)``: the first iterate from the warm start X0, given in
-        the original basis, and its step from X0 in the iterate's basis, or
-        None for the step when it is proved to exceed ``tol``."""
-        Xb = self._solve_step(X0, 1)
-        return Xb, Xb - X0
+        """``(Xb, step)``: the first iterate and its step from X0 in the
+        iterate's basis, or None for the step when it is proved to exceed
+        ``tol``.  From a warm start X0, given in the original basis, the
+        first iterate is a Newton step.  From a cold start (X0 None, for 0)
+        it is X1, the solution of ``A X1 + X1 A' = -Q``, which depends on
+        neither G nor X0: the first cold start on the plant solves it by the
+        same step from 0 (``A - 0 G = A`` and ``0 G 0 + Q = Q`` exactly) and
+        keeps it there, and the later ones read a copy."""
+        if X0 is not None:
+            Xb = self._solve_step(X0, 1)
+            return Xb, Xb - X0
+        plant = self.plant
+        if plant._X1 is None:
+            plant._X1 = self._solve_step(np.zeros(self.A.shape), 1)
+        X1 = plant._X1.copy()
+        return X1, X1
 
     def fallback(self):
         """The kernel a stalled solve carries on with: this one."""
@@ -339,11 +341,6 @@ class _SchurKernel:
     def facts(self, residual_fro):
         """What a solution keeps of the kernel: nothing on a Schur form."""
         return None
-
-    def _schur_step(self, X, k):
-        if k == 1:
-            return self.plant.lyapunov(lambda: self._solve_step(X, k))
-        return self._solve_step(X, k)
 
     def _solve_step(self, X, k):
         """The step from X solved on a Schur form of its closed loop."""
@@ -518,8 +515,7 @@ class _EigenbasisKernel(_SchurKernel):
         basis able to carry a solution back within the stop test's gate
         (see :attr:`Plant.round_trip`).  The eigenbasis is the plant's:
         the basis kept on A's certificate, or a fresh ``eigh`` of an exactly
-        symmetric A.  ``factor`` comes from :func:`low_rank_psd` or
-        :func:`_spectral_factor`.
+        symmetric A.  ``factor`` comes from :func:`low_rank_psd`.
 
         The steps and the stop test's residual (:meth:`residual`) read
         ``B B' = G - E``, so the strong residual, read with G, differs from
@@ -589,10 +585,15 @@ class _EigenbasisKernel(_SchurKernel):
 
     def step(self, Xb, k):
         Y, proved = self._capacitance_step(Xb @ self.B)
-        return Y if proved else self.into(self._schur_step(self.out(Xb), k))
+        return Y if proved else self.into(self._solve_step(self.out(Xb), k))
 
     def enter(self, X0, tol):
-        """A step reads its iterate only through the gain ``F = Xb B``, and
+        """A cold start (X0 None) enters at X1 as :meth:`Plant.X1b` forms
+        it, ``(-Qb) o C``: the first capacitance step from 0 bit for bit,
+        whose capacitance matrix is the identity, and whose Lyapunov proof
+        would only prove A stable, which A's certificate does.
+
+        A step reads its iterate only through the gain ``F = Xb B``, and
         ``V W = I`` makes the gain of ``Xb = W X0 W'`` equal to
         ``W (X0 B_G)``: O(n^2 r), with no n^3 projection of X0.  The first
         iterate Y is taken from that gain (a step that is not proved is
@@ -601,6 +602,9 @@ class _EigenbasisKernel(_SchurKernel):
         when the floor leaves the test open is ``W X0 W'`` formed and the
         step ``Y - W X0 W'`` returned, for the test to decide as any other
         step (a warm start from the solution itself takes this path)."""
+        if X0 is None:
+            X1b = self.plant.X1b()
+            return X1b, X1b
         F = self.W @ (X0 @ self.G_factor)
         Y, proved = self._capacitance_step(F)
         if not proved:
@@ -784,28 +788,6 @@ def closed_loop(A, G, X, facts=None):
     return ClosedLoop(matrix, capacitance, facts, x_fro), proved & capacitance.regular
 
 
-def _spectral_factor(eigh_G):
-    """``(B, e)`` for the kernel's gate from ``eigh(G)``: B spans the
-    eigenvalues above ``n eps lambda_max`` and e is the largest magnitude
-    of the others."""
-    w, U = eigh_G
-    keep = w > w.size * _EPS * w[-1]
-    return U[:, keep] * np.sqrt(w[keep]), float(np.max(np.abs(w[~keep]), initial=0.0))
-
-
-def _eigenbasis_kernel(plant, G, cholesky, spectrum_G):
-    """The eigenbasis kernel for the plant and G, or None.  The gate
-    reads G's pivoted-Cholesky factor ``cholesky`` when there is one; when
-    it is None or fails the gate, the gate reads ``eigh(G)``
-    (``spectrum_G``, or from :func:`check_psd` when that is None too)."""
-    kernel = cholesky and _EigenbasisKernel.build(plant, G, cholesky)
-    if not kernel:
-        if spectrum_G is None:
-            spectrum_G = check_psd(G, "G", vectors=True)
-        kernel = _EigenbasisKernel.build(plant, G, _spectral_factor(spectrum_G))
-    return kernel
-
-
 def solve_are(A, G, Q, tol=DEFAULT_STEP_TOL, cert=None, keep_history=False, X0=None):
     """Solve the Riccati equation by Newton-Kleinman from X0 (default 0).
 
@@ -825,8 +807,8 @@ def solve_are(A, G, Q, tol=DEFAULT_STEP_TOL, cert=None, keep_history=False, X0=N
     start, built in it, passes the residual gate below in the original
     basis (see :attr:`Plant.round_trip`).  G's factor comes from at most
     CAPACITANCE_MAX_RANK pivoted Cholesky steps (:func:`low_rank_psd`),
-    which also prove G PSD; ``eigh(G)`` runs only when they leave the PSD
-    test or the kernel's gate open.
+    which also prove G PSD, and is the only route into the eigenbasis;
+    when they give none, ``check_psd(G, "G")`` decides G.
     Otherwise each step is solved from one real Schur factorization of the
     closed loop ``A - Xk G``, which also certifies its spectrum:
     ClosedLoopUnstable is raised when that spectrum leaves the open left
@@ -851,16 +833,17 @@ def solve_are(A, G, Q, tol=DEFAULT_STEP_TOL, cert=None, keep_history=False, X0=N
     test is decided from a lower bound on the step, read from that gain;
     ``W X0 W'`` (two n^3 products) is formed only when the bound leaves the
     test open (see :meth:`_EigenbasisKernel.enter`).  From X0 = 0 the first
-    iterate X1 solves ``A X1 + X1 A' = -Q`` whatever G is: a cold start whose first step is
-    taken on a Schur form reads X1 from the :class:`Plant` of (A, Q), which
-    solves it on the first such start and keeps it (see
-    :meth:`Plant.lyapunov`), so every cold start that shares A, its
-    certificate and Q takes one Schur form of A between them.  X1 still
-    counts in ``newton_iters``; ``schur_steps`` on the solution counts the
-    Schur forms the solve actually took.  A solve that finishes on the
-    eigenbasis kernel keeps its facts on the solution (``eigenbasis``), from
-    which :func:`closed_loop` proves and factors the final closed loop for
-    the multiplier.
+    iterate X1 solves ``A X1 + X1 A' = -Q`` whatever G is, so both kernels
+    read it off the :class:`Plant` of (A, Q) through ``enter``: in the
+    eigenbasis as ``(-Qb) o C``, O(n^2), and on Schur steps as the
+    solution that the first cold start on the plant solves and keeps, so
+    every cold start that shares A, its certificate and Q takes one Schur
+    form of A between them.  X1 still counts in ``newton_iters``;
+    ``schur_steps`` on the solution counts the Schur forms the solve
+    actually took, X1 included when this solve formed it.  A solve that
+    finishes on the eigenbasis kernel keeps its facts on the solution
+    (``eigenbasis``), from which :func:`closed_loop` proves and factors the
+    final closed loop for the multiplier.
 
     G, Q and X0 must have A's shape and tol must be positive: both are
     checked, with ValueError, before any other work.
@@ -887,17 +870,17 @@ def solve_are(A, G, Q, tol=DEFAULT_STEP_TOL, cert=None, keep_history=False, X0=N
             raise ValueError(f"{name} has shape {T.shape}, A has shape {A.shape}")
     # pivoted Cholesky proves G PSD and hands its factor to the eigenbasis
     # kernel's gate; check_psd decides what it leaves open
-    cholesky = low_rank_psd(G, CAPACITANCE_MAX_RANK, "G")
-    spectrum_G = None if cholesky else check_psd(G, "G", vectors=True)
+    factor = low_rank_psd(G, CAPACITANCE_MAX_RANK, "G")
+    if not factor:
+        check_psd(G, "G")
     plant = Plant(A, Q) if cert is None else Plant.of(cert, A, Q)
-    kernel = _eigenbasis_kernel(plant, G, cholesky, spectrum_G) or _SchurKernel(plant, G)
+    kernel = (factor and _EigenbasisKernel.build(plant, G, factor)) or _SchurKernel(plant, G)
 
-    Xb = np.zeros(A.shape) if X0 is None else None
     history = [] if keep_history else None
     stalled = False
     for k in range(1, MAX_NEWTON_ITERS + 1):
-        if Xb is None:  # the first step from a warm start
-            Xb, step = kernel.enter(symmetrize(X0), tol)
+        if k == 1:  # a warm start's symmetrized copy is let go once it has entered
+            Xb, step = kernel.enter(None if X0 is None else symmetrize(X0), tol)
         else:
             Xb_next = kernel.step(Xb, k)
             step = Xb_next - Xb

@@ -18,6 +18,8 @@ from .linalg import (
     check_psd,
     ensure_operator,
     matrix_exponential,
+    norm_within,
+    operator_norm,
     symmetrize,
 )
 
@@ -163,11 +165,6 @@ def _chunks(count):
     return (slice(i, i + CHUNK_POINTS) for i in range(0, count, CHUNK_POINTS))
 
 
-def _opnorms(S):
-    """Largest singular value of each matrix of the stack S."""
-    return np.linalg.svd(S, compute_uv=False)[:, 0]
-
-
 def _grid_sup(stacks, ts, weights):
     """``max_k ||exp(A t_k)|| weights_k``, equal to the max over an SVD of
     every grid point.
@@ -187,7 +184,7 @@ def _grid_sup(stacks, ts, weights):
         hi[part] = np.minimum(hi[part], _stack_bound(stacks(ts[part])))
     hi *= weights
     k = int(np.argmax(hi))
-    best = _opnorms(stacks(ts[[k]]))[0] * weights[k]
+    best = operator_norm(stacks(ts[[k]]))[0] * weights[k]
     open_ = np.flatnonzero(hi >= best)
     open_ = open_[open_ != k]
     for part in _chunks(len(open_)):
@@ -195,34 +192,20 @@ def _grid_sup(stacks, ts, weights):
         S, w = stacks(ts[pts]), weights[pts]
         low, high = _brackets(S)
         keep = high * w >= max(best, float(np.max(low * w)))
-        best = max(best, float(np.max(_opnorms(S[keep]) * w[keep], initial=best)))
+        best = max(best, float(np.max(operator_norm(S[keep]) * w[keep], initial=best)))
     return float(best)
-
-
-def _breaks(S, bound):
-    """Whether some ``||S_k|| > bound_k``, decided as an SVD of every S_k
-    would: the stage-2 bound first, the power-step brackets where it leaves
-    the decision open, and the SVD only where the brackets straddle the
-    bound."""
-    open_ = _stack_bound(S) > bound
-    if not np.any(open_):
-        return False
-    S, bound = S[open_], bound[open_]
-    lo, hi = _brackets(S)
-    straddle = (lo <= bound) & (hi > bound)
-    return bool(np.any(lo > bound) or np.any(_opnorms(S[straddle]) > bound[straddle]))
 
 
 def _decay_violation(stacks, ts, bound):
     """None when ``||exp(A t_k)|| <= bound_k`` at every grid point, else the
     largest ratio of the two (from an SVD at every point, to word the
     failure).  A point whose stage-1 bound is within ``bound_k`` passes
-    before it is built; the others are decided by :func:`_breaks`."""
+    before it is built; the others are decided by ``linalg.norm_within``."""
     pts = np.flatnonzero(stacks.bound(ts) > bound)
-    if not any(_breaks(stacks(ts[pts[part]]), bound[pts[part]])
-               for part in _chunks(len(pts))):
+    if all(norm_within(stacks(ts[pts[part]]), bound[pts[part]]).all()
+           for part in _chunks(len(pts))):
         return None
-    return max(float(np.max(_opnorms(stacks(ts[part])) / bound[part]))
+    return max(float(np.max(operator_norm(stacks(ts[part])) / bound[part]))
                for part in _chunks(len(ts)))
 
 
@@ -288,9 +271,9 @@ def certify_stability(A):
        rounding of ``c_i``, of the exponentials and of the sum, the bound
        is off by less than ``8 (n + 4) u``; it is off on the expm path
        (``cond(V) >= 1e8``);
-    2. ``min(||S||_F, (||S||_1 ||S||_inf)^(1/2))`` on the built matrix,
-       O(n^2).  Its sums of ``n^2`` non-negative terms are off by less than
-       ``n^2 u`` relative (Higham, Sec. 3.1; Golub & Van Loan, *Matrix
+    2. on the built matrix, ``min(||S||_F, (||S||_1 ||S||_inf)^(1/2))``,
+       O(n^2), whose sums of ``n^2`` non-negative terms are off by less
+       than ``n^2 u`` relative (Higham, Sec. 3.1; Golub & Van Loan, *Matrix
        Computations*, Sec. 2.3, for the inequalities);
     3. the power-step brackets of :func:`_brackets`, O(n^3);
     4. the SVD.
@@ -299,7 +282,9 @@ def certify_stability(A):
     plus ``n^2 eps``, which exceeds either rounding for every n, and by
     ``n^2`` times the smallest normal number, which exceeds the absolute
     error of underflowed terms; so a comparison they settle is the SVD's
-    own, ties included.
+    own, ties included.  The validation decides the points that stage 1
+    leaves open by ``linalg.norm_within``, whose cascade settles each
+    comparison as the SVD's own too.
 
     Raises UnstableGenerator when the spectral abscissa is >= 0 or the
     fresh-grid validation fails.

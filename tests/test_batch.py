@@ -111,9 +111,7 @@ class TestSolveStatePairs:
             return (Y if np.any(proved) else None), proved
 
         monkeypatch.setattr(riccati._EigenbasisKernel, "_capacitance_step", failing)
-        # a certificate of its own: the first cold Schur step on a plant
-        # solves X1, and later ones read it (see riccati.Plant.lyapunov)
-        reference = sequential(heat16_config(), points)
+        reference = sequential(cfg, points)
         singles = count_calls(monkeypatch, "solve_are", optimize)
         states = list(solve_state_pairs(cfg, points))
         assert_bit_for_bit(states, reference)

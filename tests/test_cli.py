@@ -329,6 +329,15 @@ class TestCommands:
         assert main(["solve-are", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err == f"config error: device.grid: {message}\n"
 
+    @pytest.mark.parametrize("p0", [["x"], [None], [[0.3]], [float("nan")], [True], [10**400]])
+    def test_bad_device_p0_is_a_config_error(self, tmp_path, capsys, p0):
+        # every entry must be a number that is finite as a float, and a bool
+        # is not one: exit code 1 and the message under device.p0, no
+        # traceback
+        cfg = self.write_cfg(tmp_path, base_config(device={"p0": p0}))
+        assert main(["solve-are", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.startswith("config error: device.p0: ")
+
     def test_nonconvergence_exit_code_still_writes_report(self, tmp_path):
         raw = base_config(solver={"max_iter": 1, "tol": 1e-14})
         cfg = self.write_cfg(tmp_path, raw)
@@ -400,8 +409,8 @@ class TestVerifyBoundsConvDiff16:
         decided = count_computed(monkeypatch, dual.DualSolution, "norm_bound_holds")
         assert main(["verify-bounds", "--config", convdiff16_config(tmp_path),
                      "--out", str(tmp_path / "out"), "--seed", "0"]) == 0
-        brackets = count_calls(monkeypatch, "_brackets", semigroup)
-        svds = count_calls(monkeypatch, "_opnorms", semigroup)
+        brackets = count_calls(monkeypatch, "_brackets", semigroup, linalg)
+        svds = count_calls(monkeypatch, "operator_norm", semigroup, linalg)
         certificates = [semigroup.certify_stability(sol.closed_loop) for sol in decided]
         assert len(certificates) == 20
         assert all(cert.method == "sampled" for cert in certificates)

@@ -45,9 +45,9 @@ from test_optimize_p2 import heat16_config
 
 def eigenbasis_kernel(A, G, Q):
     """The eigenbasis kernel for (A, G, Q), or None, gated as solve_are
-    gates it: on G's pivoted-Cholesky factor, then on eigh(G)."""
-    cholesky = low_rank_psd(G, riccati.CAPACITANCE_MAX_RANK, "G")
-    return riccati._eigenbasis_kernel(riccati.Plant(A, Q), G, cholesky, None)
+    gates it: on G's pivoted-Cholesky factor."""
+    factor = low_rank_psd(G, riccati.CAPACITANCE_MAX_RANK, "G")
+    return factor and riccati._EigenbasisKernel.build(riccati.Plant(A, Q), G, factor)
 
 
 def scalar(x):
@@ -233,8 +233,9 @@ class TestEigenbasisKernel:
         monkeypatch.setattr(riccati, "_residual_within", gate)
         lu = count_calls(monkeypatch, "dgetrf", spla.lapack)
         sol = solve_are(A, G, np.eye(16), cert=cert)
-        assert len(lu) == sol.newton_iters
-        assert sol.schur_steps == (0 if failures == 1 else sol.newton_iters)
+        # step k = 1 is X1, read off the plant: no LU, no gate, no Schur form
+        assert len(lu) == sol.newton_iters - 1
+        assert sol.schur_steps == (0 if failures == 1 else sol.newton_iters - 1)
         assert operator_norm(sol.X - ref.X) <= 1e-10 * (1.0 + operator_norm(ref.X))
 
     def test_step_kept_only_below_lambda_min_of_Q(self):
@@ -715,9 +716,15 @@ class TestSpectralWork:
         assert sol.strong_residual == first and len(norms) == 2  # the read is cached
 
 
+ENTER = riccati._EigenbasisKernel.enter
+
+
 def projected_enter(kernel, X0, tol):
     """The first warm step as it is taken from the projected start
-    ``W X0 W'``: the eigenbasis kernel's warm entry without the gain."""
+    ``W X0 W'``: the eigenbasis kernel's warm entry without the gain.  A
+    cold start (X0 None) enters as it always does."""
+    if X0 is None:
+        return ENTER(kernel, X0, tol)
     Xb = kernel.into(X0)
     Y = kernel.step(Xb, 1)
     return Y, Y - Xb
@@ -965,10 +972,11 @@ class TestColdStartLyapunov:
         A, Q, (G1, G2, *_) = self.non_normal(rng)
         cert = certify_stability(A)
         cold = solve_are(A, G1, Q, cert=cert)
-        reads = count_calls(monkeypatch, "lyapunov", riccati.Plant)
+        entries = count_calls(monkeypatch, "enter", riccati._SchurKernel)
         warm = solve_are(A, G2, Q, cert=cert, X0=cold.X)
         zero = solve_are(A, G2, Q, cert=cert, X0=np.zeros((8, 8)))
-        assert len(reads) == 0
+        # only a cold entry (X0 None) reads the plant's X1
+        assert [X0 is None for _, X0, _ in entries] == [False, False]
         assert (warm.schur_steps, zero.schur_steps) == (warm.newton_iters, zero.newton_iters)
 
     def test_without_a_certificate_nothing_is_shared(self, rng):
@@ -976,16 +984,39 @@ class TestColdStartLyapunov:
         sols = [solve_are(A, G, Q) for G in (G1, G2)]
         assert [s.schur_steps for s in sols] == [s.newton_iters for s in sols]
 
-    def test_eigenbasis_fallback_at_the_first_step_reads_it(self, monkeypatch):
-        A, grid = heat1d(16)
+    def test_eigenbasis_cold_start_takes_no_lu_for_X1(self, monkeypatch):
+        # in the eigenbasis X1 is (-Qb) o C, formed in O(n^2): a cold solve
+        # factors one capacitance LU a step from k = 2 on, alone and as each
+        # member of solve_state_pairs, whose multipliers take one LU each
+        cfg = heat16_config(beta=10.0)
+        points = [np.array([p]) for p in (0.15, 0.3, 0.55, 0.8)]
+        lu = count_calls(monkeypatch, "dgetrf", spla.lapack)
+        sols = [solve_are(cfg.A, cfg.family.G(p), cfg.Q, cert=cfg.cert, keep_history=True)
+                for p in points]
+        assert [s.schur_steps for s in sols] == [0] * len(points)
+        assert len(lu) == sum(s.newton_iters - 1 for s in sols)
+        lu.clear()
+        states = list(optimize.solve_state_pairs(cfg, points))
+        assert [s.sol.newton_iters for s in states] == [s.newton_iters for s in sols]
+        assert len(lu) == sum(s.newton_iters - 1 for s in sols) + len(points)
+        d, V, W, _ = cfg.cert.eigh(cfg.A)
+        X1b = -symmetrize(W @ cfg.Q @ W.T) * (1.0 / (d[:, None] + d[None, :]))
+        X1 = symmetrize(V @ X1b @ V.T)
+        assert all(s.history[0].tobytes() == X1.tobytes() for s in sols)
+
+    def test_refused_eigenbasis_takes_no_eigh_of_G(self, monkeypatch):
+        # convdiff at c = 40, n = 32 has a complex spectrum and keeps no
+        # eigenbasis: G's pivoted-Cholesky factor finds no kernel, and no
+        # eigh(G) is taken to look for one
+        A, grid = convdiff1d(32, c=40.0)
         family = GaussianActuators(grid=grid, sigma=0.12)
-        Gs = [family.G([p]) for p in (0.3, 0.6)]
-        monkeypatch.setattr(riccati._EigenbasisKernel, "_capacitance_step", lambda self, Xb: (None, False))
-        fresh = [solve_are(A, G, np.eye(16), cert=certify_stability(A)) for G in Gs]
         cert = certify_stability(A)
-        shared = [solve_are(A, G, np.eye(16), cert=cert) for G in Gs]
-        assert [s.schur_steps for s in shared] == [fresh[0].newton_iters, fresh[1].newton_iters - 1]
-        assert [s.X.tobytes() for s in shared] == [f.X.tobytes() for f in fresh]
+        eigh = count_calls(monkeypatch, "eigh", np.linalg)
+        sols = [solve_are(A, family.G([p]), np.eye(32), cert=cert)
+                for p in np.linspace(0.1, 0.9, 8)]
+        assert len(eigh) == 0
+        assert [s.schur_steps for s in sols] == [s.newton_iters - (i > 0)
+                                                 for i, s in enumerate(sols)]
 
 
 class TestPlant:

@@ -4,7 +4,7 @@ closed-loop solve with a leading placement axis.
 
 Every step, stop test and gate is the single solve's (``riccati`` writes
 them over optional leading axes), taken for each placement on its own with
-its own LU, so each solution is bit for bit the single solve's.  A
+its own linear solve, so each solution is bit for bit the single solve's.  A
 placement whose single solve would leave A's eigenbasis, or whose G has
 another rank than most of its batch, leaves the batch: its entry is None.
 """

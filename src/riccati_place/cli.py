@@ -54,7 +54,10 @@ def _take(section, key, path, kind, required=True, default=None, check=None):
         return default
     value = section.pop(key)
     if kind is float and isinstance(value, int) and not isinstance(value, bool):
-        value = float(value)
+        try:
+            value = float(value)
+        except OverflowError:
+            raise ConfigError("integer beyond the float range", f"{path}.{key}") from None
     if not isinstance(value, kind) or isinstance(value, bool) and kind is not bool:
         raise ConfigError(f"expected {kind.__name__}, got {type(value).__name__}",
                           f"{path}.{key}")
@@ -169,7 +172,11 @@ def load_matrix(path, field):
     if n < 1 or len(entries) != n * n:
         raise ConfigError(
             f"dimension line says {n} but file has {len(entries)} entries", field)
-    return np.array(entries).reshape(n, n)
+    T = np.array(entries).reshape(n, n)
+    if not np.isfinite(T).all():
+        i, j = np.argwhere(~np.isfinite(T))[0]
+        raise ConfigError(f"non-finite entry {T[i, j]} at row {i + 1}, column {j + 1}", field)
+    return T
 
 
 def save_matrix(path, T):

@@ -5,7 +5,7 @@
 a Lyapunov equation of the one closed-loop generator A.T - G X.  It is solved
 on the state pair's one :class:`~riccati_place.riccati.ClosedLoop`, which
 the solution keeps: the state sensitivities of the reduced Hessian are
-solved on the same loop, its factor or its Schur form.  The solution
+solved on the same loop, its capacitance or its Schur form.  The solution
 inherits symmetry and positive semi-definiteness from W and obeys the decay
 bound ||L|| <= M^2/(2 alpha) ||W|| with closed-loop constants.  Those
 constants belong to the well-posedness analysis, not to the optimality
@@ -126,10 +126,10 @@ def solve_dual(A, G, X, W, W_spectrum=None):
 
     The closed loop ``A.T - G X`` is built by
     :func:`~riccati_place.riccati.closed_loop`, which proves it stable and
-    factors it in A's eigenbasis when the solution's solve ran there and A
-    and G are its operands; the multiplier is the loop's solve for ``-W``
-    (:meth:`~riccati_place.riccati.ClosedLoop.solve`): on that factor when
-    its gate passes, otherwise on the one real Schur form of
+    builds its capacitance in A's eigenbasis when the solution's solve ran
+    there and A and G are its operands; the multiplier is the loop's solve
+    for ``-W`` (:meth:`~riccati_place.riccati.ClosedLoop.solve`): on that
+    capacitance when its gate passes, otherwise on the one real Schur form of
     ``loop.matrix``, bit for bit ``solve_sylvester(loop.matrix, -W)``,
     which raises ClosedLoopUnstable when that spectrum leaves the open left
     half-plane.

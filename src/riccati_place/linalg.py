@@ -11,14 +11,16 @@ conventions hold everywhere:
 * "PSD" additionally means the smallest eigenvalue is ``>= -1e-10 * (1 +
   ||T||)``, checked by :func:`check_psd`.
 
-All functions are pure and never mutate their arguments.
+All functions are pure and never mutate their arguments.  scipy is
+imported only inside the functions that need it (the Schur form, ``trsyl``
+and ``expm``): its import takes longer than a whole placement sweep, and
+most runs take no Schur form.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as spla
 
 from .errors import HorizonTooShort, SingularSystem, UnstableGenerator
 
@@ -354,6 +356,8 @@ def matrix_exponential(A, t):
         raise ValueError("t must be nonnegative")
     if t == 0.0:
         return np.eye(A.shape[0])
+    import scipy.linalg as spla
+
     return spla.expm(A * t)
 
 
@@ -379,6 +383,8 @@ def _real_schur(A):
     each 2x2 block to ``[[a, b], [c, a]]`` with ``b c < 0``, whose
     eigenvalues are ``a +- i sqrt(|b| |c|)``.
     """
+    import scipy.linalg as spla
+
     gees, = spla.get_lapack_funcs(("gees",), (A,))
     lwork = gees(_no_sort, A, lwork=-1)[-2][0].real.astype(np.int_)
     T, _, _, _, U, _, info = gees(_no_sort, A, lwork=lwork, overwrite_a=False, sort_t=0)
@@ -468,6 +474,8 @@ class SylvesterFactor:
         ``S' Y + Y S = U' P U`` for ``Y = U' T U``."""
         S, U, _ = self.schur
         F = np.dot(np.dot(U.T, P), U)
+        import scipy.linalg as spla
+
         trsyl, = spla.get_lapack_funcs(("trsyl",), (S, S, F))
         trana, tranb = ("C", "N") if transpose else ("N", "C")
         Y, scale, info = trsyl(S, S, F, trana=trana, tranb=tranb)

@@ -12,11 +12,10 @@ form A.T X + X A of classical LQR is obtained by transposing everything).
 import copy
 import math
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cache, cached_property
 from typing import List, Optional
 
 import numpy as np
-import scipy.linalg as spla
 
 from .errors import ClosedLoopUnstable, NewtonStall, UnstableGenerator
 from .linalg import (
@@ -45,7 +44,7 @@ DEFAULT_STEP_TOL = 1e-12
 RESIDUAL_RTOL = 1e-10
 TRACE_SLACK = 1e-9
 MAX_NEWTON_ITERS = 100
-# Largest rank of G whose steps run in the eigenbasis.  The (n r)^3 LU
+# Largest rank of G whose steps run in the eigenbasis.  The (n r)^3 solve
 # grows as r^3: on heat models at n = 16 / 64 / 256 rank 3 still times
 # at or below the Schur kernel (1 BLAS thread), rank 4 is slower warm
 # at n = 16 and n = 64.
@@ -92,7 +91,7 @@ class RiccatiSolution:
     it, so the residual matrix itself is not kept.  ``eigenbasis`` holds
     the eigenbasis kernel's facts when the solve ran on it (G's n x r
     factor, two scalars and a reference to the plant); :func:`closed_loop`
-    proves and factors the final closed loop from them.
+    proves the final closed loop stable from them.
     """
 
     X: np.ndarray
@@ -146,11 +145,66 @@ def _dot(T):
 
 
 def _positive_definite(T, where=True):
-    """Whether T, or each matrix of a stack T, is positive definite, by
-    ``dpotrf``, tried only where ``where`` holds (False elsewhere)."""
-    if T.ndim == 3:
-        return np.array([_positive_definite(M, w) for M, w in zip(T, where)], dtype=bool)
-    return bool(where) and spla.lapack.dpotrf(T)[1] == 0
+    """Whether T, or each matrix of a stack T, is positive definite, tried
+    only where ``where`` holds (False elsewhere).  Both tests below read T's
+    upper triangle, as the symmetric matrix it stands for; the strict lower
+    triangle is never read.
+
+    The disc test decides first, in O(n^2): a finite diagonal with
+
+        t_ii > (1 + gamma_n) fl(sum_{j != i} |t_ij|)
+
+    in every row puts each Gershgorin disc in the open right half-plane,
+    hence every eigenvalue (Varga, *Gersgorin and His Circles*, 2004).  The
+    sum is rigorous: n - 1 nonnegative terms summed in any order come out at
+    least ``(1 - gamma_{n-2})`` times their exact sum (Higham, *Accuracy and
+    Stability of Numerical Algorithms*, 3.1), and ``fl(1 + gamma_n) >= 1 +
+    n u`` covers that loss and the product's own rounding for n < 2^26 (a
+    sum below the normal range is exact).  A non-finite entry fails it.
+
+    A matrix the discs leave open is positive definite when Cholesky
+    factors it with a finite diagonal: one ``np.linalg.cholesky`` over the
+    open members of a stack, and one per member when that call raises."""
+    mask, ones, widening = _disc_constants(T.shape[-1])
+    K = np.where(mask, T, 0.0)
+    np.abs(K, out=K)
+    dot = _dot(T)
+    rows = dot(K, ones)  # row i of the upper triangle's symmetric matrix
+    rows += dot(ones, K)
+    rows *= widening
+    diag = T.diagonal(0, -2, -1)
+    decided = (np.less(rows, diag) & np.less(diag, np.inf)).all(axis=-1)
+    if T.ndim == 2:
+        return bool(where) and bool(decided or _cholesky_succeeds(T))
+    pd = decided & where
+    open_ = where > pd
+    if open_.any():
+        pd[open_] = _cholesky_succeeds(T[open_])
+    return pd
+
+
+@cache
+def _disc_constants(n):
+    """The disc test's constants at order n, shared read-only by every
+    caller: the strict upper triangle as a mask, a vector of ones, and
+    ``fl(1 + gamma_n)``."""
+    mask = np.triu(np.ones((n, n), dtype=bool), 1)
+    ones = np.ones(n)
+    mask.flags.writeable = ones.flags.writeable = False
+    return mask, ones, 1.0 + _gamma(n)
+
+
+def _cholesky_succeeds(T):
+    """Whether Cholesky factors T's upper triangle, or each member's of a
+    stack, with a finite diagonal: the lower factor of ``T'`` reads exactly
+    that triangle.  A stack whose call raises is retried member by member."""
+    try:
+        L = np.linalg.cholesky(T.swapaxes(-1, -2))
+    except np.linalg.LinAlgError:
+        if T.ndim == 2:
+            return False
+        return np.array([_cholesky_succeeds(M) for M in T], dtype=bool)
+    return np.isfinite(L.diagonal(0, -2, -1)).all(axis=-1)
 
 
 class Plant:
@@ -356,8 +410,8 @@ class _SchurKernel:
 
 class _Capacitance:
     """The closed loop ``D - F B'`` of a rank-r G in a real eigenbasis
-    ``A = V diag(d) V^{-1}`` of A, factored through one LU of its
-    (n r) x (n r) capacitance matrix.
+    ``A = V diag(d) V^{-1}`` of A, solved through its (n r) x (n r)
+    capacitance matrix.
 
     For symmetric S the Lyapunov equation
 
@@ -367,46 +421,40 @@ class _Capacitance:
     ``Z = Y B`` the solution of the capacitance system.  Its trace-adjoint,
     the dual equation ``(D - B F') Y + Y (D - F B') = S``, has
     ``Y = C o (S + B U' + U B')`` with ``U = Y F``, and its capacitance
-    matrix is the transpose of the first: one LU serves both, through
-    ``getrs`` with ``trans=0`` and ``trans=1``.
+    matrix is the transpose of the first: the one ``matrix`` serves both,
+    each solve one ``np.linalg.solve`` on it or on its transpose.
 
     B and F may carry a leading axis of members, each a closed loop of its
-    own with its own LU (``lu`` holds one ``getrf`` factor pair per member,
-    ``regular`` whether each is regular); every product is then the
-    per-member one bit for bit, and each member is refined and gated on its
-    own.
+    own with its own capacitance matrix, solved in one stacked call; every
+    product is then the per-member one bit for bit, and each member is
+    refined and gated on its own.  An exactly singular system leaves its
+    member unsolved.
     """
 
-    def __init__(self, Dsum, C, B, F, lu, regular):
-        self.Dsum, self.C, self.B, self.F, self.lu = Dsum, C, B, F, lu
-        self.regular = regular
-
-    @classmethod
-    def factor(cls, Dsum, C, B, F):
-        """The factored closed loop, or None when no LU is regular."""
-        matrices = cls._matrix(C, B, F)
-        lu, regular = [], []
-        for M in matrices if matrices.ndim == 3 else matrices[None]:
-            *factors, info = spla.lapack.dgetrf(M, overwrite_a=1)
-            lu.append(factors)
-            regular.append(info == 0)
-        regular = np.array(regular) if matrices.ndim == 3 else regular[0]
-        return cls(Dsum, C, B, F, lu, regular) if _any(regular) else None
+    def __init__(self, Dsum, C, B, F, matrix=None):
+        self.Dsum, self.C, self.B, self.F = Dsum, C, B, F
+        self.matrix = self._matrix(C, B, F) if matrix is None else matrix
 
     def member(self, k):
         """The closed loop of member k, holding copies of its arrays only."""
-        lu, piv = self.lu[k]
         return _Capacitance(self.Dsum, self.C, self.B[k].copy(), self.F[k].copy(),
-                            [(lu.copy(order="F"), piv)], bool(self.regular[k]))
+                            self.matrix[k].copy(order="F"))
 
     @staticmethod
     def _matrix(C, B, F):
         """``I - diag(F_b) C diag(B_a) - diag(C (F_b o B_a))`` in block (a, b),
-        built in one (n r) x (n r) array in Fortran order, as ``getrf``
-        takes it: its transpose, entry (b, j, a, i), is built in C order.
+        built in one (n r) x (n r) array in Fortran order, the layout LAPACK
+        factors: its transpose, entry (b, j, a, i), is built in C order.
         The entries ``(b, i, a, i)`` of block diagonals and the diagonal are
         updated through strided views, without index arrays."""
         lead, (n, r) = F.shape[:-2], F.shape[-2:]
+        if r == 1:  # the same products, bit for bit, on n x n arrays: half the time at n = 16
+            Mt = C * F.swapaxes(-1, -2)
+            Mt *= -B
+            diag = Mt.reshape(lead + (-1,))[..., ::n + 1]
+            diag -= np.matmul(C, B * F)[..., 0]
+            diag += 1.0
+            return Mt.swapaxes(-1, -2)
         Mt = np.empty(lead + (r, n, r, n))
         np.multiply(C[:, None, :], F.swapaxes(-1, -2)[..., None, None, :], out=Mt)  # C is symmetric
         Mt *= -B[..., None, :, :, None]  # = -((C F) B) bit for bit: rounding commutes with negation
@@ -422,9 +470,9 @@ class _Capacitance:
     def solve(self, S, adjoint=False):
         """``(Y, R, solved)``: the solution Y of the equation for symmetric S
         (the dual one with ``adjoint``), its residual R, and whether Y is
-        finite and R passes the Sylvester gate, refined up to twice on the
-        LU; for a batch, S is shared or one per member, and a member is
-        refined only while it fails the gate."""
+        finite and R passes the Sylvester gate, refined up to twice; for a
+        batch, S is shared or one per member, and a member is refined only
+        while it fails the gate."""
         S_bounds = _norm_bounds(S)
         left, right = (self.B, self.F) if adjoint else (self.F, self.B)
         dot = _dot(left)
@@ -452,9 +500,8 @@ class _Capacitance:
         n, r = self.B.shape[-2:]
         left, right = (self.B, self.F) if adjoint else (self.F, self.B)
         # each member's right side Z' = ((C o S) right)' as one vector
-        Z = np.matmul(self.C * S, right).swapaxes(-1, -2).reshape(-1, r * n)
-        for z, lu in zip(Z, self.lu):
-            z[:] = spla.lapack.dgetrs(*lu, z, trans=int(adjoint))[0]
+        Z = np.matmul(self.C * S, right).swapaxes(-1, -2).reshape(self.B.shape[:-2] + (r * n,))
+        Z = _solve_members(self.matrix.swapaxes(-1, -2) if adjoint else self.matrix, Z)
         Z = Z.reshape(self.B.shape[:-2] + (r, n))
         # C o (S + T + T') with T = left Z'
         dot = _dot(left)
@@ -463,6 +510,18 @@ class _Capacitance:
         Y += dot(Z.swapaxes(-1, -2), left.swapaxes(-1, -2))
         Y *= self.C
         return Y
+
+
+def _solve_members(M, b):
+    """``M x = b`` for a matrix and a vector, or for each member of a stack
+    of them in one stacked call; when it raises, each member is solved on
+    its own, and an exactly singular one gets NaN."""
+    try:
+        return np.linalg.solve(M, b) if M.ndim == 2 else np.linalg.solve(M, b[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        if M.ndim == 2:
+            return np.full(b.shape, np.nan)
+        return np.stack([_solve_members(Mk, bk) for Mk, bk in zip(M, b)])
 
 
 def _gamma(n):
@@ -483,10 +542,10 @@ class _EigenbasisKernel(_SchurKernel):
 
         (D - F B') Y + Y (D - B F') = S,   S = -(F F' + W Q W'),
 
-    solved on the closed loop's :class:`_Capacitance`: one LU a step
-    instead of a Schur form of the closed loop, which is similar to
-    ``D - F B'`` through V.  A step is kept only when its residual passes
-    the Sylvester gate (with up to two refinements on the same LU) and
+    solved on the closed loop's :class:`_Capacitance`: one (n r) x (n r)
+    linear solve a step instead of a Schur form of the closed loop, which
+    is similar to ``D - F B'`` through V.  A step is kept only when its
+    residual passes the Sylvester gate (with up to two refinements) and
     Lyapunov's theorem proves its closed loop stable: ``Y`` is positive
     definite and ``||R||_F + 2 drift ||Y||_F < lambda_min(W Q W')``, so the
     closed loop in the eigenbasis, ``D + Delta - F B'`` with eig's residual
@@ -657,11 +716,7 @@ class _EigenbasisKernel(_SchurKernel):
         S = _dot(F)(F, F.swapaxes(-1, -2))  # exactly symmetric (see _xgx)
         S += self.Qb
         np.negative(S, out=S)
-        closed_loop = _Capacitance.factor(self.Dsum, self.C, self.B, F)
-        if closed_loop is None:
-            return None, False
-        Y, R, solved = closed_loop.solve(S)
-        proved = closed_loop.regular & solved
+        Y, R, proved = _Capacitance(self.Dsum, self.C, self.B, F).solve(S)
         if _any(proved):
             proved = proved & (_frobenius(R) + 2.0 * self.drift * _frobenius(Y) < self.lam_min_Q)
             proved = proved & _positive_definite(Y, proved)  # tried only where still proved
@@ -672,7 +727,7 @@ class ClosedLoop:
     """The closed loop of a Riccati solution X for (A, G), on which the
     multiplier and the state sensitivities are solved, built by
     :func:`closed_loop`.  It holds ``matrix = A' - G X``, formed once; the
-    closed loop's factor in A's eigenbasis ``A = V diag(d) W`` when its
+    closed loop's capacitance in A's eigenbasis ``A = V diag(d) W`` when its
     stability is proved (``capacitance``, with the kernel's ``facts`` and
     ``x_fro = ||X||_F`` that its gate reads; None otherwise); and
     ``schur``, the real Schur form of ``matrix``, built on first need by
@@ -750,8 +805,8 @@ class ClosedLoop:
 
 def closed_loop(A, G, X, facts=None):
     """``(loop, proved)``: the :class:`ClosedLoop` at a solution X of the
-    Riccati equation for (A, G, Q), and whether it is proved stable and
-    factored in A's eigenbasis; over the members of a batch, whose G, X and
+    Riccati equation for (A, G, Q), and whether it is proved stable, and so
+    solved in A's eigenbasis; over the members of a batch, whose G, X and
     facts hold one entry per member.  ``facts`` are the eigenbasis kernel's
     at X (``RiccatiSolution.eigenbasis``, for these A and G); without them
     nothing is proved, and the loop's solves take its Schur form.
@@ -764,12 +819,13 @@ def closed_loop(A, G, X, facts=None):
 
     and ``||X E X||_F <= e ||X||_F^2``, so the right side is negative
     definite when ``||R_B||_F + 2 e ||X||_F^2 < lambda_min(Q)``; with X
-    positive definite (``dpotrf``) the closed loop is stable.  It is not
-    proved when the proof or the capacitance LU fails.  In the eigenbasis
-    the closed loop is ``D - F B'`` with ``F = (W X W') B``.  Beyond
-    ``A' - G X``, the work is O(n^2 r) plus one Cholesky of X, one LU of the
-    capacitance matrix and the products that form F; no Schur form is
-    taken.
+    positive definite (:func:`_positive_definite`) the closed loop is
+    stable.  A proved loop keeps its capacitance matrix; a solve that the
+    matrix declines (an exactly singular system, or a failed gate) takes
+    the Schur form instead.  In the eigenbasis the closed loop is
+    ``D - F B'`` with ``F = (W X W') B``.  Beyond ``A' - G X``, the work is
+    O(n^2 r) plus the positive-definiteness test of X, the capacitance
+    matrix and the products that form F; no Schur form is taken.
     """
     matrix = A.T - G @ X
     if facts is None:
@@ -782,10 +838,7 @@ def closed_loop(A, G, X, facts=None):
         return ClosedLoop(matrix), proved
     W = plant.basis[2]
     F = W @ (X @ (W.T @ facts.B))
-    capacitance = _Capacitance.factor(plant.Dsum, plant.C, facts.B, F)
-    if capacitance is None:
-        return ClosedLoop(matrix), False
-    return ClosedLoop(matrix, capacitance, facts, x_fro), proved & capacitance.regular
+    return ClosedLoop(matrix, _Capacitance(plant.Dsum, plant.C, facts.B, F), facts, x_fro), proved
 
 
 def solve_are(A, G, Q, tol=DEFAULT_STEP_TOL, cert=None, keep_history=False, X0=None):
@@ -842,8 +895,8 @@ def solve_are(A, G, Q, tol=DEFAULT_STEP_TOL, cert=None, keep_history=False, X0=N
     ``schur_steps`` on the solution counts the Schur forms the solve
     actually took, X1 included when this solve formed it.  A solve that
     finishes on the eigenbasis kernel keeps its facts on the solution
-    (``eigenbasis``), from which :func:`closed_loop` proves and factors the
-    final closed loop for the multiplier.
+    (``eigenbasis``), from which :func:`closed_loop` proves the final
+    closed loop stable for the multiplier.
 
     G, Q and X0 must have A's shape and tol must be positive: both are
     checked, with ValueError, before any other work.
@@ -974,6 +1027,8 @@ def solve_are_hamiltonian(A, G, Q):
     Q = ensure_operator(Q, "Q")
     n = A.shape[0]
     H = np.block([[A.T, -G], [-Q, -A]])
+    import scipy.linalg as spla
+
     _, Z, sdim = spla.schur(H, output="real", sort="lhp")
     if sdim != n:
         raise UnstableGenerator(

@@ -177,11 +177,16 @@ def _grid_sup(stacks, ts, weights):
     SVD (stage 4) runs where the bracket reaches both the best value so far
     and the largest lower bound of its chunk.  A point left out has an
     upper bound below a norm that an SVD'd point reaches, so the max is the
-    SVD's own, bit for bit.
+    SVD's own, bit for bit.  A point that overflows raises UnstableGenerator
+    as a failed validation: no finite M can be sampled.
     """
     hi = stacks.bound(ts)
     for part in _chunks(len(ts)):
-        hi[part] = np.minimum(hi[part], _stack_bound(stacks(ts[part])))
+        S = stacks(ts[part])
+        if not np.isfinite(S).all():  # e.g. a defective A with abscissa within rounding of 0
+            raise UnstableGenerator("certificate validation failed: exp(A t) overflows "
+                                    "on the sampling grid")
+        hi[part] = np.minimum(hi[part], _stack_bound(S))
     hi *= weights
     k = int(np.argmax(hi))
     best = operator_norm(stacks(ts[[k]]))[0] * weights[k]

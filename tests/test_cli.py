@@ -290,7 +290,7 @@ class TestCommands:
     @pytest.mark.parametrize("field,entry,message", [
         ("problem.Q", (0, 0, -1.0), "Q is not PSD: lambda_min = -1.000e+00 < -2.000e-10"),
         ("problem.W", (1, 2, 1.0), "W is not symmetric: max|T - T.T| = 1.000e+00 > 2.618e-12"),
-        ("model.file_path", (0, 0, np.nan), "A has non-finite entries")])
+        ("model.file_path", (0, 0, np.nan), "non-finite entry nan at row 1, column 1")])
     def test_matrix_rejected_by_the_problem_is_a_config_error(self, tmp_path, capsys,
                                                               field, entry, message):
         # a matrix file the problem config rejects: exit code 1 and the
@@ -309,6 +309,37 @@ class TestCommands:
         cfg = self.write_cfg(tmp_path, raw)
         assert main(["solve-are", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err == f"config error: {field}: {message}\n"
+
+    @pytest.mark.parametrize("field", ["model.file_path", "problem.Q", "problem.W"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_matrix_file_is_a_config_error(self, tmp_path, capsys, field, value):
+        # a nan or inf token in a matrix file, for a 2 x 2 model (certify
+        # reads no Q or W) or for Q or W: exit code 1 and the entry under
+        # the file's field, no traceback
+        T = np.array([[-2.0, 0.5], [0.5, -3.0]]) if field == "model.file_path" else np.eye(2)
+        T[1, 0] = value
+        save_matrix(tmp_path / "T.txt", T)
+        save_matrix(tmp_path / "A.txt", np.array([[-2.0, 0.5], [0.5, -3.0]]))
+        raw = base_config(model={"kind": "matrix_file", "file_path": str(tmp_path / "A.txt")},
+                          device={"grid": [0.3, 0.6]})
+        del raw["model"]["n"], raw["model"]["diffusivity"], raw["model"]["domain_length"]
+        section, key = field.split(".")
+        raw[section][key] = str(tmp_path / "T.txt")
+        cfg = self.write_cfg(tmp_path, raw)
+        command = "certify" if field == "model.file_path" else "solve-are"
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == (
+            f"config error: {field}: non-finite entry {value} at row 2, column 1\n")
+
+    def test_int_beyond_the_float_range_is_a_config_error(self, tmp_path, capsys):
+        # json reads "sigma": 1 followed by 400 zeros as an int that float()
+        # cannot convert: exit code 1 and the field, no OverflowError
+        path = tmp_path / "config.json"
+        raw = json.dumps(base_config()).replace('"sigma": 0.15', '"sigma": 1' + "0" * 400)
+        path.write_text(raw)
+        assert main(["solve-are", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == (
+            "config error: device.sigma: integer beyond the float range\n")
 
     @pytest.mark.parametrize("model,grid,message", [
         ("heat1d", [0.1] * 8, "grid must be finite and strictly increasing"),

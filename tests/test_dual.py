@@ -2,7 +2,6 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-import scipy.linalg as spla
 
 from riccati_place import GaussianActuators, dual, linalg, optimize, riccati, semigroup
 from riccati_place.dual import solve_dual, verify_dual
@@ -313,22 +312,24 @@ class TestClosedLoopFactor:
 
     @pytest.mark.parametrize("failure", ["proof", "positive definite", "gate", "lu"])
     def test_failure_falls_back_to_the_schur_form(self, monkeypatch, failure):
-        # an unproved closed loop has no factor; a proved one whose
-        # multiplier fails the gate keeps it for the state sensitivities
+        # an unproved closed loop has no capacitance; a proved one whose
+        # multiplier fails the gate, or whose capacitance system is exactly
+        # singular, keeps it for the state sensitivities
         A, G, Q, W = heat_instance()
         are = solve_are(A, G, Q)
         if failure == "proof":
             are = replace(are, eigenbasis=replace(are.eigenbasis, residual_fro=1.0))
         elif failure == "positive definite":
-            monkeypatch.setattr(spla.lapack, "dpotrf", lambda X: (X, 1))
+            monkeypatch.setattr(riccati, "_positive_definite", lambda T, where=True: False)
         elif failure == "gate":
             monkeypatch.setattr(riccati, "_residual_within", lambda R, P, P_bounds: False)
         else:
-            monkeypatch.setattr(spla.lapack, "dgetrf", lambda M, **flags: (M, None, 1))
+            monkeypatch.setattr(riccati._Capacitance, "_matrix",
+                                staticmethod(lambda C, B, F: np.zeros((F.size, F.size), order="F")))
         schur = count_calls(monkeypatch, "_real_schur", linalg)
         sol = solve_dual(A, G, are, W)
         assert len(schur) == 1 and sol.loop.schur is not None
-        assert (sol.loop.capacitance is None) == (failure != "gate")
+        assert (sol.loop.capacitance is None) == (failure in ("proof", "positive definite"))
         monkeypatch.undo()
         ref = solve_dual(A, G, are.X, W).Lambda
         assert relative(sol.Lambda, ref) <= 1e-12

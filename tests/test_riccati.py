@@ -1,8 +1,10 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
-import scipy.linalg as spla
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from riccati_place import (
     GaussianActuators,
@@ -214,7 +216,7 @@ class TestEigenbasisKernel:
             assert operator_norm(sol.X - ref.X) <= 1e-10 * (1.0 + operator_norm(ref.X))
 
     @pytest.mark.parametrize("failures", [1, 3])
-    def test_refinement_on_the_same_lu_then_schur_fallback(self, monkeypatch, failures):
+    def test_refinement_then_schur_fallback(self, monkeypatch, failures):
         # the residual gate fails the first `failures` checks of every step
         # (each step has its own right-hand side P): one is mended by a
         # refinement, three exhaust both refinements and fall back
@@ -231,10 +233,11 @@ class TestEigenbasisKernel:
             return len(seen) > failures and _residual_within(R, P, P_bounds)
 
         monkeypatch.setattr(riccati, "_residual_within", gate)
-        lu = count_calls(monkeypatch, "dgetrf", spla.lapack)
+        solves = count_calls(monkeypatch, "solve", riccati._Capacitance)
         sol = solve_are(A, G, np.eye(16), cert=cert)
-        # step k = 1 is X1, read off the plant: no LU, no gate, no Schur form
-        assert len(lu) == sol.newton_iters - 1
+        # step k = 1 is X1, read off the plant: no capacitance solve, no
+        # gate, no Schur form
+        assert len(solves) == sol.newton_iters - 1
         assert sol.schur_steps == (0 if failures == 1 else sol.newton_iters - 1)
         assert operator_norm(sol.X - ref.X) <= 1e-10 * (1.0 + operator_norm(ref.X))
 
@@ -280,7 +283,9 @@ class TestEigenbasisKernel:
         ref[np.diag_indices(n * r)] += 1.0
         M = riccati._Capacitance._matrix(C, B, F)
         assert M.tobytes() == ref.tobytes()
-        assert M.flags.f_contiguous  # getrf factors it without a copy
+        assert M.flags.f_contiguous  # LAPACK's layout: np.linalg.solve copies it by columns
+        stacked = riccati._Capacitance._matrix(C, np.stack([B, B]), np.stack([2.0 * F, F]))
+        assert stacked[1].tobytes() == M.tobytes() and stacked[1].flags.f_contiguous
 
     @pytest.mark.parametrize("eigenbasis", [True, False])
     def test_stop_residual_takes_one_cubic_product(self, eigenbasis):
@@ -313,13 +318,14 @@ class TestEigenbasisKernel:
     def textbook_capacitance_solve(cap, S, adjoint):
         """``_Capacitance.solve`` as its docstring states it: Y = C o (S +
         T + T') with T = left Z', the residual S - Dsum o Y + W + W' with
-        W = left (Y right)', and the same refinements on the LU."""
+        W = left (Y right)', and the same refinements, each a solve of the
+        capacitance system (transposed for the dual equation)."""
         n, r = cap.B.shape
         left, right = (cap.B, cap.F) if adjoint else (cap.F, cap.B)
+        M = cap.matrix.T if adjoint else cap.matrix
 
         def solve(S):
-            Z = spla.lapack.dgetrs(*cap.lu[0], ((cap.C * S) @ right).T.ravel(),
-                                   trans=int(adjoint))[0].reshape(r, n).T
+            Z = np.linalg.solve(M, ((cap.C * S) @ right).T.ravel()).reshape(r, n).T
             T = left @ Z.T
             return cap.C * (S + T + T.T)
 
@@ -346,7 +352,7 @@ class TestEigenbasisKernel:
         G = GaussianActuators(grid=grid, sigma=0.12, param_dim=r).G(np.linspace(0.2, 0.8, r))
         kernel = eigenbasis_kernel(A, G, np.eye(n))
         F = kernel.into(solve_are(A, G, np.eye(n)).X) @ kernel.B
-        cap = riccati._Capacitance.factor(kernel.Dsum, kernel.C, kernel.B, F)
+        cap = riccati._Capacitance(kernel.Dsum, kernel.C, kernel.B, F)
         seen = []
 
         def gate(R, P, P_bounds):
@@ -365,6 +371,27 @@ class TestEigenbasisKernel:
             else:
                 assert operator_norm(Y - Y_ref) <= 1e-13 * operator_norm(Y_ref)
                 assert operator_norm(R - R_ref) <= 1e-13 * operator_norm(S)
+
+    @pytest.mark.parametrize("adjoint", [False, True])
+    def test_singular_member_is_not_solved(self, monkeypatch, adjoint):
+        # an exactly singular capacitance system makes the stacked solve
+        # raise: each member is solved again on its own, the regular one
+        # bit for bit as alone, the singular one left unsolved (NaN)
+        n = 16
+        A, grid = heat1d(n)
+        G = GaussianActuators(grid=grid, sigma=0.12).G([0.3])
+        kernel = eigenbasis_kernel(A, G, np.eye(n))
+        F = kernel.into(solve_are(A, G, np.eye(n)).X) @ kernel.B
+        S = -(F @ F.T + kernel.Qb)
+        alone = riccati._Capacitance(kernel.Dsum, kernel.C, kernel.B, F).solve(S, adjoint)
+        cap = riccati._Capacitance(kernel.Dsum, kernel.C, np.stack([kernel.B] * 2),
+                                   np.stack([F] * 2))
+        cap.matrix[1] = 0.0
+        solves = count_calls(monkeypatch, "solve", np.linalg)
+        Y, R, solved = cap.solve(S, adjoint)
+        assert solved.tolist() == [True, False] and len(solves) == 3
+        assert Y[0].tobytes() == alone[0].tobytes() and R[0].tobytes() == alone[1].tobytes()
+        assert np.isnan(Y[1]).all()
 
     def test_heat64_rank1_takes_no_schur_form(self, monkeypatch):
         A, grid = heat1d(64)
@@ -984,21 +1011,25 @@ class TestColdStartLyapunov:
         sols = [solve_are(A, G, Q) for G in (G1, G2)]
         assert [s.schur_steps for s in sols] == [s.newton_iters for s in sols]
 
-    def test_eigenbasis_cold_start_takes_no_lu_for_X1(self, monkeypatch):
+    def test_eigenbasis_cold_start_takes_no_capacitance_solve_for_X1(self, monkeypatch):
         # in the eigenbasis X1 is (-Qb) o C, formed in O(n^2): a cold solve
-        # factors one capacitance LU a step from k = 2 on, alone and as each
-        # member of solve_state_pairs, whose multipliers take one LU each
+        # takes one capacitance solve a step from k = 2 on, alone and as
+        # each member of solve_state_pairs, whose multipliers take one each
         cfg = heat16_config(beta=10.0)
         points = [np.array([p]) for p in (0.15, 0.3, 0.55, 0.8)]
-        lu = count_calls(monkeypatch, "dgetrf", spla.lapack)
+        calls = count_calls(monkeypatch, "solve", riccati._Capacitance)
+
+        def member_solves():  # a batch's capacitance solves each of its members
+            return sum(1 if cap.B.ndim == 2 else len(cap.B) for cap, *_ in calls)
+
         sols = [solve_are(cfg.A, cfg.family.G(p), cfg.Q, cert=cfg.cert, keep_history=True)
                 for p in points]
         assert [s.schur_steps for s in sols] == [0] * len(points)
-        assert len(lu) == sum(s.newton_iters - 1 for s in sols)
-        lu.clear()
+        assert member_solves() == len(calls) == sum(s.newton_iters - 1 for s in sols)
+        calls.clear()
         states = list(optimize.solve_state_pairs(cfg, points))
         assert [s.sol.newton_iters for s in states] == [s.newton_iters for s in sols]
-        assert len(lu) == sum(s.newton_iters - 1 for s in sols) + len(points)
+        assert member_solves() == sum(s.newton_iters - 1 for s in sols) + len(points)
         d, V, W, _ = cfg.cert.eigh(cfg.A)
         X1b = -symmetrize(W @ cfg.Q @ W.T) * (1.0 / (d[:, None] + d[None, :]))
         X1 = symmetrize(V @ X1b @ V.T)
@@ -1208,6 +1239,104 @@ class TestVerifyAre:
             assert rep.strong_residual <= 1e-10 * (1.0 + operator_norm(Q))
             assert rep.bochner_residual_rel <= 1e-6
             assert rep.trace_bound_holds and rep.symmetric and rep.psd
+
+
+
+class TestPositiveDefinite:
+    """``riccati._positive_definite``: Gershgorin discs first, Cholesky on
+    what they leave open, both on the upper triangle."""
+
+    @staticmethod
+    def decide(monkeypatch, T, where=True):
+        """The answer for T and the Cholesky calls it took; warnings raise."""
+        calls = count_calls(monkeypatch, "cholesky", np.linalg)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pd = riccati._positive_definite(T, where)
+        monkeypatch.undo()
+        return pd, len(calls)
+
+    @staticmethod
+    def not_dominant(n, rng):
+        """A positive definite matrix whose discs reach into the left half-plane."""
+        B = rng.standard_normal((n, n))
+        T = B @ B.T + 0.1 * np.eye(n)
+        assert np.linalg.eigvalsh(T)[0] > 0.0
+        assert not (np.diag(T) > np.abs(T).sum(axis=1) - np.abs(np.diag(T))).all()
+        return T
+
+    def test_dominant_is_decided_without_cholesky(self, monkeypatch):
+        T = np.diag([4.0, 5.0, 6.0]) + 0.5 * (np.ones((3, 3)) - np.eye(3))
+        assert self.decide(monkeypatch, T) == (True, 0)
+
+    def test_not_dominant_takes_one_cholesky(self, monkeypatch, rng):
+        assert self.decide(monkeypatch, self.not_dominant(6, rng)) == (True, 1)
+
+    def test_margin_is_exact(self, monkeypatch):
+        # row 0's bound is fl(fl(1 + gamma_3) fl(0.1 + 0.2)): a diagonal equal
+        # to it leaves the discs open, one ulp above decides
+        bound = (1.0 + riccati._gamma(3)) * (0.1 + 0.2)
+        T = np.array([[bound, 0.1, 0.2], [0.1, 10.0, 0.0], [0.2, 0.0, 10.0]])
+        assert self.decide(monkeypatch, T) == (True, 1)
+        T[0, 0] = np.nextafter(bound, np.inf)
+        assert self.decide(monkeypatch, T) == (True, 0)
+
+    def test_indefinite_one_ulp_short_of_dominance(self, monkeypatch):
+        # off-diagonal 1 + ulp against a unit diagonal: lambda_min = -ulp
+        off = np.nextafter(1.0, 2.0)
+        T = np.array([[1.0, off], [off, 1.0]])
+        assert np.linalg.eigvalsh(T)[0] < 0.0
+        assert self.decide(monkeypatch, T) == (False, 1)
+        T[0, 1] = T[1, 0] = 1.0  # singular: weakly dominant is not enough
+        assert self.decide(monkeypatch, T) == (False, 1)
+
+    @pytest.mark.parametrize("entry", [(0, 0), (0, 2), (2, 2)])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_is_not_positive_definite(self, monkeypatch, entry, value):
+        T = np.diag([4.0, 5.0, 6.0]) + 0.5 * (np.ones((3, 3)) - np.eye(3))
+        T[entry] = value
+        assert self.decide(monkeypatch, T)[0] is False
+        assert self.decide(monkeypatch, np.stack([T, np.eye(3)]))[0].tolist() == [False, True]
+
+    def test_decided_on_the_upper_triangle(self, monkeypatch, rng):
+        # what sits below the diagonal is never read, by either test
+        dominant = np.diag([4.0, 5.0, 6.0]) + 0.5 * (np.ones((3, 3)) - np.eye(3))
+        for T, calls in ((dominant, 0), (self.not_dominant(3, rng), 1)):
+            for junk in (-1e3, np.nan):
+                U = T.copy()
+                U[np.tril_indices(3, -1)] = junk
+                assert self.decide(monkeypatch, U) == (True, calls)
+        L = dominant.copy()
+        L[np.triu_indices(3, 1)] = -1e3  # the lower triangle alone is dominant
+        assert self.decide(monkeypatch, L) == (False, 1)
+
+    def test_mixed_stack(self, monkeypatch, rng):
+        # dominant, Cholesky-PD, indefinite and not tried: one stacked
+        # Cholesky of the two open members raises, and each is retried
+        dominant = np.diag([4.0, 5.0, 6.0]) + 0.5 * (np.ones((3, 3)) - np.eye(3))
+        T = np.stack([dominant, self.not_dominant(3, rng), -dominant, dominant])
+        pd, calls = self.decide(monkeypatch, T, np.array([True, True, True, False]))
+        assert pd.tolist() == [True, True, False, False] and calls == 3
+        pd, calls = self.decide(monkeypatch, T[:2])
+        assert pd.tolist() == [True, True] and calls == 1
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(2, 32), st.integers(0, 2**32 - 1), st.floats(0.0, 2.0),
+           st.booleans())
+    def test_agrees_with_the_smallest_eigenvalue(self, n, seed, weight, skew):
+        # diagonal weight x the row's off-diagonal sum: above 1 dominant,
+        # below it positive definite or not; `skew` writes another lower
+        # triangle, which eigvalsh(UPLO="U") does not read either
+        rng = np.random.default_rng(seed)
+        T = symmetrize(rng.standard_normal((n, n)))
+        np.fill_diagonal(T, 0.0)
+        np.fill_diagonal(T, weight * np.abs(T).sum(axis=1) + rng.uniform(-0.1, 0.1, n))
+        if skew:
+            T[np.tril_indices(n, -1)] = rng.standard_normal(n * (n - 1) // 2)
+        lam = np.linalg.eigvalsh(T, UPLO="U")[0]
+        assume(abs(lam) > 1e-12 * n * np.abs(T).max())
+        assert riccati._positive_definite(T) == (lam > 0.0)
+        assert riccati._positive_definite(np.stack([T, T])).tolist() == [lam > 0.0] * 2
 
 
 def test_riccati_residual_helper(rng):

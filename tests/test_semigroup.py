@@ -430,6 +430,15 @@ class TestDecayRate:
                                 - np.diag(1.0 + 1e-12 * np.arange(n))),
     }
 
+    def test_overflowing_grid_is_a_failed_validation(self):
+        # a perturbed Jordan block shifted to an abscissa of about -1e-16:
+        # alpha rounds to 1e-16, and exp(A t) overflows well before the
+        # horizon 20 / alpha, where the SVD used to raise LinAlgError
+        A = shifted(self.GENERATORS["expm"](5, np.random.default_rng(0)), -9.942742199065427e-17)
+        assert 0.0 < decay_rate(A)[0] < 1e-15
+        with np.errstate(all="ignore"), pytest.raises(UnstableGenerator, match="overflows"):
+            certify_stability(A)
+
     @pytest.mark.parametrize("path", sorted(GENERATORS))
     @settings(max_examples=25, deadline=None)
     @given(n=st.integers(2, 8), seed=st.integers(0, 2**32 - 1),

@@ -61,6 +61,8 @@ def _take(section, key, path, kind, required=True, default=None, check=None):
     if not isinstance(value, kind) or isinstance(value, bool) and kind is not bool:
         raise ConfigError(f"expected {kind.__name__}, got {type(value).__name__}",
                           f"{path}.{key}")
+    if kind is float and not math.isfinite(value):  # JSON's NaN and Infinity
+        raise ConfigError(f"non-finite value {value!r}", f"{path}.{key}")
     if check is not None and not check(value):
         raise ConfigError(f"invalid value {value!r}", f"{path}.{key}")
     return value
@@ -132,7 +134,8 @@ def parse_config(raw):
     cfg.nodes = _take(quad, "nodes", "solver.quadrature", int, required=False,
                       default=200, check=lambda v: v >= 1)
     _reject_unknown(quad, "solver.quadrature")
-    cfg.seed = _take(solver, "seed", "solver", int, required=False, default=0)
+    cfg.seed = _take(solver, "seed", "solver", int, required=False, default=0,
+                     check=lambda v: v >= 0)
     cfg.damping = _take(solver, "damping", "solver", float, required=False,
                         default=0.5, check=lambda v: 0 < v <= 1)
     _reject_unknown(solver, "solver")
@@ -506,11 +509,13 @@ def main(argv=None):
     try:
         cfg = load_config(args.config)
         if args.seed is not None:
+            if args.seed < 0:
+                raise ConfigError(f"invalid value {args.seed!r}", "seed")
             cfg.seed = args.seed
         betas = None
         if args.betas is not None:
             try:
-                betas = [float(tok) for tok in args.betas.split(",") if tok]
+                betas = optimize._beta_schedule(tok for tok in args.betas.split(",") if tok)
             except ValueError as err:
                 raise ConfigError(f"bad --betas: {err}", "betas") from err
         return run(cfg, args.command, args.out, betas=betas)

@@ -33,6 +33,7 @@ STACK_CHUNK = 16    # matrices per stack of a batch: placements, or SVDs of the 
 # read once, as a Python float: np.finfo costs a call each time, and a numpy
 # scalar costs more per arithmetic operation than a float, with the same bits
 _EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)  # smallest normal float: covers underflowed terms
 # np.exp returns exactly 0.0 below log(2^-1075) = -745.13...; one unit
 # lower leaves room for any last-bit difference of its implementations
 EXP_UNDERFLOW = -746.0
@@ -63,43 +64,38 @@ def operator_norm(T):
     return float(np.linalg.norm(T, 2))
 
 
-def _exceeds(value, rtol, T, bounds):
-    """Decide ``value > rtol (1 + operator_norm(T))`` as the SVD would,
-    taking it only when the Frobenius ``bounds`` of T leave the answer open."""
-    if value <= rtol * (1.0 + bounds[0]):
-        return False
-    if value > rtol * (1.0 + bounds[1]):
-        return True
-    return value > rtol * (1.0 + operator_norm(T))
-
-
-def _asymmetry(T, bounds, name):
-    """Why T fails the symmetry test, or None; ``bounds`` brackets ``||T||``."""
+def _skew_beyond(T, bounds):
+    """``max|T - T.T|`` when T fails the symmetry test, else None;
+    ``bounds`` brackets ``||T||``.  A T with a non-finite entry fails it,
+    as does one whose skew overflows."""
     skew = float(np.max(np.abs(T - T.T))) if T.size else 0.0
-    if _exceeds(skew, SYMMETRY_RTOL, T, bounds):
+    if math.isfinite(skew) and not _settle(T, lambda x: skew > SYMMETRY_RTOL * (1.0 + x), bounds):
+        return None
+    return skew
+
+
+def _require_symmetric(T, bounds, name):
+    """Raise ValueError, worded with an SVD's ``||T||``, when T fails the
+    symmetry test; ``bounds`` brackets ``||T||``."""
+    skew = _skew_beyond(T, bounds)
+    if skew is not None:
         tol = SYMMETRY_RTOL * (1.0 + operator_norm(T))
-        return f"{name} is not symmetric: max|T - T.T| = {skew:.3e} > {tol:.3e}"
-    return None
+        raise ValueError(f"{name} is not symmetric: max|T - T.T| = {skew:.3e} > {tol:.3e}")
 
 
-def _indefiniteness(T, spectrum, bounds, name):
-    """Why the symmetric T with ascending eigenvalues ``spectrum`` fails the
-    PSD test, or None; ``bounds`` brackets ``||T||``."""
+def _indefinite(T, spectrum, bounds):
+    """Whether the symmetric T with ascending eigenvalues ``spectrum`` fails
+    the PSD test; ``bounds`` brackets ``||T||``."""
     lam_min = float(spectrum[0]) if T.size else 0.0
-    if _exceeds(-lam_min, PSD_RTOL, T, bounds):
-        tol = PSD_RTOL * (1.0 + operator_norm(T))
-        return f"{name} is not PSD: lambda_min = {lam_min:.3e} < -{tol:.3e}"
-    return None
+    return _settle(T, lambda x: -lam_min > PSD_RTOL * (1.0 + x), bounds)
 
 
 def check_symmetric(T, name="operator"):
     """Raise unless T is symmetric within the package-wide tolerance.
 
-    ``||T||`` is taken from Frobenius bounds; the SVD runs only when they
-    leave the test open, or to word the error."""
-    fault = _asymmetry(T, _norm_bounds(T), name)
-    if fault:
-        raise ValueError(fault)
+    The test is settled by the bounds of :func:`_settle`; the SVD runs only
+    when they all leave it open, or to word the error."""
+    _require_symmetric(T, _norm_bounds(T), name)
 
 
 def check_psd(T, name="operator"):
@@ -109,13 +105,11 @@ def check_psd(T, name="operator"):
     Returns the spectrum the test read, ``eigvalsh(T)``, so a caller that
     needs it decomposes T only once."""
     bounds = _norm_bounds(T)
-    fault = _asymmetry(T, bounds, name)
-    if fault:
-        raise ValueError(fault)
+    _require_symmetric(T, bounds, name)
     spectrum = np.linalg.eigvalsh(T)
-    fault = _indefiniteness(T, spectrum, bounds, name)
-    if fault:
-        raise ValueError(fault)
+    if _indefinite(T, spectrum, bounds):
+        tol = PSD_RTOL * (1.0 + operator_norm(T))
+        raise ValueError(f"{name} is not PSD: lambda_min = {spectrum[0]:.3e} < -{tol:.3e}")
     return spectrum
 
 
@@ -134,9 +128,7 @@ def low_rank_psd(T, max_rank, name="operator"):
     ``||T||`` taken from its lower Frobenius bound.
     """
     bounds = _norm_bounds(T)
-    fault = _asymmetry(T, bounds, name)
-    if fault:
-        raise ValueError(fault)
+    _require_symmetric(T, bounds, name)
     if T.size == 0:
         return None
     n = T.shape[0]
@@ -173,10 +165,10 @@ def _psd_spectrum(T):
     """``(symmetric, psd, spectrum)``: :func:`psd_flags` and the
     ``eigvalsh(T)`` its PSD test read, None when T is not symmetric."""
     bounds = _norm_bounds(T)
-    if _asymmetry(T, bounds, "T") is not None:
+    if _skew_beyond(T, bounds) is not None:
         return False, False, None
     spectrum = np.linalg.eigvalsh(T)
-    return True, _indefiniteness(T, spectrum, bounds, "T") is None, spectrum
+    return True, not _indefinite(T, spectrum, bounds), spectrum
 
 
 def _widening(n):
@@ -213,52 +205,44 @@ def _frobenius(T):
     return np.sqrt(np.matmul(x, x.swapaxes(-1, -2))[..., 0, 0])
 
 
-def _brackets(S):
-    """Bounds ``lo <= ||S_k|| <= hi`` on the operator norm of each matrix of
-    the stack S, without an SVD.
+def _upper_bound(S):
+    """``min(||S||_F, (||S||_1 ||S||_inf)^(1/2)) >= ||S||`` for each matrix
+    of the stack S (Golub & Van Loan, *Matrix Computations*, Sec. 2.3), from
+    O(n^2) work, widened by :func:`_widening` for the rounding of its sums
+    and by ``n^2`` times the smallest normal number for underflowed terms."""
+    a = np.abs(S)
+    holder2 = (np.ones(S.shape[-2]) @ a).max(axis=1) * (a @ np.ones(S.shape[-1])).max(axis=1)
+    square = np.minimum(np.einsum("kij,kij->k", a, a), holder2)
+    n = max(S.shape[-2:])
+    return np.sqrt(square + n * n * _TINY) * (1.0 + _widening(n))
 
-    With B = S'S: ``hi = ||B||_F^(1/2)``, and ``lo = ||B x||^(1/2)`` for a
-    unit x after a few power steps, started from B's largest column.  Each
-    matrix is first scaled by a power of two (exactly) so that B can neither
-    overflow nor underflow.  Both bounds are widened by :func:`_widening`,
-    so a comparison they settle is the SVD's own.
-    """
+
+def _power_bounds(S, gram=False):
+    """Bounds ``lo <= ||S_k|| <= hi`` for each matrix of the stack S.
+
+    Each matrix is scaled by a power of two (exactly), so nothing below
+    overflows or underflows.  POWER_STEPS power steps run on B = S, O(n^2),
+    or with ``gram`` on ``B = S'S``, O(n^3) to form, from B's column of
+    largest norm; ``lo = ||B x||`` for the unit x of the last step (its
+    square root on ``S'S``), close to ``||S||`` when B has a dominant
+    eigenvalue, as a Newton step of small rank does.  ``hi`` is
+    :func:`_upper_bound` of S, or ``||S'S||_F^(1/2)``.  Both are widened
+    by :func:`_widening`."""
     _, exponent = np.frexp(np.abs(S).max(axis=(1, 2)))
     S = np.ldexp(S, -exponent[:, None, None])
-    B = np.matmul(S.transpose(0, 2, 1), S)
-    hi = np.sqrt(np.sqrt(np.einsum("kij,kij->k", B, B)))
-    x = B[np.arange(len(B)), :, np.einsum("kij,kij->kj", B, B).argmax(axis=1)]
+    B = np.matmul(S.transpose(0, 2, 1), S) if gram else S
+    columns = np.einsum("kij,kij->kj", B, B)
+    x = B[np.arange(len(B)), :, columns.argmax(axis=1)]
     for _ in range(POWER_STEPS):
-        size = np.linalg.norm(x, axis=1)
+        size = np.sqrt(np.einsum("ki,ki->k", x, x))
         x = np.matmul(B, (x / np.where(size > 0.0, size, 1.0)[:, None])[:, :, None])[:, :, 0]
-    lo = np.sqrt(np.linalg.norm(x, axis=1))
+    lo = np.sqrt(np.einsum("ki,ki->k", x, x))
     widening = _widening(max(S.shape[-2:]))
-    return (np.ldexp(lo * (1.0 - widening), exponent),
-            np.ldexp(hi * (1.0 + widening), exponent))
-
-
-def _square_bounds(S):
-    """Bounds ``lo <= ||S_k|| <= hi`` on the operator norm of each matrix of
-    the stack S from O(n^2) work: ``hi = (||S||_1 ||S||_inf)^(1/2)``, the
-    largest absolute row sum for a symmetric S, and ``lo = ||S x||`` for a
-    unit x after POWER_STEPS power steps on S itself, started from its
-    column of largest absolute sum; with a dominant eigenvalue, as on a
-    Newton step of small rank, lo is close to ``||S||``.  Each matrix is
-    first scaled by a power of two (exactly), and both bounds are widened
-    by :func:`_widening`, as in :func:`_brackets`."""
-    a = np.abs(S)
-    _, exponent = np.frexp(a.max(axis=(1, 2)))
-    S, a = np.ldexp(S, -exponent[:, None, None]), np.ldexp(a, -exponent[:, None, None])
-    columns = a.sum(axis=1)
-    hi = np.sqrt(columns.max(axis=1) * a.sum(axis=2).max(axis=1))
-    x = S[np.arange(len(S)), :, columns.argmax(axis=1)]
-    for _ in range(POWER_STEPS):
-        size = np.linalg.norm(x, axis=1)
-        x = np.matmul(S, (x / np.where(size > 0.0, size, 1.0)[:, None])[:, :, None])[:, :, 0]
-    lo = np.linalg.norm(x, axis=1)
-    widening = _widening(max(S.shape[-2:]))
-    return (np.ldexp(lo * (1.0 - widening), exponent),
-            np.ldexp(hi * (1.0 + widening), exponent))
+    if gram:
+        lo, hi = np.sqrt(lo), np.sqrt(np.sqrt(columns.sum(axis=1))) * (1.0 + widening)
+    else:
+        hi = _upper_bound(S)
+    return np.ldexp(lo * (1.0 - widening), exponent), np.ldexp(hi, exponent)
 
 
 def _any(mask):
@@ -272,40 +256,47 @@ def _pick(x, open_):
     return x[open_] if np.ndim(x) in (1, 3) else x
 
 
+def _settle(T, holds, bounds=None):
+    """Decide ``holds(operator_norm(T))`` as the SVD would, for T or for each
+    matrix of a stack T.  ``holds`` maps norms (a number, or an array with
+    one per matrix) to bools: true up to some norm, false beyond it.
+
+    Bounds ``lo <= ||T_k|| <= hi`` settle a matrix once ``holds(hi)`` or
+    ``not holds(lo)``, each stage on the matrices the one before left open:
+
+    1. the Frobenius bounds of :func:`_norm_bounds`, or the caller's
+       ``bounds`` of T;
+    2. :func:`_power_bounds` on T, O(n^2);
+    3. :func:`_power_bounds` on ``T'T``, O(n^3);
+    4. the SVD.
+
+    A 2-D T that stage 1 settles is decided without stacking anything.
+    Every bound is widened beyond its rounding and the SVD's, so each
+    decision is the SVD's own, ties included."""
+    lo, hi = _norm_bounds(T) if bounds is None else bounds
+    settled = holds(hi)
+    open_ = holds(lo) > settled
+    if not _any(open_):
+        return settled
+    S = T if T.ndim == 3 else T[None]
+    lo, hi = np.array(lo, ndmin=1), np.array(hi, ndmin=1)  # copies: the stages write in them
+    live = np.flatnonzero(open_)
+    for stage in (_power_bounds, lambda S: _power_bounds(S, gram=True),
+                  lambda S: 2 * (operator_norm(S),)):
+        lo[live], hi[live] = stage(S if live.size == len(S) else S[live])
+        live = live[(holds(lo) > holds(hi))[live]]
+        if not live.size:
+            break
+    settled = holds(hi)
+    return settled if T.ndim == 3 else bool(settled[0])
+
+
 def norm_within(T, tol):
     """Decide ``operator_norm(T) <= tol`` as the SVD would, for T or for each
-    matrix of a stack T (``tol`` a number, or one per matrix).
-
-    The Frobenius bounds of :func:`_norm_bounds` come first.  Where they
-    leave the test open, T is bounded from O(n^2) work
-    (:func:`_square_bounds`), then by the power-step brackets of
-    :func:`_brackets`, which form ``T'T``; the SVD runs only where all of
-    them leave it open."""
-    lo, hi = _norm_bounds(T)
-    within = hi <= tol
-    open_ = (lo <= tol) > within
-    if not _any(open_):
-        return within
-    if T.ndim == 2:
-        return bool(_within_open(T[None], tol)[0])
-    within[open_] = _within_open(T[open_], _pick(tol, open_))
-    return within
-
-
-def _within_open(S, tol):
-    """:func:`norm_within` for the stack S that the Frobenius bounds leave
-    open: its later stages, each on the matrices the one before leaves open."""
-    tol = np.full(len(S), tol) if np.ndim(tol) == 0 else tol
-    within = np.zeros(len(S), dtype=bool)
-    live = np.arange(len(S))
-    for bounds in (_square_bounds, _brackets):
-        lo, hi = bounds(S if live.size == len(S) else S[live])
-        within[live] = hi <= tol[live]
-        live = live[(lo <= tol[live]) & (hi > tol[live])]
-        if not live.size:
-            return within
-    within[live] = operator_norm(S[live]) <= tol[live]
-    return within
+    matrix of a stack T (``tol`` a number, or one per matrix), by the
+    cascade of :func:`_settle`: Frobenius bounds, power steps on T, power
+    steps on ``T'T``, and the SVD only where all of them leave it open."""
+    return _settle(T, lambda x: x <= tol)
 
 
 def symmetrize(T):
@@ -421,8 +412,8 @@ class SylvesterFactor:
     open left half-plane) and the separation guard (SingularSystem when
     ``min |lambda_i + lambda_j| < 1e-12 (2 ||A||)``, the minimum taken by
     :func:`_min_pair_sum`).  A must be a validated operator
-    (:func:`ensure_operator`); ``||A||`` is taken from its Frobenius bound,
-    with an SVD only when that bound leaves the guard open.
+    (:func:`ensure_operator`); the guard is decided by the cascade of
+    :func:`_settle`, with an SVD only where its bounds leave it open.
     """
 
     def __init__(self, A):
@@ -434,11 +425,9 @@ class SylvesterFactor:
 
         # Conditioning guard: the solve degenerates when eigenvalue sums cancel.
         smin = _min_pair_sum(lam)
-        if smin < 1e-12 * (2.0 * _norm_bounds(A)[1]):
+        if not _settle(A, lambda x: smin >= 1e-12 * (2.0 * x)):
             sep_tol = 1e-12 * (2.0 * operator_norm(A))
-            if smin < sep_tol:
-                raise SingularSystem(
-                    f"min |lambda_i(A) + lambda_j(A)| = {smin:.3e} < {sep_tol:.3e}")
+            raise SingularSystem(f"min |lambda_i(A) + lambda_j(A)| = {smin:.3e} < {sep_tol:.3e}")
 
     def solve(self, P, transpose=False):
         """T with ``A T + T A' = P``, or with ``A' T + T A = P`` when
@@ -496,8 +485,8 @@ def solve_sylvester(A, P):
     The spectrum must lie strictly in the open left half-plane; the residual
     of the returned T satisfies ``||A T + T A.T - P|| <= 1e-10 (1 + ||P||)``
     in the operator norm, or SingularSystem is raised.  The separation guard
-    and this gate take the norms of A and P from Frobenius bounds and call
-    an SVD only when the bounds leave the decision open.  A caller with
+    and this gate compare norms of A, P and the residual by cascades of
+    bounds and call an SVD only when the bounds leave the decision open.  A caller with
     several right-hand sides for one generator keeps the
     :class:`SylvesterFactor` instead.
     """
@@ -558,16 +547,16 @@ def bochner_quadrature(A, P, horizon, nodes, cert=None):
     direct node-by-node sum only by rounding.
 
     Raises HorizonTooShort when the analytic truncation tail
-    ``M^2 ||P|| exp(-2 alpha horizon) / (2 alpha)`` exceeds 1e-8.  ``||P||``
-    is taken from its upper Frobenius bound, and from an SVD only when that
-    bound fails the test (or to word the error).
+    ``M^2 ||P|| exp(-2 alpha horizon) / (2 alpha)`` exceeds 1e-8, decided
+    by the cascade of :func:`_settle`, with an SVD of P only where its
+    bounds leave the test open (or to word the error).
     """
     from .semigroup import certify_stability  # deferred: semigroup builds on linalg
 
     A = ensure_operator(A, "A")
     P = ensure_operator(P, "P")
     horizon = float(horizon)
-    if horizon <= 0:
+    if not horizon > 0:
         raise ValueError("horizon must be positive")
     nodes = int(nodes)
     if nodes <= 0:
@@ -579,12 +568,11 @@ def bochner_quadrature(A, P, horizon, nodes, cert=None):
     def tail(norm_P):  # nondecreasing in norm_P, rounding included
         return m**2 * norm_P * np.exp(-2.0 * alpha * horizon) / (2.0 * alpha)
 
-    if tail(_norm_bounds(P)[1]) > 1e-8:
+    if not _settle(P, lambda x: tail(x) <= 1e-8):
         norm_P = operator_norm(P)
-        if tail(norm_P) > 1e-8:
-            raise HorizonTooShort(
-                f"tail bound {tail(norm_P):.3e} > 1e-8; need horizon >= "
-                f"{np.log(m**2 * max(norm_P, 1e-300) / (2e-8 * alpha)) / (2 * alpha):.3g}")
+        raise HorizonTooShort(
+            f"tail bound {tail(norm_P):.3e} > 1e-8; need horizon >= "
+            f"{np.log(m**2 * max(norm_P, 1e-300) / (2e-8 * alpha)) / (2 * alpha):.3g}")
 
     panels = max(int(np.ceil(nodes / 16)), int(np.ceil(2.0 * alpha * horizon)), 1)
     width = horizon / panels

@@ -42,11 +42,11 @@ class Problem1Config:
     max_iter: int = 500
 
     def __post_init__(self):
+        _require_finite_positive("beta", self.beta)
+        _require_finite_positive("tol", self.tol)
         self.A = ensure_operator(self.A, "A")
         self.Q = ensure_operator(self.Q, "Q")
         self.W = ensure_operator(self.W, "W")
-        if self.beta <= 0:
-            raise ValueError("beta must be positive")
         n = self.A.shape[0]
         if self.Q.shape[0] != n or self.W.shape[0] != n or self.family.state_dim != n:
             raise ValueError("A, Q, W, family dimensions are inconsistent")
@@ -68,9 +68,22 @@ class Problem2Config(Problem1Config):
     gamma: float = 1.0
 
     def __post_init__(self):
+        _require_finite_positive("gamma", self.gamma)
         super().__post_init__()
-        if self.gamma <= 0:
-            raise ValueError("gamma must be positive")
+
+
+def _require_finite_positive(name, value):
+    if not 0.0 < value < math.inf:  # NaN fails too
+        raise ValueError(f"{name} must be finite and positive, got {value!r}")
+
+
+def _beta_schedule(betas):
+    """``betas`` as a list of floats; raises ValueError unless there is at
+    least one, and they are finite, positive and strictly ascending."""
+    betas = [float(b) for b in betas]
+    if not betas or not all(a < b for a, b in zip([0.0] + betas, betas + [math.inf])):
+        raise ValueError(f"betas must be finite, positive and strictly ascending, got {betas}")
+    return betas
 
 
 @dataclass
@@ -745,9 +758,7 @@ def beta_sweep(cfg, betas, p0, ledger=None):
     iterate its error carries, and 0 when the error carries none (e.g. a
     degenerate family, rejected before the first iteration).
     """
-    betas = [float(b) for b in betas]
-    if any(b <= 0 for b in betas) or any(b2 <= b1 for b1, b2 in zip(betas, betas[1:])):
-        raise ValueError("betas must be positive and strictly ascending")
+    betas = _beta_schedule(betas)
     rows = []
     state = None
     for b in betas:

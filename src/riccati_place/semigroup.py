@@ -13,7 +13,9 @@ import numpy as np
 
 from .errors import UnstableGenerator
 from .linalg import (
-    _brackets,
+    _TINY,
+    _power_bounds,
+    _upper_bound,
     _widening,
     check_psd,
     ensure_operator,
@@ -29,7 +31,6 @@ GRID_POINTS = 1000
 FRESH_GRID_POINTS = 500
 DECAY_SLACK = 1.0 + 1e-9
 CHUNK_POINTS = 128  # time points per stack held in memory
-_TINY = np.finfo(float).tiny  # smallest normal float: covers underflowed terms
 
 
 @dataclass(frozen=True)
@@ -149,18 +150,6 @@ def _semigroup(A, eigen=None):
     return _Stacks(A, *(np.linalg.eig(A) if eigen is None else eigen))
 
 
-def _stack_bound(S):
-    """An upper bound on the operator norm of each matrix of the stack S,
-    from O(n^2) work each (stage 2 of :func:`certify_stability`'s cascade):
-    ``min(||S||_F, (||S||_1 ||S||_inf)^(1/2))``."""
-    n = S.shape[-1]
-    a = np.abs(S)
-    ones = np.ones(n)
-    holder2 = (ones @ a).max(axis=1) * (a @ ones).max(axis=1)
-    square = np.minimum(np.einsum("kij,kij->k", a, a), holder2)
-    return np.sqrt(square + n * n * _TINY) * (1.0 + _widening(n))
-
-
 def _chunks(count):
     return (slice(i, i + CHUNK_POINTS) for i in range(0, count, CHUNK_POINTS))
 
@@ -186,7 +175,7 @@ def _grid_sup(stacks, ts, weights):
         if not np.isfinite(S).all():  # e.g. a defective A with abscissa within rounding of 0
             raise UnstableGenerator("certificate validation failed: exp(A t) overflows "
                                     "on the sampling grid")
-        hi[part] = np.minimum(hi[part], _stack_bound(S))
+        hi[part] = np.minimum(hi[part], _upper_bound(S))
     hi *= weights
     k = int(np.argmax(hi))
     best = operator_norm(stacks(ts[[k]]))[0] * weights[k]
@@ -195,7 +184,7 @@ def _grid_sup(stacks, ts, weights):
     for part in _chunks(len(open_)):
         pts = open_[part]
         S, w = stacks(ts[pts]), weights[pts]
-        low, high = _brackets(S)
+        low, high = _power_bounds(S, gram=True)
         keep = high * w >= max(best, float(np.max(low * w)))
         best = max(best, float(np.max(operator_norm(S[keep]) * w[keep], initial=best)))
     return float(best)
@@ -276,19 +265,18 @@ def certify_stability(A):
        rounding of ``c_i``, of the exponentials and of the sum, the bound
        is off by less than ``8 (n + 4) u``; it is off on the expm path
        (``cond(V) >= 1e8``);
-    2. on the built matrix, ``min(||S||_F, (||S||_1 ||S||_inf)^(1/2))``,
-       O(n^2), whose sums of ``n^2`` non-negative terms are off by less
-       than ``n^2 u`` relative (Higham, Sec. 3.1; Golub & Van Loan, *Matrix
-       Computations*, Sec. 2.3, for the inequalities);
-    3. the power-step brackets of :func:`_brackets`, O(n^3);
+    2. on the built matrix, ``linalg._upper_bound``: ``min(||S||_F,
+       (||S||_1 ||S||_inf)^(1/2))``, O(n^2), no power step;
+    3. power steps on ``S'S`` (``linalg._power_bounds``), O(n^3);
     4. the SVD.
 
-    Stages 1 and 2 are widened by ``linalg._widening(n)``, NORM_BOUND_MARGIN
-    plus ``n^2 eps``, which exceeds either rounding for every n, and by
-    ``n^2`` times the smallest normal number, which exceeds the absolute
-    error of underflowed terms; so a comparison they settle is the SVD's
-    own, ties included.  The validation decides the points that stage 1
-    leaves open by ``linalg.norm_within``, whose cascade settles each
+    Stage 1 is widened by ``linalg._widening(n)``, NORM_BOUND_MARGIN plus
+    ``n^2 eps``, which exceeds its rounding for every n, and by ``n^2``
+    times the smallest normal number, which exceeds the absolute error of
+    underflowed terms; stages 2 and 3 are widened in ``linalg``.  So a
+    comparison any stage settles is the SVD's own, ties included.  The
+    validation decides the points that stage 1 leaves open by
+    ``linalg.norm_within``, whose cascade (``linalg._settle``) settles each
     comparison as the SVD's own too.
 
     Raises UnstableGenerator when the spectral abscissa is >= 0 or the

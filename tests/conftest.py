@@ -62,6 +62,13 @@ def count_calls(monkeypatch, name, *owners, keywords=False):
     return calls
 
 
+def gram_members(calls):
+    """Matrices put through the power steps on ``S'S`` among the
+    ``linalg._power_bounds`` calls that ``count_calls(..., keywords=True)``
+    recorded."""
+    return sum(len(args[0]) for args, kwargs in calls if kwargs.get("gram"))
+
+
 def count_computed(monkeypatch, owner, name):
     """Route the cached property ``name`` of the class ``owner`` through a
     counter; returns the list of instances it was computed for, one per

@@ -15,7 +15,7 @@ import pytest
 
 from riccati_place import linalg, riccati
 
-from conftest import count_calls
+from conftest import count_calls, gram_members
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 NAMES = ("sweep-heat16", "are-path-heat256", "verify-convdiff16")
@@ -43,7 +43,7 @@ def test_one_unit_passes_the_benchmark_check(workloads, name, seed, tmp_path, mo
     residuals = count_calls(monkeypatch, "_residual_matrix", riccati)
     projections = count_calls(monkeypatch, "into", riccati._EigenbasisKernel)
     svds = count_calls(monkeypatch, "operator_norm", riccati)
-    brackets = count_calls(monkeypatch, "_brackets", linalg)
+    power_bounds = count_calls(monkeypatch, "_power_bounds", linalg, keywords=True)
     out = workload.run_unit(0)
     errors, _ = workload.check(0, out)
     assert errors == []
@@ -61,4 +61,4 @@ def test_one_unit_passes_the_benchmark_check(workloads, name, seed, tmp_path, mo
         assert len(projections) == 0 and len(svds) == 2
         # the step tests the Frobenius bounds leave open (4 here) are
         # settled by O(n^2) bounds, without forming S'S
-        assert len(brackets) == 0
+        assert len(power_bounds) == 4 and gram_members(power_bounds) == 0

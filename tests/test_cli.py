@@ -16,7 +16,7 @@ from riccati_place.cli import (
 )
 from riccati_place.errors import ConfigError
 
-from conftest import count_calls, count_computed
+from conftest import count_calls, count_computed, gram_members
 
 
 def base_config(**overrides):
@@ -341,6 +341,46 @@ class TestCommands:
         assert capsys.readouterr().err == (
             "config error: device.sigma: integer beyond the float range\n")
 
+    @pytest.mark.parametrize("field", [
+        "model.diffusivity", "model.domain_length", "device.sigma", "device.r_weight",
+        "problem.beta", "problem.gamma", "solver.tol", "solver.damping",
+        "solver.quadrature.horizon"])
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    def test_non_finite_float_field_is_a_config_error(self, tmp_path, capsys, field, value):
+        # JSON's Infinity, -Infinity and NaN: exit code 1 and the field, not
+        # a converged report, a later numerical error or another field
+        raw = base_config(problem={"variant": 2, "gamma": 1.9}, solver={"quadrature": {}})
+        *sections, key = field.split(".")
+        section = raw
+        for name in sections:
+            section = section[name]
+        section[key] = value
+        cfg = self.write_cfg(tmp_path, raw)
+        assert main(["optimize", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"config error: {field}: non-finite value {value}\n"
+
+    @pytest.mark.parametrize("betas", ["100,10", "10,10", "nan", "inf", "10,inf", "-1,10",
+                                       ",", "", "10,x"])
+    def test_bad_betas_are_a_config_error(self, tmp_path, capsys, betas):
+        # not finite, positive and strictly ascending, or no value at all:
+        # exit code 1 under betas, no traceback, no row and no default schedule
+        cfg = self.write_cfg(tmp_path, base_config(problem={"variant": 2, "gamma": 1.9}))
+        assert main(["sweep-beta", "--config", cfg, "--out", str(tmp_path / "out"),
+                     f"--betas={betas}"]) == 1
+        assert capsys.readouterr().err.startswith("config error: betas: ")
+        assert not (tmp_path / "out" / "sweep.csv").exists()
+
+    def test_negative_seed_is_a_config_error(self, tmp_path, capsys):
+        # numpy's generators take no negative seed: exit code 1 and the
+        # field, from the command line or from the config
+        cfg = self.write_cfg(tmp_path, base_config())
+        assert main(["verify-bounds", "--config", cfg, "--out", str(tmp_path / "out"),
+                     "--seed", "-1"]) == 1
+        assert capsys.readouterr().err == "config error: seed: invalid value -1\n"
+        cfg = self.write_cfg(tmp_path, base_config(solver={"seed": -1}))
+        assert main(["verify-bounds", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == "config error: solver.seed: invalid value -1\n"
+
     @pytest.mark.parametrize("model,grid,message", [
         ("heat1d", [0.1] * 8, "grid must be finite and strictly increasing"),
         ("heat1d", [0.2, 0.5, 0.8], "grid has 3 nodes but the matrix is 8x8"),
@@ -440,12 +480,13 @@ class TestVerifyBoundsConvDiff16:
         decided = count_computed(monkeypatch, dual.DualSolution, "norm_bound_holds")
         assert main(["verify-bounds", "--config", convdiff16_config(tmp_path),
                      "--out", str(tmp_path / "out"), "--seed", "0"]) == 0
-        brackets = count_calls(monkeypatch, "_brackets", semigroup, linalg)
+        power_bounds = count_calls(monkeypatch, "_power_bounds", semigroup, linalg,
+                                   keywords=True)
         svds = count_calls(monkeypatch, "operator_norm", semigroup, linalg)
         certificates = [semigroup.certify_stability(sol.closed_loop) for sol in decided]
         assert len(certificates) == 20
         assert all(cert.method == "sampled" for cert in certificates)
-        assert sum(len(S) for (S,) in brackets) <= 100 and sum(len(S) for (S,) in svds) <= 20
+        assert gram_members(power_bounds) <= 100 and sum(len(S) for (S,) in svds) <= 20
 
     @pytest.mark.parametrize("seed", sorted(REPORTS))
     def test_report_bytes(self, tmp_path, seed):

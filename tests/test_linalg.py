@@ -26,6 +26,7 @@ from riccati_place.linalg import (
 
 from conftest import (
     count_calls,
+    gram_members,
     heat1d,
     rand_orthogonal,
     rand_psd,
@@ -288,6 +289,8 @@ class TestNormWithin:
         return [0.5 * (definite + definite.T), 0.5 * (indefinite + indefinite.T),
                 rng.standard_normal((n, n))]
 
+    RELS = (-0.3, -1e-6, -1e-12, -4e-13, -1e-13, 0.0, 1e-13, 4e-13, 1e-12, 1e-6, 0.3)
+
     @pytest.mark.parametrize("n", [5, 16, 64])
     def test_decisions_near_tol_are_the_svds(self, rng, n):
         # tolerances within 1e-12 relative of ||S|| (and farther), for each
@@ -295,12 +298,73 @@ class TestNormWithin:
         for _ in range(4):
             stack = np.array(self.instances(rng, n))
             sigma = operator_norm(stack)
-            for rel in (-0.3, -1e-6, -1e-12, -4e-13, -1e-13, 0.0, 1e-13, 4e-13, 1e-12,
-                        1e-6, 0.3):
+            for rel in self.RELS:
                 tol = sigma * (1.0 + rel)
                 expected = sigma <= tol
                 assert [norm_within(S, t) for S, t in zip(stack, tol)] == list(expected)
                 assert list(norm_within(stack, tol)) == list(expected)
+        # the gates that compare with a norm: each threshold is put at
+        # ||T|| (1 + rel) by a fixed point (||T|| barely moves with the
+        # entry set), and each decision must be the one the SVD's norm gives
+        definite, indefinite, general = self.instances(rng, n)
+        A, cert = -np.eye(n), semigroup.certify_stability(-np.eye(n))
+        N = np.triu(rng.standard_normal((n, n)), 1)
+        for rel in self.RELS:
+            for S in (definite, indefinite):  # the symmetry gate: skew T[0, 1]
+                T = S.copy()
+                T[1, 0] = 0.0
+                for _ in range(2):
+                    T[0, 1] = linalg.SYMMETRY_RTOL * (1.0 + operator_norm(T) * (1.0 + rel))
+                fails = np.max(np.abs(T - T.T)) > linalg.SYMMETRY_RTOL * (1.0 + operator_norm(T))
+                assert psd_flags(T)[0] == (not fails)
+            # the PSD gate: -mu, split off from a definite block, is T's exact
+            # lambda_min
+            T = np.zeros((n, n))
+            T[:-1, :-1] = definite[:-1, :-1]
+            for _ in range(2):
+                T[-1, -1] = -linalg.PSD_RTOL * (1.0 + operator_norm(T) * (1.0 + rel))
+            fails = -np.linalg.eigvalsh(T)[0] > linalg.PSD_RTOL * (1.0 + operator_norm(T))
+            assert psd_flags(T) == (True, not fails)
+            # the separation guard: min |lambda_i + lambda_j| = 2e-11 on a
+            # triangular A, whose norm is set by the scale of its upper part
+            D, scale = -1e-11 * np.diag(np.arange(1.0, n + 1)), 10.0 / operator_norm(N)
+            for _ in range(4):
+                Asep = D + scale * N
+                smin = linalg._min_pair_sum(linalg._schur_form(Asep)[2])
+                scale *= smin / 2e-12 / (1.0 + rel) / operator_norm(Asep)
+            Asep = D + scale * N
+            smin = linalg._min_pair_sum(linalg._schur_form(Asep)[2])
+            if smin < 1e-12 * (2.0 * operator_norm(Asep)):
+                with pytest.raises(SingularSystem):
+                    SylvesterFactor(Asep)
+            else:
+                SylvesterFactor(Asep)
+            # the quadrature's truncation tail, on A = -I
+            sigma = operator_norm(general)
+            m, alpha = cert.M, cert.alpha
+            horizon = np.log(m**2 * sigma * (1.0 + rel) / (2e-8 * alpha)) / (2.0 * alpha)
+            if m**2 * sigma * np.exp(-2.0 * alpha * horizon) / (2.0 * alpha) > 1e-8:
+                with pytest.raises(HorizonTooShort):
+                    bochner_quadrature(A, general, horizon, nodes=16, cert=cert)
+            else:
+                bochner_quadrature(A, general, horizon, nodes=16, cert=cert)
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 16, 64])
+    def test_power_bounds_bracket_the_svd(self, rng, n):
+        # both modes of the power steps, and the O(n^2) upper bound of the
+        # certificate grid, on symmetric definite, indefinite and general
+        # members, the same scaled by 2^600 and 2^-600, a zero and a
+        # rank-one member
+        members = self.instances(rng, n)
+        members += [np.ldexp(T, e) for T in members for e in (600, -600)]
+        members += [np.zeros((n, n)), np.outer(rng.standard_normal(n), rng.standard_normal(n))]
+        stack = np.array(members)
+        sigma = operator_norm(stack)
+        for gram in (False, True):
+            lo, hi = linalg._power_bounds(stack, gram=gram)
+            assert np.all(lo <= sigma) and np.all(sigma <= hi)
+        with np.errstate(over="ignore"):  # squares of the 2^600 members
+            assert np.all(sigma <= linalg._upper_bound(stack))
 
     def test_square_bounds_decide_a_dominant_step(self, monkeypatch, rng):
         # a Newton step above tol is of small rank and symmetric to
@@ -311,10 +375,11 @@ class TestNormWithin:
         S[0, 1] *= 1.0 + 1e-15  # not exactly symmetric
         sigma = operator_norm(S)
         assert linalg._norm_bounds(S)[0] < 0.5 * sigma
-        brackets = count_calls(monkeypatch, "_brackets", linalg)
+        power_bounds = count_calls(monkeypatch, "_power_bounds", linalg, keywords=True)
         norms_taken = count_calls(monkeypatch, "operator_norm", linalg)
         assert not norm_within(S, 0.5 * sigma) and not norm_within(S, (1.0 - 1e-9) * sigma)
-        assert len(brackets) == len(norms_taken) == 0
+        assert len(power_bounds) == 2
+        assert gram_members(power_bounds) == len(norms_taken) == 0
 
     def test_stacks_are_per_matrix_bit_for_bit(self, rng):
         stack = rng.standard_normal((7, 16, 16))
@@ -376,6 +441,18 @@ class TestSymmetryAndPsdGates:
         assert psd_flags(T) == (True, True)
         assert len(norms_taken) == 0
 
+    @pytest.mark.parametrize("entry", [(0, 1), (1, 1)])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_is_not_symmetric(self, entry, value):
+        # the skew is NaN or infinite, and so is ||T||_F: no bound may call
+        # such a T symmetric (an infinite entry once passed as PSD)
+        T = np.eye(3)
+        T[entry] = value
+        with np.errstate(invalid="ignore"):  # inf - inf in T - T'
+            assert psd_flags(T) == (False, False)
+            with pytest.raises(ValueError):
+                check_symmetric(T, "T")
+
     @pytest.mark.parametrize("test", ["skew", "lambda_min"])
     def test_between_frobenius_bounds_decided_by_svd(self, monkeypatch, test):
         # ||T|| = 1e3 and ||T||_F = 1414 at rank r = 5, so ||T|| lies strictly
@@ -397,14 +474,19 @@ class TestSymmetryAndPsdGates:
                 T[4, 4] = -value
             return T
 
+        failed = (False, False) if test == "skew" else (True, False)
         norms_taken = count_calls(monkeypatch, "operator_norm", linalg)
         check_psd(perturbed(0.9 * tol), "T")
         assert psd_flags(perturbed(0.9 * tol)) == (True, True)
+        assert psd_flags(perturbed(1.2 * tol)) == failed
+        # the power steps on T bracket ||T|| = 1e3 within 1e-12 relative
+        assert len(norms_taken) == 0
         with pytest.raises(ValueError, match=fault):
-            check_psd(perturbed(1.2 * tol), "T")
-        flags = psd_flags(perturbed(1.2 * tol))
-        assert flags == ((False, False) if test == "skew" else (True, False))
-        assert len(norms_taken) >= 4
+            check_psd(perturbed(1.2 * tol), "T")  # one SVD words the error
+        # within 1e-13 of the exact tolerance, only the SVD settles the test
+        assert psd_flags(perturbed((1.0 - 1e-13) * tol)) == (True, True)
+        assert psd_flags(perturbed((1.0 + 1e-13) * tol)) == failed
+        assert len(norms_taken) == 3
 
 
 def assert_factored_panels_match_direct_node_sum(A, P):
@@ -444,8 +526,9 @@ class TestBochnerQuadrature:
 
     def test_tail_test_reads_the_frobenius_bound_first(self, monkeypatch):
         # ||P||_F = 2 and ||P|| = 1: a horizon whose tail bound is 1e-8 at
-        # ||P|| = 1.5 passes on the SVD alone, one at ||P|| = 0.5 on the
-        # Frobenius bound, and one at ||P|| = 0.9 fails with the SVD's norm
+        # ||P|| = 2.5 passes on the Frobenius bound, one at ||P|| = 1.5 on
+        # the power steps on P, one at ||P|| = 1 + 1e-13 on the SVD alone,
+        # and one at ||P|| = 0.9 fails with the SVD's norm
         A, P = -np.eye(4), np.eye(4)
         cert = semigroup.certify_stability(A)
 
@@ -457,6 +540,8 @@ class TestBochnerQuadrature:
         bochner_quadrature(A, P, horizon(2.5), nodes=64, cert=cert)
         assert len(norms_taken) == 0
         bochner_quadrature(A, P, horizon(1.5), nodes=64, cert=cert)
+        assert len(norms_taken) == 0
+        bochner_quadrature(A, P, horizon(1.0 + 1e-13), nodes=64, cert=cert)
         assert len(norms_taken) == 1
         with pytest.raises(HorizonTooShort, match=f"need horizon >= {horizon(1.0):.3g}$"):
             bochner_quadrature(A, P, horizon(0.9), nodes=64, cert=cert)

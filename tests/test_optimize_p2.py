@@ -8,6 +8,7 @@ from riccati_place.devices import ConstantFamily, ConstantLedger, GaussianActuat
 from riccati_place.errors import UnstableGenerator
 from riccati_place.linalg import operator_norm, symmetrize
 from riccati_place.optimize import (
+    Problem1Config,
     Problem2Config,
     beta_sweep,
     cluster_points,
@@ -364,7 +365,32 @@ class TestHessianP2:
         assert gain_form - exact == pytest.approx((lead_gain - lead_exact) * d2, rel=1e-9)
 
 
+class TestConfigScalars:
+    @pytest.mark.parametrize("field", ["beta", "gamma", "tol"])
+    @pytest.mark.parametrize("value", [0.0, -1.0, np.nan, np.inf, -np.inf])
+    def test_non_finite_or_non_positive_scalar_is_rejected(self, monkeypatch, field, value):
+        # NaN and infinities fail at construction, before A is certified,
+        # not later as a non-finite p or a run out of iterations
+        certificates = count_calls(monkeypatch, "certify_stability", optimize)
+        fields = dict(A=np.array([[-1.0]]), Q=np.array([[3.0]]), W=np.array([[1.0]]),
+                      family=ConstantFamily(matrix=np.array([[1.0]])), beta=1.0, gamma=1.0)
+        fields[field] = value
+        with pytest.raises(ValueError, match=f"^{field} must be finite and positive"):
+            Problem2Config(**fields)
+        if field != "gamma":
+            del fields["gamma"]
+            with pytest.raises(ValueError, match=f"^{field} must be finite and positive"):
+                Problem1Config(**fields)
+        assert len(certificates) == 0
+
+
 class TestBetaSweep:
+    @pytest.mark.parametrize("betas", [[np.nan], [10.0, np.inf], [100.0, 10.0], [10.0, 10.0],
+                                       [0.0, 1.0], [-1.0], []])
+    def test_schedule_must_be_finite_positive_and_ascending(self, p2_problem, betas):
+        with pytest.raises(ValueError, match="^betas must be finite, positive and strictly"):
+            beta_sweep(p2_problem, betas, [0.3])
+
     def test_gap_halves_when_beta_doubles(self, p2_problem):
         cfg = p2_problem
         betas = [25.0, 50.0, 100.0, 200.0]

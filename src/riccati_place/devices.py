@@ -16,6 +16,7 @@ recorded under both, plus the plain operator norm, so every bound can be
 checked under either reading.
 """
 
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -114,7 +115,8 @@ class GaussianActuators(Family):
     """param_dim Gaussian actuator profiles with common width and weighting.
 
     kind is 'gaussian_actuator' when param_dim == 1, 'multi_gaussian'
-    otherwise.
+    otherwise.  ValueError unless sigma and r_weight are finite and
+    positive and the grid is finite and strictly increasing.
     """
 
     grid: np.ndarray
@@ -124,10 +126,11 @@ class GaussianActuators(Family):
 
     def __post_init__(self):
         grid = np.asarray(self.grid, dtype=float)
-        if grid.ndim != 1 or grid.size == 0 or np.any(np.diff(grid) <= 0):
-            raise ValueError("grid must be a strictly increasing 1-D array")
-        if self.sigma <= 0 or self.r_weight <= 0 or self.param_dim < 1:
-            raise ValueError("sigma, r_weight must be positive; param_dim >= 1")
+        if (grid.ndim != 1 or grid.size == 0 or not np.isfinite(grid).all()
+                or not (np.diff(grid) > 0).all()):
+            raise ValueError("grid must be a finite, strictly increasing 1-D array")
+        if not (0 < self.sigma < np.inf and 0 < self.r_weight < np.inf) or self.param_dim < 1:
+            raise ValueError("sigma, r_weight must be finite and positive; param_dim >= 1")
         object.__setattr__(self, "grid", grid)
 
     @property
@@ -305,6 +308,12 @@ class ConstantLedger:
             raise ValueError(f"ledger lacks model-coupled fields: {missing}")
 
 
+def _require_count(name, value, least):
+    """Raise ValueError unless ``value`` is an integer of at least ``least``."""
+    if not isinstance(value, numbers.Integral) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
 def sample_box(domain, count, rng):
     """count points uniformly in the box ``domain`` (shape (d, 2) rows lo, hi)."""
     domain = np.atleast_2d(np.asarray(domain, dtype=float))
@@ -348,10 +357,10 @@ def estimate_constants(family, domain, samples, seed, cfg=None):
     Deterministic for a fixed seed.  Raises DegenerateFamily when the
     derivative vanishes on all samples or the Gram matrix is singular
     everywhere (nonzero / invertibility assumptions violated), and
-    ValueError when ``cfg`` holds another family.
+    ValueError unless ``samples`` is an integer >= 2 or when ``cfg`` holds
+    another family.
     """
-    if samples < 2:
-        raise ValueError("need samples >= 2")
+    _require_count("samples", samples, 2)
     if cfg is not None and cfg.family is not family:
         raise ValueError("cfg.family is not the family being sampled")
     rng = np.random.default_rng(seed)

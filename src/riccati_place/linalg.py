@@ -52,15 +52,14 @@ def ensure_operator(T, name="operator"):
 def operator_norm(T):
     """Largest singular value of T (the L(H) norm on the truncation), or of
     each matrix of a stack T: one stacked SVD, whose values are the
-    per-matrix SVDs' bit for bit."""
+    per-matrix SVDs' bit for bit.  That of a 1x1 T is ``|t|`` wherever
+    LAPACK does not rescale T, for ``|t|`` in ``[2^-459, 2^459]``."""
     if T.ndim > 2:
         if T.shape[-1] == 0 or T.shape[-2] == 0:
             return np.zeros(T.shape[:-2])
         return np.linalg.svd(T, compute_uv=False)[..., 0]
     if T.size == 0:
         return 0.0
-    if T.size == 1:
-        return abs(float(T[0, 0]))
     return float(np.linalg.norm(T, 2))
 
 
@@ -76,9 +75,12 @@ def _skew_beyond(T, bounds):
 
 def _require_symmetric(T, bounds, name):
     """Raise ValueError, worded with an SVD's ``||T||``, when T fails the
-    symmetry test; ``bounds`` brackets ``||T||``."""
+    symmetry test, or as :func:`ensure_operator` does when it fails for a
+    non-finite entry; ``bounds`` brackets ``||T||``."""
     skew = _skew_beyond(T, bounds)
     if skew is not None:
+        if not np.isfinite(T).all():
+            raise ValueError(f"{name} has non-finite entries")
         tol = SYMMETRY_RTOL * (1.0 + operator_norm(T))
         raise ValueError(f"{name} is not symmetric: max|T - T.T| = {skew:.3e} > {tol:.3e}")
 
@@ -352,23 +354,12 @@ def matrix_exponential(A, t):
     return spla.expm(A * t)
 
 
-def _schur_form(A):
-    """:func:`_real_schur` of A; a 1x1 (or empty) A is its own Schur form
-    and takes none."""
-    if A.shape[0] < 2:
-        return A, np.ones(A.shape), A.ravel().astype(complex)
-    return _real_schur(A)
-
-
 def _real_schur(A):
     """Real Schur form ``A = U T U.T`` with the eigenvalues of A, for a
-    validated operator A (:func:`ensure_operator`) of order n >= 2.
-
-    T and U come from LAPACK's ``gees`` with the workspace query and the
-    arguments ``scipy.linalg.schur(A, output="real")`` uses, so they are
-    that function's bit for bit, without its finiteness and batch checks;
-    raises LinAlgError when ``gees`` fails.  This is the one place the
-    package takes a Schur form of a generator.
+    validated operator A (:func:`ensure_operator`): T and U are
+    ``scipy.linalg.schur(A, output="real")``'s, which raises LinAlgError
+    when LAPACK's ``gees`` fails.  This is the one place the package takes
+    a Schur form of a generator, of any order, 1x1 included.
 
     The eigenvalues are read off T's diagonal blocks.  LAPACK standardises
     each 2x2 block to ``[[a, b], [c, a]]`` with ``b c < 0``, whose
@@ -376,11 +367,7 @@ def _real_schur(A):
     """
     import scipy.linalg as spla
 
-    gees, = spla.get_lapack_funcs(("gees",), (A,))
-    lwork = gees(_no_sort, A, lwork=-1)[-2][0].real.astype(np.int_)
-    T, _, _, _, U, _, info = gees(_no_sort, A, lwork=lwork, overwrite_a=False, sort_t=0)
-    if info != 0:
-        raise np.linalg.LinAlgError(f"gees failed with info = {info}")
+    T, U = spla.schur(A, output="real", check_finite=False)
     lam = np.diag(T).astype(complex)
     k = np.flatnonzero(np.diag(T, -1))
     im = np.sqrt(np.abs(T[k, k + 1])) * np.sqrt(np.abs(T[k + 1, k]))
@@ -389,17 +376,12 @@ def _real_schur(A):
     return T, U, lam
 
 
-def _no_sort(re, im=None):
-    """The eigenvalue selector ``gees`` requires; unused with ``sort_t=0``."""
-    return None
-
-
 def _min_pair_sum(lam):
     """``min |lambda_i + lambda_j|`` over the spectrum ``lam`` that
-    :func:`_schur_form` reads off a real stable A, in O(n): ``-2 max Re
+    :func:`_real_schur` reads off a real stable A, in O(n): ``-2 max Re
     lambda``.  No pair sums to less, and the rightmost eigenvalue attains
-    it with itself, or with its conjugate, whose imaginary part
-    :func:`_real_schur` makes exactly opposite."""
+    it with itself, or with its conjugate, whose imaginary part the
+    read-off makes exactly opposite."""
     return -2.0 * float(lam.real.max())
 
 
@@ -418,7 +400,7 @@ class SylvesterFactor:
 
     def __init__(self, A):
         self.A = A
-        self.schur = _schur_form(A)
+        self.schur = _real_schur(A)
         lam = self.schur[2]
         if lam.real.max() >= 0.0:
             raise UnstableGenerator(f"A has spectral abscissa {lam.real.max():.3e} >= 0")
@@ -435,26 +417,21 @@ class SylvesterFactor:
         SingularSystem unless ``||R|| <= 1e-10 (1 + ||P||)`` for the
         residual R of the returned T, norms decided as in
         :func:`_relative_within`.  The untransposed solve is bit-identical
-        to ``scipy.linalg.solve_sylvester(A, A', P)``."""
+        to ``scipy.linalg.solve_sylvester(A, A', P)``, and a 1x1 one is
+        ``P / (a + a)``, which ``trsyl`` returns there, bit for bit."""
         P = ensure_operator(P, "P")
         A = self.A.T if transpose else self.A
-        if A.size == 1:
-            return P / (A[0, 0] + A[0, 0])
-
         T = self._trsyl(P, transpose)
         P_bounds = _norm_bounds(P)
-        for _ in range(2):
+        for refinements in range(3):
             R = P - (A @ T + T @ A.T)
             if _residual_within(R, P, P_bounds):
                 return T
-            T = T + self._trsyl(R, transpose)
-        R = P - (A @ T + T @ A.T)
-        if not _residual_within(R, P, P_bounds):
-            res_tol = SYLVESTER_RTOL * (1.0 + operator_norm(P))
-            raise SingularSystem(
-                f"Sylvester residual {operator_norm(R):.3e} exceeds {res_tol:.3e} "
-                "after refinement; system too ill-conditioned")
-        return T
+            if refinements < 2:
+                T = T + self._trsyl(R, transpose)
+        res_tol = SYLVESTER_RTOL * (1.0 + operator_norm(P))
+        raise SingularSystem(f"Sylvester residual {operator_norm(R):.3e} exceeds {res_tol:.3e} "
+                             "after refinement; system too ill-conditioned")
 
     def _trsyl(self, P, transpose):
         """Bartels-Stewart back end on the Schur form; untransposed it is
@@ -475,20 +452,13 @@ class SylvesterFactor:
 
 def solve_sylvester(A, P):
     """Solve the Lyapunov equation ``A T + T A' = P`` for a stable A by
-    Bartels-Stewart: one :class:`SylvesterFactor` of A, then its solve.
-
-    A is factored once into real Schur form, which gives the spectrum for
-    the stability check and the separation guard, the solve, and up to two
-    refinement passes.  The result is bit-identical to
-    ``scipy.linalg.solve_sylvester(A, A.T, P)``; P need not be symmetric.
-
-    The spectrum must lie strictly in the open left half-plane; the residual
-    of the returned T satisfies ``||A T + T A.T - P|| <= 1e-10 (1 + ||P||)``
-    in the operator norm, or SingularSystem is raised.  The separation guard
-    and this gate compare norms of A, P and the residual by cascades of
-    bounds and call an SVD only when the bounds leave the decision open.  A caller with
-    several right-hand sides for one generator keeps the
-    :class:`SylvesterFactor` instead.
+    Bartels-Stewart: one :class:`SylvesterFactor` of A, then its solve,
+    bit-identical to ``scipy.linalg.solve_sylvester(A, A.T, P)``; P need not
+    be symmetric.  Raises as the factor and its solve do: UnstableGenerator
+    unless the spectrum lies in the open left half-plane, SingularSystem
+    when the separation guard fails or the residual of the returned T
+    exceeds ``1e-10 (1 + ||P||)`` in the operator norm.  A caller with
+    several right-hand sides for one generator keeps the factor instead.
     """
     A = ensure_operator(A, "A")
     P = ensure_operator(P, "P")
@@ -549,18 +519,19 @@ def bochner_quadrature(A, P, horizon, nodes, cert=None):
     Raises HorizonTooShort when the analytic truncation tail
     ``M^2 ||P|| exp(-2 alpha horizon) / (2 alpha)`` exceeds 1e-8, decided
     by the cascade of :func:`_settle`, with an SVD of P only where its
-    bounds leave the test open (or to word the error).
+    bounds leave the test open (or to word the error), and ValueError,
+    before any other work, unless horizon and nodes are finite and positive.
     """
     from .semigroup import certify_stability  # deferred: semigroup builds on linalg
 
+    horizon = float(horizon)
+    if not 0.0 < horizon < math.inf:  # NaN fails too
+        raise ValueError("horizon must be finite and positive")
+    if not 1 <= nodes < math.inf:
+        raise ValueError("nodes must be finite and positive")
+    nodes = int(nodes)
     A = ensure_operator(A, "A")
     P = ensure_operator(P, "P")
-    horizon = float(horizon)
-    if not horizon > 0:
-        raise ValueError("horizon must be positive")
-    nodes = int(nodes)
-    if nodes <= 0:
-        raise ValueError("nodes must be positive")
 
     cert = certify_stability(A) if cert is None else cert
     m, alpha = cert.M, cert.alpha

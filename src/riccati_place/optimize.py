@@ -19,7 +19,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .devices import GRAM_SINGULAR_RTOL, sample_box
+from .devices import GRAM_SINGULAR_RTOL, _require_count, sample_box
 from .dual import DualSolution, solve_dual
 from .errors import ClosedLoopUnstable, DegenerateFamily, MaxIterExceeded, RiccatiPlaceError
 from .linalg import STACK_CHUNK, check_psd, ensure_operator, norms, operator_norm, symmetrize
@@ -44,6 +44,7 @@ class Problem1Config:
     def __post_init__(self):
         _require_finite_positive("beta", self.beta)
         _require_finite_positive("tol", self.tol)
+        _require_count("max_iter", self.max_iter, 1)
         self.A = ensure_operator(self.A, "A")
         self.Q = ensure_operator(self.Q, "Q")
         self.W = ensure_operator(self.W, "W")
@@ -837,8 +838,10 @@ def lipschitz_bound_check(cfg, ledger, domain, pairs, seed):
     Each is evaluated under both trace-class readings ("nuc" uses the
     Schatten-1 norm and the matching L_G; "abs" uses |trace| and its
     L_G), with g always the operator-norm sup as the Lambda bound defines
-    it.  Returns per-reading pass booleans and worst observed ratios.
+    it.  Returns per-reading pass booleans and worst observed ratios;
+    ValueError unless ``pairs`` is an integer >= 1.
     """
+    _require_count("pairs", pairs, 1)
     ledger.require_model("M", "alpha", "trQ")
     rng = np.random.default_rng(seed)
     P1 = sample_box(domain, pairs, rng)

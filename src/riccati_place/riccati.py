@@ -427,8 +427,8 @@ class _Capacitance:
     B and F may carry a leading axis of members, each a closed loop of its
     own with its own capacitance matrix, solved in one stacked call; every
     product is then the per-member one bit for bit, and each member is
-    refined and gated on its own.  An exactly singular system leaves its
-    member unsolved.
+    gated on its own.  An exactly singular system leaves its member
+    unsolved.
     """
 
     def __init__(self, Dsum, C, B, F, matrix=None):
@@ -469,32 +469,23 @@ class _Capacitance:
 
     def solve(self, S, adjoint=False):
         """``(Y, R, solved)``: the solution Y of the equation for symmetric S
-        (the dual one with ``adjoint``), its residual R, and whether Y is
-        finite and R passes the Sylvester gate, refined up to twice; for a
-        batch, S is shared or one per member, and a member is refined only
-        while it fails the gate."""
-        S_bounds = _norm_bounds(S)
+        (the dual one with ``adjoint``), its residual R, and whether R passes
+        the Sylvester gate, which it fails wherever Y is not finite, since
+        no entry of Dsum is 0; for a batch, S is shared or one per member.
+        A caller solves what fails the gate again on a Schur form."""
         left, right = (self.B, self.F) if adjoint else (self.F, self.B)
-        dot = _dot(left)
         Y = self._solve(S, adjoint)
-        for refinements in range(3):
-            finite = np.isfinite(Y).all(axis=(1, 2)) if Y.ndim == 3 else bool(np.isfinite(Y).all())
-            if not _any(finite):
-                return Y, None, finite
-            # R = S - Dsum o Y + W + W' with W = left (Y right)'; W' is
-            # formed as its own product, not read strided.  Outer products
-            # go through np.dot: matmul takes a slower loop at r = 1
-            P = Y @ right
-            R = np.multiply(self.Dsum, Y)
-            np.subtract(S, R, out=R)
-            W = dot(left, P.swapaxes(-1, -2))
-            R += W
-            R += dot(P, left.swapaxes(-1, -2), out=W)
-            solved = finite & _residual_within(R, S, S_bounds)
-            retry = finite > solved
-            if refinements == 2 or not _any(retry):
-                return Y, R, solved
-            np.add(Y, self._solve(R, adjoint), out=Y, where=np.asarray(retry)[..., None, None])
+        # R = S - Dsum o Y + W + W' with W = left (Y right)'; W' is formed as
+        # its own product, not read strided.  Outer products go through
+        # np.dot: matmul takes a slower loop at r = 1
+        dot = _dot(left)
+        P = Y @ right
+        R = np.multiply(self.Dsum, Y)
+        np.subtract(S, R, out=R)
+        W = dot(left, P.swapaxes(-1, -2))
+        R += W
+        R += dot(P, left.swapaxes(-1, -2), out=W)
+        return Y, R, _residual_within(R, S, _norm_bounds(S))
 
     def _solve(self, S, adjoint):
         n, r = self.B.shape[-2:]
@@ -545,10 +536,10 @@ class _EigenbasisKernel(_SchurKernel):
     solved on the closed loop's :class:`_Capacitance`: one (n r) x (n r)
     linear solve a step instead of a Schur form of the closed loop, which
     is similar to ``D - F B'`` through V.  A step is kept only when its
-    residual passes the Sylvester gate (with up to two refinements) and
-    Lyapunov's theorem proves its closed loop stable: ``Y`` is positive
-    definite and ``||R||_F + 2 drift ||Y||_F < lambda_min(W Q W')``, so the
-    closed loop in the eigenbasis, ``D + Delta - F B'`` with eig's residual
+    residual passes the Sylvester gate, unrefined, and Lyapunov's theorem
+    proves its closed loop stable: ``Y`` is positive definite and
+    ``||R||_F + 2 drift ||Y||_F < lambda_min(W Q W')``, so the closed loop
+    in the eigenbasis, ``D + Delta - F B'`` with eig's residual
     ``||Delta|| <= drift`` (see :attr:`Plant.drift`), satisfies
     ``Acl Y + Y Acl' = -(F F' + W Q W') - R + Delta Y + Y Delta' < 0``.  Any
     other step is solved again on the Schur form, which raises
@@ -973,26 +964,20 @@ def verify_are(A, G, Q, sol, cert, horizon, nodes):
     ``||X - int_0^h exp(At)(Q - XGX)exp(A.T t) dt||`` via the quadrature
     oracle, (iii) the trace bound ``tr X <= M^2/(2 alpha) tr Q``, and
     (iv) symmetry / PSD of X.  ``cert`` is A's certificate; the quadrature
-    reuses it, so nothing is certified here.  The strong residual is the
-    solution's own when it has been read and (A, G, Q) are its operands;
-    otherwise it is computed before the quadrature, from the ``X G X`` that
+    reuses it, so nothing is certified here.  The strong residual is
+    computed on every call, before the quadrature, from the ``X G X`` that
     the integrand reads too, and that product is let go before the
-    quadrature runs.  ``||X||`` in ``bochner_residual_rel`` is
-    ``max(|lambda_min|, |lambda_max|)`` of the ``eigvalsh(X)`` that the PSD
-    test reads (an SVD only for an X that is not symmetric), so the
+    quadrature runs; on the solution's own operands it is the solution's
+    ``strong_residual``.  ``||X||`` in ``bochner_residual_rel`` is
+    ``max(|lambda_min|, |lambda_max|)`` of the ``eigvalsh(X)`` that the
+    PSD test reads (an SVD only for an X that is not symmetric), so the
     report takes two SVDs: the strong residual's and ``||X - X_quad||``.
     Returns the full report and leaves ``sol`` as it was.
     """
     A = ensure_operator(A, "A")
     X = sol.X
-    # the solution's strong residual if it has been read for these operands;
-    # reading sol.strong_residual here would cache it on sol
-    strong = None
-    if all(T is U or np.array_equal(T, U) for T, U in zip((A, G, Q), sol.operands)):
-        strong = vars(sol).get("strong_residual")
     XGX = X @ G @ X
-    if strong is None:
-        strong = riccati_residual(A, G, Q, X, XGX)
+    strong = riccati_residual(A, G, Q, X, XGX)
     integrand = symmetrize(Q - XGX)
     del XGX  # negated in place too: the quadrature runs with one n x n array of verify_are's
     X_quad = bochner_quadrature(A, np.negative(integrand, out=integrand), horizon, nodes,

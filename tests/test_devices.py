@@ -56,6 +56,26 @@ class TestEvalG:
             fam.G([0.1, 0.2])
 
 
+class TestValidation:
+    @pytest.mark.parametrize("field", ["sigma", "r_weight"])
+    @pytest.mark.parametrize("value", [0.0, -1.0, np.nan, np.inf, -np.inf])
+    def test_width_and_weight_must_be_finite_and_positive(self, field, value):
+        # a NaN width once constructed and failed later in an SVD; an
+        # infinite one made dG*dG singular
+        fields = dict(grid=np.linspace(0.1, 0.9, 8), sigma=0.12, r_weight=1.0)
+        fields[field] = value
+        with pytest.raises(ValueError, match="^sigma, r_weight must be finite and positive"):
+            GaussianActuators(**fields)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("node", [0, 3, 7])
+    def test_grid_must_be_finite(self, value, node):
+        grid = np.linspace(0.1, 0.9, 8)
+        grid[node] = value
+        with pytest.raises(ValueError, match="^grid must be a finite, strictly increasing"):
+            GaussianActuators(grid=grid, sigma=0.12)
+
+
 class TestDerivatives:
     def test_zero_direction(self, fam):
         assert np.array_equal(fam.dG([0.4], [0.0]), np.zeros((9, 9)))
@@ -195,6 +215,11 @@ class TestEstimateConstants:
             value = getattr(led, name)
             assert np.isfinite(value) and value > 0, name
         assert led.mu is None  # no model supplied
+
+    @pytest.mark.parametrize("samples", [2.5, 1, 0, -3])
+    def test_samples_must_be_an_integer_of_at_least_two(self, fam, samples):
+        with pytest.raises(ValueError, match=f"^samples must be an integer >= 2, got {samples}$"):
+            estimate_constants(fam, fam.domain(), samples, 0)
 
     def test_constant_family_degenerate(self):
         f = ConstantFamily(matrix=np.eye(3))

@@ -81,6 +81,12 @@ class TestVerifyDual:
         assert rep.norm_bound_holds and rep.symmetric and rep.psd
         assert rep.quadrature_residual <= 1e-8
 
+    @pytest.mark.parametrize("horizon", [np.inf, -np.inf, np.nan])
+    def test_non_finite_horizon_is_refused(self, horizon):
+        sol = solve_dual(scalar(-1), scalar(1), scalar(1), scalar(1))
+        with pytest.raises(ValueError, match="^horizon must be finite and positive$"):
+            verify_dual(sol, horizon=horizon)
+
     def test_zero_w_trivial(self, rng):
         A = rand_stable_symmetric(3, rng)
         G = rand_psd(3, rng)

@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.linalg as spla
+from scipy.linalg import _decomp_schur
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -137,7 +138,7 @@ class TestSolveSylvester:
         factor = SylvesterFactor(A)
         plain = [factor.solve(P) for P in Ps]
         transposed = [factor.solve(P, transpose=True) for P in Ps]
-        assert len(schur) == (0 if n == 1 else 1)
+        assert len(schur) == 1  # a 1x1 generator takes one too
         monkeypatch.undo()
         for P, T, Tt in zip(Ps, plain, transposed):
             assert np.array_equal(T, solve_sylvester(A, P))
@@ -184,7 +185,7 @@ class TestSolveSylvester:
         # whose rightmost eigenvalues are a complex pair
         for make in (rand_stable, self.rotations):
             for _ in range(50):
-                lam = linalg._schur_form(make(n, rng))[2]
+                lam = linalg._real_schur(make(n, rng))[2]
                 assert linalg._min_pair_sum(lam) == np.abs(lam[:, None] + lam[None, :]).min()
             assert lam[lam.real.argmax()].imag != 0.0 or make is rand_stable
 
@@ -204,13 +205,30 @@ class TestSolveSylvester:
         assert np.abs(np.sort_complex(lam) - np.sort_complex(np.linalg.eigvals(A))).max() \
             <= 1e-10 * np.abs(lam).max()
 
+    def test_one_by_one_schur_form_is_scipys(self, rng):
+        A = np.array([[-rng.uniform(0.1, 10.0)]])
+        T, U, lam = linalg._real_schur(A)
+        T_ref, U_ref = spla.schur(A, output="real")
+        assert T.tobytes() == T_ref.tobytes() and U.tobytes() == U_ref.tobytes()
+        assert lam.tolist() == [complex(A[0, 0])]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(-5.0, 5.0), st.floats(-5.0, 5.0), st.booleans())
+    def test_one_by_one_solve_is_the_quotient(self, log_a, log_p, negative_p):
+        # gees and trsyl on a 1x1 generator: T = P / (a + a) bit for bit,
+        # for |a| and |P| from 1e-5 to 1e5
+        a, P = -10.0**log_a, np.array([[(-1.0 if negative_p else 1.0) * 10.0**log_p]])
+        T = solve_sylvester(np.array([[a]]), P)
+        assert T.tobytes() == (P / (a + a)).tobytes()
+
     def test_failed_schur_form_raises_linalg_error(self, monkeypatch):
+        # the gees call inside scipy.linalg.schur fails to converge (info > 0)
         def gees(select, A, lwork=None, **kwargs):
             work = np.array([4.0 * A.shape[0]])
-            return A, 0, None, None, np.eye(A.shape[0]), work, 0 if lwork == -1 else 3
+            return A, 0, None, None, np.eye(A.shape[0]), work, 0 if lwork == -1 else 1
 
-        monkeypatch.setattr(spla, "get_lapack_funcs", lambda names, arrays: (gees,))
-        with pytest.raises(np.linalg.LinAlgError, match="info = 3"):
+        monkeypatch.setattr(_decomp_schur, "get_lapack_funcs", lambda names, arrays: (gees,))
+        with pytest.raises(spla.LinAlgError, match="Schur form not found"):
             solve_sylvester(-np.eye(2), np.eye(2))
 
     def test_complex_spectra_read_off_schur_blocks(self):
@@ -330,10 +348,10 @@ class TestNormWithin:
             D, scale = -1e-11 * np.diag(np.arange(1.0, n + 1)), 10.0 / operator_norm(N)
             for _ in range(4):
                 Asep = D + scale * N
-                smin = linalg._min_pair_sum(linalg._schur_form(Asep)[2])
+                smin = linalg._min_pair_sum(linalg._real_schur(Asep)[2])
                 scale *= smin / 2e-12 / (1.0 + rel) / operator_norm(Asep)
             Asep = D + scale * N
-            smin = linalg._min_pair_sum(linalg._schur_form(Asep)[2])
+            smin = linalg._min_pair_sum(linalg._real_schur(Asep)[2])
             if smin < 1e-12 * (2.0 * operator_norm(Asep)):
                 with pytest.raises(SingularSystem):
                     SylvesterFactor(Asep)
@@ -445,13 +463,15 @@ class TestSymmetryAndPsdGates:
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_entry_is_not_symmetric(self, entry, value):
         # the skew is NaN or infinite, and so is ||T||_F: no bound may call
-        # such a T symmetric (an infinite entry once passed as PSD)
+        # such a T symmetric (an infinite entry once passed as PSD), and the
+        # error names the entries, not an SVD that cannot converge
         T = np.eye(3)
         T[entry] = value
         with np.errstate(invalid="ignore"):  # inf - inf in T - T'
             assert psd_flags(T) == (False, False)
-            with pytest.raises(ValueError):
-                check_symmetric(T, "T")
+            for check in (check_symmetric, check_psd, lambda T, name: low_rank_psd(T, 3, name)):
+                with pytest.raises(ValueError, match="^T has non-finite entries$"):
+                    check(T, "T")
 
     @pytest.mark.parametrize("test", ["skew", "lambda_min"])
     def test_between_frobenius_bounds_decided_by_svd(self, monkeypatch, test):
@@ -519,6 +539,13 @@ class TestBochnerQuadrature:
         B = bochner_quadrature(np.array([[-1.0]]), np.array([[-4.0]]), horizon=20.0,
                                nodes=200)
         assert abs(B[0, 0] - 2.0) <= 1e-8
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_sizes_are_refused(self, bad):
+        with pytest.raises(ValueError, match="^horizon must be finite and positive$"):
+            bochner_quadrature(-np.eye(3), np.eye(3), bad, 16)
+        with pytest.raises(ValueError, match="^nodes must be finite and positive$"):
+            bochner_quadrature(-np.eye(3), np.eye(3), 1.0, bad)
 
     def test_horizon_too_short(self):
         with pytest.raises(HorizonTooShort):
@@ -719,6 +746,16 @@ class TestNorms:
         stack[1, 0, 0] = np.inf
         with pytest.raises(ValueError, match="non-finite"):
             norms(stack)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(allow_nan=False, allow_infinity=False))
+    def test_one_by_one_operator_norm_is_the_absolute_value(self, t):
+        # the SVD's, as on a stack; LAPACK rescales, and may round, only
+        # outside [2^-459, 2^459], far beyond any operator the package forms
+        norm = operator_norm(np.array([[t]]))
+        assert norm == operator_norm(np.array([[[t]]]))[0]
+        if t == 0.0 or 2.0**-459 <= abs(t) <= 2.0**459:
+            assert norm == abs(t)
 
     @settings(max_examples=100, deadline=None)
     @given(arrays(np.float64, (4, 4), elements=st.floats(-1e6, 1e6)))

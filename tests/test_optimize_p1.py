@@ -281,6 +281,14 @@ def test_lipschitz_bounds_small(small_problem):
     assert rep.lambda_passing_readings, rep.worst_lambda_ratio
 
 
+@pytest.mark.parametrize("pairs", [0, -1, 2.5])
+def test_lipschitz_check_needs_a_pair(small_problem, pairs):
+    # pairs = 0 once reported a pass with nothing checked
+    cfg = small_problem
+    with pytest.raises(ValueError, match=f"^pairs must be an integer >= 1, got {pairs}$"):
+        lipschitz_bound_check(cfg, None, cfg.family.domain(), pairs=pairs, seed=10)
+
+
 def test_cluster_points():
     pts = [np.array([0.0]), np.array([1e-8]), np.array([0.5])]
     clusters = cluster_points(pts, tol=1e-6)

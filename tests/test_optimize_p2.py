@@ -383,6 +383,20 @@ class TestConfigScalars:
                 Problem1Config(**fields)
         assert len(certificates) == 0
 
+    @pytest.mark.parametrize("max_iter", [0, -3, 2.5])
+    def test_max_iter_must_be_a_positive_integer(self, monkeypatch, max_iter):
+        # -3 once constructed and raised MaxIterExceeded after -3 iterations
+        certificates = count_calls(monkeypatch, "certify_stability", optimize)
+        fields = dict(A=np.array([[-1.0]]), Q=np.array([[3.0]]), W=np.array([[1.0]]),
+                      family=ConstantFamily(matrix=np.array([[1.0]])), beta=1.0,
+                      max_iter=max_iter)
+        message = f"^max_iter must be an integer >= 1, got {max_iter}$"
+        with pytest.raises(ValueError, match=message):
+            Problem1Config(**fields)
+        with pytest.raises(ValueError, match=message):
+            Problem2Config(gamma=1.0, **fields)
+        assert len(certificates) == 0
+
 
 class TestBetaSweep:
     @pytest.mark.parametrize("betas", [[np.nan], [10.0, np.inf], [100.0, 10.0], [10.0, 10.0],

@@ -2,7 +2,9 @@
 
 The optimality condition is the fixed point p = (1/beta) dG_p*(X L X); the
 explicit constant k bounds the map's Lipschitz modulus, and for beta above
-the threshold every start converges to the same placement.
+the threshold the map has one fixed point.  solve_p1 finds it by projected
+Newton on the penalized cost, the method that solves problem 2, so every
+start reaches the same placement.
 """
 
 import numpy as np

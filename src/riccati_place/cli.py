@@ -136,8 +136,8 @@ def parse_config(raw):
     _reject_unknown(quad, "solver.quadrature")
     cfg.seed = _take(solver, "seed", "solver", int, required=False, default=0,
                      check=lambda v: v >= 0)
-    cfg.damping = _take(solver, "damping", "solver", float, required=False,
-                        default=0.5, check=lambda v: 0 < v <= 1)
+    # accepted so that existing configs parse; nothing reads it
+    _take(solver, "damping", "solver", float, required=False, check=lambda v: 0 < v <= 1)
     _reject_unknown(solver, "solver")
 
     _reject_unknown(raw, "")
@@ -372,12 +372,9 @@ def _cmd_optimize(cfg, out_dir):
                    else optimize.contraction_constant_p2(ledger))
     exit_code = 0
     try:
-        if cfg.variant == 1:
-            triple = optimize.solve_p1(problem, p0, damping=cfg.damping)
-            cost = triple.state.cost_p1(problem)
-        else:
-            triple = optimize.solve_p2(problem, p0)
-            cost = triple.state.cost_p2(problem)
+        solve = optimize.solve_p1 if cfg.variant == 1 else optimize.solve_p2
+        triple = solve(problem, p0)
+        cost = triple.state.cost(problem)
     except MaxIterExceeded as err:
         triple = err.best
         cost = math.nan
@@ -394,7 +391,7 @@ def _cmd_optimize(cfg, out_dir):
         "trace_gap": triple.trace_gap,
         "trace_constraint_residual": triple.trace_constraint_residual,
         "fixed_point_residual": triple.fixed_point_residual,
-        "mode": "fixed_point" if cfg.variant == 1 else "newton",
+        "mode": "newton",
         "cost": cost,
         "contraction_k": contraction.k,
         "is_contraction": contraction.is_contraction,

@@ -5,7 +5,8 @@ Problem 2 (trace constraint): minimize tr(X(p) W) + beta/2 (tr G_p - gamma)^2
 
 both constrained by A X + X A.T - X G_p X + Q = 0.  First-order optimality
 couples the Riccati solution X(p), the multiplier Lambda(p), and a
-fixed-point equation in p; this module provides the solvers, the explicit
+fixed-point equation in p; one projected Newton method solves both, each
+config supplying its penalty.  This module also provides the explicit
 contraction-constant ledgers that certify uniqueness, cone-restricted
 second-order checks, and the beta-continuation sweep that drives
 tr G_p -> gamma.
@@ -63,6 +64,29 @@ class Problem1Config:
         yields."""
         return operator_norm(self.W)
 
+    # What _newton reads of the problem at a StatePair: the penalty
+    # beta/2 ||p||^2, its gradient, and its Hessian with the coefficient of
+    # tr d2G_kj (see _reduced_hessian); no bounds (lo, hi) on p; the paper's
+    # map p -> dG_p*(X Lambda X) / beta; no trace gap or trace residual.
+
+    def penalty(self, state):
+        return 0.5 * self.beta * float(state.p @ state.p)
+
+    def penalty_gradient(self, state):
+        return self.beta * state.p
+
+    def penalty_hessian(self, state, dG):
+        return self.beta * np.eye(state.p.size), 0.0
+
+    def box(self, d):
+        return np.full(d, -np.inf), np.full(d, np.inf)
+
+    def fixed_point_map(self, state):
+        return state.adjoint_xlx / self.beta
+
+    def trace_residuals(self, state):
+        return None, None
+
 
 @dataclass
 class Problem2Config(Problem1Config):
@@ -71,6 +95,30 @@ class Problem2Config(Problem1Config):
     def __post_init__(self):
         _require_finite_positive("gamma", self.gamma)
         super().__post_init__()
+
+    # the same for the penalty beta/2 (tr G_p - gamma)^2 in the family's domain
+
+    def penalty(self, state):
+        return 0.5 * self.beta * (state.trace_G - self.gamma)**2
+
+    def penalty_gradient(self, state):
+        return self.beta * (state.trace_G - self.gamma) * state.adjoint_identity
+
+    def penalty_hessian(self, state, dG):
+        tr_dG = np.array([np.trace(D) for D in dG])
+        return self.beta * np.outer(tr_dG, tr_dG), self.beta * (state.trace_G - self.gamma)
+
+    def box(self, d):
+        if hasattr(self.family, "domain"):
+            return np.atleast_2d(np.asarray(self.family.domain(), dtype=float)).T
+        return super().box(d)
+
+    def fixed_point_map(self, state):
+        return state.map_p2()
+
+    def trace_residuals(self, state):
+        trace_gap = state.trace_G - self.gamma
+        return trace_gap, abs(trace_gap - state.xlx_norm / self.beta)
 
 
 def _require_finite_positive(name, value):
@@ -94,11 +142,10 @@ class OptimalityTriple:
     residual_stationarity: float
     iterations: int
     converged: bool
-    history: Optional[List[np.ndarray]] = None
-    # problem-2 extras
-    trace_gap: Optional[float] = None
-    trace_constraint_residual: Optional[float] = None
-    fixed_point_residual: Optional[float] = None
+    history: List[np.ndarray]
+    trace_gap: Optional[float]  # None for problem 1, as is the next
+    trace_constraint_residual: Optional[float]
+    fixed_point_residual: float  # NaN where the config's map is undefined
 
     @property
     def X(self):
@@ -126,8 +173,9 @@ class StatePair:
     """The state at a placement p: G_p, the Riccati solution X(p), the
     multiplier Lambda(p) and the beta-free facts derived from them, each
     computed on first read and kept; gram_inverse raises DegenerateFamily
-    when dG*dG is singular at p.  The costs, gradients and problem 2's map
-    at p are methods; those that depend on beta or gamma take the config."""
+    when dG*dG is singular at p.  The cost, its gradient and problem 2's map
+    at p are methods; the cost and gradient take the config, whose penalty
+    they add."""
     p: np.ndarray
     G: np.ndarray
     sol: RiccatiSolution
@@ -158,22 +206,14 @@ class StatePair:
     def gram_inverse(self):
         return _gram_inverse(self.family, self.p)
 
-    def cost_p1(self, cfg):
-        """The problem-1 cost tr(X W) + beta/2 ||p||^2 at p."""
-        return float(np.tensordot(self.sol.X, cfg.W)) + 0.5 * cfg.beta * float(self.p @ self.p)
+    def cost(self, cfg):
+        """The cost tr(X W) plus the config's penalty at p."""
+        return float(np.tensordot(self.sol.X, cfg.W)) + cfg.penalty(self)
 
-    def cost_p2(self, cfg):
-        """The problem-2 cost tr(X W) + beta/2 (tr G_p - gamma)^2 at p."""
-        gap = self.trace_G - cfg.gamma
-        return float(np.tensordot(self.sol.X, cfg.W)) + 0.5 * cfg.beta * gap**2
-
-    def gradient_p1(self, cfg):
-        """Adjoint gradient beta p - dG_p*(X Lambda X) of the reduced problem-1 cost."""
-        return cfg.beta * self.p - self.adjoint_xlx
-
-    def gradient_p2(self, cfg):
-        """Weak-form stationarity vector beta (tr G_p - gamma) dG*(I) - dG*(X Lambda X)."""
-        return cfg.beta * (self.trace_G - cfg.gamma) * self.adjoint_identity - self.adjoint_xlx
+    def gradient(self, cfg):
+        """Adjoint gradient of the reduced cost: the penalty's gradient minus
+        dG_p*(X Lambda X), problem 2's weak-form stationarity vector."""
+        return cfg.penalty_gradient(self) - self.adjoint_xlx
 
     def map_p2(self, direction=None):
         """One evaluation of the fixed-point map of the problem-2 optimality condition:
@@ -241,72 +281,39 @@ def solve_state_pairs(cfg, points):
             yield StatePair(p, G, sol, dsol, cfg.family)
 
 
+def cost(cfg, p):
+    """tr(X(p) W) plus the config's penalty (one state pair)."""
+    return solve_state_pair(cfg, p).cost(cfg)
+
+
+def gradient(cfg, p):
+    """Adjoint gradient of the reduced cost (one state pair)."""
+    return solve_state_pair(cfg, p).gradient(cfg)
+
+
+def stationarity_residual(cfg, triple):
+    """Norm of the gradient evaluated on the triple's own state pair."""
+    return float(np.linalg.norm(triple.state.gradient(cfg)))
+
+
+cost_p1 = cost_p2 = cost
+gradient_p1 = gradient_p2 = gradient
+stationarity_residual_p1 = stationarity_residual_p2 = stationarity_residual
+
+
 # ---------------------------------------------------------------------------
 # problem 1
 # ---------------------------------------------------------------------------
 
-def cost_p1(cfg, p):
-    """tr(X(p) W) + beta/2 ||p||^2 (one state pair)."""
-    return solve_state_pair(cfg, p).cost_p1(cfg)
-
-
-def gradient_p1(cfg, p):
-    """Adjoint gradient beta p - dG_p*(X Lambda X) of the reduced problem-1 cost."""
-    return solve_state_pair(cfg, p).gradient_p1(cfg)
-
-
-def stationarity_residual_p1(cfg, triple):
-    """||beta p - dG_p*(X Lambda X)|| evaluated on the triple's own state pair."""
-    return float(np.linalg.norm(triple.state.gradient_p1(cfg)))
-
-
-def solve_p1(cfg, p0, damping=1.0):
-    """Fixed-point iteration p <- (1/beta) dG_p*(X(p) Lambda(p) X(p)).
-
-    damping = 1 is the analyzed map; damping theta in (0, 1) iterates the
-    averaged map (1 - theta) p + theta f(p), useful when the contraction
-    regime is narrow.  Stops when both the step norm and the stationarity
-    residual ||beta p - dG_p*(X Lambda X)|| fall below cfg.tol.
-
-    Raises MaxIterExceeded with the best iterate attached.
+def solve_p1(cfg, p0):
+    """Solve the problem-1 optimality system by solve_p2's projected Newton
+    method (see _newton), on no box.  A converged triple meets cfg.tol in
+    ||beta p - dG_p*(X Lambda X)|| and the primal and dual residuals.  The
+    paper's map p -> dG_p*(X Lambda X) / beta, which contraction_constant_p1
+    certifies, gives Newton its start and the reported fixed_point_residual.
+    Raises MaxIterExceeded (best iterate attached) as solve_p2 does.
     """
-    if not 0.0 < damping <= 1.0:
-        raise ValueError("damping must lie in (0, 1]")
-    p = np.atleast_1d(np.asarray(p0, dtype=float)).copy()
-    history = [p.copy()]
-    best = None
-    best_res = math.inf
-    for it in range(1, cfg.max_iter + 1):
-        state = solve_state_pair(cfg, p)
-        f = state.adjoint_xlx / cfg.beta
-        stat_res = float(np.linalg.norm(state.gradient_p1(cfg)))
-        if stat_res < best_res:
-            best_res = stat_res
-            best = state
-        p_next = (1.0 - damping) * p + damping * f
-        step = float(np.linalg.norm(p_next - p))
-        if stat_res <= cfg.tol and step <= cfg.tol:
-            return _finish_triple(cfg, state, stat_res, it, history)
-        p = p_next
-        history.append(p.copy())
-    triple = _finish_triple(cfg, best, best_res, cfg.max_iter, history)
-    raise MaxIterExceeded(
-        f"no fixed point within {cfg.max_iter} iterations "
-        f"(best stationarity residual {best_res:.3e})", best=triple)
-
-
-def _finish_triple(cfg, state, stat_res, iterations, history, **extras):
-    """The triple at state.p; it converged when the stationarity, primal and
-    dual residuals meet cfg.tol."""
-    return OptimalityTriple(
-        state=state,
-        residual_stationarity=stat_res,
-        iterations=iterations,
-        converged=(stat_res <= cfg.tol and state.sol.strong_residual <= cfg.tol
-                   and state.dsol.residual <= cfg.tol),
-        history=history,
-        **extras,
-    )
+    return _newton(cfg, solve_state_pair(cfg, p0))
 
 
 def contraction_constant_p1(ledger):
@@ -402,21 +409,6 @@ def critical_cone_basis(family, p, X):
 # problem 2
 # ---------------------------------------------------------------------------
 
-def cost_p2(cfg, p):
-    """tr(X(p) W) + beta/2 (tr G_p - gamma)^2 (one state pair)."""
-    return solve_state_pair(cfg, p).cost_p2(cfg)
-
-
-def gradient_p2(cfg, p):
-    """Weak-form stationarity vector beta (tr G_p - gamma) dG*(I) - dG*(X Lambda X)."""
-    return solve_state_pair(cfg, p).gradient_p2(cfg)
-
-
-def stationarity_residual_p2(cfg, triple):
-    """Norm of the weak-form stationarity vector at the triple."""
-    return float(np.linalg.norm(triple.state.gradient_p2(cfg)))
-
-
 def _gram_inverse(family, p):
     S = family.gram(p)
     sv = np.linalg.svd(S, compute_uv=False)
@@ -434,7 +426,7 @@ def fixed_point_map_p2(cfg, p, direction=None):
 
 def solve_p2(cfg, p0, state=None):
     """Solve the problem-2 optimality system by projected Newton on the
-    penalized cost with the exact reduced Hessian (see _newton_p2).
+    penalized cost with the exact reduced Hessian (see _newton).
 
     Newton is local: it returns the minimizer of the basin it starts in,
     which is p0's or, when that costs less, that of the image of p0 under
@@ -464,13 +456,7 @@ def solve_p2(cfg, p0, state=None):
         vars(state)["gram_inverse"] = Sinv  # seeds the cached_property: one inversion at p0
     elif not np.array_equal(state.p, p0):
         raise ValueError("the state pair handed to solve_p2 was not solved at p0")
-    triple = _newton_p2(cfg, state, [p0.copy()])
-    if not triple.residual_stationarity <= cfg.tol:
-        raise MaxIterExceeded(
-            f"projected Newton stopped away from a stationary point after "
-            f"{triple.iterations} iterations (residual {triple.residual_stationarity:.3e})",
-            best=triple)
-    return triple
+    return _newton(cfg, state)
 
 
 ARMIJO_SLOPE = 1e-4
@@ -480,60 +466,64 @@ HESSIAN_FLOOR = 1e-8    # eigenvalue floor, relative to 1 + max |H_ij|
 COST_ROUNDING = 1e-13   # relative cost decrease that rounding can swallow
 
 
-def _newton_p2(cfg, state, history):
-    """Projected Newton on cost_p2 from state.p (Bertsekas, SIAM J. Control
-    Optim. 20, 1982).
+def _newton(cfg, state):
+    """Projected Newton on the config's cost from state.p (Bertsekas, SIAM
+    J. Control Optim. 20, 1982), within the config's box.
 
     A coordinate within the epsilon band of a bound whose gradient points
     out of the box is active: it takes a gradient step scaled by its Hessian
     diagonal and is clipped at the bound.  The free coordinates take the
     Newton step of their Hessian block, with every eigenvalue replaced by
     its absolute value and floored, so the step descends where the cost is
-    not convex too.  Trial points are projected onto the family's box and
-    halved back until the Armijo condition holds.  Near the optimum the
-    predicted decrease can sink below the rounding of the cost before the
-    gradient meets cfg.tol; such a step is also accepted when it halves the
-    gradient norm.  Every trial costs one solve_state_pair, warm-started
-    from the current iterate's X (solve_state_pair falls back to a cold
-    solve when that X does not stabilize the trial's closed loop).  The
-    method is local, so it first moves to the image of the paper's map at
-    p, clipped to the box, when that costs less (heat16 has a minimum near
-    each end).
+    not convex too.  Trial points are projected onto the box and halved
+    back until the Armijo condition holds.  Near the optimum the predicted
+    decrease can sink below the rounding of the cost before the gradient
+    meets cfg.tol; such a step is also accepted when it halves the gradient
+    norm.  Every trial costs one solve_state_pair, warm-started from the
+    current iterate's X (solve_state_pair falls back to a cold solve when
+    that X does not stabilize the trial's closed loop).  The method is
+    local, so it first moves to the image of the config's fixed-point map
+    at p, clipped to the box, when that costs less (heat16 has a minimum
+    near each end).
 
-    Returns _finish_p2's triple at the last iterate; ``history`` collects the iterates.
+    Returns _finish's triple at the last iterate, its history the iterates;
+    raises MaxIterExceeded with it attached when its residual misses cfg.tol.
     """
-    if hasattr(cfg.family, "domain"):
-        lo, hi = np.atleast_2d(np.asarray(cfg.family.domain(), dtype=float)).T
-    else:
-        lo, hi = np.full(state.p.size, -np.inf), np.full(state.p.size, np.inf)
-    value = state.cost_p2(cfg)
+    history = [state.p.copy()]
+    lo, hi = cfg.box(state.p.size)
+    value = state.cost(cfg)
     try:
-        image = np.clip(state.map_p2(), lo, hi)
+        image = np.clip(cfg.fixed_point_map(state), lo, hi)
     except DegenerateFamily:
         image = state.p
-    moved = 0
+    it = 0
     if np.isfinite(image).all() and not np.array_equal(image, state.p):
         image_state = solve_state_pair(cfg, image, X0=state.sol.X)
-        image_value = image_state.cost_p2(cfg)
+        image_value = image_state.cost(cfg)
         if image_value < value:
-            state, value, moved = image_state, image_value, 1
+            state, value, it = image_state, image_value, 1
             history.append(state.p.copy())
-    grad = state.gradient_p2(cfg)
-    for it in range(moved, cfg.max_iter):
+    grad = state.gradient(cfg)
+    while it < cfg.max_iter and not np.linalg.norm(grad) <= cfg.tol:
         p = state.p
-        if np.linalg.norm(grad) <= cfg.tol:
-            return _finish_p2(cfg, state, grad, it, history)
         band = np.minimum(ACTIVE_BAND * (hi - lo),
                           np.linalg.norm(p - np.clip(p - grad, lo, hi)))
         active = (((p <= lo + band) & (grad > 0))
                   | ((p >= hi - band) & (grad < 0)))
-        step = _newton_step(_reduced_hessian_p2(cfg, state), grad, active)
+        step = _newton_step(_reduced_hessian(cfg, state), grad, active)
         trial = _backtrack(cfg, state, value, grad, step, active, lo, hi)
+        it += 1
         if trial is None:
-            return _finish_p2(cfg, state, grad, it + 1, history)
+            break
         state, value, grad = trial
         history.append(state.p.copy())
-    return _finish_p2(cfg, state, grad, cfg.max_iter, history)
+    triple = _finish(cfg, state, grad, it, history)
+    if not triple.residual_stationarity <= cfg.tol:
+        raise MaxIterExceeded(
+            f"projected Newton stopped away from a stationary point after "
+            f"{triple.iterations} iterations (residual {triple.residual_stationarity:.3e})",
+            best=triple)
+    return triple
 
 
 def _backtrack(cfg, state, value, grad, step, active, lo, hi):
@@ -549,8 +539,8 @@ def _backtrack(cfg, state, value, grad, step, active, lo, hi):
         decrease = (t * float(grad[~active] @ step[~active])
                     + float(grad[active] @ (state.p - p_try)[active]))
         trial = solve_state_pair(cfg, p_try, X0=state.sol.X)
-        value_try = trial.cost_p2(cfg)
-        grad_try = trial.gradient_p2(cfg)
+        value_try = trial.cost(cfg)
+        grad_try = trial.gradient(cfg)
         if (value_try <= value - ARMIJO_SLOPE * decrease
                 or (decrease <= COST_ROUNDING * (1.0 + abs(value))
                     and np.linalg.norm(grad_try) <= 0.5 * np.linalg.norm(grad))):
@@ -571,8 +561,8 @@ def _newton_step(H, grad, active):
     return step
 
 
-def _reduced_hessian_p2(cfg, state):
-    """Exact Hessian of p -> cost_p2(cfg, p) at p = state.p by second-order
+def _reduced_hessian(cfg, state):
+    """Exact Hessian of p -> cost(cfg, p) at p = state.p by second-order
     adjoints (Hinze, Pinnau, Ulbrich & Ulbrich, Optimization with PDE
     Constraints, 2009).
 
@@ -581,12 +571,15 @@ def _reduced_hessian_p2(cfg, state):
     multiplier was solved on (DualSolution.solve_closed_loop): on its
     eigenbasis factor, or on its Schur form, built at most once per state
     pair; no factorization per direction.
-    Differentiating the gradient beta gap tr dG_k - tr(Lambda X dG_k X)
-    in direction j gives
+    Differentiating the gradient g_k - tr(Lambda X dG_k X), g being the
+    penalty's gradient, in direction j gives
 
-        H[k, j] = beta tr dG_j tr dG_k + beta gap tr d2G_kj
+        H[k, j] = P[k, j] + c tr d2G_kj
                   - tr(Lambda'_j X dG_k X) - 2 tr(Lambda X'_j dG_k X)
-                  - tr(Lambda X d2G_kj X).
+                  - tr(Lambda X d2G_kj X),
+
+    where cfg.penalty_hessian supplies (P, c): (beta I, 0) for problem 1,
+    (beta tr dG_j tr dG_k, beta (tr G_p - gamma)) for problem 2.
 
     The multiplier sensitivity Lambda'_j is never solved for: by the
     adjoint identity, tr(Lambda'_j X dG_k X) = 2 <B_j, X'_k> with
@@ -597,33 +590,40 @@ def _reduced_hessian_p2(cfg, state):
     E = np.eye(p.size)
     dG = [cfg.family.dG(p, e) for e in E]
     dX = [state.dsol.solve_closed_loop(symmetrize(X @ D @ X)) for D in dG]
-    tr_dG = np.array([np.trace(D) for D in dG])
-    gap = state.trace_G - cfg.gamma
-    H = cfg.beta * np.outer(tr_dG, tr_dG)
+    H, coefficient = cfg.penalty_hessian(state, dG)
     for j in range(p.size):
         B = (state.G @ dX[j] + dG[j] @ X) @ Lam
         LdX = Lam @ dX[j]
         for k in range(p.size):
             D2 = cfg.family.d2G(p, E[k], E[j])
-            H[k, j] += (cfg.beta * gap * np.trace(D2) - np.tensordot(state.xlx, D2)
+            H[k, j] += (coefficient * np.trace(D2) - np.tensordot(state.xlx, D2)
                         - 2.0 * (np.vdot(B, dX[k]) + np.vdot(LdX, X @ dG[k])))
     return symmetrize(H)
 
 
-def _finish_p2(cfg, state, grad, iterations, history):
-    """The problem-1 record at p = state.p, with the stationarity residual
-    read off ``grad`` (the gradient at p), extended by problem 2's trace
-    gap, trace-constraint residual and map residual, which are reported
-    and do not enter ``converged``."""
-    trace_gap = state.trace_G - cfg.gamma
-    trace_res = abs(trace_gap - state.xlx_norm / cfg.beta)
+def _finish(cfg, state, grad, iterations, history):
+    """The triple at p = state.p, with the stationarity residual read off
+    ``grad`` (the gradient at p).  It converged when that residual and the
+    primal and dual residuals meet cfg.tol; the config's trace gap and
+    trace-constraint residual and the residual of its fixed-point map are
+    reported and do not enter ``converged``."""
+    stat_res = float(np.linalg.norm(grad))
+    trace_gap, trace_res = cfg.trace_residuals(state)
     try:
-        map_res = float(np.linalg.norm(state.p - state.map_p2()))
+        map_res = float(np.linalg.norm(state.p - cfg.fixed_point_map(state)))
     except DegenerateFamily:
         map_res = math.nan
-    return _finish_triple(cfg, state, float(np.linalg.norm(grad)), iterations, history,
-                          trace_gap=trace_gap, trace_constraint_residual=trace_res,
-                          fixed_point_residual=map_res)
+    return OptimalityTriple(
+        state=state,
+        residual_stationarity=stat_res,
+        iterations=iterations,
+        converged=(stat_res <= cfg.tol and state.sol.strong_residual <= cfg.tol
+                   and state.dsol.residual <= cfg.tol),
+        history=history,
+        trace_gap=trace_gap,
+        trace_constraint_residual=trace_res,
+        fixed_point_residual=map_res,
+    )
 
 
 def contraction_constant_p2(ledger):
@@ -750,7 +750,7 @@ def beta_sweep(cfg, betas, p0, ledger=None):
     starts from the state pair its predecessor ended at (``triple.state``,
     which holds its p) instead of solving it again; inside a row, Newton
     warm-starts every state pair from the current iterate's X (see
-    _newton_p2).  Only the first row's state pair at p0, and any pair
+    _newton).  Only the first row's state pair at p0, and any pair
     whose warm start does not stabilize the closed loop, are solved cold.
 
     A ledger (device constants + model fields) enables the per-beta
@@ -786,11 +786,11 @@ def beta_sweep(cfg, betas, p0, ledger=None):
             continue
         state = triple.state
         trace_term = float(np.tensordot(triple.X, cfg.W))
-        penalty = 0.5 * b * (state.trace_G - cfg.gamma)**2
+        penalty = cfg_b.penalty(state)
         rows.append(SweepRow(
             beta=b, p=triple.p.copy(), trace_G=state.trace_G,
             trace_gap=abs(state.trace_G - cfg.gamma),
-            cost=state.cost_p2(cfg_b), trace_term=trace_term, penalty_term=penalty,
+            cost=state.cost(cfg_b), trace_term=trace_term, penalty_term=penalty,
             xlx_norm=state.xlx_norm, k=k, is_contraction=is_k,
             converged=triple.converged, iterations=triple.iterations,
             stationarity_residual=triple.residual_stationarity,

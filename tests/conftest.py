@@ -48,6 +48,24 @@ def convdiff1d(n, nu=1.0, c=10.0):
     return nu * A + c / (2.0 * h) * convection, grid
 
 
+def iterate_p1_map(cfg, p0):
+    """Iterate problem 1's fixed-point map p <- dG_p*(X Lambda X) / beta
+    (``cfg.fixed_point_map``) from p0 until the step and the stationarity
+    residual both meet cfg.tol; returns the iterates, the last one the
+    limit.  Fails the test when cfg.max_iter maps do not get there."""
+    from riccati_place.optimize import solve_state_pair
+
+    history = [np.array(p0, dtype=float, ndmin=1)]
+    for _ in range(cfg.max_iter):
+        state = solve_state_pair(cfg, history[-1])
+        image = cfg.fixed_point_map(state)
+        if (np.linalg.norm(state.gradient(cfg)) <= cfg.tol
+                and np.linalg.norm(image - state.p) <= cfg.tol):
+            return history
+        history.append(image)
+    pytest.fail(f"the problem-1 map found no fixed point within {cfg.max_iter} maps")
+
+
 def count_calls(monkeypatch, name, *owners, keywords=False):
     """Route attribute ``name`` of each owner (a module or object) through one
     counter; returns the list of positional-argument tuples, one per call,

@@ -36,7 +36,7 @@ from riccati_place.optimize import (
 from riccati_place.riccati import solve_are, solve_are_hamiltonian, verify_are
 from riccati_place.semigroup import certify_stability
 
-from conftest import rand_psd, rand_stable, rand_stable_symmetric
+from conftest import iterate_p1_map, rand_psd, rand_stable, rand_stable_symmetric
 
 SEED = 20260810
 
@@ -246,23 +246,28 @@ def test_criterion_08_p1_contraction_uniqueness(heat16, ledger16, announce):
     cfg = Problem1Config(A=m["A"], Q=m["Q"], W=m["W"], family=m["family"],
                          beta=beta, tol=1e-11, max_iter=300)
     rng = np.random.default_rng(SEED + 8)
-    limits, worst_ratio = [], 0.0
+    limits, worst_ratio, newton_gap = [], 0.0, 0.0
     for p0 in sample_box(m["family"].domain(), 10, rng):
-        tri = solve_p1(cfg, p0)
-        assert tri.converged
-        limits.append(tri.p)
-        steps = [np.linalg.norm(b - a) for a, b in zip(tri.history, tri.history[1:])]
+        # the ratios are the map's, iterated as the contraction argument does
+        history = iterate_p1_map(cfg, p0)
+        limits.append(history[-1])
+        steps = [np.linalg.norm(b - a) for a, b in zip(history, history[1:])]
         ratios = [s1 / s0 for s0, s1 in zip(steps, steps[1:]) if s0 > 1e-13]
         if ratios:
             worst_ratio = max(worst_ratio, max(ratios))
+        tri = solve_p1(cfg, p0)
+        assert tri.converged
+        newton_gap = max(newton_gap, np.linalg.norm(tri.p - history[-1]))
     spread = max(np.linalg.norm(a - b) for a in limits for b in limits)
     elapsed = time.perf_counter() - t0
-    ok = spread <= 1e-8 and worst_ratio <= rep.k + 0.05 and elapsed < 60
+    ok = (spread <= 1e-8 and worst_ratio <= rep.k + 0.05 and newton_gap <= 1e-8
+          and elapsed < 60)
     announce(8, ok, f"beta = 2 x threshold = {beta:.3g}: 10 starts agree to "
                     f"{spread:.2e}, ratio <= {worst_ratio:.3f} (k = {rep.k:.2f}), "
-                    f"{elapsed:.1f} s")
+                    f"Newton's limits within {newton_gap:.2e}, {elapsed:.1f} s")
     assert spread <= 1e-8
     assert worst_ratio <= rep.k + 0.05
+    assert newton_gap <= 1e-8
     assert elapsed < 60.0
 
 

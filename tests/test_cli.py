@@ -244,7 +244,7 @@ class TestCommands:
         code = main(["optimize", "--config", cfg, "--out", str(tmp_path / "out")])
         assert code == 0
         payload = json.loads((tmp_path / "out" / "report.json").read_text())
-        assert payload["converged"] and payload["mode"] == "fixed_point"
+        assert payload["converged"] and payload["mode"] == "newton"
         assert abs(payload["p"][0]) <= 1e-8
 
     def test_sweep_beta_csv(self, tmp_path):
@@ -504,7 +504,7 @@ class TestReadmeReports:
     # sha256 of each file
     REPORTS = {
         ("optimize", 1): {
-            "report.json": "686b20cc24cecf32aeffb262eee49be1cca31683cba773b82f9141c248b3f279"},
+            "report.json": "a0e2a362b482615ab8db4d364aa045ba48fe406c36d32f55e1b89d228a7427ad"},
         ("optimize", 2): {
             "report.json": "facff7324d82d18f120cf7334794c056864abfad125d31058b1f919bec45ae3a"},
         ("solve-are", 2): {

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from riccati_place import optimize
 from riccati_place.devices import CallableFamily, ConstantFamily, GaussianActuators
 from riccati_place.dual import dual_residual
 from riccati_place.errors import MaxIterExceeded
@@ -20,6 +21,8 @@ from riccati_place.optimize import (
 )
 from riccati_place.devices import ConstantLedger, estimate_constants
 from riccati_place.riccati import riccati_residual, solve_are
+
+from conftest import count_calls, heat1d, iterate_p1_map
 
 
 def heat_like(n=6, nu=0.05, length=1.0):
@@ -145,10 +148,23 @@ class TestSolveP1:
         assert exc.value.best is not None
         assert not exc.value.best.converged
 
-    def test_damping_reaches_same_fixed_point(self, small_problem):
-        t1 = solve_p1(small_problem, [0.4], damping=1.0)
-        t2 = solve_p1(small_problem, [0.4], damping=0.5)
-        assert np.linalg.norm(t1.p - t2.p) <= 1e-8
+    @pytest.mark.parametrize("beta,placement", [(1e-4, 0.335860), (1e-3, 0.021336)])
+    def test_readme_model_small_beta_converges_in_five_state_pairs(
+            self, monkeypatch, beta, placement):
+        # the README model (heat1d n = 16, sigma = 0.12, W = e3 e3'), where
+        # iterating the fixed-point map takes 14 state pairs at beta = 1e-3
+        # and finds no fixed point within 300 at beta = 1e-4
+        A, grid = heat1d(16)
+        W = np.zeros((16, 16))
+        W[3, 3] = 1.0
+        cfg = Problem1Config(A=A, Q=np.eye(16), W=W, beta=beta, tol=1e-8, max_iter=300,
+                             family=GaussianActuators(grid=grid, sigma=0.12))
+        pairs = count_calls(monkeypatch, "solve_state_pair", optimize)
+        tri = solve_p1(cfg, [0.4])
+        assert tri.converged and len(pairs) <= 5
+        assert tri.p[0] == pytest.approx(placement, abs=1e-6)
+        assert tri.fixed_point_residual == pytest.approx(
+            np.linalg.norm(tri.p - tri.state.adjoint_xlx / beta), rel=1e-12)
 
 
 class TestContractionConstantP1:
@@ -175,7 +191,8 @@ class TestContractionConstantP1:
         assert at_threshold.k == pytest.approx(1.0, abs=1e-12)
 
     def test_contraction_realized(self, small_problem):
-        # k < 1 certified => observed iterate ratios <= k + 0.05 and a unique limit
+        # k < 1 certified => the map's observed step ratios <= k + 0.05 and a
+        # unique limit, which Newton finds too
         cfg = small_problem
         fam = cfg.family
         led = estimate_constants(fam, fam.domain(), 60, seed=3, cfg=cfg)
@@ -189,12 +206,14 @@ class TestContractionConstantP1:
         limits = []
         rng = np.random.default_rng(0)
         for _ in range(4):
-            tri = solve_p1(cfg2, rng.uniform(0.1, 0.9, 1))
-            limits.append(tri.p)
-            steps = [np.linalg.norm(b - a) for a, b in zip(tri.history, tri.history[1:])]
+            p0 = rng.uniform(0.1, 0.9, 1)
+            history = iterate_p1_map(cfg2, p0)
+            limits.append(history[-1])
+            steps = [np.linalg.norm(b - a) for a, b in zip(history, history[1:])]
             for s0, s1 in zip(steps, steps[1:]):
                 if s0 > 1e-13:
                     assert s1 / s0 <= rep.k + 0.05
+            assert np.linalg.norm(solve_p1(cfg2, p0).p - history[-1]) <= 1e-8
         clusters = cluster_points(limits, tol=1e-8)
         assert len(clusters) == 1
 

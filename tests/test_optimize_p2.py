@@ -282,7 +282,7 @@ class TestReducedHessianP2:
         signs = set()
         for p in ([0.1], [0.3], [0.55]):
             p = np.array(p)
-            H = optimize._reduced_hessian_p2(cfg, optimize.solve_state_pair(cfg, p))
+            H = optimize._reduced_hessian(cfg, optimize.solve_state_pair(cfg, p))
             assert abs(H[0, 0] - gradient_differences(cfg, p)[0, 0]) <= 1e-6 * abs(H[0, 0])
             signs.add(np.sign(H[0, 0]))
         assert signs == {-1.0, 1.0}
@@ -296,9 +296,23 @@ class TestReducedHessianP2:
                              gamma=0.9 * fam.trace_G([0.35, 0.65]))
         for p in ([0.3, 0.35], [0.2, 0.7]):
             p = np.array(p)
-            H = optimize._reduced_hessian_p2(cfg, optimize.solve_state_pair(cfg, p))
+            H = optimize._reduced_hessian(cfg, optimize.solve_state_pair(cfg, p))
             assert np.linalg.norm(H - gradient_differences(cfg, p)) <= 1e-6 * np.linalg.norm(H)
             assert abs(H[0, 1]) > 0.0  # the actuators couple
+
+    @pytest.mark.parametrize("d,beta", [(1, 1e-3), (1, 10.0), (2, 1e-3)])
+    def test_problem1_matches_gradient_differences(self, d, beta):
+        # problem 1's penalty Hessian is beta I, with no tr d2G term;
+        # gradient_p2 is gradient_p1, the config supplying the penalty
+        A, grid = heat_like(8, nu=0.05)
+        fam = GaussianActuators(grid=grid, sigma=0.15, param_dim=d)
+        W = np.zeros((8, 8))
+        W[2, 2] = 1.0
+        cfg = Problem1Config(A=A, Q=np.eye(8), W=W, family=fam, beta=beta)
+        for p in ([0.3, 0.35], [0.2, 0.7]):
+            p = np.array(p[:d])
+            H = optimize._reduced_hessian(cfg, optimize.solve_state_pair(cfg, p))
+            assert np.linalg.norm(H - gradient_differences(cfg, p)) <= 1e-6 * np.linalg.norm(H)
 
 
     @pytest.mark.parametrize("d", [1, 2])
@@ -313,7 +327,7 @@ class TestReducedHessianP2:
                              beta=200.0, gamma=0.9 * fam.trace_G(p))
         schur = count_calls(monkeypatch, "_real_schur", linalg)
         state = optimize.solve_state_pair(cfg, p)
-        H = optimize._reduced_hessian_p2(cfg, state)
+        H = optimize._reduced_hessian(cfg, state)
         assert len(schur) == state.sol.schur_steps + 1
         monkeypatch.undo()
         assert np.linalg.norm(H - gradient_differences(cfg, p)) <= 1e-6 * np.linalg.norm(H)
@@ -554,7 +568,7 @@ class TestBetaSweep:
     def test_heat16_sweep_takes_one_gradient_per_newton_point(self, monkeypatch):
         # each row's start and each backtracking trial; the end point's
         # gradient is the one Newton's stop test read
-        grads = count_calls(monkeypatch, "gradient_p2", optimize.StatePair)
+        grads = count_calls(monkeypatch, "gradient", optimize.StatePair)
         report, pairs, _, _ = self.counted_heat16_sweep(monkeypatch)
         assert len(grads) == 12
         assert len(pairs) == 13
@@ -565,7 +579,7 @@ class TestBetaSweep:
              0.07762476725132166, 0.07762476708086385], rtol=1e-9)
 
     def test_heat16_sweep_row_cost_is_its_terms(self, monkeypatch):
-        # each row's cost is its state pair's cost_p2, the sum of the trace
+        # each row's cost is its state pair's cost, the sum of the trace
         # and penalty terms the row reports, bit for bit
         report, _, _, _ = self.counted_heat16_sweep(monkeypatch)
         assert all(r.cost == r.trace_term + r.penalty_term for r in report.rows)

@@ -79,7 +79,7 @@ class Problem1Config:
         return self.beta * np.eye(state.p.size), 0.0
 
     def box(self, d):
-        return np.full(d, -np.inf), np.full(d, np.inf)
+        return _unbounded(d)
 
     def fixed_point_map(self, state):
         return state.adjoint_xlx / self.beta
@@ -109,16 +109,25 @@ class Problem2Config(Problem1Config):
         return self.beta * np.outer(tr_dG, tr_dG), self.beta * (state.trace_G - self.gamma)
 
     def box(self, d):
-        if hasattr(self.family, "domain"):
-            return np.atleast_2d(np.asarray(self.family.domain(), dtype=float)).T
-        return super().box(d)
+        return _domain(self.family, d)
 
     def fixed_point_map(self, state):
-        return state.map_p2()
+        return state.map_image
 
     def trace_residuals(self, state):
         trace_gap = state.trace_G - self.gamma
         return trace_gap, abs(trace_gap - state.xlx_norm / self.beta)
+
+
+def _unbounded(d):
+    return np.full(d, -np.inf), np.full(d, np.inf)
+
+
+def _domain(family, d):
+    """The bounds (lo, hi) of the family's domain, unbounded when it has none."""
+    if hasattr(family, "domain"):
+        return np.atleast_2d(np.asarray(family.domain(), dtype=float)).T
+    return _unbounded(d)
 
 
 def _require_finite_positive(name, value):
@@ -146,6 +155,7 @@ class OptimalityTriple:
     trace_gap: Optional[float]  # None for problem 1, as is the next
     trace_constraint_residual: Optional[float]
     fixed_point_residual: float  # NaN where the config's map is undefined
+    in_domain: bool  # p lies in family.domain(); True when the family has none
 
     @property
     def X(self):
@@ -172,10 +182,12 @@ class ContractionReport:
 class StatePair:
     """The state at a placement p: G_p, the Riccati solution X(p), the
     multiplier Lambda(p) and the beta-free facts derived from them, each
-    computed on first read and kept; gram_inverse raises DegenerateFamily
-    when dG*dG is singular at p.  The cost, its gradient and problem 2's map
-    at p are methods; the cost and gradient take the config, whose penalty
-    they add."""
+    computed on first read and kept: among them problem 2's map image at p
+    (map_image), which a beta-sweep's next row reads again for its map
+    start.  gram_inverse and map_image raise DegenerateFamily when dG*dG is
+    singular at p.  The cost, its gradient and problem 2's map in any
+    direction are methods; the cost and gradient take the config, whose
+    penalty they add."""
     p: np.ndarray
     G: np.ndarray
     sol: RiccatiSolution
@@ -205,6 +217,10 @@ class StatePair:
     @cached_property
     def gram_inverse(self):
         return _gram_inverse(self.family, self.p)
+
+    @cached_property
+    def map_image(self):
+        return self.map_p2()
 
     def cost(self, cfg):
         """The cost tr(X W) plus the config's penalty at p."""
@@ -311,9 +327,11 @@ def solve_p1(cfg, p0):
     ||beta p - dG_p*(X Lambda X)|| and the primal and dual residuals.  The
     paper's map p -> dG_p*(X Lambda X) / beta, which contraction_constant_p1
     certifies, gives Newton its start and the reported fixed_point_residual.
-    Raises MaxIterExceeded (best iterate attached) as solve_p2 does.
+    Raises MaxIterExceeded (best iterate attached) as solve_p2 does.  The
+    triple's in_domain says whether p lies in the family's domain, which
+    this unbounded problem does not impose.
     """
-    return _newton(cfg, solve_state_pair(cfg, p0))
+    return _newton(cfg, solve_state_pair(cfg, p0), {})
 
 
 def contraction_constant_p1(ledger):
@@ -424,7 +442,7 @@ def fixed_point_map_p2(cfg, p, direction=None):
     return solve_state_pair(cfg, p).map_p2(direction)
 
 
-def solve_p2(cfg, p0, state=None):
+def solve_p2(cfg, p0, state=None, *, _pairs=None):
     """Solve the problem-2 optimality system by projected Newton on the
     penalized cost with the exact reduced Hessian (see _newton).
 
@@ -445,6 +463,8 @@ def solve_p2(cfg, p0, state=None):
     beta, so it serves any config of the same model.  Raises ValueError when
     its p is not p0.  Without it, the Gram matrix at p0 is checked and the
     state pair at p0 is solved cold.  The triple carries the final state pair.
+    ``_pairs`` is private to beta_sweep, which hands every row its sweep's
+    store of box-edge state pairs (see _newton); a lone solve keeps its own.
 
     Raises MaxIterExceeded (best iterate attached) when Newton stalls or
     runs out of cfg.max_iter iterations away from a weak stationary point.
@@ -456,7 +476,7 @@ def solve_p2(cfg, p0, state=None):
         vars(state)["gram_inverse"] = Sinv  # seeds the cached_property: one inversion at p0
     elif not np.array_equal(state.p, p0):
         raise ValueError("the state pair handed to solve_p2 was not solved at p0")
-    return _newton(cfg, state)
+    return _newton(cfg, state, {} if _pairs is None else _pairs)
 
 
 ARMIJO_SLOPE = 1e-4
@@ -466,7 +486,7 @@ HESSIAN_FLOOR = 1e-8    # eigenvalue floor, relative to 1 + max |H_ij|
 COST_ROUNDING = 1e-13   # relative cost decrease that rounding can swallow
 
 
-def _newton(cfg, state):
+def _newton(cfg, state, pairs):
     """Projected Newton on the config's cost from state.p (Bertsekas, SIAM
     J. Control Optim. 20, 1982), within the config's box.
 
@@ -479,12 +499,18 @@ def _newton(cfg, state):
     back until the Armijo condition holds.  Near the optimum the predicted
     decrease can sink below the rounding of the cost before the gradient
     meets cfg.tol; such a step is also accepted when it halves the gradient
-    norm.  Every trial costs one solve_state_pair, warm-started from the
-    current iterate's X (solve_state_pair falls back to a cold solve when
-    that X does not stabilize the trial's closed loop).  The method is
-    local, so it first moves to the image of the config's fixed-point map
-    at p, clipped to the box, when that costs less (heat16 has a minimum
-    near each end).
+    norm.  The method is local, so it first moves to the image of the
+    config's fixed-point map at p, clipped to the box, when that costs less
+    (heat16 has a minimum near each end).
+
+    Every trial point, the map image's too, costs at most one
+    solve_state_pair (see _trial_pair): the map image's is warm-started
+    from X(p), a backtracking trial's from the tangent prediction of
+    _backtrack.  X(p) and Lambda(p) do not depend on beta, so ``pairs``, a
+    dict keyed by p's bytes, keeps the state pairs solved at points with a
+    coordinate on a bound of the box for the rest of the store's scope (one
+    solve, or a whole beta-sweep): the clipped map image and the projected
+    arc land on such points bit for bit, interior trial points do not.
 
     Returns _finish's triple at the last iterate, its history the iterates;
     raises MaxIterExceeded with it attached when its residual misses cfg.tol.
@@ -498,7 +524,7 @@ def _newton(cfg, state):
         image = state.p
     it = 0
     if np.isfinite(image).all() and not np.array_equal(image, state.p):
-        image_state = solve_state_pair(cfg, image, X0=state.sol.X)
+        image_state = _trial_pair(cfg, pairs, image, lo, hi, state.sol.X)
         image_value = image_state.cost(cfg)
         if image_value < value:
             state, value, it = image_state, image_value, 1
@@ -510,8 +536,9 @@ def _newton(cfg, state):
                           np.linalg.norm(p - np.clip(p - grad, lo, hi)))
         active = (((p <= lo + band) & (grad > 0))
                   | ((p >= hi - band) & (grad < 0)))
-        step = _newton_step(_reduced_hessian(cfg, state), grad, active)
-        trial = _backtrack(cfg, state, value, grad, step, active, lo, hi)
+        H, dX = _reduced_hessian(cfg, state)
+        step = _newton_step(H, grad, active)
+        trial = _backtrack(cfg, pairs, state, dX, value, grad, step, active, lo, hi)
         it += 1
         if trial is None:
             break
@@ -526,11 +553,13 @@ def _newton(cfg, state):
     return triple
 
 
-def _backtrack(cfg, state, value, grad, step, active, lo, hi):
+def _backtrack(cfg, pairs, state, dX, value, grad, step, active, lo, hi):
     """Armijo backtracking along the projected arc p(t) = clip(p - t step)
-    from p = state.p, each trial's state pair warm-started from X(p);
-    (state, value, grad) at the accepted point, or None when the arc does
-    not leave p or no trial is accepted."""
+    from p = state.p; (state, value, grad) at the accepted point, or None
+    when the arc does not leave p or no trial is accepted.  Each trial's
+    state pair is read from ``pairs`` or warm-started from the first-order
+    prediction X(p) + sum_k dX_k (p_try - p)_k, dX the sensitivities
+    _reduced_hessian solved at p."""
     t = 1.0
     for _ in range(MAX_BACKTRACKS):
         p_try = np.clip(state.p - t * step, lo, hi)
@@ -538,7 +567,8 @@ def _backtrack(cfg, state, value, grad, step, active, lo, hi):
             return None
         decrease = (t * float(grad[~active] @ step[~active])
                     + float(grad[active] @ (state.p - p_try)[active]))
-        trial = solve_state_pair(cfg, p_try, X0=state.sol.X)
+        X0 = state.sol.X + sum(D * h for D, h in zip(dX, p_try - state.p))
+        trial = _trial_pair(cfg, pairs, p_try, lo, hi, X0)
         value_try = trial.cost(cfg)
         grad_try = trial.gradient(cfg)
         if (value_try <= value - ARMIJO_SLOPE * decrease
@@ -547,6 +577,19 @@ def _backtrack(cfg, state, value, grad, step, active, lo, hi):
             return trial, value_try, grad_try
         t *= 0.5
     return None
+
+
+def _trial_pair(cfg, pairs, p, lo, hi, X0):
+    """The state pair at p that ``pairs`` holds, or else the one
+    solve_state_pair(cfg, p, X0) solves, kept in ``pairs`` when a coordinate
+    of p lies on a bound (lo, hi)."""
+    key = p.tobytes()
+    state = pairs.get(key)
+    if state is None:
+        state = solve_state_pair(cfg, p, X0=X0)
+        if np.any((p == lo) | (p == hi)):
+            pairs[key] = state
+    return state
 
 
 def _newton_step(H, grad, active):
@@ -562,9 +605,10 @@ def _newton_step(H, grad, active):
 
 
 def _reduced_hessian(cfg, state):
-    """Exact Hessian of p -> cost(cfg, p) at p = state.p by second-order
+    """Exact Hessian H of p -> cost(cfg, p) at p = state.p by second-order
     adjoints (Hinze, Pinnau, Ulbrich & Ulbrich, Optimization with PDE
-    Constraints, 2009).
+    Constraints, 2009), returned with the state sensitivities dX, the list
+    of X'_k = dX/dp_k, from which _backtrack predicts its trials' X.
 
     With Acl = A - X G, the state sensitivity X'_k in coordinate direction
     k solves Acl X'_k + X'_k Acl.T = X dG_k X, each on the closed loop the
@@ -598,21 +642,23 @@ def _reduced_hessian(cfg, state):
             D2 = cfg.family.d2G(p, E[k], E[j])
             H[k, j] += (coefficient * np.trace(D2) - np.tensordot(state.xlx, D2)
                         - 2.0 * (np.vdot(B, dX[k]) + np.vdot(LdX, X @ dG[k])))
-    return symmetrize(H)
+    return symmetrize(H), dX
 
 
 def _finish(cfg, state, grad, iterations, history):
     """The triple at p = state.p, with the stationarity residual read off
     ``grad`` (the gradient at p).  It converged when that residual and the
     primal and dual residuals meet cfg.tol; the config's trace gap and
-    trace-constraint residual and the residual of its fixed-point map are
-    reported and do not enter ``converged``."""
+    trace-constraint residual, the residual of its fixed-point map and
+    whether p lies in the family's domain are reported and do not enter
+    ``converged``."""
     stat_res = float(np.linalg.norm(grad))
     trace_gap, trace_res = cfg.trace_residuals(state)
     try:
         map_res = float(np.linalg.norm(state.p - cfg.fixed_point_map(state)))
     except DegenerateFamily:
         map_res = math.nan
+    lo, hi = _domain(cfg.family, state.p.size)
     return OptimalityTriple(
         state=state,
         residual_stationarity=stat_res,
@@ -623,6 +669,7 @@ def _finish(cfg, state, grad, iterations, history):
         trace_gap=trace_gap,
         trace_constraint_residual=trace_res,
         fixed_point_residual=map_res,
+        in_domain=bool(np.all((lo <= state.p) & (state.p <= hi))),
     )
 
 
@@ -746,12 +793,14 @@ def beta_sweep(cfg, betas, p0, ledger=None):
     solve from the previous optimum, and record the constraint-gap law
     |tr G_p - gamma| <= sup ||X L X|| / beta row by row.
 
-    X(p) and Lambda(p) do not depend on beta, so each row after the first
-    starts from the state pair its predecessor ended at (``triple.state``,
-    which holds its p) instead of solving it again; inside a row, Newton
-    warm-starts every state pair from the current iterate's X (see
-    _newton).  Only the first row's state pair at p0, and any pair
-    whose warm start does not stabilize the closed loop, are solved cold.
+    X(p) and Lambda(p) do not depend on beta, so the sweep solves each
+    placement at most once: each row after the first starts from the state
+    pair its predecessor ended at (``triple.state``, which holds its p and
+    its map image), and every row's trials read the state pairs at the box's
+    bounds from one store kept for this sweep alone (see _newton).  Newton
+    warm-starts every other state pair; only the first row's state pair at
+    p0, and any pair whose warm start does not stabilize the closed loop,
+    are solved cold.
 
     A ledger (device constants + model fields) enables the per-beta
     contraction report; rows carry failure markers instead of raising when a
@@ -762,6 +811,7 @@ def beta_sweep(cfg, betas, p0, ledger=None):
     betas = _beta_schedule(betas)
     rows = []
     state = None
+    pairs = {}
     for b in betas:
         k = is_k = None
         if ledger is not None:
@@ -770,7 +820,7 @@ def beta_sweep(cfg, betas, p0, ledger=None):
         failed, error = False, ""
         cfg_b = replace_beta(cfg, b)
         try:
-            triple = solve_p2(cfg_b, state.p if state else p0, state=state)
+            triple = solve_p2(cfg_b, state.p if state else p0, state=state, _pairs=pairs)
         except MaxIterExceeded as err:
             triple, failed, error = err.best, True, str(err)
         except RiccatiPlaceError as err:

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from riccati_place import linalg, riccati
+from riccati_place import linalg, optimize, riccati
 
 from conftest import count_calls, gram_members
 
@@ -62,3 +62,24 @@ def test_one_unit_passes_the_benchmark_check(workloads, name, seed, tmp_path, mo
         # the step tests the Frobenius bounds leave open (4 here) are
         # settled by O(n^2) bounds, without forming S'S
         assert len(power_bounds) == 4 and gram_members(power_bounds) == 0
+
+
+def test_sweep_heat16_unit_counts(workloads, tmp_path, monkeypatch):
+    # the machine-independent work of one seed-0 unit: each placement is
+    # solved once per sweep (rows 2-4 read their map image, the lower bound
+    # p = 1/17 that a row-1 trial solved, from the sweep's store), and every
+    # trial's Newton-Kleinman solve starts from the tangent prediction of X
+    workload = workloads.WORKLOADS["sweep-heat16"](0, tmp_path)
+    pairs = count_calls(monkeypatch, "solve_state_pair", optimize)
+    steps = []
+
+    def solve_are(*args, _original=optimize.solve_are, **kwargs):
+        sol = _original(*args, **kwargs)
+        steps.append(sol.newton_iters)
+        return sol
+
+    monkeypatch.setattr(optimize, "solve_are", solve_are)
+    report = workload.run_unit(0)
+    assert workload.check(0, report)[0] == []
+    assert len(pairs) <= 10
+    assert sum(steps) <= 19

@@ -522,3 +522,17 @@ class TestReadmeReports:
         digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
                    for name in self.REPORTS[command, variant]}
         assert digests == self.REPORTS[command, variant]
+
+    @pytest.mark.parametrize("variant", [1, 2])
+    def test_triple_says_whether_p_lies_in_the_domain(self, tmp_path, variant):
+        # problem 1 runs on no box: at beta = 10 its stationary point
+        # p ~ 1.5e-6 lies below the domain's lower end 1/17, and is reported
+        # converged; problem 2's box is the domain
+        with open(readme_config(tmp_path, variant)) as f:
+            cfg = parse_config(json.load(f))
+        problem, family = cli.build_problem(cfg)
+        solve = optimize.solve_p1 if variant == 1 else optimize.solve_p2
+        triple = solve(problem, cli._initial_p(cfg, family))
+        assert triple.converged
+        assert triple.in_domain is (variant == 2)
+        assert bool(triple.p[0] < family.domain()[0, 0]) is (variant == 1)

@@ -491,13 +491,13 @@ class TestClosedLoopFallback:
         cfg = Problem2Config(A=A, Q=np.eye(16), W=heat_instance()[3], beta=10.0, gamma=2.6,
                              family=GaussianActuators(grid=grid, sigma=0.12, param_dim=2))
         p = np.array([0.3, 0.7])
-        H_ref = optimize._reduced_hessian(cfg, optimize.solve_state_pair(cfg, p))
+        H_ref, _ = optimize._reduced_hessian(cfg, optimize.solve_state_pair(cfg, p))
         self.refuse(monkeypatch, True)  # the Newton steps' primal solves pass
         schur = count_calls(monkeypatch, "_real_schur", linalg)
         state = optimize.solve_state_pair(cfg, p)
         assert len(schur) == 1 and state.dsol.loop.capacitance is not None
         self.refuse(monkeypatch, False)
         schur_solves = count_calls(monkeypatch, "solve", state.dsol.loop.schur)
-        H = optimize._reduced_hessian(cfg, state)
+        H, _ = optimize._reduced_hessian(cfg, state)
         assert len(schur) == 1 and len(schur_solves) == p.size
         assert relative(H, H_ref) <= 1e-10

@@ -5,7 +5,7 @@ import pytest
 
 from riccati_place import dual, linalg, optimize, riccati
 from riccati_place.devices import ConstantFamily, ConstantLedger, GaussianActuators
-from riccati_place.errors import UnstableGenerator
+from riccati_place.errors import ClosedLoopUnstable, UnstableGenerator
 from riccati_place.linalg import operator_norm, symmetrize
 from riccati_place.optimize import (
     Problem1Config,
@@ -23,7 +23,7 @@ from riccati_place.optimize import (
 )
 from riccati_place.riccati import solve_are
 
-from conftest import count_calls, rand_stable
+from conftest import count_calls, heat1d, rand_stable
 from test_optimize_p1 import heat_like
 
 
@@ -282,7 +282,7 @@ class TestReducedHessianP2:
         signs = set()
         for p in ([0.1], [0.3], [0.55]):
             p = np.array(p)
-            H = optimize._reduced_hessian(cfg, optimize.solve_state_pair(cfg, p))
+            H, _ = optimize._reduced_hessian(cfg, optimize.solve_state_pair(cfg, p))
             assert abs(H[0, 0] - gradient_differences(cfg, p)[0, 0]) <= 1e-6 * abs(H[0, 0])
             signs.add(np.sign(H[0, 0]))
         assert signs == {-1.0, 1.0}
@@ -296,7 +296,7 @@ class TestReducedHessianP2:
                              gamma=0.9 * fam.trace_G([0.35, 0.65]))
         for p in ([0.3, 0.35], [0.2, 0.7]):
             p = np.array(p)
-            H = optimize._reduced_hessian(cfg, optimize.solve_state_pair(cfg, p))
+            H, _ = optimize._reduced_hessian(cfg, optimize.solve_state_pair(cfg, p))
             assert np.linalg.norm(H - gradient_differences(cfg, p)) <= 1e-6 * np.linalg.norm(H)
             assert abs(H[0, 1]) > 0.0  # the actuators couple
 
@@ -311,7 +311,7 @@ class TestReducedHessianP2:
         cfg = Problem1Config(A=A, Q=np.eye(8), W=W, family=fam, beta=beta)
         for p in ([0.3, 0.35], [0.2, 0.7]):
             p = np.array(p[:d])
-            H = optimize._reduced_hessian(cfg, optimize.solve_state_pair(cfg, p))
+            H, _ = optimize._reduced_hessian(cfg, optimize.solve_state_pair(cfg, p))
             assert np.linalg.norm(H - gradient_differences(cfg, p)) <= 1e-6 * np.linalg.norm(H)
 
 
@@ -327,10 +327,66 @@ class TestReducedHessianP2:
                              beta=200.0, gamma=0.9 * fam.trace_G(p))
         schur = count_calls(monkeypatch, "_real_schur", linalg)
         state = optimize.solve_state_pair(cfg, p)
-        H = optimize._reduced_hessian(cfg, state)
+        H, _ = optimize._reduced_hessian(cfg, state)
         assert len(schur) == state.sol.schur_steps + 1
         monkeypatch.undo()
         assert np.linalg.norm(H - gradient_differences(cfg, p)) <= 1e-6 * np.linalg.norm(H)
+
+
+class TestTangentStart:
+    """Each backtracking trial warm-starts Newton-Kleinman from the first-order
+    prediction X(p) + sum_k X'_k (p_try - p)_k, the sensitivities X'_k being
+    the ones _reduced_hessian solved at p."""
+
+    @staticmethod
+    def two_actuator_config():
+        A, grid = heat_like(8, nu=0.05)
+        fam = GaussianActuators(grid=grid, sigma=0.15, param_dim=2)
+        W = np.zeros((8, 8))
+        W[2, 2] = 1.0
+        return Problem2Config(A=A, Q=np.eye(8), W=W, family=fam, beta=200.0,
+                              gamma=0.9 * fam.trace_G([0.35, 0.65]))
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_sensitivities_match_state_differences(self, d, h=1e-6):
+        cfg, p = ((heat16_config(beta=10.0), np.array([0.3])) if d == 1
+                  else (self.two_actuator_config(), np.array([0.3, 0.35])))
+        _, dX = optimize._reduced_hessian(cfg, solve_state_pair(cfg, p))
+        assert len(dX) == d
+        for D, e in zip(dX, np.eye(d)):
+            diff = (solve_state_pair(cfg, p + h * e).sol.X
+                    - solve_state_pair(cfg, p - h * e).sol.X) / (2 * h)
+            assert np.linalg.norm(D - diff) <= 1e-6 * np.linalg.norm(D)
+
+    def test_destabilizing_prediction_falls_back_to_the_cold_solve(self, monkeypatch):
+        cfg = heat16_config(beta=10.0)
+        state = solve_state_pair(cfg, [0.3])
+        grad = state.gradient(cfg)
+        H, _ = optimize._reduced_hessian(cfg, state)
+        active = np.array([False])
+        step = optimize._newton_step(H, grad, active)
+        lo, hi = cfg.box(1)
+        p_try = np.clip(state.p - step, lo, hi)  # the first trial
+        # a sensitivity that predicts X0 = X(p) - 1e3 I, whose closed loop
+        # A - X0 G is unstable
+        forced = [np.eye(16) * (-1e3 / float(p_try[0] - state.p[0]))]
+        with pytest.raises(ClosedLoopUnstable):
+            solve_are(cfg.A, cfg.family.G(p_try), cfg.Q, cert=cfg.cert,
+                      X0=state.sol.X + forced[0] * (p_try - state.p)[0])
+        ares = count_calls(monkeypatch, "solve_are", optimize, keywords=True)
+        solved = []
+
+        def solve_state_pair_kept(*args, _original=optimize.solve_state_pair, **kwargs):
+            solved.append(_original(*args, **kwargs))
+            return solved[-1]
+
+        monkeypatch.setattr(optimize, "solve_state_pair", solve_state_pair_kept)
+        optimize._backtrack(cfg, {}, state, forced, state.cost(cfg), grad, step,
+                            active, lo, hi)
+        assert np.array_equal(solved[0].p, p_try)
+        assert [kwargs.get("X0") is not None for _, kwargs in ares[:2]] == [True, False]
+        monkeypatch.undo()
+        assert solved[0].sol.X.tobytes() == solve_state_pair(cfg, p_try).sol.X.tobytes()
 
 
 class TestHessianP2:
@@ -485,15 +541,17 @@ class TestBetaSweep:
         return report, pairs, ares, steps
 
     # solving every state pair cold, and each row's start again, takes
-    # 16 state pairs and 64 Newton-Kleinman steps; warm starts take 13 and 31
+    # 16 state pairs and 64 Newton-Kleinman steps; warm starts from X(p)
+    # take 13 and 31; solving the box-edge map image p = 1/17 once per sweep
+    # and starting each trial from the tangent take 11 and 21
     def test_heat16_sweep_state_pairs(self, monkeypatch):
         _, pairs, _, _ = self.counted_heat16_sweep(monkeypatch)
-        assert len(pairs) <= 13
+        assert len(pairs) == 11
 
     def test_heat16_sweep_newton_steps(self, monkeypatch):
         _, _, ares, steps = self.counted_heat16_sweep(monkeypatch)
         assert len(steps) == len(ares) > 0
-        assert sum(steps) <= 40
+        assert sum(steps) <= 21
 
     def test_heat16_sweep_takes_no_schur_form(self, monkeypatch):
         # the Newton steps, the multipliers and the Hessian directions all
@@ -520,6 +578,41 @@ class TestBetaSweep:
         report, pairs, _, _ = self.counted_heat16_sweep(monkeypatch)
         for row in report.rows[:-1]:
             assert sum(np.array_equal(args[1], row.p) for args in pairs) == 1
+
+    def test_heat16_sweep_solves_no_placement_twice(self, monkeypatch):
+        # X(p) and Lambda(p) do not depend on beta: rows 3 and 4 read the
+        # clipped map image p = 1/17 from the sweep's store
+        _, pairs, _, _ = self.counted_heat16_sweep(monkeypatch)
+        placed = [np.array(args[1], dtype=float, ndmin=1).tobytes() for args in pairs]
+        assert len(set(placed)) == len(placed)
+
+    def test_store_keeps_only_box_edge_state_pairs(self):
+        # row 2 of the README sweep solves its map image on the lower bound
+        cfg = heat16_config(beta=10.0)
+        row_1 = solve_p2(cfg, [0.3])
+        store = {}
+        solve_p2(optimize.replace_beta(cfg, 100.0), row_1.p, state=row_1.state, _pairs=store)
+        lower = np.array([cfg.family.domain()[0, 0]])
+        assert list(store) == [lower.tobytes()]
+        assert np.array_equal(store[lower.tobytes()].p, lower)
+
+    def test_interior_solve_stores_no_state_pair(self, monkeypatch):
+        # two actuators on heat1d n = 32 at beta = 10: 40 iterations whose
+        # 64 state pairs all lie inside the box
+        A, grid = heat1d(32)
+        fam = GaussianActuators(grid=grid, sigma=0.12, param_dim=2)
+        W = np.zeros((32, 32))
+        W[8, 8] = W[24, 24] = 1.0
+        p0 = np.linspace(0.2, 0.8, 2) + 0.01
+        cfg = Problem2Config(A=A, Q=np.eye(32), W=W, family=fam, beta=10.0,
+                             gamma=fam.trace_G(p0), tol=1e-6, max_iter=200)
+        pairs = count_calls(monkeypatch, "solve_state_pair", optimize)
+        store = {}
+        tri = solve_p2(cfg, p0, _pairs=store)
+        assert tri.converged and tri.iterations == 40 and len(pairs) == 64
+        lo, hi = cfg.box(2)
+        assert all(np.all((lo < args[1]) & (args[1] < hi)) for args in pairs)
+        assert store == {}
 
     def test_heat16_sweep_inverts_one_gram_matrix_a_placement(self, monkeypatch):
         # at the first row's start p0, where the map start reuses the
@@ -548,10 +641,10 @@ class TestBetaSweep:
         counted_xlx.__set_name__(optimize.StatePair, "xlx")
         monkeypatch.setattr(optimize.StatePair, "xlx", counted_xlx)
         _, pairs, _, _ = self.counted_heat16_sweep(monkeypatch)
-        assert len(pairs) == len(Gs) == 13
-        assert len(traces) <= 13
+        assert len(pairs) == len(Gs) == 11
+        assert len(traces) <= 11
         assert len(op_norms) <= 5
-        assert len(formed) <= 13 and len(set(map(id, formed))) == len(formed)
+        assert len(formed) <= 11 and len(set(map(id, formed))) == len(formed)
 
         # a record's facts read twice ask the family once
         state = solve_state_pair(heat16_config(beta=10.0), [0.3])
@@ -567,11 +660,14 @@ class TestBetaSweep:
 
     def test_heat16_sweep_takes_one_gradient_per_newton_point(self, monkeypatch):
         # each row's start and each backtracking trial; the end point's
-        # gradient is the one Newton's stop test read
+        # gradient is the one Newton's stop test read.  The state pairs are
+        # p0 and the 10 trial points: rows 3 and 4 read the clipped map
+        # image p = 1/17, which costs more than their start, from the
+        # sweep's store, where row 2 left it
         grads = count_calls(monkeypatch, "gradient", optimize.StatePair)
         report, pairs, _, _ = self.counted_heat16_sweep(monkeypatch)
         assert len(grads) == 12
-        assert len(pairs) == 13
+        assert len(pairs) == 11
         assert [r.iterations for r in report.rows] == [6, 1, 1, 1]
         np.testing.assert_allclose(
             [r.p[0] for r in report.rows],

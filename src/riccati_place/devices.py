@@ -342,6 +342,12 @@ LIPSCHITZ_INFLATION = 1.1
 GRAM_SINGULAR_RTOL = 1e-12
 
 
+def gram_invertible(sv):
+    """Whether dG*dG with singular values ``sv`` (descending) is invertible:
+    ``sv[-1] > GRAM_SINGULAR_RTOL max(sv[0], 1)``."""
+    return bool(sv.size) and sv[-1] > GRAM_SINGULAR_RTOL * max(sv[0], 1.0)
+
+
 def estimate_constants(family, domain, samples, seed, cfg=None):
     """Estimate the constant ledger by seeded sampling over the domain box.
 
@@ -380,7 +386,7 @@ def estimate_constants(family, domain, samples, seed, cfg=None):
         # the directions start with the axes
         for sv in np.linalg.svd(np.stack([_gram(at_p[:family.param_dim]) for at_p in dGs]),
                                 compute_uv=False):
-            if sv.size and sv[-1] > GRAM_SINGULAR_RTOL * max(sv[0], 1.0):
+            if gram_invertible(sv):
                 any_invertible = True
                 K = max(K, 1.0 / float(sv[-1]))
     if c_dg["nuc"] == 0.0:

@@ -154,6 +154,31 @@ def solve_dual(A, G, X, W, W_spectrum=None):
     return DualSolution(Lambda=symmetrize(loop.solve(-W, adjoint=True)), loop=loop, W=W)
 
 
+def solve_dual_batch(A, Gs, sols, W):
+    """For each G of Gs and its solution in ``sols``, one
+    :func:`~riccati_place.riccati.solve_are_batch`'s for A, the multiplier
+    that ``solve_dual(A, G, sol, W)`` returns for a validated W, or None
+    where the solution is None or the member's proof or gate fails.  The
+    closed loops are built and proved by one
+    :func:`~riccati_place.riccati.closed_loop` over the batch, and the
+    multipliers solved on their capacitance matrices in one stacked call."""
+    duals = [None] * len(sols)
+    members = [k for k, sol in enumerate(sols) if sol is not None]
+    if not members:
+        return duals
+    # a member that fails a gate may carry non-finite values
+    with np.errstate(all="ignore"):
+        loop, proved = closed_loop(A, np.stack([Gs[k] for k in members]),
+                                   np.stack([sols[k].X for k in members]),
+                                   [sols[k].eigenbasis for k in members])
+        if loop.capacitance is None:
+            return duals
+        Lam, solved = loop.factored(-W, adjoint=True)
+    for j in np.flatnonzero(proved & solved):
+        duals[members[j]] = DualSolution(Lambda=symmetrize(Lam[j]), loop=loop.member(j), W=W)
+    return duals
+
+
 @dataclass(frozen=True)
 class DualVerification:
     residual: float

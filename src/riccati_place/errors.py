@@ -32,9 +32,9 @@ class DimensionMismatch(RiccatiPlaceError):
 class DegenerateFamily(RiccatiPlaceError):
     """A device family violates the nonzero-derivative / invertibility assumptions."""
 
-    """An optimizer stopped away from a stationary point; carries the best iterate found."""
+
 class MaxIterExceeded(RiccatiPlaceError):
-    """A fixed-point solve ran out of iterations; carries the best iterate found."""
+    """An optimizer stopped away from a stationary point; carries the best iterate found."""
 
     def __init__(self, message, best=None):
         super().__init__(message)

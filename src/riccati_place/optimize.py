@@ -20,11 +20,12 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .devices import GRAM_SINGULAR_RTOL, _require_count, sample_box
-from .dual import DualSolution, solve_dual
-from .errors import ClosedLoopUnstable, DegenerateFamily, MaxIterExceeded, RiccatiPlaceError
+from .devices import _require_count, gram_invertible, sample_box
+from .dual import DualSolution, solve_dual, solve_dual_batch
+from .errors import (ClosedLoopUnstable, DegenerateFamily, DimensionMismatch, MaxIterExceeded,
+                     RiccatiPlaceError)
 from .linalg import STACK_CHUNK, check_psd, ensure_operator, norms, operator_norm, symmetrize
-from .riccati import Plant, RiccatiSolution, solve_are
+from .riccati import Plant, RiccatiSolution, solve_are, solve_are_batch
 from .semigroup import certify_stability
 
 
@@ -146,16 +147,26 @@ def _beta_schedule(betas):
 
 @dataclass
 class OptimalityTriple:
-    """An optimizer's result; X, Lambda, p and their residuals are read off ``state``."""
+    """An optimizer's result, for the config ``cfg``; X, Lambda, p and their
+    residuals are read off ``state``.  ``fixed_point_residual``, ``||p -
+    f(p)||`` for the config's fixed-point map f (NaN where f is undefined),
+    is computed on first read."""
     state: "StatePair" = field(repr=False)
+    cfg: Problem1Config = field(repr=False, compare=False)
     residual_stationarity: float
     iterations: int
     converged: bool
     history: List[np.ndarray]
     trace_gap: Optional[float]  # None for problem 1, as is the next
     trace_constraint_residual: Optional[float]
-    fixed_point_residual: float  # NaN where the config's map is undefined
     in_domain: bool  # p lies in family.domain(); True when the family has none
+
+    @cached_property
+    def fixed_point_residual(self):
+        try:
+            return float(np.linalg.norm(self.p - self.cfg.fixed_point_map(self.state)))
+        except DegenerateFamily:
+            return math.nan
 
     @property
     def X(self):
@@ -273,27 +284,24 @@ def solve_state_pairs(cfg, points):
     bit for bit the one ``solve_state_pair(cfg, p)`` solves.
 
     Each chunk of STACK_CHUNK placements builds its G_p, then solves its
-    Riccati equations in one batch and its multipliers in another (see
-    ``batch``, imported on the first call); a placement that leaves either
-    is solved by ``solve_are`` or ``solve_dual`` alone.  The pairs are
-    yielded a chunk at a time, so a caller that reads each and lets it go
-    holds at most a chunk of them.
+    Riccati equations in one batch (``riccati.solve_are_batch``, on the
+    config's plant) and its multipliers in another
+    (``dual.solve_dual_batch``); a placement that leaves either is solved by
+    ``solve_are`` or ``solve_dual`` alone.  The pairs are yielded a chunk at
+    a time, so a caller that reads each and lets it go holds at most a chunk
+    of them.
     """
-    from .batch import dual_batch, riccati_batch
-
     points = [np.array(p, dtype=float, ndmin=1) for p in points]
     for start in range(0, len(points), STACK_CHUNK):
         chunk = points[start:start + STACK_CHUNK]
         Gs = [cfg.family.G(p) for p in chunk]
-        sols = riccati_batch(cfg.plant, Gs)
-        batched = [k for k, sol in enumerate(sols) if sol is not None]
-        duals = dict(zip(batched, dual_batch(cfg.A, [Gs[k] for k in batched],
-                                             [sols[k] for k in batched], cfg.W)))
+        sols = solve_are_batch(cfg.plant, Gs)
+        duals = solve_dual_batch(cfg.A, Gs, sols, cfg.W)
         for k, (p, G) in enumerate(zip(chunk, Gs)):
-            sol = sols[k] if sols[k] is not None else solve_are(cfg.A, G, cfg.Q, cert=cfg.cert)
-            dsol = duals.pop(k, None) or solve_dual(cfg.A, G, sol, cfg.W, cfg.W_spectrum)
+            sol = sols[k] or solve_are(cfg.A, G, cfg.Q, cert=cfg.cert)
+            dsol = duals[k] or solve_dual(cfg.A, G, sol, cfg.W, cfg.W_spectrum)
             vars(dsol)["norm_W"] = cfg.norm_W  # seeds the cached_property: one SVD of W per config
-            sols[k] = Gs[k] = None  # the pair is the caller's alone
+            sols[k] = duals[k] = Gs[k] = None  # the pair is the caller's alone
             yield StatePair(p, G, sol, dsol, cfg.family)
 
 
@@ -430,7 +438,7 @@ def critical_cone_basis(family, p, X):
 def _gram_inverse(family, p):
     S = family.gram(p)
     sv = np.linalg.svd(S, compute_uv=False)
-    if sv.size == 0 or sv[-1] <= GRAM_SINGULAR_RTOL * max(sv[0], 1.0):
+    if not gram_invertible(sv):
         raise DegenerateFamily(
             f"dG*dG numerically singular at p={np.asarray(p)} "
             f"(singular values {sv})")
@@ -649,18 +657,15 @@ def _finish(cfg, state, grad, iterations, history):
     """The triple at p = state.p, with the stationarity residual read off
     ``grad`` (the gradient at p).  It converged when that residual and the
     primal and dual residuals meet cfg.tol; the config's trace gap and
-    trace-constraint residual, the residual of its fixed-point map and
-    whether p lies in the family's domain are reported and do not enter
-    ``converged``."""
+    trace-constraint residual, the residual of its fixed-point map (computed
+    when first read) and whether p lies in the family's domain are reported
+    and do not enter ``converged``."""
     stat_res = float(np.linalg.norm(grad))
     trace_gap, trace_res = cfg.trace_residuals(state)
-    try:
-        map_res = float(np.linalg.norm(state.p - cfg.fixed_point_map(state)))
-    except DegenerateFamily:
-        map_res = math.nan
     lo, hi = _domain(cfg.family, state.p.size)
     return OptimalityTriple(
         state=state,
+        cfg=cfg,
         residual_stationarity=stat_res,
         iterations=iterations,
         converged=(stat_res <= cfg.tol and state.sol.strong_residual <= cfg.tol
@@ -668,7 +673,6 @@ def _finish(cfg, state, grad, iterations, history):
         history=history,
         trace_gap=trace_gap,
         trace_constraint_residual=trace_res,
-        fixed_point_residual=map_res,
         in_domain=bool(np.all((lo <= state.p) & (state.p <= hi))),
     )
 
@@ -806,7 +810,10 @@ def beta_sweep(cfg, betas, p0, ledger=None):
     contraction report; rows carry failure markers instead of raising when a
     single beta fails.  A failed row reports the iterations of the best
     iterate its error carries, and 0 when the error carries none (e.g. a
-    degenerate family, rejected before the first iteration).
+    degenerate family, rejected before the first iteration).  A schedule
+    that is not finite, positive and strictly ascending raises ValueError,
+    and a p0 that solve_p2 refuses raises its DimensionMismatch from the
+    first row, before any state solve.
     """
     betas = _beta_schedule(betas)
     rows = []
@@ -823,6 +830,8 @@ def beta_sweep(cfg, betas, p0, ledger=None):
             triple = solve_p2(cfg_b, state.p if state else p0, state=state, _pairs=pairs)
         except MaxIterExceeded as err:
             triple, failed, error = err.best, True, str(err)
+        except DimensionMismatch:
+            raise  # a p0 that is no placement of the family, not the failure of one beta
         except RiccatiPlaceError as err:
             triple, failed, error = None, True, str(err)
         if triple is None:

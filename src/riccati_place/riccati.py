@@ -11,6 +11,7 @@ form A.T X + X A of classical LQR is obtained by transposing everything).
 
 import copy
 import math
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from functools import cache, cached_property
 from typing import List, Optional
@@ -101,6 +102,14 @@ class RiccatiSolution:
     schur_steps: int = 0  # Schur forms the solve took (X1 when it formed it); not reported
     history: Optional[List[np.ndarray]] = None
     eigenbasis: Optional[_EigenbasisFacts] = field(default=None, repr=False, compare=False)
+
+    @classmethod
+    def of(cls, plant, X, newton_iters, operands, **kwargs):
+        """The solution X of the plant's equation for ``operands`` (A, G, Q),
+        with its trace slack ``plant.trace_bound - tr X``."""
+        return cls(X=X, newton_iters=newton_iters,
+                   trace_bound_slack=plant.trace_bound - float(np.trace(X)),
+                   operands=operands, **kwargs)
 
     @cached_property
     def strong_residual(self):
@@ -797,10 +806,12 @@ class ClosedLoop:
 def closed_loop(A, G, X, facts=None):
     """``(loop, proved)``: the :class:`ClosedLoop` at a solution X of the
     Riccati equation for (A, G, Q), and whether it is proved stable, and so
-    solved in A's eigenbasis; over the members of a batch, whose G, X and
-    facts hold one entry per member.  ``facts`` are the eigenbasis kernel's
-    at X (``RiccatiSolution.eigenbasis``, for these A and G); without them
-    nothing is proved, and the loop's solves take its Schur form.
+    solved in A's eigenbasis.  ``facts`` are the eigenbasis kernel's at X
+    (``RiccatiSolution.eigenbasis``, for these A and G); without them
+    nothing is proved, and the loop's solves take its Schur form.  Over the
+    members of a batch, G and X are stacks on a leading member axis, and
+    ``facts``, for a stacked X only, is the list of the members' facts,
+    which are stacked here.
 
     Lyapunov's theorem proves the closed loop stable, in the original
     basis: with ``G = B B' + E``, ``||E|| <= e``, and R_B the residual at X
@@ -821,6 +832,8 @@ def closed_loop(A, G, X, facts=None):
     matrix = A.T - G @ X
     if facts is None:
         return ClosedLoop(matrix), False
+    if X.ndim > 2:
+        facts = _EigenbasisFacts.stack(facts)
     plant = facts.plant
     x_fro = _frobenius(X)
     proved = facts.residual_fro + 2.0 * facts.dropped * x_fro**2 < plant.spectrum[0]
@@ -906,17 +919,9 @@ def solve_are(A, G, Q, tol=DEFAULT_STEP_TOL, cert=None, keep_history=False, X0=N
     if not tol > 0.0:
         raise ValueError("tol must be positive")
     A = ensure_operator(A, "A")
-    G = ensure_operator(G, "G")
-    Q = ensure_operator(Q, "Q")
-    X0 = None if X0 is None else ensure_operator(X0, "X0")
-    for name, T in (("G", G), ("Q", Q), ("X0", X0)):
-        if T is not None and T.shape != A.shape:
-            raise ValueError(f"{name} has shape {T.shape}, A has shape {A.shape}")
-    # pivoted Cholesky proves G PSD and hands its factor to the eigenbasis
-    # kernel's gate; check_psd decides what it leaves open
-    factor = low_rank_psd(G, CAPACITANCE_MAX_RANK, "G")
-    if not factor:
-        check_psd(G, "G")
+    G, Q = _operand(G, "G", A), _operand(Q, "Q", A)
+    X0 = None if X0 is None else _operand(X0, "X0", A)
+    factor = _factor(G)
     plant = Plant(A, Q) if cert is None else Plant.of(cert, A, Q)
     kernel = (factor and _EigenbasisKernel.build(plant, G, factor)) or _SchurKernel(plant, G)
 
@@ -946,15 +951,91 @@ def solve_are(A, G, Q, tol=DEFAULT_STEP_TOL, cert=None, keep_history=False, X0=N
             f"step norm {operator_norm(step):.3e} after {MAX_NEWTON_ITERS} "
             f"iterations (tol={tol:.1e})")
 
-    return RiccatiSolution(
-        X=X,
-        newton_iters=k,
-        trace_bound_slack=plant.trace_bound - float(np.trace(X)),
-        operands=(A, G, Q),
-        schur_steps=kernel.schur_steps,
-        history=history,
-        eigenbasis=kernel.facts(_frobenius(R)),
-    )
+    return RiccatiSolution.of(plant, X, k, (A, G, Q), schur_steps=kernel.schur_steps,
+                              history=history, eigenbasis=kernel.facts(_frobenius(R)))
+
+
+def _operand(T, name, A):
+    """T as an operator of A's shape; ValueError names it otherwise."""
+    T = ensure_operator(T, name)
+    if T.shape != A.shape:
+        raise ValueError(f"{name} has shape {T.shape}, A has shape {A.shape}")
+    return T
+
+
+def _factor(G):
+    """G's factor ``(B, e)`` from :func:`low_rank_psd`, which proves G PSD,
+    or None when ``check_psd`` decides G (ValueError unless it is PSD)."""
+    factor = low_rank_psd(G, CAPACITANCE_MAX_RANK, "G")
+    if not factor:
+        check_psd(G, "G")
+    return factor
+
+
+def solve_are_batch(plant, Gs):
+    """For each G of the list Gs, the RiccatiSolution that the cold
+    ``solve_are(plant.A, G, plant.Q)`` returns on the plant, or None for a G
+    whose solve left the batch; a G that solve_are refuses raises its
+    ValueError.
+
+    The members, the Gs whose factor has the most common rank and passes
+    the eigenbasis kernel's margin, share one kernel with their factors and
+    iterates on a leading axis, and step in lockstep from the plant's X1
+    through the single solve's steps, stop test and gates, each member on
+    its own with its own linear solve, so each solution is the single
+    solve's bit for bit.  A member leaves where its single solve would
+    leave the eigenbasis: an unproved step, a second stop test in a row
+    that fails only the residual gate, or MAX_NEWTON_ITERS steps.
+    """
+    A, Q = plant.A, plant.Q
+    Gs = [_operand(G, "G", A) for G in Gs]
+    factors = {m: factor for m, factor in enumerate(map(_factor, Gs)) if factor}
+    solutions = [None] * len(Gs)
+    if not factors:
+        return solutions
+    rank = Counter(B.shape[1] for B, _ in factors.values()).most_common(1)[0][0]
+    live = np.array([m for m, (B, _) in factors.items() if B.shape[1] == rank])
+    # the members' G is read only by Schur steps, which a member leaves for
+    kernel = _EigenbasisKernel.build(
+        plant, None,
+        (np.stack([factors[m][0] for m in live]), np.array([factors[m][1] for m in live])))
+    if kernel is None:
+        return solutions
+    kernel, live = kernel.members(kernel.admitted), live[kernel.admitted]
+    # step k = 1 is X1 itself, every member's (see _EigenbasisKernel.enter)
+    X1b = plant.X1b()
+    Xb = np.broadcast_to(X1b, (live.size,) + A.shape)
+    proved = np.ones(live.size, dtype=bool)
+    tested = np.full(live.size, norm_within(X1b, DEFAULT_STEP_TOL))
+    stalled = np.zeros(live.size, dtype=bool)
+    # a member that fails a gate may carry non-finite values until it leaves
+    with np.errstate(all="ignore"):
+        for k in range(1, MAX_NEWTON_ITERS + 1):
+            if k > 1:
+                Y, proved = kernel._capacitance_step(np.matmul(Xb, kernel.B))
+                if Y is None:
+                    break
+                tested = proved & norm_within(Y - Xb, DEFAULT_STEP_TOL)
+                Xb = Y
+            done = np.zeros(live.size, dtype=bool)
+            if _any(tested):
+                stopping = kernel.members(tested)
+                X = stopping.out(Xb[tested])
+                R, stop = stopping.stops(X)
+                facts = stopping.facts(_frobenius(R))
+                for j, m in enumerate(live[tested]):
+                    if stop[j]:
+                        solutions[m] = RiccatiSolution.of(plant, X[j].copy(), k, (A, Gs[m], Q),
+                                                          eigenbasis=facts.member(j))
+                done[tested] = stop | stalled[tested]
+                stalled[tested] = True
+            stalled &= tested
+            keep = proved > done
+            if not _any(keep):
+                break
+            if not keep.all():
+                kernel, live, Xb, stalled = kernel.members(keep), live[keep], Xb[keep], stalled[keep]
+    return solutions
 
 
 def verify_are(A, G, Q, sol, cert, horizon, nodes):

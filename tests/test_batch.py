@@ -4,7 +4,7 @@ per-placement ``solve_are`` + ``solve_dual`` loop, bit for bit."""
 import numpy as np
 import pytest
 
-from riccati_place import batch, cli, optimize, riccati
+from riccati_place import cli, optimize, riccati
 from riccati_place.devices import GaussianActuators, sample_box
 from riccati_place.dual import solve_dual
 from riccati_place.linalg import low_rank_psd
@@ -91,7 +91,7 @@ class TestSolveStatePairs:
         monkeypatch.setattr(optimize, "STACK_CHUNK", 4)
         cfg = heat16_config()
         points = placements(cfg, count, 4)
-        batches = count_calls(monkeypatch, "riccati_batch", batch)
+        batches = count_calls(monkeypatch, "solve_are_batch", optimize)
         states = list(solve_state_pairs(cfg, points))
         assert_bit_for_bit(states, sequential(cfg, points))
         assert [len(args[1]) for args in batches] == [4] * (count // 4) + [count % 4][:count % 4]
@@ -143,8 +143,25 @@ class TestSolveStatePairs:
     def test_pairs_are_yielded_a_chunk_at_a_time(self, monkeypatch):
         monkeypatch.setattr(optimize, "STACK_CHUNK", 3)
         cfg = heat16_config()
-        batches = count_calls(monkeypatch, "riccati_batch", batch)
+        batches = count_calls(monkeypatch, "solve_are_batch", optimize)
         pairs = solve_state_pairs(cfg, placements(cfg, 7, 7))
         next(pairs)
         assert len(batches) == 1
         assert len(list(pairs)) == 6 and len(batches) == 3
+
+
+class TestAdmission:
+    @pytest.mark.parametrize("bad", ["shape", "non-finite", "asymmetric", "indefinite"])
+    def test_a_G_that_solve_are_refuses_raises_from_the_batch(self, bad):
+        # the batch admits each G as solve_are does and raises its ValueError;
+        # it does not drop the G and leave the single solve to raise
+        cfg = heat16_config()
+        G = cfg.family.G([0.3])
+        refused = {"shape": np.eye(8), "non-finite": np.full((16, 16), np.nan),
+                   "asymmetric": G + np.triu(np.ones((16, 16)), 1),
+                   "indefinite": -G}[bad]
+        with pytest.raises(ValueError) as single:
+            solve_are(cfg.A, refused, cfg.Q, cert=cfg.cert)
+        with pytest.raises(ValueError) as batched:
+            riccati.solve_are_batch(cfg.plant, [G, refused])
+        assert str(batched.value) == str(single.value)

@@ -83,3 +83,15 @@ def test_sweep_heat16_unit_counts(workloads, tmp_path, monkeypatch):
     assert workload.check(0, report)[0] == []
     assert len(pairs) <= 10
     assert sum(steps) <= 19
+
+
+def test_sweep_heat16_unit_evaluates_each_map_image_it_reads(workloads, tmp_path, monkeypatch):
+    # problem 2's map is evaluated for the first row's map start at p0 and
+    # for each later row's, at the point its predecessor ended; the last
+    # row's fixed-point residual is read by nothing, so no map is evaluated
+    # at its end
+    workload = workloads.WORKLOADS["sweep-heat16"](0, tmp_path)
+    maps = count_calls(monkeypatch, "map_p2", optimize.StatePair)
+    report = workload.run_unit(0)
+    assert workload.check(0, report)[0] == []
+    assert len(report.rows) == 4 and len(maps) == 4

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import riccati_place
-from riccati_place import batch, cli, devices, dual, linalg, optimize, riccati, semigroup
+from riccati_place import cli, devices, dual, linalg, optimize, riccati, semigroup
 from riccati_place.cli import (
     build_model,
     load_matrix,
@@ -436,7 +436,7 @@ class TestVerifyBoundsConvDiff16:
         # solved in batches, and none leaves its batch for a single solve
         cfg = convdiff16_config(tmp_path)
         schur = count_calls(monkeypatch, "_real_schur", linalg)
-        batches = count_calls(monkeypatch, "riccati_batch", batch)
+        batches = count_calls(monkeypatch, "solve_are_batch", optimize)
         ares = count_calls(monkeypatch, "solve_are", optimize)
         duals = count_calls(monkeypatch, "solve_dual", optimize)
         assert main(["verify-bounds", "--config", cfg, "--out", str(tmp_path / "out"),

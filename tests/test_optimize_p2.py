@@ -5,7 +5,7 @@ import pytest
 
 from riccati_place import dual, linalg, optimize, riccati
 from riccati_place.devices import ConstantFamily, ConstantLedger, GaussianActuators
-from riccati_place.errors import ClosedLoopUnstable, UnstableGenerator
+from riccati_place.errors import ClosedLoopUnstable, DimensionMismatch, UnstableGenerator
 from riccati_place.linalg import operator_norm, symmetrize
 from riccati_place.optimize import (
     Problem1Config,
@@ -23,7 +23,7 @@ from riccati_place.optimize import (
 )
 from riccati_place.riccati import solve_are
 
-from conftest import count_calls, heat1d, rand_stable
+from conftest import count_calls, count_computed, heat1d, rand_stable
 from test_optimize_p1 import heat_like
 
 
@@ -475,6 +475,18 @@ class TestBetaSweep:
         with pytest.raises(ValueError, match="^betas must be finite, positive and strictly"):
             beta_sweep(p2_problem, betas, [0.3])
 
+    @pytest.mark.parametrize("p0", [[0.3, 0.4], [np.nan], [np.inf]])
+    def test_bad_start_raises_before_the_first_row(self, monkeypatch, p0):
+        # a p0 that solve_p2 refuses is not the failure of one beta: the
+        # sweep raises solve_p2's error, before any state solve
+        cfg = heat16_config(10.0)
+        with pytest.raises(DimensionMismatch) as single:
+            solve_p2(cfg, p0)
+        solves = count_calls(monkeypatch, "solve_state_pair", optimize)
+        with pytest.raises(DimensionMismatch) as swept:
+            beta_sweep(cfg, [10, 100], p0)
+        assert str(swept.value) == str(single.value) and len(solves) == 0
+
     def test_gap_halves_when_beta_doubles(self, p2_problem):
         cfg = p2_problem
         betas = [25.0, 50.0, 100.0, 200.0]
@@ -616,13 +628,14 @@ class TestBetaSweep:
 
     def test_heat16_sweep_inverts_one_gram_matrix_a_placement(self, monkeypatch):
         # at the first row's start p0, where the map start reuses the
-        # inverse, and at each row's end point, for the reported map
-        # residual; the next row reads that inverse off the state pair it
-        # is handed
+        # inverse, and at each row's end point but the last, for the next
+        # row's map start, which reads that inverse off the state pair it is
+        # handed; the reported map residual, which no row carries, is not
+        # computed
         grams = count_calls(monkeypatch, "gram", GaussianActuators)
         report, _, _, _ = self.counted_heat16_sweep(monkeypatch)
-        assert len(grams) == len(report.rows) + 1 == 5
-        placements = [0.3] + [r.p[0] for r in report.rows]
+        assert len(grams) == len(report.rows) == 4
+        placements = [0.3] + [r.p[0] for r in report.rows[:-1]]
         assert [args[1][0] for args in grams] == placements
 
     def test_heat16_sweep_derives_each_state_fact_once(self, monkeypatch):
@@ -631,6 +644,7 @@ class TestBetaSweep:
         Gs = count_calls(monkeypatch, "G", GaussianActuators)
         traces = count_calls(monkeypatch, "trace_G", GaussianActuators)
         op_norms = count_calls(monkeypatch, "operator_norm", optimize)
+        xlx_norms = count_computed(monkeypatch, optimize.StatePair, "xlx_norm")
         formed = []
 
         def xlx(state, _form=optimize.StatePair.xlx.func):
@@ -644,6 +658,7 @@ class TestBetaSweep:
         assert len(pairs) == len(Gs) == 11
         assert len(traces) <= 11
         assert len(op_norms) <= 5
+        assert len(xlx_norms) <= 5 and len(set(map(id, xlx_norms))) == len(xlx_norms)
         assert len(formed) <= 11 and len(set(map(id, formed))) == len(formed)
 
         # a record's facts read twice ask the family once

@@ -4,7 +4,9 @@ The concrete family is a set of Gaussian actuator profiles on the Galerkin
 grid: actuator j centred at p_j contributes b(p_j) b(p_j).T / r with
 b_i(c) = exp(-(x_i - c)^2 / (2 sigma^2)).  Profiles are analytic, so first
 and second derivatives in p are available in closed form, and
-tr G_p = sum_j ||b(p_j)||^2 / r.
+tr G_p = sum_j ||b(p_j)||^2 / r.  G and dG have stacked entry points
+(``G_stack``, ``dG_stack``) over a (k, param_dim) stack of placements, each
+member the single placement's matrix bit for bit.
 
 Constant and callable families are provided as test doubles (a constant map
 violates the nonzero-derivative assumption and must trip DegenerateFamily).
@@ -27,24 +29,25 @@ from .linalg import (
     STACK_CHUNK,
     check_symmetric,
     ensure_operator,
-    norms,
     operator_norm,
+    singular_values,
     symmetrize,
 )
 
 
 def _raise_sups(sups, T, dist=1.0):
     """Raise each running sup in ``sups`` (keyed by reading) to the norm / dist
-    of each matrix of the list T (``dist`` one number, or one per matrix),
-    all readings of a matrix from its one SVD, stacked by :func:`norms` in
-    chunks of STACK_CHUNK."""
-    dist = np.broadcast_to(np.asarray(dist, dtype=float), len(T)).tolist()
+    of each matrix of the stack T (``dist`` one number, or one per matrix),
+    all readings of a matrix from its one SVD, stacked in chunks of
+    STACK_CHUNK: the sum of its singular values, |trace| and the largest."""
+    dist = np.broadcast_to(np.asarray(dist, dtype=float), len(T))
     for start in range(0, len(T), STACK_CHUNK):
         part = slice(start, start + STACK_CHUNK)
-        for rep, d in zip(norms(np.stack(T[part])), dist[part]):
-            readings = {"nuc": rep.trace_norm_schatten, "abs": rep.abs_trace, "op": rep.op_norm}
-            for r in sups:
-                sups[r] = max(sups[r], readings[r] / d)
+        sv = singular_values(T[part])
+        readings = {"nuc": sv.sum(axis=1), "op": sv[:, 0],
+                    "abs": np.abs(np.trace(T[part], axis1=1, axis2=2))}
+        for r in sups:
+            sups[r] = max(sups[r], float(np.max(readings[r] / dist[part])))
 
 
 class Family:
@@ -62,11 +65,44 @@ class Family:
             raise DimensionMismatch(f"{name} has non-finite entries")
         return p
 
+    def _check_stack(self, P):
+        """P as a (k, param_dim) array of finite placements, checked once
+        for the whole stack; DimensionMismatch worded as
+        :meth:`_check_param` words it for a member."""
+        P = np.asarray(P, dtype=float)
+        if P.ndim != 2 or P.shape[1] != self.param_dim:
+            raise DimensionMismatch(f"p has shape {P.shape[1:]}, expected ({self.param_dim},)")
+        if not np.isfinite(P).all():
+            raise DimensionMismatch("p has non-finite entries")
+        return P
+
     def G(self, p):
         raise NotImplementedError
 
     def dG(self, p, q):
         raise NotImplementedError
+
+    def G_stack(self, P):
+        """G_p of each placement p of the (k, param_dim) stack P, as a
+        (k, n, n) array whose members are the matrices ``G(p)`` returns."""
+        return self._G(self._check_stack(P))
+
+    def dG_stack(self, P, q):
+        """dG_p(q) of each placement p of the stack P in the one direction
+        q, as :meth:`G_stack` stacks G_p."""
+        return self._dG(self._check_stack(P), self._check_param(q, "q"))
+
+    def _G(self, P):
+        """G_stack on checked placements, one G(p) call each; a family with
+        a stacked body overrides this."""
+        return self._stack([self.G(p) for p in P])
+
+    def _dG(self, P, q):
+        """dG_stack on checked arguments, one dG(p, q) call each."""
+        return self._stack([self.dG(p, q) for p in P])
+
+    def _stack(self, mats):
+        return np.array(mats, dtype=float).reshape((len(mats),) + (self.state_dim,) * 2)
 
     def d2G(self, p, q, r):
         raise NotImplementedError
@@ -96,17 +132,20 @@ class Family:
 
     def gram(self, p):
         """The param_dim x param_dim matrix of dG*dG under the trace pairing."""
-        p = self._check_param(p)
-        return _gram([self.dG(p, e) for e in np.eye(self.param_dim)])
+        P = self._check_param(p)[None]
+        return _grams([self._dG(P, e) for e in np.eye(self.param_dim)])[0]
 
 
-def _gram(mats):
-    """Trace-pairing Gram matrix of the axis derivatives ``dG_p(e_k)``."""
-    d = len(mats)
-    S = np.empty((d, d))
-    for j in range(d):
-        for k in range(j, d):
-            S[j, k] = S[k, j] = float(np.tensordot(mats[j], mats[k]))
+def _grams(axes):
+    """Trace-pairing Gram matrices of the axis derivatives, ``axes[j]`` the
+    (k, n, n) stack of ``dG_p(e_j)`` over k placements: a (k, d, d) array.
+    Each entry is one (k, 1, n^2) @ (k, n^2, 1) product, each member
+    ``np.tensordot``'s bit for bit."""
+    rows = [D.reshape(len(D), 1, -1) for D in axes]
+    S = np.empty((len(rows[0]), len(rows), len(rows)))
+    for j, row in enumerate(rows):
+        for k in range(j, len(rows)):
+            S[:, j, k] = S[:, k, j] = (row @ rows[k].swapaxes(1, 2))[:, 0, 0]
     return S
 
 
@@ -149,34 +188,40 @@ class GaussianActuators(Family):
         z = (self.grid - c) / self.sigma
         return np.exp(-0.5 * z**2)
 
-    def _profile_d1(self, c):
-        # d b_i / dc = b_i (x_i - c) / sigma^2
-        return self._profile(c) * (self.grid - c) / self.sigma**2
+    def _profile_d1(self, c, b):
+        # d b_i / dc = b_i (x_i - c) / sigma^2, given b = _profile(c)
+        return b * (self.grid - c) / self.sigma**2
 
-    def _profile_d2(self, c):
+    def _profile_d2(self, c, b):
         u = (self.grid - c) / self.sigma**2
-        return self._profile(c) * (u**2 - 1.0 / self.sigma**2)
+        return b * (u**2 - 1.0 / self.sigma**2)
 
     def G(self, p):
-        p = self._check_param(p)
-        n = self.state_dim
-        out = np.zeros((n, n))
-        for c in p:
-            b = self._profile(c)
-            out += np.outer(b, b)
-        return out / self.r_weight
+        return self._G(self._check_param(p))
 
     def dG(self, p, q):
-        p = self._check_param(p)
-        q = self._check_param(q, "q")
-        n = self.state_dim
-        out = np.zeros((n, n))
-        for c, qj in zip(p, q):
+        return self._dG(self._check_param(p), self._check_param(q, "q"))
+
+    # The bodies take placements with leading axes, one (param_dim,) p or a
+    # (k, param_dim) stack: the centres c = P[..., j, None] give profiles
+    # b of shape (..., n), one exp per actuator, and the outer products are
+    # broadcast, so each member is the single placement's matrix bit for bit.
+    def _G(self, P):
+        out = np.zeros(P.shape[:-1] + (self.state_dim,) * 2)
+        for j in range(self.param_dim):
+            b = self._profile(P[..., j, None])
+            out += b[..., :, None] * b[..., None, :]
+        return out / self.r_weight
+
+    def _dG(self, P, q):
+        out = np.zeros(P.shape[:-1] + (self.state_dim,) * 2)
+        for j, qj in enumerate(q):
             if qj == 0.0:
                 continue
+            c = P[..., j, None]
             b = self._profile(c)
-            db = self._profile_d1(c)
-            out += qj * (np.outer(db, b) + np.outer(b, db))
+            db = self._profile_d1(c, b)
+            out += qj * (db[..., :, None] * b[..., None, :] + b[..., :, None] * db[..., None, :])
         return out / self.r_weight
 
     def d2G(self, p, q, r):
@@ -190,8 +235,8 @@ class GaussianActuators(Family):
             if w == 0.0:
                 continue
             b = self._profile(c)
-            db = self._profile_d1(c)
-            d2b = self._profile_d2(c)
+            db = self._profile_d1(c, b)
+            d2b = self._profile_d2(c, b)
             out += w * (np.outer(d2b, b) + np.outer(b, d2b) + 2.0 * np.outer(db, db))
         return out / self.r_weight
 
@@ -202,8 +247,8 @@ class GaussianActuators(Family):
     def _adjoint(self, p, T):
         # tr(T (db b^T + b db^T)) = 2 b^T T db for symmetric T
         return np.array([
-            2.0 * float(self._profile(c) @ T @ self._profile_d1(c))
-            for c in p
+            2.0 * float(b @ T @ self._profile_d1(c, b))
+            for c, b in zip(p, map(self._profile, p))
         ]) / self.r_weight
 
 
@@ -315,10 +360,13 @@ def _require_count(name, value, least):
 
 
 def sample_box(domain, count, rng):
-    """count points uniformly in the box ``domain`` (shape (d, 2) rows lo, hi)."""
+    """count points uniformly in the box ``domain`` (shape (d, 2) rows lo,
+    hi); ValueError, before any draw from rng, unless the rows are finite
+    with lo <= hi."""
     domain = np.atleast_2d(np.asarray(domain, dtype=float))
-    if domain.shape[1] != 2 or np.any(domain[:, 0] > domain[:, 1]):
-        raise ValueError("domain must be (d, 2) with lo <= hi rows")
+    if (domain.shape[1] != 2 or not np.isfinite(domain).all()
+            or np.any(domain[:, 0] > domain[:, 1])):
+        raise ValueError(f"domain must be (d, 2) with finite lo <= hi rows, got {domain.tolist()}")
     lo, hi = domain[:, 0], domain[:, 1]
     return lo + (hi - lo) * rng.random((count, domain.shape[0]))
 
@@ -360,6 +408,13 @@ def estimate_constants(family, domain, samples, seed, cfg=None):
     M and alpha from the config's certificate of A, tr Q, ||W||, beta and
     gamma (None for problem 1).
 
+    The family is evaluated a stack of placements at a time: per chunk of
+    STACK_CHUNK points one ``G_stack`` and one ``dG_stack`` per direction,
+    the pairs' quotients from differences of such stacks, each member the
+    single call's matrix bit for bit.  The norms come from stacked SVDs,
+    the Gram entries from one stacked product per pair of axes (see
+    :func:`_grams`).
+
     Deterministic for a fixed seed.  Raises DegenerateFamily when the
     derivative vanishes on all samples or the Gram matrix is singular
     everywhere (nonzero / invertibility assumptions violated), and
@@ -380,12 +435,11 @@ def estimate_constants(family, domain, samples, seed, cfg=None):
     any_invertible = False
     for start in range(0, samples, STACK_CHUNK):
         chunk = points[start:start + STACK_CHUNK]
-        _raise_sups(g, [family.G(p) for p in chunk])
-        dGs = [[family.dG(p, q) for q in directions] for p in chunk]
-        _raise_sups(c_dg, [dG for at_p in dGs for dG in at_p])
+        _raise_sups(g, family.G_stack(chunk))
+        dGs = [family.dG_stack(chunk, q) for q in directions]
+        _raise_sups(c_dg, np.concatenate(dGs))
         # the directions start with the axes
-        for sv in np.linalg.svd(np.stack([_gram(at_p[:family.param_dim]) for at_p in dGs]),
-                                compute_uv=False):
+        for sv in np.linalg.svd(_grams(dGs[:family.param_dim]), compute_uv=False):
             if gram_invertible(sv):
                 any_invertible = True
                 K = max(K, 1.0 / float(sv[-1]))
@@ -396,15 +450,15 @@ def estimate_constants(family, domain, samples, seed, cfg=None):
 
     l_g = {r: 0.0 for r in ("nuc", "abs", "op")}
     l_dg = {r: 0.0 for r in ("nuc", "abs")}
-    apart = [(p1, p2, dist) for p1, p2 in zip(*pairs)
-             if (dist := float(np.linalg.norm(p1 - p2))) >= 1e-12]
-    for start in range(0, len(apart), STACK_CHUNK):
-        chunk = apart[start:start + STACK_CHUNK]
-        _raise_sups(l_g, [family.G(p1) - family.G(p2) for p1, p2, _ in chunk],
-                    [dist for _, _, dist in chunk])
-        _raise_sups(l_dg, [family.dG(p1, q) - family.dG(p2, q)
-                           for p1, p2, _ in chunk for q in directions],
-                    [dist for _, _, dist in chunk for _ in directions])
+    dist = np.array([np.linalg.norm(p1 - p2) for p1, p2 in zip(*pairs)])
+    apart = dist >= 1e-12
+    P1, P2, dist = pairs[0][apart], pairs[1][apart], dist[apart]
+    for start in range(0, len(dist), STACK_CHUNK):
+        part = slice(start, start + STACK_CHUNK)
+        _raise_sups(l_g, family.G_stack(P1[part]) - family.G_stack(P2[part]), dist[part])
+        _raise_sups(l_dg, np.concatenate([family.dG_stack(P1[part], q)
+                                          - family.dG_stack(P2[part], q) for q in directions]),
+                    np.tile(dist[part], len(directions)))
     if l_g["nuc"] == 0.0:
         raise DegenerateFamily("G_p is constant over the sampled pairs")
 

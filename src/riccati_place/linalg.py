@@ -320,6 +320,20 @@ class NormReport:
     abs_trace: float
 
 
+def singular_values(T):
+    """The singular values of each matrix of the stack T of square
+    matrices, one descending row per matrix (a single 0 for a 0x0 one):
+    one stacked SVD, each row the per-matrix SVD's bit for bit.  ValueError
+    unless the matrices are square and finite."""
+    if T.shape[1] != T.shape[2]:
+        raise ValueError(f"operator must be square, got shape {T.shape[1:]}")
+    if not np.isfinite(T).all():
+        raise ValueError("operator has non-finite entries")
+    if T.shape[1] == 0:
+        return np.zeros((len(T), 1))
+    return np.linalg.svd(T, compute_uv=False)
+
+
 def norms(T):
     """Compute the NormReport of a square matrix, or the list of them of a
     stack T of square matrices: one stacked SVD, each report the
@@ -327,16 +341,9 @@ def norms(T):
     if np.ndim(T) != 3:
         return norms(ensure_operator(T)[None])[0]
     T = np.asarray(T, dtype=float)
-    if T.shape[1] != T.shape[2]:
-        raise ValueError(f"operator must be square, got shape {T.shape[1:]}")
-    if not np.isfinite(T).all():
-        raise ValueError("operator has non-finite entries")
-    if T.shape[1] == 0:
-        return [NormReport(0.0, 0.0, 0.0, 0.0) for _ in T]
-    sv = np.linalg.svd(T, compute_uv=False)
     return [NormReport(op_norm=float(s[0]), trace=float(tr), trace_norm_schatten=float(s.sum()),
                        abs_trace=abs(float(tr)))
-            for s, tr in zip(sv, np.trace(T, axis1=1, axis2=2))]
+            for s, tr in zip(singular_values(T), np.trace(T, axis1=1, axis2=2))]
 
 
 def matrix_exponential(A, t):

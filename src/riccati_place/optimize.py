@@ -283,18 +283,19 @@ def solve_state_pairs(cfg, points):
     """The cold StatePair at each placement of ``points``, in order, each
     bit for bit the one ``solve_state_pair(cfg, p)`` solves.
 
-    Each chunk of STACK_CHUNK placements builds its G_p, then solves its
-    Riccati equations in one batch (``riccati.solve_are_batch``, on the
-    config's plant) and its multipliers in another
-    (``dual.solve_dual_batch``); a placement that leaves either is solved by
-    ``solve_are`` or ``solve_dual`` alone.  The pairs are yielded a chunk at
-    a time, so a caller that reads each and lets it go holds at most a chunk
-    of them.
+    Each chunk of STACK_CHUNK placements builds its G_p in one stacked
+    call (``family.G_stack``, each member the matrix ``family.G(p)``
+    returns), then solves its Riccati equations in one batch
+    (``riccati.solve_are_batch``, on the config's plant) and its
+    multipliers in another (``dual.solve_dual_batch``); a placement that
+    leaves either is solved by ``solve_are`` or ``solve_dual`` alone.  The
+    pairs are yielded a chunk at a time, so a caller that reads each and
+    lets it go holds at most a chunk of them.
     """
     points = [np.array(p, dtype=float, ndmin=1) for p in points]
     for start in range(0, len(points), STACK_CHUNK):
         chunk = points[start:start + STACK_CHUNK]
-        Gs = [cfg.family.G(p) for p in chunk]
+        Gs = list(cfg.family.G_stack(chunk))
         sols = solve_are_batch(cfg.plant, Gs)
         duals = solve_dual_batch(cfg.A, Gs, sols, cfg.W)
         for k, (p, G) in enumerate(zip(chunk, Gs)):

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from riccati_place import linalg, optimize, riccati
+from riccati_place import devices, linalg, optimize, riccati
 
 from conftest import count_calls, gram_members
 
@@ -95,3 +95,24 @@ def test_sweep_heat16_unit_evaluates_each_map_image_it_reads(workloads, tmp_path
     report = workload.run_unit(0)
     assert workload.check(0, report)[0] == []
     assert len(report.rows) == 4 and len(maps) == 4
+
+
+def test_verify_convdiff16_unit_evaluates_the_family_a_stack_at_a_time(
+        workloads, tmp_path, monkeypatch):
+    # the ledger and solve_state_pairs build their G_p and dG_p(q) as stacks
+    # of placements, so a unit makes no single-placement G or dG call.  G
+    # matrices: the ledger's 100 points, its 100 pairs' 200 and its 100
+    # state pairs, the Lipschitz check's 50 pairs' 100 and 20 spot checks;
+    # dG (one direction at param_dim = 1): the ledger's 100 points and 200
+    # pair members
+    workload = workloads.WORKLOADS["verify-convdiff16"](0, tmp_path)
+    family = devices.GaussianActuators
+    single_G = count_calls(monkeypatch, "G", family)
+    single_dG = count_calls(monkeypatch, "dG", family)
+    G_stacks = count_calls(monkeypatch, "G_stack", family)
+    dG_stacks = count_calls(monkeypatch, "dG_stack", family)
+    out = workload.run_unit(0)
+    assert workload.check(0, out)[0] == []
+    assert single_G == single_dG == []
+    assert sum(len(args[1]) for args in G_stacks) == 520
+    assert sum(len(args[1]) for args in dG_stacks) == 300

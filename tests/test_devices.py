@@ -1,8 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 
 from riccati_place import semigroup
 from riccati_place.devices import (
+    CallableFamily,
     ConstantFamily,
     ConstantLedger,
     GaussianActuators,
@@ -10,7 +13,7 @@ from riccati_place.devices import (
     sample_box,
 )
 from riccati_place.errors import DegenerateFamily, DimensionMismatch
-from riccati_place.linalg import NormReport, operator_norm
+from riccati_place.linalg import operator_norm
 from riccati_place.optimize import Problem2Config, solve_state_pair
 
 from conftest import count_calls
@@ -156,6 +159,114 @@ class TestMultiGaussian:
         v = f.dG_adjoint(p, T)
         for k, e in enumerate(np.eye(2)):
             assert abs(v[k] - float(np.tensordot(T, f.dG(p, e)))) <= 1e-12
+
+
+def callable_family(param_dim=2, n=5):
+    """A CallableFamily of rank-one G_p = v v' with v_i = sin(i + p . 1),
+    and its directional derivative."""
+    def v(p):
+        return np.sin(np.arange(n) + p.sum())
+
+    def dv(p, q):
+        return np.cos(np.arange(n) + p.sum()) * q.sum()
+
+    return CallableFamily(param_dim=param_dim, state_dim=n,
+                          g_fn=lambda p: np.outer(v(p), v(p)),
+                          dg_fn=lambda p, q: np.outer(dv(p, q), v(p)) + np.outer(v(p), dv(p, q)))
+
+
+def stacked_calls(family, method, P, *args):
+    """``getattr(family, method)`` at the stack P, and the same argument
+    tail, as a (stacked, single) pair of ``DimensionMismatch`` texts, or
+    of results when neither raises."""
+    try:
+        stacked = getattr(family, method + "_stack")(P, *args)
+    except DimensionMismatch as error:
+        stacked = str(error)
+    try:
+        single = [getattr(family, method)(p, *args) for p in P]
+    except DimensionMismatch as error:
+        single = str(error)
+    return stacked, single
+
+
+class TestStacks:
+    @pytest.mark.parametrize("k", [1, 16, 17])
+    @pytest.mark.parametrize("param_dim", [1, 3])
+    def test_members_are_the_single_matrices(self, param_dim, k, rng):
+        # one exp per actuator over the stack and broadcast outer products:
+        # the same elementwise operations as a single placement's
+        fam = GaussianActuators(grid=np.linspace(0.1, 0.9, 9), sigma=0.15, r_weight=2.0,
+                                param_dim=param_dim)
+        P = sample_box(fam.domain(), k, rng)
+        q = rng.standard_normal(param_dim)
+        sparse = q.copy()
+        sparse[-1] = 0.0  # the actuator a zero entry skips; all of them at d = 1
+        for method, args in (("G", ()), ("dG", (q,)), ("dG", (sparse,)),
+                             ("dG", (np.eye(param_dim)[0],))):
+            stacked, single = stacked_calls(fam, method, P, *args)
+            assert stacked.shape == (k, 9, 9)
+            assert [T.tobytes() for T in stacked] == [T.tobytes() for T in single], method
+
+    @pytest.mark.parametrize("family", [ConstantFamily(matrix=np.diag([1.0, 2.0, 3.0]),
+                                                       param_dim=2),
+                                        callable_family()], ids=["constant", "callable"])
+    def test_default_loops_over_the_single_methods(self, family, rng, monkeypatch):
+        P = rng.uniform(0.0, 1.0, (5, 2))
+        q = np.array([0.5, -1.5])
+        single = count_calls(monkeypatch, "G", type(family))
+        stacked, members = stacked_calls(family, "G", P)
+        assert len(single) == 2 * len(P)  # the stack's and the reference's
+        assert [T.tobytes() for T in stacked] == [T.tobytes() for T in members]
+        stacked, members = stacked_calls(family, "dG", P, q)
+        assert [T.tobytes() for T in stacked] == [T.tobytes() for T in members]
+        assert stacked.shape == (5, family.state_dim, family.state_dim)
+
+    @pytest.mark.parametrize("family", [
+        GaussianActuators(grid=np.linspace(0.1, 0.9, 9), sigma=0.15),
+        ConstantFamily(matrix=np.eye(3)),
+        callable_family(param_dim=1)], ids=["gaussian", "constant", "callable"])
+    @pytest.mark.parametrize("P,text", [
+        (np.full((4, 2), 0.3), r"p has shape \(2,\), expected \(1,\)"),
+        (np.array([[0.3], [np.nan], [0.5]]), "p has non-finite entries"),
+        (np.array([[0.3], [0.4], [-np.inf]]), "p has non-finite entries")],
+        ids=["width", "nan-row", "inf-row"])
+    def test_a_bad_stack_raises_the_single_text(self, family, P, text):
+        # the stack is checked once, as a whole, and words its error as the
+        # first bad member's single call does
+        for method, args in (("G", ()), ("dG", ([1.0],))):
+            stacked, single = stacked_calls(family, method, P, *args)
+            assert stacked == single, method
+            assert re.fullmatch(text, stacked), method
+
+    def test_a_bad_direction_raises_the_single_text(self, fam):
+        stacked, single = stacked_calls(fam, "dG", np.full((3, 1), 0.3), [1.0, 2.0])
+        assert stacked == single == "q has shape (2,), expected (1,)"
+
+
+class TestSampleBox:
+    @pytest.mark.parametrize("box", [[[0.0, np.inf]], [[np.nan, 1.0]], [[-np.inf, 0.0]],
+                                     [[0.0, 1.0], [0.2, np.nan]]],
+                             ids=["inf-hi", "nan-lo", "inf-lo", "nan-second-row"])
+    def test_a_non_finite_box_is_refused_before_any_draw(self, box):
+        # [[0, inf]] once gave inf points and [[nan, 1]] NaN ones, refused
+        # only later, placement by placement
+        class Recorder:
+            draws = 0
+
+            def random(self, shape):
+                self.draws += 1
+                return np.zeros(shape)
+
+        rng = Recorder()
+        with pytest.raises(ValueError, match=r"^domain must be \(d, 2\) with finite lo <= hi"):
+            sample_box(box, 5, rng)
+        assert rng.draws == 0
+
+    @pytest.mark.parametrize("box", [[[0.0, np.inf]], [[np.nan, 1.0]]], ids=["inf", "nan"])
+    def test_the_ledger_refuses_a_non_finite_box(self, fam, box):
+        with pytest.raises(ValueError, match=r"^domain must be \(d, 2\) with finite lo <= hi"):
+            estimate_constants(fam, box, 10, seed=0)
 
 
 def reference_ledger(family, samples, seed, cfg=None):
@@ -318,22 +429,16 @@ class TestEstimateConstants:
         dirs = len(drawn[0])  # the distinct ones of axes + 8 random, up to sign
         assert dirs == 1  # for param_dim = 1 each draw is +-1
 
-        # the per-reading ledger: each norm of each matrix from its own call
-        def per_reading(stack):
-            reports = []
-            for T in stack:
-                tr = float(np.trace(T))
-                nuc = float(np.linalg.svd(T, compute_uv=False).sum())
-                reports.append(NormReport(op_norm=operator_norm(T), trace=tr,
-                                          trace_norm_schatten=nuc, abs_trace=abs(tr)))
-            return reports
+        # the per-matrix ledger: each matrix's singular values from its own SVD
+        def per_matrix(stack):
+            return np.array([np.linalg.svd(T, compute_uv=False) for T in stack])
 
-        monkeypatch.setattr(devices, "norms", per_reading)
+        monkeypatch.setattr(devices, "singular_values", per_matrix)
         assert estimate_constants(fam, fam.domain(), samples, seed=4) == one
         monkeypatch.undo()
 
         svd = count_calls(monkeypatch, "svd", np.linalg)
-        dG = count_calls(monkeypatch, "dG", GaussianActuators)
+        dG = count_calls(monkeypatch, "dG_stack", GaussianActuators)
         estimate_constants(fam, fam.domain(), samples, seed=4)
         # per point: G, each direction's dG, the Gram matrix; per pair: the G
         # difference and each direction's dG difference; in stacks of at
@@ -343,8 +448,8 @@ class TestEstimateConstants:
         assert [len(args[0]) for args in svd] == ([c for c in chunks for _ in range(3)]
                                                   + [c for c in chunks for _ in range(2)])
         # each direction once per point (the Gram matrix reuses the axes'),
-        # twice per pair
-        assert len(dG) == samples * dirs + samples * 2 * dirs
+        # twice per pair: matrices evaluated, in stacks of placements
+        assert sum(len(P) for _, P, _ in dG) == samples * dirs + samples * 2 * dirs
 
     def test_scalar_parameter_reads_each_distinct_direction_once(self, fam, monkeypatch):
         # for param_dim = 1 the axis and the 8 random unit vectors hold at
@@ -352,10 +457,10 @@ class TestEstimateConstants:
         from riccati_place import devices
 
         samples = 100
-        dG = count_calls(monkeypatch, "dG", GaussianActuators)
+        dG = count_calls(monkeypatch, "dG_stack", GaussianActuators)
         led = estimate_constants(fam, fam.domain(), samples, seed=0)
-        # one direction: half the calls that reading both +1 and -1 takes
-        assert len(dG) == samples + samples * 2
+        # one direction: half the matrices that reading both +1 and -1 takes
+        assert sum(len(P) for _, P, _ in dG) == samples + samples * 2
         monkeypatch.undo()
 
         def every_draw(dim, rng, extra=8):

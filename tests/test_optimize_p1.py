@@ -308,6 +308,18 @@ def test_lipschitz_check_needs_a_pair(small_problem, pairs):
         lipschitz_bound_check(cfg, None, cfg.family.domain(), pairs=pairs, seed=10)
 
 
+@pytest.mark.parametrize("box", [[[0.0, np.inf]], [[np.nan, 1.0]]], ids=["inf", "nan"])
+def test_lipschitz_check_refuses_a_non_finite_box(small_problem, box, monkeypatch):
+    # the box is refused before any draw or state solve, not placement by
+    # placement as a DimensionMismatch
+    cfg = small_problem
+    ledger = ConstantLedger(g=1.0, L_G=1.0, L_dG=1.0, C_dG=1.0, K=1.0, M=1.0, alpha=1.0, trQ=6.0)
+    pairs = count_calls(monkeypatch, "solve_state_pairs", optimize)
+    with pytest.raises(ValueError, match=r"^domain must be \(d, 2\) with finite lo <= hi"):
+        lipschitz_bound_check(cfg, ledger, box, pairs=5, seed=10)
+    assert pairs == []
+
+
 def test_cluster_points():
     pts = [np.array([0.0]), np.array([1e-8]), np.array([0.5])]
     clusters = cluster_points(pts, tol=1e-6)

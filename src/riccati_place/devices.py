@@ -18,7 +18,6 @@ recorded under both, plus the plain operator norm, so every bound can be
 checked under either reading.
 """
 
-import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -27,6 +26,7 @@ import numpy as np
 from .errors import DegenerateFamily, DimensionMismatch
 from .linalg import (
     STACK_CHUNK,
+    _require_count,
     check_symmetric,
     ensure_operator,
     operator_norm,
@@ -283,7 +283,8 @@ class ConstantFamily(Family):
 
 @dataclass(frozen=True, eq=False)
 class CallableFamily(Family):
-    """Family defined by user callables; derivative hooks default to zero maps."""
+    """Family defined by user callables; derivative hooks default to zero maps.
+    Each callable's matrix is admitted at ``(state_dim, state_dim)``."""
 
     param_dim: int
     state_dim: int
@@ -293,14 +294,15 @@ class CallableFamily(Family):
     kind = "custom"
 
     def G(self, p):
-        return symmetrize(ensure_operator(self.g_fn(self._check_param(p)), "G(p)"))
+        G = self.g_fn(self._check_param(p))
+        return symmetrize(ensure_operator(G, "G(p)", (self.state_dim,) * 2))
 
     def dG(self, p, q):
         p = self._check_param(p)
         q = self._check_param(q, "q")
         if self.dg_fn is None:
             return np.zeros((self.state_dim, self.state_dim))
-        return self.dg_fn(p, q)
+        return ensure_operator(self.dg_fn(p, q), "dG(p, q)", (self.state_dim,) * 2)
 
     def d2G(self, p, q, r):
         p = self._check_param(p)
@@ -308,7 +310,7 @@ class CallableFamily(Family):
         r = self._check_param(r, "r")
         if self.d2g_fn is None:
             return np.zeros((self.state_dim, self.state_dim))
-        return self.d2g_fn(p, q, r)
+        return ensure_operator(self.d2g_fn(p, q, r), "d2G(p, q, r)", (self.state_dim,) * 2)
 
 
 @dataclass
@@ -351,12 +353,6 @@ class ConstantLedger:
         missing = [name for name in names if getattr(self, name) is None]
         if missing:
             raise ValueError(f"ledger lacks model-coupled fields: {missing}")
-
-
-def _require_count(name, value, least):
-    """Raise ValueError unless ``value`` is an integer of at least ``least``."""
-    if not isinstance(value, numbers.Integral) or value < least:
-        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 def sample_box(domain, count, rng):

@@ -122,7 +122,8 @@ def solve_dual(A, G, X, W, W_spectrum=None):
     X is the Riccati solution for (A, G, Q): an array, or the
     :class:`RiccatiSolution` that ``solve_are`` returned; W symmetric PSD.
     A caller that has already run ``check_psd(W, "W")`` hands the
-    ``W_spectrum`` it returned, and W is not tested again.
+    ``W_spectrum`` it returned, and W is not tested again.  ValueError
+    first unless A, G, X and W are admitted operators of A's shape.
 
     The closed loop ``A.T - G X`` is built by
     :func:`~riccati_place.riccati.closed_loop`, which proves it stable and
@@ -141,9 +142,9 @@ def solve_dual(A, G, X, W, W_spectrum=None):
     """
     solution = X if isinstance(X, RiccatiSolution) else None
     A = ensure_operator(A, "A")
-    G = ensure_operator(G, "G")
-    X = ensure_operator(X if solution is None else solution.X, "X")
-    W = ensure_operator(W, "W")
+    G = ensure_operator(G, "G", A)
+    X = ensure_operator(X if solution is None else solution.X, "X", A)
+    W = ensure_operator(W, "W", A)
     if W_spectrum is None:
         check_psd(W, "W")
     facts = None

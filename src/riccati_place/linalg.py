@@ -18,6 +18,7 @@ most runs take no Schur form.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,14 +40,31 @@ _TINY = float(np.finfo(float).tiny)  # smallest normal float: covers underflowed
 EXP_UNDERFLOW = -746.0
 
 
-def ensure_operator(T, name="operator"):
-    """Validate and return a square float matrix with finite entries."""
+def ensure_operator(T, name="operator", like=None):
+    """T as a float matrix, admitted as an operand: the one rule each entry
+    point applies to the matrices it reads, before other work.  ValueError
+    naming T unless it is square, then finite, then of ``like``'s shape:
+    the admitted A whose space T lives on, or a shape (both are named)."""
     T = np.asarray(T, dtype=float)
     if T.ndim != 2 or T.shape[0] != T.shape[1]:
         raise ValueError(f"{name} must be square, got shape {T.shape}")
     if not np.isfinite(T).all():
         raise ValueError(f"{name} has non-finite entries")
+    if like is not None and T.shape != getattr(like, "shape", like):
+        against = f"A has shape {like.shape}" if hasattr(like, "shape") else f"expected {like}"
+        raise ValueError(f"{name} has shape {T.shape}, {against}")
     return T
+
+
+def _require_count(name, value, least):
+    """Raise ValueError unless ``value`` is an integer of at least ``least``."""
+    if not isinstance(value, numbers.Integral) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
+def _require_finite_positive(name, value):
+    if not 0.0 < value < math.inf:  # NaN fails too
+        raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
 
 def operator_norm(T):
@@ -423,10 +441,11 @@ class SylvesterFactor:
         ``transpose``, refined up to twice on the Schur form; raises
         SingularSystem unless ``||R|| <= 1e-10 (1 + ||P||)`` for the
         residual R of the returned T, norms decided as in
-        :func:`_relative_within`.  The untransposed solve is bit-identical
-        to ``scipy.linalg.solve_sylvester(A, A', P)``, and a 1x1 one is
+        :func:`_relative_within`, and first ValueError unless P is admitted
+        at A's shape.  The untransposed solve is bit-identical to
+        ``scipy.linalg.solve_sylvester(A, A', P)``, and a 1x1 one is
         ``P / (a + a)``, which ``trsyl`` returns there, bit for bit."""
-        P = ensure_operator(P, "P")
+        P = ensure_operator(P, "P", self.A)
         A = self.A.T if transpose else self.A
         T = self._trsyl(P, transpose)
         P_bounds = _norm_bounds(P)
@@ -464,11 +483,12 @@ def solve_sylvester(A, P):
     be symmetric.  Raises as the factor and its solve do: UnstableGenerator
     unless the spectrum lies in the open left half-plane, SingularSystem
     when the separation guard fails or the residual of the returned T
-    exceeds ``1e-10 (1 + ||P||)`` in the operator norm.  A caller with
-    several right-hand sides for one generator keeps the factor instead.
+    exceeds ``1e-10 (1 + ||P||)`` in the operator norm; ValueError first
+    unless A and P are admitted, P at A's shape.  A caller with several
+    right-hand sides for one generator keeps the factor instead.
     """
     A = ensure_operator(A, "A")
-    P = ensure_operator(P, "P")
+    P = ensure_operator(P, "P", A)
     return SylvesterFactor(A).solve(P)
 
 
@@ -527,7 +547,8 @@ def bochner_quadrature(A, P, horizon, nodes, cert=None):
     ``M^2 ||P|| exp(-2 alpha horizon) / (2 alpha)`` exceeds 1e-8, decided
     by the cascade of :func:`_settle`, with an SVD of P only where its
     bounds leave the test open (or to word the error), and ValueError,
-    before any other work, unless horizon and nodes are finite and positive.
+    before any other work, unless horizon and nodes are finite and positive
+    and A and P are admitted, P at A's shape.
     """
     from .semigroup import certify_stability  # deferred: semigroup builds on linalg
 
@@ -538,7 +559,7 @@ def bochner_quadrature(A, P, horizon, nodes, cert=None):
         raise ValueError("nodes must be finite and positive")
     nodes = int(nodes)
     A = ensure_operator(A, "A")
-    P = ensure_operator(P, "P")
+    P = ensure_operator(P, "P", A)
 
     cert = certify_stability(A) if cert is None else cert
     m, alpha = cert.M, cert.alpha

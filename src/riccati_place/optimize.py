@@ -20,11 +20,12 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .devices import _require_count, gram_invertible, sample_box
+from .devices import gram_invertible, sample_box
 from .dual import DualSolution, solve_dual, solve_dual_batch
 from .errors import (ClosedLoopUnstable, DegenerateFamily, DimensionMismatch, MaxIterExceeded,
                      RiccatiPlaceError)
-from .linalg import STACK_CHUNK, check_psd, ensure_operator, norms, operator_norm, symmetrize
+from .linalg import (STACK_CHUNK, _require_count, _require_finite_positive, check_psd,
+                     ensure_operator, norms, operator_norm, symmetrize)
 from .riccati import Plant, RiccatiSolution, solve_are, solve_are_batch
 from .semigroup import certify_stability
 
@@ -47,12 +48,8 @@ class Problem1Config:
         _require_finite_positive("beta", self.beta)
         _require_finite_positive("tol", self.tol)
         _require_count("max_iter", self.max_iter, 1)
-        self.A = ensure_operator(self.A, "A")
-        self.Q = ensure_operator(self.Q, "Q")
-        self.W = ensure_operator(self.W, "W")
-        n = self.A.shape[0]
-        if self.Q.shape[0] != n or self.W.shape[0] != n or self.family.state_dim != n:
-            raise ValueError("A, Q, W, family dimensions are inconsistent")
+        self.A = ensure_operator(self.A, "A", (self.family.state_dim,) * 2)
+        self.Q, self.W = ensure_operator(self.Q, "Q", self.A), ensure_operator(self.W, "W", self.A)
         spectrum_Q = check_psd(self.Q, "Q")
         self.W_spectrum = check_psd(self.W, "W")  # the duals read W's test from here
         self.cert = certify_stability(self.A)
@@ -129,11 +126,6 @@ def _domain(family, d):
     if hasattr(family, "domain"):
         return np.atleast_2d(np.asarray(family.domain(), dtype=float)).T
     return _unbounded(d)
-
-
-def _require_finite_positive(name, value):
-    if not 0.0 < value < math.inf:  # NaN fails too
-        raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
 
 def _beta_schedule(betas):
@@ -385,12 +377,12 @@ def hessian_p1_full(cfg, triple, Phi, q, Psi, r):
 
     Beyond the cone-restricted form, the matrix directions (Phi, Psi)
     contribute the mixed gain and derivative terms of the bilinear form;
-    with Phi = Psi = 0 this reduces to hessian_p1.
+    with Phi = Psi = 0 this reduces to hessian_p1.  ValueError first
+    unless Phi and Psi are admitted operators of A's shape.
     """
     q = np.atleast_1d(np.asarray(q, dtype=float))
     r = np.atleast_1d(np.asarray(r, dtype=float))
-    Phi = ensure_operator(Phi, "Phi")
-    Psi = ensure_operator(Psi, "Psi")
+    Phi, Psi = ensure_operator(Phi, "Phi", cfg.A), ensure_operator(Psi, "Psi", cfg.A)
     Lam, X, p = triple.Lambda, triple.X, triple.p
     G = triple.state.G
     dGr = cfg.family.dG(p, r)
@@ -410,8 +402,9 @@ def critical_cone_basis(family, p, X):
     The linear map q -> X dG_p(q) X is stacked column-by-column and its
     numerically-null right singular directions are returned, each re-checked
     against the operator-norm criterion ||X dG_p(q) X|| <= 1e-10 (1 + ||X||^2).
+    ValueError first unless X is admitted at the family's state shape.
     """
-    X = ensure_operator(X, "X")
+    X = ensure_operator(X, "X", (family.state_dim,) * 2)
     p = np.atleast_1d(np.asarray(p, dtype=float))
     d = family.param_dim
     cols = []

@@ -919,8 +919,8 @@ def solve_are(A, G, Q, tol=DEFAULT_STEP_TOL, cert=None, keep_history=False, X0=N
     if not tol > 0.0:
         raise ValueError("tol must be positive")
     A = ensure_operator(A, "A")
-    G, Q = _operand(G, "G", A), _operand(Q, "Q", A)
-    X0 = None if X0 is None else _operand(X0, "X0", A)
+    G, Q = ensure_operator(G, "G", A), ensure_operator(Q, "Q", A)
+    X0 = None if X0 is None else ensure_operator(X0, "X0", A)
     factor = _factor(G)
     plant = Plant(A, Q) if cert is None else Plant.of(cert, A, Q)
     kernel = (factor and _EigenbasisKernel.build(plant, G, factor)) or _SchurKernel(plant, G)
@@ -955,14 +955,6 @@ def solve_are(A, G, Q, tol=DEFAULT_STEP_TOL, cert=None, keep_history=False, X0=N
                               history=history, eigenbasis=kernel.facts(_frobenius(R)))
 
 
-def _operand(T, name, A):
-    """T as an operator of A's shape; ValueError names it otherwise."""
-    T = ensure_operator(T, name)
-    if T.shape != A.shape:
-        raise ValueError(f"{name} has shape {T.shape}, A has shape {A.shape}")
-    return T
-
-
 def _factor(G):
     """G's factor ``(B, e)`` from :func:`low_rank_psd`, which proves G PSD,
     or None when ``check_psd`` decides G (ValueError unless it is PSD)."""
@@ -988,7 +980,7 @@ def solve_are_batch(plant, Gs):
     that fails only the residual gate, or MAX_NEWTON_ITERS steps.
     """
     A, Q = plant.A, plant.Q
-    Gs = [_operand(G, "G", A) for G in Gs]
+    Gs = [ensure_operator(G, "G", A) for G in Gs]
     factors = {m: factor for m, factor in enumerate(map(_factor, Gs)) if factor}
     solutions = [None] * len(Gs)
     if not factors:
@@ -1053,9 +1045,11 @@ def verify_are(A, G, Q, sol, cert, horizon, nodes):
     ``max(|lambda_min|, |lambda_max|)`` of the ``eigvalsh(X)`` that the
     PSD test reads (an SVD only for an X that is not symmetric), so the
     report takes two SVDs: the strong residual's and ``||X - X_quad||``.
-    Returns the full report and leaves ``sol`` as it was.
+    Returns the full report and leaves ``sol`` as it was; ValueError first
+    unless A, G and Q are admitted operators of A's shape (``ensure_operator``).
     """
     A = ensure_operator(A, "A")
+    G, Q = ensure_operator(G, "G", A), ensure_operator(Q, "Q", A)
     X = sol.X
     XGX = X @ G @ X
     strong = riccati_residual(A, G, Q, X, XGX)
@@ -1087,10 +1081,10 @@ def solve_are_hamiltonian(A, G, Q):
     Orders the real Schur form of ``[[A.T, -G], [-Q, -A]]`` so the stable
     eigenvalues lead, and reads X off the spanning block columns.  Intended
     as an independent cross-check for small n, not as the production solver.
+    ValueError first unless A, G and Q are admitted operators of A's shape.
     """
     A = ensure_operator(A, "A")
-    G = ensure_operator(G, "G")
-    Q = ensure_operator(Q, "Q")
+    G, Q = ensure_operator(G, "G", A), ensure_operator(Q, "Q", A)
     n = A.shape[0]
     H = np.block([[A.T, -G], [-Q, -A]])
     import scipy.linalg as spla

@@ -285,15 +285,11 @@ def certify_stability(A):
     A = ensure_operator(A, "A")
     alpha, eigen, symmetric = decay_rate(A)
     horizon = 20.0 / alpha
-    if symmetric:
+    stacks = None if symmetric else _semigroup(A, eigen)
+    if symmetric or _log_norm_proves(A, alpha):
         return StabilityCertificate(M=M_HEADROOM, alpha=alpha, sample_horizon=horizon,
                                     sample_count=FRESH_GRID_POINTS, method="log_norm",
-                                    eigenbasis=(A, *eigen))
-    stacks = _semigroup(A, eigen)
-    if _log_norm_proves(A, alpha):
-        return StabilityCertificate(M=M_HEADROOM, alpha=alpha, sample_horizon=horizon,
-                                    sample_count=FRESH_GRID_POINTS, method="log_norm",
-                                    eigenbasis=stacks.eigenbasis())
+                                    eigenbasis=(A, *eigen) if symmetric else stacks.eigenbasis())
 
     ts = _log_grid(horizon, GRID_POINTS)
     M = M_HEADROOM * _grid_sup(stacks, ts, np.exp(alpha * ts))
@@ -323,7 +319,7 @@ def certificate_holds(cert, A, count=100):
 
 
 def perturbed_certificate(cert, A, K):
-    """Fresh certificate for A - K, K symmetric PSD.
+    """Fresh certificate for A - K, K symmetric PSD and admitted at A's shape.
 
     Also records (in ``unperturbed_bound_holds``) whether the *unperturbed*
     (M, alpha) still bound ``||exp((A - K) t)||`` on the fresh sample grid.
@@ -331,9 +327,7 @@ def perturbed_certificate(cert, A, K):
     general, so it is verified per instance instead of assumed.
     """
     A = ensure_operator(A, "A")
-    K = ensure_operator(K, "K")
-    if A.shape != K.shape:
-        raise ValueError(f"A and K have different shapes {A.shape} vs {K.shape}")
+    K = ensure_operator(K, "K", A)
     check_psd(K, "K")
     if not certificate_holds(cert, A):
         raise ValueError("cert does not certify A on a fresh grid")

@@ -16,7 +16,7 @@ from riccati_place.cli import (
 )
 from riccati_place.errors import ConfigError
 
-from conftest import count_calls, count_computed, gram_members
+from conftest import convdiff1d, count_calls, count_computed, gram_members
 
 
 def base_config(**overrides):
@@ -165,6 +165,27 @@ class TestCommands:
         payload = json.loads((tmp_path / "out" / "certificate.json").read_text())
         assert payload["alpha"] > 0 and payload["M"] >= 1.0
         assert payload["method"] == "log_norm"  # the heat generator is symmetric
+
+    # sha256 of certificate.json: the symmetric and the non-symmetric
+    # log-norm proof, and a sampled certificate
+    CERTIFICATES = {
+        "heat1d": "ed499c92ad5f8486ad27f6ba64a881ca601193702c67995f9c47ab9a7aeb2c59",
+        "skew": "8f16de0a6afda89b910225c5abd3a98369f195e6fb0b171d33b25772efdf2e4e",
+        "convdiff": "ecce98b26692474f0f21a44b110b49a3afd48efc5f2558a89331b0a495a5cce9"}
+
+    @pytest.mark.parametrize("model", sorted(CERTIFICATES))
+    def test_certificate_bytes(self, tmp_path, model):
+        raw = base_config()
+        A = {"heat1d": None, "skew": np.array([[-1.0, 0.1], [-0.1, -2.0]]),
+             "convdiff": convdiff1d(16)[0]}[model]
+        if A is not None:
+            save_matrix(tmp_path / "A.txt", A)
+            raw["model"] = {"kind": "matrix_file", "file_path": str(tmp_path / "A.txt")}
+            raw["device"]["grid"] = np.linspace(0.1, 0.9, len(A)).tolist()
+        cfg = self.write_cfg(tmp_path, raw)
+        assert main(["certify", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        data = (tmp_path / "out" / "certificate.json").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == self.CERTIFICATES[model]
 
     def test_solve_are_report(self, tmp_path):
         cfg = self.write_cfg(tmp_path, base_config())
@@ -536,3 +557,92 @@ class TestReadmeReports:
         assert triple.converged
         assert triple.in_domain is (variant == 2)
         assert bool(triple.p[0] < family.domain()[0, 0]) is (variant == 1)
+
+
+class TestInputErrors:
+    """Config, matrix-file and command errors that reach ``main``: exit code
+    1 and the field path on stderr, or exit code 2 on a numerical failure,
+    never a traceback."""
+
+    @staticmethod
+    def run(tmp_path, raw, command="solve-are"):
+        path = tmp_path / "cfg.json"
+        path.write_text(raw if isinstance(raw, str) else json.dumps(raw))
+        return main([command, "--config", str(path), "--out", str(tmp_path / "out")])
+
+    @staticmethod
+    def matrix_file_config(tmp_path, A):
+        save_matrix(tmp_path / "A.txt", A)
+        raw = base_config(model={"kind": "matrix_file", "file_path": str(tmp_path / "A.txt")},
+                          device={"grid": np.linspace(0.1, 0.9, len(A)).tolist()})
+        del raw["model"]["n"], raw["model"]["diffusivity"], raw["model"]["domain_length"]
+        return raw
+
+    @pytest.mark.parametrize("edit,err", [
+        (lambda raw: raw.pop("device"), "device: missing section"),
+        (lambda raw: raw.update(model=3), "model: expected an object"),
+        (lambda raw: raw["solver"].update(quadrature=[200]),
+         "solver.quadrature: expected an object"),
+        (lambda raw: raw["device"].update(param_dim=2),
+         "device.param_dim: gaussian_actuator has param_dim 1"),
+        (lambda raw: raw["problem"].update(W=3),
+         "problem.W: expected a string preset or file path"),
+        (lambda raw: raw["device"].update(p0=[0.3, 0.4]), "device.p0: p0 must have 1 entries")])
+    def test_config_field_errors(self, tmp_path, capsys, edit, err):
+        raw = base_config()
+        edit(raw)
+        assert self.run(tmp_path, raw) == 1
+        assert capsys.readouterr().err == f"config error: {err}\n"
+
+    def test_config_root_must_be_an_object(self, tmp_path, capsys):
+        assert self.run(tmp_path, "[1, 2]") == 1
+        assert capsys.readouterr().err == "config error: config root must be an object\n"
+
+    @pytest.mark.parametrize("text,start", [(None, "config: [Errno 2]"),
+                                            ("{model", "config: invalid JSON: ")])
+    def test_unreadable_or_non_json_config(self, tmp_path, capsys, text, start):
+        path = tmp_path / "cfg.json"
+        if text is not None:
+            path.write_text(text)
+        assert main(["certify", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.startswith(f"config error: {start}")
+
+    @pytest.mark.parametrize("text,message", [
+        (None, None),
+        ("", "empty matrix file"),
+        ("2\n1 x\n0 1\n", "bad matrix file: could not convert string to float: 'x'"),
+        ("two\n1 0\n0 1\n", "bad matrix file: invalid literal for int() with base 10: 'two'"),
+        ("2\n1 0 0\n", "dimension line says 2 but file has 3 entries"),
+        ("2\n1 0\n0 1\n", "matrix is 2x2, expected 8")])
+    def test_bad_weight_file(self, tmp_path, capsys, text, message):
+        # unreadable (missing), empty, non-numeric, wrongly sized, or of
+        # another order than the model's
+        path = tmp_path / "W.txt"
+        if text is not None:
+            path.write_text(text)
+        assert self.run(tmp_path, base_config(problem={"W": str(path)})) == 1
+        err = capsys.readouterr().err
+        if message is None:
+            assert err.startswith("config error: problem.W: [Errno 2]")
+        else:
+            assert err == f"config error: problem.W: {message}\n"
+
+    def test_matrix_file_model_needs_a_device_grid(self, tmp_path, capsys):
+        raw = self.matrix_file_config(tmp_path, -np.eye(2))
+        del raw["device"]["grid"]
+        assert self.run(tmp_path, raw) == 1
+        assert capsys.readouterr().err == (
+            "config error: device.grid: matrix_file models must supply device.grid\n")
+
+    def test_sweep_beta_needs_variant_2(self, tmp_path, capsys):
+        assert self.run(tmp_path, base_config(), command="sweep-beta") == 1
+        assert capsys.readouterr().err == (
+            "config error: problem.variant: sweep-beta requires problem.variant = 2\n")
+        assert not (tmp_path / "out" / "sweep.csv").exists()
+
+    def test_numerical_failure_exits_2(self, tmp_path, capsys):
+        # an unstable model has no decay certificate: UnstableGenerator, a
+        # RiccatiPlaceError that is not a ConfigError
+        raw = self.matrix_file_config(tmp_path, np.array([[1.0, 0.5], [0.5, -3.0]]))
+        assert self.run(tmp_path, raw, command="certify") == 2
+        assert capsys.readouterr().err == "error: spectral abscissa 1.062e+00 >= 0\n"

@@ -337,6 +337,15 @@ class TestEstimateConstants:
         with pytest.raises(DegenerateFamily):
             estimate_constants(f, [[0.0, 1.0]], 50, seed=0)
 
+    def test_gram_singular_everywhere_is_degenerate(self):
+        # two parameters that move G along one direction, dG_p(q) = (q_1 +
+        # q_2) M: dG does not vanish, but dG*dG is singular at every point
+        M = np.diag([1.0, 2.0])
+        f = CallableFamily(param_dim=2, state_dim=2, g_fn=lambda p: (p[0] + p[1]) * M,
+                           dg_fn=lambda p, q: (q[0] + q[1]) * M)
+        with pytest.raises(DegenerateFamily, match=r"^dG\*dG is singular at every sample point$"):
+            estimate_constants(f, [[0.0, 1.0], [0.0, 1.0]], 20, seed=0)
+
     def test_sigma_doubling_trace_closed_form(self, rng):
         grid = np.linspace(0.0, 1.0, 11)
         for sigma in (0.1, 0.2):

@@ -231,6 +231,20 @@ class TestSolveSylvester:
         with pytest.raises(spla.LinAlgError, match="Schur form not found"):
             solve_sylvester(-np.eye(2), np.eye(2))
 
+    def test_residual_missing_the_gate_after_both_refinements_raises(self, monkeypatch):
+        # a back end that solves nothing leaves the residual at P = I: the
+        # solve and both refinements miss the gate, and the error words the
+        # last residual against 1e-10 (1 + ||P||)
+        factor = SylvesterFactor(-np.eye(3))
+        solves = []
+        monkeypatch.setattr(SylvesterFactor, "_trsyl",
+                            lambda self, P, transpose: solves.append(P) or np.zeros_like(P))
+        with pytest.raises(SingularSystem, match=r"^Sylvester residual 1\.000e\+00 exceeds "
+                                                 r"2\.000e-10 after refinement; system too "
+                                                 r"ill-conditioned$"):
+            factor.solve(np.eye(3))
+        assert len(solves) == 3
+
     def test_complex_spectra_read_off_schur_blocks(self):
         # spectrum -damping +- i, one 2x2 Schur block: the pair and its
         # conjugate sum to -2 damping, so the guard rejects the nearly

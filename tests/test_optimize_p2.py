@@ -1,11 +1,13 @@
 import functools
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from riccati_place import dual, linalg, optimize, riccati
 from riccati_place.devices import ConstantFamily, ConstantLedger, GaussianActuators
-from riccati_place.errors import ClosedLoopUnstable, DimensionMismatch, UnstableGenerator
+from riccati_place.errors import (ClosedLoopUnstable, DimensionMismatch, MaxIterExceeded,
+                                  UnstableGenerator)
 from riccati_place.linalg import operator_norm, symmetrize
 from riccati_place.optimize import (
     Problem1Config,
@@ -511,6 +513,31 @@ class TestBetaSweep:
         report = beta_sweep(cfg, [10.0, 100.0], [0.35])
         for row in report.rows:
             assert row.trace_gap <= cfg.tol
+
+    def test_row_out_of_iterations_hands_its_best_iterate_on(self, monkeypatch):
+        # the README sweep with one iteration a row: the first row raises
+        # MaxIterExceeded, is failed, reports the best iterate's p and
+        # iterations, and the next row starts from that iterate's state pair
+        cfg = replace(heat16_config(beta=10.0), max_iter=1)
+        starts, errors = [], []
+
+        def solve_p2(cfg_b, p, state=None, _original=optimize.solve_p2, **kwargs):
+            starts.append((np.array(p), state))
+            try:
+                return _original(cfg_b, p, state=state, **kwargs)
+            except MaxIterExceeded as err:
+                errors.append(err)
+                raise
+
+        monkeypatch.setattr(optimize, "solve_p2", solve_p2)
+        report = beta_sweep(cfg, [10.0, 100.0], [0.3])
+        best = errors[0].best
+        row = report.rows[0]
+        assert row.failed and not row.converged and row.error == str(errors[0])
+        assert row.p.tobytes() == best.p.tobytes() and row.iterations == best.iterations == 1
+        assert row.cost == best.state.cost(optimize.replace_beta(cfg, 10.0))
+        p, state = starts[1]
+        assert state is best.state and p.tobytes() == best.p.tobytes()
 
     def test_row_failing_before_iterating_reports_no_iterations(self):
         # a constant family has a singular Gram matrix: solve_p2 raises

@@ -191,6 +191,14 @@ class TestSolveAre:
             X_oracle = solve_are_hamiltonian(A, G, Q)
             assert operator_norm(sol.X - X_oracle) <= 1e-8
 
+    def test_hamiltonian_oracle_needs_n_stable_eigenvalues(self):
+        # an undamped rotation with G = Q = 0: the Hamiltonian's spectrum is
+        # +-i twice, so no eigenvalue is stable
+        A = np.array([[0.0, 1.0], [-1.0, 0.0]])
+        with pytest.raises(UnstableGenerator,
+                           match="^Hamiltonian has 0 stable eigenvalues, expected 2$"):
+            solve_are_hamiltonian(A, np.zeros((2, 2)), np.zeros((2, 2)))
+
 
 class TestEigenbasisKernel:
     """Newton-Kleinman in the eigenbasis of a symmetric A with low-rank G."""

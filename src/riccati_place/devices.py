@@ -19,18 +19,19 @@ checked under either reading.
 """
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import DegenerateFamily, DimensionMismatch
 from .linalg import (
-    STACK_CHUNK,
     _require_count,
     check_symmetric,
     ensure_operator,
     operator_norm,
     singular_values,
+    stack_slices,
     symmetrize,
 )
 
@@ -38,11 +39,10 @@ from .linalg import (
 def _raise_sups(sups, T, dist=1.0):
     """Raise each running sup in ``sups`` (keyed by reading) to the norm / dist
     of each matrix of the stack T (``dist`` one number, or one per matrix),
-    all readings of a matrix from its one SVD, stacked in chunks of
-    STACK_CHUNK: the sum of its singular values, |trace| and the largest."""
+    all readings of a matrix from its one SVD, in stacks of ``stack_slices``:
+    the sum of its singular values, |trace| and the largest."""
     dist = np.broadcast_to(np.asarray(dist, dtype=float), len(T))
-    for start in range(0, len(T), STACK_CHUNK):
-        part = slice(start, start + STACK_CHUNK)
+    for part in stack_slices(len(T), T.shape[-1]):
         sv = singular_values(T[part])
         readings = {"nuc": sv.sum(axis=1), "op": sv[:, 0],
                     "abs": np.abs(np.trace(T[part], axis1=1, axis2=2))}
@@ -404,8 +404,8 @@ def estimate_constants(family, domain, samples, seed, cfg=None):
     M and alpha from the config's certificate of A, tr Q, ||W||, beta and
     gamma (None for problem 1).
 
-    The family is evaluated a stack of placements at a time: per chunk of
-    STACK_CHUNK points one ``G_stack`` and one ``dG_stack`` per direction,
+    The family is evaluated a stack of placements at a time: per stack of
+    ``linalg.stack_slices`` one ``G_stack`` and one ``dG_stack`` per direction,
     the pairs' quotients from differences of such stacks, each member the
     single call's matrix bit for bit.  The norms come from stacked SVDs,
     the Gram entries from one stacked product per pair of axes (see
@@ -429,8 +429,8 @@ def estimate_constants(family, domain, samples, seed, cfg=None):
     c_dg = {r: 0.0 for r in ("nuc", "abs", "op")}
     K = 0.0
     any_invertible = False
-    for start in range(0, samples, STACK_CHUNK):
-        chunk = points[start:start + STACK_CHUNK]
+    for part in stack_slices(samples, family.state_dim):
+        chunk = points[part]
         _raise_sups(g, family.G_stack(chunk))
         dGs = [family.dG_stack(chunk, q) for q in directions]
         _raise_sups(c_dg, np.concatenate(dGs))
@@ -449,8 +449,7 @@ def estimate_constants(family, domain, samples, seed, cfg=None):
     dist = np.array([np.linalg.norm(p1 - p2) for p1, p2 in zip(*pairs)])
     apart = dist >= 1e-12
     P1, P2, dist = pairs[0][apart], pairs[1][apart], dist[apart]
-    for start in range(0, len(dist), STACK_CHUNK):
-        part = slice(start, start + STACK_CHUNK)
+    for part in stack_slices(len(dist), family.state_dim):
         _raise_sups(l_g, family.G_stack(P1[part]) - family.G_stack(P2[part]), dist[part])
         _raise_sups(l_dg, np.concatenate([family.dG_stack(P1[part], q)
                                           - family.dG_stack(P2[part], q) for q in directions]),
@@ -476,13 +475,11 @@ def estimate_constants(family, domain, samples, seed, cfg=None):
     if cfg is not None:
         from .optimize import solve_state_pairs
 
-        # ||X L X|| of each state pair, from stacked SVDs of STACK_CHUNK pairs
-        xlx_norms, xlx = [], []
-        for state in solve_state_pairs(cfg, points):
-            xlx.append(state.xlx)
-            if len(xlx) == STACK_CHUNK or len(xlx_norms) + len(xlx) == samples:
-                xlx_norms.extend(operator_norm(np.stack(xlx)))
-                xlx.clear()
+        # ||X L X|| of each state pair, from a stacked SVD per stack of pairs
+        states = solve_state_pairs(cfg, points)
+        xlx_norms = np.concatenate([
+            operator_norm(np.stack([state.xlx for state in islice(states, part.stop - part.start)]))
+            for part in stack_slices(samples, family.state_dim)])
         ledger.mu = float(min(xlx_norms))
         ledger.sup_xlx = float(max(xlx_norms))
         ledger.M = cfg.cert.M

@@ -30,7 +30,6 @@ PSD_RTOL = 1e-10
 NORM_BOUND_MARGIN = 1e-12
 POWER_STEPS = 3     # power steps behind each lower norm bound
 SYLVESTER_RTOL = 1e-10
-STACK_CHUNK = 16    # matrices per stack of a batch: placements, or SVDs of the ledger
 # read once, as a Python float: np.finfo costs a call each time, and a numpy
 # scalar costs more per arithmetic operation than a float, with the same bits
 _EPS = float(np.finfo(float).eps)
@@ -54,6 +53,20 @@ def ensure_operator(T, name="operator", like=None):
         against = f"A has shape {like.shape}" if hasattr(like, "shape") else f"expected {like}"
         raise ValueError(f"{name} has shape {T.shape}, {against}")
     return T
+
+
+def stack_width(n):
+    """Matrices of order n per stack of a batch (placements, or the ledger's
+    SVDs): ``min(32, 1024 // n)``, at least 1.  Small stacks pay per-call
+    overhead, and large ones of large matrices memory and cache misses."""
+    return max(1, min(32, 1024 // max(n, 1)))
+
+
+def stack_slices(count, n):
+    """``count`` matrices of order n in the fewest stacks of at most
+    :func:`stack_width`, near-equal (100 at n = 16: four of 25)."""
+    stacks = -(-count // stack_width(n))
+    return [slice(count * i // stacks, count * (i + 1) // stacks) for i in range(stacks)]
 
 
 def _require_count(name, value, least):
@@ -81,26 +94,32 @@ def operator_norm(T):
     return float(np.linalg.norm(T, 2))
 
 
-def _skew_beyond(T, bounds):
-    """``max|T - T.T|`` when T fails the symmetry test, else None;
-    ``bounds`` brackets ``||T||``.  A T with a non-finite entry fails it,
-    as does one whose skew overflows."""
-    skew = float(np.max(np.abs(T - T.T))) if T.size else 0.0
-    if math.isfinite(skew) and not _settle(T, lambda x: skew > SYMMETRY_RTOL * (1.0 + x), bounds):
-        return None
-    return skew
+def _asymmetric(T, bounds):
+    """Whether T, or each matrix of a stack T, fails the symmetry test;
+    ``bounds`` brackets its norm.  A matrix with a non-finite entry fails
+    it, as does one whose skew overflows."""
+    skew = _skew(T)
+    return ~np.isfinite(skew) | _settle(T, lambda x: skew > SYMMETRY_RTOL * (1.0 + x), bounds)
+
+
+def _skew(T):
+    """``max|T - T.T|`` of T, or of each matrix of a stack T."""
+    D = T - T.swapaxes(-1, -2)
+    return np.abs(D, out=D).max(axis=(-2, -1), initial=0.0)
 
 
 def _require_symmetric(T, bounds, name):
-    """Raise ValueError, worded with an SVD's ``||T||``, when T fails the
-    symmetry test, or as :func:`ensure_operator` does when it fails for a
-    non-finite entry; ``bounds`` brackets ``||T||``."""
-    skew = _skew_beyond(T, bounds)
-    if skew is not None:
+    """Raise ValueError, worded with an SVD's ``||T||``, when T (or the first
+    matrix of a stack T that does) fails the symmetry test, or as
+    :func:`ensure_operator` does when it fails for a non-finite entry;
+    ``bounds`` brackets ``||T||``."""
+    failing = _asymmetric(T, bounds)
+    if _any(failing):
+        T = T.reshape((-1,) + T.shape[-2:])[int(np.argmax(failing))]
         if not np.isfinite(T).all():
             raise ValueError(f"{name} has non-finite entries")
         tol = SYMMETRY_RTOL * (1.0 + operator_norm(T))
-        raise ValueError(f"{name} is not symmetric: max|T - T.T| = {skew:.3e} > {tol:.3e}")
+        raise ValueError(f"{name} is not symmetric: max|T - T.T| = {_skew(T):.3e} > {tol:.3e}")
 
 
 def _indefinite(T, spectrum, bounds):
@@ -136,43 +155,55 @@ def check_psd(T, name="operator"):
 def low_rank_psd(T, max_rank, name="operator"):
     """``(B, e)`` with ``T = B B' + E`` and ``||E|| <= e`` when at most
     ``max_rank`` pivoted Cholesky steps (Higham 1990) prove T PSD, else None;
-    :func:`check_psd` then decides T as it always has.
-
-    Raises ValueError as :func:`check_psd` does when T is not symmetric.
+    :func:`check_psd` then decides T as it always has.  For a stack T, the
+    list of each matrix's, bit for bit; raises as :func:`check_psd` does
+    when T is not symmetric (for a stack, on the first matrix that is not).
     Each step takes the largest diagonal entry ``E_jj`` of the remainder E
     (at first T) and subtracts the rank-one ``E[:, j] E[:, j]' / E_jj``; the
     steps stop once no diagonal entry exceeds ``n eps max_i T_ii``, and a T
     with more steps to go after ``max_rank`` gets None.  Since
     ``lambda_min(T) >= -||E||``, T is PSD when ``e``, ``||E||_F`` plus the
     rounding of the steps, is within the tolerance ``1e-10 (1 + ||T||)``,
-    ``||T||`` taken from its lower Frobenius bound.
+    ``||T||`` taken from its lower Frobenius bound.  A stack's matrices step
+    together, each on its own pivots.
     """
     bounds = _norm_bounds(T)
     _require_symmetric(T, bounds, name)
-    if T.size == 0:
-        return None
-    n = T.shape[0]
+    n = T.shape[-1]
+    if n == 0:
+        return [None] * len(T) if T.ndim == 3 else None
     E = T.copy()
-    diagonal = E.diagonal()  # a view, updated with E
-    floor = n * _EPS * max(float(diagonal.max()), 0.0)
-    columns = []
-    while True:
-        j = int(diagonal.argmax())
-        if diagonal[j] <= floor:
+    diagonal = E.diagonal(0, -2, -1)  # a view, updated with E
+    lead = (np.arange(len(T)),) if T.ndim == 3 else ()  # E[lead + (slice(None), j)]: column j
+    j = diagonal.argmax(axis=-1)
+    pivot = diagonal[lead + (j,)]
+    floor = n * _EPS * pivot  # stops a T with no positive diagonal entry at once
+    running, rank, columns = np.True_, np.zeros(T.shape[:-2], dtype=np.intp)[()], []
+    for step in range(max_rank + 1):
+        # a NaN pivot stops the steps: its remainder proves nothing
+        running = running & (pivot > floor)
+        if step == max_rank or not _any(running):
             break
-        if len(columns) == max_rank:
-            return None
-        b = E[:, j] / np.sqrt(diagonal[j])
-        E -= np.outer(b, b)
+        if T.ndim == 3:  # a matrix whose steps have stopped subtracts zeros
+            pivot = np.where(running, pivot, np.inf)
+        b = (E[lead + (slice(None), j)].T / np.sqrt(pivot)).T
+        E -= b[..., :, None] * b[..., None, :]
         columns.append(b)
-    B = np.array(columns).reshape(-1, n).T
-    # each of the r subtractions rounds every entry by at most eps times
-    # |E_ij| + |b_i b_j|, which sum to at most ||T||_F + 2 ||B||_F^2
-    rounding = len(columns) * _EPS * (bounds[1] + 2.0 * float(np.vdot(B, B)))
-    dropped = _frobenius(E) + rounding
-    if not dropped <= PSD_RTOL * (1.0 + bounds[0]):  # a NaN proves nothing either
-        return None
-    return B, dropped
+        rank = rank + running
+        j = diagonal.argmax(axis=-1)
+        pivot = diagonal[lead + (j,)]
+    C = np.array(columns).reshape(len(columns), T.size // (n * n), n)  # step, matrix, entry
+    stats = (rank, running, _frobenius(E)) + bounds
+    results = []
+    for m, (r, more, remainder, lo, hi) in enumerate(zip(*(
+            stats if T.ndim == 3 else [(x,) for x in stats]))):
+        B = C[:r, m].T
+        # each of the r subtractions rounds every entry by at most eps times
+        # |E_ij| + |b_i b_j|, which sum to at most ||T||_F + 2 ||B||_F^2
+        dropped = float(remainder) + int(r) * _EPS * (float(hi) + 2.0 * float(np.vdot(B, B)))
+        proved = not more and dropped <= PSD_RTOL * (1.0 + lo)  # a NaN proves nothing either
+        results.append((B, dropped) if proved else None)
+    return results if T.ndim == 3 else results[0]
 
 
 def psd_flags(T):
@@ -185,7 +216,7 @@ def _psd_spectrum(T):
     """``(symmetric, psd, spectrum)``: :func:`psd_flags` and the
     ``eigvalsh(T)`` its PSD test read, None when T is not symmetric."""
     bounds = _norm_bounds(T)
-    if _skew_beyond(T, bounds) is not None:
+    if _asymmetric(T, bounds):
         return False, False, None
     spectrum = np.linalg.eigvalsh(T)
     return True, not _indefinite(T, spectrum, bounds), spectrum

@@ -24,8 +24,8 @@ from .devices import gram_invertible, sample_box
 from .dual import DualSolution, solve_dual, solve_dual_batch
 from .errors import (ClosedLoopUnstable, DegenerateFamily, DimensionMismatch, MaxIterExceeded,
                      RiccatiPlaceError)
-from .linalg import (STACK_CHUNK, _require_count, _require_finite_positive, check_psd,
-                     ensure_operator, norms, operator_norm, symmetrize)
+from .linalg import (_require_count, _require_finite_positive, check_psd,
+                     ensure_operator, norms, operator_norm, stack_slices, symmetrize)
 from .riccati import Plant, RiccatiSolution, solve_are, solve_are_batch
 from .semigroup import certify_stability
 
@@ -275,26 +275,26 @@ def solve_state_pairs(cfg, points):
     """The cold StatePair at each placement of ``points``, in order, each
     bit for bit the one ``solve_state_pair(cfg, p)`` solves.
 
-    Each chunk of STACK_CHUNK placements builds its G_p in one stacked
-    call (``family.G_stack``, each member the matrix ``family.G(p)``
-    returns), then solves its Riccati equations in one batch
-    (``riccati.solve_are_batch``, on the config's plant) and its
+    Each stack of placements (``linalg.stack_slices``) builds its G_p in
+    one stacked call (``family.G_stack``, each member the matrix
+    ``family.G(p)`` returns), then solves its Riccati equations in one
+    batch (``riccati.solve_are_batch``, on the config's plant) and its
     multipliers in another (``dual.solve_dual_batch``); a placement that
     leaves either is solved by ``solve_are`` or ``solve_dual`` alone.  The
-    pairs are yielded a chunk at a time, so a caller that reads each and
-    lets it go holds at most a chunk of them.
+    pairs are yielded a stack at a time, so a caller that reads each and
+    lets it go holds at most a stack of them.
     """
     points = [np.array(p, dtype=float, ndmin=1) for p in points]
-    for start in range(0, len(points), STACK_CHUNK):
-        chunk = points[start:start + STACK_CHUNK]
-        Gs = list(cfg.family.G_stack(chunk))
+    for part in stack_slices(len(points), cfg.A.shape[0]):
+        chunk = points[part]
+        Gs = cfg.family.G_stack(chunk)
         sols = solve_are_batch(cfg.plant, Gs)
         duals = solve_dual_batch(cfg.A, Gs, sols, cfg.W)
         for k, (p, G) in enumerate(zip(chunk, Gs)):
             sol = sols[k] or solve_are(cfg.A, G, cfg.Q, cert=cfg.cert)
             dsol = duals[k] or solve_dual(cfg.A, G, sol, cfg.W, cfg.W_spectrum)
             vars(dsol)["norm_W"] = cfg.norm_W  # seeds the cached_property: one SVD of W per config
-            sols[k] = duals[k] = Gs[k] = None  # the pair is the caller's alone
+            sols[k] = duals[k] = None  # the pair is the caller's alone
             yield StatePair(p, G, sol, dsol, cfg.family)
 
 
@@ -919,9 +919,9 @@ def lipschitz_bound_check(cfg, ledger, domain, pairs, seed):
              if (dist := float(np.linalg.norm(p1 - p2))) >= 1e-12]
     states = solve_state_pairs(cfg, [p for p1, p2, _ in apart for p in (p1, p2)])
     # the pairs' differences (s1, s2: consecutive items of one iterator),
-    # STACK_CHUNK at a time, normed by stacked SVDs
-    for start in range(0, len(apart), STACK_CHUNK):
-        chunk = apart[start:start + STACK_CHUNK]
+    # a stack at a time, normed by stacked SVDs
+    for part in stack_slices(len(apart), cfg.A.shape[0]):
+        chunk = apart[part]
         dX, dL = zip(*[(s1.sol.X - s2.sol.X, s1.dsol.Lambda - s2.dsol.Lambda)
                        for _, s1, s2 in zip(chunk, states, states)])
         for (_, _, dist), dX, dL_op in zip(chunk, norms(np.stack(dX)), operator_norm(np.stack(dL))):

@@ -153,13 +153,14 @@ def _dot(T):
     return np.dot if T.ndim == 2 else np.matmul
 
 
-def _positive_definite(T, where=True):
+def _positive_definite(T, where=True, discs=True):
     """Whether T, or each matrix of a stack T, is positive definite, tried
     only where ``where`` holds (False elsewhere).  Both tests below read T's
     upper triangle, as the symmetric matrix it stands for; the strict lower
     triangle is never read.
 
-    The disc test decides first, in O(n^2): a finite diagonal with
+    The disc test, unless ``discs`` is False, decides first, in O(n^2): a
+    finite diagonal with
 
         t_ii > (1 + gamma_n) fl(sum_{j != i} |t_ij|)
 
@@ -173,16 +174,20 @@ def _positive_definite(T, where=True):
 
     A matrix the discs leave open is positive definite when Cholesky
     factors it with a finite diagonal: one ``np.linalg.cholesky`` over the
-    open members of a stack, and one per member when that call raises."""
-    mask, ones, widening = _disc_constants(T.shape[-1])
-    K = np.where(mask, T, 0.0)
-    np.abs(K, out=K)
-    dot = _dot(T)
-    rows = dot(K, ones)  # row i of the upper triangle's symmetric matrix
-    rows += dot(ones, K)
-    rows *= widening
-    diag = T.diagonal(0, -2, -1)
-    decided = (np.less(rows, diag) & np.less(diag, np.inf)).all(axis=-1)
+    open members of a stack, and one per member when that call raises.
+    The kernels skip the discs for a non-orthonormal eigenbasis: they decide none there."""
+    if discs:
+        mask, ones, widening = _disc_constants(T.shape[-1])
+        K = np.where(mask, T, 0.0)
+        np.abs(K, out=K)
+        dot = _dot(T)
+        rows = dot(K, ones)  # row i of the upper triangle's symmetric matrix
+        rows += dot(ones, K)
+        rows *= widening
+        diag = T.diagonal(0, -2, -1)
+        decided = (np.less(rows, diag) & np.less(diag, np.inf)).all(axis=-1)
+    else:
+        decided = np.zeros(T.shape[:-2], dtype=bool)
     if T.ndim == 2:
         return bool(where) and bool(decided or _cholesky_succeeds(T))
     pd = decided & where
@@ -719,7 +724,7 @@ class _EigenbasisKernel(_SchurKernel):
         Y, R, proved = _Capacitance(self.Dsum, self.C, self.B, F).solve(S)
         if _any(proved):
             proved = proved & (_frobenius(R) + 2.0 * self.drift * _frobenius(Y) < self.lam_min_Q)
-            proved = proved & _positive_definite(Y, proved)  # tried only where still proved
+            proved = proved & _positive_definite(Y, proved, self.cond == 1.0)  # where still proved
         return (Y, proved) if _any(proved) else (None, proved)
 
 
@@ -837,7 +842,7 @@ def closed_loop(A, G, X, facts=None):
     plant = facts.plant
     x_fro = _frobenius(X)
     proved = facts.residual_fro + 2.0 * facts.dropped * x_fro**2 < plant.spectrum[0]
-    proved = proved & _positive_definite(X, proved)  # tried only where the proof holds
+    proved = proved & _positive_definite(X, proved, plant.basis[3] == 1.0)  # where it holds
     if not _any(proved):
         return ClosedLoop(matrix), proved
     W = plant.basis[2]
@@ -957,18 +962,21 @@ def solve_are(A, G, Q, tol=DEFAULT_STEP_TOL, cert=None, keep_history=False, X0=N
 
 def _factor(G):
     """G's factor ``(B, e)`` from :func:`low_rank_psd`, which proves G PSD,
-    or None when ``check_psd`` decides G (ValueError unless it is PSD)."""
-    factor = low_rank_psd(G, CAPACITANCE_MAX_RANK, "G")
-    if not factor:
-        check_psd(G, "G")
-    return factor
+    or None when ``check_psd`` decides G (ValueError unless it is PSD); for
+    a stack G, the list of each matrix's, from one call."""
+    factors = low_rank_psd(G, CAPACITANCE_MAX_RANK, "G")
+    for T, factor in zip(*((G, factors) if G.ndim == 3 else ([G], [factors]))):
+        if not factor:
+            check_psd(T, "G")
+    return factors
 
 
 def solve_are_batch(plant, Gs):
-    """For each G of the list Gs, the RiccatiSolution that the cold
-    ``solve_are(plant.A, G, plant.Q)`` returns on the plant, or None for a G
-    whose solve left the batch; a G that solve_are refuses raises its
-    ValueError.
+    """For each G of the stack (or list) Gs, the RiccatiSolution that the
+    cold ``solve_are(plant.A, G, plant.Q)`` returns on the plant, or None for
+    a G whose solve left the batch; a G that solve_are refuses raises its
+    ValueError.  A finite stack of A's shape is admitted by one check, and
+    the Gs are factored by one :func:`low_rank_psd` call.
 
     The members, the Gs whose factor has the most common rank and passes
     the eigenbasis kernel's margin, share one kernel with their factors and
@@ -980,8 +988,10 @@ def solve_are_batch(plant, Gs):
     that fails only the residual gate, or MAX_NEWTON_ITERS steps.
     """
     A, Q = plant.A, plant.Q
-    Gs = [ensure_operator(G, "G", A) for G in Gs]
-    factors = {m: factor for m, factor in enumerate(map(_factor, Gs)) if factor}
+    if not (isinstance(Gs, np.ndarray) and Gs.dtype == float and Gs.shape[1:] == A.shape
+            and np.isfinite(Gs).all()):
+        Gs = np.array([ensure_operator(G, "G", A) for G in Gs]).reshape((-1,) + A.shape)
+    factors = {m: factor for m, factor in enumerate(_factor(Gs)) if factor}
     solutions = [None] * len(Gs)
     if not factors:
         return solutions
@@ -1046,11 +1056,12 @@ def verify_are(A, G, Q, sol, cert, horizon, nodes):
     PSD test reads (an SVD only for an X that is not symmetric), so the
     report takes two SVDs: the strong residual's and ``||X - X_quad||``.
     Returns the full report and leaves ``sol`` as it was; ValueError first
-    unless A, G and Q are admitted operators of A's shape (``ensure_operator``).
+    unless A, G, Q and ``sol.X`` are admitted operators of A's shape
+    (``ensure_operator``).
     """
     A = ensure_operator(A, "A")
     G, Q = ensure_operator(G, "G", A), ensure_operator(Q, "Q", A)
-    X = sol.X
+    X = ensure_operator(sol.X, "X", A)
     XGX = X @ G @ X
     strong = riccati_residual(A, G, Q, X, XGX)
     integrand = symmetrize(Q - XGX)

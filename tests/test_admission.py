@@ -3,6 +3,8 @@ matrices it reads with ``linalg.ensure_operator`` (square, then finite,
 then of A's shape) and raises a ValueError naming the operand before any
 factorization, quadrature or family evaluation runs."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -56,8 +58,9 @@ def verify_are_case(operand, value):
     def case(m, mp):
         forbid(mp, riccati, "riccati_residual")
         forbid(mp, riccati, "bochner_quadrature")
-        operands = {"G": m["G"], "Q": m["Q"], operand: value}
-        verify_are(m["A"], operands["G"], operands["Q"], m["sol"], m["cert"], 10.0, 32)
+        operands = {"G": m["G"], "Q": m["Q"], "X": m["sol"].X, operand: value}
+        sol = dataclasses.replace(m["sol"], X=operands["X"])
+        verify_are(m["A"], operands["G"], operands["Q"], sol, m["cert"], 10.0, 32)
     return case
 
 
@@ -108,6 +111,8 @@ CASES = {
     "verify_are Q": (verify_are_case("Q", BAD), r"Q has shape \(3, 3\), A has shape \(4, 4\)"),
     "verify_are non-finite G": (verify_are_case("G", NAN), "G has non-finite entries"),
     "verify_are non-finite Q": (verify_are_case("Q", NAN), "Q has non-finite entries"),
+    "verify_are X": (verify_are_case("X", BAD), r"X has shape \(3, 3\), A has shape \(4, 4\)"),
+    "verify_are non-finite X": (verify_are_case("X", NAN), "X has non-finite entries"),
     "solve_sylvester": (solve_sylvester_case, r"P has shape \(3, 3\), A has shape \(4, 4\)"),
     "SylvesterFactor.solve": (factor_solve_case, r"P has shape \(3, 3\), A has shape \(4, 4\)"),
     "bochner_quadrature": (quadrature_case, r"P has shape \(3, 3\), A has shape \(4, 4\)"),

@@ -4,7 +4,7 @@ per-placement ``solve_are`` + ``solve_dual`` loop, bit for bit."""
 import numpy as np
 import pytest
 
-from riccati_place import cli, optimize, riccati
+from riccati_place import cli, linalg, optimize, riccati
 from riccati_place.devices import GaussianActuators, sample_box
 from riccati_place.dual import solve_dual
 from riccati_place.linalg import low_rank_psd
@@ -88,13 +88,25 @@ class TestSolveStatePairs:
 
     @pytest.mark.parametrize("count", [0, 1, 5, 11])
     def test_counts_off_the_chunk_size(self, monkeypatch, count):
-        monkeypatch.setattr(optimize, "STACK_CHUNK", 4)
+        # the fewest stacks of at most 4, near-equal in size
+        monkeypatch.setattr(linalg, "stack_width", lambda n: 4)
+        sizes = {0: [], 1: [1], 5: [2, 3], 11: [3, 4, 4]}[count]
         cfg = heat16_config()
         points = placements(cfg, count, 4)
         batches = count_calls(monkeypatch, "solve_are_batch", optimize)
         states = list(solve_state_pairs(cfg, points))
         assert_bit_for_bit(states, sequential(cfg, points))
-        assert [len(args[1]) for args in batches] == [4] * (count // 4) + [count % 4][:count % 4]
+        assert [len(args[1]) for args in batches] == sizes
+
+    @pytest.mark.parametrize("width", [1, 2, 7, 32, 64])
+    def test_pairs_are_the_same_at_every_width(self, monkeypatch, width):
+        cfg = heat16_config()
+        points = placements(cfg, 40, 9)
+        reference = sequential(cfg, points)
+        monkeypatch.setattr(linalg, "stack_width", lambda n: width)
+        batches = count_calls(monkeypatch, "solve_are_batch", optimize)
+        assert_bit_for_bit(list(solve_state_pairs(cfg, points)), reference)
+        assert len(batches) == -(-40 // width)
 
     def test_member_failing_a_gate_finishes_on_the_single_path(self, monkeypatch):
         # the steps of one placement are never proved: it leaves the batch at
@@ -141,13 +153,39 @@ class TestSolveStatePairs:
         assert len(svds) == 1 and cfg.norm_W == np.linalg.norm(cfg.W, 2)
 
     def test_pairs_are_yielded_a_chunk_at_a_time(self, monkeypatch):
-        monkeypatch.setattr(optimize, "STACK_CHUNK", 3)
+        monkeypatch.setattr(linalg, "stack_width", lambda n: 3)
         cfg = heat16_config()
         batches = count_calls(monkeypatch, "solve_are_batch", optimize)
         pairs = solve_state_pairs(cfg, placements(cfg, 7, 7))
         next(pairs)
         assert len(batches) == 1
         assert len(list(pairs)) == 6 and len(batches) == 3
+
+
+class TestDiscTest:
+    @pytest.mark.parametrize("model", ["heat16", "convdiff16"])
+    def test_skipped_only_off_an_orthonormal_basis_deciding_as_before(
+            self, monkeypatch, tmp_path, model):
+        # heat16's eigenbasis is orthonormal, and the Gershgorin discs run
+        # before Cholesky; convdiff16's is not, the discs decide none of its
+        # tests and are skipped.  Every decision is the one both tests take
+        cfg = (heat16_config() if model == "heat16" else
+               cli.build_problem(cli.load_config(convdiff16_config(tmp_path)))[0])
+        decide = riccati._positive_definite
+        calls = []
+
+        def both(T, where=True, discs=True):
+            pd = decide(T, where, discs)
+            assert np.array_equal(pd, decide(T, where, True))
+            calls.append((discs, np.count_nonzero(where)))
+            return pd
+
+        monkeypatch.setattr(riccati, "_positive_definite", both)
+        points = placements(cfg, 30, 11)
+        list(solve_state_pairs(cfg, points))
+        solve_state_pair(cfg, points[0])
+        assert {discs for discs, _ in calls} == {model == "heat16"}
+        assert sum(tested for _, tested in calls) > 60
 
 
 class TestAdmission:

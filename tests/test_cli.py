@@ -463,25 +463,26 @@ class TestVerifyBoundsConvDiff16:
         assert main(["verify-bounds", "--config", cfg, "--out", str(tmp_path / "out"),
                      "--seed", "0"]) == 0
         assert len(schur) == 0
-        assert [len(args[1]) for args in batches] == [16] * 6 + [4] + [16] * 6 + [4, 16, 4]
+        assert [len(args[1]) for args in batches] == [25] * 8 + [20]
         assert len(ares) == len(duals) == 0
 
     def test_svds_are_stacked(self, monkeypatch, tmp_path):
         # every SVD of a seed-0 run, operator_norm's through np.linalg.norm
         # included: the ledger's norms (G, dG, Gram matrices, differences,
-        # ||X L X||) and the Lipschitz check's differences come in stacks of
-        # STACK_CHUNK, and two single ones are left: cond(V) of A's
+        # ||X L X||) and the Lipschitz check's differences come in the stacks
+        # of linalg.stack_slices, and two single ones are left: cond(V) of A's
         # eigenbasis and the config's ||W||, which the ledger and every
         # multiplier bound read.  Each ||Lambda|| is decided under the floor
         # ||W||/(2 alpha) by norm bounds, with no closed-loop certificate.
         # Each sampling direction is read once up to sign.  (Unstacked, with
-        # both signs: 1004 calls, 983 matrices.)
+        # both signs: 1004 calls, 983 matrices; in stacks of at most 16: 54
+        # calls.)
         svd = count_calls(monkeypatch, "svd", np.linalg, np.linalg._linalg)
         assert main(["verify-bounds", "--config", convdiff16_config(tmp_path),
                      "--out", str(tmp_path / "out"), "--seed", "0"]) == 0
         sizes = [len(args[0]) if args[0].ndim == 3 else 1 for args in svd]
         assert sum(args[0].ndim == 2 for args in svd) == 2
-        assert (len(svd), sum(sizes)) == (54, 703)
+        assert (len(svd), sum(sizes)) == (32, 703)
 
     @pytest.mark.parametrize("seed", sorted(REPORTS))
     def test_spot_checks_build_no_closed_loop_certificate(self, monkeypatch, tmp_path, seed):

@@ -13,7 +13,7 @@ from riccati_place.devices import (
     sample_box,
 )
 from riccati_place.errors import DegenerateFamily, DimensionMismatch
-from riccati_place.linalg import operator_norm
+from riccati_place.linalg import operator_norm, stack_slices
 from riccati_place.optimize import Problem2Config, solve_state_pair
 
 from conftest import count_calls
@@ -450,10 +450,9 @@ class TestEstimateConstants:
         dG = count_calls(monkeypatch, "dG_stack", GaussianActuators)
         estimate_constants(fam, fam.domain(), samples, seed=4)
         # per point: G, each direction's dG, the Gram matrix; per pair: the G
-        # difference and each direction's dG difference; in stacks of at
-        # most STACK_CHUNK matrices
-        chunks = [min(devices.STACK_CHUNK, samples - start)
-                  for start in range(0, samples, devices.STACK_CHUNK)]
+        # difference and each direction's dG difference; in the stacks of
+        # linalg.stack_slices
+        chunks = [part.stop - part.start for part in stack_slices(samples, fam.state_dim)]
         assert [len(args[0]) for args in svd] == ([c for c in chunks for _ in range(3)]
                                                   + [c for c in chunks for _ in range(2)])
         # each direction once per point (the Gram matrix reuses the axes'),

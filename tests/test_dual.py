@@ -326,7 +326,7 @@ class TestClosedLoopFactor:
         if failure == "proof":
             are = replace(are, eigenbasis=replace(are.eigenbasis, residual_fro=1.0))
         elif failure == "positive definite":
-            monkeypatch.setattr(riccati, "_positive_definite", lambda T, where=True: False)
+            monkeypatch.setattr(riccati, "_positive_definite", lambda T, *args: False)
         elif failure == "gate":
             monkeypatch.setattr(riccati, "_residual_within", lambda R, P, P_bounds: False)
         else:

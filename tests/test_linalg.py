@@ -463,6 +463,65 @@ class TestLowRankPsd:
         assert str(err.value) == str(expected.value)
 
 
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(st.integers(0, 4), min_size=1, max_size=6), st.integers(0, 2**32 - 1),
+           st.booleans(), st.booleans())
+    def test_stack_is_each_single_call(self, ranks, seed, asymmetric, indefinite):
+        # ranks 0-4 against max_rank 3, scaled over many orders of magnitude,
+        # with at most one asymmetric member (by a skew that may fall within
+        # the tolerance) and one indefinite member
+        rng = np.random.default_rng(seed)
+        n = 6
+        stack = np.stack([10.0 ** rng.uniform(-8, 8) * rand_psd(n, rng, rank=r) if r
+                          else np.zeros((n, n)) for r in ranks])
+        if indefinite:
+            stack[rng.integers(len(ranks))] -= rand_psd(n, rng, rank=1)
+        if asymmetric:
+            stack[rng.integers(len(ranks)), 0, 1] += 10.0 ** rng.uniform(-16, 0)
+
+        def outcome(T):
+            try:
+                return low_rank_psd(T, 3, "G")
+            except ValueError as err:
+                return str(err)
+
+        singles = [outcome(T) for T in stack]
+        stacked = outcome(stack)
+        errors = [single for single in singles if isinstance(single, str)]
+        if errors:  # the first member that a single call refuses
+            assert stacked == errors[0]
+            return
+        assert len(stacked) == len(singles)
+        for member, single in zip(stacked, singles):
+            if single is None:
+                assert member is None
+            else:
+                assert member[0].shape == single[0].shape
+                assert member[0].tobytes() == single[0].tobytes() and member[1] == single[1]
+
+
+class TestStackSlices:
+    def test_width_rule(self):
+        assert [linalg.stack_width(n) for n in (16, 32, 64, 128, 256)] == [32, 32, 16, 8, 4]
+        assert [linalg.stack_width(n) for n in (0, 1, 512, 1024, 4096)] == [32, 32, 2, 1, 1]
+
+    @pytest.mark.parametrize("n, sizes", [
+        (16, [25] * 4), (32, [25] * 4), (64, [14, 14, 14, 15, 14, 14, 15]),
+        (128, [7, 8, 8] * 4 + [8]), (256, [4] * 25)])
+    def test_a_hundred_in_near_equal_stacks(self, n, sizes):
+        parts = linalg.stack_slices(100, n)
+        assert [part.stop - part.start for part in parts] == sizes
+        assert [part.start for part in parts] == [0] + [part.stop for part in parts[:-1]]
+
+    @pytest.mark.parametrize("n", [16, 32, 64, 128, 256])
+    @pytest.mark.parametrize("count", [0, 1, 3, 31, 33, 220])
+    def test_fewest_stacks_within_the_width(self, n, count):
+        sizes = [part.stop - part.start for part in linalg.stack_slices(count, n)]
+        width = linalg.stack_width(n)
+        assert sum(sizes) == count and len(sizes) == -(-count // width)
+        assert all(max(sizes) - 1 <= size <= width for size in sizes)
+
+
 class TestSymmetryAndPsdGates:
     def test_symmetric_psd_input_takes_no_svd(self, monkeypatch, rng):
         T = rand_psd(6, rng)

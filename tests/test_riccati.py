@@ -1253,12 +1253,12 @@ class TestPositiveDefinite:
     what they leave open, both on the upper triangle."""
 
     @staticmethod
-    def decide(monkeypatch, T, where=True):
+    def decide(monkeypatch, T, where=True, discs=True):
         """The answer for T and the Cholesky calls it took; warnings raise."""
         calls = count_calls(monkeypatch, "cholesky", np.linalg)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            pd = riccati._positive_definite(T, where)
+            pd = riccati._positive_definite(T, where, discs)
         monkeypatch.undo()
         return pd, len(calls)
 
@@ -1274,6 +1274,14 @@ class TestPositiveDefinite:
     def test_dominant_is_decided_without_cholesky(self, monkeypatch):
         T = np.diag([4.0, 5.0, 6.0]) + 0.5 * (np.ones((3, 3)) - np.eye(3))
         assert self.decide(monkeypatch, T) == (True, 0)
+
+    def test_skipped_discs_leave_every_matrix_to_cholesky(self, monkeypatch):
+        T = np.diag([4.0, 5.0, 6.0]) + 0.5 * (np.ones((3, 3)) - np.eye(3))
+        assert self.decide(monkeypatch, T, discs=False) == (True, 1)
+        pd, calls = self.decide(monkeypatch, np.stack([T, -T, T]), discs=False)
+        assert pd.tolist() == [True, False, True] and calls == 4  # the stack, then each member
+        pd, calls = self.decide(monkeypatch, np.stack([T, T]), np.array([True, False]), False)
+        assert pd.tolist() == [True, False] and calls == 1
 
     def test_not_dominant_takes_one_cholesky(self, monkeypatch, rng):
         assert self.decide(monkeypatch, self.not_dominant(6, rng)) == (True, 1)

@@ -207,11 +207,15 @@ class GaussianActuators(Family):
     # b of shape (..., n), one exp per actuator, and the outer products are
     # broadcast, so each member is the single placement's matrix bit for bit.
     def _G(self, P):
-        out = np.zeros(P.shape[:-1] + (self.state_dim,) * 2)
-        for j in range(self.param_dim):
+        # the first outer product is the sum's first term: every profile
+        # entry is exp(.) >= +0, so adding it to zeros changes no bit
+        b = self._profile(P[..., 0, None])
+        out = b[..., :, None] * b[..., None, :]
+        for j in range(1, self.param_dim):
             b = self._profile(P[..., j, None])
             out += b[..., :, None] * b[..., None, :]
-        return out / self.r_weight
+        out /= self.r_weight
+        return out
 
     def _dG(self, P, q):
         out = np.zeros(P.shape[:-1] + (self.state_dim,) * 2)

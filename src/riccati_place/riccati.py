@@ -11,6 +11,7 @@ form A.T X + X A of classical LQR is obtained by transposing everything).
 
 import copy
 import math
+import threading
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from functools import cache, cached_property
@@ -22,10 +23,12 @@ from .errors import ClosedLoopUnstable, NewtonStall, UnstableGenerator
 from .linalg import (
     SYLVESTER_RTOL,
     _EPS,
+    _TINY,
     SylvesterFactor,
     _any,
     _frobenius,
     _norm_bounds,
+    _pick,
     _psd_spectrum,
     _relative_within,
     _residual_within,
@@ -238,6 +241,14 @@ class Plant:
     :meth:`_SchurKernel.enter`), and in the eigenbasis it is read anew as
     :meth:`X1b`.  Every fact is the plant's own A's and Q's, so none is
     keyed, and the plant holds no reference to the certificate.
+
+    The plant also holds the scratch arrays of a single solve's eigenbasis
+    steps (:meth:`workspace`): the right side ``S`` and the capacitance
+    matrix, allocated on the first step and written over by every later
+    one, in a ``threading.local`` so that threads sharing a certificate each
+    step in their own.  Nothing written there outlives its step: the
+    iterate is a fresh array, a closed loop's capacitance owns its matrix,
+    and a batch allocates its own.
     """
 
     def __init__(self, A, Q, cert=None, spectrum=None):
@@ -249,6 +260,7 @@ class Plant:
         self.trace_bound = trace_bound(cert, self.Q)
         self.basis = cert.eigh(A)
         self._X1 = None
+        self._workspace = threading.local()
 
     @classmethod
     def of(cls, cert, A, Q, spectrum=None):
@@ -261,6 +273,17 @@ class Plant:
             plant = cls(A, Q, cert, spectrum)
             cert.keep(plant)
         return plant
+
+    def workspace(self, name, shape):
+        """This thread's scratch array ``name`` of ``shape``, allocated on
+        first need (or when its shape changes) and handed out again on every
+        later call: a step's temporaries stop being freed and faulted back
+        in at every step."""
+        arrays = vars(self._workspace)
+        T = arrays.get(name)
+        if T is None or T.shape != shape:
+            T = arrays[name] = np.empty(shape)
+        return T
 
     def X1b(self):
         """X1 in A's eigenbasis ``A = V diag(d) W``: ``W X1 W' = (-Qb) o C``,
@@ -445,9 +468,9 @@ class _Capacitance:
     unsolved.
     """
 
-    def __init__(self, Dsum, C, B, F, matrix=None):
+    def __init__(self, Dsum, C, B, F, matrix=None, workspace=None):
         self.Dsum, self.C, self.B, self.F = Dsum, C, B, F
-        self.matrix = self._matrix(C, B, F) if matrix is None else matrix
+        self.matrix = self._matrix(C, B, F, workspace) if matrix is None else matrix
 
     def member(self, k):
         """The closed loop of member k, holding copies of its arrays only."""
@@ -455,21 +478,24 @@ class _Capacitance:
                             self.matrix[k].copy(order="F"))
 
     @staticmethod
-    def _matrix(C, B, F):
+    def _matrix(C, B, F, workspace=None):
         """``I - diag(F_b) C diag(B_a) - diag(C (F_b o B_a))`` in block (a, b),
         built in one (n r) x (n r) array in Fortran order, the layout LAPACK
         factors: its transpose, entry (b, j, a, i), is built in C order.
         The entries ``(b, i, a, i)`` of block diagonals and the diagonal are
-        updated through strided views, without index arrays."""
+        updated through strided views, without index arrays.  The array is
+        :meth:`Plant.workspace`'s ``"matrix"`` when ``workspace`` is given."""
         lead, (n, r) = F.shape[:-2], F.shape[-2:]
         if r == 1:  # the same products, bit for bit, on n x n arrays: half the time at n = 16
-            Mt = C * F.swapaxes(-1, -2)
+            Mt = np.multiply(C, F.swapaxes(-1, -2),
+                             out=workspace and workspace("matrix", lead + (n, n)))
             Mt *= -B
             diag = Mt.reshape(lead + (-1,))[..., ::n + 1]
             diag -= np.matmul(C, B * F)[..., 0]
             diag += 1.0
             return Mt.swapaxes(-1, -2)
-        Mt = np.empty(lead + (r, n, r, n))
+        shape = lead + (r, n, r, n)
+        Mt = np.empty(shape) if workspace is None else workspace("matrix", shape)
         np.multiply(C[:, None, :], F.swapaxes(-1, -2)[..., None, None, :], out=Mt)  # C is symmetric
         Mt *= -B[..., None, :, :, None]  # = -((C F) B) bit for bit: rounding commutes with negation
         diag = np.matmul(C, (B[..., None] * F[..., None, :]).reshape(lead + (n, r * r)))
@@ -482,39 +508,67 @@ class _Capacitance:
         return Mt.swapaxes(-1, -2)
 
     def solve(self, S, adjoint=False):
-        """``(Y, R, solved)``: the solution Y of the equation for symmetric S
-        (the dual one with ``adjoint``), its residual R, and whether R passes
-        the Sylvester gate, which it fails wherever Y is not finite, since
-        no entry of Dsum is 0; for a batch, S is shared or one per member.
-        A caller solves what fails the gate again on a Schur form."""
+        """``(Y, r_fro, solved)``: the solution Y of the equation for
+        symmetric S (the dual one with ``adjoint``), an upper bound
+        ``r_fro`` on the Frobenius norm of its residual, and whether Y
+        passes the Sylvester gate, which it fails wherever Y is not finite,
+        since no entry of Dsum is 0; for a batch, S is shared or one per
+        member.  A caller solves what fails the gate again on a Schur form.
+
+        With ``left``, ``right`` = F, B (B, F for the dual equation), the
+        residual of the computed Y is ``S - (d_i + d_j) o Y + left P' + P
+        left'``, ``P = Y right``, in exact arithmetic.  As ``Y = C o (S +
+        left Z' + Z left')`` up to rounding, it is ``left E' + E left'``
+        with the n x r ``E = P - Z``, less the rounding of Y, and ``r_fro``
+        bounds it from O(n r) norms (:func:`_residual_bound`).  Y passes
+        the gate when ``r_fro`` does; only a member the bound leaves open
+        forms the n x n residual ``S - Dsum o Y + W + W'``, ``W = left
+        P'``, and is decided on it by :func:`_residual_within`."""
         left, right = (self.B, self.F) if adjoint else (self.F, self.B)
-        Y = self._solve(S, adjoint)
-        # R = S - Dsum o Y + W + W' with W = left (Y right)'; W' is formed as
-        # its own product, not read strided.  Outer products go through
-        # np.dot: matmul takes a slower loop at r = 1
-        dot = _dot(left)
+        Y, Z = self._solve(S, adjoint)
         P = Y @ right
+        S_bounds = _norm_bounds(S)
+        r_fro = _residual_bound(S_bounds[1], Y, P - Z.swapaxes(-1, -2), left, right)
+        solved = r_fro <= SYLVESTER_RTOL * (1.0 + S_bounds[0])
+        if Y.ndim == 2:
+            if not solved:
+                solved = _residual_within(self._residual(S, Y, P, left), S, S_bounds)
+            return Y, r_fro, solved
+        open_ = ~solved
+        if _any(open_):
+            S, S_bounds = _pick(S, open_), tuple(_pick(b, open_) for b in S_bounds)
+            R = self._residual(S, Y[open_], P[open_], left[open_])
+            solved[open_] = _residual_within(R, S, S_bounds)
+        return Y, r_fro, solved
+
+    def _residual(self, S, Y, P, left):
+        """``S - Dsum o Y + W + W'`` with ``W = left P'``; W' is formed as
+        its own product, not read strided.  Outer products go through
+        np.dot: matmul takes a slower loop at r = 1."""
+        dot = _dot(left)
         R = np.multiply(self.Dsum, Y)
         np.subtract(S, R, out=R)
         W = dot(left, P.swapaxes(-1, -2))
         R += W
         R += dot(P, left.swapaxes(-1, -2), out=W)
-        return Y, R, _residual_within(R, S, _norm_bounds(S))
+        return R
 
     def _solve(self, S, adjoint):
+        """``(Y, Z')``: Y and the capacitance system's solution, r x n."""
         n, r = self.B.shape[-2:]
         left, right = (self.B, self.F) if adjoint else (self.F, self.B)
         # each member's right side Z' = ((C o S) right)' as one vector
-        Z = np.matmul(self.C * S, right).swapaxes(-1, -2).reshape(self.B.shape[:-2] + (r * n,))
+        Y = np.multiply(self.C, S, out=np.empty(self.B.shape[:-2] + S.shape[-2:]))
+        Z = np.matmul(Y, right).swapaxes(-1, -2).reshape(self.B.shape[:-2] + (r * n,))
         Z = _solve_members(self.matrix.swapaxes(-1, -2) if adjoint else self.matrix, Z)
         Z = Z.reshape(self.B.shape[:-2] + (r, n))
-        # C o (S + T + T') with T = left Z'
+        # C o (S + T + T') with T = left Z', in the array that held C o S
         dot = _dot(left)
-        Y = dot(left, Z)
+        dot(left, Z, out=Y)
         Y += S
         Y += dot(Z.swapaxes(-1, -2), left.swapaxes(-1, -2))
         Y *= self.C
-        return Y
+        return Y, Z
 
 
 def _solve_members(M, b):
@@ -537,6 +591,49 @@ def _gamma(n):
     return n * u / (1.0 - n * u)
 
 
+def _residual_bound(S_fro, Y, E, left, right):
+    """An upper bound on the Frobenius norm of the exact residual
+    ``R = S - D o Y + left P' + P left'``, ``D_ij = d_i + d_j`` and ``P = Y
+    right``, of a computed solution Y of :meth:`_Capacitance.solve`, from
+    ``S_fro >= ||S||_F`` and the computed ``E = fl(fl(Y right) - Z)``, O(n r);
+    one bound per member of a stack.
+
+    Y is ``fl(C o fl(fl(T + S) + T2))`` with ``T = fl(left Z')``,
+    ``T2 = fl(Z left')``, ``C = fl(1 / fl(d_i + d_j))``.  With the exact
+    ``E_x = P - Z``,
+
+        R = left E_x' + E_x left' - Delta,   Delta = D o Y - (S + left Z' + Z left'),
+
+    and by Higham's bounds (*Accuracy and Stability of Numerical
+    Algorithms*, 2002, 3.1 and 3.5): ``|T - left Z'| <= gamma_r |left||Z'|``
+    (and so for T2), the two additions are within ``gamma_2 (|T| + |S| +
+    |T2|)`` of the exact sum, and ``D o Y`` within ``gamma_3`` relative of
+    the rounded one, so ``||Delta||_F <= gamma_5 ||S||_F + 2 gamma_{r+5}
+    ||left||_F ||Z||_F``.  The product P is
+    within ``gamma_n ||Y||_F ||right||_F`` of ``fl(Y right)`` and the
+    subtraction rounds E by u relative, so ``||E_x||_F <= ||E||_F / (1 - u)
+    + gamma_n ||Y||_F ||right||_F``; and ``||Z||_F <= ||P||_F + ||E_x||_F``.
+    Each computed norm is within :func:`_widening` of its value, which a
+    factor ``1 + 4 widening`` covers with the rounding of the sum below;
+    E, which may vanish, is read as at least ``sqrt(n r)`` times the root of
+    the smallest normal number, for entries below the normal range.  A
+    non-finite Y gives a bound that is not finite."""
+    n, r = left.shape[-2:]
+    k_e, k_yb, k_tiny, k_s = _bound_constants(n, r)
+    l, y, b = _frobenius(left), _frobenius(Y), _frobenius(right)
+    return l * (k_e * _frobenius(E) + k_yb * (y * b) + k_tiny) + k_s * S_fro
+
+
+@cache
+def _bound_constants(n, r):
+    """The coefficients of :func:`_residual_bound` at order n and rank r:
+    ``||R||_F <= l (k_e ||E||_F + k_yb y b + k_tiny) + k_s ||S||_F``."""
+    g_n, g_r5, widen = _gamma(n), _gamma(r + 5), 1.0 + 4.0 * _widening(n)
+    k_e = 2.0 * (1.0 + g_r5) / (1.0 - 0.5 * _EPS) * widen
+    k_yb = 2.0 * (g_n + g_r5 * (1.0 + g_n)) * widen
+    return k_e, k_yb, k_e * math.sqrt(n * r * _TINY), _gamma(5) * widen
+
+
 class _EigenbasisKernel(_SchurKernel):
     """Newton-Kleinman steps in the real eigenbasis ``A = V diag(d) W``,
     ``W = V^{-1}``, of a stable A, with ``G = B_G B_G'`` of rank r; for an
@@ -550,11 +647,14 @@ class _EigenbasisKernel(_SchurKernel):
     solved on the closed loop's :class:`_Capacitance`: one (n r) x (n r)
     linear solve a step instead of a Schur form of the closed loop, which
     is similar to ``D - F B'`` through V.  A step is kept only when its
-    residual passes the Sylvester gate, unrefined, and Lyapunov's theorem
+    residual R passes the Sylvester gate, unrefined, and Lyapunov's theorem
     proves its closed loop stable: ``Y`` is positive definite and
-    ``||R||_F + 2 drift ||Y||_F < lambda_min(W Q W')``, so the closed loop
-    in the eigenbasis, ``D + Delta - F B'`` with eig's residual
-    ``||Delta|| <= drift`` (see :attr:`Plant.drift`), satisfies
+    ``r_fro + 2 drift ||Y||_F < lambda_min(W Q W')``, where ``r_fro >=
+    ||R||_F`` is the capacitance solve's bound (:meth:`_Capacitance.solve`,
+    which forms R only where the bound leaves the gate open), so the closed
+    loop in the eigenbasis,
+    ``D + Delta - F B'`` with eig's residual ``||Delta|| <= drift`` (see
+    :attr:`Plant.drift`), satisfies
     ``Acl Y + Y Acl' = -(F F' + W Q W') - R + Delta Y + Y Delta' < 0``.  Any
     other step is solved again on the Schur form, which raises
     ClosedLoopUnstable or SingularSystem as it always has.  ``lam_min_Q`` is
@@ -717,13 +817,17 @@ class _EigenbasisKernel(_SchurKernel):
     def _capacitance_step(self, F):
         """``(Y, proved)``: the next iterate from an iterate whose gain is
         ``F = Xb B``, and whether its step is proved; over the members of a
-        batch, each proved on its own (Y is None when no member's is)."""
-        S = _dot(F)(F, F.swapaxes(-1, -2))  # exactly symmetric (see _xgx)
+        batch, each proved on its own (Y is None when no member's is).  A
+        single step writes S and the capacitance matrix in the plant's
+        workspace (:meth:`Plant.workspace`); a batch allocates its own."""
+        workspace = self.plant.workspace if F.ndim == 2 else None
+        S = _dot(F)(F, F.swapaxes(-1, -2),  # exactly symmetric (see _xgx)
+                    out=workspace and workspace("S", self.Dsum.shape))
         S += self.Qb
         np.negative(S, out=S)
-        Y, R, proved = _Capacitance(self.Dsum, self.C, self.B, F).solve(S)
+        Y, r_fro, proved = _Capacitance(self.Dsum, self.C, self.B, F, workspace=workspace).solve(S)
         if _any(proved):
-            proved = proved & (_frobenius(R) + 2.0 * self.drift * _frobenius(Y) < self.lam_min_Q)
+            proved = proved & (r_fro + 2.0 * self.drift * _frobenius(Y) < self.lam_min_Q)
             proved = proved & _positive_definite(Y, proved, self.cond == 1.0)  # where still proved
         return (Y, proved) if _any(proved) else (None, proved)
 
@@ -790,7 +894,8 @@ class ClosedLoop:
         may move it by at most 1 % of the gate.  Any other V moves norms by
         up to its condition number: the symmetrized Y is then taken only
         when its residual on ``matrix`` itself (transposed for the primal
-        equation), with the true G, passes the gate."""
+        equation), with the true G, passes the gate.  The capacitance solve's
+        own gate reads its residual bound (:meth:`_Capacitance.solve`)."""
         _, V, W, cond = self.facts.plant.basis
         into, out = (V.T, W.T) if adjoint else (W, V)
         S = symmetrize(into @ P @ into.T)

@@ -80,6 +80,17 @@ def count_calls(monkeypatch, name, *owners, keywords=False):
     return calls
 
 
+def open_residual_bound(monkeypatch):
+    """Leave every capacitance solve's residual bound open (an infinite
+    bound for each member), so that each member forms its residual and is
+    decided on it by ``riccati._residual_within``, as a bound too loose to
+    decide would leave it.  An infinite bound proves no eigenbasis step."""
+    from riccati_place import riccati
+
+    monkeypatch.setattr(riccati, "_residual_bound",
+                        lambda S_fro, Y, *args: np.full(Y.shape[:-2], np.inf))
+
+
 def gram_members(calls):
     """Matrices put through the power steps on ``S'S`` among the
     ``linalg._power_bounds`` calls that ``count_calls(..., keywords=True)``

@@ -208,6 +208,26 @@ class TestStacks:
             assert stacked.shape == (k, 9, 9)
             assert [T.tobytes() for T in stacked] == [T.tobytes() for T in single], method
 
+    @pytest.mark.parametrize("stacked", [False, True])
+    @pytest.mark.parametrize("param_dim", [1, 3])
+    def test_G_is_the_zero_started_sum_bit_for_bit(self, param_dim, stacked, rng):
+        # G starts from the first outer product, not from zeros, and is
+        # scaled in place: each profile entry is exp(.) >= +0, so 0.0 + x is
+        # x and no -0.0 arises; far centres put underflowed zeros in G
+        fam = GaussianActuators(grid=np.linspace(0.1, 0.9, 9), sigma=0.05, r_weight=3.0,
+                                param_dim=param_dim)
+        P = np.concatenate([sample_box(fam.domain(), 4, rng), np.full((1, param_dim), 40.0)])
+        P = P if stacked else P[0]
+        ref = np.zeros(P.shape[:-1] + (9, 9))
+        for j in range(param_dim):
+            b = np.exp(-0.5 * ((fam.grid - P[..., j, None]) / fam.sigma) ** 2)
+            ref += b[..., :, None] * b[..., None, :]
+        ref = ref / fam.r_weight
+        G = fam.G_stack(P) if stacked else fam.G(P)
+        assert G.tobytes() == ref.tobytes()
+        if stacked:
+            assert (G[-1] == 0.0).all() and not np.signbit(G[-1]).any()
+
     @pytest.mark.parametrize("family", [ConstantFamily(matrix=np.diag([1.0, 2.0, 3.0]),
                                                        param_dim=2),
                                         callable_family()], ids=["constant", "callable"])

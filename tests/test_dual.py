@@ -15,6 +15,7 @@ from conftest import (
     convdiff1d,
     count_calls,
     heat1d,
+    open_residual_bound,
     rand_psd,
     rand_stable,
     rand_stable_symmetric,
@@ -328,10 +329,11 @@ class TestClosedLoopFactor:
         elif failure == "positive definite":
             monkeypatch.setattr(riccati, "_positive_definite", lambda T, *args: False)
         elif failure == "gate":
+            open_residual_bound(monkeypatch)
             monkeypatch.setattr(riccati, "_residual_within", lambda R, P, P_bounds: False)
         else:
-            monkeypatch.setattr(riccati._Capacitance, "_matrix",
-                                staticmethod(lambda C, B, F: np.zeros((F.size, F.size), order="F")))
+            monkeypatch.setattr(riccati._Capacitance, "_matrix", staticmethod(
+                lambda C, B, F, workspace=None: np.zeros((F.size, F.size), order="F")))
         schur = count_calls(monkeypatch, "_real_schur", linalg)
         sol = solve_dual(A, G, are, W)
         assert len(schur) == 1 and sol.loop.schur is not None
@@ -378,6 +380,7 @@ class TestClosedLoopFactor:
         A, G, Q, W = heat_instance()
         are = solve_are(A, G, Q)
         sol = solve_dual(A, G, are, W)
+        open_residual_bound(monkeypatch)
         monkeypatch.setattr(riccati, "_residual_within", lambda R, P, P_bounds: False)
         schur = count_calls(monkeypatch, "_real_schur", linalg)
         Ps = [symmetrize(are.X @ G @ are.X), np.eye(16)]
@@ -457,8 +460,8 @@ class TestClosedLoopFallback:
         solve = riccati._Capacitance.solve
 
         def refusing(self, S, adjoint=False):
-            Y, R, solved = solve(self, S, adjoint)
-            return Y, R, solved & (adjoint not in refused)
+            Y, r_fro, solved = solve(self, S, adjoint)
+            return Y, r_fro, solved & (adjoint not in refused)
 
         monkeypatch.setattr(riccati._Capacitance, "solve", refusing)
 

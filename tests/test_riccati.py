@@ -37,6 +37,7 @@ from conftest import (
     count_calls,
     count_computed,
     heat1d,
+    open_residual_bound,
     rand_psd,
     rand_stable,
     rand_stable_symmetric,
@@ -225,31 +226,29 @@ class TestEigenbasisKernel:
 
     @pytest.mark.parametrize("failures", [1, 3])
     def test_refinement_then_schur_fallback(self, monkeypatch, failures):
-        # the residual gate fails the first `failures` checks of every step
-        # (each step has its own right-hand side P): a capacitance solve is
-        # not refined and reads the gate once, so one miss or three alike
-        # send each step to the Schur form, whose own refinements are gated
-        # in linalg
+        # with the residual bound forced open, the formed residual's gate
+        # fails the first `failures` checks of every capacitance solve: a
+        # solve is not refined and reads the gate once, so one miss or
+        # three alike send each step to the Schur form, whose own
+        # refinements are gated in linalg
         A, grid = heat1d(16)
         G = GaussianActuators(grid=grid, sigma=0.12).G([0.3])
         cert = certify_stability(A)
         ref = solve_are(A, G, np.eye(16), cert=cert)
-        seen, checks = [], []
+        solves = count_calls(monkeypatch, "solve", riccati._Capacitance)
+        checks = []
 
         def gate(R, P, P_bounds):
-            if not seen or seen[-1] is not P:
-                seen.clear()
-            seen.append(P)
-            checks.append(P)
-            return len(seen) > failures and _residual_within(R, P, P_bounds)
+            checks.append(len(solves))  # the solve whose residual is checked
+            return checks.count(len(solves)) > failures and _residual_within(R, P, P_bounds)
 
+        open_residual_bound(monkeypatch)
         monkeypatch.setattr(riccati, "_residual_within", gate)
-        solves = count_calls(monkeypatch, "solve", riccati._Capacitance)
         sol = solve_are(A, G, np.eye(16), cert=cert)
         # step k = 1 is X1, read off the plant: no capacitance solve, no
         # gate, no Schur form
         assert len(solves) == sol.newton_iters - 1
-        assert len(checks) == len(solves)
+        assert checks == list(range(1, len(solves) + 1))
         assert sol.schur_steps == sol.newton_iters - 1
         assert operator_norm(sol.X - ref.X) <= 1e-10 * (1.0 + operator_norm(ref.X))
 
@@ -273,10 +272,16 @@ class TestEigenbasisKernel:
         A, grid = heat1d(64)
         G = GaussianActuators(grid=grid, sigma=0.12, param_dim=r).G(np.linspace(0.2, 0.8, r))
         X0 = solve_are(A, G, np.eye(64)).X
-        solves = count_calls(monkeypatch, "solve", riccati._Capacitance)
+        solve, seen = riccati._Capacitance.solve, []
+
+        def copying(self, S, adjoint=False):
+            seen.append(S.copy())  # S is the plant's workspace, written over by the next step
+            return solve(self, S, adjoint)
+
+        monkeypatch.setattr(riccati._Capacitance, "solve", copying)
         sol = solve_are(A, G, 2.0 * np.eye(64), X0=X0)
-        assert sol.schur_steps == 0 and len(solves) == sol.newton_iters
-        for _, S in solves:
+        assert sol.schur_steps == 0 and len(seen) == sol.newton_iters
+        for S in seen:
             assert np.array_equal(S, S.T) and symmetrize(S).tobytes() == S.tobytes()
 
     @pytest.mark.parametrize("n", [16, 64])
@@ -327,30 +332,50 @@ class TestEigenbasisKernel:
         assert np.linalg.norm(R - (M + M.T - XGX + Q)) <= 1e-3 * 1e-10 * 2.0
 
     @staticmethod
+    def textbook_residual(cap, S, Y, adjoint):
+        """The residual ``S - Dsum o Y + W + W'`` with ``W = left (Y
+        right)'`` of the equation that ``_Capacitance.solve`` solves."""
+        left, right = (cap.B, cap.F) if adjoint else (cap.F, cap.B)
+        W = left @ (Y @ right).swapaxes(-1, -2)
+        return S - cap.Dsum * Y + W + W.swapaxes(-1, -2)
+
+    @staticmethod
     def textbook_capacitance_solve(cap, S, adjoint):
         """``_Capacitance.solve`` as its docstring states it: Y = C o (S +
         T + T') with T = left Z', Z from one solve of the capacitance
-        system (transposed for the dual equation), and the residual
-        S - Dsum o Y + W + W' with W = left (Y right)'."""
+        system (transposed for the dual equation), and its residual."""
         n, r = cap.B.shape
         left, right = (cap.B, cap.F) if adjoint else (cap.F, cap.B)
         M = cap.matrix.T if adjoint else cap.matrix
         Z = np.linalg.solve(M, ((cap.C * S) @ right).T.ravel()).reshape(r, n).T
         T = left @ Z.T
         Y = cap.C * (S + T + T.T)
-        W = left @ (Y @ right).T
-        return Y, S - cap.Dsum * Y + W + W.T
+        return Y, TestEigenbasisKernel.textbook_residual(cap, S, Y, adjoint)
+
+    @staticmethod
+    def exact_residual_fro(cap, S, Y, adjoint):
+        """The Frobenius norm of the residual of Y with ``D_ij = d_i +
+        d_j``, taken in extended precision (np.longdouble): within a small
+        multiple of its unit roundoff of the exact one."""
+        ld = np.longdouble
+        left, right = (cap.B, cap.F) if adjoint else (cap.F, cap.B)
+        d = np.diagonal(cap.Dsum, 0, -2, -1).astype(ld) / 2  # exact: Dsum_ii = 2 d_i
+        W = left.astype(ld) @ (Y.astype(ld) @ right.astype(ld)).swapaxes(-1, -2)
+        R = S.astype(ld) - (d[..., :, None] + d[..., None, :]) * Y + W + W.swapaxes(-1, -2)
+        return np.sqrt((R * R).sum(axis=(-2, -1))).astype(float)
 
     @pytest.mark.parametrize("r", [1, 3])
     @pytest.mark.parametrize("adjoint", [False, True])
     @pytest.mark.parametrize("failures", [0, 2])
     def test_capacitance_solve_is_the_textbook_formula(self, monkeypatch, rng, r, adjoint,
                                                        failures):
-        # bit for bit at r = 1, where every outer product is one rounded
+        # Y bit for bit at r = 1, where every outer product is one rounded
         # product an entry; to rounding at r = 3, where the swapped GEMM
-        # may sum in another order than a transpose.  `failures` forces
-        # that many gate misses: a solve reads the gate once and is not
-        # refined, so with 2 it returns the same Y and R, unsolved.
+        # may sum in another order than a transpose.  The residual bound
+        # decides alone, forming no residual.  Forced open, the formed
+        # residual (the textbook one, bit for bit at r = 1) decides, read
+        # once and not refined: `failures` forces that many gate misses,
+        # and with 2 the same Y comes back unsolved.
         n = 64
         A, grid = heat1d(n)
         G = GaussianActuators(grid=grid, sigma=0.12, param_dim=r).G(np.linspace(0.2, 0.8, r))
@@ -360,27 +385,74 @@ class TestEigenbasisKernel:
         seen = []
 
         def gate(R, P, P_bounds):
-            seen.append(P)
-            return sum(T is P for T in seen) > failures and _residual_within(R, P, P_bounds)
+            seen.append(R)
+            return len(seen) > failures and _residual_within(R, P, P_bounds)
 
         monkeypatch.setattr(riccati, "_residual_within", gate)
         for S in (-(F @ F.T + kernel.Qb), symmetrize(rng.standard_normal((n, n)))):
-            Y, R, solved = cap.solve(S, adjoint)
-            assert solved == (failures == 0) and len(seen) == 1
-            seen.clear()
+            Y, r_fro, solved = cap.solve(S, adjoint)
+            assert solved and not seen
             Y_ref, R_ref = self.textbook_capacitance_solve(cap, S, adjoint)
             assert _residual_within(R_ref, S, linalg._norm_bounds(S))
+            assert r_fro >= np.linalg.norm(self.textbook_residual(cap, S, Y, adjoint))
+            assert r_fro >= self.exact_residual_fro(cap, S, Y, adjoint)
             if r == 1:
-                assert Y.tobytes() == Y_ref.tobytes() and R.tobytes() == R_ref.tobytes()
+                assert Y.tobytes() == Y_ref.tobytes()
             else:
                 assert operator_norm(Y - Y_ref) <= 1e-13 * operator_norm(Y_ref)
-                assert operator_norm(R - R_ref) <= 1e-13 * operator_norm(S)
+            with monkeypatch.context() as forced:
+                open_residual_bound(forced)
+                Y_open, _, solved = cap.solve(S, adjoint)
+            assert solved == (failures == 0) and len(seen) == 1
+            assert Y_open.tobytes() == Y.tobytes()
+            if r == 1:
+                assert seen[0].tobytes() == R_ref.tobytes()
+            else:
+                assert operator_norm(seen[0] - R_ref) <= 1e-13 * operator_norm(S)
+            seen.clear()
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.sampled_from([16, 64]), r=st.integers(1, 3), adjoint=st.booleans(),
+           members=st.sampled_from([None, 3]), own_S=st.booleans(),
+           centres=st.lists(st.floats(0.05, 0.95), min_size=3, max_size=3),
+           seed=st.integers(0, 2**32 - 1))
+    def test_residual_bound_is_an_upper_bound(self, n, r, adjoint, members, own_S, centres,
+                                              seed):
+        # r_fro bounds the Frobenius norm of the residual of the computed
+        # Y: the textbook residual formed in double precision, and the
+        # exact one (read in extended precision), for a single closed loop
+        # and for each member of a stack (with its own S, or a random S
+        # shared by the members)
+        rng = np.random.default_rng(seed)
+        A, grid = heat1d(n)
+        family = GaussianActuators(grid=grid, sigma=0.12, param_dim=r)
+        G = family.G(np.array(centres[:r]))
+        kernel = eigenbasis_kernel(A, G, np.eye(n))
+        assume(kernel is not None and kernel.B.shape[1] == r)
+        F = kernel.into(solve_are(A, G, np.eye(n)).X) @ kernel.B
+        B = kernel.B
+        if members:
+            F = F * rng.uniform(0.5, 2.0, (members, 1, 1))
+            B = np.broadcast_to(B, F.shape).copy()
+        if own_S:
+            S = -(np.matmul(F, F.swapaxes(-1, -2)) + kernel.Qb)
+        else:
+            S = symmetrize(rng.standard_normal((n, n)))
+        cap = riccati._Capacitance(kernel.Dsum, kernel.C, B, F)
+        Y, r_fro, solved = cap.solve(S, adjoint)
+        assert np.isfinite(Y).all()
+        textbook = self.textbook_residual(cap, S, Y, adjoint)
+        assert (r_fro >= np.sqrt((textbook * textbook).sum(axis=(-2, -1)))).all()
+        assert (r_fro >= self.exact_residual_fro(cap, S, Y, adjoint)).all()
+        if r == 1 and not members:
+            assert Y.tobytes() == self.textbook_capacitance_solve(cap, S, adjoint)[0].tobytes()
 
     @pytest.mark.parametrize("adjoint", [False, True])
     def test_singular_member_is_not_solved(self, monkeypatch, adjoint):
         # an exactly singular capacitance system makes the stacked solve
         # raise: each member is solved again on its own, the regular one
-        # bit for bit as alone, the singular one left unsolved (NaN)
+        # bit for bit as alone, its bound too, the singular one left
+        # unsolved (NaN, with a bound that is not finite)
         n = 16
         A, grid = heat1d(n)
         G = GaussianActuators(grid=grid, sigma=0.12).G([0.3])
@@ -392,10 +464,12 @@ class TestEigenbasisKernel:
                                    np.stack([F] * 2))
         cap.matrix[1] = 0.0
         solves = count_calls(monkeypatch, "solve", np.linalg)
-        Y, R, solved = cap.solve(S, adjoint)
-        assert solved.tolist() == [True, False] and len(solves) == 3
-        assert Y[0].tobytes() == alone[0].tobytes() and R[0].tobytes() == alone[1].tobytes()
-        assert np.isnan(Y[1]).all()
+        for shared in (S, np.stack([S, S])):  # one S for both members, or one each
+            Y, r_fro, solved = cap.solve(shared, adjoint)
+            assert solved.tolist() == [True, False] and len(solves) == 3
+            assert Y[0].tobytes() == alone[0].tobytes() and r_fro[0] == alone[1]
+            assert np.isnan(Y[1]).all() and not np.isfinite(r_fro[1])
+            solves.clear()
 
     def test_heat64_rank1_takes_no_schur_form(self, monkeypatch):
         A, grid = heat1d(64)
@@ -1133,6 +1207,138 @@ class TestPlant:
         assert len(builds) == 1 and copy._plant is builds[0][0]
         assert cert._plant is kept is not copy._plant
         assert sol.X.tobytes() == ref.X.tobytes()
+
+
+class TestStepWorkspace:
+    """A single solve's eigenbasis steps write S and the capacitance matrix
+    in the plant's per-thread workspace, and nothing written there leaves
+    the step."""
+
+    @staticmethod
+    def path(n=32, r=1):
+        A, grid = heat1d(n)
+        family = GaussianActuators(grid=grid, sigma=0.12, param_dim=r)
+        Gs = [family.G(np.linspace(0.2, 0.6, r) + shift) for shift in (0.0, 0.02, 0.04)]
+        return A, Gs, np.eye(n), certify_stability(A)
+
+    @staticmethod
+    def solve_path(A, Gs, Q, cert):
+        sols, X = [], None
+        for G in Gs:
+            sols.append(solve_are(A, G, Q, cert=cert, X0=X))
+            X = sols[-1].X
+        return sols
+
+    @staticmethod
+    def workspace(plant):
+        return dict(vars(plant._workspace))
+
+    @pytest.mark.parametrize("r", [1, 2])
+    def test_steps_reuse_one_workspace_and_keep_nothing_of_it(self, r):
+        A, Gs, Q, cert = self.path(r=r)
+        sols = self.solve_path(A, Gs, Q, cert)
+        plant = cert._plant
+        kept = self.workspace(plant)
+        n = A.shape[0]
+        assert sorted(kept) == ["S", "matrix"]
+        assert kept["S"].shape == (n, n) and kept["matrix"].size == (n * r) ** 2
+        again = self.solve_path(A, Gs, Q, cert)
+        assert all(self.workspace(plant)[name] is T for name, T in kept.items())
+        for sol, ref in zip(again, sols):
+            assert sol.schur_steps == 0 and sol.X.tobytes() == ref.X.tobytes()
+            loop = riccati.closed_loop(A, Gs[-1], sol.X, sol.eigenbasis)[0]
+            owned = [sol.X, sol.eigenbasis.B, *(h for h in (sol.history or ()))]
+            if loop.capacitance is not None:
+                owned.append(loop.capacitance.matrix)
+            assert not any(np.shares_memory(T, W) for T in owned for W in kept.values())
+        fresh = self.solve_path(A, Gs, Q.copy(), certify_stability(A))
+        assert [s.X.tobytes() for s in fresh] == [s.X.tobytes() for s in sols]
+
+    def test_a_batch_takes_no_workspace(self):
+        A, Gs, Q, cert = self.path()
+        plant = riccati.Plant.of(cert, A, Q)
+        sols = riccati.solve_are_batch(plant, np.stack(Gs))
+        assert all(sol is not None for sol in sols) and not self.workspace(plant)
+        for G, sol in zip(Gs, sols):
+            assert sol.X.tobytes() == solve_are(A, G, Q, cert=cert).X.tobytes()
+
+    def test_threads_sharing_a_certificate_step_in_their_own(self):
+        # more threads than cores, switching often, all stepping on one
+        # plant: a workspace shared between them would mix their steps
+        import sys
+        import threading
+
+        A, Gs, Q, cert = self.path()
+        ref = [s.X.tobytes() for s in self.solve_path(A, Gs, Q, certify_stability(A))]
+        self.solve_path(A, Gs, Q, cert)  # the plant and this thread's workspace
+        plant = cert._plant
+        results, workspaces = [], []
+
+        def worker(shift):
+            order = Gs[shift:] + Gs[:shift]  # the threads' steps interleave unalike
+            for _ in range(3):
+                sols = self.solve_path(A, order, Q, cert)
+                results.append((shift, [s.X.tobytes() for s in sols]))
+            workspaces.append(self.workspace(plant))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(k % len(Gs),)) for k in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert cert._plant is plant and len(results) == 12 and len(workspaces) == 4
+        for shift, got in results:
+            alone = [s.X.tobytes() for s in self.solve_path(A, Gs[shift:] + Gs[:shift], Q,
+                                                            certify_stability(A))]
+            assert got == alone
+        assert ref == [s.X.tobytes() for s in self.solve_path(A, Gs, Q, cert)]
+        arrays = [T for kept in workspaces + [self.workspace(plant)] for T in kept.values()]
+        assert len({id(T) for T in arrays}) == len(arrays) == 10
+
+    def test_warm_solve_peak_allocation(self, monkeypatch):
+        # traced allocations of a warm n = 128 eigenbasis solve, in n x n
+        # arrays above its start, once a solve on the same certificate has
+        # made the plant's workspace: 6.04 for the solve and 2.02 for each
+        # capacitance step (the iterate and one product); 7.05 and 5.02
+        # when each step allocated S, the capacitance matrix, C o S and the
+        # residual anew
+        import tracemalloc
+
+        n = 128
+        A, grid = heat1d(n)
+        family = GaussianActuators(grid=grid, sigma=0.12)
+        Q, cert = np.eye(n), certify_stability(A)
+        X0 = solve_are(A, family.G([0.3]), Q, cert=cert).X
+        G = family.G([0.32])
+        step, steps = riccati._EigenbasisKernel._capacitance_step, []
+
+        def traced(kernel, F):
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            out = step(kernel, F)
+            steps.append(tracemalloc.get_traced_memory()[1] - start)
+            solve_peak.append(peak)
+            return out
+
+        monkeypatch.setattr(riccati._EigenbasisKernel, "_capacitance_step", traced)
+        solve_peak = []
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            sol = solve_are(A, G, Q, cert=cert, X0=X0)
+            solve_peak.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert sol.schur_steps == 0 and len(steps) == sol.newton_iters >= 3
+        assert (max(solve_peak) - start) / (8 * n * n) <= 6.1
+        assert max(steps) / (8 * n * n) <= 2.1
 
 
 class TestVerifyAre:

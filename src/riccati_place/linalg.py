@@ -262,8 +262,9 @@ def _upper_bound(S):
     O(n^2) work, widened by :func:`_widening` for the rounding of its sums
     and by ``n^2`` times the smallest normal number for underflowed terms."""
     a = np.abs(S)
-    holder2 = (np.ones(S.shape[-2]) @ a).max(axis=1) * (a @ np.ones(S.shape[-1])).max(axis=1)
-    square = np.minimum(np.einsum("kij,kij->k", a, a), holder2)
+    with np.errstate(over="ignore"):  # a product or sum that overflows is +inf, still a bound
+        holder2 = (np.ones(S.shape[-2]) @ a).max(axis=1) * (a @ np.ones(S.shape[-1])).max(axis=1)
+        square = np.minimum(np.einsum("kij,kij->k", a, a), holder2)
     n = max(S.shape[-2:])
     return np.sqrt(square + n * n * _TINY) * (1.0 + _widening(n))
 

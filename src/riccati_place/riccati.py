@@ -48,11 +48,19 @@ DEFAULT_STEP_TOL = 1e-12
 RESIDUAL_RTOL = 1e-10
 TRACE_SLACK = 1e-9
 MAX_NEWTON_ITERS = 100
-# Largest rank of G whose steps run in the eigenbasis.  The (n r)^3 solve
-# grows as r^3: on heat models at n = 16 / 64 / 256 rank 3 still times
-# at or below the Schur kernel (1 BLAS thread), rank 4 is slower warm
-# at n = 16 and n = 64.
+# Largest rank of G whose steps run in the eigenbasis.  The dense (n r)^3
+# capacitance solve grows as r^3: on heat models at n = 16 / 64 rank 3
+# still times at or below the Schur kernel (1 BLAS thread), rank 4 is
+# slower warm at n = 16 and n = 64.  At n = 256 a cold / warm heat solve
+# on the factored system (see Plant.cauchy_factor) takes 10 / 9 ms at rank
+# 1, 23 / 15 ms at rank 2 and 41 / 32 ms at rank 3; on the dense system
+# 14 / 11, 31 / 25 and 67 / 52 ms; on Schur steps 290-380 / 210-310 ms
+# (best of 5, on a shared 2-core host).
 CAPACITANCE_MAX_RANK = 3
+# Pivoted Cholesky of -C stops below this fraction of its largest diagonal
+# entry: the remainder's trace, at most n times it, lies below the rounding
+# of C's own entries (see Plant.cauchy).
+CAUCHY_PIVOT_FLOOR = 1e-20
 
 
 @dataclass(frozen=True)
@@ -242,13 +250,18 @@ class Plant:
     :meth:`X1b`.  Every fact is the plant's own A's and Q's, so none is
     keyed, and the plant holds no reference to the certificate.
 
+    A low-rank factor of the Cauchy matrix ``-C`` is read on first need
+    (:attr:`cauchy`, None where its rank is not small beside n: at n <= 64
+    on the heat and convection-diffusion models), and the capacitance
+    systems of low-rank G are solved on it (:meth:`cauchy_factor`).
+
     The plant also holds the scratch arrays of a single solve's eigenbasis
-    steps (:meth:`workspace`): the right side ``S`` and the capacitance
-    matrix, allocated on the first step and written over by every later
-    one, in a ``threading.local`` so that threads sharing a certificate each
-    step in their own.  Nothing written there outlives its step: the
-    iterate is a fresh array, a closed loop's capacitance owns its matrix,
-    and a batch allocates its own.
+    steps (:meth:`workspace`): the right side ``S`` and the dense
+    capacitance matrix, allocated on the first step and written over by
+    every later one, in a ``threading.local`` so that threads sharing a
+    certificate each step in their own.  Nothing written there outlives
+    its step: the iterate is a fresh array, a closed loop's capacitance
+    owns its arrays, and a batch allocates its own.
     """
 
     def __init__(self, A, Q, cert=None, spectrum=None):
@@ -306,6 +319,52 @@ class Plant:
     def C(self):
         """``1 / (d_i + d_j)``."""
         return 1.0 / self.Dsum
+
+    @cached_property
+    def cauchy(self):
+        """``L``, n x k, with ``-C = L L' + E``, or None when k would exceed
+        n / 3: a partial pivoted Cholesky factor of the Cauchy matrix ``-C``,
+        positive semidefinite for the negative d of a stable A (Harbrecht,
+        Peters & Schneider, Appl. Numer. Math. 62, 2012).  Step j reads one
+        column of C, the pivot's, and takes the j earlier columns' part off
+        it alone, so the work is O(n k^2) and no n x n remainder is formed;
+        only the remainder's diagonal is kept, and the steps stop once none
+        of it, which bounds ``||E||`` through its trace, exceeds
+        CAUCHY_PIVOT_FLOOR times ``max(-C_ii)``.  C's singular values decay
+        exponentially (Beckermann & Townsend, SIAM J. Matrix Anal. Appl. 38,
+        2017): k is 35 / 45 on heat1d and 37 / 44 on convection-diffusion (c
+        = 10) at n = 128 / 256, and exceeds n / 3 at n <= 64."""
+        C = self.C
+        n = C.shape[0]
+        remainder = -C.diagonal()  # a fresh array
+        floor = CAUCHY_PIVOT_FLOOR * remainder.max()
+        L = np.empty((n, n // 3), order="F")
+        for k in range(n // 3 + 1):
+            p = int(remainder.argmax())
+            if remainder[p] <= floor:
+                return np.ascontiguousarray(L[:, :k])
+            if k < n // 3:
+                column = L[:, k]
+                np.negative(C[p], out=column)  # column p of the symmetric C
+                column -= L[:, :k] @ L[p, :k]
+                column /= math.sqrt(remainder[p])
+                remainder -= column * column
+                remainder[p] = 0.0  # the pivot's remainder, exactly, not its rounding
+        return None
+
+    def cauchy_factor(self, r):
+        """The factor of ``-C`` that a rank-r capacitance solves on, or None
+        for the dense (n r) x (n r) system: :attr:`cauchy` when ``(r + 2) k
+        <= n``.  The Woodbury solve costs O(n^2 r^2 + n k^2 r^4 + (k r^2)^3)
+        against the dense LU's O((n r)^3), and the rule is set by timing
+        both, built and solved once, on heat1d and convection-diffusion (c =
+        10) models (1 BLAS thread).  Factored / dense time: at r = 1 about
+        1.1 at n = 64 (k = 29 > n / 3: dense), 0.6 at n = 128 and 0.4 at n
+        = 256; at r = 2 0.7-0.9 at n = 128 (4 k > n: dense), 0.5-0.65 at n =
+        192 and 0.35 at n = 256; at r = 3 1.4 at n = 128, 0.6-0.9 at n = 192
+        (5 k > n: dense) and 0.55 at n = 256."""
+        L = self.cauchy
+        return L if L is not None and (r + 2) * L.shape[1] <= L.shape[0] else None
 
     @cached_property
     def round_trip(self):
@@ -448,7 +507,7 @@ class _SchurKernel:
 class _Capacitance:
     """The closed loop ``D - F B'`` of a rank-r G in a real eigenbasis
     ``A = V diag(d) V^{-1}`` of A, solved through its (n r) x (n r)
-    capacitance matrix.
+    capacitance system.
 
     For symmetric S the Lyapunov equation
 
@@ -458,24 +517,82 @@ class _Capacitance:
     ``Z = Y B`` the solution of the capacitance system.  Its trace-adjoint,
     the dual equation ``(D - B F') Y + Y (D - F B') = S``, has
     ``Y = C o (S + B U' + U B')`` with ``U = Y F``, and its capacitance
-    matrix is the transpose of the first: the one ``matrix`` serves both,
-    each solve one ``np.linalg.solve`` on it or on its transpose.
+    matrix is the transpose of the first.
+
+    The system is solved one of two ways, chosen by the plant
+    (:meth:`Plant.cauchy_factor`), which hands the factor L of ``-C = L L'
+    + E`` when its rank k is small beside n:
+
+    * dense (``L`` None): the (n r) x (n r) ``matrix`` is built, and each
+      solve is one ``np.linalg.solve`` on it or on its transpose;
+    * factored: the matrix is ``Delta + U V'``, with Delta block diagonal
+      (r x r blocks ``delta_ab - C (F_b o B_a)``, read with the exact C)
+      and U, V of k r^2 columns built from ``diag(F_b) L`` and ``diag(B_a)
+      L``; each solve is Woodbury's formula (Golub & Van Loan, *Matrix
+      Computations*, 2.1.4) on the inverse blocks ``Dinv`` and one k r^2
+      square ``core = I + V' Delta^{-1} U``, the adjoint one on the core's
+      transpose.  The factored matrix differs from the true one by ``diag(F)
+      E diag(B)``, so its Z is only near the true one; Y is formed with the
+      exact C as always, and the gate reads Y's residual in the exact
+      equation.  A member the factored solve leaves unsolved is solved
+      again on its dense matrix, built for it alone; only then does the
+      caller take a Schur form.
 
     B and F may carry a leading axis of members, each a closed loop of its
-    own with its own capacitance matrix, solved in one stacked call; every
+    own with its own capacitance system, solved in one stacked call; every
     product is then the per-member one bit for bit, and each member is
-    gated on its own.  An exactly singular system leaves its member
-    unsolved.
+    gated on its own.  An exactly singular system, dense matrix, Delta block
+    or core, leaves its member unsolved.
     """
 
-    def __init__(self, Dsum, C, B, F, matrix=None, workspace=None):
-        self.Dsum, self.C, self.B, self.F = Dsum, C, B, F
-        self.matrix = self._matrix(C, B, F, workspace) if matrix is None else matrix
+    def __init__(self, Dsum, C, B, F, L=None, workspace=None):
+        self.Dsum, self.C, self.B, self.F, self.L = Dsum, C, B, F, L
+        if L is None:
+            self.matrix = self._matrix(C, B, F, workspace)
+        else:
+            self.matrix = None
+            self.Dinv, self.core = self._woodbury(C, B, F, L)
 
     def member(self, k):
         """The closed loop of member k, holding copies of its arrays only."""
-        return _Capacitance(self.Dsum, self.C, self.B[k].copy(), self.F[k].copy(),
-                            self.matrix[k].copy(order="F"))
+        member = object.__new__(_Capacitance)  # not copy.copy: twice as fast at n = 16
+        arrays = vars(member)
+        arrays.update(vars(self))
+        for name in ("B", "F") + (("matrix",) if self.L is None else ("Dinv", "core")):
+            arrays[name] = arrays[name][k].copy(order="K")
+        return member
+
+    @staticmethod
+    def _woodbury(C, B, F, L):
+        """``(Dinv, core)`` of the factored system (see the class): Delta's
+        inverse blocks, ``Dinv[i]`` the inverse of ``delta_ab - (C (F_b o
+        B_a))_i``, and ``core = I + V' Delta^{-1} U``, whose entry ``(l a'
+        b', m a'' b'')`` is ``delta + sum_j L_jl L_jm B_ja' Dinv[j]_b'a''
+        F_jb''``; an exactly singular block gets NaN."""
+        lead, (n, r), k = F.shape[:-2], F.shape[-2:], L.shape[1]
+        Delta = _Capacitance._block_diagonals(C, B, F)
+        np.negative(Delta, out=Delta)
+        Delta.reshape(lead + (n, r * r))[..., ::r + 1] += 1.0
+        Dinv = _inverse_blocks(Delta)
+        W = (B[..., :, :, None, None, None] * Dinv[..., :, None, :, :, None]
+             * F[..., :, None, None, None, :]).reshape(lead + (n, r * r, r * r))  # j, a'b', a''b''
+        core = np.empty(lead + (k, r * r, k, r * r))
+        for p in range(r * r):  # rows (l, p): sum_j L_jl L_jm W_j,pq, an n x k r^2 product
+            LW = (L[:, :, None] * W[..., :, None, p, :]).reshape(lead + (n, k * r * r))
+            core[..., p, :, :] = np.matmul(L.T, LW).reshape(lead + (k, k, r * r))
+        core = core.reshape(lead + (k * r * r, k * r * r))
+        i = np.arange(k * r * r)
+        core[..., i, i] += 1.0
+        return Dinv, core
+
+    @staticmethod
+    def _block_diagonals(C, B, F):
+        """The n x r x r array whose entry (i, a, b) is ``(C (B_a o F_b))_i``,
+        the i-th diagonal entry of block (a, b)'s term ``diag(C (F_b o
+        B_a))``."""
+        lead, (n, r) = F.shape[:-2], F.shape[-2:]
+        BF = (B[..., None] * F[..., None, :]).reshape(lead + (n, r * r))
+        return np.matmul(C, BF).reshape(lead + (n, r, r))
 
     @staticmethod
     def _matrix(C, B, F, workspace=None):
@@ -498,8 +615,7 @@ class _Capacitance:
         Mt = np.empty(shape) if workspace is None else workspace("matrix", shape)
         np.multiply(C[:, None, :], F.swapaxes(-1, -2)[..., None, None, :], out=Mt)  # C is symmetric
         Mt *= -B[..., None, :, :, None]  # = -((C F) B) bit for bit: rounding commutes with negation
-        diag = np.matmul(C, (B[..., None] * F[..., None, :]).reshape(lead + (n, r * r)))
-        diag = diag.reshape(lead + (n, r, r))
+        diag = _Capacitance._block_diagonals(C, B, F)
         blocks = Mt.reshape(lead + (r, r * n * n))
         for a in range(r):  # entry (b, i, a, i) sits at a n + i (r n + 1) in row b
             blocks[..., a * n::r * n + 1][..., :n] -= diag[..., a, :].swapaxes(-1, -2)
@@ -523,7 +639,9 @@ class _Capacitance:
         bounds it from O(n r) norms (:func:`_residual_bound`).  Y passes
         the gate when ``r_fro`` does; only a member the bound leaves open
         forms the n x n residual ``S - Dsum o Y + W + W'``, ``W = left
-        P'``, and is decided on it by :func:`_residual_within`."""
+        P'``, and is decided on it by :func:`_residual_within`.  On the
+        factored system, a member that fails both is solved again on its
+        dense matrix, whose Y, bound and verdict it returns."""
         left, right = (self.B, self.F) if adjoint else (self.F, self.B)
         Y, Z = self._solve(S, adjoint)
         P = Y @ right
@@ -533,12 +651,18 @@ class _Capacitance:
         if Y.ndim == 2:
             if not solved:
                 solved = _residual_within(self._residual(S, Y, P, left), S, S_bounds)
+            if not solved and self.L is not None:
+                return _Capacitance(self.Dsum, self.C, self.B, self.F).solve(S, adjoint)
             return Y, r_fro, solved
         open_ = ~solved
         if _any(open_):
-            S, S_bounds = _pick(S, open_), tuple(_pick(b, open_) for b in S_bounds)
-            R = self._residual(S, Y[open_], P[open_], left[open_])
-            solved[open_] = _residual_within(R, S, S_bounds)
+            picked = _pick(S, open_), tuple(_pick(b, open_) for b in S_bounds)
+            R = self._residual(picked[0], Y[open_], P[open_], left[open_])
+            solved[open_] = _residual_within(R, *picked)
+            open_ = ~solved
+        if self.L is not None and _any(open_):
+            dense = _Capacitance(self.Dsum, self.C, self.B[open_], self.F[open_])
+            Y[open_], r_fro[open_], solved[open_] = dense.solve(_pick(S, open_), adjoint)
         return Y, r_fro, solved
 
     def _residual(self, S, Y, P, left):
@@ -557,11 +681,15 @@ class _Capacitance:
         """``(Y, Z')``: Y and the capacitance system's solution, r x n."""
         n, r = self.B.shape[-2:]
         left, right = (self.B, self.F) if adjoint else (self.F, self.B)
-        # each member's right side Z' = ((C o S) right)' as one vector
-        Y = np.multiply(self.C, S, out=np.empty(self.B.shape[:-2] + S.shape[-2:]))
-        Z = np.matmul(Y, right).swapaxes(-1, -2).reshape(self.B.shape[:-2] + (r * n,))
-        Z = _solve_members(self.matrix.swapaxes(-1, -2) if adjoint else self.matrix, Z)
-        Z = Z.reshape(self.B.shape[:-2] + (r, n))
+        lead = self.B.shape[:-2]
+        Y = np.multiply(self.C, S, out=np.empty(lead + S.shape[-2:]))
+        Z = np.matmul(Y, right)  # the right side (C o S) right
+        if self.L is None:  # each member's Z' as one vector
+            Z = Z.swapaxes(-1, -2).reshape(lead + (r * n,))
+            Z = _solve_members(self.matrix.swapaxes(-1, -2) if adjoint else self.matrix, Z)
+            Z = Z.reshape(lead + (r, n))
+        else:
+            Z = np.ascontiguousarray(self._woodbury_solve(Z, adjoint).swapaxes(-1, -2))
         # C o (S + T + T') with T = left Z', in the array that held C o S
         dot = _dot(left)
         dot(left, Z, out=Y)
@@ -569,6 +697,43 @@ class _Capacitance:
         Y += dot(Z.swapaxes(-1, -2), left.swapaxes(-1, -2))
         Y *= self.C
         return Y, Z
+
+    def _woodbury_solve(self, b, adjoint):
+        """The solution, n x r, of the factored system (its transpose with
+        ``adjoint``) for the right side b, n x r, whose entry (i, a) is that
+        of block a: ``w - Delta^{-1} U core^{-1} V' w``, ``w = Delta^{-1}
+        b``, or ``w - Delta'^{-1} V core'^{-1} U' w``, ``w = Delta'^{-1} b``.
+        Each r x r block product is an elementwise product and a sum over
+        its r terms, in the same order for a stack as for one member."""
+        L, B, F = self.L, self.B, self.F
+        lead, (n, r) = b.shape[:-2], b.shape[-2:]
+        Dinv = self.Dinv.swapaxes(-1, -2) if adjoint else self.Dinv
+        w = (Dinv * b[..., :, None, :]).sum(axis=-1)
+        # V' w, or U' w: entry (l, a', b') sums L_jl B_ja' w_jb', or L_jl w_ja' F_jb'
+        pairs = (w[..., :, :, None] * F[..., :, None, :] if adjoint
+                 else B[..., :, :, None] * w[..., :, None, :])
+        t = np.matmul(L.T, pairs.reshape(lead + (n, r * r))).reshape(lead + (-1,))
+        t = _solve_members(self.core.swapaxes(-1, -2) if adjoint else self.core, t)
+        Lt = np.matmul(L, t.reshape(lead + (-1, r * r))).reshape(lead + (n, r, r))
+        # U t, or V t: entry (i, a) sums F_ib' (L t)_i,ab', or B_ia' (L t)_i,a'a
+        back = ((B[..., :, :, None] * Lt).sum(axis=-2) if adjoint
+                else (Lt * F[..., :, None, :]).sum(axis=-1))
+        w -= (Dinv * back[..., :, None, :]).sum(axis=-1)
+        return w
+
+
+def _inverse_blocks(T):
+    """The inverse of each r x r block of the stack T: by division at r =
+    1, else by one stacked ``np.linalg.inv``, retried member by member when
+    it raises; an exactly singular block gets NaN."""
+    if T.shape[-1] == 1:
+        return np.divide(1.0, T, out=np.full(T.shape, np.nan), where=T != 0.0)
+    try:
+        return np.linalg.inv(T)
+    except np.linalg.LinAlgError:
+        if T.ndim == 2:
+            return np.full(T.shape, np.nan)
+        return np.stack([_inverse_blocks(M) for M in T])
 
 
 def _solve_members(M, b):
@@ -646,8 +811,13 @@ class _EigenbasisKernel(_SchurKernel):
 
     solved on the closed loop's :class:`_Capacitance`: one (n r) x (n r)
     linear solve a step instead of a Schur form of the closed loop, which
-    is similar to ``D - F B'`` through V.  A step is kept only when its
-    residual R passes the Sylvester gate, unrefined, and Lyapunov's theorem
+    is similar to ``D - F B'`` through V.  That solve is Woodbury's formula
+    on the plant's low-rank factor of C when ``(r + 2) k <= n`` (``L``,
+    from :meth:`Plant.cauchy_factor`: on heat1d rank 1 from n = 128, ranks 2
+    and 3 at n = 256), a dense LU
+    otherwise, and a factored solve that fails its gate is solved again on
+    the dense matrix before the step is given up.  A step is kept only when
+    its residual R passes the Sylvester gate, unrefined, and Lyapunov's theorem
     proves its closed loop stable: ``Y`` is positive definite and
     ``r_fro + 2 drift ||Y||_F < lambda_min(W Q W')``, where ``r_fro >=
     ||R||_F`` is the capacitance solve's bound (:meth:`_Capacitance.solve`,
@@ -669,6 +839,7 @@ class _EigenbasisKernel(_SchurKernel):
         self.B = np.matmul(self.V.T, self.G_factor)
         self.Qb, self.lam_min_Q, self.drift = plant.Qb, plant.lam_min_Qb, plant.drift
         self.Dsum, self.C = plant.Dsum, plant.C
+        self.L = plant.cauchy_factor(self.B.shape[-1])
 
     @classmethod
     def build(cls, plant, G, factor):
@@ -818,14 +989,16 @@ class _EigenbasisKernel(_SchurKernel):
         """``(Y, proved)``: the next iterate from an iterate whose gain is
         ``F = Xb B``, and whether its step is proved; over the members of a
         batch, each proved on its own (Y is None when no member's is).  A
-        single step writes S and the capacitance matrix in the plant's
-        workspace (:meth:`Plant.workspace`); a batch allocates its own."""
+        single step writes S, and the dense capacitance matrix when it
+        takes one, in the plant's workspace (:meth:`Plant.workspace`); the
+        factored system's O(n k r^2) arrays are its own, and a batch
+        allocates its own arrays."""
         workspace = self.plant.workspace if F.ndim == 2 else None
         S = _dot(F)(F, F.swapaxes(-1, -2),  # exactly symmetric (see _xgx)
                     out=workspace and workspace("S", self.Dsum.shape))
         S += self.Qb
         np.negative(S, out=S)
-        Y, r_fro, proved = _Capacitance(self.Dsum, self.C, self.B, F, workspace=workspace).solve(S)
+        Y, r_fro, proved = _Capacitance(self.Dsum, self.C, self.B, F, self.L, workspace).solve(S)
         if _any(proved):
             proved = proved & (r_fro + 2.0 * self.drift * _frobenius(Y) < self.lam_min_Q)
             proved = proved & _positive_definite(Y, proved, self.cond == 1.0)  # where still proved
@@ -840,8 +1013,9 @@ class ClosedLoop:
     stability is proved (``capacitance``, with the kernel's ``facts`` and
     ``x_fro = ||X||_F`` that its gate reads; None otherwise); and
     ``schur``, the real Schur form of ``matrix``, built on first need by
-    :meth:`solve`.  For a batch, ``matrix``, the capacitance, the facts and
-    ``x_fro`` hold one entry per member."""
+    :meth:`solve`.  The capacitance is factored or dense as the plant
+    decides (:meth:`Plant.cauchy_factor`).  For a batch, ``matrix``, the
+    capacitance, the facts and ``x_fro`` hold one entry per member."""
 
     def __init__(self, matrix, capacitance=None, facts=None, x_fro=None):
         self.matrix, self.capacitance = matrix, capacitance
@@ -932,12 +1106,14 @@ def closed_loop(A, G, X, facts=None):
     and ``||X E X||_F <= e ||X||_F^2``, so the right side is negative
     definite when ``||R_B||_F + 2 e ||X||_F^2 < lambda_min(Q)``; with X
     positive definite (:func:`_positive_definite`) the closed loop is
-    stable.  A proved loop keeps its capacitance matrix; a solve that the
-    matrix declines (an exactly singular system, or a failed gate) takes
-    the Schur form instead.  In the eigenbasis the closed loop is
-    ``D - F B'`` with ``F = (W X W') B``.  Beyond ``A' - G X``, the work is
-    O(n^2 r) plus the positive-definiteness test of X, the capacitance
-    matrix and the products that form F; no Schur form is taken.
+    stable.  A proved loop keeps its capacitance system, on the plant's
+    factor of C where the plant takes it; a solve that the system declines
+    (an exactly singular system, or a failed gate, on the dense matrix too
+    for a factored one) takes the Schur form instead.  In the eigenbasis
+    the closed loop is ``D - F B'`` with ``F = (W X W') B``.  Beyond
+    ``A' - G X``, the work is O(n^2 r) plus the positive-definiteness test
+    of X, the capacitance system and the products that form F; no Schur
+    form is taken.
     """
     matrix = A.T - G @ X
     if facts is None:
@@ -952,7 +1128,8 @@ def closed_loop(A, G, X, facts=None):
         return ClosedLoop(matrix), proved
     W = plant.basis[2]
     F = W @ (X @ (W.T @ facts.B))
-    return ClosedLoop(matrix, _Capacitance(plant.Dsum, plant.C, facts.B, F), facts, x_fro), proved
+    capacitance = _Capacitance(plant.Dsum, plant.C, facts.B, F, plant.cauchy_factor(F.shape[-1]))
+    return ClosedLoop(matrix, capacitance, facts, x_fro), proved
 
 
 def solve_are(A, G, Q, tol=DEFAULT_STEP_TOL, cert=None, keep_history=False, X0=None):
@@ -969,6 +1146,13 @@ def solve_are(A, G, Q, tol=DEFAULT_STEP_TOL, cert=None, keep_history=False, X0=N
     A's eigenbasis on a rank-r capacitance system, and each is kept only
     when Lyapunov's theorem proves its closed loop stable (see
     :class:`_EigenbasisKernel`); an unproved step is solved again as below.
+    That capacitance system is solved by Woodbury's formula on a low-rank
+    factor of the plant's Cauchy matrix ``1/(d_i + d_j)`` when r + 2 times
+    its rank k is at most n, which on heat and convection-diffusion models
+    holds at rank 1 from n = 128, at ranks 2 and 3 at n = 256, and never at
+    n <= 64, and by a dense LU otherwise (see :meth:`Plant.cauchy_factor`),
+    which times faster there: the dense LU costs
+    O((n r)^3), the factored solve O(n^2 r^2 + n k^2 r^4) a step.
     The eigenbasis is the one kept on A's certificate (or a fresh ``eigh``
     of a symmetric A), and is taken only when the first iterate of a cold
     start, built in it, passes the residual gate below in the original

@@ -171,7 +171,8 @@ def _grid_sup(stacks, ts, weights):
     """
     hi = stacks.bound(ts)
     for part in _chunks(len(ts)):
-        S = stacks(ts[part])
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflowed point raises below
+            S = stacks(ts[part])
         if not np.isfinite(S).all():  # e.g. a defective A with abscissa within rounding of 0
             raise UnstableGenerator("certificate validation failed: exp(A t) overflows "
                                     "on the sampling grid")

@@ -301,8 +301,9 @@ class TestClosedLoopFactor:
         closed_loop = A.T - G @ X
         assert np.array_equal(sol.Lambda, symmetrize(solve_sylvester(closed_loop, -W)))
 
-    @pytest.mark.parametrize("n, d", [(16, 1), (16, 2), (64, 2), (32, 3)])
+    @pytest.mark.parametrize("n, d", [(16, 1), (16, 2), (64, 2), (32, 3), (128, 1)])
     def test_heat_solution_takes_no_schur_form(self, monkeypatch, n, d):
+        # at n = 128 the loop's capacitance is the plant's factored one
         A, G, Q, W = heat_instance(n, d)
         are = solve_are(A, G, Q)
         schur = count_calls(monkeypatch, "_real_schur", linalg)
@@ -311,6 +312,7 @@ class TestClosedLoopFactor:
         P = symmetrize(are.X @ G @ are.X)
         Y = sol.solve_closed_loop(P)
         assert len(schur) == 0 and sol.loop.capacitance is not None and sol.loop.schur is None
+        assert (sol.loop.capacitance.L is not None) == (n == 128)
         monkeypatch.undo()
         assert relative(sol.Lambda, solve_dual(A, G, are.X, W).Lambda) <= 1e-12
         assert relative(Y, symmetrize(solve_sylvester(Acl, P))) <= 1e-12

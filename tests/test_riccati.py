@@ -1,3 +1,4 @@
+import functools
 import warnings
 from dataclasses import replace
 
@@ -14,6 +15,7 @@ from riccati_place import (
     optimize,
     riccati,
     semigroup,
+    solve_dual,
 )
 from riccati_place.errors import ClosedLoopUnstable, NewtonStall, UnstableGenerator
 from riccati_place.linalg import (
@@ -412,7 +414,7 @@ class TestEigenbasisKernel:
             seen.clear()
 
     @settings(max_examples=40, deadline=None)
-    @given(n=st.sampled_from([16, 64]), r=st.integers(1, 3), adjoint=st.booleans(),
+    @given(n=st.sampled_from([16, 64, 128]), r=st.integers(1, 3), adjoint=st.booleans(),
            members=st.sampled_from([None, 3]), own_S=st.booleans(),
            centres=st.lists(st.floats(0.05, 0.95), min_size=3, max_size=3),
            seed=st.integers(0, 2**32 - 1))
@@ -422,7 +424,8 @@ class TestEigenbasisKernel:
         # Y: the textbook residual formed in double precision, and the
         # exact one (read in extended precision), for a single closed loop
         # and for each member of a stack (with its own S, or a random S
-        # shared by the members)
+        # shared by the members); at n = 128 on the plant's factor of C,
+        # whatever r is
         rng = np.random.default_rng(seed)
         A, grid = heat1d(n)
         family = GaussianActuators(grid=grid, sigma=0.12, param_dim=r)
@@ -438,13 +441,14 @@ class TestEigenbasisKernel:
             S = -(np.matmul(F, F.swapaxes(-1, -2)) + kernel.Qb)
         else:
             S = symmetrize(rng.standard_normal((n, n)))
-        cap = riccati._Capacitance(kernel.Dsum, kernel.C, B, F)
+        cap = riccati._Capacitance(kernel.Dsum, kernel.C, B, F, kernel.plant.cauchy)
+        assert (cap.L is None) == (n < 128)
         Y, r_fro, solved = cap.solve(S, adjoint)
         assert np.isfinite(Y).all()
         textbook = self.textbook_residual(cap, S, Y, adjoint)
         assert (r_fro >= np.sqrt((textbook * textbook).sum(axis=(-2, -1)))).all()
         assert (r_fro >= self.exact_residual_fro(cap, S, Y, adjoint)).all()
-        if r == 1 and not members:
+        if r == 1 and not members and cap.L is None:
             assert Y.tobytes() == self.textbook_capacitance_solve(cap, S, adjoint)[0].tobytes()
 
     @pytest.mark.parametrize("adjoint", [False, True])
@@ -1305,9 +1309,10 @@ class TestStepWorkspace:
         # traced allocations of a warm n = 128 eigenbasis solve, in n x n
         # arrays above its start, once a solve on the same certificate has
         # made the plant's workspace: 6.04 for the solve and 2.02 for each
-        # capacitance step (the iterate and one product); 7.05 and 5.02
-        # when each step allocated S, the capacitance matrix, C o S and the
-        # residual anew
+        # capacitance step (the iterate and one product) on the dense
+        # system, 2.10 on the factored one n = 128 takes, whose step also
+        # holds its k x k core (0.075); 7.05 and 5.02 when each step
+        # allocated S, the capacitance matrix, C o S and the residual anew
         import tracemalloc
 
         n = 128
@@ -1338,7 +1343,222 @@ class TestStepWorkspace:
             tracemalloc.stop()
         assert sol.schur_steps == 0 and len(steps) == sol.newton_iters >= 3
         assert (max(solve_peak) - start) / (8 * n * n) <= 6.1
-        assert max(steps) / (8 * n * n) <= 2.1
+        k = cert._plant.cauchy_factor(1).shape[1]
+        assert max(steps) / 8 <= 2.1 * n * n + k * k
+
+
+@functools.cache
+def factored_instance(n, r=1):
+    """The eigenbasis kernel of heat1d with Q = I and a rank-r Gaussian G,
+    the gain F of its solution and that step's right side S (read only)."""
+    A, grid = heat1d(n)
+    G = GaussianActuators(grid=grid, sigma=0.12, param_dim=r).G(np.linspace(0.2, 0.6, r))
+    kernel = eigenbasis_kernel(A, G, np.eye(n))
+    F = kernel.into(solve_are(A, G, np.eye(n)).X) @ kernel.B
+    return kernel, F, -(F @ F.T + kernel.Qb)
+
+
+def relative(T, ref):
+    return operator_norm(T - ref) / operator_norm(ref)
+
+
+class TestFactoredCapacitance:
+    """Above n = 64 a plant holds a low-rank factor ``-C = L L' + E`` of its
+    Cauchy matrix, and a rank-r capacitance system with ``(r + 2) k <= n``
+    is solved on it by Woodbury's formula instead of a dense LU."""
+
+    @pytest.mark.parametrize("model", [heat1d, convdiff1d])
+    @pytest.mark.parametrize("n", [16, 32, 64, 128, 256])
+    def test_plants_above_n64_hold_the_factor(self, model, n):
+        A, _ = model(n)
+        plant = riccati.Plant(A, np.eye(n))
+        assert plant.basis is not None
+        L = plant.cauchy
+        assert (L is None) == (n <= 64)
+        assert plant.cauchy_factor(1) is L
+        if L is not None:
+            k = L.shape[1]
+            assert L.shape == (n, k) and 3 * k <= n and L.flags.c_contiguous
+            assert np.linalg.norm(plant.C + L @ L.T) <= 1e-14 * np.linalg.norm(plant.C)
+            assert plant.cauchy_factor(2) is (L if 4 * k <= n else None)
+            assert plant.cauchy_factor(3) is (L if 5 * k <= n else None)
+            assert (plant.cauchy_factor(3) is L) == (n == 256)
+
+    @pytest.mark.parametrize("n", [128, 256])
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    @pytest.mark.parametrize("adjoint", [False, True])
+    def test_factored_solve_is_the_dense_one_to_rounding(self, n, r, adjoint):
+        # on the plant's factor whatever r is; a stack of 3, with one S
+        # shared or one each, solves each member bit for bit as alone, and
+        # member(k) keeps that
+        kernel, F, S = factored_instance(n, r)
+        L, B = kernel.plant.cauchy, kernel.B
+        system = functools.partial(riccati._Capacitance, kernel.Dsum, kernel.C)
+        k = L.shape[1]
+        cap = system(B, F, L)
+        assert cap.matrix is None and cap.core.shape == (k * r * r, k * r * r)
+        Y, r_fro, solved = cap.solve(S, adjoint)
+        Y_dense, _, dense_solved = system(B, F).solve(S, adjoint)
+        assert solved and dense_solved and relative(Y, Y_dense) <= 1e-13
+        Fs = np.stack([F, 0.5 * F, 2.0 * F])
+        own = -(np.matmul(Fs, Fs.swapaxes(-1, -2)) + kernel.Qb)
+        stack = system(np.stack([B] * 3), Fs, L)
+        for shared in (S, own):
+            Ys, r_fros, solveds = stack.solve(shared, adjoint)
+            assert solveds.all()
+            for m in range(3):
+                S_m = shared if shared.ndim == 2 else shared[m]
+                alone = system(B, Fs[m], L).solve(S_m, adjoint)
+                assert Ys[m].tobytes() == alone[0].tobytes() and r_fros[m] == alone[1]
+                assert stack.member(m).solve(S_m, adjoint)[0].tobytes() == alone[0].tobytes()
+                assert relative(Ys[m], system(B, Fs[m]).solve(S_m, adjoint)[0]) <= 1e-13
+
+    @pytest.mark.parametrize("r", [1, 2])
+    def test_singular_blocks_get_nan(self, rng, r):
+        # an exactly singular block of Delta: NaN there, every other block
+        # its inverse bit for bit, for a stack as for one member alone
+        T = rng.standard_normal((3, 5, r, r)) + 4.0 * np.eye(r)
+        T[1, 2] = 0.0
+        inverse = riccati._inverse_blocks(T)
+        assert np.isnan(inverse[1, 2]).all()
+        assert np.isfinite(np.delete(inverse.reshape(15, r, r), 7, axis=0)).all()
+        for m in (0, 2):
+            assert inverse[m].tobytes() == riccati._inverse_blocks(T[m]).tobytes()
+        assert relative(inverse[0, 0], np.linalg.inv(T[0, 0])) <= 1e-15
+
+    @pytest.mark.parametrize("adjoint", [False, True])
+    def test_singular_delta_member_takes_its_dense_matrix(self, monkeypatch, adjoint):
+        # member 1's gain is f e_i, with f putting its Delta_i = 1 - C_ii
+        # B_i f at exactly 0: its factored solve is NaN and fails the gate,
+        # and it alone is solved again on its dense matrix, whose Y it
+        # returns bit for bit; the other members keep their factored solves
+        kernel, F, S = factored_instance(128)
+        L, B, C = kernel.plant.cauchy, kernel.B, kernel.C
+        i = int(np.argmax(np.abs(C.diagonal() * B[:, 0])))  # the smallest such f
+        near = 1.0 / (C[i, i] * B[i, 0]) * (1.0 + np.finfo(float).eps * np.arange(-32, 33))
+        f = next(g for g in near if 1.0 - C[i, i] * (B[i, 0] * g) == 0.0)
+        F1 = np.zeros_like(F)
+        F1[i, 0] = f
+        assert 1.0 - (C @ (B * F1))[i, 0] == 0.0
+        dense_single = riccati._Capacitance(kernel.Dsum, C, B, F1).solve(S, adjoint)
+        assert dense_single[2]
+        built = []
+        matrix = riccati._Capacitance._matrix
+
+        def counted(C, B, F, workspace=None):
+            built.append(F.shape)
+            return matrix(C, B, F, workspace)
+
+        monkeypatch.setattr(riccati._Capacitance, "_matrix", staticmethod(counted))
+        single = riccati._Capacitance(kernel.Dsum, C, B, F1, L)
+        assert np.isnan(single.Dinv[i]).all() and np.isfinite(np.delete(single.Dinv, i)).all()
+        Y, r_fro, solved = single.solve(S, adjoint)
+        assert solved and built == [(128, 1)]
+        assert Y.tobytes() == dense_single[0].tobytes() and r_fro == dense_single[1]
+        Fs = np.stack([F, F1, 2.0 * F])
+        built.clear()
+        Ys, r_fros, solveds = riccati._Capacitance(kernel.Dsum, C, np.stack([B] * 3), Fs, L).solve(
+            S, adjoint)
+        assert solveds.all() and built == [(1, 128, 1)]
+        assert Ys[1].tobytes() == dense_single[0].tobytes() and r_fros[1] == dense_single[1]
+        for m in (0, 2):
+            alone = riccati._Capacitance(kernel.Dsum, C, B, Fs[m], L).solve(S, adjoint)
+            assert Ys[m].tobytes() == alone[0].tobytes()
+
+    def test_gate_failure_takes_the_dense_matrix_not_a_schur_form(self, monkeypatch):
+        # a factor that is not C's (scaled by 1.5) fails every factored
+        # solve's gate: each step, and each closed-loop solve, is solved
+        # again on its dense matrix and returns that Y bit for bit, so the
+        # solve is the dense path's, with no Schur form taken
+        n = 128
+        A, grid = heat1d(n)
+        G = GaussianActuators(grid=grid, sigma=0.12).G([0.3])
+        Q, W = np.eye(n), np.zeros((n, n))
+        W[n // 4, n // 4] = 1.0
+        with monkeypatch.context() as dense:
+            dense.setattr(riccati.Plant, "cauchy_factor", lambda plant, r: None)
+            ref = solve_are(A, G, Q)
+            ref_dual = solve_dual(A, G, ref, W).Lambda
+        cert = certify_stability(A)
+        plant = riccati.Plant.of(cert, A, Q)
+        plant.cauchy = 1.5 * plant.cauchy  # the cached factor, read by every later solve
+        schur = count_calls(monkeypatch, "_real_schur", linalg)
+        solves = count_calls(monkeypatch, "solve", riccati._Capacitance)
+        sol = solve_are(A, G, Q, cert=cert)
+        assert sol.schur_steps == 0 and sol.X.tobytes() == ref.X.tobytes()
+        dual = solve_dual(A, G, sol, W)
+        assert dual.loop.capacitance.L is not None and dual.loop.schur is None and not schur
+        assert dual.Lambda.tobytes() == ref_dual.tobytes()
+        factored = [cap.L is not None for cap, *_ in solves]
+        assert sum(factored) == len(factored) - sum(factored) > 0
+
+    def test_batches_and_members_are_single_solves_bit_for_bit(self, rng):
+        # at n = 128 the batch steps on the factor too: a batch of one and
+        # each member of a batch of 3 are their single solves bit for bit,
+        # and so are the stacked closed loops' solves and their members'
+        n = 128
+        A, grid = heat1d(n)
+        family = GaussianActuators(grid=grid, sigma=0.12)
+        Gs = np.stack([family.G([p]) for p in (0.2, 0.45, 0.7)])
+        Q = np.eye(n)
+        cert = certify_stability(A)
+        singles = [solve_are(A, G, Q, cert=cert) for G in Gs]
+        plant = cert._plant
+        assert plant.cauchy_factor(1) is not None
+        for batch in (Gs[:1], Gs):
+            for sol, ref in zip(riccati.solve_are_batch(plant, batch), singles):
+                assert sol.X.tobytes() == ref.X.tobytes()
+                assert sol.newton_iters == ref.newton_iters and sol.schur_steps == 0
+        loops, proved = riccati.closed_loop(A, Gs, np.stack([s.X for s in singles]),
+                                            [s.eigenbasis for s in singles])
+        assert proved.all() and loops.capacitance.L is not None
+        P = symmetrize(rng.standard_normal((n, n)))
+        for adjoint in (False, True):
+            Ys, solved = loops.factored(P, adjoint)
+            assert solved.all()
+            for m, (G, ref) in enumerate(zip(Gs, singles)):
+                single = riccati.closed_loop(A, G, ref.X, ref.eigenbasis)[0]
+                Y = single.factored(P, adjoint)[0]
+                assert Ys[m].tobytes() == Y.tobytes()
+                assert loops.member(m).factored(P, adjoint)[0].tobytes() == Y.tobytes()
+
+    def test_factored_steps_allocate_no_capacitance_matrix(self, monkeypatch):
+        # at n = 256 the factored steps never make the plant's "matrix"
+        # workspace, and each step's traced peak is the iterate, one product,
+        # the k r^2 square core and the copy LAPACK factors: 2.04 / 2.52 /
+        # 6.31 n x n arrays at r = 1 / 2 / 3, and at r > 1 below the dense
+        # (n r)^2 matrix alone, 4 and 9
+        import tracemalloc
+
+        n = 256
+        for r in (1, 2, 3):
+            A, grid = heat1d(n)
+            family = GaussianActuators(grid=grid, sigma=0.12, param_dim=r)
+            Q, cert = np.eye(n), certify_stability(A)
+            X0 = solve_are(A, family.G(np.linspace(0.3, 0.6, r)), Q, cert=cert).X
+            plant = cert._plant
+            L = plant.cauchy_factor(r)
+            assert L is not None and sorted(vars(plant._workspace)) == ["S"]
+            step, steps = riccati._EigenbasisKernel._capacitance_step, []
+
+            def traced(kernel, F):
+                tracemalloc.reset_peak()
+                start = tracemalloc.get_traced_memory()[0]
+                out = step(kernel, F)
+                steps.append(tracemalloc.get_traced_memory()[1] - start)
+                return out
+
+            with monkeypatch.context() as patched:
+                patched.setattr(riccati._EigenbasisKernel, "_capacitance_step", traced)
+                tracemalloc.start()
+                try:
+                    sol = solve_are(A, family.G(np.linspace(0.32, 0.62, r)), Q, cert=cert, X0=X0)
+                finally:
+                    tracemalloc.stop()
+            budget = 2.1 * n * n + 2 * (L.shape[1] * r * r) ** 2
+            assert sol.schur_steps == 0 and len(steps) == sol.newton_iters >= 2
+            assert max(steps) <= 8 * budget and (r == 1 or max(steps) < 8 * (n * r) ** 2)
+            assert sorted(vars(plant._workspace)) == ["S"]
 
 
 class TestVerifyAre:

@@ -437,7 +437,10 @@ class _SchurKernel:
         return Xb
 
     def step(self, Xb, k):
-        return self._solve_step(Xb, k)
+        """``(Y, proved)``: step k's iterate from Xb, and whether its step is
+        proved; a Schur step always is (its Schur form certifies the closed
+        loop, or raises)."""
+        return self._solve_step(Xb, k), True
 
     def enter(self, X0, tol):
         """``(Xb, step)``: the first iterate and its step from X0 in the
@@ -919,14 +922,21 @@ class _EigenbasisKernel(_SchurKernel):
         return _dot(F)(F, F.swapaxes(-1, -2))
 
     def step(self, Xb, k):
+        """``(Y, proved)`` as :meth:`_capacitance_step` takes them from the
+        gain ``Xb B``, except that one iterate's unproved step is solved
+        again on a Schur form, and so proved."""
         Y, proved = self._capacitance_step(Xb @ self.B)
-        return Y if proved else self.into(self._solve_step(self.out(Xb), k))
+        if Y is None and Xb.ndim == 2:
+            return self.into(self._solve_step(self.out(Xb), k)), True
+        return Y, proved
 
     def enter(self, X0, tol):
         """A cold start (X0 None) enters at X1 as :meth:`Plant.X1b` forms
         it, ``(-Qb) o C``: the first capacitance step from 0 bit for bit,
         whose capacitance matrix is the identity, and whose Lyapunov proof
-        would only prove A stable, which A's certificate does.
+        would only prove A stable, which A's certificate does.  A batch's
+        kernel enters only cold, every member at that X1 through one
+        broadcast stack, and tests the one step X1 for all of them.
 
         A step reads its iterate only through the gain ``F = Xb B``, and
         ``V W = I`` makes the gain of ``Xb = W X0 W'`` equal to
@@ -939,7 +949,8 @@ class _EigenbasisKernel(_SchurKernel):
         step (a warm start from the solution itself takes this path)."""
         if X0 is None:
             X1b = self.plant.X1b()
-            return X1b, X1b
+            Xb = X1b if self.B.ndim == 2 else np.broadcast_to(X1b, self.B.shape[:1] + X1b.shape)
+            return Xb, X1b
         F = self.W @ (X0 @ self.G_factor)
         Y, proved = self._capacitance_step(F)
         if not proved:
@@ -1132,69 +1143,114 @@ def closed_loop(A, G, X, facts=None):
     return ClosedLoop(matrix, capacitance, facts, x_fro), proved
 
 
+def _newton_kleinman(kernel, operands, X0, tol, history=None):
+    """The Newton-Kleinman iteration of :func:`solve_are` and
+    :func:`solve_are_batch` on ``kernel``, from X0 (None for 0), for
+    ``operands`` (A, G, Q), whose G is a list of the members' for a stack.
+
+    Step k solves the Lyapunov equation
+
+        (A - X_{k-1} G) X_k + X_k (A - X_{k-1} G)' = -(X_{k-1} G X_{k-1} + Q)
+
+    on the kernel's closed loop: in A's real eigenbasis on a rank-r
+    capacitance system, kept only when Lyapunov's theorem proves the closed
+    loop stable (:class:`_EigenbasisKernel`), or on a real Schur form of
+    ``A - X_{k-1} G``, which raises ClosedLoopUnstable when its spectrum
+    leaves the open left half-plane (:class:`_SchurKernel`).  The first
+    iterate, which counts in k, is the kernel's ``enter``: from X0 = 0 the
+    plant's X1, ``A X1 + X1 A' = -Q`` whatever G is; from a warm start a
+    Newton step, whose step test the eigenbasis kernel decides from X0's
+    gain ``W (X0 B_G)`` where it can.  The iteration stops once the step
+    norm is <= tol *and* the residual ``A X + X A' - X G X + Q`` in the
+    original basis is within ``1e-10 (1 + ||Q||)``, each decided as an SVD
+    would decide it, from norm bounds first (:meth:`_SchurKernel.stops`;
+    on the eigenbasis kernel ``X G X`` is read from G's factor and the gate
+    lowered by what G's dropped part can move the strong residual by, see
+    :meth:`_EigenbasisKernel.build`).  A second stop test in a row that
+    passes the step test but fails the residual gate is a stall: the
+    eigenbasis steps no longer move the residual.
+
+    ``kernel`` steps one iterate, on 2-D arrays and plain bools, or a
+    batch's members on a leading axis (a cold entry on an eigenbasis
+    kernel), each member stepped, tested and stopped on its own, bit for
+    bit its single solve.  One iterate's unproved step is solved again on a
+    Schur form (the kernel's ``step``), a stall carries on from the iterate
+    in the original basis on Schur steps (``kernel.fallback()``), and
+    MAX_NEWTON_ITERS steps raise NewtonStall; ``history``, when given, gets
+    every iterate.  A member leaves the stack instead, at an unproved step,
+    a stall or MAX_NEWTON_ITERS steps.  The result is the RiccatiSolution,
+    or for a stack the list of the members', None for one that left.
+    """
+    A, G, Q = operands
+    # a warm start's symmetrized copy is let go once it has entered
+    Xb, step = kernel.enter(None if X0 is None else symmetrize(X0), tol)
+    one, proved, stalled = Xb.ndim == 2, True, False
+    any_ = bool if one else _any  # one iterate's tests are plain bools
+    if not one:  # the members still in the stack, and each one's result
+        live, found = np.arange(len(Xb)), [None] * len(Xb)
+        proved, stalled = np.ones(live.size, dtype=bool), np.zeros(live.size, dtype=bool)
+    for k in range(1, MAX_NEWTON_ITERS + 1):
+        if k > 1:
+            Y, proved = kernel.step(Xb, k)
+            if Y is None:  # no member's step is proved
+                break
+            step = Y - Xb  # frees the old step before the old iterate: the other
+            Xb = Y  # order (`step, Xb = ...` stores Xb first) faults 40 % more pages at n = 256
+        if history is not None:
+            history.append(np.array(kernel.out(Xb)))
+        tested = step is not None and proved & norm_within(step, tol)
+        left = False if one else ~proved  # the members that leave the stack
+        if any_(tested):
+            stopping = kernel if one else kernel.members(tested)
+            X = stopping.out(Xb if one else Xb[tested])
+            R, stop = stopping.stops(X)
+            if not one:
+                facts = stopping.facts(_frobenius(R))
+                for j, m in enumerate(live[tested]):
+                    if stop[j]:
+                        found[m] = RiccatiSolution.of(kernel.plant, X[j].copy(), k,
+                                                      (A, G[m], Q), eigenbasis=facts.member(j))
+                left[tested] = stop | stalled[tested]
+            elif stop:
+                return RiccatiSolution.of(kernel.plant, X, k, operands, history=history,
+                                          schur_steps=kernel.schur_steps,
+                                          eigenbasis=kernel.facts(_frobenius(R)))
+            elif stalled:  # two stop tests in a row failed only the residual gate
+                kernel, Xb = kernel.fallback(), X
+        stalled = tested
+        if one or not _any(left):
+            continue
+        if left.all():
+            break
+        kernel, live, Xb, stalled = kernel.members(~left), live[~left], Xb[~left], stalled[~left]
+    if not one:
+        return found
+    # a warm entry proved above tol forms no step
+    norm = "above tol" if step is None else f"{operator_norm(step):.3e}"
+    raise NewtonStall(f"step norm {norm} after {MAX_NEWTON_ITERS} iterations (tol={tol:.1e})")
+
+
 def solve_are(A, G, Q, tol=DEFAULT_STEP_TOL, cert=None, keep_history=False, X0=None):
-    """Solve the Riccati equation by Newton-Kleinman from X0 (default 0).
+    """Solve the Riccati equation by Newton-Kleinman from X0 (default 0):
+    :func:`_newton_kleinman` on one iterate.
 
-    Each step solves the Lyapunov equation
-
-        (A - Xk G) X_{k+1} + X_{k+1} (A - Xk G).T = -(Xk G Xk + Q).
-
-    When A is stable with a real, well-conditioned eigenbasis
-    ``A = V diag(d) V^{-1}`` (orthonormal for an exactly symmetric A), Q is
-    positive definite and G of numerical rank 1 to CAPACITANCE_MAX_RANK (the
-    rest of G too small to move the residual test below), the steps run in
-    A's eigenbasis on a rank-r capacitance system, and each is kept only
-    when Lyapunov's theorem proves its closed loop stable (see
-    :class:`_EigenbasisKernel`); an unproved step is solved again as below.
-    That capacitance system is solved by Woodbury's formula on a low-rank
-    factor of the plant's Cauchy matrix ``1/(d_i + d_j)`` when r + 2 times
-    its rank k is at most n, which on heat and convection-diffusion models
-    holds at rank 1 from n = 128, at ranks 2 and 3 at n = 256, and never at
-    n <= 64, and by a dense LU otherwise (see :meth:`Plant.cauchy_factor`),
-    which times faster there: the dense LU costs
-    O((n r)^3), the factored solve O(n^2 r^2 + n k^2 r^4) a step.
-    The eigenbasis is the one kept on A's certificate (or a fresh ``eigh``
-    of a symmetric A), and is taken only when the first iterate of a cold
-    start, built in it, passes the residual gate below in the original
-    basis (see :attr:`Plant.round_trip`).  G's factor comes from at most
+    Its steps run in A's eigenbasis (:class:`_EigenbasisKernel`) when A is
+    stable with a real, well-conditioned eigenbasis (the one kept on A's
+    certificate, orthonormal for an exactly symmetric A) that carries a
+    cold start's X1 back within the stop test's gate
+    (:attr:`Plant.round_trip`), Q is positive definite and G has numerical
+    rank 1 to CAPACITANCE_MAX_RANK, its rest too small to move the stop
+    test; otherwise on Schur forms.  G's factor comes from at most
     CAPACITANCE_MAX_RANK pivoted Cholesky steps (:func:`low_rank_psd`),
     which also prove G PSD, and is the only route into the eigenbasis;
-    when they give none, ``check_psd(G, "G")`` decides G.
-    Otherwise each step is solved from one real Schur factorization of the
-    closed loop ``A - Xk G``, which also certifies its spectrum:
-    ClosedLoopUnstable is raised when that spectrum leaves the open left
-    half-plane.  Iteration stops once the step norm is <= tol *and* the
-    residual in the original basis is within ``1e-10 (1 + ||Q||)``.  That
-    residual takes one n^3 product, ``M = A X``, since
-    ``A X + X A' = M + M'`` for the symmetric iterate; on the eigenbasis
-    kernel ``X G X`` is read from G's rank-r factor as ``(X B)(X B)'``, and
-    the gate is lowered by a bound on what G's dropped part moves the
-    strong residual by (see :meth:`_EigenbasisKernel.build`).  When two
-    stop tests in a row pass the step test but fail the residual gate on
-    the eigenbasis kernel, its steps no longer move the residual: the solve
-    carries on from the iterate in the original basis on Schur steps.  Both tests
-    are decided as SVDs would decide them, from norm bounds, with an SVD
-    only where the bounds leave a test open; the solution's ``strong_residual``, the operator norm
-    of ``A X + X A' - X G X + Q`` with the true G, is computed when first
-    read.
-    X0 = 0 is admissible because A itself is required to be stable
-    (certified on entry); any other X0 must keep A - X0 G stable (e.g. a warm
-    start from a nearby instance).  On the eigenbasis kernel a warm start
-    enters through its gain ``W (X0 B_G)``, O(n^2 r), and its first step
-    test is decided from a lower bound on the step, read from that gain;
-    ``W X0 W'`` (two n^3 products) is formed only when the bound leaves the
-    test open (see :meth:`_EigenbasisKernel.enter`).  From X0 = 0 the first
-    iterate X1 solves ``A X1 + X1 A' = -Q`` whatever G is, so both kernels
-    read it off the :class:`Plant` of (A, Q) through ``enter``: in the
-    eigenbasis as ``(-Qb) o C``, O(n^2), and on Schur steps as the
-    solution that the first cold start on the plant solves and keeps, so
-    every cold start that shares A, its certificate and Q takes one Schur
-    form of A between them.  X1 still counts in ``newton_iters``;
-    ``schur_steps`` on the solution counts the Schur forms the solve
-    actually took, X1 included when this solve formed it.  A solve that
-    finishes on the eigenbasis kernel keeps its facts on the solution
-    (``eigenbasis``), from which :func:`closed_loop` proves the final
-    closed loop stable for the multiplier.
+    when they give none, ``check_psd(G, "G")`` decides G.  ``schur_steps``
+    counts the Schur forms the solve took, X1 included when this solve
+    formed it.  A solve that finishes in the eigenbasis keeps the kernel's
+    facts (``eigenbasis``), from which :func:`closed_loop` proves the final
+    closed loop stable for the multiplier; ``strong_residual``, with the
+    true G, is computed when first read.  X0 = 0 is admissible because A
+    is required to be stable (certified on entry); any other X0 must keep
+    ``A - X0 G`` stable (e.g. a warm start from a nearby instance).
 
     G, Q and X0 must have A's shape and tol must be positive: both are
     checked, with ValueError, before any other work.
@@ -1218,35 +1274,7 @@ def solve_are(A, G, Q, tol=DEFAULT_STEP_TOL, cert=None, keep_history=False, X0=N
     factor = _factor(G)
     plant = Plant(A, Q) if cert is None else Plant.of(cert, A, Q)
     kernel = (factor and _EigenbasisKernel.build(plant, G, factor)) or _SchurKernel(plant, G)
-
-    history = [] if keep_history else None
-    stalled = False
-    for k in range(1, MAX_NEWTON_ITERS + 1):
-        if k == 1:  # a warm start's symmetrized copy is let go once it has entered
-            Xb, step = kernel.enter(None if X0 is None else symmetrize(X0), tol)
-        else:
-            Xb_next = kernel.step(Xb, k)
-            step = Xb_next - Xb
-            Xb = Xb_next
-        if history is not None:
-            history.append(np.array(kernel.out(Xb)))
-        if step is None or not norm_within(step, tol):
-            stalled = False
-            continue
-        X = kernel.out(Xb)
-        R, stop = kernel.stops(X)
-        if stop:
-            break
-        if stalled:  # two stop tests in a row failed only the residual gate
-            kernel, Xb = kernel.fallback(), X
-        stalled = True
-    else:
-        raise NewtonStall(
-            f"step norm {operator_norm(step):.3e} after {MAX_NEWTON_ITERS} "
-            f"iterations (tol={tol:.1e})")
-
-    return RiccatiSolution.of(plant, X, k, (A, G, Q), schur_steps=kernel.schur_steps,
-                              history=history, eigenbasis=kernel.facts(_frobenius(R)))
+    return _newton_kleinman(kernel, (A, G, Q), X0, tol, [] if keep_history else None)
 
 
 def _factor(G):
@@ -1268,13 +1296,10 @@ def solve_are_batch(plant, Gs):
     the Gs are factored by one :func:`low_rank_psd` call.
 
     The members, the Gs whose factor has the most common rank and passes
-    the eigenbasis kernel's margin, share one kernel with their factors and
-    iterates on a leading axis, and step in lockstep from the plant's X1
-    through the single solve's steps, stop test and gates, each member on
-    its own with its own linear solve, so each solution is the single
-    solve's bit for bit.  A member leaves where its single solve would
-    leave the eigenbasis: an unproved step, a second stop test in a row
-    that fails only the residual gate, or MAX_NEWTON_ITERS steps.
+    the eigenbasis kernel's margin, share one kernel with their factors on
+    a leading axis and run :func:`_newton_kleinman` as one stack, so each
+    solution is the single solve's bit for bit; a member leaves where its
+    single solve would leave the eigenbasis.
     """
     A, Q = plant.A, plant.Q
     if not (isinstance(Gs, np.ndarray) and Gs.dtype == float and Gs.shape[1:] == A.shape
@@ -1292,40 +1317,13 @@ def solve_are_batch(plant, Gs):
         (np.stack([factors[m][0] for m in live]), np.array([factors[m][1] for m in live])))
     if kernel is None:
         return solutions
-    kernel, live = kernel.members(kernel.admitted), live[kernel.admitted]
-    # step k = 1 is X1 itself, every member's (see _EigenbasisKernel.enter)
-    X1b = plant.X1b()
-    Xb = np.broadcast_to(X1b, (live.size,) + A.shape)
-    proved = np.ones(live.size, dtype=bool)
-    tested = np.full(live.size, norm_within(X1b, DEFAULT_STEP_TOL))
-    stalled = np.zeros(live.size, dtype=bool)
+    live = live[kernel.admitted]
     # a member that fails a gate may carry non-finite values until it leaves
     with np.errstate(all="ignore"):
-        for k in range(1, MAX_NEWTON_ITERS + 1):
-            if k > 1:
-                Y, proved = kernel._capacitance_step(np.matmul(Xb, kernel.B))
-                if Y is None:
-                    break
-                tested = proved & norm_within(Y - Xb, DEFAULT_STEP_TOL)
-                Xb = Y
-            done = np.zeros(live.size, dtype=bool)
-            if _any(tested):
-                stopping = kernel.members(tested)
-                X = stopping.out(Xb[tested])
-                R, stop = stopping.stops(X)
-                facts = stopping.facts(_frobenius(R))
-                for j, m in enumerate(live[tested]):
-                    if stop[j]:
-                        solutions[m] = RiccatiSolution.of(plant, X[j].copy(), k, (A, Gs[m], Q),
-                                                          eigenbasis=facts.member(j))
-                done[tested] = stop | stalled[tested]
-                stalled[tested] = True
-            stalled &= tested
-            keep = proved > done
-            if not _any(keep):
-                break
-            if not keep.all():
-                kernel, live, Xb, stalled = kernel.members(keep), live[keep], Xb[keep], stalled[keep]
+        found = _newton_kleinman(kernel.members(kernel.admitted), (A, [Gs[m] for m in live], Q),
+                                 None, DEFAULT_STEP_TOL)
+    for m, sol in zip(live, found):
+        solutions[m] = sol
     return solutions
 
 

@@ -7,6 +7,7 @@ import pytest
 from riccati_place import cli, linalg, optimize, riccati
 from riccati_place.devices import GaussianActuators, sample_box
 from riccati_place.dual import solve_dual
+from riccati_place.errors import NewtonStall
 from riccati_place.linalg import low_rank_psd
 from riccati_place.optimize import Problem2Config, solve_state_pair, solve_state_pairs
 from riccati_place.riccati import solve_are
@@ -129,6 +130,63 @@ class TestSolveStatePairs:
         assert_bit_for_bit(states, reference)
         assert len(singles) == 1 and singles[0][1] is states[4].G
         assert [s.sol.schur_steps > 0 for s in states] == [k == 4 for k in range(9)]
+
+    def test_member_whose_stop_test_stalls_finishes_on_the_single_path(self, monkeypatch):
+        # the stop test of one placement can never pass in the eigenbasis:
+        # its second failed stop test leaves the batch, and its single solve
+        # carries on from the stalled iterate on Schur steps
+        cfg = heat16_config()
+        points = placements(cfg, 9, 5)
+        d, V, _, _ = cfg.cert.eigh(cfg.A)
+        target = V.T @ low_rank_psd(cfg.family.G(points[4]), 3)[0]
+        margin = riccati._EigenbasisKernel.residual_margin
+        gate, batched_tests = riccati.RESIDUAL_RTOL * 2.0, []  # Q = I
+
+        def never(kernel, X):
+            blocked = np.all(kernel.B == target, axis=(-2, -1))
+            if X.ndim == 3 and blocked.any():
+                batched_tests.append(X.shape[0])
+            return np.where(blocked, 2.0 * gate, margin(kernel, X))
+
+        monkeypatch.setattr(riccati._EigenbasisKernel, "residual_margin", never)
+        reference = sequential(cfg, points)
+        batch = riccati.solve_are_batch(cfg.plant, cfg.family.G_stack(points))
+        assert [sol is None for sol in batch] == [k == 4 for k in range(9)]
+        assert len(batched_tests) == 2  # it left at its second failed stop test
+        singles = count_calls(monkeypatch, "solve_are", optimize)
+        states = list(solve_state_pairs(cfg, points))
+        assert_bit_for_bit(states, reference)
+        assert len(singles) == 1 and singles[0][1] is states[4].G
+        assert states[4].sol.schur_steps > 0 and states[4].sol.eigenbasis is None
+        assert all(s.sol.eigenbasis is not None for k, s in enumerate(states) if k != 4)
+
+    def test_members_reaching_the_iteration_cap_leave_the_batch(self, monkeypatch):
+        # G scaled by 1e-3, 1, 1e2 and 1e4 takes 3, 4, 6 and 9 steps: under a
+        # cap of 5 the last two never stop and come back as None, the others
+        # are their single solves bit for bit
+        cfg = heat16_config()
+        G = cfg.family.G([0.3])
+        Gs = np.stack([scale * G for scale in (1e-3, 1.0, 1e2, 1e4)])
+        singles = [solve_are(cfg.A, G, cfg.Q, cert=cfg.cert) for G in Gs]
+        assert [sol.newton_iters for sol in singles] == [3, 4, 6, 9]
+        monkeypatch.setattr(riccati, "MAX_NEWTON_ITERS", 5)
+        batch = riccati.solve_are_batch(cfg.plant, Gs)
+        assert [sol is None for sol in batch] == [False, False, True, True]
+        for sol, ref in zip(batch[:2], singles):
+            assert sol.X.tobytes() == ref.X.tobytes() and sol.newton_iters == ref.newton_iters
+
+    def test_state_pairs_raise_newton_stall_as_the_state_pair_does(self, monkeypatch):
+        # every heat16 placement takes 4 steps: under a cap of 3 the whole
+        # batch comes back as None, and its first single solve stalls
+        cfg = heat16_config()
+        points = placements(cfg, 5, 8)
+        monkeypatch.setattr(riccati, "MAX_NEWTON_ITERS", 3)
+        assert riccati.solve_are_batch(cfg.plant, cfg.family.G_stack(points)) == [None] * 5
+        with pytest.raises(NewtonStall) as single:
+            solve_state_pair(cfg, points[0])
+        with pytest.raises(NewtonStall) as batched:
+            list(solve_state_pairs(cfg, points))
+        assert str(batched.value) == str(single.value)
 
     def test_another_rank_of_G_leaves_the_batch(self, monkeypatch):
         # coincident centres of a d = 2 family give G rank 1 where the

@@ -87,6 +87,18 @@ class TestSolveAre:
             solve_are(np.diag([-1.0, -3.0]), rand_psd(2, np.random.default_rng(0)),
                       rand_psd(2, np.random.default_rng(1)))
 
+    def test_newton_stall_when_the_warm_entry_is_the_last_step(self, monkeypatch):
+        # the eigenbasis kernel proves the first warm step above tol from its
+        # gain and forms no step: the stall is still a NewtonStall
+        import riccati_place.riccati as riccati_mod
+        A, grid = heat1d(64)
+        family = GaussianActuators(grid=grid, sigma=0.12)
+        cert = certify_stability(A)
+        X0 = solve_are(A, family.G([0.3]), np.eye(64), cert=cert).X
+        monkeypatch.setattr(riccati_mod, "MAX_NEWTON_ITERS", 1)
+        with pytest.raises(NewtonStall, match="step norm above tol after 1 iterations"):
+            solve_are(A, family.G([0.5]), np.eye(64), cert=cert, X0=X0)
+
     def test_rejects_nonpositive_tol(self):
         with pytest.raises(ValueError):
             solve_are(scalar(-1), scalar(1), scalar(3), tol=0.0)
@@ -835,7 +847,7 @@ def projected_enter(kernel, X0, tol):
     if X0 is None:
         return ENTER(kernel, X0, tol)
     Xb = kernel.into(X0)
-    Y = kernel.step(Xb, 1)
+    Y = kernel.step(Xb, 1)[0]
     return Y, Y - Xb
 
 
